@@ -12,7 +12,6 @@ from .decoder import (
     ReconstructionResult,
     classify,
     reconstruct,
-    reconstruct_full_range,
     remainder_cascade,
 )
 from .errors import (
@@ -23,7 +22,6 @@ from .errors import (
     DivisionByZeroError,
     EnumerationTooLargeError,
     InconsistentResiduesError,
-    InexactDivisionError,
     LevelOutOfRangeError,
     MixedFieldsError,
     ParseError,
@@ -32,7 +30,7 @@ from .errors import (
     ZeroInputError,
     ZeroModulusError,
 )
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .levels import (
     LevelSpec,
     ModuliPairAnalysis,
@@ -70,10 +68,8 @@ __all__ = [
     "DivisionByZeroError",
     "EnumerationTooLargeError",
     "ErroneousResiduePair",
-    "FieldElement",
     "FoldingWitness",
     "InconsistentResiduesError",
-    "InexactDivisionError",
     "LevelOutOfRangeError",
     "LevelSpec",
     "MixedFieldsError",
@@ -104,7 +100,6 @@ __all__ = [
     "parse_polynomial",
     "random_moduli_pair",
     "reconstruct",
-    "reconstruct_full_range",
     "remainder_cascade",
     "render_level_table",
     "render_report",

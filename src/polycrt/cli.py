@@ -8,7 +8,7 @@ stderr.  Exit codes are stable:
     2  input/config error (polynomial text, composite p, bad level or tau)
     3  unusable moduli (zero, coprime, or one dividing the other)
     4  degree out of range
-    5  inexact division inside the decoder
+    5  retired (was: inexact division inside the decoder; cannot occur)
     6  inconsistent residues in exact reconstruction
     7  fewer than two moduli for the bound computation
     8  failures in a guarantee-mode simulation
@@ -29,7 +29,6 @@ from .errors import (
     DegenerateModuliError,
     DegreeOutOfRangeError,
     InconsistentResiduesError,
-    InexactDivisionError,
     LevelOutOfRangeError,
     ParseError,
     PolyCrtError,
@@ -46,7 +45,6 @@ _EXIT_CODES = (
     (LevelOutOfRangeError, 2),
     ((ZeroModulusError, CoprimeModuliError, DegenerateModuliError), 3),
     (DegreeOutOfRangeError, 4),
-    (InexactDivisionError, 5),
     (InconsistentResiduesError, 6),
     (TooFewModuliError, 7),
 )

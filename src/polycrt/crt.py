@@ -23,6 +23,22 @@ from .levels import ModuliPairAnalysis
 from .poly import Polynomial
 
 
+def _check_residues(
+    x1: Polynomial, x2: Polynomial, moduli: ModuliPairAnalysis, name: str
+) -> None:
+    """Require ``x1, x2`` over the moduli's field with ``deg(x_i) < deg(m_i)``.
+
+    ``name`` is the residue letter used in error messages (``a`` or ``r``).
+    """
+    if x1.field != moduli.field or x2.field != moduli.field:
+        raise MixedFieldsError("residues must live in the moduli's field")
+    for i, x, mod in ((1, x1, moduli.m1), (2, x2, moduli.m2)):
+        if not x.degree < mod.degree:
+            raise DegreeOutOfRangeError(
+                f"deg({name}{i}) = {x.degree} not below deg(m{i}) = {mod.degree}"
+            )
+
+
 @dataclass(frozen=True)
 class ResiduePair:
     """Residues of one polynomial with respect to an analyzed moduli pair."""
@@ -32,16 +48,7 @@ class ResiduePair:
     moduli: ModuliPairAnalysis
 
     def __post_init__(self) -> None:
-        if self.a1.field != self.moduli.field or self.a2.field != self.moduli.field:
-            raise MixedFieldsError("residues must live in the moduli's field")
-        if not self.a1.degree < self.moduli.m1.degree:
-            raise DegreeOutOfRangeError(
-                f"deg(a1) = {self.a1.degree} not below deg(m1) = {self.moduli.m1.degree}"
-            )
-        if not self.a2.degree < self.moduli.m2.degree:
-            raise DegreeOutOfRangeError(
-                f"deg(a2) = {self.a2.degree} not below deg(m2) = {self.moduli.m2.degree}"
-            )
+        _check_residues(self.a1, self.a2, self.moduli, "a")
 
 
 @dataclass(frozen=True)

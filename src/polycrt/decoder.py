@@ -8,20 +8,26 @@ and returns ``a_hat = k2_hat * m2 + r2``, so the reconstruction differs from
     deg(a)  <  deg(lcm) - deg(sigma_i)      (dynamic range)
     deg(e1), deg(e2)  <  deg(m) + deg(sigma_i)   (error bound)
 
-The decision variable is the received-residue difference ``q21 = r1 - r2``,
-whose degree cannot be moved across the decision thresholds by in-bound
-errors:
+The decoder is one formula on the received-residue difference ``q21 = r1 - r2``:
 
-* ``deg(m) + deg(sigma_i) <= deg(q21) < deg(m1)``: the clean residues differ
-  but both fit below ``deg(m1)``.  A remainder cascade modulo
-  ``m*sigma_1, ..., m*sigma_i`` strips the folded difference down to
-  ``e1 - e2``, so ``q21 - tail`` is the clean difference ``a1 - a2`` and
-  ``k2`` follows from the cofactor inverse.
+    tail   = q21 mod m1 mod m*sigma_1 mod ... mod m*sigma_i
+    k2_hat = ((q21 - tail) / m * gamma_inv21) mod gamma1
+
+Inside the bounds the remainder cascade strips the clean difference
+``a1 - a2`` (a multiple of ``m``) and leaves ``tail = e1 - e2``, so
+``q21 - tail`` is the clean difference and ``k2`` follows from the cofactor
+inverse.  Every cascade modulus is a multiple of ``m``, so the division by
+``m`` is always exact.
+
+The degree of ``q21`` also names one of three cases, reported as
+:class:`Branch` for diagnostics only; the formula is the same in all three:
+
+* ``deg(m) + deg(sigma_i) <= deg(q21) < deg(m1)``: the clean residues
+  differ but both fit below ``deg(m1)``; ``mod m1`` does nothing.
 * ``deg(q21) >= deg(m1)``: the second clean residue is at least as big as
-  ``m1``; one extra reduction modulo ``m1`` first brings the difference into
-  the same cascade.
-* ``deg(q21) < deg(m) + deg(sigma_i)``: the clean residues are equal, so
-  ``k2 = 0`` and ``r2`` already approximates ``a``.
+  ``m1``; ``mod m1`` brings the difference into the cascade's range.
+* ``deg(q21) < deg(m) + deg(sigma_i)``: the clean residues are equal; the
+  cascade leaves ``tail = q21`` and so ``k2_hat = 0``.
 """
 
 from __future__ import annotations
@@ -29,17 +35,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import (
-    DegreeOutOfRangeError,
-    InexactDivisionError,
-    MixedFieldsError,
-)
+from .crt import _check_residues
 from .levels import ModuliPairAnalysis
 from .poly import Polynomial
 
 
 class Branch(enum.Enum):
-    """Which decision branch the decoder took for a residue pair."""
+    """Diagnostic label for the degree of a received-residue difference."""
 
     FOLDED_DIFFERENCE = "folded_difference"
     LARGE_RESIDUE = "large_residue"
@@ -55,16 +57,7 @@ class ErroneousResiduePair:
     moduli: ModuliPairAnalysis
 
     def __post_init__(self) -> None:
-        if self.r1.field != self.moduli.field or self.r2.field != self.moduli.field:
-            raise MixedFieldsError("residues must live in the moduli's field")
-        if not self.r1.degree < self.moduli.m1.degree:
-            raise DegreeOutOfRangeError(
-                f"deg(r1) = {self.r1.degree} not below deg(m1) = {self.moduli.m1.degree}"
-            )
-        if not self.r2.degree < self.moduli.m2.degree:
-            raise DegreeOutOfRangeError(
-                f"deg(r2) = {self.r2.degree} not below deg(m2) = {self.moduli.m2.degree}"
-            )
+        _check_residues(self.r1, self.r2, self.moduli, "r")
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,9 @@ class ReconstructionResult:
     """Decoder output: estimate, recovered folding polynomial and diagnostics.
 
     ``a_hat = k2_hat * m2 + r2`` always holds exactly.  ``cascade_tail`` is
-    the final cascade remainder (zero for :attr:`Branch.EQUAL_RESIDUES`).
+    the remainder cascade of ``q21 mod m1``; inside the bounds it equals
+    ``e1 - e2``.  ``branch`` is a diagnostic label of ``deg(q21)`` and does
+    not change how the result was computed.
     """
 
     a_hat: Polynomial
@@ -107,10 +102,11 @@ def remainder_cascade(
 
 
 def classify(q21: Polynomial, analysis: ModuliPairAnalysis, level: int) -> Branch:
-    """Decision branch for a received-residue difference at the given level.
+    """Branch label for a received-residue difference at the given level.
 
     The three branches are exhaustive and mutually exclusive; the zero
-    difference has degree NEG_INF and lands in EQUAL_RESIDUES.
+    difference has degree NEG_INF and lands in EQUAL_RESIDUES.  The label is
+    diagnostic: :func:`reconstruct` computes the same formula for all three.
     """
     spec = analysis.level_spec(level)
     deg = q21.degree
@@ -128,36 +124,12 @@ def reconstruct(pair: ErroneousResiduePair, level: int) -> ReconstructionResult:
     ``k2_hat`` equals the true folding polynomial and
     ``a_hat - a = e2``.  Outside those bounds the decoder still returns a
     (possibly wrong) result; there is no reliable detector for violated
-    preconditions, although an inexact division would be surfaced as
-    :class:`InexactDivisionError` rather than truncated.
+    preconditions.
     """
     analysis = pair.moduli
-    zero = Polynomial(analysis.field)
     q21 = pair.r1 - pair.r2
     branch = classify(q21, analysis, level)
-
-    if branch is Branch.EQUAL_RESIDUES:
-        k2_hat = zero
-        tail = zero
-    else:
-        start = q21 if branch is Branch.FOLDED_DIFFERENCE else q21 % analysis.m1
-        tail = remainder_cascade(start, analysis, level)
-        quot, rem = divmod(q21 - tail, analysis.m)
-        if not rem.is_zero:
-            raise InexactDivisionError(
-                "difference minus cascade tail is not divisible by the gcd;"
-                " residues violate the decoder's preconditions"
-            )
-        k2_hat = (quot * analysis.gamma_inv21) % analysis.gamma1
-
+    tail = remainder_cascade(q21 % analysis.m1, analysis, level)
+    k2_hat = ((q21 - tail) // analysis.m * analysis.gamma_inv21) % analysis.gamma1
     a_hat = k2_hat * analysis.m2 + pair.r2
     return ReconstructionResult(a_hat, k2_hat, branch, q21, tail)
-
-
-def reconstruct_full_range(pair: ErroneousResiduePair) -> ReconstructionResult:
-    """Reconstruction at the top level: full dynamic range ``deg(lcm)``.
-
-    The final chain entry is a scalar, so the error bound collapses to
-    ``deg(m)`` while the admissible message degree reaches its maximum.
-    """
-    return reconstruct(pair, pair.moduli.K + 1)

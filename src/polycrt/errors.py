@@ -52,10 +52,6 @@ class InconsistentResiduesError(PolyCrtError):
     """Residues disagree modulo the gcd of the moduli; no common preimage."""
 
 
-class InexactDivisionError(PolyCrtError):
-    """An exact polynomial division left a remainder."""
-
-
 class TooFewModuliError(PolyCrtError):
     """At least two moduli are required."""
 

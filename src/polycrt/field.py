@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from .errors import DivisionByZeroError, MixedFieldsError
+from .errors import DivisionByZeroError
 
 
 def _is_prime(n: int) -> bool:
@@ -27,11 +25,10 @@ class PrimeField:
     composite ``p`` fails immediately instead of corrupting arithmetic later.
     Intended for small primes (p <= 2**31).
 
-    The integer helpers (:meth:`add`, :meth:`sub`, :meth:`mul`, :meth:`neg`,
-    :meth:`inv`) work on plain residues in ``[0, p)`` and are what the
-    polynomial layer uses internally; :meth:`element` wraps a residue as a
-    :class:`FieldElement` for element-level work.  Two ``PrimeField``
-    instances compare equal iff they have the same characteristic.
+    Field elements are plain ints in ``[0, p)``; the polynomial layer does
+    its coefficient arithmetic on them directly and asks the field only for
+    :meth:`inv`.  Two ``PrimeField`` instances compare equal iff they have
+    the same characteristic.
     """
 
     __slots__ = ("p",)
@@ -52,20 +49,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"GF({self.p})"
 
-    # Integer-level arithmetic on residues in [0, p).
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse of ``a`` via the extended Euclidean algorithm."""
         a %= self.p
@@ -78,81 +61,3 @@ class PrimeField:
             r0, r1 = r1, r0 - q * r1
             t0, t1 = t1, t0 - q * t1
         return t0 % self.p
-
-    # Element-level interface.
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, value)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> Iterator["FieldElement"]:
-        """All field elements, in residue order."""
-        return (FieldElement(self, v) for v in range(self.p))
-
-
-class FieldElement:
-    """An element of a prime field: a residue in ``[0, p)`` tagged with its field.
-
-    Immutable; operations never mix elements of different fields.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: PrimeField, value: int) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value % field.p)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FieldElement is immutable")
-
-    def _same_field(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if self.field != other.field:
-            raise MixedFieldsError(
-                f"cannot combine elements of {self.field!r} and {other.field!r}"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement(self.field, self.value + other.value)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement(self.field, self.value - other.value)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement(self.field, self.value * other.value)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, -self.value)
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return self * other.inv()
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field, self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"F{self.field.p}({self.value})"

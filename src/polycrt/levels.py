@@ -29,7 +29,7 @@ from .errors import (
     ZeroModulusError,
 )
 from .field import PrimeField
-from .poly import Polynomial, gcd, lcm, xgcd
+from .poly import Polynomial, gcd
 
 
 @dataclass(frozen=True)
@@ -127,17 +127,19 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
             "one modulus divides the other; the pair carries no usable"
             " redundancy"
         )
-    big = lcm(m1, m2)
+    big = (m1 * gamma2).monic()
 
-    # gamma2 * s + gamma1 * t = 1, so s reduced mod gamma1 inverts gamma2.
-    g, s, _ = xgcd(gamma2, gamma1)
-    assert g.degree == 0, "cofactors of the gcd must be coprime"
-    inv21 = s % gamma1
-
+    # One extended Euclid pass over (gamma2, gamma1): the remainders are the
+    # sigma chain, and s1 * gamma2 == chain[-1] (mod gamma1) throughout, so
+    # at the final scalar entry c, s1 / c inverts gamma2 modulo gamma1.
     chain = [gamma2, gamma1]
+    s0, s1 = Polynomial(m.field, (1,)), Polynomial(m.field)
     while chain[-1].degree > 0:
-        chain.append(chain[-2] % chain[-1])
-        assert not chain[-1].is_zero, "chain hit zero before a scalar"
+        q, r = divmod(chain[-2], chain[-1])
+        chain.append(r)
+        s0, s1 = s1, s0 - q * s1
+        assert not r.is_zero, "chain hit zero before a scalar"
+    inv21 = (s1 % gamma1)._scale(m.field.inv(chain[-1].lead))
     k_index = len(chain) - 3
 
     deg_m = m.degree

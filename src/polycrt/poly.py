@@ -19,7 +19,7 @@ from .errors import (
     ParseError,
     ZeroInputError,
 )
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 
 NEG_INF = float("-inf")
 
@@ -32,26 +32,14 @@ _MAX_PARSE_DEGREE = 1 << 16
 class Polynomial:
     """A dense polynomial over a :class:`PrimeField`.
 
-    Coefficients may be given as ints (reduced mod p) or as
-    :class:`FieldElement` values of the same field, lowest power first.
+    Coefficients are ints, lowest power first, reduced mod p.
     """
 
     __slots__ = ("field", "coeffs")
 
-    def __init__(
-        self, field: PrimeField, coeffs: Iterable[Union[int, FieldElement]] = ()
-    ) -> None:
+    def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()) -> None:
         p = field.p
-        vals = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise MixedFieldsError(
-                        f"coefficient from {c.field!r} in a polynomial over {field!r}"
-                    )
-                vals.append(c.value)
-            else:
-                vals.append(c % p)
+        vals = [c % p for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         object.__setattr__(self, "field", field)

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .crt import encode
-from .decoder import Branch, ErroneousResiduePair, reconstruct
+from .decoder import Branch, ErroneousResiduePair, ReconstructionResult, reconstruct
 from .errors import EnumerationTooLargeError, PolyCrtError
 from .field import PrimeField
 from .levels import ModuliPairAnalysis, analyze_pair
@@ -198,6 +198,42 @@ def _deg_json(deg: Optional[Degree]) -> Optional[int]:
     return int(deg)
 
 
+class _Trial(NamedTuple):
+    """Inputs of one corrupt-then-decode trial and what the decoder made of them."""
+
+    a: Polynomial
+    e1: Polynomial
+    e2: Polynomial
+    r1: Polynomial
+    r2: Polynomial
+    k2_true: Polynomial
+    result: Optional[ReconstructionResult]
+    error: Optional[str]
+
+
+def _run_trial(
+    analysis: ModuliPairAnalysis, level: int, tau: int, rng: random.Random
+) -> _Trial:
+    """Draw ``a``, then ``e1``, then ``e2`` from ``rng``, corrupt and decode.
+
+    The draw order is part of the determinism contract.  Decoder errors are
+    returned as ``"<type>: <message>"`` in ``error``, never raised.
+    """
+    field = analysis.field
+    a = sample_polynomial(analysis.level_spec(level).dynamic_range_exclusive, field, rng)
+    e1 = sample_error(tau, field, rng)
+    e2 = sample_error(tau, field, rng)
+    residues, witness = encode(a, analysis)
+    r1 = (residues.a1 + e1) % analysis.m1
+    r2 = (residues.a2 + e2) % analysis.m2
+    pair = ErroneousResiduePair(r1, r2, analysis)
+    try:
+        result, error = reconstruct(pair, level), None
+    except PolyCrtError as exc:
+        result, error = None, f"{type(exc).__name__}: {exc}"
+    return _Trial(a, e1, e2, r1, r2, witness.k2, result, error)
+
+
 def run_campaign(config: TrialConfig) -> TrialReport:
     """Run the configured number of independent corrupt-then-decode trials.
 
@@ -205,49 +241,39 @@ def run_campaign(config: TrialConfig) -> TrialReport:
     the reconstruction error degree stays within ``tau``.  Decoder errors
     are recorded as failures, never raised.
     """
-    analysis = config.analysis
-    field = analysis.field
-    spec = analysis.level_spec(config.level)
     report = TrialReport(
         config=config, branch_counts={b.value: 0 for b in Branch}
     )
     for idx in range(config.trials):
         rng = random.Random(f"{config.seed}:{idx}")
-        a = sample_polynomial(spec.dynamic_range_exclusive, field, rng)
-        e1 = sample_error(config.tau, field, rng)
-        e2 = sample_error(config.tau, field, rng)
-        residues, witness = encode(a, analysis)
-        r1 = (residues.a1 + e1) % analysis.m1
-        r2 = (residues.a2 + e2) % analysis.m2
-        pair = ErroneousResiduePair(r1, r2, analysis)
-        try:
-            result = reconstruct(pair, config.level)
-        except PolyCrtError as exc:
+        trial = _run_trial(config.analysis, config.level, config.tau, rng)
+        result = trial.result
+        if result is None:
             outcome = TrialOutcome(
                 trial=idx,
-                a=a,
-                e1=e1,
-                e2=e2,
+                a=trial.a,
+                e1=trial.e1,
+                e2=trial.e2,
                 branch=None,
                 k2_match=False,
                 residual_deg=None,
                 residual_is_e2=False,
                 success=False,
-                error=f"{type(exc).__name__}: {exc}",
+                error=trial.error,
             )
             report.decode_errors += 1
         else:
-            residual = result.a_hat - a
-            k2_match = result.k2_hat == witness.k2
+            residual = result.a_hat - trial.a
+            k2_match = result.k2_hat == trial.k2_true
             outcome = TrialOutcome(
                 trial=idx,
-                a=a,
-                e1=e1,
-                e2=e2,
+                a=trial.a,
+                e1=trial.e1,
+                e2=trial.e2,
                 branch=result.branch,
                 k2_match=k2_match,
                 residual_deg=residual.degree,
-                residual_is_e2=residual == e2,
+                residual_is_e2=residual == trial.e2,
                 success=k2_match and residual.degree <= config.tau,
             )
             report.branch_counts[result.branch.value] += 1
@@ -354,50 +380,26 @@ def search_boundary_counterexample(
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    field = analysis.field
-    spec = analysis.level_spec(level)
-    tau = spec.error_bound_exclusive
+    tau = analysis.level_spec(level).error_bound_exclusive
     for idx in range(budget):
         rng = random.Random(f"boundary:{seed}:{idx}")
-        a = sample_polynomial(spec.dynamic_range_exclusive, field, rng)
-        e1 = sample_error(tau, field, rng)
-        e2 = sample_error(tau, field, rng)
-        residues, witness = encode(a, analysis)
-        r1 = (residues.a1 + e1) % analysis.m1
-        r2 = (residues.a2 + e2) % analysis.m2
-        pair = ErroneousResiduePair(r1, r2, analysis)
-        try:
-            result = reconstruct(pair, level)
-        except PolyCrtError as exc:
+        trial = _run_trial(analysis, level, tau, rng)
+        result = trial.result
+        residual_deg = None if result is None else (result.a_hat - trial.a).degree
+        if result is None or result.k2_hat != trial.k2_true or residual_deg > tau:
             return BoundaryInstance(
                 trial=idx,
                 seed=seed,
                 level=level,
                 tau=tau,
-                a=a,
-                e1=e1,
-                e2=e2,
-                r1=r1,
-                r2=r2,
-                k2_true=witness.k2,
-                k2_hat=None,
-                residual_deg=None,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        residual_deg = (result.a_hat - a).degree
-        if result.k2_hat != witness.k2 or residual_deg > tau:
-            return BoundaryInstance(
-                trial=idx,
-                seed=seed,
-                level=level,
-                tau=tau,
-                a=a,
-                e1=e1,
-                e2=e2,
-                r1=r1,
-                r2=r2,
-                k2_true=witness.k2,
-                k2_hat=result.k2_hat,
+                a=trial.a,
+                e1=trial.e1,
+                e2=trial.e2,
+                r1=trial.r1,
+                r2=trial.r2,
+                k2_true=trial.k2_true,
+                k2_hat=None if result is None else result.k2_hat,
                 residual_deg=residual_deg,
+                error=trial.error,
             )
     return None

@@ -170,6 +170,19 @@ class TestReconstruct:
         assert "branch = equal_residues" in out
         assert "a_hat = x^3+1" in out
 
+    def test_equal_residues_json_tail(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "reconstruct", "--m1", REF_M1, "--m2", REF_M2,
+            "--r1", "x^5+x^3+x+1", "--r2", "x^5+x^3+1", "--level", "3",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["branch"] == "equal_residues"
+        assert payload["k2Hat"] == "0"
+        assert payload["cascadeTail"] == "x"
+
     def test_clean_residues_reconstruct_exactly(self, capsys):
         code, out, _ = run_cli(
             capsys,

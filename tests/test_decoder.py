@@ -12,7 +12,6 @@ from polycrt import (
     encode,
     random_moduli_pair,
     reconstruct,
-    reconstruct_full_range,
     remainder_cascade,
 )
 from polycrt.simulation import enumerate_polynomials, sample_error, sample_polynomial
@@ -90,6 +89,15 @@ class TestReconstruct:
         assert result.a_hat == r
         assert result.cascade_tail.is_zero
 
+    def test_equal_residues_tail_is_the_difference(self, f2, reference_pair):
+        # deg(q21) = 1 is below the level-3 bound 3: the cascade leaves q21.
+        r2 = poly(f2, "x^5+x^3+1")
+        pair = ErroneousResiduePair(r2 + poly(f2, "x"), r2, reference_pair)
+        result = reconstruct(pair, 3)
+        assert result.branch is Branch.EQUAL_RESIDUES
+        assert result.k2_hat.is_zero
+        assert result.cascade_tail == poly(f2, "x")
+
     def test_result_identity_always_holds(self, f13):
         rng = random.Random(14)
         for _ in range(50):
@@ -146,10 +154,6 @@ class TestReconstruct:
 
 
 class TestFullRangeReconstruct:
-    def test_equals_top_level(self, f2, reference_pair):
-        pair = ErroneousResiduePair(poly(f2, "x^7"), poly(f2, "x^5+x^4+1"), reference_pair)
-        assert reconstruct_full_range(pair) == reconstruct(pair, reference_pair.K + 1)
-
     def test_recovers_full_range_with_small_errors(self, f2, reference_pair):
         rng = random.Random(16)
         for _ in range(200):
@@ -158,7 +162,7 @@ class TestFullRangeReconstruct:
             e2 = sample_error(1, f2, rng)
             residues, witness = encode(a, reference_pair)
             pair = corrupted_pair(reference_pair, residues, e1, e2)
-            result = reconstruct_full_range(pair)
+            result = reconstruct(pair, reference_pair.K + 1)
             assert result.k2_hat == witness.k2
             assert result.a_hat - a == e2
 
@@ -168,7 +172,7 @@ class TestFullRangeReconstruct:
             a = sample_polynomial(17, f2, rng)
             residues, _ = encode(a, reference_pair)
             pair = ErroneousResiduePair(residues.a1, residues.a2, reference_pair)
-            assert reconstruct_full_range(pair).a_hat == a
+            assert reconstruct(pair, reference_pair.K + 1).a_hat == a
 
 
 class TestStructuralProperties:

@@ -40,11 +40,6 @@ class TestCanonicalForm:
         assert zero.degree + 5 == NEG_INF
         assert Polynomial(f2, [1]).degree == 0
 
-    def test_field_element_coefficients(self, f7):
-        assert Polynomial(f7, [f7.element(3), f7.element(10)]).coeffs == (3, 3)
-        with pytest.raises(MixedFieldsError):
-            Polynomial(f7, [PrimeField(5).element(1)])
-
 
 class TestRingOperations:
     def test_known_product(self, f2):
