@@ -5,7 +5,8 @@ Results go to stdout (text or JSON via ``--format``); diagnostics go to
 stderr.  Exit codes are stable:
 
     0  success
-    2  input/config error (polynomial text, composite p, bad level or tau)
+    2  input/config error (polynomial text, composite or >= 2**64 p, bad level
+       or tau)
     3  unusable moduli (zero, coprime, or one dividing the other)
     4  degree out of range
     5  retired (was: inexact division inside the decoder; cannot occur)
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .field import PrimeField
 from .levels import analysis_to_json, analyze_pair, render_level_table, residue_error_bound
-from .poly import Polynomial, parse_polynomial
+from .poly import _MAX_PARSE_DEGREE, Polynomial, parse_polynomial
 from .simulation import TrialConfig, render_report, run_campaign, sample_error
 
 _EXIT_CODES = (
@@ -240,6 +241,7 @@ def cmd_corrupt(args, field: PrimeField) -> int:
     r2 = parse_polynomial(args.r2, field)
     if args.tau < -1:
         raise ValueError("tau must be >= -1")
+    _check_tau_cap(args.tau)
     rng = random.Random(f"corrupt:{args.seed}")
     e1 = sample_error(args.tau, field, rng)
     e2 = sample_error(args.tau, field, rng)
@@ -266,6 +268,12 @@ def cmd_corrupt(args, field: PrimeField) -> int:
     print(f"e1 = {e1}")
     print(f"e2 = {e2}")
     return 0
+
+
+def _check_tau_cap(tau: int) -> None:
+    """Reject a tau whose sampled errors (tau + 1 coefficients) exceed the parser's cap."""
+    if tau > _MAX_PARSE_DEGREE:
+        raise ValueError(f"tau must be <= {_MAX_PARSE_DEGREE}, got {tau}")
 
 
 def _residues_in_analysis_order(args, field: PrimeField):
@@ -346,6 +354,7 @@ def cmd_simulate(args, field: PrimeField) -> int:
         seed=args.seed,
         boundary=args.boundary,
     )
+    _check_tau_cap(args.tau)
     report = run_campaign(config)
     if args.format == "json":
         _print_json(report.to_json())

@@ -5,25 +5,45 @@ from __future__ import annotations
 from .errors import DivisionByZeroError
 
 
+# Characteristics at or above this are rejected.  Miller-Rabin on the
+# first twelve prime bases is exact below 3.18 * 10**23 (the least strong
+# pseudoprime to all twelve), far above the cap.
+_MAX_CHARACTERISTIC = 1 << 64
+
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact for every ``n < 3.18 * 10**23``."""
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 class PrimeField:
     """A prime field of characteristic ``p``.
 
-    The characteristic is validated by trial division at construction so a
-    composite ``p`` fails immediately instead of corrupting arithmetic later.
-    Intended for small primes (p <= 2**31).
+    The characteristic must be below 2**64 and is checked for primality by
+    deterministic Miller-Rabin at construction, so a composite or oversized
+    ``p`` fails immediately, in microseconds, instead of corrupting
+    arithmetic later.
 
     Field elements are plain ints in ``[0, p)``; the polynomial layer does
     its coefficient arithmetic on them directly and asks the field only for
@@ -34,7 +54,10 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int) -> None:
-        if not isinstance(p, int) or isinstance(p, bool) or not _is_prime(p):
+        is_int = isinstance(p, int) and not isinstance(p, bool)
+        if is_int and p >= _MAX_CHARACTERISTIC:
+            raise ValueError(f"field characteristic must be below 2**64, got {p!r}")
+        if not is_int or not _is_prime(p):
             raise ValueError(f"field characteristic must be a prime >= 2, got {p!r}")
         self.p = p
 

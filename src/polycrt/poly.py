@@ -5,6 +5,15 @@ index ``i`` holding the coefficient of ``x^i``, with no trailing zeros.  The
 zero polynomial stores an empty tuple and has degree :data:`NEG_INF`, which
 compares strictly below every integer and absorbs addition, so degree
 inequalities hold for the zero polynomial without special cases.
+
+The field picks the arithmetic.  Over F_2 a polynomial also packs into one
+int, bit ``i`` holding the coefficient of ``x^i``: addition is one XOR,
+multiplication a carry-less shift-XOR product and division a shift-XOR long
+division.  Their loops step over the hex digits or quotient bits of one
+operand, and each step shifts and XORs whole ints at C speed, where the
+dense loops take a bytecode step per coefficient pair.  Every other p runs
+the dense schoolbook loops, which the tests also use as the reference for
+the packed kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ class Polynomial:
     Coefficients are ints, lowest power first, reduced mod p.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_bits")
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()) -> None:
         p = field.p
@@ -47,6 +56,15 @@ class Polynomial:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
+
+    def _packed(self) -> int:
+        """The F_2 coefficients as one int, packed on first use and kept."""
+        try:
+            return self._bits
+        except AttributeError:
+            bits = _pack2(self.coeffs)
+            object.__setattr__(self, "_bits", bits)
+            return bits
 
     # Structure
 
@@ -100,23 +118,17 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
-        p = self.field.p
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = (out[i] + v) % p
-        return Polynomial(self.field, out)
+        field = self.field
+        if field.p == 2:
+            return _from_bits(field, self._packed() ^ other._packed())
+        return Polynomial(field, _dense_add(self.coeffs, other.coeffs, field.p))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
-        p = self.field.p
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, v in enumerate(b):
-            out[i] = (out[i] - v) % p
-        return Polynomial(self.field, out)
+        field = self.field
+        if field.p == 2:
+            return _from_bits(field, self._packed() ^ other._packed())
+        return Polynomial(field, _dense_sub(self.coeffs, other.coeffs, field.p))
 
     def __neg__(self) -> "Polynomial":
         p = self.field.p
@@ -124,39 +136,25 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial(self.field)
-        p = self.field.p
-        a, b = self.coeffs, other.coeffs
-        out = [0] * (len(a) + len(b) - 1)
-        for i, av in enumerate(a):
-            if av:
-                for j, bv in enumerate(b):
-                    if bv:
-                        out[i + j] = (out[i + j] + av * bv) % p
-        return Polynomial(self.field, out)
+        field = self.field
+        if field.p == 2:
+            return _from_bits(field, _clmul(self._packed(), other._packed()))
+        return Polynomial(field, _dense_mul(self.coeffs, other.coeffs, field.p))
 
     def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
         """Euclidean division: ``self == q * other + r`` with deg(r) < deg(other)."""
         self._check_field(other)
         if other.is_zero:
             raise DivisionByZeroError("polynomial division by zero")
+        field = self.field
         if len(self.coeffs) < len(other.coeffs):
-            return Polynomial(self.field), self
-        p = self.field.p
-        rem = list(self.coeffs)
-        div = other.coeffs
-        dd = len(div) - 1
-        lead_inv = self.field.inv(div[-1])
-        quot = [0] * (len(rem) - dd)
-        for shift in range(len(rem) - dd - 1, -1, -1):
-            c = rem[shift + dd]
-            if c:
-                factor = (c * lead_inv) % p
-                quot[shift] = factor
-                for j in range(dd + 1):
-                    rem[shift + j] = (rem[shift + j] - factor * div[j]) % p
-        return Polynomial(self.field, quot), Polynomial(self.field, rem[:dd])
+            return Polynomial(field), self
+        if field.p == 2:
+            quot, rem = _cldivmod(self._packed(), other._packed())
+            return _from_bits(field, quot), _from_bits(field, rem)
+        lead_inv = field.inv(other.coeffs[-1])
+        quot, rem = _dense_divmod(self.coeffs, other.coeffs, field.p, lead_inv)
+        return Polynomial(field, quot), Polynomial(field, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
@@ -199,6 +197,109 @@ class Polynomial:
             else:
                 parts.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
         return "+".join(parts)
+
+
+# Dense schoolbook kernels on coefficient tuples, for any p.  They return
+# unreduced lists (possibly with trailing zeros) for Polynomial to normalize.
+
+
+def _dense_add(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] = (out[i] + v) % p
+    return out
+
+
+def _dense_sub(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, v in enumerate(b):
+        out[i] = (out[i] - v) % p
+    return out
+
+
+def _dense_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        if av:
+            for j, bv in enumerate(b):
+                if bv:
+                    out[i + j] = (out[i + j] + av * bv) % p
+    return out
+
+
+def _dense_divmod(
+    a: Tuple[int, ...], div: Tuple[int, ...], p: int, lead_inv: int
+) -> Tuple[list, list]:
+    """Quotient and remainder of ``a`` by nonzero ``div`` with ``len(a) >= len(div)``.
+
+    ``lead_inv`` is the inverse of ``div``'s leading coefficient mod p.
+    """
+    rem = list(a)
+    dd = len(div) - 1
+    quot = [0] * (len(rem) - dd)
+    for shift in range(len(rem) - dd - 1, -1, -1):
+        c = rem[shift + dd]
+        if c:
+            factor = (c * lead_inv) % p
+            quot[shift] = factor
+            for j in range(dd + 1):
+                rem[shift + j] = (rem[shift + j] - factor * div[j]) % p
+    return quot, rem[:dd]
+
+
+# Packed F_2 kernels: bit i of an int is the coefficient of x^i.  Packing
+# and unpacking go through the int's binary text, so both run at C speed.
+
+_BIT_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def _pack2(coeffs: Tuple[int, ...]) -> int:
+    """Pack reduced F_2 coefficients (lowest power first) into an int."""
+    return int(bytes(coeffs[::-1]).translate(_BIT_TO_DIGIT), 2) if coeffs else 0
+
+
+def _from_bits(field: PrimeField, bits: int) -> Polynomial:
+    """Polynomial over F_2 from its packed int, without re-reducing.
+
+    The packed form has no trailing zeros by construction, so the unpacked
+    tuple is already canonical; the result equals and hashes like the same
+    polynomial built through ``Polynomial(field, coeffs)``.
+    """
+    poly = object.__new__(Polynomial)
+    coeffs = tuple(bin(bits)[:1:-1].encode().translate(_DIGIT_TO_BIT)) if bits else ()
+    object.__setattr__(poly, "field", field)
+    object.__setattr__(poly, "coeffs", coeffs)
+    object.__setattr__(poly, "_bits", bits)
+    return poly
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product: Horner over the hex digits of the shorter factor."""
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
+    b2, b4, b8 = b << 1, b << 2, b << 3
+    table = [0, b, b2, b2 ^ b, b4, b4 ^ b, b4 ^ b2, b4 ^ b2 ^ b]
+    table += [b8 ^ v for v in table]
+    out = 0
+    for nibble in ("%x" % a).encode().translate(_HEX_TO_NIBBLE):
+        out = (out << 4) ^ table[nibble]
+    return out
+
+
+def _cldivmod(a: int, b: int) -> Tuple[int, int]:
+    """Carry-less long division of ``a`` by nonzero ``b``: ``(quotient, remainder)``."""
+    top = b.bit_length()
+    quot = 0
+    shift = a.bit_length() - top
+    while shift >= 0:
+        quot |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - top
+    return quot, a
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:

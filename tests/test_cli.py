@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+import polycrt.cli
+import polycrt.simulation
 from polycrt import parse_polynomial
 from polycrt.cli import main
+from polycrt.poly import _MAX_PARSE_DEGREE
 
 from conftest import REF_A, REF_M1, REF_M2
 
@@ -12,6 +15,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def no_sampling(monkeypatch):
+    """Fail instead of drawing an error polynomial (its size is tau + 1)."""
+
+    def refuse(tau, field, rng):
+        raise AssertionError(f"sample_error reached with tau = {tau}")
+
+    monkeypatch.setattr(polycrt.cli, "sample_error", refuse)
+    monkeypatch.setattr(polycrt.simulation, "sample_error", refuse)
 
 
 class TestAnalyze:
@@ -60,6 +74,12 @@ class TestAnalyze:
             capsys, "analyze", "--m1", "x^2+x", "--m2", "x^3+x", "--p", "4"
         )
         assert code == 2 and "prime" in err
+
+    def test_characteristic_above_cap_exit_2(self, capsys):
+        code, _, err = run_cli(
+            capsys, "analyze", "--m1", "x^2+x", "--m2", "x^3+x", "--p", str(2**64 + 13)
+        )
+        assert code == 2 and "below 2**64" in err
 
 
 class TestEncode:
@@ -131,6 +151,13 @@ class TestCorrupt:
             capsys, "corrupt", "--r1", "x", "--r2", "x", "--tau", "-2"
         )
         assert code == 2 and "tau" in err
+
+    @pytest.mark.parametrize("tau", [_MAX_PARSE_DEGREE + 1, 10**15])
+    def test_tau_above_cap_exit_2(self, capsys, no_sampling, tau):
+        code, _, err = run_cli(
+            capsys, "corrupt", "--r1", "x", "--r2", "x", "--tau", str(tau)
+        )
+        assert code == 2 and "tau must be <=" in err
 
 
 class TestReconstruct:
@@ -325,6 +352,15 @@ class TestSimulate:
         )
         assert code == 0
         assert "mode = boundary" in out
+
+    @pytest.mark.parametrize("tau", [_MAX_PARSE_DEGREE + 1, 10**15])
+    def test_boundary_tau_above_cap_exit_2(self, capsys, no_sampling, tau):
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--m1", REF_M1, "--m2", REF_M2,
+            "--level", "4", "--tau", str(tau), "--trials", "1", "--boundary",
+        )
+        assert code == 2 and "tau must be <=" in err
 
     def test_guarantee_tau_at_bound_exit_2(self, capsys):
         code, _, err = run_cli(

@@ -152,6 +152,26 @@ class TestReconstruct:
                         assert result.a_hat - a == e2
                         assert (result.a_hat - a).degree <= tau
 
+    def test_guarantee_at_large_f2_degree(self, f2):
+        # gcd degree 256, cofactors 512/513: moduli of degree 768/769.
+        rng = random.Random(16)
+        analysis = random_moduli_pair(
+            f2, rng, gcd_degree=(256, 256), cofactor_degree=(512, 513)
+        )
+        assert analysis.m.degree == 256 and analysis.K > 100
+        top = analysis.K + 1
+        for level in (1, 2, top // 2, top - 1, top):
+            spec = analysis.level_spec(level)
+            tau = spec.error_bound_exclusive - 1
+            for _ in range(3):
+                a = sample_polynomial(spec.dynamic_range_exclusive, f2, rng)
+                e1 = sample_error(tau, f2, rng)
+                e2 = sample_error(tau, f2, rng)
+                residues, witness = encode(a, analysis)
+                result = reconstruct(corrupted_pair(analysis, residues, e1, e2), level)
+                assert result.k2_hat == witness.k2
+                assert result.a_hat - a == e2
+
 
 class TestFullRangeReconstruct:
     def test_recovers_full_range_with_small_errors(self, f2, reference_pair):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,27 @@ class TestConstruction:
     def test_composites_rejected(self, bad):
         with pytest.raises(ValueError):
             PrimeField(bad)
+
+    def test_large_prime_builds_quickly(self):
+        # Trial division up to sqrt(p) ~ 1.5e9 would run for minutes.
+        start = time.perf_counter()
+        assert PrimeField(2**61 - 1).p == 2**61 - 1
+        assert PrimeField(2**64 - 59).p == 2**64 - 59
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "bad",
+        [561, 1105, 3215031751, 2152302898747, 3825123056546413051, (2**31 - 1) ** 2],
+    )
+    def test_pseudoprimes_and_large_composites_rejected(self, bad):
+        # Carmichael numbers and strong pseudoprimes to the first few bases.
+        with pytest.raises(ValueError, match="prime"):
+            PrimeField(bad)
+
+    @pytest.mark.parametrize("big", [2**64, 2**64 + 13, 2**89 - 1])
+    def test_characteristic_cap(self, big):
+        with pytest.raises(ValueError, match="below 2"):
+            PrimeField(big)
 
     def test_equality_is_by_characteristic(self):
         assert PrimeField(7) == PrimeField(7)
