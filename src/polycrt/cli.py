@@ -5,8 +5,8 @@ Results go to stdout (text or JSON via ``--format``); diagnostics go to
 stderr.  Exit codes are stable:
 
     0  success
-    2  input/config error (polynomial text, composite or >= 2**64 p, bad level
-       or tau)
+    2  input/config error (polynomial text, composite or >= 2**64 p, bad level,
+       tau or trials)
     3  unusable moduli (zero, coprime, or one dividing the other)
     4  degree out of range
     5  retired (was: inexact division inside the decoder; cannot occur)
@@ -40,6 +40,9 @@ from .field import PrimeField
 from .levels import analysis_to_json, analyze_pair, render_level_table, residue_error_bound
 from .poly import _MAX_PARSE_DEGREE, Polynomial, parse_polynomial
 from .simulation import TrialConfig, render_report, run_campaign, sample_error
+
+# A campaign keeps every trial's outcome, so the trial count bounds its memory.
+_MAX_TRIALS = 10**6
 
 _EXIT_CODES = (
     (ParseError, 2),
@@ -162,7 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--m2", required=True, help=poly_help)
     cmd.add_argument("--level", required=True, type=int, help="level index in 1..K+1")
     cmd.add_argument("--tau", required=True, type=int, help="error degree bound")
-    cmd.add_argument("--trials", type=int, default=1000, help="trial count (default 1000)")
+    cmd.add_argument(
+        "--trials", type=int, default=1000, help="trial count (default 1000, at most 10**6)"
+    )
     cmd.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     cmd.add_argument(
         "--boundary",
@@ -355,6 +360,8 @@ def cmd_simulate(args, field: PrimeField) -> int:
         boundary=args.boundary,
     )
     _check_tau_cap(args.tau)
+    if args.trials > _MAX_TRIALS:
+        raise ValueError(f"trials must be <= {_MAX_TRIALS}, got {args.trials}")
     report = run_campaign(config)
     if args.format == "json":
         _print_json(report.to_json())

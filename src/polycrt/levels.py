@@ -138,7 +138,8 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         q, r = divmod(chain[-2], chain[-1])
         chain.append(r)
         s0, s1 = s1, s0 - q * s1
-        assert not r.is_zero, "chain hit zero before a scalar"
+        if r.is_zero:
+            raise AssertionError("chain hit zero before a scalar")
     inv21 = (s1 % gamma1)._scale(m.field.inv(chain[-1].lead))
     k_index = len(chain) - 3
 
@@ -174,16 +175,23 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
 
 
 def _assert_invariants(analysis: ModuliPairAnalysis) -> None:
-    # Chain degrees strictly decrease from sigma_0 to a nonzero scalar.
+    # Explicit raises rather than assert statements, so that python -O keeps
+    # this cross-check of the polynomial kernels.
     degs = [s.degree for s in analysis.sigma]
-    assert degs[0] >= degs[1], "starting entries out of order"
-    assert all(degs[i] > degs[i + 1] for i in range(1, len(degs) - 1))
-    assert degs[-1] == 0 and not analysis.sigma[-1].is_zero
-    assert analysis.m * analysis.gamma1 == analysis.m1
-    assert analysis.m * analysis.gamma2 == analysis.m2
-    assert (analysis.gamma_inv21 * analysis.gamma2) % analysis.gamma1 == Polynomial(
+    if degs[0] < degs[1]:
+        raise AssertionError("starting entries out of order")
+    if not all(degs[i] > degs[i + 1] for i in range(1, len(degs) - 1)):
+        raise AssertionError("chain degrees do not strictly decrease")
+    if not (degs[-1] == 0 and not analysis.sigma[-1].is_zero):
+        raise AssertionError("chain does not end in a nonzero scalar")
+    if analysis.m * analysis.gamma1 != analysis.m1:
+        raise AssertionError("m * gamma1 != m1")
+    if analysis.m * analysis.gamma2 != analysis.m2:
+        raise AssertionError("m * gamma2 != m2")
+    if (analysis.gamma_inv21 * analysis.gamma2) % analysis.gamma1 != Polynomial(
         analysis.field, (1,)
-    )
+    ):
+        raise AssertionError("gamma_inv21 * gamma2 != 1 (mod gamma1)")
 
 
 def residue_error_bound(moduli: Sequence[Polynomial]) -> int:

@@ -11,14 +11,18 @@ int, bit ``i`` holding the coefficient of ``x^i``: addition is one XOR,
 multiplication a carry-less shift-XOR product and division a shift-XOR long
 division.  Their loops step over the hex digits or quotient bits of one
 operand, and each step shifts and XORs whole ints at C speed, where the
-dense loops take a bytecode step per coefficient pair.  Every other p runs
-the dense schoolbook loops, which the tests also use as the reference for
-the packed kernels.
+dense loops take a bytecode step per coefficient pair.  Every other p
+multiplies by Kronecker substitution (one fixed-width slot per coefficient
+in one int, one bigint product) and adds and divides with schoolbook loops.
+Kernel results skip re-reduction in ``Polynomial.__init__``.  The tests
+check both fast products against the dense schoolbook product.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from itertools import repeat
 from typing import Iterable, Iterator, Tuple, Union
 
 from .errors import (
@@ -121,14 +125,14 @@ class Polynomial:
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._packed() ^ other._packed())
-        return Polynomial(field, _dense_add(self.coeffs, other.coeffs, field.p))
+        return _from_reduced(field, _dense_add(self.coeffs, other.coeffs, field.p))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._packed() ^ other._packed())
-        return Polynomial(field, _dense_sub(self.coeffs, other.coeffs, field.p))
+        return _from_reduced(field, _dense_sub(self.coeffs, other.coeffs, field.p))
 
     def __neg__(self) -> "Polynomial":
         p = self.field.p
@@ -139,7 +143,7 @@ class Polynomial:
         field = self.field
         if field.p == 2:
             return _from_bits(field, _clmul(self._packed(), other._packed()))
-        return Polynomial(field, _dense_mul(self.coeffs, other.coeffs, field.p))
+        return _from_reduced(field, _kronecker_mul(self.coeffs, other.coeffs, field.p))
 
     def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
         """Euclidean division: ``self == q * other + r`` with deg(r) < deg(other)."""
@@ -154,7 +158,7 @@ class Polynomial:
             return _from_bits(field, quot), _from_bits(field, rem)
         lead_inv = field.inv(other.coeffs[-1])
         quot, rem = _dense_divmod(self.coeffs, other.coeffs, field.p, lead_inv)
-        return Polynomial(field, quot), Polynomial(field, rem)
+        return _from_reduced(field, quot), _from_reduced(field, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
@@ -199,8 +203,18 @@ class Polynomial:
         return "+".join(parts)
 
 
+def _from_reduced(field: PrimeField, vals: list) -> Polynomial:
+    """Polynomial from a list already reduced mod p; strips trailing zeros in place."""
+    while vals and vals[-1] == 0:
+        vals.pop()
+    poly = object.__new__(Polynomial)
+    object.__setattr__(poly, "field", field)
+    object.__setattr__(poly, "coeffs", tuple(vals))
+    return poly
+
+
 # Dense schoolbook kernels on coefficient tuples, for any p.  They return
-# unreduced lists (possibly with trailing zeros) for Polynomial to normalize.
+# lists reduced mod p, possibly with trailing zeros.
 
 
 def _dense_add(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
@@ -220,6 +234,7 @@ def _dense_sub(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
 
 
 def _dense_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
+    # The tests' reference for _clmul and _kronecker_mul; no library path calls it.
     out = [0] * (len(a) + len(b) - 1)
     for i, av in enumerate(a):
         if av:
@@ -247,6 +262,47 @@ def _dense_divmod(
             for j in range(dd + 1):
                 rem[shift + j] = (rem[shift + j] - factor * div[j]) % p
     return quot, rem[:dd]
+
+
+# Kronecker substitution for odd p: coefficient i of a polynomial fills slot
+# i of an int, the product of two such ints holds coefficient k of the
+# polynomial product in slot k, and unpacking reads each slot and reduces it.
+
+# memoryview format per item size in bytes, for slots one machine word wide.
+_WORD_FORMATS = {memoryview(bytes(8)).cast(fmt).itemsize: fmt for fmt in "BHILQ"}
+
+
+def _kronecker_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
+    """Product of two coefficient tuples reduced mod p, by one bigint product.
+
+    Coefficient k of the product is a sum of at most ``min(len(a), len(b))``
+    terms, each at most ``(p - 1)**2``, so it fits in a slot of ``width``
+    bytes and never carries into its neighbour.  A width that rounds up to a
+    machine word is widened to it, so that one ``memoryview`` cast unpacks
+    every slot at C speed.  Slots wider than 8 bytes, which need
+    ``min(len(a), len(b)) * (p - 1)**2 >= 2**64`` (from length 5 at p =
+    2**31 - 1), are sliced out one at a time.
+    """
+    if not a or not b:
+        return []
+    n = len(a) + len(b) - 1
+    width = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
+    word = 1 << (width - 1).bit_length()
+    fmt = _WORD_FORMATS.get(word)
+    if fmt is not None:
+        width = word
+    order = sys.byteorder
+    widths, orders = repeat(width), repeat(order)
+    pa = int.from_bytes(b"".join(map(int.to_bytes, a, widths, orders)), order)
+    pb = int.from_bytes(b"".join(map(int.to_bytes, b, widths, orders)), order)
+    buf = (pa * pb).to_bytes(n * width, order)
+    if fmt is not None:
+        slots = memoryview(buf).cast(fmt).tolist()
+    else:
+        slots = [
+            int.from_bytes(buf[i : i + width], order) for i in range(0, len(buf), width)
+        ]
+    return [c % p for c in slots]
 
 
 # Packed F_2 kernels: bit i of an int is the coefficient of x^i.  Packing

@@ -5,7 +5,7 @@ import pytest
 import polycrt.cli
 import polycrt.simulation
 from polycrt import parse_polynomial
-from polycrt.cli import main
+from polycrt.cli import _MAX_TRIALS, main
 from polycrt.poly import _MAX_PARSE_DEGREE
 
 from conftest import REF_A, REF_M1, REF_M2
@@ -26,6 +26,16 @@ def no_sampling(monkeypatch):
 
     monkeypatch.setattr(polycrt.cli, "sample_error", refuse)
     monkeypatch.setattr(polycrt.simulation, "sample_error", refuse)
+
+
+@pytest.fixture
+def no_campaign(monkeypatch):
+    """Fail instead of running a campaign (it keeps every trial's outcome)."""
+
+    def refuse(config):
+        raise AssertionError(f"run_campaign reached with trials = {config.trials}")
+
+    monkeypatch.setattr(polycrt.cli, "run_campaign", refuse)
 
 
 class TestAnalyze:
@@ -361,6 +371,31 @@ class TestSimulate:
             "--level", "4", "--tau", str(tau), "--trials", "1", "--boundary",
         )
         assert code == 2 and "tau must be <=" in err
+
+    @pytest.mark.parametrize("trials", [_MAX_TRIALS + 1, 10**15])
+    def test_trials_above_cap_exit_2(self, capsys, no_campaign, trials):
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--m1", REF_M1, "--m2", REF_M2,
+            "--level", "4", "--tau", "1", "--trials", str(trials),
+        )
+        assert code == 2 and f"trials must be <= {_MAX_TRIALS}" in err
+
+    def test_trials_at_cap_reach_the_campaign(self, capsys, no_campaign):
+        with pytest.raises(AssertionError, match="run_campaign reached"):
+            run_cli(
+                capsys,
+                "simulate", "--m1", REF_M1, "--m2", REF_M2,
+                "--level", "4", "--tau", "1", "--trials", str(_MAX_TRIALS),
+            )
+
+    def test_existing_messages_precede_the_trials_cap(self, capsys, no_campaign):
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--m1", REF_M1, "--m2", REF_M2,
+            "--level", "4", "--tau", "2", "--trials", str(10**15),
+        )
+        assert code == 2 and "boundary" in err
 
     def test_guarantee_tau_at_bound_exit_2(self, capsys):
         code, _, err = run_cli(

@@ -1,5 +1,9 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -20,7 +24,7 @@ from polycrt import (
 )
 from polycrt.simulation import enumerate_polynomials, sample_monic
 
-from conftest import poly
+from conftest import REF_M1, REF_M2, SRC, poly
 
 
 class TestAnalyzePair:
@@ -155,6 +159,49 @@ class TestChainInvariants:
                 assert an.lcm.degree == an.m.degree + an.gamma1.degree + an.gamma2.degree
                 one = Polynomial(field, (1,))
                 assert (an.gamma_inv21 * an.gamma2) % an.gamma1 == one
+
+
+# Runs under python -O: analyze_pair on a good product, then again with a
+# Polynomial.__mul__ that is off by one; prints what the second call raised.
+_WRONG_PRODUCT_SCRIPT = textwrap.dedent(
+    f"""
+    import sys
+    from polycrt import Polynomial, PrimeField, analyze_pair, parse_polynomial
+
+    assert False, "assert statements run; this must be python -O"
+    f2 = PrimeField(2)
+    m1 = parse_polynomial("{REF_M1}", f2)
+    m2 = parse_polynomial("{REF_M2}", f2)
+    analyze_pair(m1, m2)
+    right = Polynomial.__mul__
+
+    def wrong(self, other):
+        return right(self, other) + Polynomial(self.field, (1,))
+
+    Polynomial.__mul__ = wrong
+    try:
+        analyze_pair(m1, m2)
+    except AssertionError as exc:
+        print("raised:", exc)
+        sys.exit(0)
+    sys.exit(1)
+    """
+)
+
+
+class TestInvariantsUnderOptimize:
+    def test_wrong_product_raises_under_python_O(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        run = subprocess.run(
+            [sys.executable, "-O", "-c", _WRONG_PRODUCT_SCRIPT],
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "raised: m * gamma1 != m1\n"
 
 
 class TestResidueErrorBound:
