@@ -73,14 +73,8 @@ class PrimeField:
         return f"GF({self.p})"
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse of ``a`` via the extended Euclidean algorithm."""
+        """Multiplicative inverse of ``a`` mod p, by ``pow(a, -1, p)``."""
         a %= self.p
         if a == 0:
             raise DivisionByZeroError("0 has no multiplicative inverse")
-        r0, r1 = self.p, a
-        t0, t1 = 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            t0, t1 = t1, t0 - q * t1
-        return t0 % self.p
+        return pow(a, -1, self.p)

@@ -54,8 +54,9 @@ class ModuliPairAnalysis:
     ``sigma`` stores the full chain ``sigma_{-1} .. sigma_{K+1}``; use
     :meth:`sigma_poly` for index-faithful access, or :attr:`remainders` for
     the derived entries ``sigma_1 .. sigma_{K+1}``.  ``cascade_moduli`` holds
-    the precomputed products ``m * sigma_i`` for ``i = 1..K+1``, the step
-    moduli of the decoder's remainder cascade.  ``swapped`` records whether
+    ``m * sigma_i`` for ``i = 1..K+1``, the step moduli of the decoder's
+    remainder cascade; they are the remainders of the Euclid pass over
+    ``(m2, m1)`` that also yields ``m``.  ``swapped`` records whether
     the input order was reversed to keep ``deg(m1) <= deg(m2)``.
     """
 
@@ -114,7 +115,19 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     if swapped:
         m1, m2 = m2, m1
 
-    m = gcd(m1, m2)
+    # One Euclid pass over (m2, m1).  Since m1 = m * gamma1 and m2 = m *
+    # gamma2, its remainders are m * sigma_1 .. m * sigma_{K+1} (the cascade
+    # moduli), its last nonzero remainder is m times the scalar sigma_{K+1},
+    # and its quotients are those of the sigma chain over (gamma2, gamma1).
+    rems = [m2, m1]
+    quots = []
+    while True:
+        q, r = divmod(rems[-2], rems[-1])
+        if r.is_zero:
+            break
+        quots.append(q)
+        rems.append(r)
+    m = rems[-1].monic()
     if m.degree == 0:
         raise CoprimeModuliError(
             "moduli are coprime (gcd is a scalar); a shared factor of degree"
@@ -127,20 +140,23 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
             "one modulus divides the other; the pair carries no usable"
             " redundancy"
         )
+    # The chain below is built from products, so check the product first.
+    if m * gamma1 != m1:
+        raise AssertionError("m * gamma1 != m1")
+    if m * gamma2 != m2:
+        raise AssertionError("m * gamma2 != m2")
     big = (m1 * gamma2).monic()
 
-    # One extended Euclid pass over (gamma2, gamma1): the remainders are the
-    # sigma chain, and s1 * gamma2 == chain[-1] (mod gamma1) throughout, so
-    # at the final scalar entry c, s1 / c inverts gamma2 modulo gamma1.
+    # sigma_i = sigma_{i-2} - q_i * sigma_{i-1}, and alongside it
+    # s1 * gamma2 == sigma_i (mod gamma1), so at the final scalar entry c,
+    # s1 / c inverts gamma2 modulo gamma1.  c is also the leading
+    # coefficient of the last remainder, since m is monic.
     chain = [gamma2, gamma1]
     s0, s1 = Polynomial(m.field, (1,)), Polynomial(m.field)
-    while chain[-1].degree > 0:
-        q, r = divmod(chain[-2], chain[-1])
-        chain.append(r)
+    for q in quots:
+        chain.append(chain[-2] - q * chain[-1])
         s0, s1 = s1, s0 - q * s1
-        if r.is_zero:
-            raise AssertionError("chain hit zero before a scalar")
-    inv21 = (s1 % gamma1)._scale(m.field.inv(chain[-1].lead))
+    inv21 = (s1 % gamma1)._scale(m.field.inv(rems[-1].lead))
     k_index = len(chain) - 3
 
     deg_m = m.degree
@@ -154,7 +170,6 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         )
         for i in range(1, k_index + 2)
     )
-    cascade_moduli = tuple(m * chain[i + 1] for i in range(1, k_index + 2))
 
     analysis = ModuliPairAnalysis(
         m1=m1,
@@ -167,7 +182,7 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         sigma=tuple(chain),
         K=k_index,
         levels=levels,
-        cascade_moduli=cascade_moduli,
+        cascade_moduli=tuple(rems[2:]),
         swapped=swapped,
     )
     _assert_invariants(analysis)
@@ -184,10 +199,6 @@ def _assert_invariants(analysis: ModuliPairAnalysis) -> None:
         raise AssertionError("chain degrees do not strictly decrease")
     if not (degs[-1] == 0 and not analysis.sigma[-1].is_zero):
         raise AssertionError("chain does not end in a nonzero scalar")
-    if analysis.m * analysis.gamma1 != analysis.m1:
-        raise AssertionError("m * gamma1 != m1")
-    if analysis.m * analysis.gamma2 != analysis.m2:
-        raise AssertionError("m * gamma2 != m2")
     if (analysis.gamma_inv21 * analysis.gamma2) % analysis.gamma1 != Polynomial(
         analysis.field, (1,)
     ):

@@ -13,16 +13,18 @@ division.  Their loops step over the hex digits or quotient bits of one
 operand, and each step shifts and XORs whole ints at C speed, where the
 dense loops take a bytecode step per coefficient pair.  Every other p
 multiplies by Kronecker substitution (one fixed-width slot per coefficient
-in one int, one bigint product) and adds and divides with schoolbook loops.
-Kernel results skip re-reduction in ``Polynomial.__init__``.  The tests
-check both fast products against the dense schoolbook product.
+in one int, one bigint product; :mod:`polycrt.kronecker`) and adds with
+schoolbook loops.  It divides with schoolbook loops when the quotient or the
+divisor is short, as in most Euclid steps, and otherwise through a Newton
+reciprocal of the reversed divisor built from Kronecker products.  Kernel
+results skip re-reduction in ``Polynomial.__init__``.  The tests check the
+fast products against the dense schoolbook product and the Newton division
+against schoolbook division.
 """
 
 from __future__ import annotations
 
 import re
-import sys
-from itertools import repeat
 from typing import Iterable, Iterator, Tuple, Union
 
 from .errors import (
@@ -33,6 +35,7 @@ from .errors import (
     ZeroInputError,
 )
 from .field import PrimeField
+from .kronecker import _kronecker_mul, _newton_divmod
 
 NEG_INF = float("-inf")
 
@@ -40,6 +43,12 @@ Degree = Union[int, float]
 
 # Guards the x^k exponent in parsed text against memory blowups.
 _MAX_PARSE_DEGREE = 1 << 16
+
+# Odd-p division runs through a Newton reciprocal once the quotient and the
+# divisor both have at least this many coefficients; below either, schoolbook
+# division was as fast or faster at p = 65521 and p = 13.
+_NEWTON_MIN_QUOTIENT = 8
+_NEWTON_MIN_DIVISOR = 40
 
 
 class Polynomial:
@@ -105,10 +114,10 @@ class Polynomial:
         p = self.field.p
         c %= p
         if c == 0:
-            return Polynomial(self.field)
+            return _from_reduced(self.field, [])
         if c == 1:
             return self
-        return Polynomial(self.field, ((v * c) % p for v in self.coeffs))
+        return _from_reduced(self.field, [(v * c) % p for v in self.coeffs])
 
     def _check_field(self, other: "Polynomial") -> None:
         if not isinstance(other, Polynomial):
@@ -136,7 +145,9 @@ class Polynomial:
 
     def __neg__(self) -> "Polynomial":
         p = self.field.p
-        return Polynomial(self.field, ((-v) % p for v in self.coeffs))
+        if p == 2:
+            return self
+        return _from_reduced(self.field, [(-v) % p for v in self.coeffs])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
@@ -156,8 +167,12 @@ class Polynomial:
         if field.p == 2:
             quot, rem = _cldivmod(self._packed(), other._packed())
             return _from_bits(field, quot), _from_bits(field, rem)
-        lead_inv = field.inv(other.coeffs[-1])
-        quot, rem = _dense_divmod(self.coeffs, other.coeffs, field.p, lead_inv)
+        a, b = self.coeffs, other.coeffs
+        lead_inv = field.inv(b[-1])
+        if len(b) < _NEWTON_MIN_DIVISOR or len(a) - len(b) + 1 < _NEWTON_MIN_QUOTIENT:
+            quot, rem = _dense_divmod(a, b, field.p, lead_inv)
+        else:
+            quot, rem = _newton_divmod(a, b, field.p, lead_inv)
         return _from_reduced(field, quot), _from_reduced(field, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
@@ -262,47 +277,6 @@ def _dense_divmod(
             for j in range(dd + 1):
                 rem[shift + j] = (rem[shift + j] - factor * div[j]) % p
     return quot, rem[:dd]
-
-
-# Kronecker substitution for odd p: coefficient i of a polynomial fills slot
-# i of an int, the product of two such ints holds coefficient k of the
-# polynomial product in slot k, and unpacking reads each slot and reduces it.
-
-# memoryview format per item size in bytes, for slots one machine word wide.
-_WORD_FORMATS = {memoryview(bytes(8)).cast(fmt).itemsize: fmt for fmt in "BHILQ"}
-
-
-def _kronecker_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
-    """Product of two coefficient tuples reduced mod p, by one bigint product.
-
-    Coefficient k of the product is a sum of at most ``min(len(a), len(b))``
-    terms, each at most ``(p - 1)**2``, so it fits in a slot of ``width``
-    bytes and never carries into its neighbour.  A width that rounds up to a
-    machine word is widened to it, so that one ``memoryview`` cast unpacks
-    every slot at C speed.  Slots wider than 8 bytes, which need
-    ``min(len(a), len(b)) * (p - 1)**2 >= 2**64`` (from length 5 at p =
-    2**31 - 1), are sliced out one at a time.
-    """
-    if not a or not b:
-        return []
-    n = len(a) + len(b) - 1
-    width = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
-    word = 1 << (width - 1).bit_length()
-    fmt = _WORD_FORMATS.get(word)
-    if fmt is not None:
-        width = word
-    order = sys.byteorder
-    widths, orders = repeat(width), repeat(order)
-    pa = int.from_bytes(b"".join(map(int.to_bytes, a, widths, orders)), order)
-    pb = int.from_bytes(b"".join(map(int.to_bytes, b, widths, orders)), order)
-    buf = (pa * pb).to_bytes(n * width, order)
-    if fmt is not None:
-        slots = memoryview(buf).cast(fmt).tolist()
-    else:
-        slots = [
-            int.from_bytes(buf[i : i + width], order) for i in range(0, len(buf), width)
-        ]
-    return [c % p for c in slots]
 
 
 # Packed F_2 kernels: bit i of an int is the coefficient of x^i.  Packing

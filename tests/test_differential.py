@@ -12,10 +12,11 @@ from polycrt import (
     PrimeField,
     analyze_pair,
     encode,
+    gcd,
     random_moduli_pair,
     reconstruct,
 )
-from polycrt.simulation import sample_error, sample_polynomial
+from polycrt.simulation import sample_error, sample_monic, sample_polynomial
 
 from reference_decoder import reference_analyze_pair, reference_reconstruct
 
@@ -56,3 +57,31 @@ def test_matches_reference(p):
                     assert got == want
                     seen.add(got.branch)
     assert seen == set(Branch)
+
+
+def test_large_pair_at_p65521():
+    # Long enough that analyze_pair, encode and reconstruct divide through
+    # Newton reciprocals: gcd degree 64, cofactors of degrees 128 and 129.
+    field = PrimeField(65521)
+    rng = random.Random("differential:65521")
+    shared = sample_monic(64, field, rng)
+    cof1, cof2 = sample_monic(128, field, rng), sample_monic(129, field, rng)
+    while gcd(cof1, cof2).degree != 0:
+        cof2 = sample_monic(129, field, rng)
+    m1, m2 = shared * cof1, shared * cof2
+    analysis = analyze_pair(m2, m1)
+    assert analysis == reference_analyze_pair(m2, m1)
+    assert analysis.swapped and analysis.K > 100
+    for level in (1, 2, analysis.K // 2, analysis.K + 1):
+        spec = analysis.level_spec(level)
+        a = sample_polynomial(spec.dynamic_range_exclusive, field, rng)
+        e1 = sample_error(spec.error_bound_exclusive - 1, field, rng)
+        e2 = sample_error(spec.error_bound_exclusive - 1, field, rng)
+        residues, witness = encode(a, analysis)
+        pair = ErroneousResiduePair(
+            (residues.a1 + e1) % analysis.m1, (residues.a2 + e2) % analysis.m2, analysis
+        )
+        got = reconstruct(pair, level)
+        assert got == reference_reconstruct(pair, level)
+        assert got.k2_hat == witness.k2
+        assert got.a_hat - a == e2

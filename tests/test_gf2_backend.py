@@ -108,7 +108,10 @@ class TestAgainstDenseKernels:
     def test_add_sub(self, a, b):
         assert a + b == dense_add(a, b)
         assert a - b == dense_sub(a, b)
-        assert_canonical(a + b)
+        assert -a == a == a._scale(3)
+        assert a._scale(2) == ZERO
+        for result in (a + b, -a, a._scale(3), a._scale(2)):
+            assert_canonical(result)
 
     @DIFFERENTIAL
     @given(f2_polys(), f2_polys())

@@ -1,20 +1,29 @@
-"""Differential tests: the odd-p Kronecker product against the dense product.
+"""Differential tests: the odd-p Kronecker product and Newton division.
 
 For odd p, ``Polynomial.__mul__`` packs both operands into big ints, one
 fixed-width slot per coefficient, and multiplies once.  The dense schoolbook
 product is the reference.  Inputs cover zero, scalars, ``x^k``, all-``p-1``
 coefficients (every slot at its maximum) and the lengths at which the slot
 width ``min(len) * (p - 1)**2`` crosses a byte or a machine-word boundary.
-The second half checks that results built by the trusted constructor are
-canonical: no trailing zeros, equal and hashing like constructed and parsed
-polynomials, immutable.
+``Polynomial.__divmod__`` divides long quotients by long divisors through a
+Newton reciprocal; schoolbook division is the reference, on both sides of
+the length rule that picks the path.  The last part checks that results
+built by the trusted constructor are canonical: no trailing zeros, equal and
+hashing like constructed and parsed polynomials, immutable.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polycrt import Polynomial, PrimeField, parse_polynomial
-from polycrt.poly import _dense_mul, _kronecker_mul
+from polycrt.poly import (
+    _NEWTON_MIN_DIVISOR,
+    _NEWTON_MIN_QUOTIENT,
+    _dense_divmod,
+    _dense_mul,
+    _kronecker_mul,
+    _newton_divmod,
+)
 
 # 2**31 - 1 has 8-byte slots up to length 4 and 9-byte slots from 5 on.
 PRIMES = (3, 13, 65521, 2**31 - 1, 2**61 - 1, 2**64 - 59)
@@ -51,8 +60,10 @@ def operands(draw):
 
 
 @st.composite
-def coefficient_lists(draw, p):
-    length = draw(st.one_of(st.sampled_from(width_edges(p)), st.integers(0, MAX_LEN)))
+def coefficient_lists(draw, p, lengths=None):
+    if lengths is None:
+        lengths = st.one_of(st.sampled_from(width_edges(p)), st.integers(0, MAX_LEN))
+    length = draw(lengths)
     if length == 0:
         return ()
     shape = draw(st.sampled_from(("max", "monomial", "random")))
@@ -139,6 +150,75 @@ class TestAgainstDenseProduct:
         assert a * scalar == Polynomial(field, [1] * 40)
 
 
+# Quotient and divisor lengths on both sides of the rule that picks Newton
+# division and on its edges, plus the one- and two-coefficient divisors of
+# Euclid steps.
+QUOTIENT_LENGTHS = st.one_of(
+    st.sampled_from((1, 2, _NEWTON_MIN_QUOTIENT - 1, _NEWTON_MIN_QUOTIENT)),
+    st.integers(_NEWTON_MIN_QUOTIENT, MAX_LEN),
+    st.integers(1, MAX_LEN),
+)
+DIVISOR_LENGTHS = st.one_of(
+    st.sampled_from((1, 2, _NEWTON_MIN_DIVISOR - 1, _NEWTON_MIN_DIVISOR)),
+    st.integers(_NEWTON_MIN_DIVISOR, MAX_LEN),
+    st.integers(32, MAX_LEN),
+)
+
+
+@st.composite
+def division_operands(draw):
+    """A prime p, a dividend at least as long as the divisor, and a nonzero,
+    mostly non-monic divisor."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(DIVISOR_LENGTHS)
+    a = draw(coefficient_lists(p, QUOTIENT_LENGTHS.map(lambda size: n + size - 1)))
+    return p, a, draw(coefficient_lists(p, st.just(n)))
+
+
+def all_max(p, quotient_length, divisor_length):
+    """All-``p-1`` operands with the given quotient and divisor lengths."""
+    dividend_length = divisor_length + quotient_length - 1
+    return p, (p - 1,) * dividend_length, (p - 1,) * divisor_length
+
+
+def dense_division(field, a, b):
+    quot, rem = _dense_divmod(a, b, field.p, field.inv(b[-1]))
+    return Polynomial(field, quot).coeffs, Polynomial(field, rem).coeffs
+
+
+class TestAgainstDenseDivision:
+    @DIFFERENTIAL
+    @given(division_operands())
+    @example(all_max(65521, _NEWTON_MIN_QUOTIENT, _NEWTON_MIN_DIVISOR))
+    @example(all_max(65521, _NEWTON_MIN_QUOTIENT - 1, _NEWTON_MIN_DIVISOR))
+    @example(all_max(65521, _NEWTON_MIN_QUOTIENT, _NEWTON_MIN_DIVISOR - 1))
+    @example(all_max(2**64 - 59, MAX_LEN, MAX_LEN))
+    @example((13, (1, 2, 3), (5,) * 40))
+    @example((65521, (), (1, 2)))
+    @example((2**61 - 1, (7,) * 299, (2**61 - 2,) * 300))
+    def test_divmod(self, case):
+        p, a_coeffs, b_coeffs = case
+        field = FIELDS[p]
+        a, b = Polynomial(field, a_coeffs), Polynomial(field, b_coeffs)
+        q, r = divmod(a, b)
+        assert (q.coeffs, r.coeffs) == dense_division(field, a.coeffs, b.coeffs)
+        assert a == q * b + r
+        assert r.degree < b.degree
+        assert_canonical(q)
+        assert_canonical(r)
+
+    @DIFFERENTIAL
+    @given(division_operands())
+    @example(all_max(3, MAX_LEN, 1))
+    @example(all_max(65521, MAX_LEN, 2))
+    def test_newton_kernel_on_raw_tuples(self, case):
+        # The Newton kernel on every shape, also those the rule sends to
+        # schoolbook division: same lists, trailing zeros included.
+        p, a, b = case
+        lead_inv = FIELDS[p].inv(b[-1])
+        assert _newton_divmod(a, b, p, lead_inv) == _dense_divmod(a, b, p, lead_inv)
+
+
 @pytest.fixture(params=(13, 65521), ids=("p13", "p65521"))
 def field(request):
     return FIELDS[request.param]
@@ -174,6 +254,7 @@ class TestTrustedConstructor:
         a = parse_polynomial(f"{p - 1}*x^40+3*x^7+x+2", field)
         b = parse_polynomial("x^33+5*x^2+1", field)
         results = [a + b, a - b, b - a, a * b, *divmod(a * b + a, b)]
+        results += [-a, a._scale(3), b._scale(p)]
         table = {result: i for i, result in enumerate(results)}
         for i, result in enumerate(results):
             assert_canonical(result)
@@ -182,7 +263,7 @@ class TestTrustedConstructor:
 
     def test_results_are_immutable(self, field):
         a = parse_polynomial("x^9+2*x+1", field)
-        for result in (a + a, a - a, a * a, *divmod(a * a + a, a + a)):
+        for result in (a + a, a - a, a * a, *divmod(a * a + a, a + a), -a, a._scale(3)):
             for name in ("coeffs", "field"):
                 with pytest.raises(AttributeError):
                     setattr(result, name, None)
