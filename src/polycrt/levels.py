@@ -8,7 +8,9 @@ monic gcd ``m``, the coprime cofactors ``gamma1 = m1/m`` and
     sigma_{-1} = gamma2,  sigma_0 = gamma1,  sigma_i = sigma_{i-2} mod sigma_{i-1}
 
 whose degrees strictly decrease from ``sigma_0`` down to the final entry
-``sigma_{K+1}``, a nonzero scalar.  Each chain index ``i`` in ``1..K+1`` is a
+``sigma_{K+1}``, a nonzero scalar.  Only the products ``m * sigma_i`` are
+stored: they are the remainders of the Euclid pass that finds ``m``, and the
+chain is derived from them.  Each chain index ``i`` in ``1..K+1`` is a
 *level*: residue errors of degree up to (exclusive) ``deg(m) + deg(sigma_i)``
 can be tolerated for messages of degree up to (exclusive)
 ``deg(lcm) - deg(sigma_i)``.  Lower levels tolerate bigger errors on a
@@ -51,13 +53,13 @@ class LevelSpec:
 class ModuliPairAnalysis:
     """Everything derived from a moduli pair that encode/decode needs.
 
-    ``sigma`` stores the full chain ``sigma_{-1} .. sigma_{K+1}``; use
-    :meth:`sigma_poly` for index-faithful access, or :attr:`remainders` for
-    the derived entries ``sigma_1 .. sigma_{K+1}``.  ``cascade_moduli`` holds
-    ``m * sigma_i`` for ``i = 1..K+1``, the step moduli of the decoder's
-    remainder cascade; they are the remainders of the Euclid pass over
-    ``(m2, m1)`` that also yields ``m``.  ``swapped`` records whether
-    the input order was reversed to keep ``deg(m1) <= deg(m2)``.
+    ``cascade_moduli`` holds ``m * sigma_i`` for ``i = 1..K+1``, the step
+    moduli of the decoder's remainder cascade; they are the remainders of
+    the Euclid pass over ``(m2, m1)`` that also yields ``m``, and the only
+    stored form of the chain.  :attr:`sigma` (``sigma_{-1} .. sigma_{K+1}``)
+    and :attr:`remainders` (``sigma_1 .. sigma_{K+1}``) are derived from
+    them by exact division by ``m``.  ``swapped`` records whether the input
+    order was reversed to keep ``deg(m1) <= deg(m2)``.
     """
 
     m1: Polynomial
@@ -67,7 +69,6 @@ class ModuliPairAnalysis:
     gamma2: Polynomial
     lcm: Polynomial
     gamma_inv21: Polynomial
-    sigma: Tuple[Polynomial, ...]
     K: int
     levels: Tuple[LevelSpec, ...]
     cascade_moduli: Tuple[Polynomial, ...]
@@ -78,17 +79,16 @@ class ModuliPairAnalysis:
         return self.m1.field
 
     @property
+    def sigma(self) -> Tuple[Polynomial, ...]:
+        """The chain sigma_{-1} .. sigma_{K+1}, from the cascade moduli."""
+        return (self.gamma2, self.gamma1) + tuple(
+            c // self.m for c in self.cascade_moduli
+        )
+
+    @property
     def remainders(self) -> Tuple[Polynomial, ...]:
         """The derived chain entries sigma_1 .. sigma_{K+1}."""
         return self.sigma[2:]
-
-    def sigma_poly(self, i: int) -> Polynomial:
-        """Chain entry sigma_i for i in [-1, K+1]."""
-        if not -1 <= i <= self.K + 1:
-            raise LevelOutOfRangeError(
-                f"sigma index {i} outside [-1, {self.K + 1}]"
-            )
-        return self.sigma[i + 1]
 
     def level_spec(self, level: int) -> LevelSpec:
         """The :class:`LevelSpec` for ``level`` in ``1..K+1``."""
@@ -140,35 +140,32 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
             "one modulus divides the other; the pair carries no usable"
             " redundancy"
         )
-    # The chain below is built from products, so check the product first.
+    # The s recurrence below multiplies, so check the product first.
     if m * gamma1 != m1:
         raise AssertionError("m * gamma1 != m1")
     if m * gamma2 != m2:
         raise AssertionError("m * gamma2 != m2")
     big = (m1 * gamma2).monic()
 
-    # sigma_i = sigma_{i-2} - q_i * sigma_{i-1}, and alongside it
-    # s1 * gamma2 == sigma_i (mod gamma1), so at the final scalar entry c,
-    # s1 / c inverts gamma2 modulo gamma1.  c is also the leading
-    # coefficient of the last remainder, since m is monic.
-    chain = [gamma2, gamma1]
+    # Alongside the Euclid pass, s1 * gamma2 == sigma_i (mod gamma1), so at
+    # the final scalar entry c, s1 / c inverts gamma2 modulo gamma1.  c is
+    # also the leading coefficient of the last remainder, since m is monic.
     s0, s1 = Polynomial(m.field, (1,)), Polynomial(m.field)
     for q in quots:
-        chain.append(chain[-2] - q * chain[-1])
         s0, s1 = s1, s0 - q * s1
     inv21 = (s1 % gamma1)._scale(m.field.inv(rems[-1].lead))
-    k_index = len(chain) - 3
 
+    # deg(sigma_i) = deg(m * sigma_i) - deg(m).
     deg_m = m.degree
     deg_big = big.degree
     levels = tuple(
         LevelSpec(
             index=i,
-            sigma_deg=chain[i + 1].degree,
-            error_bound_exclusive=deg_m + chain[i + 1].degree,
-            dynamic_range_exclusive=deg_big - chain[i + 1].degree,
+            sigma_deg=r.degree - deg_m,
+            error_bound_exclusive=r.degree,
+            dynamic_range_exclusive=deg_big - r.degree + deg_m,
         )
-        for i in range(1, k_index + 2)
+        for i, r in enumerate(rems[2:], start=1)
     )
 
     analysis = ModuliPairAnalysis(
@@ -179,8 +176,7 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         gamma2=gamma2,
         lcm=big,
         gamma_inv21=inv21,
-        sigma=tuple(chain),
-        K=k_index,
+        K=len(levels) - 1,
         levels=levels,
         cascade_moduli=tuple(rems[2:]),
         swapped=swapped,
@@ -191,13 +187,15 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
 
 def _assert_invariants(analysis: ModuliPairAnalysis) -> None:
     # Explicit raises rather than assert statements, so that python -O keeps
-    # this cross-check of the polynomial kernels.
-    degs = [s.degree for s in analysis.sigma]
+    # this cross-check of the polynomial kernels.  The chain is checked
+    # through the degrees of m * sigma_{-1} .. m * sigma_{K+1}.
+    degs = [analysis.m2.degree, analysis.m1.degree]
+    degs += [r.degree for r in analysis.cascade_moduli]
     if degs[0] < degs[1]:
         raise AssertionError("starting entries out of order")
     if not all(degs[i] > degs[i + 1] for i in range(1, len(degs) - 1)):
         raise AssertionError("chain degrees do not strictly decrease")
-    if not (degs[-1] == 0 and not analysis.sigma[-1].is_zero):
+    if degs[-1] != analysis.m.degree:
         raise AssertionError("chain does not end in a nonzero scalar")
     if (analysis.gamma_inv21 * analysis.gamma2) % analysis.gamma1 != Polynomial(
         analysis.field, (1,)

@@ -69,7 +69,6 @@ def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis
         gamma2=gamma2,
         lcm=big,
         gamma_inv21=inv21,
-        sigma=tuple(chain),
         K=k_index,
         levels=levels,
         cascade_moduli=tuple(m * chain[i + 1] for i in range(1, k_index + 2)),

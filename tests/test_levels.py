@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -13,6 +14,7 @@ from polycrt import (
     LevelOutOfRangeError,
     MixedFieldsError,
     Polynomial,
+    PrimeField,
     TooFewModuliError,
     ZeroModulusError,
     analysis_to_json,
@@ -22,6 +24,7 @@ from polycrt import (
     render_level_table,
     residue_error_bound,
 )
+from polycrt.levels import _assert_invariants
 from polycrt.simulation import enumerate_polynomials, sample_monic
 
 from conftest import REF_M1, REF_M2, SRC, poly
@@ -38,15 +41,6 @@ class TestAnalyzePair:
         assert an.K == 3
         assert an.gamma_inv21 == poly(f2, "x^5")
         assert not an.swapped
-
-    def test_sigma_poly_indexing(self, f2, reference_pair):
-        an = reference_pair
-        assert an.sigma_poly(-1) == an.gamma2
-        assert an.sigma_poly(0) == an.gamma1
-        assert an.sigma_poly(1) == poly(f2, "x^4")
-        assert an.sigma_poly(4) == poly(f2, "1")
-        with pytest.raises(LevelOutOfRangeError):
-            an.sigma_poly(5)
 
     def test_micro_pair_structure(self, f2):
         an = analyze_pair(poly(f2, "x^2+x"), poly(f2, "x^3+x^2+x"))
@@ -138,9 +132,16 @@ class TestLevelTable:
 class TestChainInvariants:
     def test_chain_is_euclidean_remainder_sequence(self, f2, f13):
         rng = random.Random(6)
-        for field in (f2, f13):
-            for _ in range(25):
-                an = random_moduli_pair(field, rng)
+        # At p = 65521 the gcd has >= 41 coefficients and the first chain
+        # entries >= 8, so deriving sigma divides by m on the Newton path.
+        large = {"gcd_degree": (40, 48), "cofactor_degree": (16, 24)}
+        for field, count, shape in (
+            (f2, 25, {}),
+            (f13, 25, {}),
+            (PrimeField(65521), 5, large),
+        ):
+            for _ in range(count):
+                an = random_moduli_pair(field, rng, **shape)
                 expected = [an.gamma2, an.gamma1]
                 while expected[-1].degree > 0:
                     expected.append(expected[-2] % expected[-1])
@@ -159,6 +160,27 @@ class TestChainInvariants:
                 assert an.lcm.degree == an.m.degree + an.gamma1.degree + an.gamma2.degree
                 one = Polynomial(field, (1,))
                 assert (an.gamma_inv21 * an.gamma2) % an.gamma1 == one
+
+    def test_invariants_reject_corrupted_analysis(self, reference_pair):
+        an = reference_pair
+        cm = an.cascade_moduli
+        one = Polynomial(an.field, (1,))
+        _assert_invariants(an)
+        for broken, message in (
+            ({"m1": an.m2, "m2": an.m1}, "starting entries out of order"),
+            ({"cascade_moduli": cm[:-1]}, "chain does not end in a nonzero scalar"),
+            (
+                {"cascade_moduli": (cm[1], cm[0]) + cm[2:]},
+                "chain degrees do not strictly decrease",
+            ),
+            (
+                {"gamma_inv21": an.gamma_inv21 + one},
+                "gamma_inv21 * gamma2 != 1 (mod gamma1)",
+            ),
+        ):
+            with pytest.raises(AssertionError) as exc:
+                _assert_invariants(dataclasses.replace(an, **broken))
+            assert str(exc.value) == message
 
 
 # Runs under python -O: analyze_pair on a good product, then again with a
