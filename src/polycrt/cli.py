@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: analyze, encode, corrupt, reconstruct, crt, bound, simulate.
-Results go to stdout (text or JSON via ``--format``); diagnostics go to
-stderr.  Exit codes are stable:
+Each ``cmd_*`` takes ``(args, field)``, writes nothing, and returns its JSON
+payload, its text lines and its exit code.  ``main`` alone prints: the
+result to stdout (text or JSON via ``--format``), any error to stderr.
+Exit codes are stable:
 
     0  success
     2  input/config error (polynomial text, composite or >= 2**64 p, bad level,
@@ -21,7 +23,7 @@ import argparse
 import json
 import random
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .crt import ResiduePair, crt_pair, encode
 from .decoder import ErroneousResiduePair, reconstruct
@@ -30,23 +32,23 @@ from .errors import (
     DegenerateModuliError,
     DegreeOutOfRangeError,
     InconsistentResiduesError,
-    LevelOutOfRangeError,
-    ParseError,
     PolyCrtError,
     TooFewModuliError,
     ZeroModulusError,
 )
 from .field import PrimeField
 from .levels import analysis_to_json, analyze_pair, render_level_table, residue_error_bound
-from .poly import _MAX_PARSE_DEGREE, Polynomial, parse_polynomial
+from .poly import _MAX_PARSE_DEGREE, parse_polynomial
 from .simulation import TrialConfig, render_report, run_campaign, sample_error
+
+# What a command returns: JSON payload, text lines, exit code.
+_Result = Tuple[dict, List[str], int]
 
 # A campaign keeps every trial's outcome, so the trial count bounds its memory.
 _MAX_TRIALS = 10**6
 
+# Any other PolyCrtError or ValueError exits 2.
 _EXIT_CODES = (
-    (ParseError, 2),
-    (LevelOutOfRangeError, 2),
     ((ZeroModulusError, CoprimeModuliError, DegenerateModuliError), 3),
     (DegreeOutOfRangeError, 4),
     (InconsistentResiduesError, 6),
@@ -57,22 +59,15 @@ _EXIT_CODES = (
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        field = PrimeField(args.p)
-    except ValueError as exc:
+        payload, lines, code = args.func(args, PrimeField(args.p))
+    except (PolyCrtError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.func(args, field)
-    except PolyCrtError as exc:
-        for types, code in _EXIT_CODES:
-            if isinstance(exc, types):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((c for types, c in _EXIT_CODES if isinstance(exc, types)), 2)
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
             " for polynomials over a prime field."
         ),
     )
+    poly_help = 'polynomial, e.g. "x^3+x+1" or coefficient list "[1,1,0,1]"'
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--p", type=int, default=2, help="prime field characteristic (default 2)"
@@ -93,24 +89,21 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default text)",
     )
+    moduli = argparse.ArgumentParser(add_help=False, parents=[common])
+    moduli.add_argument("--m1", required=True, help=f"first modulus: {poly_help}")
+    moduli.add_argument("--m2", required=True, help=f"second modulus: {poly_help}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    poly_help = 'polynomial, e.g. "x^3+x+1" or coefficient list "[1,1,0,1]"'
 
     cmd = sub.add_parser(
         "analyze",
-        parents=[common],
+        parents=[moduli],
         help="derive the gcd/cofactor structure and level trade-off table",
     )
-    cmd.add_argument("--m1", required=True, help=f"first modulus: {poly_help}")
-    cmd.add_argument("--m2", required=True, help=f"second modulus: {poly_help}")
     cmd.set_defaults(func=cmd_analyze)
 
     cmd = sub.add_parser(
-        "encode", parents=[common], help="residues and folding polynomials of a polynomial"
+        "encode", parents=[moduli], help="residues and folding polynomials of a polynomial"
     )
-    cmd.add_argument("--m1", required=True, help=poly_help)
-    cmd.add_argument("--m2", required=True, help=poly_help)
     cmd.add_argument("--poly", required=True, help=f"polynomial to encode: {poly_help}")
     cmd.set_defaults(func=cmd_encode)
 
@@ -128,20 +121,16 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=cmd_corrupt)
 
     cmd = sub.add_parser(
-        "reconstruct", parents=[common], help="robust reconstruction from erroneous residues"
+        "reconstruct", parents=[moduli], help="robust reconstruction from erroneous residues"
     )
-    cmd.add_argument("--m1", required=True, help=poly_help)
-    cmd.add_argument("--m2", required=True, help=poly_help)
     cmd.add_argument("--r1", required=True, help=f"received residue mod m1: {poly_help}")
     cmd.add_argument("--r2", required=True, help=f"received residue mod m2: {poly_help}")
     cmd.add_argument("--level", required=True, type=int, help="level index in 1..K+1")
     cmd.set_defaults(func=cmd_reconstruct)
 
     cmd = sub.add_parser(
-        "crt", parents=[common], help="exact reconstruction from clean residues"
+        "crt", parents=[moduli], help="exact reconstruction from clean residues"
     )
-    cmd.add_argument("--m1", required=True, help=poly_help)
-    cmd.add_argument("--m2", required=True, help=poly_help)
     cmd.add_argument("--r1", required=True, help=f"residue mod m1: {poly_help}")
     cmd.add_argument("--r2", required=True, help=f"residue mod m2: {poly_help}")
     cmd.set_defaults(func=cmd_crt)
@@ -159,10 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.set_defaults(func=cmd_bound)
 
     cmd = sub.add_parser(
-        "simulate", parents=[common], help="randomized corrupt-then-decode campaign"
+        "simulate", parents=[moduli], help="randomized corrupt-then-decode campaign"
     )
-    cmd.add_argument("--m1", required=True, help=poly_help)
-    cmd.add_argument("--m2", required=True, help=poly_help)
     cmd.add_argument("--level", required=True, type=int, help="level index in 1..K+1")
     cmd.add_argument("--tau", required=True, type=int, help="error degree bound")
     cmd.add_argument(
@@ -179,69 +166,57 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
 def _analysis_for(args, field: PrimeField):
     m1 = parse_polynomial(args.m1, field)
     m2 = parse_polynomial(args.m2, field)
     return analyze_pair(m1, m2)
 
 
-def cmd_analyze(args, field: PrimeField) -> int:
+def _swap_note(analysis) -> List[str]:
+    return ["note: inputs swapped so that deg(m1) <= deg(m2)"] if analysis.swapped else []
+
+
+def cmd_analyze(args, field: PrimeField) -> _Result:
     analysis = _analysis_for(args, field)
-    if args.format == "json":
-        _print_json(analysis_to_json(analysis))
-        return 0
-    lines = []
-    if analysis.swapped:
-        lines.append("note: inputs swapped so that deg(m1) <= deg(m2)")
-    lines.extend(
-        [
-            f"m1 = {analysis.m1}",
-            f"m2 = {analysis.m2}",
-            f"gcd m = {analysis.m}",
-            f"gamma1 = {analysis.gamma1}",
-            f"gamma2 = {analysis.gamma2}",
-            f"deg(lcm) = {analysis.lcm.degree}",
-            "sigma chain: " + ", ".join(str(s) for s in analysis.remainders),
-            f"K = {analysis.K}",
-            "",
-            render_level_table(analysis),
-        ]
-    )
-    print("\n".join(lines))
-    return 0
+    payload = analysis_to_json(analysis)
+    lines = _swap_note(analysis) + [
+        f"m1 = {payload['m1']}",
+        f"m2 = {payload['m2']}",
+        f"gcd m = {payload['m']}",
+        f"gamma1 = {payload['gamma1']}",
+        f"gamma2 = {payload['gamma2']}",
+        f"deg(lcm) = {payload['degM']}",
+        "sigma chain: " + ", ".join(payload["sigma"]),
+        f"K = {payload['K']}",
+        "",
+        render_level_table(analysis),
+    ]
+    return payload, lines, 0
 
 
-def cmd_encode(args, field: PrimeField) -> int:
+def cmd_encode(args, field: PrimeField) -> _Result:
     analysis = _analysis_for(args, field)
     a = parse_polynomial(args.poly, field)
     residues, witness = encode(a, analysis)
-    if args.format == "json":
-        _print_json(
-            {
-                "m1": str(analysis.m1),
-                "m2": str(analysis.m2),
-                "swapped": analysis.swapped,
-                "a1": str(residues.a1),
-                "a2": str(residues.a2),
-                "k1": str(witness.k1),
-                "k2": str(witness.k2),
-            }
-        )
-        return 0
-    if analysis.swapped:
-        print("note: inputs swapped so that deg(m1) <= deg(m2)")
-    print(f"a1 = {residues.a1}  (mod m1 = {analysis.m1})")
-    print(f"a2 = {residues.a2}  (mod m2 = {analysis.m2})")
-    print(f"k1 = {witness.k1}")
-    print(f"k2 = {witness.k2}")
-    return 0
+    payload = {
+        "m1": str(analysis.m1),
+        "m2": str(analysis.m2),
+        "swapped": analysis.swapped,
+        "a1": str(residues.a1),
+        "a2": str(residues.a2),
+        "k1": str(witness.k1),
+        "k2": str(witness.k2),
+    }
+    lines = _swap_note(analysis) + [
+        f"a1 = {payload['a1']}  (mod m1 = {payload['m1']})",
+        f"a2 = {payload['a2']}  (mod m2 = {payload['m2']})",
+        f"k1 = {payload['k1']}",
+        f"k2 = {payload['k2']}",
+    ]
+    return payload, lines, 0
 
 
-def cmd_corrupt(args, field: PrimeField) -> int:
+def cmd_corrupt(args, field: PrimeField) -> _Result:
     r1 = parse_polynomial(args.r1, field)
     r2 = parse_polynomial(args.r2, field)
     if args.tau < -1:
@@ -254,25 +229,21 @@ def cmd_corrupt(args, field: PrimeField) -> int:
         e1 = parse_polynomial(args.e1, field)
     if args.e2 is not None:
         e2 = parse_polynomial(args.e2, field)
-    c1 = r1 + e1
-    c2 = r2 + e2
-    if args.format == "json":
-        _print_json(
-            {
-                "corrupted1": str(c1),
-                "corrupted2": str(c2),
-                "e1": str(e1),
-                "e2": str(e2),
-                "tau": args.tau,
-                "seed": args.seed,
-            }
-        )
-        return 0
-    print(f"corrupted r1 = {c1}")
-    print(f"corrupted r2 = {c2}")
-    print(f"e1 = {e1}")
-    print(f"e2 = {e2}")
-    return 0
+    payload = {
+        "corrupted1": str(r1 + e1),
+        "corrupted2": str(r2 + e2),
+        "e1": str(e1),
+        "e2": str(e2),
+        "tau": args.tau,
+        "seed": args.seed,
+    }
+    lines = [
+        f"corrupted r1 = {payload['corrupted1']}",
+        f"corrupted r2 = {payload['corrupted2']}",
+        f"e1 = {payload['e1']}",
+        f"e2 = {payload['e2']}",
+    ]
+    return payload, lines, 0
 
 
 def _check_tau_cap(tau: int) -> None:
@@ -290,33 +261,25 @@ def _residues_in_analysis_order(args, field: PrimeField):
     return analysis, r1, r2
 
 
-def cmd_reconstruct(args, field: PrimeField) -> int:
+def cmd_reconstruct(args, field: PrimeField) -> _Result:
     analysis, r1, r2 = _residues_in_analysis_order(args, field)
-    pair = ErroneousResiduePair(r1, r2, analysis)
-    result = reconstruct(pair, args.level)
-    if args.format == "json":
-        payload = result.to_json()
-        payload["swapped"] = analysis.swapped
-        _print_json(payload)
-        return 0
-    if analysis.swapped:
-        print("note: inputs swapped so that deg(m1) <= deg(m2)")
-    print(f"branch = {result.branch.value}")
-    print(f"q21 = {result.q21}")
-    print(f"cascade tail = {result.cascade_tail}")
-    print(f"k2_hat = {result.k2_hat}")
-    print(f"a_hat = {result.a_hat}")
-    return 0
+    result = reconstruct(ErroneousResiduePair(r1, r2, analysis), args.level)
+    payload = result.to_json()
+    payload["swapped"] = analysis.swapped
+    lines = _swap_note(analysis) + [
+        f"branch = {payload['branch']}",
+        f"q21 = {payload['q21']}",
+        f"cascade tail = {payload['cascadeTail']}",
+        f"k2_hat = {payload['k2Hat']}",
+        f"a_hat = {payload['aHat']}",
+    ]
+    return payload, lines, 0
 
 
-def cmd_crt(args, field: PrimeField) -> int:
+def cmd_crt(args, field: PrimeField) -> _Result:
     analysis, r1, r2 = _residues_in_analysis_order(args, field)
-    a = crt_pair(ResiduePair(r1, r2, analysis))
-    if args.format == "json":
-        _print_json({"a": str(a), "swapped": analysis.swapped})
-        return 0
-    print(f"a = {a}")
-    return 0
+    payload = {"a": str(crt_pair(ResiduePair(r1, r2, analysis))), "swapped": analysis.swapped}
+    return payload, [f"a = {payload['a']}"], 0
 
 
 def _split_moduli_arg(text: str) -> List[str]:
@@ -338,18 +301,14 @@ def _split_moduli_arg(text: str) -> List[str]:
     return [p for p in parts if p.strip()]
 
 
-def cmd_bound(args, field: PrimeField) -> int:
+def cmd_bound(args, field: PrimeField) -> _Result:
     texts = _split_moduli_arg(args.moduli)
     moduli = [parse_polynomial(t, field) for t in texts]
     bound = residue_error_bound(moduli)
-    if args.format == "json":
-        _print_json({"bound": bound, "moduli": [str(m) for m in moduli]})
-        return 0
-    print(bound)
-    return 0
+    return {"bound": bound, "moduli": [str(m) for m in moduli]}, [str(bound)], 0
 
 
-def cmd_simulate(args, field: PrimeField) -> int:
+def cmd_simulate(args, field: PrimeField) -> _Result:
     analysis = _analysis_for(args, field)
     config = TrialConfig(
         analysis=analysis,
@@ -363,13 +322,8 @@ def cmd_simulate(args, field: PrimeField) -> int:
     if args.trials > _MAX_TRIALS:
         raise ValueError(f"trials must be <= {_MAX_TRIALS}, got {args.trials}")
     report = run_campaign(config)
-    if args.format == "json":
-        _print_json(report.to_json())
-    else:
-        print(render_report(report))
-    if not args.boundary and report.failures:
-        return 8
-    return 0
+    code = 8 if report.failures and not args.boundary else 0
+    return report.to_json(), [render_report(report)], code
 
 
 if __name__ == "__main__":

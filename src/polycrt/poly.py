@@ -95,12 +95,6 @@ class Polynomial:
         """Leading coefficient; 0 for the zero polynomial."""
         return self.coeffs[-1] if self.coeffs else 0
 
-    def coefficient(self, i: int) -> int:
-        """Coefficient of ``x^i`` (0 beyond the stored length)."""
-        if i < 0:
-            raise ValueError("coefficient index must be >= 0")
-        return self.coeffs[i] if i < len(self.coeffs) else 0
-
     def is_monic(self) -> bool:
         return self.lead == 1
 

@@ -5,7 +5,9 @@ separately, ``xgcd`` for the cofactor inverse, then a second Euclid pass
 for the sigma chain.  ``reference_reconstruct`` is the three-branch
 decoder, with an explicit divisibility check on ``q21 - tail``.  The
 library computes the same values in one Euclid pass and one formula; these
-versions exist only so tests can compare the two.
+versions exist only so tests can compare the two.  The guards below raise
+``AssertionError`` explicitly: this is not a ``test_*.py`` module, so pytest
+does not rewrite its ``assert`` statements and ``python -O`` would strip them.
 """
 
 from polycrt import (
@@ -43,13 +45,15 @@ def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis
     big = lcm(m1, m2)
 
     g, s, _ = xgcd(gamma2, gamma1)
-    assert g.degree == 0, "cofactors of the gcd must be coprime"
+    if g.degree != 0:
+        raise AssertionError("cofactors of the gcd must be coprime")
     inv21 = s % gamma1
 
     chain = [gamma2, gamma1]
     while chain[-1].degree > 0:
         chain.append(chain[-2] % chain[-1])
-        assert not chain[-1].is_zero, "chain hit zero before a scalar"
+        if chain[-1].is_zero:
+            raise AssertionError("chain hit zero before a scalar")
     k_index = len(chain) - 3
 
     levels = tuple(
@@ -89,7 +93,8 @@ def reference_reconstruct(pair, level: int) -> ReconstructionResult:
         start = q21 if branch is Branch.FOLDED_DIFFERENCE else q21 % analysis.m1
         tail = remainder_cascade(start, analysis, level)
         quot, rem = divmod(q21 - tail, analysis.m)
-        assert rem.is_zero, "difference minus cascade tail is not divisible by m"
+        if not rem.is_zero:
+            raise AssertionError("difference minus cascade tail is not divisible by m")
         k2_hat = (quot * analysis.gamma_inv21) % analysis.gamma1
 
     a_hat = k2_hat * analysis.m2 + pair.r2

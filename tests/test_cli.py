@@ -414,3 +414,189 @@ class TestSimulate:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+
+def _json_out(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+_QUICK_START = {
+    "analyze": ("analyze", "--m1", REF_M1, "--m2", REF_M2),
+    "encode": ("encode", "--m1", REF_M1, "--m2", REF_M2, "--poly", REF_A),
+    "corrupt": (
+        "corrupt", "--r1", "x^7+x^2+x+1", "--r2", "x^5+x^4+x+1",
+        "--tau", "2", "--e1", "x^2+x+1", "--e2", "x",
+    ),
+    "reconstruct": (
+        "reconstruct", "--m1", REF_M1, "--m2", REF_M2,
+        "--r1", "x^7", "--r2", "x^5+x^4+1", "--level", "3",
+    ),
+    "crt": (
+        "crt", "--m1", REF_M1, "--m2", REF_M2,
+        "--r1", "x^7+x^2+x+1", "--r2", "x^5+x^4+x+1",
+    ),
+    "bound": ("bound", "--moduli", f"{REF_M1},{REF_M2}"),
+    "simulate": (
+        "simulate", "--m1", REF_M1, "--m2", REF_M2,
+        "--level", "3", "--tau", "2", "--trials", "200", "--seed", "0",
+    ),
+    "boundary": (
+        "simulate", "--m1", REF_M1, "--m2", REF_M2,
+        "--level", "4", "--tau", "2", "--trials", "4", "--seed", "1", "--boundary",
+    ),
+}
+
+_BOUNDARY_FAILURES = [
+    ("x^15+x^14+x^13+x^12+x^11+x^10+x^8+x^5+x^3+x^2+x+1", "x+1", "x^2", 0),
+    ("x^14+x^13+x^11+x^10+x^7+x+1", "0", "x^2+1", 1),
+    ("x^16+x^15+x^14+x^10+x^8+x^7+x^4+x^3+x", "x^2", "0", 2),
+]
+
+# Full stdout of each command, text then JSON, pinned byte for byte.
+_GOLDEN_OUT = {
+    "analyze": (
+        f"m1 = {REF_M1}\n"
+        f"m2 = {REF_M2}\n"
+        "gcd m = x^2+1\n"
+        "gamma1 = x^6+x^3+1\n"
+        "gamma2 = x^9+x^7+x+1\n"
+        "deg(lcm) = 17\n"
+        "sigma chain: x^4, x^3+1, x, 1\n"
+        "K = 3\n"
+        "\n"
+        "level  deg(sigma_i)  residue error bound  dynamic range\n"
+        "1      4             tau < 6              deg(a) < 13\n"
+        "2      3             tau < 5              deg(a) < 14\n"
+        "3      1             tau < 3              deg(a) < 16\n"
+        "4      0             tau < 2              deg(a) < 17\n",
+        _json_out({
+            "K": 3, "degM": 17, "gamma1": "x^6+x^3+1", "gamma2": "x^9+x^7+x+1",
+            "levels": [
+                {"dynamicRangeExclusive": r, "errorBoundExclusive": b,
+                 "level": i, "sigmaDeg": s}
+                for i, s, b, r in [(1, 4, 6, 13), (2, 3, 5, 14), (3, 1, 3, 16), (4, 0, 2, 17)]
+            ],
+            "m": "x^2+1", "m1": REF_M1, "m2": REF_M2, "p": 2,
+            "sigma": ["x^4", "x^3+1", "x", "1"], "swapped": False,
+        }),
+    ),
+    "encode": (
+        f"a1 = x^7+x^2+x+1  (mod m1 = {REF_M1})\n"
+        f"a2 = x^5+x^4+x+1  (mod m2 = {REF_M2})\n"
+        "k1 = x^7+x^5+x^4+x^2\n"
+        "k2 = x^4\n",
+        _json_out({
+            "a1": "x^7+x^2+x+1", "a2": "x^5+x^4+x+1", "k1": "x^7+x^5+x^4+x^2",
+            "k2": "x^4", "m1": REF_M1, "m2": REF_M2, "swapped": False,
+        }),
+    ),
+    "corrupt": (
+        "corrupted r1 = x^7\ncorrupted r2 = x^5+x^4+1\ne1 = x^2+x+1\ne2 = x\n",
+        _json_out({
+            "corrupted1": "x^7", "corrupted2": "x^5+x^4+1",
+            "e1": "x^2+x+1", "e2": "x", "seed": 0, "tau": 2,
+        }),
+    ),
+    "reconstruct": (
+        "branch = folded_difference\n"
+        "q21 = x^7+x^5+x^4+1\n"
+        "cascade tail = x^2+1\n"
+        "k2_hat = x^4\n"
+        "a_hat = x^15+x^11+x^7+x^6+1\n",
+        _json_out({
+            "aHat": "x^15+x^11+x^7+x^6+1", "branch": "folded_difference",
+            "cascadeTail": "x^2+1", "k2Hat": "x^4", "q21": "x^7+x^5+x^4+1",
+            "swapped": False,
+        }),
+    ),
+    "crt": (f"a = {REF_A}\n", _json_out({"a": REF_A, "swapped": False})),
+    "bound": ("2\n", _json_out({"bound": 2, "moduli": [REF_M1, REF_M2]})),
+    "simulate": (
+        "mode = guarantee\n"
+        "trials = 200\n"
+        "successes = 200\n"
+        "failures = 0\n"
+        "max residual degree = 2\n"
+        "branch counts: equal_residues=2, folded_difference=20, large_residue=178\n",
+        _json_out({
+            "branchCounts": {
+                "equal_residues": 2, "folded_difference": 20, "large_residue": 178
+            },
+            "config": {
+                "boundary": False, "level": 3, "m1": REF_M1, "m2": REF_M2,
+                "p": 2, "seed": 0, "tau": 2, "trials": 200,
+            },
+            "decodeErrors": 0, "failureDetails": [], "failures": 0,
+            "maxErrDeg": 2, "successes": 200,
+        }),
+    ),
+    "boundary": (
+        "mode = boundary\n"
+        "trials = 4\n"
+        "successes = 1\n"
+        "failures = 3\n"
+        "max residual degree = 16\n"
+        "branch counts: equal_residues=0, folded_difference=0, large_residue=4\n"
+        + "".join(
+            f"trial {t}: a={a} e1={e1} e2={e2} branch=large_residue"
+            " k2Match=False residualDeg=16\n"
+            for a, e1, e2, t in _BOUNDARY_FAILURES
+        ),
+        _json_out({
+            "branchCounts": {
+                "equal_residues": 0, "folded_difference": 0, "large_residue": 4
+            },
+            "config": {
+                "boundary": True, "level": 4, "m1": REF_M1, "m2": REF_M2,
+                "p": 2, "seed": 1, "tau": 2, "trials": 4,
+            },
+            "decodeErrors": 0,
+            "failureDetails": [
+                {"a": a, "branch": "large_residue", "e1": e1, "e2": e2,
+                 "error": None, "k2Match": False, "residualDeg": 16, "trial": t}
+                for a, e1, e2, t in _BOUNDARY_FAILURES
+            ],
+            "failures": 3, "maxErrDeg": 16, "successes": 1,
+        }),
+    ),
+}
+
+_GOLDEN_ERRORS = [
+    (
+        ("reconstruct", "--m1", REF_M1, "--m2", REF_M2,
+         "--r1", "x", "--r2", "x", "--level", "9"),
+        2, "level 9 outside [1, 4] for this moduli pair",
+    ),
+    (
+        ("analyze", "--m1", "x^2+x", "--m2", "x^3+x", "--p", "4"),
+        2, "field characteristic must be a prime >= 2, got 4",
+    ),
+    (
+        ("analyze", "--m1", "x", "--m2", "x+1"),
+        3, "moduli are coprime (gcd is a scalar); a shared factor of degree >= 1 is required",
+    ),
+    (
+        ("encode", "--m1", REF_M1, "--m2", REF_M2, "--poly", "x^17"),
+        4, "deg(a) = 17 not below deg(lcm) = 17",
+    ),
+    (
+        ("crt", "--m1", REF_M1, "--m2", REF_M2, "--r1", "0", "--r2", "1"),
+        6, "residues disagree modulo gcd(m1, m2); no common preimage exists",
+    ),
+    (("bound", "--moduli", "x^2+x"), 7, "at least two moduli are required"),
+]
+
+_GOLDEN = [
+    pytest.param(argv + fmt, 0, out, "", id=f"{name}-{fmt[-1] if fmt else 'text'}")
+    for name, argv in _QUICK_START.items()
+    for fmt, out in zip(((), ("--format", "json")), _GOLDEN_OUT[name])
+] + [
+    pytest.param(argv + fmt, code, "", f"error: {msg}\n", id=f"exit{code}-{argv[0]}-{i}")
+    for i, (argv, code, msg) in enumerate(_GOLDEN_ERRORS)
+    for fmt in ((), ("--format", "json"))
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", _GOLDEN)
+def test_golden_output(capsys, argv, code, out, err):
+    assert run_cli(capsys, *argv) == (code, out, err)

@@ -19,6 +19,7 @@ from polycrt import (
     ZeroModulusError,
     analysis_to_json,
     analyze_pair,
+    lcm,
     parse_polynomial,
     random_moduli_pair,
     render_level_table,
@@ -271,6 +272,35 @@ class TestResidueErrorBound:
                 bound = residue_error_bound([an.m1, an.m2])
                 assert bound == an.m.degree
                 assert bound == an.levels[-1].error_bound_exclusive
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_bound_suffices_for_three_moduli(self, p):
+        # The robust-CRT claim with a' = a + d: if every residue of d has
+        # degree <= tau < bound, then deg d <= tau.  Exhaustive over d.  The
+        # bound is not tight (some triples tolerate more), so only this
+        # direction is checked.
+        field = PrimeField(p)
+        rng = random.Random(p)
+        kept = strong = 0
+        for _ in range(40):
+            s12, s13, s23 = (sample_monic(rng.randint(0, 2), field, rng) for _ in range(3))
+            c1, c2, c3 = (sample_monic(rng.randint(1, 2), field, rng) for _ in range(3))
+            mods = [c1 * s12 * s13, c2 * s12 * s23, c3 * s13 * s23]
+            big = lcm(lcm(mods[0], mods[1]), mods[2])
+            if len(set(mods)) < 3 or p**big.degree > 4096:
+                continue
+            bound = residue_error_bound(mods)
+            kept += 1
+            strong += bound >= 2
+            residue_degs = [
+                (d, max((d % m).degree for m in mods))
+                for d in enumerate_polynomials(field, big.degree)
+                if not d.is_zero
+            ]
+            for tau in range(bound):
+                bad = [d for d, t in residue_degs if t <= tau and d.degree > tau]
+                assert not bad, (mods, tau, bad[:3])
+        assert kept >= 25 and strong >= 10
 
     def test_too_few_moduli(self, f2):
         with pytest.raises(TooFewModuliError):
