@@ -323,7 +323,10 @@ def cmd_simulate(args, field: PrimeField) -> _Result:
         raise ValueError(f"trials must be <= {_MAX_TRIALS}, got {args.trials}")
     report = run_campaign(config)
     code = 8 if report.failures and not args.boundary else 0
-    return report.to_json(), [render_report(report)], code
+    # Text mode prints at most ten failing trials; skip formatting them all.
+    if args.format == "json":
+        return report.to_json(), [], code
+    return {}, [render_report(report)], code
 
 
 if __name__ == "__main__":

@@ -30,8 +30,10 @@ def _check_residues(
 
     ``name`` is the residue letter used in error messages (``a`` or ``r``).
     """
-    if x1.field != moduli.field or x2.field != moduli.field:
-        raise MixedFieldsError("residues must live in the moduli's field")
+    field = moduli.field
+    for x in (x1, x2):
+        if x.field is not field and x.field != field:
+            raise MixedFieldsError("residues must live in the moduli's field")
     for i, x, mod in ((1, x1, moduli.m1), (2, x2, moduli.m2)):
         if not x.degree < mod.degree:
             raise DegreeOutOfRangeError(
@@ -63,7 +65,8 @@ def encode(
     a: Polynomial, moduli: ModuliPairAnalysis
 ) -> Tuple[ResiduePair, FoldingWitness]:
     """Residues and folding polynomials of ``a``; requires deg(a) < deg(lcm)."""
-    if a.field != moduli.field:
+    field = moduli.field
+    if a.field is not field and a.field != field:
         raise MixedFieldsError("polynomial and moduli fields differ")
     if not a.degree < moduli.lcm.degree:
         raise DegreeOutOfRangeError(

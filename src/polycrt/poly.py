@@ -1,25 +1,28 @@
 """Dense univariate polynomial arithmetic over a prime field.
 
-A polynomial is an immutable tuple of integer coefficients in ``[0, p)``,
-index ``i`` holding the coefficient of ``x^i``, with no trailing zeros.  The
-zero polynomial stores an empty tuple and has degree :data:`NEG_INF`, which
-compares strictly below every integer and absorbs addition, so degree
+A polynomial is immutable.  Its ``coeffs`` are a tuple of integers in
+``[0, p)``, index ``i`` holding the coefficient of ``x^i``, with no trailing
+zeros.  The zero polynomial has the empty tuple and degree :data:`NEG_INF`,
+which compares strictly below every integer and absorbs addition, so degree
 inequalities hold for the zero polynomial without special cases.
 
-The field picks the arithmetic.  Over F_2 a polynomial also packs into one
-int, bit ``i`` holding the coefficient of ``x^i``: addition is one XOR,
-multiplication a carry-less shift-XOR product and division a shift-XOR long
-division.  Their loops step over the hex digits or quotient bits of one
-operand, and each step shifts and XORs whole ints at C speed, where the
-dense loops take a bytecode step per coefficient pair.  Every other p
-multiplies by Kronecker substitution (one fixed-width slot per coefficient
-in one int, one bigint product; :mod:`polycrt.kronecker`) and adds with
-schoolbook loops.  It divides with schoolbook loops when the quotient or the
-divisor is short, as in most Euclid steps, and otherwise through a Newton
-reciprocal of the reversed divisor built from Kronecker products.  Kernel
-results skip re-reduction in ``Polynomial.__init__``.  The tests check the
-fast products against the dense schoolbook product and the Newton division
-against schoolbook division.
+The field picks the representation and the arithmetic.  Over F_2 a
+polynomial is its packed int, bit ``i`` holding the coefficient of ``x^i``:
+addition is one XOR, multiplication a carry-less shift-XOR product and
+division a shift-XOR long division.  Their loops step over the hex digits or
+quotient bits of one operand, and each step shifts and XORs whole ints at C
+speed, where the dense loops take a bytecode step per coefficient pair.
+Degree, leading coefficient, equality and hashing read the int, and the
+``coeffs`` tuple is built on first read and kept; whichever thread builds it
+first, it is the same value.  Every other p stores the tuple, multiplies by
+Kronecker substitution (one fixed-width slot per coefficient in one int,
+one bigint product; :mod:`polycrt.kronecker`) and adds with schoolbook
+loops.  It divides with schoolbook loops when the quotient or the divisor is
+short, as in most Euclid steps, and otherwise through a Newton reciprocal of
+the reversed divisor built from Kronecker products.  Kernel results skip
+re-reduction in ``Polynomial.__init__``.  The tests check the fast products
+against the dense schoolbook product and the Newton division against
+schoolbook division.
 """
 
 from __future__ import annotations
@@ -54,46 +57,67 @@ _NEWTON_MIN_DIVISOR = 40
 class Polynomial:
     """A dense polynomial over a :class:`PrimeField`.
 
-    Coefficients are ints, lowest power first, reduced mod p.
+    Coefficients are ints, lowest power first, reduced mod p.  Over F_2 the
+    value lives in ``_bits`` and ``_coeffs`` is None until ``coeffs`` is
+    read; over any other p it lives in ``_coeffs`` and ``_bits`` is None.
     """
 
-    __slots__ = ("field", "coeffs", "_bits")
+    __slots__ = ("field", "_coeffs", "_bits")
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()) -> None:
         p = field.p
+        _set_field(self, field)
+        if p == 2:
+            _set_bits(self, _pack2([c % 2 for c in coeffs]))
+            _set_coeffs(self, None)
+            return
         vals = [c % p for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(vals))
+        _set_coeffs(self, tuple(vals))
+        _set_bits(self, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
 
-    def _packed(self) -> int:
-        """The F_2 coefficients as one int, packed on first use and kept."""
-        try:
-            return self._bits
-        except AttributeError:
-            bits = _pack2(self.coeffs)
-            object.__setattr__(self, "_bits", bits)
-            return bits
+    def __reduce__(self) -> tuple:
+        return (Polynomial, (self.field, self.coeffs))
+
+    @property
+    def coeffs(self) -> Tuple[int, ...]:
+        """Coefficient tuple, lowest power first.
+
+        Over F_2 it is unpacked from the bits on first read and kept.
+        """
+        coeffs = self._coeffs
+        if coeffs is None:
+            bits = self._bits
+            coeffs = tuple(bin(bits)[:1:-1].encode().translate(_DIGIT_TO_BIT)) if bits else ()
+            _set_coeffs(self, coeffs)
+        return coeffs
 
     # Structure
 
     @property
     def degree(self) -> Degree:
         """Degree of the polynomial; NEG_INF for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        bits = self._bits
+        if bits is None:
+            return len(self._coeffs) - 1 if self._coeffs else NEG_INF
+        return bits.bit_length() - 1 if bits else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        # The unused representation is None, or over F_2 a tuple as empty as the bits.
+        return not (self._bits or self._coeffs)
 
     @property
     def lead(self) -> int:
         """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else 0
+        bits = self._bits
+        if bits is None:
+            return self._coeffs[-1] if self._coeffs else 0
+        return 1 if bits else 0
 
     def is_monic(self) -> bool:
         return self.lead == 1
@@ -105,18 +129,19 @@ class Polynomial:
         return self._scale(self.field.inv(self.lead))
 
     def _scale(self, c: int) -> "Polynomial":
-        p = self.field.p
+        field = self.field
+        p = field.p
         c %= p
-        if c == 0:
-            return _from_reduced(self.field, [])
         if c == 1:
             return self
-        return _from_reduced(self.field, [(v * c) % p for v in self.coeffs])
+        if p == 2:  # c == 0
+            return _from_bits(field, 0)
+        return _from_reduced(field, [(v * c) % p for v in self._coeffs])
 
     def _check_field(self, other: "Polynomial") -> None:
         if not isinstance(other, Polynomial):
             raise TypeError(f"expected Polynomial, got {type(other).__name__}")
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise MixedFieldsError(
                 f"cannot combine polynomials over {self.field!r} and {other.field!r}"
             )
@@ -127,28 +152,28 @@ class Polynomial:
         self._check_field(other)
         field = self.field
         if field.p == 2:
-            return _from_bits(field, self._packed() ^ other._packed())
-        return _from_reduced(field, _dense_add(self.coeffs, other.coeffs, field.p))
+            return _from_bits(field, self._bits ^ other._bits)
+        return _from_reduced(field, _dense_add(self._coeffs, other._coeffs, field.p))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
         field = self.field
         if field.p == 2:
-            return _from_bits(field, self._packed() ^ other._packed())
-        return _from_reduced(field, _dense_sub(self.coeffs, other.coeffs, field.p))
+            return _from_bits(field, self._bits ^ other._bits)
+        return _from_reduced(field, _dense_sub(self._coeffs, other._coeffs, field.p))
 
     def __neg__(self) -> "Polynomial":
         p = self.field.p
         if p == 2:
             return self
-        return _from_reduced(self.field, [(-v) % p for v in self.coeffs])
+        return _from_reduced(self.field, [(-v) % p for v in self._coeffs])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
         field = self.field
         if field.p == 2:
-            return _from_bits(field, _clmul(self._packed(), other._packed()))
-        return _from_reduced(field, _kronecker_mul(self.coeffs, other.coeffs, field.p))
+            return _from_bits(field, _clmul(self._bits, other._bits))
+        return _from_reduced(field, _kronecker_mul(self._coeffs, other._coeffs, field.p))
 
     def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
         """Euclidean division: ``self == q * other + r`` with deg(r) < deg(other)."""
@@ -156,12 +181,15 @@ class Polynomial:
         if other.is_zero:
             raise DivisionByZeroError("polynomial division by zero")
         field = self.field
-        if len(self.coeffs) < len(other.coeffs):
-            return Polynomial(field), self
         if field.p == 2:
-            quot, rem = _cldivmod(self._packed(), other._packed())
+            a, b = self._bits, other._bits
+            if a.bit_length() < b.bit_length():
+                return Polynomial(field), self
+            quot, rem = _cldivmod(a, b)
             return _from_bits(field, quot), _from_bits(field, rem)
-        a, b = self.coeffs, other.coeffs
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            return Polynomial(field), self
         lead_inv = field.inv(b[-1])
         if len(b) < _NEWTON_MIN_DIVISOR or len(a) - len(b) + 1 < _NEWTON_MIN_QUOTIENT:
             quot, rem = _dense_divmod(a, b, field.p, lead_inv)
@@ -178,15 +206,19 @@ class Polynomial:
     # Value semantics
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, Polynomial):
-            return self.field == other.field and self.coeffs == other.coeffs
-        return NotImplemented
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        if self.field is not other.field and self.field != other.field:
+            return False
+        if self._bits is None:
+            return self._coeffs == other._coeffs
+        return self._bits == other._bits
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self._coeffs if self._bits is None else self._bits))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self._bits or self._coeffs)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.coeffs)
@@ -196,11 +228,12 @@ class Polynomial:
 
     def __str__(self) -> str:
         """Canonical text form: descending powers joined by '+', zero is '0'."""
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if not c:
                 continue
             if i == 0:
@@ -212,13 +245,23 @@ class Polynomial:
         return "+".join(parts)
 
 
+# Slot setters that bypass the blocked __setattr__.
+_set_field = Polynomial.field.__set__
+_set_coeffs = Polynomial._coeffs.__set__
+_set_bits = Polynomial._bits.__set__
+
+
 def _from_reduced(field: PrimeField, vals: list) -> Polynomial:
-    """Polynomial from a list already reduced mod p; strips trailing zeros in place."""
+    """Polynomial over odd p from a list already reduced mod p.
+
+    Strips trailing zeros from ``vals`` in place.
+    """
     while vals and vals[-1] == 0:
         vals.pop()
     poly = object.__new__(Polynomial)
-    object.__setattr__(poly, "field", field)
-    object.__setattr__(poly, "coeffs", tuple(vals))
+    _set_field(poly, field)
+    _set_coeffs(poly, tuple(vals))
+    _set_bits(poly, None)
     return poly
 
 
@@ -287,17 +330,11 @@ def _pack2(coeffs: Tuple[int, ...]) -> int:
 
 
 def _from_bits(field: PrimeField, bits: int) -> Polynomial:
-    """Polynomial over F_2 from its packed int, without re-reducing.
-
-    The packed form has no trailing zeros by construction, so the unpacked
-    tuple is already canonical; the result equals and hashes like the same
-    polynomial built through ``Polynomial(field, coeffs)``.
-    """
+    """Polynomial over F_2 from its packed int; any int is canonical, so nothing is reduced."""
     poly = object.__new__(Polynomial)
-    coeffs = tuple(bin(bits)[:1:-1].encode().translate(_DIGIT_TO_BIT)) if bits else ()
-    object.__setattr__(poly, "field", field)
-    object.__setattr__(poly, "coeffs", coeffs)
-    object.__setattr__(poly, "_bits", bits)
+    _set_field(poly, field)
+    _set_bits(poly, bits)
+    _set_coeffs(poly, None)
     return poly
 
 

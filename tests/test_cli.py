@@ -363,6 +363,20 @@ class TestSimulate:
         assert code == 0
         assert "mode = boundary" in out
 
+    def test_text_mode_skips_the_json_report(self, capsys, monkeypatch):
+        def refuse(report):
+            raise AssertionError("TrialReport.to_json reached in text mode")
+
+        monkeypatch.setattr(polycrt.simulation.TrialReport, "to_json", refuse)
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--m1", REF_M1, "--m2", REF_M2,
+            "--level", "4", "--tau", "2", "--trials", "300", "--seed", "1",
+            "--boundary",
+        )
+        assert code == 0
+        assert "more failing trials" in out
+
     @pytest.mark.parametrize("tau", [_MAX_PARSE_DEGREE + 1, 10**15])
     def test_boundary_tau_above_cap_exit_2(self, capsys, no_sampling, tau):
         code, _, err = run_cli(

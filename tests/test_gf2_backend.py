@@ -7,11 +7,21 @@ longer than the dividend and degrees at 30/64-bit word edges up to 1100.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polycrt import Polynomial, PrimeField, gcd, parse_polynomial, xgcd
+from polycrt import (
+    NEG_INF,
+    MixedFieldsError,
+    Polynomial,
+    PrimeField,
+    gcd,
+    parse_polynomial,
+    xgcd,
+)
 from polycrt.poly import _dense_add, _dense_divmod, _dense_mul, _dense_sub
 
 F2 = PrimeField(2)
@@ -180,3 +190,74 @@ class TestValueSemantics:
         table = {a * b: "product"}
         assert table[parse_polynomial(str(a * b), F2)] == "product"
         assert table[Polynomial(F2, (a * b).coeffs)] == "product"
+
+    def test_distinct_f2_instances_interoperate(self):
+        other = PrimeField(2)
+        assert other is not F2
+        a = parse_polynomial("x^64+x+1", F2)
+        b = parse_polynomial("x^64+x+1", other)
+        c = parse_polynomial("x^3+1", other)
+        assert a == b and hash(a) == hash(b)
+        assert a + c == b + c == c + a
+        assert a * c == b * c == c * a
+        assert divmod(a, c) == divmod(b, c)
+        assert {a: "a"}[b] == "a"
+
+    def test_f2_and_f3_do_not_mix(self):
+        f3 = PrimeField(3)
+        a = parse_polynomial("x^2+1", F2)
+        b = parse_polynomial("x^2+1", f3)
+        assert (a == b) is False and (b == a) is False
+        assert a != b
+        for op in (lambda: a + b, lambda: b - a, lambda: a * b, lambda: divmod(b, a)):
+            with pytest.raises(MixedFieldsError):
+                op()
+
+    def test_kernel_coeffs_built_once_and_read_only(self):
+        a = parse_polynomial("x^70+x^3+1", F2)
+        for r in (a + ONE, a * a, *divmod(a * a + ONE, a)):
+            assert isinstance(r.coeffs, tuple)
+            assert r.coeffs is r.coeffs
+            with pytest.raises(AttributeError):
+                r.coeffs = (1,)
+
+    @pytest.mark.parametrize("k", [None, 0, 63, 64, 1100])
+    def test_structure_matches_rebuild(self, k):
+        x1 = Polynomial(F2, (0, 1))
+        # Kernel-built: a product for x^k, a difference for zero.
+        if k is None:
+            r = x1 - x1
+        elif k == 0:
+            r = ONE * ONE
+        else:
+            r = Polynomial(F2, [0] * (k - 1) + [1]) * x1
+        rebuilt = Polynomial(F2, r.coeffs)
+        assert r.degree == rebuilt.degree == (NEG_INF if k is None else k)
+        assert r.lead == rebuilt.lead
+        assert r.is_zero == rebuilt.is_zero == (k is None)
+        assert bool(r) == bool(rebuilt) == (k is not None)
+
+    def test_concurrent_first_reads_of_coeffs_agree(self):
+        base = parse_polynomial("x^300+x^77+x+1", F2)
+        results = [base * Polynomial(F2, [1] * k + [1]) for k in range(200)]
+        expected = [dense_mul(base, Polynomial(F2, [1] * k + [1])).coeffs for k in range(200)]
+        seen = [[] for _ in range(8)]
+
+        def reader(out):
+            for r in results:
+                out.append(r.coeffs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(out,)) for out in seen]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in seen:
+            assert out == expected
+        assert [r.coeffs for r in results] == expected

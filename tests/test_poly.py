@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -11,6 +13,7 @@ from polycrt import (
     Polynomial,
     PrimeField,
     ZeroInputError,
+    analyze_pair,
     gcd,
     lcm,
     parse_polynomial,
@@ -18,7 +21,7 @@ from polycrt import (
 )
 from polycrt.simulation import enumerate_polynomials
 
-from conftest import poly
+from conftest import REF_M1, REF_M2, poly
 
 
 def random_poly(field, max_len, rng):
@@ -275,3 +278,36 @@ class TestParseFormat:
     def test_huge_exponent_rejected(self, f2):
         with pytest.raises(ParseError):
             parse_polynomial("x^999999999", f2)
+
+
+class TestCopyAndPickle:
+    @staticmethod
+    def cases():
+        f2, big = PrimeField(2), PrimeField(65521)
+        rng = random.Random(7)
+        yield Polynomial(f2)
+        yield Polynomial(f2, [0] * 64 + [1])
+        yield Polynomial(f2, [rng.randrange(2) for _ in range(1100)] + [1])
+        x1 = Polynomial(f2, (0, 1))
+        yield Polynomial(f2, [1] * 700) * x1  # kernel-built, coeffs never read
+        yield Polynomial(big)
+        yield Polynomial(big, [rng.randrange(65521) for _ in range(200)] + [5])
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_equal_and_hash_equal(self, clone):
+        for a in self.cases():
+            b = clone(a)
+            assert b == a and hash(b) == hash(a)
+            assert b.coeffs == a.coeffs and b.degree == a.degree
+            assert (b - a).is_zero
+
+    def test_deepcopy_of_analysis(self, f2):
+        analysis = analyze_pair(poly(f2, REF_M1), poly(f2, REF_M2))
+        clone = copy.deepcopy(analysis)
+        assert clone == analysis
+        assert clone.cascade_moduli == analysis.cascade_moduli
+        assert clone.sigma == analysis.sigma
