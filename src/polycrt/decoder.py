@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from .crt import _check_residues
 from .levels import ModuliPairAnalysis
-from .poly import Polynomial
+from .poly import Polynomial, _reduce_chain
 
 
 class Branch(enum.Enum):
@@ -93,12 +93,13 @@ def remainder_cascade(
 
     Step moduli have strictly decreasing degrees, so the cascade strips one
     degree window at a time; inputs already below ``deg(m*sigma_level)``
-    pass through unchanged.
+    pass through unchanged.  The whole chain is one call into the
+    polynomial backend: over F_2 it reduces the packed ints and builds only
+    the final remainder.
     """
     analysis.level_spec(level)
-    for step in analysis.cascade_moduli[:level]:
-        v = v % step
-    return v
+    v._check_field(analysis.m)
+    return _reduce_chain(v, analysis.cascade_moduli[:level])
 
 
 def classify(q21: Polynomial, analysis: ModuliPairAnalysis, level: int) -> Branch:

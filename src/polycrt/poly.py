@@ -19,10 +19,13 @@ Kronecker substitution (one fixed-width slot per coefficient in one int,
 one bigint product; :mod:`polycrt.kronecker`) and adds with schoolbook
 loops.  It divides with schoolbook loops when the quotient or the divisor is
 short, as in most Euclid steps, and otherwise through a Newton reciprocal of
-the reversed divisor built from Kronecker products.  Kernel results skip
-re-reduction in ``Polynomial.__init__``.  The tests check the fast products
-against the dense schoolbook product and the Newton division against
-schoolbook division.
+the reversed divisor built from Kronecker products.  ``%`` builds no
+quotient polynomial, and over F_2 no quotient bits either.  One call reduces
+a polynomial by a whole chain of moduli, as the decoder's remainder cascade
+does; over F_2 it stays on the packed ints and builds only the last
+remainder.  Kernel results skip re-reduction in ``Polynomial.__init__``.
+The tests check the fast products against the dense schoolbook product and
+the Newton division and ``%`` against schoolbook division.
 """
 
 from __future__ import annotations
@@ -190,15 +193,21 @@ class Polynomial:
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             return Polynomial(field), self
-        lead_inv = field.inv(b[-1])
-        if len(b) < _NEWTON_MIN_DIVISOR or len(a) - len(b) + 1 < _NEWTON_MIN_QUOTIENT:
-            quot, rem = _dense_divmod(a, b, field.p, lead_inv)
-        else:
-            quot, rem = _newton_divmod(a, b, field.p, lead_inv)
+        quot, rem = _odd_divmod(a, b, field)
         return _from_reduced(field, quot), _from_reduced(field, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
+        """Remainder of :meth:`__divmod__`, without building the quotient polynomial."""
+        self._check_field(other)
+        if other.is_zero:
+            raise DivisionByZeroError("polynomial division by zero")
+        field = self.field
+        if field.p == 2:
+            return _from_bits(field, _clmod(self._bits, other._bits))
+        a, b = self._coeffs, other._coeffs
+        if len(a) < len(b):
+            return self
+        return _from_reduced(field, _odd_divmod(a, b, field)[1])
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -316,6 +325,17 @@ def _dense_divmod(
     return quot, rem[:dd]
 
 
+def _odd_divmod(a: Tuple[int, ...], b: Tuple[int, ...], field: PrimeField) -> Tuple[list, list]:
+    """Quotient and remainder lists of odd-p tuples with ``len(a) >= len(b) > 0``.
+
+    Schoolbook when the quotient or the divisor is short, Newton otherwise.
+    """
+    lead_inv = field.inv(b[-1])
+    if len(b) < _NEWTON_MIN_DIVISOR or len(a) - len(b) + 1 < _NEWTON_MIN_QUOTIENT:
+        return _dense_divmod(a, b, field.p, lead_inv)
+    return _newton_divmod(a, b, field.p, lead_inv)
+
+
 # Packed F_2 kernels: bit i of an int is the coefficient of x^i.  Packing
 # and unpacking go through the int's binary text, so both run at C speed.
 
@@ -361,6 +381,36 @@ def _cldivmod(a: int, b: int) -> Tuple[int, int]:
         a ^= b << shift
         shift = a.bit_length() - top
     return quot, a
+
+
+def _clmod(a: int, b: int) -> int:
+    """Remainder of :func:`_cldivmod`, without collecting quotient bits."""
+    top = b.bit_length()
+    shift = a.bit_length() - top
+    while shift >= 0:
+        a ^= b << shift
+        shift = a.bit_length() - top
+    return a
+
+
+def _reduce_chain(v: Polynomial, moduli: Iterable[Polynomial]) -> Polynomial:
+    """``v`` reduced modulo each of ``moduli`` in turn, in one call.
+
+    The moduli must be over ``v``'s field; the caller checks.  Over F_2 the
+    loop runs on the packed ints and builds one polynomial at the end.
+    """
+    field = v.field
+    if field.p != 2:
+        for step in moduli:
+            v = v % step
+        return v
+    bits = v._bits
+    for step in moduli:
+        b = step._bits
+        if not b:
+            raise DivisionByZeroError("polynomial division by zero")
+        bits = _clmod(bits, b)
+    return _from_bits(field, bits)
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -3,11 +3,14 @@
 ``reference_analyze_pair`` is the two-pass analysis: ``gcd`` and ``lcm``
 separately, ``xgcd`` for the cofactor inverse, then a second Euclid pass
 for the sigma chain.  ``reference_reconstruct`` is the three-branch
-decoder, with an explicit divisibility check on ``q21 - tail``.  The
-library computes the same values in one Euclid pass and one formula; these
-versions exist only so tests can compare the two.  The guards below raise
-``AssertionError`` explicitly: this is not a ``test_*.py`` module, so pytest
-does not rewrite its ``assert`` statements and ``python -O`` would strip them.
+decoder, with an explicit divisibility check on ``q21 - tail``.  It runs its
+own cascade loop and takes every remainder from ``divmod``, so a fault in
+the remainder-only ``%`` or in the library's chain kernel shows up as a
+difference.  The library computes the same values in one Euclid pass and
+one formula; these versions exist only so tests can compare the two.  The
+guards below raise ``AssertionError`` explicitly: this is not a
+``test_*.py`` module, so pytest does not rewrite its ``assert`` statements
+and ``python -O`` would strip them.
 """
 
 from polycrt import (
@@ -22,7 +25,6 @@ from polycrt import (
     classify,
     gcd,
     lcm,
-    remainder_cascade,
     xgcd,
 )
 
@@ -90,12 +92,13 @@ def reference_reconstruct(pair, level: int) -> ReconstructionResult:
         k2_hat = zero
         tail = zero
     else:
-        start = q21 if branch is Branch.FOLDED_DIFFERENCE else q21 % analysis.m1
-        tail = remainder_cascade(start, analysis, level)
+        tail = q21 if branch is Branch.FOLDED_DIFFERENCE else divmod(q21, analysis.m1)[1]
+        for step in analysis.cascade_moduli[:level]:
+            tail = divmod(tail, step)[1]
         quot, rem = divmod(q21 - tail, analysis.m)
         if not rem.is_zero:
             raise AssertionError("difference minus cascade tail is not divisible by m")
-        k2_hat = (quot * analysis.gamma_inv21) % analysis.gamma1
+        k2_hat = divmod(quot * analysis.gamma_inv21, analysis.gamma1)[1]
 
     a_hat = k2_hat * analysis.m2 + pair.r2
     return ReconstructionResult(a_hat, k2_hat, branch, q21, tail)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,9 +6,12 @@ import pytest
 from polycrt import (
     Branch,
     DegreeOutOfRangeError,
+    DivisionByZeroError,
     ErroneousResiduePair,
     LevelOutOfRangeError,
+    MixedFieldsError,
     Polynomial,
+    PrimeField,
     classify,
     encode,
     random_moduli_pair,
@@ -46,6 +50,42 @@ class TestRemainderCascade:
             remainder_cascade(v, reference_pair, 0)
         with pytest.raises(LevelOutOfRangeError):
             remainder_cascade(v, reference_pair, 5)
+
+    @pytest.mark.parametrize(
+        "p, gcd_degree, cofactor_degree",
+        [(2, (16, 16), (200, 201)), (13, (4, 6), (10, 14)), (65521, (3, 5), (8, 12))],
+    )
+    def test_matches_step_by_step_divmod_at_every_level(self, p, gcd_degree, cofactor_degree):
+        field = PrimeField(p)
+        rng = random.Random(f"cascade:{p}")
+        analysis = random_moduli_pair(field, rng, gcd_degree, cofactor_degree)
+        if p == 2:
+            assert analysis.K > 100
+        inputs = [sample_polynomial(analysis.m1.degree, field, rng) for _ in range(2)]
+        inputs += [analysis.m2, Polynomial(field)]
+        for level in range(1, analysis.K + 2):
+            for v in inputs:
+                want = v
+                for step in analysis.cascade_moduli[:level]:
+                    want = divmod(want, step)[1]
+                assert remainder_cascade(v, analysis, level) == want
+
+    def test_rejects_other_field_and_levels_outside_the_range(self, f2, f13, reference_pair):
+        with pytest.raises(MixedFieldsError):
+            remainder_cascade(poly(f13, "x^9+x+1"), reference_pair, 1)
+        v = poly(f2, "x^9+x+1")
+        for level in (0, reference_pair.K + 2):
+            with pytest.raises(LevelOutOfRangeError):
+                remainder_cascade(v, reference_pair, level)
+
+    def test_zero_step_modulus_raises_instead_of_looping(self, f2, reference_pair):
+        # Only a hand-built analysis can hold one; analyze_pair never does.
+        broken = dataclasses.replace(
+            reference_pair, cascade_moduli=(Polynomial(f2),) * (reference_pair.K + 1)
+        )
+        for v in (poly(f2, "x^9+x+1"), Polynomial(f2)):
+            with pytest.raises(DivisionByZeroError):
+                remainder_cascade(v, broken, 1)
 
 
 class TestClassify:

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polycrt import (
     NEG_INF,
+    DivisionByZeroError,
     MixedFieldsError,
     Polynomial,
     PrimeField,
@@ -22,7 +23,14 @@ from polycrt import (
     parse_polynomial,
     xgcd,
 )
-from polycrt.poly import _dense_add, _dense_divmod, _dense_mul, _dense_sub
+from polycrt.poly import (
+    _cldivmod,
+    _clmod,
+    _dense_add,
+    _dense_divmod,
+    _dense_mul,
+    _dense_sub,
+)
 
 F2 = PrimeField(2)
 ZERO = Polynomial(F2)
@@ -146,6 +154,20 @@ class TestAgainstDenseKernels:
         assert_canonical(r)
 
     @DIFFERENTIAL
+    @given(f2_polys(), f2_polys())
+    @example(BIG_PRODUCT, BIG_B)
+    @example(BIG_PRODUCT, BIG_A)
+    @example(BIG_B, BIG_A)
+    @example(BIG_A, BIG_B)
+    def test_mod(self, a, b):
+        if b.is_zero:
+            return
+        r = a % b
+        assert r == divmod(a, b)[1] == dense_divmod(a, b)[1]
+        assert_canonical(r)
+        assert _clmod(a._bits, b._bits) == _cldivmod(a._bits, b._bits)[1]
+
+    @DIFFERENTIAL
     @given(f2_polys(max_degree=256), f2_polys(max_degree=256), f2_polys(max_degree=256))
     @example(BIG_G, BIG_U, BIG_V)
     def test_gcd_xgcd_with_common_factor(self, g, u, v):
@@ -212,6 +234,15 @@ class TestValueSemantics:
         for op in (lambda: a + b, lambda: b - a, lambda: a * b, lambda: divmod(b, a)):
             with pytest.raises(MixedFieldsError):
                 op()
+
+    def test_mod_checks_divisor_and_field(self):
+        a = parse_polynomial("x^70+x^3+1", F2)
+        with pytest.raises(DivisionByZeroError):
+            a % ZERO
+        with pytest.raises(DivisionByZeroError):
+            ZERO % ZERO
+        with pytest.raises(MixedFieldsError):
+            a % parse_polynomial("x^2+1", PrimeField(3))
 
     def test_kernel_coeffs_built_once_and_read_only(self):
         a = parse_polynomial("x^70+x^3+1", F2)

@@ -12,6 +12,8 @@ built by the trusted constructor are canonical: no trailing zeros, equal and
 hashing like constructed and parsed polynomials, immutable.
 """
 
+import random
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -206,6 +208,24 @@ class TestAgainstDenseDivision:
         assert r.degree < b.degree
         assert_canonical(q)
         assert_canonical(r)
+
+    @pytest.mark.parametrize("p", (13, 65521, 2**61 - 1))
+    @pytest.mark.parametrize("quotient_length", (_NEWTON_MIN_QUOTIENT - 1, _NEWTON_MIN_QUOTIENT))
+    @pytest.mark.parametrize("divisor_length", (_NEWTON_MIN_DIVISOR - 1, _NEWTON_MIN_DIVISOR))
+    def test_mod_on_both_sides_of_the_newton_rule(self, p, quotient_length, divisor_length):
+        field = FIELDS[p]
+        for shape in ("max", "random"):
+            _, a_coeffs, b_coeffs = all_max(p, quotient_length, divisor_length)
+            if shape == "random":
+                rng = random.Random(f"mod:{p}:{quotient_length}:{divisor_length}")
+                a_coeffs = [rng.randrange(p) for _ in a_coeffs]
+                b_coeffs = [rng.randrange(p) for _ in b_coeffs[1:]] + [rng.randrange(1, p)]
+            a, b = Polynomial(field, a_coeffs), Polynomial(field, b_coeffs)
+            r = a % b
+            assert r.coeffs == dense_division(field, a.coeffs, b.coeffs)[1]
+            assert r == divmod(a, b)[1]
+            assert r % b == r
+            assert_canonical(r)
 
     @DIFFERENTIAL
     @given(division_operands())
