@@ -10,14 +10,25 @@ and returns ``a_hat = k2_hat * m2 + r2``, so the reconstruction differs from
 
 The decoder is one formula on the received-residue difference ``q21 = r1 - r2``:
 
+    tail, k2_hat = cascade(q21 mod m1)
     tail   = q21 mod m1 mod m*sigma_1 mod ... mod m*sigma_i
-    k2_hat = ((q21 - tail) / m * gamma_inv21) mod gamma1
+    k2_hat = c_1*s_1 + ... + c_i*s_i
 
+where ``c_j`` is the quotient of cascade step ``j`` and ``s_j`` the Bezout
+cofactor of the analysis's Euclid pass, ``s_j*m2 + t_j*m1 = m*sigma_j``.
 Inside the bounds the remainder cascade strips the clean difference
 ``a1 - a2`` (a multiple of ``m``) and leaves ``tail = e1 - e2``, so
-``q21 - tail`` is the clean difference and ``k2`` follows from the cofactor
-inverse.  Every cascade modulus is a multiple of ``m``, so the division by
-``m`` is always exact.
+``q21 - tail`` is the clean difference and ``k2`` is
+``((q21 - tail) / m * gamma_inv21) mod gamma1``.  The cascade yields that
+value without the division, the product or the reduction.  Dividing the
+Bezout identity by ``m`` gives ``s_j*gamma2 == sigma_j (mod gamma1)``, so
+``sigma_j * gamma_inv21 == s_j``.  ``q21 - tail`` is a multiple of ``m1``
+(from ``mod m1``, which vanishes mod ``gamma1`` after dividing by ``m``)
+plus ``sum c_j*m*sigma_j``, hence the formula above holds mod ``gamma1``.
+The sum is already reduced: ``deg(c_j) < deg(m*sigma_{j-1}) -
+deg(m*sigma_j)`` and ``deg(s_j) = deg(m1) - deg(m*sigma_{j-1})``, so every
+term has degree below ``deg(m1) - deg(m*sigma_j) <= deg(gamma1)``.  This is
+an identity, inside the bounds and outside them.
 
 The degree of ``q21`` also names one of three cases, reported as
 :class:`Branch` for diagnostics only; the formula is the same in all three:
@@ -94,12 +105,14 @@ def remainder_cascade(
     Step moduli have strictly decreasing degrees, so the cascade strips one
     degree window at a time; inputs already below ``deg(m*sigma_level)``
     pass through unchanged.  The whole chain is one call into the
-    polynomial backend: over F_2 it reduces the packed ints and builds only
-    the final remainder.
+    polynomial backend, the same one :func:`reconstruct` makes: over F_2 it
+    reduces the packed ints and builds only its results.
     """
     analysis.level_spec(level)
     v._check_field(analysis.m)
-    return _reduce_chain(v, analysis.cascade_moduli[:level])
+    return _reduce_chain(
+        v, analysis.cascade_moduli[:level], analysis.cascade_cofactors[:level]
+    )[0]
 
 
 def classify(q21: Polynomial, analysis: ModuliPairAnalysis, level: int) -> Branch:
@@ -130,7 +143,10 @@ def reconstruct(pair: ErroneousResiduePair, level: int) -> ReconstructionResult:
     analysis = pair.moduli
     q21 = pair.r1 - pair.r2
     branch = classify(q21, analysis, level)
-    tail = remainder_cascade(q21 % analysis.m1, analysis, level)
-    k2_hat = ((q21 - tail) // analysis.m * analysis.gamma_inv21) % analysis.gamma1
+    tail, k2_hat = _reduce_chain(
+        q21 % analysis.m1,
+        analysis.cascade_moduli[:level],
+        analysis.cascade_cofactors[:level],
+    )
     a_hat = k2_hat * analysis.m2 + pair.r2
     return ReconstructionResult(a_hat, k2_hat, branch, q21, tail)

@@ -58,7 +58,11 @@ class ModuliPairAnalysis:
     the Euclid pass over ``(m2, m1)`` that also yields ``m``, and the only
     stored form of the chain.  :attr:`sigma` (``sigma_{-1} .. sigma_{K+1}``)
     and :attr:`remainders` (``sigma_1 .. sigma_{K+1}``) are derived from
-    them by exact division by ``m``.  ``swapped`` records whether the input
+    them by exact division by ``m``.  ``cascade_cofactors`` holds the Bezout
+    cofactors ``s_i`` of the same pass, ``s_i * m2 + t_i * m1 = m * sigma_i``,
+    so ``s_i * gamma2 == sigma_i (mod gamma1)`` and
+    ``deg(s_i) = deg(m1) - deg(m * sigma_{i-1})``; the decoder weights each
+    cascade quotient by one of them.  ``swapped`` records whether the input
     order was reversed to keep ``deg(m1) <= deg(m2)``.
     """
 
@@ -72,6 +76,7 @@ class ModuliPairAnalysis:
     K: int
     levels: Tuple[LevelSpec, ...]
     cascade_moduli: Tuple[Polynomial, ...]
+    cascade_cofactors: Tuple[Polynomial, ...]
     swapped: bool
 
     @property
@@ -147,13 +152,16 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         raise AssertionError("m * gamma2 != m2")
     big = (m1 * gamma2).monic()
 
-    # Alongside the Euclid pass, s1 * gamma2 == sigma_i (mod gamma1), so at
-    # the final scalar entry c, s1 / c inverts gamma2 modulo gamma1.  c is
-    # also the leading coefficient of the last remainder, since m is monic.
+    # Alongside the Euclid pass, s_i * gamma2 == sigma_i (mod gamma1), so at
+    # the final scalar entry c, s_{K+1} / c inverts gamma2 modulo gamma1.  c
+    # is also the leading coefficient of the last remainder, since m is
+    # monic.  deg(s_i) < deg(gamma1), so no reduction is needed.
     s0, s1 = Polynomial(m.field, (1,)), Polynomial(m.field)
+    cofactors = []
     for q in quots:
         s0, s1 = s1, s0 - q * s1
-    inv21 = (s1 % gamma1)._scale(m.field.inv(rems[-1].lead))
+        cofactors.append(s1)
+    inv21 = s1._scale(m.field.inv(rems[-1].lead))
 
     # deg(sigma_i) = deg(m * sigma_i) - deg(m).
     deg_m = m.degree
@@ -179,6 +187,7 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         K=len(levels) - 1,
         levels=levels,
         cascade_moduli=tuple(rems[2:]),
+        cascade_cofactors=tuple(cofactors),
         swapped=swapped,
     )
     _assert_invariants(analysis)
@@ -197,6 +206,11 @@ def _assert_invariants(analysis: ModuliPairAnalysis) -> None:
         raise AssertionError("chain degrees do not strictly decrease")
     if degs[-1] != analysis.m.degree:
         raise AssertionError("chain does not end in a nonzero scalar")
+    cofactors = analysis.cascade_cofactors
+    if len(cofactors) != analysis.K + 1:
+        raise AssertionError("cascade cofactors do not number K + 1")
+    if any(s.degree != degs[1] - d for s, d in zip(cofactors, degs[1:])):
+        raise AssertionError("cascade cofactor degrees do not match the chain")
     if (analysis.gamma_inv21 * analysis.gamma2) % analysis.gamma1 != Polynomial(
         analysis.field, (1,)
     ):

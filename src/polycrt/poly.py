@@ -22,16 +22,20 @@ short, as in most Euclid steps, and otherwise through a Newton reciprocal of
 the reversed divisor built from Kronecker products.  ``%`` builds no
 quotient polynomial, and over F_2 no quotient bits either.  One call reduces
 a polynomial by a whole chain of moduli, as the decoder's remainder cascade
-does; over F_2 it stays on the packed ints and builds only the last
-remainder.  Kernel results skip re-reduction in ``Polynomial.__init__``.
-The tests check the fast products against the dense schoolbook product and
-the Newton division and ``%`` against schoolbook division.
+does, and sums each step's quotient times a given cofactor; over F_2 it
+stays on the packed ints and builds only the two results.  Kernel results
+skip re-reduction in ``Polynomial.__init__``.  The tests check the fast
+products against the dense schoolbook product, the Newton division and
+``%`` against schoolbook division, and the chain reduction against a
+step-by-step ``divmod`` loop.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Tuple, Union
+from itertools import repeat
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 from .errors import (
     BothZeroError,
@@ -393,24 +397,56 @@ def _clmod(a: int, b: int) -> int:
     return a
 
 
-def _reduce_chain(v: Polynomial, moduli: Iterable[Polynomial]) -> Polynomial:
-    """``v`` reduced modulo each of ``moduli`` in turn, in one call.
+def _reduce_chain(
+    v: Polynomial, moduli: Sequence[Polynomial], cofactors: Sequence[Polynomial]
+) -> Tuple[Polynomial, Polynomial]:
+    """``v`` reduced modulo each of ``moduli`` in turn, and its quotients weighted.
 
-    The moduli must be over ``v``'s field; the caller checks.  Over F_2 the
-    loop runs on the packed ints and builds one polynomial at the end.
+    Returns ``(remainder, sum of q_j * cofactors[j])``, where ``q_j`` is the
+    quotient of step ``j`` (zero when the running remainder is already below
+    the step's degree).  ``cofactors`` pairs one to one with ``moduli`` (a
+    length mismatch raises ``ValueError``), and all are over ``v``'s field;
+    the caller checks.  Over F_2 the loop runs on the packed ints: each
+    quotient bit XORs the shifted modulus into the remainder and the shifted
+    cofactor into the sum.  Over odd p each step's quotient comes from
+    :func:`_odd_divmod` and its products with the cofactor add into one list
+    of unreduced ints, reduced mod p once.
     """
     field = v.field
-    if field.p != 2:
-        for step in moduli:
-            v = v % step
-        return v
-    bits = v._bits
-    for step in moduli:
-        b = step._bits
+    if field.p == 2:
+        bits = v._bits
+        acc = 0
+        for step, cof in zip(moduli, cofactors, strict=True):
+            b = step._bits
+            if not b:
+                raise DivisionByZeroError("polynomial division by zero")
+            s = cof._bits
+            top = b.bit_length()
+            shift = bits.bit_length() - top
+            while shift >= 0:
+                bits ^= b << shift
+                acc ^= s << shift
+                shift = bits.bit_length() - top
+        return _from_bits(field, bits), _from_bits(field, acc)
+    rem = list(v._coeffs)
+    acc: list = []
+    for step, cof in zip(moduli, cofactors, strict=True):
+        b = step._coeffs
         if not b:
             raise DivisionByZeroError("polynomial division by zero")
-        bits = _clmod(bits, b)
-    return _from_bits(field, bits)
+        if len(rem) < len(b):
+            continue
+        quot, rem = _odd_divmod(rem, b, field)
+        while rem and rem[-1] == 0:
+            rem.pop()
+        s = cof._coeffs
+        n = len(s)
+        acc += [0] * (len(quot) + n - 1 - len(acc))
+        for i, c in enumerate(quot):
+            if c:
+                acc[i : i + n] = map(add, acc[i : i + n], map(mul, s, repeat(c)))
+    p = field.p
+    return _from_reduced(field, rem), _from_reduced(field, [c % p for c in acc])
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:

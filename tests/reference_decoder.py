@@ -2,15 +2,17 @@
 
 ``reference_analyze_pair`` is the two-pass analysis: ``gcd`` and ``lcm``
 separately, ``xgcd`` for the cofactor inverse, then a second Euclid pass
-for the sigma chain.  ``reference_reconstruct`` is the three-branch
-decoder, with an explicit divisibility check on ``q21 - tail``.  It runs its
-own cascade loop and takes every remainder from ``divmod``, so a fault in
-the remainder-only ``%`` or in the library's chain kernel shows up as a
-difference.  The library computes the same values in one Euclid pass and
-one formula; these versions exist only so tests can compare the two.  The
-guards below raise ``AssertionError`` explicitly: this is not a
-``test_*.py`` module, so pytest does not rewrite its ``assert`` statements
-and ``python -O`` would strip them.
+for the sigma chain; each cascade cofactor is ``sigma_i * inv21 mod
+gamma1``.  It takes those remainders from ``divmod``, not ``%``.
+``reference_reconstruct`` is the three-branch decoder, with an explicit
+divisibility check on ``q21 - tail``.  It runs its own cascade loop and
+takes every remainder from ``divmod``, so a fault in the remainder-only
+``%`` or in the library's chain kernel shows up as a difference.  The
+library computes the same values in one Euclid pass and one formula; these
+versions exist only so tests can compare the two.  The guards below raise
+``AssertionError`` explicitly: this is not a ``test_*.py`` module, so
+pytest does not rewrite its ``assert`` statements and ``python -O`` would
+strip them.
 """
 
 from polycrt import (
@@ -49,14 +51,17 @@ def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis
     g, s, _ = xgcd(gamma2, gamma1)
     if g.degree != 0:
         raise AssertionError("cofactors of the gcd must be coprime")
-    inv21 = s % gamma1
+    inv21 = divmod(s, gamma1)[1]
 
     chain = [gamma2, gamma1]
     while chain[-1].degree > 0:
-        chain.append(chain[-2] % chain[-1])
+        chain.append(divmod(chain[-2], chain[-1])[1])
         if chain[-1].is_zero:
             raise AssertionError("chain hit zero before a scalar")
     k_index = len(chain) - 3
+    # s_i * gamma2 == sigma_i (mod gamma1) with deg(s_i) < deg(gamma1), so
+    # s_i is sigma_i * inv21 reduced, not the library's s recurrence.
+    cofactors = tuple(divmod(sigma * inv21, gamma1)[1] for sigma in chain[2:])
 
     levels = tuple(
         LevelSpec(
@@ -78,6 +83,7 @@ def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis
         K=k_index,
         levels=levels,
         cascade_moduli=tuple(m * chain[i + 1] for i in range(1, k_index + 2)),
+        cascade_cofactors=cofactors,
         swapped=swapped,
     )
 

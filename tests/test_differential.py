@@ -21,6 +21,18 @@ from polycrt.simulation import sample_error, sample_monic, sample_polynomial
 from reference_decoder import reference_analyze_pair, reference_reconstruct
 
 
+def _assert_matches_reference(pair, level):
+    got = reconstruct(pair, level)
+    want = reference_reconstruct(pair, level)
+    if want.branch is Branch.EQUAL_RESIDUES:
+        # The reference reports a zero tail; the formula's cascade leaves
+        # q21 itself.
+        assert want.cascade_tail.is_zero
+        want = dataclasses.replace(want, cascade_tail=want.q21)
+    assert got == want
+    return got
+
+
 @pytest.mark.parametrize("p", [2, 3, 13])
 def test_matches_reference(p):
     field = PrimeField(p)
@@ -47,15 +59,54 @@ def test_matches_reference(p):
                         (residues.a2 + e2) % analysis.m2,
                         analysis,
                     )
-                    got = reconstruct(pair, level)
-                    want = reference_reconstruct(pair, level)
-                    if want.branch is Branch.EQUAL_RESIDUES:
-                        # The reference reports a zero tail; the formula's
-                        # cascade leaves q21 itself.
-                        assert want.cascade_tail.is_zero
-                        want = dataclasses.replace(want, cascade_tail=want.q21)
-                    assert got == want
-                    seen.add(got.branch)
+                    seen.add(_assert_matches_reference(pair, level).branch)
+    assert seen == set(Branch)
+
+
+def test_large_pair_at_p2_every_level():
+    # Cofactors of degrees 144 and 145 give K of about 70 over F_2 (a random
+    # Euclid step there drops the degree by 2 on average), so the quotients
+    # of the cascade span many bits and k2_hat sums long shifted cofactors.
+    field = PrimeField(2)
+    rng = random.Random("differential:2-large")
+    shared = sample_monic(40, field, rng)
+    cof1, cof2 = sample_monic(144, field, rng), sample_monic(145, field, rng)
+    while gcd(cof1, cof2).degree != 0:
+        cof2 = sample_monic(145, field, rng)
+    m1, m2 = shared * cof1, shared * cof2
+    analysis = analyze_pair(m1, m2)
+    assert analysis == reference_analyze_pair(m1, m2)
+    assert analysis.K >= 60
+    seen = set()
+    for level in range(1, analysis.K + 2):
+        spec = analysis.level_spec(level)
+        bound = spec.error_bound_exclusive
+        # A message below deg(m1) has equal clean residues.
+        for tau, length in (
+            (bound - 1, spec.dynamic_range_exclusive),
+            (bound - 1, analysis.m1.degree),
+            (bound, spec.dynamic_range_exclusive),
+            (bound + 1, spec.dynamic_range_exclusive),
+        ):
+            a = sample_polynomial(length, field, rng)
+            e1 = sample_error(tau, field, rng)
+            e2 = sample_error(tau, field, rng)
+            residues, witness = encode(a, analysis)
+            pair = ErroneousResiduePair(
+                (residues.a1 + e1) % analysis.m1, (residues.a2 + e2) % analysis.m2, analysis
+            )
+            got = _assert_matches_reference(pair, level)
+            seen.add(got.branch)
+            if tau < bound:
+                assert got.k2_hat == witness.k2
+                assert got.a_hat - a == e2
+        # Residues with no encoded message behind them.
+        pair = ErroneousResiduePair(
+            sample_polynomial(analysis.m1.degree, field, rng),
+            sample_polynomial(analysis.m2.degree, field, rng),
+            analysis,
+        )
+        seen.add(_assert_matches_reference(pair, level).branch)
     assert seen == set(Branch)
 
 

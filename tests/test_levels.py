@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -41,6 +43,7 @@ class TestAnalyzePair:
         assert [str(s) for s in an.remainders] == ["x^4", "x^3+1", "x", "1"]
         assert an.K == 3
         assert an.gamma_inv21 == poly(f2, "x^5")
+        assert [str(s) for s in an.cascade_cofactors] == ["1", "x^2", "x^3+1", "x^5"]
         assert not an.swapped
 
     def test_micro_pair_structure(self, f2):
@@ -178,10 +181,52 @@ class TestChainInvariants:
                 {"gamma_inv21": an.gamma_inv21 + one},
                 "gamma_inv21 * gamma2 != 1 (mod gamma1)",
             ),
+            (
+                {"cascade_cofactors": an.cascade_cofactors[:-1]},
+                "cascade cofactors do not number K + 1",
+            ),
+            (
+                {"cascade_cofactors": an.cascade_cofactors[::-1]},
+                "cascade cofactor degrees do not match the chain",
+            ),
+            (
+                {"cascade_cofactors": an.cascade_cofactors[1:] + (one,)},
+                "cascade cofactor degrees do not match the chain",
+            ),
         ):
             with pytest.raises(AssertionError) as exc:
                 _assert_invariants(dataclasses.replace(an, **broken))
             assert str(exc.value) == message
+
+
+class TestCascadeCofactors:
+    @pytest.mark.parametrize("p", [2, 3, 13, 65521])
+    def test_bezout_congruence_and_degrees(self, p):
+        # s_j * m2 + t_j * m1 = m * sigma_j, so s_j * gamma2 == sigma_j
+        # (mod gamma1), and deg(s_j) = deg(m1) - deg(m * sigma_{j-1}).
+        field = PrimeField(p)
+        rng = random.Random(f"cofactors:{p}")
+        shapes = [{}] * 15 + [{"gcd_degree": (8, 12), "cofactor_degree": (30, 40)}] * 3
+        for shape in shapes:
+            an = random_moduli_pair(field, rng, **shape)
+            cofactors = an.cascade_cofactors
+            assert len(cofactors) == an.K + 1
+            previous = (an.m1,) + an.cascade_moduli
+            for s, sigma, before in zip(cofactors, an.remainders, previous):
+                assert (s * an.gamma2) % an.gamma1 == sigma % an.gamma1
+                assert s.degree == an.m1.degree - before.degree
+            inverse = cofactors[-1]._scale(field.inv(an.remainders[-1].lead))
+            assert an.gamma_inv21 == inverse
+
+    def test_copy_deepcopy_and_pickle_keep_the_cofactors(self, reference_pair):
+        for clone in (
+            copy.copy(reference_pair),
+            copy.deepcopy(reference_pair),
+            pickle.loads(pickle.dumps(reference_pair)),
+        ):
+            assert clone.cascade_cofactors == reference_pair.cascade_cofactors
+            assert clone == reference_pair
+            _assert_invariants(clone)
 
 
 # Runs under python -O: analyze_pair on a good product, then again with a

@@ -17,8 +17,10 @@ from polycrt import (
     gcd,
     lcm,
     parse_polynomial,
+    random_moduli_pair,
     xgcd,
 )
+from polycrt.poly import _reduce_chain
 from polycrt.simulation import enumerate_polynomials
 
 from conftest import REF_M1, REF_M2, poly
@@ -111,6 +113,98 @@ class TestDivision:
             q, r = divmod(a, b)
             assert q * b + r == a
             assert r.degree < b.degree
+
+
+def chain_reference(v, moduli, cofactors):
+    """Step-by-step divmod cascade and the sum of its quotients times the cofactors."""
+    total = Polynomial(v.field)
+    for step, cofactor in zip(moduli, cofactors):
+        q, v = divmod(v, step)
+        total = total + q * cofactor
+    return v, total
+
+
+def random_chain(field, degrees, rng):
+    """Moduli of the given degrees and random cofactors of random lengths."""
+    moduli = [
+        Polynomial(field, [rng.randrange(field.p) for _ in range(d)] + [rng.randrange(1, field.p)])
+        for d in degrees
+    ]
+    return moduli, [random_poly(field, 50, rng) for _ in degrees]
+
+
+class TestReduceChain:
+    """``_reduce_chain`` against a step-by-step ``divmod`` loop."""
+
+    PRIMES = [2, 13, 65521, 2**61 - 1]
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_analysis_chains_at_every_level(self, p):
+        field = PrimeField(p)
+        rng = random.Random(f"chain:{p}")
+        for shape in ({}, {"gcd_degree": (3, 6), "cofactor_degree": (20, 30)}):
+            for _ in range(4):
+                an = random_moduli_pair(field, rng, **shape)
+                inputs = [random_poly(field, an.m1.degree, rng) for _ in range(3)]
+                inputs += [an.m2, Polynomial(field)]
+                for level in range(1, an.K + 2):
+                    moduli = an.cascade_moduli[:level]
+                    cofactors = an.cascade_cofactors[:level]
+                    for v in inputs:
+                        got = _reduce_chain(v, moduli, cofactors)
+                        assert got == chain_reference(v, moduli, cofactors)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_long_quotients_and_degree_gaps(self, p):
+        # Degree drops of 2 and more give quotients of several coefficients
+        # or bits; a dividend of degree 150 over a divisor of degree 60
+        # takes the Newton path at odd p.
+        field = PrimeField(p)
+        rng = random.Random(f"chain-gaps:{p}")
+        for degrees in ([60, 57, 50, 49, 20, 3, 0], [100, 40, 39, 10, 1], [5, 4, 2]):
+            moduli, cofactors = random_chain(field, degrees, rng)
+            for v_len in (0, 1, 30, degrees[0] + 1, 151):
+                v = random_poly(field, v_len, rng)
+                got = _reduce_chain(v, moduli, cofactors)
+                assert got == chain_reference(v, moduli, cofactors)
+
+    def test_readme_pair_drops(self, reference_pair):
+        # Cascade moduli of degrees 6, 5, 3, 2 (sigma degrees 4, 3, 1, 0).
+        an = reference_pair
+        assert [c.degree for c in an.cascade_moduli] == [6, 5, 3, 2]
+        for v in enumerate_polynomials(an.field, an.m1.degree):
+            got = _reduce_chain(v, an.cascade_moduli, an.cascade_cofactors)
+            assert got == chain_reference(v, an.cascade_moduli, an.cascade_cofactors)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_skipped_steps_add_nothing(self, p):
+        # After the degree-5 step the remainder is below degree 10, so the
+        # degree-10 step is skipped and its cofactor must not show up.
+        field = PrimeField(p)
+        rng = random.Random(f"chain-skip:{p}")
+        moduli, cofactors = random_chain(field, [5, 10, 12], rng)
+        cofactors[1] = cofactors[2] = Polynomial(field, [1, 2, 3])
+        v = random_poly(field, 30, rng) + Polynomial(field, [0] * 30 + [1])
+        got = _reduce_chain(v, moduli, cofactors)
+        assert got == chain_reference(v, moduli, cofactors)
+        assert got == chain_reference(v, moduli[:1], cofactors[:1])
+        low = Polynomial(field, [1, 1])
+        assert _reduce_chain(low, moduli, cofactors) == (low, Polynomial(field))
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_zero_modulus_raises(self, p):
+        field = PrimeField(p)
+        zero, one = Polynomial(field), Polynomial(field, [1])
+        # The zero modulus raises even where the remainder is already below it.
+        for v in (Polynomial(field, [1, 0, 1]), zero):
+            for moduli in ((zero,), (Polynomial(field, [0, 1]), zero)):
+                with pytest.raises(DivisionByZeroError):
+                    _reduce_chain(v, moduli, (one,) * len(moduli))
+
+    def test_one_cofactor_per_modulus(self, f13):
+        step = Polynomial(f13, [1, 1])
+        with pytest.raises(ValueError):
+            _reduce_chain(step, (step, step), (step,))
 
 
 class TestGcd:
