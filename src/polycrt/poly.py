@@ -51,7 +51,7 @@ NEG_INF = float("-inf")
 
 Degree = Union[int, float]
 
-# Guards the x^k exponent in parsed text against memory blowups.
+# Highest degree parsed text may have, in either input form; guards memory.
 _MAX_PARSE_DEGREE = 1 << 16
 
 # Odd-p division runs through a Newton reciprocal once the quotient and the
@@ -547,7 +547,7 @@ def _parse_coeff_list(text: str, field: PrimeField) -> Polynomial:
             raise ParseError(f"invalid coefficient {chunk.strip()!r}", offset)
         coeffs.append(int(chunk))
         offset += len(chunk) + 1
-    if len(coeffs) > _MAX_PARSE_DEGREE:
+    if len(coeffs) > _MAX_PARSE_DEGREE + 1:
         raise ParseError("coefficient list too long", start)
     return Polynomial(field, coeffs)
 
@@ -578,8 +578,6 @@ def _parse_terms(text: str, field: PrimeField) -> Polynomial:
             raise ParseError(f"exponent {k} too large", offset)
         powers[k] = (powers.get(k, 0) + c) % p
         offset += len(chunk) + 1
-    if not powers:
-        return Polynomial(field)
     coeffs = [0] * (max(powers) + 1)
     for k, c in powers.items():
         coeffs[k] = c

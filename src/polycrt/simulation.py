@@ -70,21 +70,25 @@ def enumerate_polynomials(
         yield Polynomial(field, coeffs)
 
 
+# Draws of a gcd and two cofactors before random_moduli_pair gives up.
+_MAX_COPRIME_ATTEMPTS = 200
+
+
 def random_moduli_pair(
     field: PrimeField,
     rng: random.Random,
     gcd_degree: Tuple[int, int] = (1, 3),
     cofactor_degree: Tuple[int, int] = (1, 4),
-    max_attempts: int = 200,
 ) -> ModuliPairAnalysis:
     """Random valid moduli pair: shared monic factor times coprime cofactors.
 
     Draws a monic gcd and two monic nonconstant cofactors, retrying until
-    the cofactors are coprime.  Degree ranges are inclusive.
+    the cofactors are coprime, at most ``_MAX_COPRIME_ATTEMPTS`` times.
+    Degree ranges are inclusive.
     """
     if gcd_degree[0] < 1 or cofactor_degree[0] < 1:
         raise ValueError("gcd and cofactors must be nonconstant")
-    for _ in range(max_attempts):
+    for _ in range(_MAX_COPRIME_ATTEMPTS):
         shared = sample_monic(rng.randint(*gcd_degree), field, rng)
         cof1 = sample_monic(rng.randint(*cofactor_degree), field, rng)
         cof2 = sample_monic(rng.randint(*cofactor_degree), field, rng)
@@ -92,7 +96,7 @@ def random_moduli_pair(
             continue
         return analyze_pair(shared * cof1, shared * cof2)
     raise PolyCrtError(
-        f"no coprime cofactor pair found in {max_attempts} attempts"
+        f"no coprime cofactor pair found in {_MAX_COPRIME_ATTEMPTS} attempts"
     )
 
 
@@ -146,12 +150,11 @@ class TrialOutcome:
     a: Polynomial
     e1: Polynomial
     e2: Polynomial
-    branch: Optional[Branch]
+    branch: Branch
     k2_match: bool
-    residual_deg: Optional[Degree]
+    residual_deg: Degree
     residual_is_e2: bool
     success: bool
-    error: Optional[str] = None
 
     def to_json(self) -> dict:
         return {
@@ -159,10 +162,11 @@ class TrialOutcome:
             "a": str(self.a),
             "e1": str(self.e1),
             "e2": str(self.e2),
-            "branch": self.branch.value if self.branch else None,
+            "branch": self.branch.value,
             "k2Match": self.k2_match,
             "residualDeg": _deg_json(self.residual_deg),
-            "error": self.error,
+            # The decoder cannot fail (see _run_trial); kept for a stable format.
+            "error": None,
         }
 
 
@@ -176,7 +180,6 @@ class TrialReport:
     failures: int = 0
     max_residual_deg: Degree = NEG_INF
     branch_counts: dict = dataclass_field(default_factory=dict)
-    decode_errors: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -185,21 +188,20 @@ class TrialReport:
             "failures": self.failures,
             "maxErrDeg": _deg_json(self.max_residual_deg),
             "branchCounts": dict(sorted(self.branch_counts.items())),
-            "decodeErrors": self.decode_errors,
+            # The decoder cannot fail (see _run_trial); kept for a stable format.
+            "decodeErrors": 0,
             "failureDetails": [
                 o.to_json() for o in self.outcomes if not o.success
             ],
         }
 
 
-def _deg_json(deg: Optional[Degree]) -> Optional[int]:
-    if deg is None or deg == NEG_INF:
-        return None
-    return int(deg)
+def _deg_json(deg: Degree) -> Optional[int]:
+    return None if deg == NEG_INF else int(deg)
 
 
 class _Trial(NamedTuple):
-    """Inputs of one corrupt-then-decode trial and what the decoder made of them."""
+    """One corrupt-then-decode trial: its inputs, the decode and the verdict."""
 
     a: Polynomial
     e1: Polynomial
@@ -207,17 +209,31 @@ class _Trial(NamedTuple):
     r1: Polynomial
     r2: Polynomial
     k2_true: Polynomial
-    result: Optional[ReconstructionResult]
-    error: Optional[str]
+    result: ReconstructionResult
+    residual: Polynomial
+    success: bool
 
 
 def _run_trial(
     analysis: ModuliPairAnalysis, level: int, tau: int, rng: random.Random
 ) -> _Trial:
-    """Draw ``a``, then ``e1``, then ``e2`` from ``rng``, corrupt and decode.
+    """Draw ``a``, then ``e1``, then ``e2`` from ``rng``, corrupt, decode, judge.
 
-    The draw order is part of the determinism contract.  Decoder errors are
-    returned as ``"<type>: <message>"`` in ``error``, never raised.
+    The draw order is part of the determinism contract.  A trial succeeds
+    when the folding polynomial is recovered exactly and the residual
+    ``a_hat - a`` has degree at most ``tau``; this is the only place that
+    rule is applied.
+
+    Nothing here raises once ``level`` is valid, for any ``tau >= -1``:
+
+    * ``TrialConfig.__post_init__`` checks ``level``, and so does
+      :func:`search_boundary_counterexample` through ``level_spec``, before
+      any trial runs.
+    * ``r1`` and ``r2`` are reduced mod ``m1`` and ``m2``, so the
+      :class:`ErroneousResiduePair` checks pass whatever the errors are.
+    * :func:`reconstruct` raises only from ``level_spec``; its chain
+      reduction cannot raise on an analysis that passed
+      ``_assert_invariants``.
     """
     field = analysis.field
     a = sample_polynomial(analysis.level_spec(level).dynamic_range_exclusive, field, rng)
@@ -226,20 +242,16 @@ def _run_trial(
     residues, witness = encode(a, analysis)
     r1 = (residues.a1 + e1) % analysis.m1
     r2 = (residues.a2 + e2) % analysis.m2
-    pair = ErroneousResiduePair(r1, r2, analysis)
-    try:
-        result, error = reconstruct(pair, level), None
-    except PolyCrtError as exc:
-        result, error = None, f"{type(exc).__name__}: {exc}"
-    return _Trial(a, e1, e2, r1, r2, witness.k2, result, error)
+    result = reconstruct(ErroneousResiduePair(r1, r2, analysis), level)
+    residual = result.a_hat - a
+    success = result.k2_hat == witness.k2 and residual.degree <= tau
+    return _Trial(a, e1, e2, r1, r2, witness.k2, result, residual, success)
 
 
 def run_campaign(config: TrialConfig) -> TrialReport:
     """Run the configured number of independent corrupt-then-decode trials.
 
-    A trial succeeds when the folding polynomial is recovered exactly and
-    the reconstruction error degree stays within ``tau``.  Decoder errors
-    are recorded as failures, never raised.
+    Each trial is drawn, decoded and judged by :func:`_run_trial`.
     """
     report = TrialReport(
         config=config, branch_counts={b.value: 0 for b in Branch}
@@ -247,40 +259,24 @@ def run_campaign(config: TrialConfig) -> TrialReport:
     for idx in range(config.trials):
         rng = random.Random(f"{config.seed}:{idx}")
         trial = _run_trial(config.analysis, config.level, config.tau, rng)
-        result = trial.result
-        if result is None:
-            outcome = TrialOutcome(
-                trial=idx,
-                a=trial.a,
-                e1=trial.e1,
-                e2=trial.e2,
-                branch=None,
-                k2_match=False,
-                residual_deg=None,
-                residual_is_e2=False,
-                success=False,
-                error=trial.error,
-            )
-            report.decode_errors += 1
-        else:
-            residual = result.a_hat - trial.a
-            k2_match = result.k2_hat == trial.k2_true
-            outcome = TrialOutcome(
+        result, residual = trial.result, trial.residual
+        report.outcomes.append(
+            TrialOutcome(
                 trial=idx,
                 a=trial.a,
                 e1=trial.e1,
                 e2=trial.e2,
                 branch=result.branch,
-                k2_match=k2_match,
+                k2_match=result.k2_hat == trial.k2_true,
                 residual_deg=residual.degree,
                 residual_is_e2=residual == trial.e2,
-                success=k2_match and residual.degree <= config.tau,
+                success=trial.success,
             )
-            report.branch_counts[result.branch.value] += 1
-            if residual.degree > report.max_residual_deg:
-                report.max_residual_deg = residual.degree
-        report.outcomes.append(outcome)
-        if outcome.success:
+        )
+        report.branch_counts[result.branch.value] += 1
+        if residual.degree > report.max_residual_deg:
+            report.max_residual_deg = residual.degree
+        if trial.success:
             report.successes += 1
         else:
             report.failures += 1
@@ -300,17 +296,13 @@ def render_report(report: TrialReport) -> str:
         "branch counts: "
         + ", ".join(f"{k}={v}" for k, v in sorted(report.branch_counts.items())),
     ]
-    if report.decode_errors:
-        lines.append(f"decode errors = {report.decode_errors}")
     failing = [o for o in report.outcomes if not o.success]
     for outcome in failing[:10]:
         lines.append(
             f"trial {outcome.trial}: a={outcome.a} e1={outcome.e1}"
-            f" e2={outcome.e2} branch="
-            f"{outcome.branch.value if outcome.branch else 'none'}"
+            f" e2={outcome.e2} branch={outcome.branch.value}"
             f" k2Match={outcome.k2_match}"
             f" residualDeg={_deg_json(outcome.residual_deg)}"
-            + (f" error={outcome.error}" if outcome.error else "")
         )
     if len(failing) > 10:
         lines.append(f"... and {len(failing) - 10} more failing trials")
@@ -362,9 +354,8 @@ class BoundaryInstance:
     r1: Polynomial
     r2: Polynomial
     k2_true: Polynomial
-    k2_hat: Optional[Polynomial]
-    residual_deg: Optional[Degree]
-    error: Optional[str] = None
+    k2_hat: Polynomial
+    residual_deg: Degree
 
 
 def search_boundary_counterexample(
@@ -374,9 +365,9 @@ def search_boundary_counterexample(
 
     The guarantee requires ``tau`` strictly below ``deg(m) + deg(sigma_i)``;
     this probe samples errors one degree beyond it and returns the first
-    trial where the folding polynomial is missed, the residual exceeds
-    ``tau``, or the decoder errors out.  Returns ``None`` when the budget is
-    exhausted without a failure; finding nothing proves nothing.
+    trial that :func:`_run_trial` judges a failure.  Returns ``None`` when
+    the budget is exhausted without a failure; finding nothing proves
+    nothing.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -384,9 +375,7 @@ def search_boundary_counterexample(
     for idx in range(budget):
         rng = random.Random(f"boundary:{seed}:{idx}")
         trial = _run_trial(analysis, level, tau, rng)
-        result = trial.result
-        residual_deg = None if result is None else (result.a_hat - trial.a).degree
-        if result is None or result.k2_hat != trial.k2_true or residual_deg > tau:
+        if not trial.success:
             return BoundaryInstance(
                 trial=idx,
                 seed=seed,
@@ -398,8 +387,7 @@ def search_boundary_counterexample(
                 r1=trial.r1,
                 r2=trial.r2,
                 k2_true=trial.k2_true,
-                k2_hat=None if result is None else result.k2_hat,
-                residual_deg=residual_deg,
-                error=trial.error,
+                k2_hat=trial.result.k2_hat,
+                residual_deg=trial.residual.degree,
             )
     return None

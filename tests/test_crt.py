@@ -4,7 +4,9 @@ import pytest
 
 from polycrt import (
     DegreeOutOfRangeError,
+    ErroneousResiduePair,
     InconsistentResiduesError,
+    MixedFieldsError,
     Polynomial,
     ResiduePair,
     check_consistency,
@@ -46,11 +48,22 @@ class TestEncode:
         with pytest.raises(DegreeOutOfRangeError):
             encode(poly(f2, "x^17"), reference_pair)
 
+    def test_other_field_rejected(self, f13, reference_pair):
+        with pytest.raises(MixedFieldsError):
+            encode(poly(f13, "x+1"), reference_pair)
+
     def test_residue_pair_validates_degrees(self, f2, reference_pair):
         with pytest.raises(DegreeOutOfRangeError):
             ResiduePair(poly(f2, "x^8"), Polynomial(f2), reference_pair)
         with pytest.raises(DegreeOutOfRangeError):
             ResiduePair(Polynomial(f2), poly(f2, "x^11"), reference_pair)
+
+    @pytest.mark.parametrize("pair_type", [ResiduePair, ErroneousResiduePair])
+    def test_residue_pairs_reject_other_fields(self, pair_type, f2, f13, reference_pair):
+        x2, x13 = poly(f2, "x"), poly(f13, "x")
+        for x1, x2_ in ((x13, x2), (x2, x13)):
+            with pytest.raises(MixedFieldsError):
+                pair_type(x1, x2_, reference_pair)
 
 
 class TestConsistency:

@@ -40,6 +40,7 @@ class TestConstruction:
     def test_equality_is_by_characteristic(self):
         assert PrimeField(7) == PrimeField(7)
         assert PrimeField(7) != PrimeField(5)
+        assert PrimeField(2) != 2
         assert hash(PrimeField(7)) == hash(PrimeField(7))
 
 

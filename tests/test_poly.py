@@ -20,7 +20,7 @@ from polycrt import (
     random_moduli_pair,
     xgcd,
 )
-from polycrt.poly import _reduce_chain
+from polycrt.poly import _MAX_PARSE_DEGREE, _reduce_chain
 from polycrt.simulation import enumerate_polynomials
 
 from conftest import REF_M1, REF_M2, poly
@@ -79,6 +79,8 @@ class TestRingOperations:
             poly(f2, "x") + poly(f7, "x")
         with pytest.raises(MixedFieldsError):
             poly(f2, "x") * poly(f7, "x")
+        with pytest.raises(TypeError, match="expected Polynomial, got int"):
+            poly(f2, "x") + 1
 
 
 class TestDivision:
@@ -372,6 +374,26 @@ class TestParseFormat:
     def test_huge_exponent_rejected(self, f2):
         with pytest.raises(ParseError):
             parse_polynomial("x^999999999", f2)
+
+    def test_degree_cap_is_the_same_in_both_forms(self, f2):
+        cap = _MAX_PARSE_DEGREE
+        top = Polynomial(f2, [0] * cap + [1])
+        assert parse_polynomial(f"x^{cap}", f2) == top
+        assert parse_polynomial("[" + "0," * cap + "1]", f2) == top
+        with pytest.raises(ParseError, match="too large"):
+            parse_polynomial(f"x^{cap + 1}", f2)
+        with pytest.raises(ParseError, match="too long"):
+            parse_polynomial("[" + "0," * (cap + 1) + "1]", f2)
+
+    def test_non_string_input_rejected(self, f2):
+        with pytest.raises(ParseError, match="expected string input, got int") as info:
+            parse_polynomial(5, f2)
+        assert info.value.position == 0
+
+    def test_text_after_coefficient_list_rejected(self, f2):
+        with pytest.raises(ParseError, match="trailing text") as info:
+            parse_polynomial("[1,0,1] x", f2)
+        assert info.value.position == 7
 
 
 class TestCopyAndPickle:

@@ -3,9 +3,12 @@ import random
 
 import pytest
 
+import polycrt.simulation as simulation
 from polycrt import (
     EnumerationTooLargeError,
     ErroneousResiduePair,
+    PolyCrtError,
+    PrimeField,
     TrialConfig,
     encode,
     find_difference_bound_violations,
@@ -73,6 +76,8 @@ class TestSampling:
             sample_polynomial(-1, f2, rng)
         with pytest.raises(ValueError):
             sample_error(-2, f2, rng)
+        with pytest.raises(ValueError):
+            sample_monic(-1, f2, rng)
 
     def test_sample_monic(self, f13):
         rng = random.Random(4)
@@ -99,6 +104,18 @@ class TestRandomModuliPair:
             assert an.m.degree == 2
             assert 1 <= an.gamma1.degree <= 2
             assert 1 <= an.gamma2.degree <= 2
+
+    def test_constant_factors_rejected(self, f2):
+        rng = random.Random(8)
+        with pytest.raises(ValueError, match="nonconstant"):
+            random_moduli_pair(f2, rng, gcd_degree=(0, 2))
+        with pytest.raises(ValueError, match="nonconstant"):
+            random_moduli_pair(f2, rng, cofactor_degree=(0, 2))
+
+    def test_gives_up_after_the_attempt_cap(self, f2, monkeypatch):
+        monkeypatch.setattr(simulation, "_MAX_COPRIME_ATTEMPTS", 0)
+        with pytest.raises(PolyCrtError, match="in 0 attempts"):
+            random_moduli_pair(f2, random.Random(9))
 
 
 class TestTrialConfig:
@@ -152,7 +169,7 @@ class TestRunCampaign:
     def test_branch_counts_cover_all_trials(self, reference_pair):
         cfg = TrialConfig(analysis=reference_pair, level=1, tau=5, trials=250, seed=13)
         report = run_campaign(cfg)
-        assert sum(report.branch_counts.values()) + report.decode_errors == 250
+        assert sum(report.branch_counts.values()) == 250
 
     def test_report_text_rendering(self, micro_pair):
         cfg = TrialConfig(analysis=micro_pair, level=1, tau=1, trials=50, seed=14)
@@ -170,6 +187,31 @@ class TestRunCampaign:
         assert report.successes + report.failures == 300
         payload = report.to_json()
         assert payload["failures"] == len(payload["failureDetails"])
+
+    @pytest.mark.parametrize("p", [2, 3, 13])
+    def test_decode_never_raises_outside_the_bounds(self, p):
+        # tau at the level bound, at deg(m1) and at deg(m2) + 2: the larger
+        # errors wrap mod m_i, and every trial still decodes to a verdict.
+        field = PrimeField(p)
+        rng = random.Random(f"decode-never-raises:{p}")
+        failures = 0
+        for _ in range(3):
+            analysis = random_moduli_pair(field, rng)
+            for level in range(1, analysis.K + 2):
+                bound = analysis.level_spec(level).error_bound_exclusive
+                for tau in (bound, analysis.m1.degree, analysis.m2.degree + 2):
+                    cfg = TrialConfig(
+                        analysis=analysis, level=level, tau=tau, trials=20,
+                        seed=p, boundary=True,
+                    )
+                    report = run_campaign(cfg)
+                    assert sum(report.branch_counts.values()) == 20
+                    assert report.successes + report.failures == 20
+                    details = report.to_json()["failureDetails"]
+                    assert len(details) == report.failures
+                    assert all(d["error"] is None for d in details)
+                    failures += report.failures
+        assert failures > 0
 
 
 class TestDifferenceBoundScan:
