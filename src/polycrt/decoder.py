@@ -105,8 +105,8 @@ def remainder_cascade(
     Step moduli have strictly decreasing degrees, so the cascade strips one
     degree window at a time; inputs already below ``deg(m*sigma_level)``
     pass through unchanged.  The whole chain is one call into the
-    polynomial backend, the same one :func:`reconstruct` makes: over F_2 it
-    reduces the packed ints and builds only its results.
+    polynomial backend, the same one :func:`reconstruct` makes: it reduces
+    packed ints and builds only its results.
     """
     analysis.level_spec(level)
     v._check_field(analysis.m)

@@ -10,7 +10,9 @@ monic gcd ``m``, the coprime cofactors ``gamma1 = m1/m`` and
 whose degrees strictly decrease from ``sigma_0`` down to the final entry
 ``sigma_{K+1}``, a nonzero scalar.  Only the products ``m * sigma_i`` are
 stored: they are the remainders of the Euclid pass that finds ``m``, and the
-chain is derived from them.  Each chain index ``i`` in ``1..K+1`` is a
+chain is derived from them.  The same pass yields the Bezout cofactors the
+decoder weights its quotients by, without building a quotient
+(:func:`polycrt.poly._euclid_chain`).  Each chain index ``i`` in ``1..K+1`` is a
 *level*: residue errors of degree up to (exclusive) ``deg(m) + deg(sigma_i)``
 can be tolerated for messages of degree up to (exclusive)
 ``deg(lcm) - deg(sigma_i)``.  Lower levels tolerate bigger errors on a
@@ -31,7 +33,7 @@ from .errors import (
     ZeroModulusError,
 )
 from .field import PrimeField
-from .poly import Polynomial, gcd
+from .poly import Polynomial, _euclid_chain, gcd
 
 
 @dataclass(frozen=True)
@@ -123,16 +125,11 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     # One Euclid pass over (m2, m1).  Since m1 = m * gamma1 and m2 = m *
     # gamma2, its remainders are m * sigma_1 .. m * sigma_{K+1} (the cascade
     # moduli), its last nonzero remainder is m times the scalar sigma_{K+1},
-    # and its quotients are those of the sigma chain over (gamma2, gamma1).
-    rems = [m2, m1]
-    quots = []
-    while True:
-        q, r = divmod(rems[-2], rems[-1])
-        if r.is_zero:
-            break
-        quots.append(q)
-        rems.append(r)
-    m = rems[-1].monic()
+    # and its Bezout cofactors s_i satisfy s_i * gamma2 == sigma_i (mod
+    # gamma1), with deg(s_i) < deg(gamma1).
+    rems, cofactors = _euclid_chain(m2, m1)
+    last = rems[-1] if rems else m1
+    m = last.monic()
     if m.degree == 0:
         raise CoprimeModuliError(
             "moduli are coprime (gcd is a scalar); a shared factor of degree"
@@ -145,23 +142,16 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
             "one modulus divides the other; the pair carries no usable"
             " redundancy"
         )
-    # The s recurrence below multiplies, so check the product first.
     if m * gamma1 != m1:
         raise AssertionError("m * gamma1 != m1")
     if m * gamma2 != m2:
         raise AssertionError("m * gamma2 != m2")
     big = (m1 * gamma2).monic()
 
-    # Alongside the Euclid pass, s_i * gamma2 == sigma_i (mod gamma1), so at
-    # the final scalar entry c, s_{K+1} / c inverts gamma2 modulo gamma1.  c
-    # is also the leading coefficient of the last remainder, since m is
-    # monic.  deg(s_i) < deg(gamma1), so no reduction is needed.
-    s0, s1 = Polynomial(m.field, (1,)), Polynomial(m.field)
-    cofactors = []
-    for q in quots:
-        s0, s1 = s1, s0 - q * s1
-        cofactors.append(s1)
-    inv21 = s1._scale(m.field.inv(rems[-1].lead))
+    # At the final scalar entry c, which is also the leading coefficient of
+    # the last remainder since m is monic, s_{K+1} / c inverts gamma2
+    # modulo gamma1.
+    inv21 = cofactors[-1]._scale(m.field.inv(last.lead))
 
     # deg(sigma_i) = deg(m * sigma_i) - deg(m).
     deg_m = m.degree
@@ -173,7 +163,7 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
             error_bound_exclusive=r.degree,
             dynamic_range_exclusive=deg_big - r.degree + deg_m,
         )
-        for i, r in enumerate(rems[2:], start=1)
+        for i, r in enumerate(rems, start=1)
     )
 
     analysis = ModuliPairAnalysis(
@@ -186,7 +176,7 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         gamma_inv21=inv21,
         K=len(levels) - 1,
         levels=levels,
-        cascade_moduli=tuple(rems[2:]),
+        cascade_moduli=tuple(rems),
         cascade_cofactors=tuple(cofactors),
         swapped=swapped,
     )

@@ -9,32 +9,26 @@ inequalities hold for the zero polynomial without special cases.
 The field picks the representation and the arithmetic.  Over F_2 a
 polynomial is its packed int, bit ``i`` holding the coefficient of ``x^i``:
 addition is one XOR, multiplication a carry-less shift-XOR product and
-division a shift-XOR long division.  Their loops step over the hex digits or
-quotient bits of one operand, and each step shifts and XORs whole ints at C
-speed, where the dense loops take a bytecode step per coefficient pair.
-Degree, leading coefficient, equality and hashing read the int, and the
-``coeffs`` tuple is built on first read and kept; whichever thread builds it
-first, it is the same value.  Every other p stores the tuple, multiplies by
-Kronecker substitution (one fixed-width slot per coefficient in one int,
-one bigint product; :mod:`polycrt.kronecker`) and adds with schoolbook
-loops.  It divides with schoolbook loops when the quotient or the divisor is
-short, as in most Euclid steps, and otherwise through a Newton reciprocal of
-the reversed divisor built from Kronecker products.  ``%`` builds no
-quotient polynomial, and over F_2 no quotient bits either.  One call reduces
-a polynomial by a whole chain of moduli, as the decoder's remainder cascade
-does, and sums each step's quotient times a given cofactor; over F_2 it
-stays on the packed ints and builds only the two results.  Kernel results
-skip re-reduction in ``Polynomial.__init__``.  The tests check the fast
-products against the dense schoolbook product, the Newton division and
-``%`` against schoolbook division, and the chain reduction against a
-step-by-step ``divmod`` loop.
+division a shift-XOR long division, each step shifting and XORing whole
+ints at C speed.  Degree, leading coefficient, equality and hashing read the
+int, and the ``coeffs`` tuple is built on first read and kept; whichever
+thread builds it first, it is the same value.  Every other p stores the
+tuple and adds with schoolbook loops; it multiplies by Kronecker
+substitution and divides long quotients by long divisors through a Newton
+reciprocal (:mod:`polycrt.kronecker`), short ones with schoolbook loops.
+``%`` builds no quotient polynomial.  Two loops reduce a remainder together
+with a quotient-weighted sum, step after step, without building any
+quotient: the Euclid pass with its Bezout cofactors, and the decoder's
+remainder cascade.  Over F_2 they XOR shifted ints; over odd p each step is
+one fold on packed ints, reduced mod p once per Euclid step and once per
+cascade.  Kernel results skip re-reduction in ``Polynomial.__init__``.  The
+tests check every fast kernel against a schoolbook or step-by-step
+``divmod`` reference.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import repeat
-from operator import add, mul
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 from .errors import (
@@ -45,7 +39,7 @@ from .errors import (
     ZeroInputError,
 )
 from .field import PrimeField
-from .kronecker import _kronecker_mul, _newton_divmod
+from .kronecker import _fold_chain, _fold_euclid, _kronecker_mul, _newton_divmod, _strip
 
 NEG_INF = float("-inf")
 
@@ -265,15 +259,10 @@ _set_bits = Polynomial._bits.__set__
 
 
 def _from_reduced(field: PrimeField, vals: list) -> Polynomial:
-    """Polynomial over odd p from a list already reduced mod p.
-
-    Strips trailing zeros from ``vals`` in place.
-    """
-    while vals and vals[-1] == 0:
-        vals.pop()
+    """Polynomial over odd p from a list already reduced mod p; strips ``vals`` in place."""
     poly = object.__new__(Polynomial)
     _set_field(poly, field)
-    _set_coeffs(poly, tuple(vals))
+    _set_coeffs(poly, tuple(_strip(vals)))
     _set_bits(poly, None)
     return poly
 
@@ -406,16 +395,13 @@ def _reduce_chain(
     quotient of step ``j`` (zero when the running remainder is already below
     the step's degree).  ``cofactors`` pairs one to one with ``moduli`` (a
     length mismatch raises ``ValueError``), and all are over ``v``'s field;
-    the caller checks.  Over F_2 the loop runs on the packed ints: each
-    quotient bit XORs the shifted modulus into the remainder and the shifted
-    cofactor into the sum.  Over odd p each step's quotient comes from
-    :func:`_odd_divmod` and its products with the cofactor add into one list
-    of unreduced ints, reduced mod p once.
+    the caller checks.  Over F_2 each quotient bit XORs the shifted modulus
+    into the remainder and the shifted cofactor into the sum; over odd p,
+    see :func:`~polycrt.kronecker._fold_chain`.
     """
     field = v.field
     if field.p == 2:
-        bits = v._bits
-        acc = 0
+        bits, acc = v._bits, 0
         for step, cof in zip(moduli, cofactors, strict=True):
             b = step._bits
             if not b:
@@ -428,25 +414,38 @@ def _reduce_chain(
                 acc ^= s << shift
                 shift = bits.bit_length() - top
         return _from_bits(field, bits), _from_bits(field, acc)
-    rem = list(v._coeffs)
-    acc: list = []
-    for step, cof in zip(moduli, cofactors, strict=True):
-        b = step._coeffs
-        if not b:
-            raise DivisionByZeroError("polynomial division by zero")
-        if len(rem) < len(b):
-            continue
-        quot, rem = _odd_divmod(rem, b, field)
-        while rem and rem[-1] == 0:
-            rem.pop()
-        s = cof._coeffs
-        n = len(s)
-        acc += [0] * (len(quot) + n - 1 - len(acc))
-        for i, c in enumerate(quot):
-            if c:
-                acc[i : i + n] = map(add, acc[i : i + n], map(mul, s, repeat(c)))
-    p = field.p
-    return _from_reduced(field, rem), _from_reduced(field, [c % p for c in acc])
+    moduli, cofactors = [m._coeffs for m in moduli], [c._coeffs for c in cofactors]
+    tail, total = _fold_chain(v._coeffs, moduli, cofactors, field.p)
+    return _from_reduced(field, tail), _from_reduced(field, total)
+
+
+def _euclid_chain(a: Polynomial, b: Polynomial) -> Tuple[list, list]:
+    """Nonzero remainders ``r_2, r_3, ...`` of the Euclid pass over ``(a, b)``, and cofactors.
+
+    For nonzero ``b`` with ``deg(a) >= deg(b)``: ``r_0, r_1 = a, b``,
+    ``r_i = r_{i-2} mod r_{i-1}`` and ``s_i * a + t_i * b == r_i``, where
+    ``s_0, s_1 = 1, 0`` and ``s_i = s_{i-2} - q_i * s_{i-1}``.  Each step
+    reduces ``(r_{i-2}, s_{i-2})`` by ``(r_{i-1}, s_{i-1})`` the way
+    :func:`_reduce_chain` reduces a remainder and its sum, building no quotient.
+    """
+    field = a.field
+    if field.p == 2:
+        rems, cofs = [], []
+        r0, r1, s0, s1 = a._bits, b._bits, 1, 0
+        while True:
+            top = r1.bit_length()
+            shift = r0.bit_length() - top
+            while shift >= 0:
+                r0 ^= r1 << shift
+                s0 ^= s1 << shift
+                shift = r0.bit_length() - top
+            if not r0:
+                return rems, cofs
+            rems.append(_from_bits(field, r0))
+            cofs.append(_from_bits(field, s0))
+            r0, r1, s0, s1 = r1, r0, s1, s0
+    rems, cofs = _fold_euclid(a._coeffs, b._coeffs, field.p)
+    return [_from_reduced(field, r) for r in rems], [_from_reduced(field, s) for s in cofs]
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -540,6 +539,9 @@ def _parse_coeff_list(text: str, field: PrimeField) -> Polynomial:
     inner = text[start + 1 : end]
     if not inner.strip():
         raise ParseError("empty coefficient list", start + 1)
+    # One pass over the text, before any entry is matched or converted.
+    if inner.count(",") > _MAX_PARSE_DEGREE:
+        raise ParseError("coefficient list too long", start)
     coeffs = []
     offset = start + 1
     for chunk in inner.split(","):
@@ -547,8 +549,6 @@ def _parse_coeff_list(text: str, field: PrimeField) -> Polynomial:
             raise ParseError(f"invalid coefficient {chunk.strip()!r}", offset)
         coeffs.append(int(chunk))
         offset += len(chunk) + 1
-    if len(coeffs) > _MAX_PARSE_DEGREE + 1:
-        raise ParseError("coefficient list too long", start)
     return Polynomial(field, coeffs)
 
 

@@ -33,7 +33,7 @@ def _assert_matches_reference(pair, level):
     return got
 
 
-@pytest.mark.parametrize("p", [2, 3, 13])
+@pytest.mark.parametrize("p", [2, 3, 13, 65521, 2**61 - 1])
 def test_matches_reference(p):
     field = PrimeField(p)
     rng = random.Random(f"differential:{p}")
@@ -60,6 +60,13 @@ def test_matches_reference(p):
                         analysis,
                     )
                     seen.add(_assert_matches_reference(pair, level).branch)
+            # A message below deg(m1) has equal clean residues, which random
+            # messages at large p never have.
+            a = sample_polynomial(analysis.m1.degree, field, rng)
+            e1, e2 = (sample_error(bound - 1, field, rng) for _ in range(2))
+            residues, _ = encode(a, analysis)
+            pair = ErroneousResiduePair(residues.a1 + e1, residues.a2 + e2, analysis)
+            seen.add(_assert_matches_reference(pair, level).branch)
     assert seen == set(Branch)
 
 

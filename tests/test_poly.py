@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import polycrt.poly
 from polycrt import (
     NEG_INF,
     BothZeroError,
@@ -138,7 +139,9 @@ def random_chain(field, degrees, rng):
 class TestReduceChain:
     """``_reduce_chain`` against a step-by-step ``divmod`` loop."""
 
-    PRIMES = [2, 13, 65521, 2**61 - 1]
+    # 3, 13 and 65521 have one-word slots; 2**31 - 1 has them up to length
+    # 4, and 2**61 - 1 and 2**64 - 59 always have wider, joined slots.
+    PRIMES = [2, 3, 13, 65521, 2**31 - 1, 2**61 - 1, 2**64 - 59]
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_analysis_chains_at_every_level(self, p):
@@ -202,6 +205,33 @@ class TestReduceChain:
             for moduli in ((zero,), (Polynomial(field, [0, 1]), zero)):
                 with pytest.raises(DivisionByZeroError):
                     _reduce_chain(v, moduli, (one,) * len(moduli))
+
+    @pytest.mark.parametrize(
+        "p, n",
+        [(3, 64), (13, 2), (13, 456), (65521, 2), (65521, 300), (2**31 - 1, 5), (2**61 - 1, 65),
+         (2**64 - 59, 2)],
+    )
+    def test_worst_case_slots(self, p, n):
+        # Moduli of lengths n, n - 1, ..., 1 take one quotient digit each, so
+        # the cascade has n digits.  Every modulus and cofactor coefficient
+        # below the lead is p - 1, every lead is 1, and v is chosen so that
+        # every step meets a top coefficient of 1: every quotient is 1, which
+        # the fold adds as the digit -1 = p - 1.  So
+        # the lowest remainder slot collects n - 1 and the middle sum slot n
+        # additions of (p - 1)**2, the most a slot of n * (p - 1)**2 + p
+        # must hold.  Except in the long (65521, 300) case, a bound one bit
+        # smaller would give a slot one byte narrower, which the sum slot
+        # overflows.
+        field = PrimeField(p)
+        moduli = [Polynomial(field, [p - 1] * (n - i) + [1]) for i in range(1, n + 1)]
+        cofactors = [Polynomial(field, [p - 1] * n)] * n
+        # Step i's top slot holds v[n - i] plus i - 1 additions of (p - 1)**2 = 1 (mod p).
+        v = Polynomial(field, [j - n + 2 for j in range(n)])
+        rem = v
+        for step in moduli:
+            q, rem = divmod(rem, step)
+            assert q == Polynomial(field, [1])
+        assert _reduce_chain(v, moduli, cofactors) == chain_reference(v, moduli, cofactors)
 
     def test_one_cofactor_per_modulus(self, f13):
         step = Polynomial(f13, [1, 1])
@@ -384,6 +414,17 @@ class TestParseFormat:
             parse_polynomial(f"x^{cap + 1}", f2)
         with pytest.raises(ParseError, match="too long"):
             parse_polynomial("[" + "0," * (cap + 1) + "1]", f2)
+
+    def test_long_list_rejected_before_any_entry_is_parsed(self, f2, monkeypatch):
+        class Refuse:
+            def match(self, chunk):
+                raise AssertionError("entry parsed before the length check")
+
+        monkeypatch.setattr(polycrt.poly, "_INT_RE", Refuse())
+        # Over-long and malformed at once: the length is reported, at "[".
+        with pytest.raises(ParseError, match="too long") as info:
+            parse_polynomial("  [" + "y," * (_MAX_PARSE_DEGREE + 1) + "1]", f2)
+        assert info.value.position == 2
 
     def test_non_string_input_rejected(self, f2):
         with pytest.raises(ParseError, match="expected string input, got int") as info:
