@@ -10,12 +10,14 @@ and returns ``a_hat = k2_hat * m2 + r2``, so the reconstruction differs from
 
 The decoder is one formula on the received-residue difference ``q21 = r1 - r2``:
 
-    tail, k2_hat = cascade(q21 mod m1)
+    tail, k2_hat = cascade(q21)
     tail   = q21 mod m1 mod m*sigma_1 mod ... mod m*sigma_i
     k2_hat = c_1*s_1 + ... + c_i*s_i
 
 where ``c_j`` is the quotient of cascade step ``j`` and ``s_j`` the Bezout
 cofactor of the analysis's Euclid pass, ``s_j*m2 + t_j*m1 = m*sigma_j``.
+The cascade runs steps ``0..i`` of the analysis's stored chain: step 0 is
+``m1`` with cofactor 0, so its quotient adds nothing to ``k2_hat``.
 Inside the bounds the remainder cascade strips the clean difference
 ``a1 - a2`` (a multiple of ``m``) and leaves ``tail = e1 - e2``, so
 ``q21 - tail`` is the clean difference and ``k2`` is
@@ -105,14 +107,17 @@ def remainder_cascade(
     Step moduli have strictly decreasing degrees, so the cascade strips one
     degree window at a time; inputs already below ``deg(m*sigma_level)``
     pass through unchanged.  The whole chain is one call into the
-    polynomial backend, the same one :func:`reconstruct` makes: it reduces
-    packed ints and builds only its results.
+    polynomial backend, steps ``1..level`` of the one :func:`reconstruct`
+    makes: it folds the stored chain and builds only its results.  An input
+    longer than the chain takes (``deg(m2)`` and below) is first reduced
+    modulo ``m*sigma_1`` by ``%``, which step 1 would do.
     """
     analysis.level_spec(level)
     v._check_field(analysis.m)
-    return _reduce_chain(
-        v, analysis.cascade_moduli[:level], analysis.cascade_cofactors[:level]
-    )[0]
+    chain = analysis.chain
+    if v.degree >= chain.size:
+        v = v % chain.modulus(1)
+    return _reduce_chain(v, chain, 1, level + 1)[0]
 
 
 def classify(q21: Polynomial, analysis: ModuliPairAnalysis, level: int) -> Branch:
@@ -143,10 +148,6 @@ def reconstruct(pair: ErroneousResiduePair, level: int) -> ReconstructionResult:
     analysis = pair.moduli
     q21 = pair.r1 - pair.r2
     branch = classify(q21, analysis, level)
-    tail, k2_hat = _reduce_chain(
-        q21 % analysis.m1,
-        analysis.cascade_moduli[:level],
-        analysis.cascade_cofactors[:level],
-    )
+    tail, k2_hat = _reduce_chain(q21, analysis.chain, 0, level + 1)
     a_hat = k2_hat * analysis.m2 + pair.r2
     return ReconstructionResult(a_hat, k2_hat, branch, q21, tail)

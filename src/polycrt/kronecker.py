@@ -7,18 +7,22 @@ slot k.  Division by a long divisor multiplies the dividend by a Newton
 reciprocal of the reversed divisor, built from such products.  A fold is
 one division step that never reduces mod p: it reads each quotient digit
 off the top slot, drops that slot, and adds the digit's multiples of the
-divisor and of a cofactor into the slots below, so the Euclid pass and the
-decoder's remainder cascade run whole steps on packed ints at C speed.
-``_kronecker_mul``, ``_newton_divmod``, ``_fold_chain`` and ``_fold_euclid``
-take coefficient sequences reduced mod p, lowest power first, and return
-lists reduced mod p; :mod:`polycrt.poly` wraps them in ``Polynomial``.
+divisor and of a cofactor into the slots below.  The Euclid pass and the
+decoder's remainder cascade are folds on packed ints at C speed, and their
+chain of step moduli and cofactors never leaves packed form: the Euclid pass
+brings every slot back into ``[0, 3p)`` after each step by Barrett
+reduction of all slots at once, and the cascade folds the stored ints.
+``_kronecker_mul`` and ``_newton_divmod`` take coefficient sequences reduced
+mod p, lowest power first, and return lists reduced mod p;
+:mod:`polycrt.poly` wraps them in ``Polynomial``.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from itertools import repeat
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import DivisionByZeroError
 
@@ -26,15 +30,14 @@ from .errors import DivisionByZeroError
 _WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
-def _slot_layout(bound: int) -> Tuple[int, Optional[str]]:
-    """Slot width in bytes for values in ``[0, bound]``, and its struct code.
+def _slot_layout(bits: int) -> Tuple[int, Optional[str]]:
+    """Slot width in bytes for values of ``bits`` bits, and its struct code.
 
     A width that rounds up to a machine word is widened to it, so that one
     ``struct`` call packs or unpacks every slot at C speed.  Wider slots
-    (from ``bound >= 2**64``) have no code and are joined and sliced one at
-    a time.
+    (more than 64 bits) have no code and are joined and split as bytes.
     """
-    width = (bound.bit_length() + 7) // 8
+    width = (bits + 7) // 8
     word = 1 << (width - 1).bit_length()
     code = _WORD_CODES.get(word)
     return (word, code) if code else (width, None)
@@ -62,10 +65,9 @@ def _unpack(
     buf = packed.to_bytes(size * width, "little")
     if code:
         return struct.unpack_from(f"<{stop - start}{code}", buf, start * width)
-    return [
-        int.from_bytes(buf[i : i + width], "little")
-        for i in range(start * width, stop * width, width)
-    ]
+    # One regex pass splits the bytes into slots, all in C.
+    chunks = re.compile(b"(?s).{%d}" % width).findall(buf, start * width, stop * width)
+    return list(map(int.from_bytes, chunks, repeat("little")))
 
 
 def _kronecker_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
@@ -84,9 +86,39 @@ def _kronecker_slots(
     most ``min(len(a), len(b))`` terms, each at most ``(p - 1)**2``, so it
     fits in one slot.
     """
-    width, code = _slot_layout(min(len(a), len(b)) * (p - 1) ** 2)
+    width, code = _slot_layout((min(len(a), len(b)) * (p - 1) ** 2).bit_length())
     product = _pack(a, width, code) * _pack(b, width, code)
     return _unpack(product, len(a) + len(b) - 1, width, code, start, stop)
+
+
+def _chain_layout(p: int, size: int) -> Tuple[int, Optional[str], Callable[[int], int]]:
+    """Slot layout of a chain folding inputs of up to ``size`` coefficients, and its reduction.
+
+    Stored slots are in ``[0, 3p)`` and input slots below p.  A fold adds
+    each quotient digit's multiple of a stored int, at most one term below
+    ``(p - 1) * 3p`` per slot, and folds of inputs of ``n <= size``
+    coefficients have at most ``n`` digits in all, so every slot stays below
+    ``2**t`` with ``t = bits(3p + size * (p - 1) * 3p)``.  The returned
+    function is Barrett reduction of every slot at once: with ``m = bits(p)``
+    and ``mu = 2**t // p``, a slot ``x < 2**t`` becomes ``x - p * q`` with
+    ``q = ((x >> (m - 1)) * mu) >> (t - m + 1)``, which lies in ``[0, 3p)``.
+    Masks of ``t - m + 1`` bits cut each slot's ``x >> (m - 1)`` and ``q``
+    out of the shifted int, and slots of ``2 * (t - m + 1) + 1`` bits, at
+    least ``t`` for ``size >= 1``, hold each product with ``mu``, so no slot
+    carries into the next.
+    """
+    hi = p.bit_length() - 1
+    t = (3 * p + size * (p - 1) * 3 * p).bit_length()
+    shift = t - hi
+    mu = (1 << t) // p
+    width, code = _slot_layout(2 * shift + 1)
+    bits = 8 * width
+    mask = ((1 << shift) - 1) * (((1 << size * bits) - 1) // ((1 << bits) - 1))
+
+    def reduce(x: int) -> int:
+        return x - p * ((((x >> hi) & mask) * mu >> shift) & mask)
+
+    return width, code, reduce
 
 
 def _fold(
@@ -103,9 +135,8 @@ def _fold(
     under it, are added to ``rem`` and ``acc``.  So ``rem`` ends as the
     remainder in ``div_size - 1`` slots and ``acc`` gains minus the
     quotient times ``cof``, both equal mod p to the reduced results.  Each
-    digit adds at most one term of at most ``(p - 1)**2`` to any slot, so
-    slots that start below p stay below ``n * (p - 1)**2 + p`` after ``n``
-    digits, which the caller's slot width must hold.
+    digit adds at most one term below ``(p - 1) * 3p`` to any slot, which the
+    caller's slot width must hold (:func:`_chain_layout`).
     """
     top = (size - 1) * bits
     shift = top - (div_size - 1) * bits
@@ -122,60 +153,73 @@ def _fold(
 
 
 def _fold_chain(
-    v: Sequence[int], moduli: Sequence[Sequence[int]], cofactors: Sequence[Sequence[int]], p: int
+    v: Sequence[int], steps: Sequence[tuple], cofs: Sequence[int], width: int,
+    code: Optional[str], p: int,
 ) -> Tuple[list, list]:
-    """Odd-p :func:`polycrt.poly._reduce_chain` on coefficient tuples.
+    """Odd-p remainder cascade of coefficient tuple ``v`` over stored steps.
 
-    Returns the remainder and the weighted quotient sum as lists reduced
-    mod p.  Each step is one :func:`_fold` of the packed remainder and sum,
-    skipped while the remainder is shorter than the modulus; the sum is
-    negated at the end, since the folds add minus the quotients.
+    ``steps`` and ``cofs`` are as :func:`_fold_euclid` returns them, with
+    their slot layout, for inputs at least as long as ``v``.  Returns the
+    remainder and the sum of the step quotients times the cofactors, as
+    lists reduced mod p.  Each step is one :func:`_fold` of the packed
+    remainder and sum, skipped while the remainder is shorter than the step
+    modulus; the sum is negated at the end, since the folds add minus the
+    quotients.  A zero step modulus raises ``DivisionByZeroError``, and
+    ``steps`` and ``cofs`` of different lengths raise ``ValueError``.
     """
     size = len(v)
-    # Every quotient digit drops one slot of the remainder, so the whole
-    # cascade has at most len(v) digits.
-    width, code = _slot_layout(size * (p - 1) ** 2 + p)
+    bits = 8 * width
     rem, acc = _pack(v, width, code), 0
-    for b, s in zip(moduli, cofactors, strict=True):
-        if not b:
+    for (n, low, neg_inv, _), cof in zip(steps, cofs, strict=True):
+        if not n:
             raise DivisionByZeroError("polynomial division by zero")
-        if size < len(b):
-            continue
-        low, cof = _pack(b[:-1], width, code), _pack(s, width, code)
-        neg_inv = -pow(b[-1], -1, p) % p
-        rem, acc = _fold(rem, acc, low, cof, size, len(b), 8 * width, p, neg_inv)
-        size = len(b) - 1
+        if size >= n:
+            rem, acc = _fold(rem, acc, low, cof, size, n, bits, p, neg_inv)
+            size = n - 1
     tail = [c % p for c in _unpack(rem, size, width, code)]
-    acc_size = -(-acc.bit_length() // (8 * width))
+    acc_size = -(-acc.bit_length() // bits)
     return tail, [-c % p for c in _unpack(acc, acc_size, width, code)]
 
 
-def _fold_euclid(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[list, list]:
-    """Odd-p :func:`polycrt.poly._euclid_chain` on coefficient tuples.
+def _fold_euclid(
+    a: Sequence[int], b: Sequence[int], p: int
+) -> Tuple[int, Optional[str], list, list]:
+    """Odd-p Euclid pass over coefficient tuples, never leaving packed form.
 
-    For ``len(a) >= len(b) > 0`` returns the nonzero remainders and their
-    cofactors as lists reduced mod p, without trailing zeros.  Each step is
-    one :func:`_fold` of the packed ``(r_{i-2}, s_{i-2})`` by ``(r_{i-1},
-    s_{i-1})``; its results are reduced and packed again for the next step.
+    For ``len(a) >= len(b) > 0`` with nonzero leads, returns the slot width
+    and struct code of :func:`_chain_layout` for ``len(a)``, the steps ``b,
+    r_2, r_3, ...`` up to the last nonzero remainder, and their cofactors
+    ``0, s_2, s_3, ...`` (see :func:`polycrt.poly._euclid_chain`).  A step
+    is ``(size, low, neg_inv, lead)``: ``low`` packs its coefficients below
+    the lead, and ``lead`` and ``neg_inv``, minus its inverse, are reduced
+    mod p.  A cofactor is one packed int.  Each step is one :func:`_fold` of
+    ``(r_{i-2}, s_{i-2})`` by ``(r_{i-1}, s_{i-1})``.  Both results are then
+    reduced into ``[0, 3p)`` per slot, and the remainder drops top slots
+    that are zero mod p.
     """
-    # A step has at most len(a) quotient digits, and starts from reduced values.
-    width, code = _slot_layout(len(a) * (p - 1) ** 2 + p)
+    width, code, reduce = _chain_layout(p, len(a))
     bits = 8 * width
-    rems: list = []
-    cofs: list = []
     r0, r1, s0, s1 = _pack(a, width, code), _pack(b, width, code), 1, 0
+    n0, n1, lead = len(a), len(b), b[-1]
+    steps: list = []
+    cofs: list = []
     while True:
-        n = len(b)
-        low = r1 & ((1 << (n - 1) * bits) - 1)
-        r0, s0 = _fold(r0, s0, low, s1, len(a), n, bits, p, -pow(b[-1], -1, p) % p)
-        r = _strip([c % p for c in _unpack(r0, n - 1, width, code)])
-        if not r:
-            return rems, cofs
-        s = _strip([c % p for c in _unpack(s0, -(-s0.bit_length() // bits), width, code)])
-        rems.append(r)
-        cofs.append(s)
-        a, b = b, r
-        r0, r1, s0, s1 = r1, _pack(r, width, code), s1, _pack(s, width, code)
+        neg_inv = -pow(lead, -1, p) % p
+        low = r1 & ((1 << (n1 - 1) * bits) - 1)
+        steps.append((n1, low, neg_inv, lead))
+        cofs.append(s1)
+        r0, s0 = _fold(r0, s0, low, s1, n0, n1, bits, p, neg_inv)
+        r0, s0 = reduce(r0), reduce(s0)
+        n0, n1 = n1, n1 - 1
+        while n1:
+            lead = (r0 >> (n1 - 1) * bits) % p
+            if lead:
+                break
+            n1 -= 1
+            r0 &= (1 << n1 * bits) - 1
+        if not n1:
+            return width, code, steps, cofs
+        r0, r1, s0, s1 = r1, r0, s1, s0
 
 
 def _strip(vals: list) -> list:

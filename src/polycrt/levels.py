@@ -11,8 +11,9 @@ whose degrees strictly decrease from ``sigma_0`` down to the final entry
 ``sigma_{K+1}``, a nonzero scalar.  Only the products ``m * sigma_i`` are
 stored: they are the remainders of the Euclid pass that finds ``m``, and the
 chain is derived from them.  The same pass yields the Bezout cofactors the
-decoder weights its quotients by, without building a quotient
-(:func:`polycrt.poly._euclid_chain`).  Each chain index ``i`` in ``1..K+1`` is a
+decoder weights its quotients by, without building a quotient; both are
+stored as the decoder's packed cascade chain, in the form the pass leaves
+them (:func:`polycrt.poly._euclid_chain`).  Each chain index ``i`` in ``1..K+1`` is a
 *level*: residue errors of degree up to (exclusive) ``deg(m) + deg(sigma_i)``
 can be tolerated for messages of degree up to (exclusive)
 ``deg(lcm) - deg(sigma_i)``.  Lower levels tolerate bigger errors on a
@@ -33,7 +34,7 @@ from .errors import (
     ZeroModulusError,
 )
 from .field import PrimeField
-from .poly import Polynomial, _euclid_chain, gcd
+from .poly import PackedChain, Polynomial, _euclid_chain, gcd
 
 
 @dataclass(frozen=True)
@@ -55,17 +56,18 @@ class LevelSpec:
 class ModuliPairAnalysis:
     """Everything derived from a moduli pair that encode/decode needs.
 
-    ``cascade_moduli`` holds ``m * sigma_i`` for ``i = 1..K+1``, the step
-    moduli of the decoder's remainder cascade; they are the remainders of
-    the Euclid pass over ``(m2, m1)`` that also yields ``m``, and the only
-    stored form of the chain.  :attr:`sigma` (``sigma_{-1} .. sigma_{K+1}``)
-    and :attr:`remainders` (``sigma_1 .. sigma_{K+1}``) are derived from
-    them by exact division by ``m``.  ``cascade_cofactors`` holds the Bezout
-    cofactors ``s_i`` of the same pass, ``s_i * m2 + t_i * m1 = m * sigma_i``,
-    so ``s_i * gamma2 == sigma_i (mod gamma1)`` and
-    ``deg(s_i) = deg(m1) - deg(m * sigma_{i-1})``; the decoder weights each
-    cascade quotient by one of them.  ``swapped`` records whether the input
-    order was reversed to keep ``deg(m1) <= deg(m2)``.
+    ``chain`` is the only stored form of the cascade: the steps of the
+    Euclid pass over ``(m2, m1)`` that also yields ``m``, packed as the
+    decoder folds them (:class:`~polycrt.poly.PackedChain`, for inputs as
+    long as ``m2``).  Step 0 is ``m1`` with cofactor 0, and step ``i`` in
+    ``1..K+1`` is ``m * sigma_i`` with the Bezout cofactor ``s_i`` of the
+    same pass, ``s_i * m2 + t_i * m1 = m * sigma_i``, so ``s_i * gamma2 ==
+    sigma_i (mod gamma1)`` and ``deg(s_i) = deg(m1) - deg(m * sigma_{i-1})``.
+    :attr:`cascade_moduli` and :attr:`cascade_cofactors` unpack steps
+    ``1..K+1``; :attr:`sigma` (``sigma_{-1} .. sigma_{K+1}``) and
+    :attr:`remainders` (``sigma_1 .. sigma_{K+1}``) divide the moduli by
+    ``m``.  ``swapped`` records whether the input order was reversed to keep
+    ``deg(m1) <= deg(m2)``.
     """
 
     m1: Polynomial
@@ -77,13 +79,22 @@ class ModuliPairAnalysis:
     gamma_inv21: Polynomial
     K: int
     levels: Tuple[LevelSpec, ...]
-    cascade_moduli: Tuple[Polynomial, ...]
-    cascade_cofactors: Tuple[Polynomial, ...]
+    chain: PackedChain
     swapped: bool
 
     @property
     def field(self) -> PrimeField:
         return self.m1.field
+
+    @property
+    def cascade_moduli(self) -> Tuple[Polynomial, ...]:
+        """The step moduli m * sigma_1 .. m * sigma_{K+1}, from the chain."""
+        return tuple(map(self.chain.modulus, range(1, len(self.chain.steps))))
+
+    @property
+    def cascade_cofactors(self) -> Tuple[Polynomial, ...]:
+        """The Bezout cofactors s_1 .. s_{K+1} of the steps, from the chain."""
+        return tuple(map(self.chain.cofactor, range(1, len(self.chain.cofs))))
 
     @property
     def sigma(self) -> Tuple[Polynomial, ...]:
@@ -126,9 +137,10 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     # gamma2, its remainders are m * sigma_1 .. m * sigma_{K+1} (the cascade
     # moduli), its last nonzero remainder is m times the scalar sigma_{K+1},
     # and its Bezout cofactors s_i satisfy s_i * gamma2 == sigma_i (mod
-    # gamma1), with deg(s_i) < deg(gamma1).
-    rems, cofactors = _euclid_chain(m2, m1)
-    last = rems[-1] if rems else m1
+    # gamma1), with deg(s_i) < deg(gamma1).  The chain's last step is m1
+    # when there is no remainder.
+    chain = _euclid_chain(m2, m1)
+    last = chain.modulus(-1)
     m = last.monic()
     if m.degree == 0:
         raise CoprimeModuliError(
@@ -151,7 +163,7 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     # At the final scalar entry c, which is also the leading coefficient of
     # the last remainder since m is monic, s_{K+1} / c inverts gamma2
     # modulo gamma1.
-    inv21 = cofactors[-1]._scale(m.field.inv(last.lead))
+    inv21 = chain.cofactor(-1)._scale(m.field.inv(last.lead))
 
     # deg(sigma_i) = deg(m * sigma_i) - deg(m).
     deg_m = m.degree
@@ -159,11 +171,11 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     levels = tuple(
         LevelSpec(
             index=i,
-            sigma_deg=r.degree - deg_m,
-            error_bound_exclusive=r.degree,
-            dynamic_range_exclusive=deg_big - r.degree + deg_m,
+            sigma_deg=d - deg_m,
+            error_bound_exclusive=d,
+            dynamic_range_exclusive=deg_big - d + deg_m,
         )
-        for i, r in enumerate(rems, start=1)
+        for i, d in enumerate(chain.degrees()[0][1:], start=1)
     )
 
     analysis = ModuliPairAnalysis(
@@ -176,8 +188,7 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         gamma_inv21=inv21,
         K=len(levels) - 1,
         levels=levels,
-        cascade_moduli=tuple(rems),
-        cascade_cofactors=tuple(cofactors),
+        chain=chain,
         swapped=swapped,
     )
     _assert_invariants(analysis)
@@ -187,19 +198,20 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
 def _assert_invariants(analysis: ModuliPairAnalysis) -> None:
     # Explicit raises rather than assert statements, so that python -O keeps
     # this cross-check of the polynomial kernels.  The chain is checked
-    # through the degrees of m * sigma_{-1} .. m * sigma_{K+1}.
-    degs = [analysis.m2.degree, analysis.m1.degree]
-    degs += [r.degree for r in analysis.cascade_moduli]
+    # through the degrees of m * sigma_{-1} .. m * sigma_{K+1}, read off its
+    # packed steps.
+    step_degs, cofactor_degs = analysis.chain.degrees()
+    degs = [analysis.m2.degree, analysis.m1.degree] + step_degs[1:]
     if degs[0] < degs[1]:
         raise AssertionError("starting entries out of order")
     if not all(degs[i] > degs[i + 1] for i in range(1, len(degs) - 1)):
         raise AssertionError("chain degrees do not strictly decrease")
     if degs[-1] != analysis.m.degree:
         raise AssertionError("chain does not end in a nonzero scalar")
-    cofactors = analysis.cascade_cofactors
-    if len(cofactors) != analysis.K + 1:
+    cofactor_degs = cofactor_degs[1:]
+    if len(cofactor_degs) != analysis.K + 1:
         raise AssertionError("cascade cofactors do not number K + 1")
-    if any(s.degree != degs[1] - d for s, d in zip(cofactors, degs[1:])):
+    if any(s != degs[1] - d for s, d in zip(cofactor_degs, degs[1:])):
         raise AssertionError("cascade cofactor degrees do not match the chain")
     if (analysis.gamma_inv21 * analysis.gamma2) % analysis.gamma1 != Polynomial(
         analysis.field, (1,)

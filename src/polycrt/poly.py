@@ -20,8 +20,10 @@ reciprocal (:mod:`polycrt.kronecker`), short ones with schoolbook loops.
 with a quotient-weighted sum, step after step, without building any
 quotient: the Euclid pass with its Bezout cofactors, and the decoder's
 remainder cascade.  Over F_2 they XOR shifted ints; over odd p each step is
-one fold on packed ints, reduced mod p once per Euclid step and once per
-cascade.  Kernel results skip re-reduction in ``Polynomial.__init__``.  The
+one fold on packed ints.  The Euclid pass never unpacks: Barrett reduction
+keeps every slot below 3p, and the pass's steps are stored as they are
+(:class:`PackedChain`), so the cascade reduces mod p once, at its end.
+Kernel results skip re-reduction in ``Polynomial.__init__``.  The
 tests check every fast kernel against a schoolbook or step-by-step
 ``divmod`` reference.
 """
@@ -29,7 +31,7 @@ tests check every fast kernel against a schoolbook or step-by-step
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BothZeroError,
@@ -39,7 +41,14 @@ from .errors import (
     ZeroInputError,
 )
 from .field import PrimeField
-from .kronecker import _fold_chain, _fold_euclid, _kronecker_mul, _newton_divmod, _strip
+from .kronecker import (
+    _fold_chain,
+    _fold_euclid,
+    _kronecker_mul,
+    _newton_divmod,
+    _strip,
+    _unpack,
+)
 
 NEG_INF = float("-inf")
 
@@ -386,27 +395,111 @@ def _clmod(a: int, b: int) -> int:
     return a
 
 
-def _reduce_chain(
-    v: Polynomial, moduli: Sequence[Polynomial], cofactors: Sequence[Polynomial]
-) -> Tuple[Polynomial, Polynomial]:
-    """``v`` reduced modulo each of ``moduli`` in turn, and its quotients weighted.
+class PackedChain:
+    """The steps of a remainder cascade, each a modulus and a cofactor, as the kernels store them.
 
-    Returns ``(remainder, sum of q_j * cofactors[j])``, where ``q_j`` is the
+    ``size`` is the most coefficients an input to the cascade may have.
+    Over F_2, ``steps[i]`` and ``cofs[i]`` are the packed ints of step i's
+    modulus and cofactor, and ``layout`` is None.  Over odd p, ``layout`` is
+    the slot width and struct code of
+    :func:`~polycrt.kronecker._chain_layout` for ``size``, ``steps[i]`` is
+    ``(length, low, neg_inv, lead)`` and ``cofs[i]`` the packed cofactor,
+    as :func:`~polycrt.kronecker._fold_euclid` returns them.  Their slots
+    may hold any value below 3p, so equal polynomials may pack to different
+    ints: equality compares the polynomials that :meth:`modulus` and
+    :meth:`cofactor` unpack, and hashing their lengths and leads.
+    """
+
+    __slots__ = ("field", "size", "layout", "steps", "cofs")
+
+    def __init__(
+        self, field: PrimeField, size: int, layout: Optional[tuple], steps: Sequence,
+        cofs: Sequence[int],
+    ) -> None:
+        self.field = field
+        self.size = size
+        self.layout = layout
+        self.steps = tuple(steps)
+        self.cofs = tuple(cofs)
+
+    def modulus(self, i: int) -> Polynomial:
+        """Step i's modulus."""
+        if self.layout is None:
+            return _from_bits(self.field, self.steps[i])
+        n, low, _, lead = self.steps[i]
+        return _from_reduced(self.field, self._reduced(low, n - 1) + [lead] if n else [])
+
+    def cofactor(self, i: int) -> Polynomial:
+        """Step i's cofactor."""
+        cof = self.cofs[i]
+        if self.layout is None:
+            return _from_bits(self.field, cof)
+        slots = -(-cof.bit_length() // (8 * self.layout[0]))
+        return _from_reduced(self.field, self._reduced(cof, slots))
+
+    def degrees(self) -> Tuple[list, list]:
+        """Degrees of the step moduli and of the cofactors, read off the packed ints.
+
+        An odd-p cofactor whose top slot is zero mod p has no degree: None.
+        """
+        if self.layout is None:
+            return [_bits_degree(b) for b in self.steps], [_bits_degree(s) for s in self.cofs]
+        bits, p = 8 * self.layout[0], self.field.p
+        cof_degs: list = []
+        for cof in self.cofs:
+            top = (cof.bit_length() - 1) // bits
+            cof_degs.append(NEG_INF if not cof else top if (cof >> top * bits) % p else None)
+        return [step[0] - 1 if step[0] else NEG_INF for step in self.steps], cof_degs
+
+    def _reduced(self, packed: int, size: int) -> list:
+        p = self.field.p
+        return [c % p for c in _unpack(packed, size, *self.layout)]
+
+    def _polynomials(self) -> tuple:
+        return (
+            self.field,
+            tuple(map(self.modulus, range(len(self.steps)))),
+            tuple(map(self.cofactor, range(len(self.cofs)))),
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PackedChain):
+            return NotImplemented
+        return self._polynomials() == other._polynomials()
+
+    def __hash__(self) -> int:
+        # Every packing of equal polynomials has the same step lengths and leads.
+        if self.layout is None:
+            return hash((self.field, self.steps, self.cofs))
+        return hash((self.field, tuple((n, lead) for n, _, _, lead in self.steps), len(self.cofs)))
+
+
+def _bits_degree(bits: int) -> Degree:
+    return bits.bit_length() - 1 if bits else NEG_INF
+
+
+def _reduce_chain(
+    v: Polynomial, chain: PackedChain, start: int, stop: int
+) -> Tuple[Polynomial, Polynomial]:
+    """``v`` reduced modulo steps ``start .. stop - 1`` of ``chain`` in turn, and its quotients weighted.
+
+    Returns ``(remainder, sum of q_j * cofactor_j)``, where ``q_j`` is the
     quotient of step ``j`` (zero when the running remainder is already below
-    the step's degree).  ``cofactors`` pairs one to one with ``moduli`` (a
-    length mismatch raises ``ValueError``), and all are over ``v``'s field;
-    the caller checks.  Over F_2 each quotient bit XORs the shifted modulus
+    the step's degree).  ``v`` is over the chain's field, which the caller
+    checks, and has at most ``chain.size`` coefficients (a longer one raises
+    ``ValueError``).  Over F_2 each quotient bit XORs the shifted modulus
     into the remainder and the shifted cofactor into the sum; over odd p,
     see :func:`~polycrt.kronecker._fold_chain`.
     """
+    if v.degree >= chain.size:
+        raise ValueError(f"input of degree {v.degree} is too long for this chain")
     field = v.field
+    steps, cofs = chain.steps[start:stop], chain.cofs[start:stop]
     if field.p == 2:
         bits, acc = v._bits, 0
-        for step, cof in zip(moduli, cofactors, strict=True):
-            b = step._bits
+        for b, s in zip(steps, cofs, strict=True):
             if not b:
                 raise DivisionByZeroError("polynomial division by zero")
-            s = cof._bits
             top = b.bit_length()
             shift = bits.bit_length() - top
             while shift >= 0:
@@ -414,38 +507,38 @@ def _reduce_chain(
                 acc ^= s << shift
                 shift = bits.bit_length() - top
         return _from_bits(field, bits), _from_bits(field, acc)
-    moduli, cofactors = [m._coeffs for m in moduli], [c._coeffs for c in cofactors]
-    tail, total = _fold_chain(v._coeffs, moduli, cofactors, field.p)
+    tail, total = _fold_chain(v._coeffs, steps, cofs, *chain.layout, field.p)
     return _from_reduced(field, tail), _from_reduced(field, total)
 
 
-def _euclid_chain(a: Polynomial, b: Polynomial) -> Tuple[list, list]:
-    """Nonzero remainders ``r_2, r_3, ...`` of the Euclid pass over ``(a, b)``, and cofactors.
+def _euclid_chain(a: Polynomial, b: Polynomial) -> PackedChain:
+    """The Euclid pass over ``(a, b)`` as a chain: steps ``b, r_2, r_3, ...`` and cofactors.
 
     For nonzero ``b`` with ``deg(a) >= deg(b)``: ``r_0, r_1 = a, b``,
     ``r_i = r_{i-2} mod r_{i-1}`` and ``s_i * a + t_i * b == r_i``, where
-    ``s_0, s_1 = 1, 0`` and ``s_i = s_{i-2} - q_i * s_{i-1}``.  Each step
+    ``s_0, s_1 = 1, 0`` and ``s_i = s_{i-2} - q_i * s_{i-1}``.  Step 0 is
+    ``(b, 0)`` and step ``i - 1`` is ``(r_i, s_i)`` for every nonzero
+    ``r_i``, ``i >= 2``; the chain takes inputs as long as ``a``.  Each step
     reduces ``(r_{i-2}, s_{i-2})`` by ``(r_{i-1}, s_{i-1})`` the way
     :func:`_reduce_chain` reduces a remainder and its sum, building no quotient.
     """
     field = a.field
     if field.p == 2:
-        rems, cofs = [], []
+        steps, cofs = [], []
         r0, r1, s0, s1 = a._bits, b._bits, 1, 0
-        while True:
+        while r1:
+            steps.append(r1)
+            cofs.append(s1)
             top = r1.bit_length()
             shift = r0.bit_length() - top
             while shift >= 0:
                 r0 ^= r1 << shift
                 s0 ^= s1 << shift
                 shift = r0.bit_length() - top
-            if not r0:
-                return rems, cofs
-            rems.append(_from_bits(field, r0))
-            cofs.append(_from_bits(field, s0))
             r0, r1, s0, s1 = r1, r0, s1, s0
-    rems, cofs = _fold_euclid(a._coeffs, b._coeffs, field.p)
-    return [_from_reduced(field, r) for r in rems], [_from_reduced(field, s) for s in cofs]
+        return PackedChain(field, a._bits.bit_length(), None, steps, cofs)
+    width, code, steps, cofs = _fold_euclid(a._coeffs, b._coeffs, field.p)
+    return PackedChain(field, len(a._coeffs), (width, code), steps, cofs)
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:

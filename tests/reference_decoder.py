@@ -9,7 +9,9 @@ divisibility check on ``q21 - tail``.  It runs its own cascade loop and
 takes every remainder from ``divmod``, so a fault in the remainder-only
 ``%`` or in the library's chain kernel shows up as a difference.  The
 library computes the same values in one Euclid pass and one formula; these
-versions exist only so tests can compare the two.  The guards below raise
+versions exist only so tests can compare the two.  ``pack_chain`` is the
+tests' one way to pack a chain of their own polynomials in the form an
+analysis stores.  The guards below raise
 ``AssertionError`` explicitly: this is not a ``test_*.py`` module, so
 pytest does not rewrite its ``assert`` statements and ``python -O`` would
 strip them.
@@ -29,6 +31,28 @@ from polycrt import (
     lcm,
     xgcd,
 )
+from polycrt.kronecker import _chain_layout, _pack
+from polycrt.poly import PackedChain
+
+
+def pack_chain(field, moduli, cofactors, size: int) -> PackedChain:
+    """The stored chain of these step moduli and cofactors, for inputs of up to ``size`` coefficients.
+
+    Slots hold the reduced coefficients; a zero modulus packs as an empty step.
+    """
+    p = field.p
+    if p == 2:
+        bits = [sum(c << i for i, c in enumerate(x.coeffs)) for x in (*moduli, *cofactors)]
+        return PackedChain(field, size, None, bits[: len(moduli)], bits[len(moduli) :])
+    width, code, _ = _chain_layout(p, size)
+    steps = []
+    for step in moduli:
+        c = step.coeffs
+        lead = c[-1] if c else 0
+        neg_inv = -pow(lead, -1, p) % p if c else 0
+        steps.append((len(c), _pack(c[:-1], width, code), neg_inv, lead))
+    cofs = [_pack(s.coeffs, width, code) for s in cofactors]
+    return PackedChain(field, size, (width, code), steps, cofs)
 
 
 def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
@@ -82,8 +106,12 @@ def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis
         gamma_inv21=inv21,
         K=k_index,
         levels=levels,
-        cascade_moduli=tuple(m * chain[i + 1] for i in range(1, k_index + 2)),
-        cascade_cofactors=cofactors,
+        chain=pack_chain(
+            m.field,
+            [m1] + [m * chain[i + 1] for i in range(1, k_index + 2)],
+            (Polynomial(m.field),) + cofactors,
+            m2.degree + 1,
+        ),
         swapped=swapped,
     )
 

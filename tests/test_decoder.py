@@ -21,6 +21,7 @@ from polycrt import (
 from polycrt.simulation import enumerate_polynomials, sample_error, sample_polynomial
 
 from conftest import REF_A, poly
+from reference_decoder import pack_chain
 
 
 def corrupted_pair(analysis, residues, e1, e2):
@@ -70,6 +71,21 @@ class TestRemainderCascade:
                     want = divmod(want, step)[1]
                 assert remainder_cascade(v, analysis, level) == want
 
+    @pytest.mark.parametrize("p", [2, 13, 65521])
+    def test_inputs_longer_than_m2(self, p):
+        # The stored chain takes inputs up to deg(m2); longer ones are first
+        # reduced by the step 1 modulus.
+        field = PrimeField(p)
+        rng = random.Random(f"long-cascade:{p}")
+        analysis = random_moduli_pair(field, rng, (3, 6), (8, 12))
+        for degree in (analysis.m2.degree, analysis.m2.degree + 1, 3 * analysis.m2.degree):
+            v = sample_polynomial(degree, field, rng) + Polynomial(field, [0] * degree + [1])
+            for level in (1, analysis.K + 1):
+                want = v
+                for step in analysis.cascade_moduli[:level]:
+                    want = divmod(want, step)[1]
+                assert remainder_cascade(v, analysis, level) == want
+
     def test_rejects_other_field_and_levels_outside_the_range(self, f2, f13, reference_pair):
         with pytest.raises(MixedFieldsError):
             remainder_cascade(poly(f13, "x^9+x+1"), reference_pair, 1)
@@ -80,9 +96,12 @@ class TestRemainderCascade:
 
     def test_zero_step_modulus_raises_instead_of_looping(self, f2, reference_pair):
         # Only a hand-built analysis can hold one; analyze_pair never does.
-        broken = dataclasses.replace(
-            reference_pair, cascade_moduli=(Polynomial(f2),) * (reference_pair.K + 1)
+        an = reference_pair
+        zero = Polynomial(f2)
+        chain = pack_chain(
+            f2, (an.m1,) + (zero,) * (an.K + 1), (zero,) + an.cascade_cofactors, an.m2.degree + 1
         )
+        broken = dataclasses.replace(an, chain=chain)
         for v in (poly(f2, "x^9+x+1"), Polynomial(f2)):
             with pytest.raises(DivisionByZeroError):
                 remainder_cascade(v, broken, 1)

@@ -28,9 +28,19 @@ from polycrt import (
     residue_error_bound,
 )
 from polycrt.levels import _assert_invariants
+from polycrt.poly import PackedChain
 from polycrt.simulation import enumerate_polynomials, sample_monic
 
 from conftest import REF_M1, REF_M2, SRC, poly
+from reference_decoder import pack_chain
+
+
+def readme_factors_pair(field):
+    """The README pair's factors multiplied out over ``field``."""
+    shared = poly(field, "x^2+1")
+    return analyze_pair(
+        shared * poly(field, "x^6+x^3+1"), shared * poly(field, "x^9+x^7+x+1")
+    )
 
 
 class TestAnalyzePair:
@@ -166,15 +176,40 @@ class TestChainInvariants:
                 assert (an.gamma_inv21 * an.gamma2) % an.gamma1 == one
 
     def test_invariants_reject_corrupted_analysis(self, reference_pair):
-        an = reference_pair
-        cm = an.cascade_moduli
-        one = Polynomial(an.field, (1,))
+        self.check_corruptions(reference_pair)
+
+    def test_invariants_reject_corrupted_odd_p_analysis(self):
+        an = readme_factors_pair(PrimeField(13))
+        self.check_corruptions(an)
+        # A new top slot holding p leaves the cofactor's value but not its
+        # degree as the slot count reads it.
+        chain = an.chain
+        bits = 8 * chain.layout[0]
+        cofs = list(chain.cofs)
+        cofs[-1] += 13 << -(-cofs[-1].bit_length() // bits) * bits
+        broken = PackedChain(an.field, chain.size, chain.layout, chain.steps, cofs)
+        assert broken == chain
+        with pytest.raises(AssertionError, match="^cascade cofactor degrees do not match"):
+            _assert_invariants(dataclasses.replace(an, chain=broken))
+
+    @staticmethod
+    def check_corruptions(an):
+        cm, cf = an.cascade_moduli, an.cascade_cofactors
+        zero, one = Polynomial(an.field), Polynomial(an.field, (1,))
+
+        def chain(moduli=cm, cofactors=cf):
+            # Step 0 is m1 with cofactor 0, as analyze_pair stores it.
+            return pack_chain(
+                an.field, (an.m1,) + moduli, (zero,) + cofactors, an.m2.degree + 1
+            )
+
         _assert_invariants(an)
+        _assert_invariants(dataclasses.replace(an, chain=chain()))
         for broken, message in (
             ({"m1": an.m2, "m2": an.m1}, "starting entries out of order"),
-            ({"cascade_moduli": cm[:-1]}, "chain does not end in a nonzero scalar"),
+            ({"chain": chain(moduli=cm[:-1])}, "chain does not end in a nonzero scalar"),
             (
-                {"cascade_moduli": (cm[1], cm[0]) + cm[2:]},
+                {"chain": chain(moduli=(cm[1], cm[0]) + cm[2:])},
                 "chain degrees do not strictly decrease",
             ),
             (
@@ -182,15 +217,15 @@ class TestChainInvariants:
                 "gamma_inv21 * gamma2 != 1 (mod gamma1)",
             ),
             (
-                {"cascade_cofactors": an.cascade_cofactors[:-1]},
+                {"chain": chain(cofactors=cf[:-1])},
                 "cascade cofactors do not number K + 1",
             ),
             (
-                {"cascade_cofactors": an.cascade_cofactors[::-1]},
+                {"chain": chain(cofactors=cf[::-1])},
                 "cascade cofactor degrees do not match the chain",
             ),
             (
-                {"cascade_cofactors": an.cascade_cofactors[1:] + (one,)},
+                {"chain": chain(cofactors=cf[1:] + (one,))},
                 "cascade cofactor degrees do not match the chain",
             ),
         ):
@@ -219,13 +254,18 @@ class TestCascadeCofactors:
             assert an.gamma_inv21 == inverse
 
     def test_copy_deepcopy_and_pickle_keep_the_cofactors(self, reference_pair):
-        for clone in (
-            copy.copy(reference_pair),
-            copy.deepcopy(reference_pair),
-            pickle.loads(pickle.dumps(reference_pair)),
-        ):
-            assert clone.cascade_cofactors == reference_pair.cascade_cofactors
-            assert clone == reference_pair
+        self.check_copies(reference_pair)
+
+    @pytest.mark.parametrize("p", [13, 65521])
+    def test_copies_of_odd_p_analyses(self, p):
+        self.check_copies(readme_factors_pair(PrimeField(p)))
+
+    @staticmethod
+    def check_copies(an):
+        for clone in (copy.copy(an), copy.deepcopy(an), pickle.loads(pickle.dumps(an))):
+            assert clone.cascade_cofactors == an.cascade_cofactors
+            assert clone.cascade_moduli == an.cascade_moduli
+            assert clone == an and hash(clone) == hash(an)
             _assert_invariants(clone)
 
 

@@ -7,9 +7,12 @@ coefficients (every slot at its maximum) and the lengths at which the slot
 width ``min(len) * (p - 1)**2`` crosses a byte or a machine-word boundary.
 ``Polynomial.__divmod__`` divides long quotients by long divisors through a
 Newton reciprocal; schoolbook division is the reference, on both sides of
-the length rule that picks the path.  The last part checks that results
-built by the trusted constructor are canonical: no trailing zeros, equal and
-hashing like constructed and parsed polynomials, immutable.
+the length rule that picks the path.  Then results built by the trusted
+constructor are checked to be canonical: no trailing zeros, equal and
+hashing like constructed and parsed polynomials, immutable.  The last part
+checks the slot layout of a stored chain: the Barrett reduction of the
+Euclid pass on every value a slot may reach, a fold whose every slot is at
+its most, and the stored slots of real analyses.
 """
 
 import random
@@ -17,7 +20,8 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polycrt import Polynomial, PrimeField, parse_polynomial
+from polycrt import Polynomial, PrimeField, parse_polynomial, random_moduli_pair
+from polycrt.kronecker import _chain_layout, _fold, _pack, _unpack
 from polycrt.poly import (
     _NEWTON_MIN_DIVISOR,
     _NEWTON_MIN_QUOTIENT,
@@ -298,3 +302,74 @@ class TestTrustedConstructor:
             assert value._scale(3) == value * Polynomial(field, (3,))
             assert_canonical(-value)
             assert_canonical(value._scale(3))
+
+
+# (p, n) where the 2 * (t - m + 1) + 1 bits that a chain's slot must hold,
+# for inputs of n coefficients (kronecker._chain_layout), end one bit short
+# of a byte boundary or one bit past one, in one-word and in joined slots.
+CHAIN_CASES = [
+    (3, 8), (3, 16), (13, 300), (13, 64), (65521, 194), (65521, 456), (1048573, 194),
+    (1048573, 456), (2**31 - 1, 2), (2**31 - 1, 64), (2**61 - 1, 100), (2**61 - 1, 194),
+    (2**64 - 59, 194), (2**64 - 59, 456),
+]
+
+
+def chain_bound(p, n):
+    """The most a slot of a chain for inputs of n coefficients may hold."""
+    return 3 * p + n * (p - 1) * 3 * p
+
+
+class TestChainLayout:
+    @pytest.mark.parametrize("p, n", CHAIN_CASES)
+    def test_reduction_brings_every_slot_below_3p(self, p, n):
+        width, code, reduce = _chain_layout(p, n)
+        bound = chain_bound(p, n)
+        need = 2 * (bound.bit_length() - p.bit_length() + 1) + 1
+        assert need % 8 in (1, 7) and need <= 8 * width
+        rng = random.Random(f"barrett:{p}:{n}")
+        values = [0, 1, p - 1, p, 2 * p, 3 * p - 1, 3 * p, bound - 1, bound]
+        values += [bound - rng.randrange(p * p) for _ in range(300)]
+        values += [rng.randrange(bound + 1) for _ in range(300)]
+        for i in range(0, len(values), n):
+            chunk = values[i : i + n]
+            got = _unpack(reduce(_pack(chunk, width, code)), len(chunk), width, code)
+            assert all(0 <= r < 3 * p and (r - x) % p == 0 for x, r in zip(chunk, got))
+
+    @pytest.mark.parametrize("p, n", CHAIN_CASES)
+    def test_worst_case_fold(self, p, n):
+        # Divisors of lengths n, n - 1, ..., 1 with lead 1 take one digit
+        # each, so the folds of an input of n coefficients have n digits,
+        # the most it allows.  Every divisor and cofactor slot below a lead
+        # holds 3p - 1, the most a stored slot may hold, and every input
+        # slot lies in [2p, 3p), chosen so that every digit is p - 1: the
+        # top slot at digit i holds i - 1 terms (p - 1) * (3p - 1) = 1
+        # (mod p) over its start, which must be 1 (mod p) for lead 1.  The
+        # last top slot collects n - 1 such terms and every sum slot n.
+        width, code, reduce = _chain_layout(p, n)
+        bits, full, term = 8 * width, 3 * p - 1, (p - 1) * (3 * p - 1)
+        rem = _pack([2 * p + (2 + j - n) % p for j in range(n)], width, code)
+        acc, cof = 0, _pack([full] * n, width, code)
+        for size in range(n, 0, -1):
+            if size == 1:
+                assert rem == 2 * p + (2 - n) % p + (n - 1) * term
+                assert 0 <= reduce(rem) < 3 * p and (reduce(rem) - rem) % p == 0
+            low = _pack([full] * (size - 1), width, code)
+            rem, acc = _fold(rem, acc, low, cof, size, size, bits, p, p - 1)
+        assert rem == 0
+        assert acc == _pack([n * term] * n, width, code)
+        got = _unpack(reduce(acc), n, width, code)
+        assert all(0 <= r < 3 * p and (r - n * term) % p == 0 for r in got)
+
+    @pytest.mark.parametrize("p", [3, 13, 65521, 2**61 - 1])
+    def test_stored_slots_lie_below_3p(self, p):
+        field = PrimeField(p)
+        rng = random.Random(f"stored:{p}")
+        for shape in [{}] * 10 + [{"gcd_degree": (3, 8), "cofactor_degree": (20, 40)}] * 3:
+            chain = random_moduli_pair(field, rng, **shape).chain
+            width, code = chain.layout
+            for (n, low, neg_inv, lead), cof in zip(chain.steps, chain.cofs, strict=True):
+                assert 0 < lead < p and (lead * neg_inv + 1) % p == 0
+                assert low.bit_length() <= (n - 1) * 8 * width
+                slots = list(_unpack(low, n - 1, width, code))
+                slots += _unpack(cof, -(-cof.bit_length() // (8 * width)), width, code)
+                assert all(0 <= s < 3 * p for s in slots)

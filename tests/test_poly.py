@@ -21,10 +21,12 @@ from polycrt import (
     random_moduli_pair,
     xgcd,
 )
-from polycrt.poly import _MAX_PARSE_DEGREE, _reduce_chain
+from polycrt.kronecker import _pack
+from polycrt.poly import _MAX_PARSE_DEGREE, PackedChain, _reduce_chain
 from polycrt.simulation import enumerate_polynomials
 
 from conftest import REF_M1, REF_M2, poly
+from reference_decoder import pack_chain
 
 
 def random_poly(field, max_len, rng):
@@ -127,6 +129,12 @@ def chain_reference(v, moduli, cofactors):
     return v, total
 
 
+def reduce_chain(v, moduli, cofactors):
+    """``_reduce_chain`` over the chain packed from these steps, for inputs as long as ``v``."""
+    chain = pack_chain(v.field, moduli, cofactors, max(len(v.coeffs), 1))
+    return _reduce_chain(v, chain, 0, len(moduli))
+
+
 def random_chain(field, degrees, rng):
     """Moduli of the given degrees and random cofactors of random lengths."""
     moduli = [
@@ -139,9 +147,10 @@ def random_chain(field, degrees, rng):
 class TestReduceChain:
     """``_reduce_chain`` against a step-by-step ``divmod`` loop."""
 
-    # 3, 13 and 65521 have one-word slots; 2**31 - 1 has them up to length
-    # 4, and 2**61 - 1 and 2**64 - 59 always have wider, joined slots.
-    PRIMES = [2, 3, 13, 65521, 2**31 - 1, 2**61 - 1, 2**64 - 59]
+    # 3, 13 and 65521 have one-word slots, and 1048573 has them up to inputs
+    # of length 300; 2**31 - 1, 2**61 - 1 and 2**64 - 59 have wider, joined
+    # slots.
+    PRIMES = [2, 3, 13, 65521, 1048573, 2**31 - 1, 2**61 - 1, 2**64 - 59]
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_analysis_chains_at_every_level(self, p):
@@ -152,12 +161,17 @@ class TestReduceChain:
                 an = random_moduli_pair(field, rng, **shape)
                 inputs = [random_poly(field, an.m1.degree, rng) for _ in range(3)]
                 inputs += [an.m2, Polynomial(field)]
+                # The stored chain: step 0 is m1 with cofactor 0.
+                moduli = (an.m1,) + an.cascade_moduli
+                cofactors = (Polynomial(field),) + an.cascade_cofactors
                 for level in range(1, an.K + 2):
-                    moduli = an.cascade_moduli[:level]
-                    cofactors = an.cascade_cofactors[:level]
                     for v in inputs:
-                        got = _reduce_chain(v, moduli, cofactors)
-                        assert got == chain_reference(v, moduli, cofactors)
+                        for start in (0, 1):
+                            got = _reduce_chain(v, an.chain, start, level + 1)
+                            want = chain_reference(
+                                v, moduli[start : level + 1], cofactors[start : level + 1]
+                            )
+                            assert got == want
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_long_quotients_and_degree_gaps(self, p):
@@ -170,7 +184,7 @@ class TestReduceChain:
             moduli, cofactors = random_chain(field, degrees, rng)
             for v_len in (0, 1, 30, degrees[0] + 1, 151):
                 v = random_poly(field, v_len, rng)
-                got = _reduce_chain(v, moduli, cofactors)
+                got = reduce_chain(v, moduli, cofactors)
                 assert got == chain_reference(v, moduli, cofactors)
 
     def test_readme_pair_drops(self, reference_pair):
@@ -178,7 +192,7 @@ class TestReduceChain:
         an = reference_pair
         assert [c.degree for c in an.cascade_moduli] == [6, 5, 3, 2]
         for v in enumerate_polynomials(an.field, an.m1.degree):
-            got = _reduce_chain(v, an.cascade_moduli, an.cascade_cofactors)
+            got = _reduce_chain(v, an.chain, 1, an.K + 2)
             assert got == chain_reference(v, an.cascade_moduli, an.cascade_cofactors)
 
     @pytest.mark.parametrize("p", PRIMES)
@@ -190,11 +204,11 @@ class TestReduceChain:
         moduli, cofactors = random_chain(field, [5, 10, 12], rng)
         cofactors[1] = cofactors[2] = Polynomial(field, [1, 2, 3])
         v = random_poly(field, 30, rng) + Polynomial(field, [0] * 30 + [1])
-        got = _reduce_chain(v, moduli, cofactors)
+        got = reduce_chain(v, moduli, cofactors)
         assert got == chain_reference(v, moduli, cofactors)
         assert got == chain_reference(v, moduli[:1], cofactors[:1])
         low = Polynomial(field, [1, 1])
-        assert _reduce_chain(low, moduli, cofactors) == (low, Polynomial(field))
+        assert reduce_chain(low, moduli, cofactors) == (low, Polynomial(field))
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_zero_modulus_raises(self, p):
@@ -204,39 +218,57 @@ class TestReduceChain:
         for v in (Polynomial(field, [1, 0, 1]), zero):
             for moduli in ((zero,), (Polynomial(field, [0, 1]), zero)):
                 with pytest.raises(DivisionByZeroError):
-                    _reduce_chain(v, moduli, (one,) * len(moduli))
+                    reduce_chain(v, moduli, (one,) * len(moduli))
 
     @pytest.mark.parametrize(
         "p, n",
-        [(3, 64), (13, 2), (13, 456), (65521, 2), (65521, 300), (2**31 - 1, 5), (2**61 - 1, 65),
-         (2**64 - 59, 2)],
+        [(3, 64), (13, 2), (13, 456), (65521, 2), (65521, 300), (1048573, 300), (1048573, 456),
+         (2**31 - 1, 5), (2**61 - 1, 65), (2**64 - 59, 2)],
     )
     def test_worst_case_slots(self, p, n):
         # Moduli of lengths n, n - 1, ..., 1 take one quotient digit each, so
-        # the cascade has n digits.  Every modulus and cofactor coefficient
-        # below the lead is p - 1, every lead is 1, and v is chosen so that
-        # every step meets a top coefficient of 1: every quotient is 1, which
-        # the fold adds as the digit -1 = p - 1.  So
-        # the lowest remainder slot collects n - 1 and the middle sum slot n
-        # additions of (p - 1)**2, the most a slot of n * (p - 1)**2 + p
-        # must hold.  Except in the long (65521, 300) case, a bound one bit
-        # smaller would give a slot one byte narrower, which the sum slot
-        # overflows.
+        # the cascade has n digits, the most an input of n coefficients
+        # allows.  Every modulus and cofactor coefficient below the lead is
+        # p - 1, stored as 3p - 1, the most a slot of the chain may hold,
+        # every lead is 1, and v is chosen so that every step meets a top
+        # coefficient of 1: every quotient is 1, which the fold adds as the
+        # digit -1 = p - 1.  So the lowest remainder slot collects n - 1 and
+        # the middle sum slot n additions of (p - 1) * (3p - 1).
         field = PrimeField(p)
         moduli = [Polynomial(field, [p - 1] * (n - i) + [1]) for i in range(1, n + 1)]
         cofactors = [Polynomial(field, [p - 1] * n)] * n
-        # Step i's top slot holds v[n - i] plus i - 1 additions of (p - 1)**2 = 1 (mod p).
+        # Step i's top slot holds v[n - i] plus i - 1 additions of
+        # (p - 1) * (3p - 1) = 1 (mod p).
         v = Polynomial(field, [j - n + 2 for j in range(n)])
         rem = v
         for step in moduli:
             q, rem = divmod(rem, step)
             assert q == Polynomial(field, [1])
-        assert _reduce_chain(v, moduli, cofactors) == chain_reference(v, moduli, cofactors)
+        packed = pack_chain(field, moduli, cofactors, n)
+
+        def raised(x, size):
+            # Every slot 2p higher: 3p - 1 in place of p - 1, the same mod p.
+            return x + _pack([2 * p] * size, *packed.layout)
+
+        steps = [(k, raised(low, k - 1), neg_inv, lead) for k, low, neg_inv, lead in packed.steps]
+        chain = PackedChain(field, n, packed.layout, steps, [raised(s, n) for s in packed.cofs])
+        assert chain == packed and hash(chain) == hash(packed)
+        got = _reduce_chain(v, chain, 0, n)
+        assert got == chain_reference(v, moduli, cofactors)
 
     def test_one_cofactor_per_modulus(self, f13):
         step = Polynomial(f13, [1, 1])
         with pytest.raises(ValueError):
-            _reduce_chain(step, (step, step), (step,))
+            reduce_chain(step, (step, step), (step,))
+
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_input_longer_than_the_chain_raises(self, p):
+        field = PrimeField(p)
+        step = Polynomial(field, [1, 1])
+        chain = pack_chain(field, (step,), (step,), 3)
+        _reduce_chain(Polynomial(field, [1, 1, 1]), chain, 0, 1)
+        with pytest.raises(ValueError):
+            _reduce_chain(Polynomial(field, [1, 1, 1, 1]), chain, 0, 1)
 
 
 class TestGcd:
