@@ -1,12 +1,13 @@
 """Residue encoding and exact two-moduli reconstruction.
 
 Encoding splits ``a`` into ``a_i = a mod m_i`` together with the folding
-polynomials ``k_i`` from ``a = k_i * m_i + a_i``.  Reconstruction inverts
-that map for any consistent residue pair: since
-``k2 * gamma2 - k1 * gamma1 = (a1 - a2) / m``, reducing modulo ``gamma1``
-recovers ``k2 = ((a1 - a2) / m) * gamma_inv21 mod gamma1`` and then
-``a = k2 * m2 + a2``.  The result is the unique preimage of degree below
-``deg(lcm(m1, m2))``.
+polynomials ``k_i`` from ``a = k_i * m_i + a_i``.  Reconstruction of a
+consistent residue pair is the decoder's cascade (:mod:`polycrt.decoder`) at
+the top level ``K + 1``: it reduces ``a1 - a2`` and weighs the quotients into
+``k2``, and ``a = k2 * m2 + a2`` is the unique preimage of degree below
+``deg(lcm(m1, m2))``.  Every step modulus is a multiple of ``m`` and the last
+is ``m`` times a scalar, so the tail is ``(a1 - a2) mod m``: zero exactly
+when the residues are consistent.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     MixedFieldsError,
 )
 from .levels import ModuliPairAnalysis
-from .poly import Polynomial
+from .poly import Polynomial, _reduce_chain
 
 
 def _check_residues(
@@ -94,10 +95,9 @@ def crt_pair(pair: ResiduePair) -> Polynomial:
     divisible by it), in which case no reconstruction exists.
     """
     analysis = pair.moduli
-    quot, rem = divmod(pair.a1 - pair.a2, analysis.m)
-    if not rem.is_zero:
+    tail, k2 = _reduce_chain(pair.a1 - pair.a2, analysis.chain, 0, analysis.K + 2)
+    if not tail.is_zero:
         raise InconsistentResiduesError(
             "residues disagree modulo gcd(m1, m2); no common preimage exists"
         )
-    k2 = (quot * analysis.gamma_inv21) % analysis.gamma1
     return k2 * analysis.m2 + pair.a2

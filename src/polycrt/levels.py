@@ -2,18 +2,19 @@
 
 Given moduli ``m1, m2`` with a common factor, the analysis derives their
 monic gcd ``m``, the coprime cofactors ``gamma1 = m1/m`` and
-``gamma2 = m2/m``, the monic lcm, the modular inverse of ``gamma2`` modulo
-``gamma1``, and the Euclidean remainder chain
+``gamma2 = m2/m``, the monic lcm, and the Euclidean remainder chain
 
     sigma_{-1} = gamma2,  sigma_0 = gamma1,  sigma_i = sigma_{i-2} mod sigma_{i-1}
 
 whose degrees strictly decrease from ``sigma_0`` down to the final entry
 ``sigma_{K+1}``, a nonzero scalar.  Only the products ``m * sigma_i`` are
-stored: they are the remainders of the Euclid pass that finds ``m``, and the
-chain is derived from them.  The same pass yields the Bezout cofactors the
-decoder weights its quotients by, without building a quotient; both are
-stored as the decoder's packed cascade chain, in the form the pass leaves
-them (:func:`polycrt.poly._euclid_chain`).  Each chain index ``i`` in ``1..K+1`` is a
+stored: they are the remainders of the Euclid pass that finds ``m``.  The
+same pass yields the Bezout cofactors the decoder weights its quotients by,
+without building a quotient; both are stored as the decoder's packed cascade
+chain, in the form the pass leaves them (:func:`polycrt.poly._euclid_chain`).
+The sigma chain (by a second Euclid pass, over the cofactors) and the
+inverse ``gamma_inv21`` of ``gamma2`` modulo ``gamma1`` (from the last step)
+are derived on read.  Each chain index ``i`` in ``1..K+1`` is a
 *level*: residue errors of degree up to (exclusive) ``deg(m) + deg(sigma_i)``
 can be tolerated for messages of degree up to (exclusive)
 ``deg(lcm) - deg(sigma_i)``.  Lower levels tolerate bigger errors on a
@@ -64,10 +65,11 @@ class ModuliPairAnalysis:
     same pass, ``s_i * m2 + t_i * m1 = m * sigma_i``, so ``s_i * gamma2 ==
     sigma_i (mod gamma1)`` and ``deg(s_i) = deg(m1) - deg(m * sigma_{i-1})``.
     :attr:`cascade_moduli` and :attr:`cascade_cofactors` unpack steps
-    ``1..K+1``; :attr:`sigma` (``sigma_{-1} .. sigma_{K+1}``) and
-    :attr:`remainders` (``sigma_1 .. sigma_{K+1}``) divide the moduli by
-    ``m``.  ``swapped`` records whether the input order was reversed to keep
-    ``deg(m1) <= deg(m2)``.
+    ``1..K+1``, and :attr:`gamma_inv21` scales the last cofactor.
+    :attr:`sigma` (``sigma_{-1} .. sigma_{K+1}``) and :attr:`remainders`
+    (``sigma_1 .. sigma_{K+1}``) take a second Euclid pass, over the
+    cofactors.  ``swapped`` records whether the input order was reversed to
+    keep ``deg(m1) <= deg(m2)``.
     """
 
     m1: Polynomial
@@ -76,7 +78,6 @@ class ModuliPairAnalysis:
     gamma1: Polynomial
     gamma2: Polynomial
     lcm: Polynomial
-    gamma_inv21: Polynomial
     K: int
     levels: Tuple[LevelSpec, ...]
     chain: PackedChain
@@ -97,11 +98,16 @@ class ModuliPairAnalysis:
         return tuple(map(self.chain.cofactor, range(1, len(self.chain.cofs))))
 
     @property
+    def gamma_inv21(self) -> Polynomial:
+        """gamma2's inverse mod gamma1: s_{K+1} over sigma_{K+1}, the last step's lead."""
+        return self.chain.cofactor(-1)._scale(self.field.inv(self.chain.modulus(-1).lead))
+
+    @property
     def sigma(self) -> Tuple[Polynomial, ...]:
-        """The chain sigma_{-1} .. sigma_{K+1}, from the cascade moduli."""
-        return (self.gamma2, self.gamma1) + tuple(
-            c // self.m for c in self.cascade_moduli
-        )
+        """The chain sigma_{-1} .. sigma_{K+1}: gamma2, then the steps of the
+        Euclid pass over (gamma2, gamma1), since m*a mod m*b == m*(a mod b)."""
+        chain = _euclid_chain(self.gamma2, self.gamma1)
+        return (self.gamma2,) + tuple(map(chain.modulus, range(len(chain.steps))))
 
     @property
     def remainders(self) -> Tuple[Polynomial, ...]:
@@ -140,8 +146,7 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     # gamma1), with deg(s_i) < deg(gamma1).  The chain's last step is m1
     # when there is no remainder.
     chain = _euclid_chain(m2, m1)
-    last = chain.modulus(-1)
-    m = last.monic()
+    m = chain.modulus(-1).monic()
     if m.degree == 0:
         raise CoprimeModuliError(
             "moduli are coprime (gcd is a scalar); a shared factor of degree"
@@ -159,11 +164,6 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     if m * gamma2 != m2:
         raise AssertionError("m * gamma2 != m2")
     big = (m1 * gamma2).monic()
-
-    # At the final scalar entry c, which is also the leading coefficient of
-    # the last remainder since m is monic, s_{K+1} / c inverts gamma2
-    # modulo gamma1.
-    inv21 = chain.cofactor(-1)._scale(m.field.inv(last.lead))
 
     # deg(sigma_i) = deg(m * sigma_i) - deg(m).
     deg_m = m.degree
@@ -185,7 +185,6 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         gamma1=gamma1,
         gamma2=gamma2,
         lcm=big,
-        gamma_inv21=inv21,
         K=len(levels) - 1,
         levels=levels,
         chain=chain,

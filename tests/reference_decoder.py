@@ -7,9 +7,13 @@ gamma1``.  It takes those remainders from ``divmod``, not ``%``.
 ``reference_reconstruct`` is the three-branch decoder, with an explicit
 divisibility check on ``q21 - tail``.  It runs its own cascade loop and
 takes every remainder from ``divmod``, so a fault in the remainder-only
-``%`` or in the library's chain kernel shows up as a difference.  The
-library computes the same values in one Euclid pass and one formula; these
-versions exist only so tests can compare the two.  ``pack_chain`` is the
+``%`` or in the library's chain kernel shows up as a difference.
+``reference_crt_pair`` is exact reconstruction by the closed formula
+``k2 = ((a1 - a2) / m * inv21) mod gamma1``.  All three take the inverse
+``inv21`` of ``gamma2`` modulo ``gamma1`` from their own ``xgcd``, not from
+the analysis, which derives it from the chain.  The library computes the
+same values in one Euclid pass and one cascade; these versions exist only
+so tests can compare the two.  ``pack_chain`` is the
 tests' one way to pack a chain of their own polynomials in the form an
 analysis stores.  The guards below raise
 ``AssertionError`` explicitly: this is not a ``test_*.py`` module, so
@@ -21,6 +25,7 @@ from polycrt import (
     Branch,
     CoprimeModuliError,
     DegenerateModuliError,
+    InconsistentResiduesError,
     LevelSpec,
     ModuliPairAnalysis,
     Polynomial,
@@ -55,6 +60,14 @@ def pack_chain(field, moduli, cofactors, size: int) -> PackedChain:
     return PackedChain(field, size, (width, code), steps, cofs)
 
 
+def reference_inverse(gamma2: Polynomial, gamma1: Polynomial) -> Polynomial:
+    """The inverse of ``gamma2`` modulo ``gamma1``, from ``xgcd``."""
+    g, s, _ = xgcd(gamma2, gamma1)
+    if g.degree != 0:
+        raise AssertionError("cofactors of the gcd must be coprime")
+    return divmod(s, gamma1)[1]
+
+
 def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     m1._check_field(m2)
     if m1.is_zero or m2.is_zero:
@@ -71,11 +84,7 @@ def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis
     if gamma1.degree == 0:
         raise DegenerateModuliError("one modulus divides the other")
     big = lcm(m1, m2)
-
-    g, s, _ = xgcd(gamma2, gamma1)
-    if g.degree != 0:
-        raise AssertionError("cofactors of the gcd must be coprime")
-    inv21 = divmod(s, gamma1)[1]
+    inv21 = reference_inverse(gamma2, gamma1)
 
     chain = [gamma2, gamma1]
     while chain[-1].degree > 0:
@@ -103,7 +112,6 @@ def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis
         gamma1=gamma1,
         gamma2=gamma2,
         lcm=big,
-        gamma_inv21=inv21,
         K=k_index,
         levels=levels,
         chain=pack_chain(
@@ -132,7 +140,20 @@ def reference_reconstruct(pair, level: int) -> ReconstructionResult:
         quot, rem = divmod(q21 - tail, analysis.m)
         if not rem.is_zero:
             raise AssertionError("difference minus cascade tail is not divisible by m")
-        k2_hat = divmod(quot * analysis.gamma_inv21, analysis.gamma1)[1]
+        inv21 = reference_inverse(analysis.gamma2, analysis.gamma1)
+        k2_hat = divmod(quot * inv21, analysis.gamma1)[1]
 
     a_hat = k2_hat * analysis.m2 + pair.r2
     return ReconstructionResult(a_hat, k2_hat, branch, q21, tail)
+
+
+def reference_crt_pair(pair) -> Polynomial:
+    analysis = pair.moduli
+    quot, rem = divmod(pair.a1 - pair.a2, analysis.m)
+    if not rem.is_zero:
+        raise InconsistentResiduesError(
+            "residues disagree modulo gcd(m1, m2); no common preimage exists"
+        )
+    inv21 = reference_inverse(analysis.gamma2, analysis.gamma1)
+    k2 = divmod(quot * inv21, analysis.gamma1)[1]
+    return k2 * analysis.m2 + pair.a2

@@ -1,4 +1,4 @@
-"""The one-pass analysis and one-formula decoder against the reference."""
+"""The one-pass analysis, the one-formula decoder and exact reconstruction against the reference."""
 
 import dataclasses
 import random
@@ -8,9 +8,13 @@ import pytest
 from polycrt import (
     Branch,
     ErroneousResiduePair,
+    InconsistentResiduesError,
     Polynomial,
     PrimeField,
+    ResiduePair,
     analyze_pair,
+    check_consistency,
+    crt_pair,
     encode,
     gcd,
     random_moduli_pair,
@@ -18,7 +22,7 @@ from polycrt import (
 )
 from polycrt.simulation import sample_error, sample_monic, sample_polynomial
 
-from reference_decoder import reference_analyze_pair, reference_reconstruct
+from reference_decoder import reference_analyze_pair, reference_crt_pair, reference_reconstruct
 
 
 def _assert_matches_reference(pair, level):
@@ -33,11 +37,26 @@ def _assert_matches_reference(pair, level):
     return got
 
 
+def _assert_crt_matches_reference(pair):
+    """crt_pair against the closed formula; both raise exactly when check_consistency fails."""
+    try:
+        want = reference_crt_pair(pair)
+    except InconsistentResiduesError as exc:
+        with pytest.raises(InconsistentResiduesError) as got:
+            crt_pair(pair)
+        assert str(got.value) == str(exc)
+        assert not check_consistency(pair)
+        return False
+    assert crt_pair(pair) == want
+    assert check_consistency(pair)
+    return True
+
+
 @pytest.mark.parametrize("p", [2, 3, 13, 65521, 1048573, 2**61 - 1])
 def test_matches_reference(p):
     field = PrimeField(p)
-    rng = random.Random(f"differential:{p}")
-    seen = set()
+    rng, crt_rng = random.Random(f"differential:{p}"), random.Random(f"crt:{p}")
+    seen, verdicts = set(), set()
     # Moduli of equal degree make clean residues of folded difference; the
     # last pair has them for sure.
     for cofactor_degree in [(1, 6)] * 25 + [(3, 3)]:
@@ -48,6 +67,14 @@ def test_matches_reference(p):
         for x, y in ((m1, m2), (m2, m1), (c1 * m1, c2 * m2)):
             got, want = analyze_pair(x, y), reference_analyze_pair(x, y)
             assert got == want and hash(got) == hash(want)
+        # Encoded residues, and random ones (mostly inconsistent, always at
+        # large p), drawn apart from the decoder cases below.
+        for _ in range(3):
+            a = sample_polynomial(analysis.lcm.degree, field, crt_rng)
+            residues, _ = encode(a, analysis)
+            assert _assert_crt_matches_reference(residues)
+            r1, r2 = (sample_polynomial(m.degree, field, crt_rng) for m in (m1, m2))
+            verdicts.add(_assert_crt_matches_reference(ResiduePair(r1, r2, analysis)))
         for level in range(1, analysis.K + 2):
             spec = analysis.level_spec(level)
             bound = spec.error_bound_exclusive
@@ -71,6 +98,7 @@ def test_matches_reference(p):
             pair = ErroneousResiduePair(residues.a1 + e1, residues.a2 + e2, analysis)
             seen.add(_assert_matches_reference(pair, level).branch)
     assert seen == set(Branch)
+    assert False in verdicts
 
 
 def test_large_pair_at_p2_every_level():
@@ -118,6 +146,9 @@ def test_large_pair_at_p2_every_level():
         )
         seen.add(_assert_matches_reference(pair, level).branch)
     assert seen == set(Branch)
+    a = sample_polynomial(analysis.lcm.degree, field, rng)
+    residues, _ = encode(a, analysis)
+    assert _assert_crt_matches_reference(residues) and crt_pair(residues) == a
 
 
 def test_large_pair_at_p65521():
@@ -146,3 +177,4 @@ def test_large_pair_at_p65521():
         assert got == reference_reconstruct(pair, level)
         assert got.k2_hat == witness.k2
         assert got.a_hat - a == e2
+        assert _assert_crt_matches_reference(residues) and crt_pair(residues) == a

@@ -146,8 +146,15 @@ class TestLevelTable:
 class TestChainInvariants:
     def test_chain_is_euclidean_remainder_sequence(self, f2, f13):
         rng = random.Random(6)
-        # At p = 65521 the gcd has >= 41 coefficients and the first chain
-        # entries >= 8, so deriving sigma divides by m on the Newton path.
+
+        def check(an):
+            expected = [an.gamma2, an.gamma1]
+            while expected[-1].degree > 0:
+                expected.append(expected[-2] % expected[-1])
+            assert list(an.sigma) == expected
+
+        # At p = 65521 the gcd has >= 41 coefficients and the cofactors >= 17,
+        # so analyze_pair divides by m on the Newton path.
         large = {"gcd_degree": (40, 48), "cofactor_degree": (16, 24)}
         for field, count, shape in (
             (f2, 25, {}),
@@ -155,11 +162,14 @@ class TestChainInvariants:
             (PrimeField(65521), 5, large),
         ):
             for _ in range(count):
-                an = random_moduli_pair(field, rng, **shape)
-                expected = [an.gamma2, an.gamma1]
-                while expected[-1].degree > 0:
-                    expected.append(expected[-2] % expected[-1])
-                assert list(an.sigma) == expected
+                check(random_moduli_pair(field, rng, **shape))
+        # The analyze-p65521 benchmark shape, gcd degree 64 and cofactors 128
+        # and 129: a long chain (K about 127), and m1 // m takes Newton.
+        field = PrimeField(65521)
+        shared, cof1, cof2 = (sample_monic(d, field, rng) for d in (64, 128, 129))
+        an = analyze_pair(shared * cof1, shared * cof2)
+        assert an.m == shared and an.K > 100
+        check(an)
 
     def test_chain_degrees_and_product_identities(self, f2, f13):
         rng = random.Random(7)
@@ -213,7 +223,8 @@ class TestChainInvariants:
                 "chain degrees do not strictly decrease",
             ),
             (
-                {"gamma_inv21": an.gamma_inv21 + one},
+                # Same degree, so only the derived inverse is wrong.
+                {"chain": chain(cofactors=cf[:-1] + (cf[-1] + one,))},
                 "gamma_inv21 * gamma2 != 1 (mod gamma1)",
             ),
             (
