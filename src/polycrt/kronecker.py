@@ -183,7 +183,7 @@ def _fold_chain(
 
 def _fold_euclid(
     a: Sequence[int], b: Sequence[int], p: int
-) -> Tuple[int, Optional[str], list, list]:
+) -> Tuple[int, Optional[str], list, list, list]:
     """Odd-p Euclid pass over coefficient tuples, never leaving packed form.
 
     For ``len(a) >= len(b) > 0`` with nonzero leads, returns the slot width
@@ -195,7 +195,8 @@ def _fold_euclid(
     mod p.  A cofactor is one packed int.  Each step is one :func:`_fold` of
     ``(r_{i-2}, s_{i-2})`` by ``(r_{i-1}, s_{i-1})``.  Both results are then
     reduced into ``[0, 3p)`` per slot, and the remainder drops top slots
-    that are zero mod p.
+    that are zero mod p.  The fifth value is the cofactor ``s_N`` of the
+    first zero remainder, as a list reduced mod p.
     """
     width, code, reduce = _chain_layout(p, len(a))
     bits = 8 * width
@@ -218,7 +219,7 @@ def _fold_euclid(
             n1 -= 1
             r0 &= (1 << n1 * bits) - 1
         if not n1:
-            return width, code, steps, cofs
+            return width, code, steps, cofs, [c % p for c in _unpack(s0, len(b), width, code)]
         r0, r1, s0, s1 = r1, r0, s1, s0
 
 

@@ -12,10 +12,11 @@ stored: they are the remainders of the Euclid pass that finds ``m``.  The
 same pass yields the Bezout cofactors the decoder weights its quotients by,
 without building a quotient; both are stored as the decoder's packed cascade
 chain, in the form the pass leaves them (:func:`polycrt.poly._euclid_chain`).
-The sigma chain (by a second Euclid pass, over the cofactors) and the
-inverse ``gamma_inv21`` of ``gamma2`` modulo ``gamma1`` (from the last step)
-are derived on read.  Each chain index ``i`` in ``1..K+1`` is a
-*level*: residue errors of degree up to (exclusive) ``deg(m) + deg(sigma_i)``
+The cofactor of the pass's zero remainder is ``gamma1`` times a scalar.  The
+sigma chain (by a second Euclid pass, over the cofactors) and the inverse
+``gamma_inv21`` of ``gamma2`` modulo ``gamma1`` (from the last step) are
+derived on read.  Each chain index ``i`` in ``1..K+1`` is a *level*:
+residue errors of degree up to (exclusive) ``deg(m) + deg(sigma_i)``
 can be tolerated for messages of degree up to (exclusive)
 ``deg(lcm) - deg(sigma_i)``.  Lower levels tolerate bigger errors on a
 smaller message range; the top level covers the full range ``deg(lcm)`` with
@@ -106,7 +107,7 @@ class ModuliPairAnalysis:
     def sigma(self) -> Tuple[Polynomial, ...]:
         """The chain sigma_{-1} .. sigma_{K+1}: gamma2, then the steps of the
         Euclid pass over (gamma2, gamma1), since m*a mod m*b == m*(a mod b)."""
-        chain = _euclid_chain(self.gamma2, self.gamma1)
+        chain, _ = _euclid_chain(self.gamma2, self.gamma1)
         return (self.gamma2,) + tuple(map(chain.modulus, range(len(chain.steps))))
 
     @property
@@ -144,15 +145,16 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     # moduli), its last nonzero remainder is m times the scalar sigma_{K+1},
     # and its Bezout cofactors s_i satisfy s_i * gamma2 == sigma_i (mod
     # gamma1), with deg(s_i) < deg(gamma1).  The chain's last step is m1
-    # when there is no remainder.
-    chain = _euclid_chain(m2, m1)
+    # when there is no remainder.  The cofactor of the pass's zero remainder
+    # is gamma1 times a scalar; gamma1 = m1 / m with m monic has m1's lead.
+    chain, last = _euclid_chain(m2, m1)
     m = chain.modulus(-1).monic()
     if m.degree == 0:
         raise CoprimeModuliError(
             "moduli are coprime (gcd is a scalar); a shared factor of degree"
             " >= 1 is required"
         )
-    gamma1 = m1 // m
+    gamma1 = last._scale(m1.lead * m1.field.inv(last.lead))
     gamma2 = m2 // m
     if gamma1.degree == 0:
         raise DegenerateModuliError(

@@ -16,16 +16,16 @@ thread builds it first, it is the same value.  Every other p stores the
 tuple and adds with schoolbook loops; it multiplies by Kronecker
 substitution and divides long quotients by long divisors through a Newton
 reciprocal (:mod:`polycrt.kronecker`), short ones with schoolbook loops.
-``%`` builds no quotient polynomial.  Two loops reduce a remainder together
-with a quotient-weighted sum, step after step, without building any
-quotient: the Euclid pass with its Bezout cofactors, and the decoder's
-remainder cascade.  Over F_2 they XOR shifted ints; over odd p each step is
-one fold on packed ints.  The Euclid pass never unpacks: Barrett reduction
-keeps every slot below 3p, and the pass's steps are stored as they are
-(:class:`PackedChain`), so the cascade reduces mod p once, at its end.
-Kernel results skip re-reduction in ``Polynomial.__init__``.  The
-tests check every fast kernel against a schoolbook or step-by-step
-``divmod`` reference.
+``divmod`` is the one division entry, and ``%`` is its remainder.  Two
+loops reduce a remainder together with a quotient-weighted sum, step after
+step, without building any quotient: the Euclid pass with its Bezout
+cofactors, and the decoder's remainder cascade.  Over F_2 they XOR shifted
+ints; over odd p each step is one fold on packed ints.  The Euclid pass
+never unpacks: Barrett reduction keeps every slot below 3p, and the pass's
+steps are stored as they are (:class:`PackedChain`), so the cascade reduces
+mod p once, at its end.  Kernel results skip re-reduction in
+``Polynomial.__init__``.  The tests check every fast kernel against a
+schoolbook or step-by-step ``divmod`` reference.
 """
 
 from __future__ import annotations
@@ -81,10 +81,7 @@ class Polynomial:
             _set_bits(self, _pack2([c % 2 for c in coeffs]))
             _set_coeffs(self, None)
             return
-        vals = [c % p for c in coeffs]
-        while vals and vals[-1] == 0:
-            vals.pop()
-        _set_coeffs(self, tuple(vals))
+        _set_coeffs(self, tuple(_strip([c % p for c in coeffs])))
         _set_bits(self, None)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -128,9 +125,6 @@ class Polynomial:
         if bits is None:
             return self._coeffs[-1] if self._coeffs else 0
         return 1 if bits else 0
-
-    def is_monic(self) -> bool:
-        return self.lead == 1
 
     def monic(self) -> "Polynomial":
         """Scalar multiple with leading coefficient 1 (zero stays zero)."""
@@ -192,29 +186,21 @@ class Polynomial:
             raise DivisionByZeroError("polynomial division by zero")
         field = self.field
         if field.p == 2:
-            a, b = self._bits, other._bits
-            if a.bit_length() < b.bit_length():
-                return Polynomial(field), self
-            quot, rem = _cldivmod(a, b)
+            quot, rem = _cldivmod(self._bits, other._bits)
             return _from_bits(field, quot), _from_bits(field, rem)
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
-            return Polynomial(field), self
-        quot, rem = _odd_divmod(a, b, field)
+            return _from_reduced(field, []), self
+        lead_inv = field.inv(b[-1])
+        if len(b) < _NEWTON_MIN_DIVISOR or len(a) - len(b) + 1 < _NEWTON_MIN_QUOTIENT:
+            quot, rem = _dense_divmod(a, b, field.p, lead_inv)
+        else:
+            quot, rem = _newton_divmod(a, b, field.p, lead_inv)
         return _from_reduced(field, quot), _from_reduced(field, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
-        """Remainder of :meth:`__divmod__`, without building the quotient polynomial."""
-        self._check_field(other)
-        if other.is_zero:
-            raise DivisionByZeroError("polynomial division by zero")
-        field = self.field
-        if field.p == 2:
-            return _from_bits(field, _clmod(self._bits, other._bits))
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            return self
-        return _from_reduced(field, _odd_divmod(a, b, field)[1])
+        """Remainder of :meth:`__divmod__`."""
+        return divmod(self, other)[1]
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -327,17 +313,6 @@ def _dense_divmod(
     return quot, rem[:dd]
 
 
-def _odd_divmod(a: Tuple[int, ...], b: Tuple[int, ...], field: PrimeField) -> Tuple[list, list]:
-    """Quotient and remainder lists of odd-p tuples with ``len(a) >= len(b) > 0``.
-
-    Schoolbook when the quotient or the divisor is short, Newton otherwise.
-    """
-    lead_inv = field.inv(b[-1])
-    if len(b) < _NEWTON_MIN_DIVISOR or len(a) - len(b) + 1 < _NEWTON_MIN_QUOTIENT:
-        return _dense_divmod(a, b, field.p, lead_inv)
-    return _newton_divmod(a, b, field.p, lead_inv)
-
-
 # Packed F_2 kernels: bit i of an int is the coefficient of x^i.  Packing
 # and unpacking go through the int's binary text, so both run at C speed.
 
@@ -383,16 +358,6 @@ def _cldivmod(a: int, b: int) -> Tuple[int, int]:
         a ^= b << shift
         shift = a.bit_length() - top
     return quot, a
-
-
-def _clmod(a: int, b: int) -> int:
-    """Remainder of :func:`_cldivmod`, without collecting quotient bits."""
-    top = b.bit_length()
-    shift = a.bit_length() - top
-    while shift >= 0:
-        a ^= b << shift
-        shift = a.bit_length() - top
-    return a
 
 
 class PackedChain:
@@ -511,7 +476,7 @@ def _reduce_chain(
     return _from_reduced(field, tail), _from_reduced(field, total)
 
 
-def _euclid_chain(a: Polynomial, b: Polynomial) -> PackedChain:
+def _euclid_chain(a: Polynomial, b: Polynomial) -> Tuple[PackedChain, Polynomial]:
     """The Euclid pass over ``(a, b)`` as a chain: steps ``b, r_2, r_3, ...`` and cofactors.
 
     For nonzero ``b`` with ``deg(a) >= deg(b)``: ``r_0, r_1 = a, b``,
@@ -521,6 +486,8 @@ def _euclid_chain(a: Polynomial, b: Polynomial) -> PackedChain:
     ``r_i``, ``i >= 2``; the chain takes inputs as long as ``a``.  Each step
     reduces ``(r_{i-2}, s_{i-2})`` by ``(r_{i-1}, s_{i-1})`` the way
     :func:`_reduce_chain` reduces a remainder and its sum, building no quotient.
+    Also returns ``s_N`` of the first zero ``r_N``: ``s_N * a == -t_N * b``,
+    so ``s_N`` is ``b / gcd(a, b)`` times a nonzero scalar.
     """
     field = a.field
     if field.p == 2:
@@ -536,9 +503,9 @@ def _euclid_chain(a: Polynomial, b: Polynomial) -> PackedChain:
                 s0 ^= s1 << shift
                 shift = r0.bit_length() - top
             r0, r1, s0, s1 = r1, r0, s1, s0
-        return PackedChain(field, a._bits.bit_length(), None, steps, cofs)
-    width, code, steps, cofs = _fold_euclid(a._coeffs, b._coeffs, field.p)
-    return PackedChain(field, len(a._coeffs), (width, code), steps, cofs)
+        return PackedChain(field, a._bits.bit_length(), None, steps, cofs), _from_bits(field, s1)
+    width, code, steps, cofs, s_n = _fold_euclid(a._coeffs, b._coeffs, field.p)
+    return PackedChain(field, len(a._coeffs), (width, code), steps, cofs), _from_reduced(field, s_n)
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -3,11 +3,13 @@
 ``reference_analyze_pair`` is the two-pass analysis: ``gcd`` and ``lcm``
 separately, ``xgcd`` for the cofactor inverse, then a second Euclid pass
 for the sigma chain; each cascade cofactor is ``sigma_i * inv21 mod
-gamma1``.  It takes those remainders from ``divmod``, not ``%``.
-``reference_reconstruct`` is the three-branch decoder, with an explicit
-divisibility check on ``q21 - tail``.  It runs its own cascade loop and
-takes every remainder from ``divmod``, so a fault in the remainder-only
-``%`` or in the library's chain kernel shows up as a difference.
+gamma1``, and ``gamma1`` is ``m1 // m``, not the Euclid pass's last
+cofactor.  ``reference_reconstruct`` is the three-branch decoder, with an
+explicit divisibility check on ``q21 - tail``.  It runs its own cascade
+loop and takes every remainder from ``divmod``.  The library's ``%`` is
+``divmod``'s remainder, so the two share the division kernels, but no code
+with the chain kernel or the Euclid folds: a fault in those shows up as a
+difference.
 ``reference_crt_pair`` is exact reconstruction by the closed formula
 ``k2 = ((a1 - a2) / m * inv21) mod gamma1``.  All three take the inverse
 ``inv21`` of ``gamma2`` modulo ``gamma1`` from their own ``xgcd``, not from

@@ -24,8 +24,6 @@ from polycrt import (
     xgcd,
 )
 from polycrt.poly import (
-    _cldivmod,
-    _clmod,
     _dense_add,
     _dense_divmod,
     _dense_mul,
@@ -165,7 +163,6 @@ class TestAgainstDenseKernels:
         r = a % b
         assert r == divmod(a, b)[1] == dense_divmod(a, b)[1]
         assert_canonical(r)
-        assert _clmod(a._bits, b._bits) == _cldivmod(a._bits, b._bits)[1]
 
     @DIFFERENTIAL
     @given(f2_polys(max_degree=256), f2_polys(max_degree=256), f2_polys(max_degree=256))

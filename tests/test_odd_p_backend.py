@@ -20,7 +20,14 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polycrt import Polynomial, PrimeField, parse_polynomial, random_moduli_pair
+from polycrt import (
+    DivisionByZeroError,
+    MixedFieldsError,
+    Polynomial,
+    PrimeField,
+    parse_polynomial,
+    random_moduli_pair,
+)
 from polycrt.kronecker import _chain_layout, _fold, _pack, _unpack
 from polycrt.poly import (
     _NEWTON_MIN_DIVISOR,
@@ -230,6 +237,19 @@ class TestAgainstDenseDivision:
             assert r == divmod(a, b)[1]
             assert r % b == r
             assert_canonical(r)
+
+    @pytest.mark.parametrize("p", (13, 2**61 - 1))
+    def test_mod_checks_divisor_and_field(self, p):
+        field = FIELDS[p]
+        a, zero = parse_polynomial("x^70+x^3+1", field), Polynomial(field)
+        with pytest.raises(DivisionByZeroError):
+            a % zero
+        with pytest.raises(DivisionByZeroError):
+            zero % zero
+        with pytest.raises(MixedFieldsError):
+            a % parse_polynomial("x^2+1", PrimeField(3))
+        with pytest.raises(TypeError):
+            a % 3
 
     @DIFFERENTIAL
     @given(division_operands())
