@@ -25,7 +25,9 @@ the smallest error bound ``deg(m)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence, Tuple
 
 from .errors import (
@@ -233,16 +235,13 @@ def residue_error_bound(moduli: Sequence[Polynomial]) -> int:
     for mod in moduli:
         if mod.is_zero:
             raise ZeroModulusError("moduli must be nonzero")
-    best = 0
-    for i, mi in enumerate(moduli):
-        worst = None
-        for j, mj in enumerate(moduli):
-            if i == j:
-                continue
-            d = gcd(mi, mj).degree
-            worst = d if worst is None else min(worst, d)
-        best = max(best, worst)
-    return best
+    # worst[i] is the smallest gcd degree of modulus i with the others; one
+    # gcd per unordered pair, since gcd(mi, mj) and gcd(mj, mi) share a degree.
+    worst = [math.inf] * len(moduli)
+    for i, j in combinations(range(len(moduli)), 2):
+        d = gcd(moduli[i], moduli[j]).degree
+        worst[i], worst[j] = min(worst[i], d), min(worst[j], d)
+    return max(worst)
 
 
 def render_level_table(analysis: ModuliPairAnalysis) -> str:

@@ -16,16 +16,16 @@ thread builds it first, it is the same value.  Every other p stores the
 tuple and adds with schoolbook loops; it multiplies by Kronecker
 substitution and divides long quotients by long divisors through a Newton
 reciprocal (:mod:`polycrt.kronecker`), short ones with schoolbook loops.
-``divmod`` is the one division entry, and ``%`` is its remainder.  Two
-loops reduce a remainder together with a quotient-weighted sum, step after
-step, without building any quotient: the Euclid pass with its Bezout
-cofactors, and the decoder's remainder cascade.  Over F_2 they XOR shifted
-ints; over odd p each step is one fold on packed ints.  The Euclid pass
-never unpacks: Barrett reduction keeps every slot below 3p, and the pass's
-steps are stored as they are (:class:`PackedChain`), so the cascade reduces
-mod p once, at its end.  Kernel results skip re-reduction in
-``Polynomial.__init__``.  The tests check every fast kernel against a
-schoolbook or step-by-step ``divmod`` reference.
+``divmod`` is the one division entry, and ``%`` is its remainder.  Two loops
+reduce a remainder together with a quotient-weighted sum, step after step,
+without building any quotient: the Euclid pass with its Bezout cofactors,
+which ``gcd``, ``xgcd`` and ``lcm`` read, and the decoder's remainder
+cascade.  Over F_2 they XOR shifted ints; over odd p each step is one fold
+on packed ints.  The Euclid pass never unpacks: Barrett reduction keeps
+every slot below 3p, and its steps are stored as they are
+(:class:`PackedChain`), so the cascade reduces mod p once, at its end.
+Kernel results skip re-reduction in ``Polynomial.__init__``.  Tests check
+every fast kernel against a schoolbook or step-by-step ``divmod`` reference.
 """
 
 from __future__ import annotations
@@ -508,39 +508,38 @@ def _euclid_chain(a: Polynomial, b: Polynomial) -> Tuple[PackedChain, Polynomial
     return PackedChain(field, len(a._coeffs), (width, code), steps, cofs), _from_reduced(field, s_n)
 
 
-def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic greatest common divisor by the Euclidean algorithm.
-
-    ``gcd(a, 0)`` is ``a`` made monic; ``gcd(0, 0)`` raises
-    :class:`BothZeroError`.  The result is normalized to monic once at the
-    end rather than per remainder step, saving inversions.
-    """
+def _euclid(name: str, a: Polynomial, b: Polynomial) -> Tuple[Polynomial, ...]:
+    """``(x, y, r_{N-1}, s_{N-1}, s_N)`` of :func:`_euclid_chain` over the operands by degree."""
     a._check_field(b)
     if a.is_zero and b.is_zero:
-        raise BothZeroError("gcd(0, 0) is undefined")
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+        raise BothZeroError(f"{name}(0, 0) is undefined")
+    x, y = (b, a) if a.degree < b.degree else (a, b)
+    if y.is_zero:
+        return x, y, x, Polynomial(x.field, (1,)), y
+    chain, last = _euclid_chain(x, y)
+    return x, y, chain.modulus(-1), chain.cofactor(-1), last
+
+
+def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic greatest common divisor: the Euclid pass's last remainder, made monic.
+
+    ``gcd(a, 0)`` is ``a`` made monic; ``gcd(0, 0)`` raises :class:`BothZeroError`.
+    """
+    return _euclid("gcd", a, b)[2].monic()
 
 
 def xgcd(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial, Polynomial]:
-    """Extended Euclid: returns ``(g, s, t)`` with ``s*a + t*b = g`` and g monic."""
-    a._check_field(b)
-    if a.is_zero and b.is_zero:
-        raise BothZeroError("xgcd(0, 0) is undefined")
-    field = a.field
-    one = Polynomial(field, (1,))
-    zero = Polynomial(field)
-    r0, r1 = a, b
-    s0, s1 = one, zero
-    t0, t1 = zero, one
-    while not r1.is_zero:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    c = field.inv(r0.lead)
-    return r0._scale(c), s0._scale(c), t0._scale(c)
+    """Extended Euclid: returns ``(g, s, t)`` with ``s*a + t*b = g`` and g monic.
+
+    ``deg(s) < deg(b/g)`` and ``deg(t) < deg(a/g)`` unless ``a``, ``b`` are scalar multiples.
+    """
+    x, y, g, s, _ = _euclid("xgcd", a, b)
+    t, rem = (y, y) if y.is_zero else divmod(g - s * x, y)
+    if not rem.is_zero:
+        raise AssertionError("the Euclid pass's cofactor leaves a remainder")
+    c = g.field.inv(g.lead)
+    g, s, t = g._scale(c), s._scale(c), t._scale(c)
+    return (g, s, t) if x is a else (g, t, s)
 
 
 def lcm(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -548,7 +547,8 @@ def lcm(a: Polynomial, b: Polynomial) -> Polynomial:
     a._check_field(b)
     if a.is_zero or b.is_zero:
         raise ZeroInputError("lcm requires nonzero inputs")
-    return ((a * b) // gcd(a, b)).monic()
+    x, _, _, _, last = _euclid("lcm", a, b)
+    return (x * last).monic()
 
 
 _TERM_RE = re.compile(

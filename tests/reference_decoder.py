@@ -1,18 +1,24 @@
 """Plain reference implementations for differential tests.
 
-``reference_analyze_pair`` is the two-pass analysis: ``gcd`` and ``lcm``
-separately, ``xgcd`` for the cofactor inverse, then a second Euclid pass
-for the sigma chain; each cascade cofactor is ``sigma_i * inv21 mod
-gamma1``, and ``gamma1`` is ``m1 // m``, not the Euclid pass's last
-cofactor.  ``reference_reconstruct`` is the three-branch decoder, with an
-explicit divisibility check on ``q21 - tail``.  It runs its own cascade
-loop and takes every remainder from ``divmod``.  The library's ``%`` is
-``divmod``'s remainder, so the two share the division kernels, but no code
-with the chain kernel or the Euclid folds: a fault in those shows up as a
-difference.
+``reference_gcd`` and ``reference_xgcd`` are Euclid's algorithm as plain
+``divmod`` loops, with three products per ``xgcd`` step, and
+``reference_lcm`` is ``m1 * m2 // gcd`` made monic.  The library's
+``gcd``, ``xgcd`` and ``lcm`` read its one Euclid pass instead, the pass
+that ``analyze_pair`` runs, so these loops are what the tests compare it
+with.
+``reference_analyze_pair`` is the two-pass analysis: ``reference_gcd`` and
+``reference_lcm`` separately, ``reference_xgcd`` for the cofactor inverse,
+then a second Euclid pass for the sigma chain; each cascade cofactor is
+``sigma_i * inv21 mod gamma1``, and ``gamma1`` is ``m1 // m``, not the
+Euclid pass's last cofactor.  ``reference_reconstruct`` is the
+three-branch decoder, with an explicit divisibility check on
+``q21 - tail``.  It runs its own cascade loop and takes every remainder
+from ``divmod``.  The library's ``%`` is ``divmod``'s remainder, so the
+two share the division kernels, but no code with the chain kernel or the
+Euclid pass: a fault in those shows up as a difference.
 ``reference_crt_pair`` is exact reconstruction by the closed formula
 ``k2 = ((a1 - a2) / m * inv21) mod gamma1``.  All three take the inverse
-``inv21`` of ``gamma2`` modulo ``gamma1`` from their own ``xgcd``, not from
+``inv21`` of ``gamma2`` modulo ``gamma1`` from ``reference_xgcd``, not from
 the analysis, which derives it from the chain.  The library computes the
 same values in one Euclid pass and one cascade; these versions exist only
 so tests can compare the two.  ``pack_chain`` is the
@@ -24,6 +30,7 @@ strip them.
 """
 
 from polycrt import (
+    BothZeroError,
     Branch,
     CoprimeModuliError,
     DegenerateModuliError,
@@ -32,14 +39,50 @@ from polycrt import (
     ModuliPairAnalysis,
     Polynomial,
     ReconstructionResult,
+    ZeroInputError,
     ZeroModulusError,
     classify,
-    gcd,
-    lcm,
-    xgcd,
 )
 from polycrt.kronecker import _chain_layout, _pack
 from polycrt.poly import PackedChain
+
+
+def reference_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic gcd by a ``divmod`` loop; ``gcd(a, 0)`` is ``a`` made monic."""
+    a._check_field(b)
+    if a.is_zero and b.is_zero:
+        raise BothZeroError("gcd(0, 0) is undefined")
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
+
+
+def reference_xgcd(a: Polynomial, b: Polynomial):
+    """``(g, s, t)`` with ``s*a + t*b == g`` and g monic, by the extended ``divmod`` loop."""
+    a._check_field(b)
+    if a.is_zero and b.is_zero:
+        raise BothZeroError("xgcd(0, 0) is undefined")
+    field = a.field
+    one = Polynomial(field, (1,))
+    zero = Polynomial(field)
+    r0, r1 = a, b
+    s0, s1 = one, zero
+    t0, t1 = zero, one
+    while not r1.is_zero:
+        q, r = divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    c = field.inv(r0.lead)
+    return r0._scale(c), s0._scale(c), t0._scale(c)
+
+
+def reference_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Monic lcm of two nonzero polynomials: their product over ``reference_gcd``."""
+    a._check_field(b)
+    if a.is_zero or b.is_zero:
+        raise ZeroInputError("lcm requires nonzero inputs")
+    return (a * b // reference_gcd(a, b)).monic()
 
 
 def pack_chain(field, moduli, cofactors, size: int) -> PackedChain:
@@ -63,8 +106,8 @@ def pack_chain(field, moduli, cofactors, size: int) -> PackedChain:
 
 
 def reference_inverse(gamma2: Polynomial, gamma1: Polynomial) -> Polynomial:
-    """The inverse of ``gamma2`` modulo ``gamma1``, from ``xgcd``."""
-    g, s, _ = xgcd(gamma2, gamma1)
+    """The inverse of ``gamma2`` modulo ``gamma1``, from ``reference_xgcd``."""
+    g, s, _ = reference_xgcd(gamma2, gamma1)
     if g.degree != 0:
         raise AssertionError("cofactors of the gcd must be coprime")
     return divmod(s, gamma1)[1]
@@ -78,14 +121,14 @@ def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis
     if swapped:
         m1, m2 = m2, m1
 
-    m = gcd(m1, m2)
+    m = reference_gcd(m1, m2)
     if m.degree == 0:
         raise CoprimeModuliError("moduli are coprime")
     gamma1 = m1 // m
     gamma2 = m2 // m
     if gamma1.degree == 0:
         raise DegenerateModuliError("one modulus divides the other")
-    big = lcm(m1, m2)
+    big = reference_lcm(m1, m2)
     inv21 = reference_inverse(gamma2, gamma1)
 
     chain = [gamma2, gamma1]

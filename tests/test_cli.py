@@ -5,7 +5,7 @@ import pytest
 import polycrt.cli
 import polycrt.simulation
 from polycrt import parse_polynomial
-from polycrt.cli import _MAX_TRIALS, main
+from polycrt.cli import _MAX_BOUND_MODULI, _MAX_TRIALS, main
 from polycrt.poly import _MAX_PARSE_DEGREE
 
 from conftest import REF_A, REF_M1, REF_M2
@@ -36,6 +36,16 @@ def no_campaign(monkeypatch):
         raise AssertionError(f"run_campaign reached with trials = {config.trials}")
 
     monkeypatch.setattr(polycrt.cli, "run_campaign", refuse)
+
+
+@pytest.fixture
+def no_bound(monkeypatch):
+    """Fail instead of computing the bound (one gcd per pair of moduli)."""
+
+    def refuse(moduli):
+        raise AssertionError(f"residue_error_bound reached with {len(moduli)} moduli")
+
+    monkeypatch.setattr(polycrt.cli, "residue_error_bound", refuse)
 
 
 class TestAnalyze:
@@ -314,6 +324,18 @@ class TestBound:
     def test_parse_error_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "bound", "--moduli", "x,nope")
         assert code == 2
+
+    # 21,800 moduli of x^2+x fill a 128 KiB argument.
+    @pytest.mark.parametrize("count", [_MAX_BOUND_MODULI + 1, 21_800])
+    def test_moduli_above_cap_exit_2(self, capsys, no_bound, count):
+        # The last text does not parse, so the cap must be checked before parsing.
+        moduli = ",".join(["x^2+x"] * (count - 1) + ["nope"])
+        code, _, err = run_cli(capsys, "bound", "--moduli", moduli)
+        assert code == 2 and f"at most {_MAX_BOUND_MODULI} moduli are allowed, got {count}" in err
+
+    def test_moduli_at_cap_reach_the_bound(self, capsys, no_bound):
+        with pytest.raises(AssertionError, match=f"reached with {_MAX_BOUND_MODULI} moduli"):
+            run_cli(capsys, "bound", "--moduli", ",".join(["x^2+x"] * _MAX_BOUND_MODULI))
 
 
 class TestSimulate:

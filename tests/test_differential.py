@@ -1,4 +1,4 @@
-"""The one-pass analysis, the one-formula decoder and exact reconstruction against the reference."""
+"""The one-pass analysis, the one-formula decoder, exact CRT and gcd/xgcd/lcm against references."""
 
 import dataclasses
 import random
@@ -6,23 +6,34 @@ import random
 import pytest
 
 from polycrt import (
+    BothZeroError,
     Branch,
     ErroneousResiduePair,
     InconsistentResiduesError,
     Polynomial,
     PrimeField,
     ResiduePair,
+    ZeroInputError,
     analyze_pair,
     check_consistency,
     crt_pair,
     encode,
     gcd,
+    lcm,
     random_moduli_pair,
     reconstruct,
+    xgcd,
 )
 from polycrt.simulation import sample_error, sample_monic, sample_polynomial
 
-from reference_decoder import reference_analyze_pair, reference_crt_pair, reference_reconstruct
+from reference_decoder import (
+    reference_analyze_pair,
+    reference_crt_pair,
+    reference_gcd,
+    reference_lcm,
+    reference_reconstruct,
+    reference_xgcd,
+)
 
 
 def _assert_matches_reference(pair, level):
@@ -178,3 +189,51 @@ def test_large_pair_at_p65521():
         assert got.k2_hat == witness.k2
         assert got.a_hat - a == e2
         assert _assert_crt_matches_reference(residues) and crt_pair(residues) == a
+
+
+def _outcome(fn, a, b):
+    """``fn(a, b)``, or the type and message of the zero-input error it raises."""
+    try:
+        return fn(a, b)
+    except (BothZeroError, ZeroInputError) as exc:
+        return type(exc), str(exc)
+
+
+def _euclid_cases(field, rng):
+    """Operand pairs for gcd/xgcd/lcm: random pairs sharing a factor, then edge cases.
+
+    Every operand has a random nonzero lead, so a result that is not made
+    monic differs from the reference at odd p.
+    """
+
+    def draw(degree):
+        return sample_monic(degree, field, rng) * Polynomial(field, [rng.randrange(1, field.p)])
+
+    zero = Polynomial(field)
+    # (gcd degree, cofactor degrees): tiny, equal degrees, and the bench shape.
+    for shared, d1, d2 in ((0, 1, 2), (1, 3, 4), (2, 5, 5), (8, 16, 17), (64, 128, 129)):
+        m = draw(shared)
+        a, b = m * draw(d1), m * draw(d2)
+        yield from ((a, b), (b, a))
+    c, d = draw(0), draw(0)
+    yield from (
+        (a, a), (a, c * a), (a * b, b), (b, a * b), (c, a), (a, c), (c, d),
+        (a, zero), (zero, a), (c, zero), (zero, zero),
+    )
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 65521, 1048573, 2**61 - 1])
+def test_gcd_xgcd_lcm_match_reference(p):
+    field = PrimeField(p)
+    rng = random.Random(f"differential-euclid:{p}")
+    for a, b in _euclid_cases(field, rng):
+        assert _outcome(gcd, a, b) == _outcome(reference_gcd, a, b)
+        assert _outcome(xgcd, a, b) == _outcome(reference_xgcd, a, b)
+        assert _outcome(lcm, a, b) == _outcome(reference_lcm, a, b)
+        if a.is_zero and b.is_zero:
+            continue
+        g, s, t = xgcd(a, b)
+        assert s * a + t * b == g and g.lead == 1
+        # Reduced cofactors, unless both operands have the degree of the gcd.
+        if max(a.degree, b.degree) > g.degree:
+            assert s.degree < b.degree - g.degree and t.degree < a.degree - g.degree
