@@ -223,13 +223,6 @@ def _fold_euclid(
         r0, r1, s0, s1 = r1, r0, s1, s0
 
 
-def _strip(vals: list) -> list:
-    """``vals`` without trailing zeros, stripped in place."""
-    while vals and vals[-1] == 0:
-        vals.pop()
-    return vals
-
-
 def _newton_divmod(
     a: Tuple[int, ...], div: Tuple[int, ...], p: int, lead_inv: int
 ) -> Tuple[list, list]:

@@ -6,16 +6,15 @@ zeros.  The zero polynomial has the empty tuple and degree :data:`NEG_INF`,
 which compares strictly below every integer and absorbs addition, so degree
 inequalities hold for the zero polynomial without special cases.
 
-The field picks the representation and the arithmetic.  Over F_2 a
-polynomial is its packed int, bit ``i`` holding the coefficient of ``x^i``:
-addition is one XOR, multiplication a carry-less shift-XOR product and
-division a shift-XOR long division, each step shifting and XORing whole
-ints at C speed.  Degree, leading coefficient, equality and hashing read the
-int, and the ``coeffs`` tuple is built on first read and kept; whichever
-thread builds it first, it is the same value.  Every other p stores the
-tuple and adds with schoolbook loops; it multiplies by Kronecker
-substitution and divides long quotients by long divisors through a Newton
-reciprocal (:mod:`polycrt.kronecker`), short ones with schoolbook loops.
+The field picks the representation and the arithmetic, and a polynomial
+stores one value.  Over F_2 it is the packed int, bit ``i`` holding the
+coefficient of ``x^i``: addition is one XOR, multiplication a carry-less
+shift-XOR product and division a shift-XOR long division, each step
+shifting and XORing whole ints at C speed, and ``coeffs`` unpacks the int
+on every read.  Every other p stores the tuple and adds with schoolbook
+loops; it multiplies by Kronecker substitution and divides long quotients
+by long divisors through a Newton reciprocal (:mod:`polycrt.kronecker`),
+short ones with schoolbook loops.
 ``divmod`` is the one division entry, and ``%`` is its remainder.  Two loops
 reduce a remainder together with a quotient-weighted sum, step after step,
 without building any quotient: the Euclid pass with its Bezout cofactors,
@@ -46,7 +45,6 @@ from .kronecker import (
     _fold_euclid,
     _kronecker_mul,
     _newton_divmod,
-    _strip,
     _unpack,
 )
 
@@ -67,22 +65,20 @@ _NEWTON_MIN_DIVISOR = 40
 class Polynomial:
     """A dense polynomial over a :class:`PrimeField`.
 
-    Coefficients are ints, lowest power first, reduced mod p.  Over F_2 the
-    value lives in ``_bits`` and ``_coeffs`` is None until ``coeffs`` is
-    read; over any other p it lives in ``_coeffs`` and ``_bits`` is None.
+    Coefficients are ints, lowest power first, reduced mod p.  The one
+    value slot ``_value`` holds the packed int over F_2 and the coefficient
+    tuple over any other p; nothing else is stored, then or later.
     """
 
-    __slots__ = ("field", "_coeffs", "_bits")
+    __slots__ = ("field", "_value")
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()) -> None:
         p = field.p
         _set_field(self, field)
         if p == 2:
-            _set_bits(self, _pack2([c % 2 for c in coeffs]))
-            _set_coeffs(self, None)
-            return
-        _set_coeffs(self, tuple(_strip([c % p for c in coeffs])))
-        _set_bits(self, None)
+            _set_value(self, _pack2([c % 2 for c in coeffs]))
+        else:
+            _set_value(self, tuple(_strip([c % p for c in coeffs])))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -92,39 +88,33 @@ class Polynomial:
 
     @property
     def coeffs(self) -> Tuple[int, ...]:
-        """Coefficient tuple, lowest power first.
-
-        Over F_2 it is unpacked from the bits on first read and kept.
-        """
-        coeffs = self._coeffs
-        if coeffs is None:
-            bits = self._bits
-            coeffs = tuple(bin(bits)[:1:-1].encode().translate(_DIGIT_TO_BIT)) if bits else ()
-            _set_coeffs(self, coeffs)
-        return coeffs
+        """Coefficient tuple, lowest power first; over F_2 unpacked from the bits on every read."""
+        v = self._value
+        if v.__class__ is tuple:
+            return v
+        return tuple(bin(v)[:1:-1].encode().translate(_DIGIT_TO_BIT)) if v else ()
 
     # Structure
 
     @property
     def degree(self) -> Degree:
         """Degree of the polynomial; NEG_INF for the zero polynomial."""
-        bits = self._bits
-        if bits is None:
-            return len(self._coeffs) - 1 if self._coeffs else NEG_INF
-        return bits.bit_length() - 1 if bits else NEG_INF
+        v = self._value
+        if not v:
+            return NEG_INF
+        return len(v) - 1 if v.__class__ is tuple else v.bit_length() - 1
 
     @property
     def is_zero(self) -> bool:
-        # The unused representation is None, or over F_2 a tuple as empty as the bits.
-        return not (self._bits or self._coeffs)
+        return not self._value
 
     @property
     def lead(self) -> int:
         """Leading coefficient; 0 for the zero polynomial."""
-        bits = self._bits
-        if bits is None:
-            return self._coeffs[-1] if self._coeffs else 0
-        return 1 if bits else 0
+        v = self._value
+        if not v:
+            return 0
+        return v[-1] if v.__class__ is tuple else 1
 
     def monic(self) -> "Polynomial":
         """Scalar multiple with leading coefficient 1 (zero stays zero)."""
@@ -140,7 +130,7 @@ class Polynomial:
             return self
         if p == 2:  # c == 0
             return _from_bits(field, 0)
-        return _from_reduced(field, [(v * c) % p for v in self._coeffs])
+        return _from_reduced(field, [(v * c) % p for v in self._value])
 
     def _check_field(self, other: "Polynomial") -> None:
         if not isinstance(other, Polynomial):
@@ -156,28 +146,28 @@ class Polynomial:
         self._check_field(other)
         field = self.field
         if field.p == 2:
-            return _from_bits(field, self._bits ^ other._bits)
-        return _from_reduced(field, _dense_add(self._coeffs, other._coeffs, field.p))
+            return _from_bits(field, self._value ^ other._value)
+        return _from_reduced(field, _dense_add(self._value, other._value, field.p))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
         field = self.field
         if field.p == 2:
-            return _from_bits(field, self._bits ^ other._bits)
-        return _from_reduced(field, _dense_sub(self._coeffs, other._coeffs, field.p))
+            return _from_bits(field, self._value ^ other._value)
+        return _from_reduced(field, _dense_sub(self._value, other._value, field.p))
 
     def __neg__(self) -> "Polynomial":
         p = self.field.p
         if p == 2:
             return self
-        return _from_reduced(self.field, [(-v) % p for v in self._coeffs])
+        return _from_reduced(self.field, [(-v) % p for v in self._value])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
         field = self.field
         if field.p == 2:
-            return _from_bits(field, _clmul(self._bits, other._bits))
-        return _from_reduced(field, _kronecker_mul(self._coeffs, other._coeffs, field.p))
+            return _from_bits(field, _clmul(self._value, other._value))
+        return _from_reduced(field, _kronecker_mul(self._value, other._value, field.p))
 
     def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
         """Euclidean division: ``self == q * other + r`` with deg(r) < deg(other)."""
@@ -186,9 +176,9 @@ class Polynomial:
             raise DivisionByZeroError("polynomial division by zero")
         field = self.field
         if field.p == 2:
-            quot, rem = _cldivmod(self._bits, other._bits)
+            quot, rem = _cldivmod(self._value, other._value)
             return _from_bits(field, quot), _from_bits(field, rem)
-        a, b = self._coeffs, other._coeffs
+        a, b = self._value, other._value
         if len(a) < len(b):
             return _from_reduced(field, []), self
         lead_inv = field.inv(b[-1])
@@ -212,15 +202,13 @@ class Polynomial:
             return NotImplemented
         if self.field is not other.field and self.field != other.field:
             return False
-        if self._bits is None:
-            return self._coeffs == other._coeffs
-        return self._bits == other._bits
+        return self._value == other._value
 
     def __hash__(self) -> int:
-        return hash((self.field, self._coeffs if self._bits is None else self._bits))
+        return hash((self.field, self._value))
 
     def __bool__(self) -> bool:
-        return bool(self._bits or self._coeffs)
+        return bool(self._value)
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.coeffs)
@@ -249,16 +237,21 @@ class Polynomial:
 
 # Slot setters that bypass the blocked __setattr__.
 _set_field = Polynomial.field.__set__
-_set_coeffs = Polynomial._coeffs.__set__
-_set_bits = Polynomial._bits.__set__
+_set_value = Polynomial._value.__set__
+
+
+def _strip(vals: list) -> list:
+    """``vals`` without trailing zeros, stripped in place."""
+    while vals and vals[-1] == 0:
+        vals.pop()
+    return vals
 
 
 def _from_reduced(field: PrimeField, vals: list) -> Polynomial:
     """Polynomial over odd p from a list already reduced mod p; strips ``vals`` in place."""
     poly = object.__new__(Polynomial)
     _set_field(poly, field)
-    _set_coeffs(poly, tuple(_strip(vals)))
-    _set_bits(poly, None)
+    _set_value(poly, tuple(_strip(vals)))
     return poly
 
 
@@ -330,8 +323,7 @@ def _from_bits(field: PrimeField, bits: int) -> Polynomial:
     """Polynomial over F_2 from its packed int; any int is canonical, so nothing is reduced."""
     poly = object.__new__(Polynomial)
     _set_field(poly, field)
-    _set_bits(poly, bits)
-    _set_coeffs(poly, None)
+    _set_value(poly, bits)
     return poly
 
 
@@ -461,7 +453,7 @@ def _reduce_chain(
     field = v.field
     steps, cofs = chain.steps[start:stop], chain.cofs[start:stop]
     if field.p == 2:
-        bits, acc = v._bits, 0
+        bits, acc = v._value, 0
         for b, s in zip(steps, cofs, strict=True):
             if not b:
                 raise DivisionByZeroError("polynomial division by zero")
@@ -472,7 +464,7 @@ def _reduce_chain(
                 acc ^= s << shift
                 shift = bits.bit_length() - top
         return _from_bits(field, bits), _from_bits(field, acc)
-    tail, total = _fold_chain(v._coeffs, steps, cofs, *chain.layout, field.p)
+    tail, total = _fold_chain(v._value, steps, cofs, *chain.layout, field.p)
     return _from_reduced(field, tail), _from_reduced(field, total)
 
 
@@ -492,7 +484,7 @@ def _euclid_chain(a: Polynomial, b: Polynomial) -> Tuple[PackedChain, Polynomial
     field = a.field
     if field.p == 2:
         steps, cofs = [], []
-        r0, r1, s0, s1 = a._bits, b._bits, 1, 0
+        r0, r1, s0, s1 = a._value, b._value, 1, 0
         while r1:
             steps.append(r1)
             cofs.append(s1)
@@ -503,9 +495,9 @@ def _euclid_chain(a: Polynomial, b: Polynomial) -> Tuple[PackedChain, Polynomial
                 s0 ^= s1 << shift
                 shift = r0.bit_length() - top
             r0, r1, s0, s1 = r1, r0, s1, s0
-        return PackedChain(field, a._bits.bit_length(), None, steps, cofs), _from_bits(field, s1)
-    width, code, steps, cofs, s_n = _fold_euclid(a._coeffs, b._coeffs, field.p)
-    return PackedChain(field, len(a._coeffs), (width, code), steps, cofs), _from_reduced(field, s_n)
+        return PackedChain(field, a._value.bit_length(), None, steps, cofs), _from_bits(field, s1)
+    width, code, steps, cofs, s_n = _fold_euclid(a._value, b._value, field.p)
+    return PackedChain(field, len(a._value), (width, code), steps, cofs), _from_reduced(field, s_n)
 
 
 def _euclid(name: str, a: Polynomial, b: Polynomial) -> Tuple[Polynomial, ...]:

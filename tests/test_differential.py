@@ -36,6 +36,21 @@ from reference_decoder import (
 )
 
 
+# Redraws of a cofactor before a test gives up on finding one coprime to
+# the other: a broken gcd fails the test instead of hanging the run.
+_MAX_COFACTOR_DRAWS = 200
+
+
+def _coprime_cofactors(degree1, degree2, field, rng):
+    """Monic cofactors of the given degrees, redrawing the second until their gcd is 1."""
+    cof1 = sample_monic(degree1, field, rng)
+    for _ in range(_MAX_COFACTOR_DRAWS):
+        cof2 = sample_monic(degree2, field, rng)
+        if gcd(cof1, cof2).degree == 0:
+            return cof1, cof2
+    pytest.fail(f"no coprime cofactor in {_MAX_COFACTOR_DRAWS} draws")
+
+
 def _assert_matches_reference(pair, level):
     got = reconstruct(pair, level)
     want = reference_reconstruct(pair, level)
@@ -119,9 +134,7 @@ def test_large_pair_at_p2_every_level():
     field = PrimeField(2)
     rng = random.Random("differential:2-large")
     shared = sample_monic(40, field, rng)
-    cof1, cof2 = sample_monic(144, field, rng), sample_monic(145, field, rng)
-    while gcd(cof1, cof2).degree != 0:
-        cof2 = sample_monic(145, field, rng)
+    cof1, cof2 = _coprime_cofactors(144, 145, field, rng)
     m1, m2 = shared * cof1, shared * cof2
     analysis = analyze_pair(m1, m2)
     assert analysis == reference_analyze_pair(m1, m2)
@@ -168,9 +181,7 @@ def test_large_pair_at_p65521():
     field = PrimeField(65521)
     rng = random.Random("differential:65521")
     shared = sample_monic(64, field, rng)
-    cof1, cof2 = sample_monic(128, field, rng), sample_monic(129, field, rng)
-    while gcd(cof1, cof2).degree != 0:
-        cof2 = sample_monic(129, field, rng)
+    cof1, cof2 = _coprime_cofactors(128, 129, field, rng)
     m1, m2 = shared * cof1, shared * cof2
     analysis = analyze_pair(m2, m1)
     assert analysis == reference_analyze_pair(m2, m1)

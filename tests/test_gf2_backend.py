@@ -199,7 +199,7 @@ class TestValueSemantics:
         a = parse_polynomial("x^70+x^3+1", F2)
         results = [a + a, a * a, *divmod(a * a + ONE, a)]
         for result in results:
-            for name in ("coeffs", "field", "_bits"):
+            for name in ("coeffs", "field", "_value"):
                 with pytest.raises(AttributeError):
                     setattr(result, name, None)
 
@@ -241,11 +241,10 @@ class TestValueSemantics:
         with pytest.raises(MixedFieldsError):
             a % parse_polynomial("x^2+1", PrimeField(3))
 
-    def test_kernel_coeffs_built_once_and_read_only(self):
+    def test_kernel_coeffs_are_read_only_tuples(self):
         a = parse_polynomial("x^70+x^3+1", F2)
         for r in (a + ONE, a * a, *divmod(a * a + ONE, a)):
             assert isinstance(r.coeffs, tuple)
-            assert r.coeffs is r.coeffs
             with pytest.raises(AttributeError):
                 r.coeffs = (1,)
 
