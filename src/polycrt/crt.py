@@ -21,7 +21,7 @@ from .errors import (
     MixedFieldsError,
 )
 from .levels import ModuliPairAnalysis
-from .poly import Polynomial, _reduce_chain
+from .poly import Polynomial, _divmod_by, _mul_by, _reduce_chain
 
 
 def _check_residues(
@@ -65,7 +65,12 @@ class FoldingWitness:
 def encode(
     a: Polynomial, moduli: ModuliPairAnalysis
 ) -> Tuple[ResiduePair, FoldingWitness]:
-    """Residues and folding polynomials of ``a``; requires deg(a) < deg(lcm)."""
+    """Residues and folding polynomials of ``a``; requires deg(a) < deg(lcm).
+
+    Over F_2 the two divisions run through the analysis's byte tables,
+    eight quotient bits per step (see :class:`ModuliPairAnalysis`); over odd
+    p they are ``divmod``.
+    """
     field = moduli.field
     if a.field is not field and a.field != field:
         raise MixedFieldsError("polynomial and moduli fields differ")
@@ -73,8 +78,9 @@ def encode(
         raise DegreeOutOfRangeError(
             f"deg(a) = {a.degree} not below deg(lcm) = {moduli.lcm.degree}"
         )
-    k1, a1 = divmod(a, moduli.m1)
-    k2, a2 = divmod(a, moduli.m2)
+    table1, table2 = moduli.tables
+    k1, a1 = _divmod_by(a, moduli.m1, table1)
+    k2, a2 = _divmod_by(a, moduli.m2, table2)
     return ResiduePair(a1, a2, moduli), FoldingWitness(k1, k2)
 
 
@@ -100,4 +106,4 @@ def crt_pair(pair: ResiduePair) -> Polynomial:
         raise InconsistentResiduesError(
             "residues disagree modulo gcd(m1, m2); no common preimage exists"
         )
-    return k2 * analysis.m2 + pair.a2
+    return _mul_by(k2, analysis.m2, analysis.tables[1]) + pair.a2

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from .crt import _check_residues
 from .levels import ModuliPairAnalysis
-from .poly import Polynomial, _reduce_chain
+from .poly import Polynomial, _mul_by, _reduce_chain
 
 
 class Branch(enum.Enum):
@@ -149,5 +149,5 @@ def reconstruct(pair: ErroneousResiduePair, level: int) -> ReconstructionResult:
     q21 = pair.r1 - pair.r2
     branch = classify(q21, analysis, level)
     tail, k2_hat = _reduce_chain(q21, analysis.chain, 0, level + 1)
-    a_hat = k2_hat * analysis.m2 + pair.r2
+    a_hat = _mul_by(k2_hat, analysis.m2, analysis.tables[1]) + pair.r2
     return ReconstructionResult(a_hat, k2_hat, branch, q21, tail)

@@ -15,7 +15,10 @@ on every read.  Every other p stores the tuple and adds with schoolbook
 loops; it multiplies by Kronecker substitution and divides long quotients
 by long divisors through a Newton reciprocal (:mod:`polycrt.kronecker`),
 short ones with schoolbook loops.
-``divmod`` is the one division entry, and ``%`` is its remainder.  Two loops
+``divmod`` is the one division entry, and ``%`` is its remainder.  An
+analysis over F_2 also stores a byte table per modulus (:data:`ByteTable`),
+through which ``encode`` divides eight quotient bits per step and the
+decoder multiplies by ``m2`` a byte at a time.  Two loops
 reduce a remainder together with a quotient-weighted sum, step after step,
 without building any quotient: the Euclid pass with its Bezout cofactors,
 which ``gcd``, ``xgcd`` and ``lcm`` read, and the decoder's remainder
@@ -352,6 +355,94 @@ def _cldivmod(a: int, b: int) -> Tuple[int, int]:
     return quot, a
 
 
+# A byte table of an F_2 modulus b is ``(mults, tops)``: ``mults[t]`` is the
+# carry-less product t * b for each byte t, and ``tops`` inverts the byte
+# of ``mults[t]`` above deg(b).  That byte is t plus terms from t's higher
+# bits only, so it is distinct for every t.
+ByteTable = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _clbyte_table(b: int) -> ByteTable:
+    """The byte table of a nonzero packed F_2 modulus ``b``."""
+    mults = [0]
+    for k in range(8):
+        shifted = b << k
+        mults += [v ^ shifted for v in mults]
+    deg = b.bit_length() - 1
+    tops = [0] * 256
+    for t, v in enumerate(mults):
+        tops[v >> deg] = t
+    return tuple(mults), tuple(tops)
+
+
+def _cltable_divmod(a: int, mults: Tuple[int, ...], tops: Tuple[int, ...]) -> Tuple[int, int]:
+    """:func:`_cldivmod` by the modulus ``b = mults[1]``, eight quotient bits per step.
+
+    Each step reads the byte of the remainder above ``deg(b)`` at a shift
+    that is a multiple of 8, highest first, and clears it; the first step
+    reads fewer than 8 bits when the quotient length is not a multiple of 8.
+    """
+    deg = mults[1].bit_length() - 1
+    shift = (a.bit_length() - deg - 1) & -8
+    quot = 0
+    while shift >= 0:
+        t = tops[a >> (shift + deg)]
+        a ^= mults[t] << shift
+        quot = quot << 8 | t
+        shift -= 8
+    return quot, a
+
+
+def _cltable_mul(a: int, mults: Tuple[int, ...]) -> int:
+    """:func:`_clmul` by the modulus of a byte table: Horner over the bytes of ``a``."""
+    out = 0
+    for byte in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
+        out = out << 8 ^ mults[byte]
+    return out
+
+
+def _byte_table(m: Polynomial) -> Optional[ByteTable]:
+    """The byte table of a nonzero modulus over F_2; None over odd p."""
+    return _clbyte_table(m._value) if m.field.p == 2 else None
+
+
+def _is_byte_table(m: Polynomial, table: ByteTable) -> bool:
+    """Whether ``table`` is :func:`_byte_table` of ``m``.
+
+    Entries ``2h`` and ``2h + 1`` must be entry h doubled and that plus
+    ``m``, which makes entry 0 zero, entry 1 ``m`` and entry t ``t * m``;
+    and ``tops`` must invert the bytes above ``deg(m)``.
+    """
+    mults, tops = table
+    b = m._value
+    deg = b.bit_length() - 1
+    evens = [v << 1 for v in mults[:128]]
+    return (
+        len(mults) == len(tops) == 256
+        and list(mults[::2]) == evens
+        and list(mults[1::2]) == [v ^ b for v in evens]
+        and [tops[v >> deg] for v in mults] == list(range(256))
+    )
+
+
+def _divmod_by(
+    a: Polynomial, m: Polynomial, table: Optional[ByteTable]
+) -> Tuple[Polynomial, Polynomial]:
+    """``divmod(a, m)``, through ``m``'s byte table when there is one."""
+    if table is None:
+        return divmod(a, m)
+    quot, rem = _cltable_divmod(a._value, *table)
+    field = a.field
+    return _from_bits(field, quot), _from_bits(field, rem)
+
+
+def _mul_by(k: Polynomial, m: Polynomial, table: Optional[ByteTable]) -> Polynomial:
+    """``k * m``, through ``m``'s byte table when there is one."""
+    if table is None:
+        return k * m
+    return _from_bits(k.field, _cltable_mul(k._value, table[0]))
+
+
 class PackedChain:
     """The steps of a remainder cascade, each a modulus and a cofactor, as the kernels store them.
 
@@ -423,6 +514,9 @@ class PackedChain:
         if not isinstance(other, PackedChain):
             return NotImplemented
         return self._polynomials() == other._polynomials()
+
+    def __repr__(self) -> str:
+        return f"PackedChain(p={self.field.p}, size={self.size}, steps={len(self.steps)})"
 
     def __hash__(self) -> int:
         # Every packing of equal polynomials has the same step lengths and leads.

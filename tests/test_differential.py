@@ -137,8 +137,13 @@ def test_large_pair_at_p2_every_level():
     cof1, cof2 = _coprime_cofactors(144, 145, field, rng)
     m1, m2 = shared * cof1, shared * cof2
     analysis = analyze_pair(m1, m2)
-    assert analysis == reference_analyze_pair(m1, m2)
+    reference = reference_analyze_pair(m1, m2)
+    assert analysis == reference
     assert analysis.K >= 60
+    # encode divides through the analysis's byte tables, which every
+    # construction derives from the moduli.
+    assert None not in analysis.tables
+    assert analysis.tables == reference.tables
     seen = set()
     for level in range(1, analysis.K + 2):
         spec = analysis.level_spec(level)
@@ -154,6 +159,8 @@ def test_large_pair_at_p2_every_level():
             e1 = sample_error(tau, field, rng)
             e2 = sample_error(tau, field, rng)
             residues, witness = encode(a, analysis)
+            assert (witness.k1, residues.a1) == divmod(a, analysis.m1)
+            assert (witness.k2, residues.a2) == divmod(a, analysis.m2)
             pair = ErroneousResiduePair(
                 (residues.a1 + e1) % analysis.m1, (residues.a2 + e2) % analysis.m2, analysis
             )

@@ -24,10 +24,17 @@ from polycrt import (
     xgcd,
 )
 from polycrt.poly import (
+    _clbyte_table,
+    _cldivmod,
+    _clmul,
+    _cltable_divmod,
+    _cltable_mul,
     _dense_add,
     _dense_divmod,
     _dense_mul,
     _dense_sub,
+    _from_bits,
+    _is_byte_table,
 )
 
 F2 = PrimeField(2)
@@ -176,6 +183,45 @@ class TestAgainstDenseKernels:
         assert gcd(a, b) == expected[0]
         for part in expected:
             assert_canonical(part)
+
+
+class TestByteTables:
+    """Division and product through a modulus's byte table, eight bits per step."""
+
+    @pytest.mark.parametrize("degree", [*range(1, 10), 15, 16, 17, 63, 64, 65, 300])
+    def test_against_the_bit_and_dense_kernels(self, degree):
+        # Dividends of every length up to 2 * degree + 24 bits, so quotients
+        # of every length from 0 to degree + 24, multiples of 8 and not: the
+        # lengths of an encode by this modulus paired with one up to 24
+        # degrees longer.  Moduli random, all-ones and x^degree.
+        rng = random.Random(f"byte-table:{degree}")
+        for b in (1 << degree | rng.getrandbits(degree), (2 << degree) - 1, 1 << degree):
+            table = _clbyte_table(b)
+            mults, tops = table
+            assert _is_byte_table(_from_bits(F2, b), table)
+            for length in range(2 * degree + 25):
+                for a in ((1 << length >> 1) | rng.getrandbits(length), (1 << length) - 1):
+                    quot, rem = _cltable_divmod(a, mults, tops)
+                    product = _cltable_mul(a, mults)
+                    assert (quot, rem) == _cldivmod(a, b)
+                    assert product == _clmul(a, b)
+                    if degree <= 17:
+                        a_poly, b_poly = _from_bits(F2, a), _from_bits(F2, b)
+                        assert (_from_bits(F2, quot), _from_bits(F2, rem)) == dense_divmod(a_poly, b_poly)
+                        assert _from_bits(F2, product) == dense_mul(a_poly, b_poly)
+
+    @DIFFERENTIAL
+    @given(f2_polys(), f2_polys())
+    @example(BIG_PRODUCT, BIG_B)
+    @example(BIG_PRODUCT, BIG_A)
+    @example(ZERO, BIG_B)
+    def test_against_dense_divmod_and_mul(self, a, b):
+        if b.is_zero:
+            return
+        mults, tops = _clbyte_table(b._value)
+        quot, rem = _cltable_divmod(a._value, mults, tops)
+        assert (_from_bits(F2, quot), _from_bits(F2, rem)) == dense_divmod(a, b)
+        assert _from_bits(F2, _cltable_mul(a._value, mults)) == dense_mul(a, b)
 
 
 class TestWordEdges:

@@ -202,6 +202,36 @@ class TestChainInvariants:
         with pytest.raises(AssertionError, match="^cascade cofactor degrees do not match"):
             _assert_invariants(dataclasses.replace(an, chain=broken))
 
+    def test_invariants_reject_a_corrupted_byte_table(self, reference_pair):
+        an = reference_pair
+        table1, table2 = an.tables
+        mults, tops = table1
+
+        def swapped(entries):
+            entries = list(entries)
+            entries[3], entries[5] = entries[5], entries[3]
+            return tuple(entries)
+
+        for tables, name in (
+            (((swapped(mults), tops), table2), "m1"),
+            # A low bit flipped, top bytes unchanged: 254 * m1 is no longer
+            # 127 * m1 doubled, nor 255 * m1 that doubled plus m1.
+            (((mults[:-2] + (mults[-2] ^ 1, mults[-1]), tops), table2), "m1"),
+            (((mults[:-1] + (mults[-1] ^ 1,), tops), table2), "m1"),
+            (((mults, swapped(tops)), table2), "m1"),
+            ((table1, (table2[0], swapped(table2[1]))), "m2"),
+            ((table2, table1), "m1"),
+        ):
+            # The tables are derived on construction and cannot be passed in,
+            # so a corrupted one can only be planted on a copy.
+            with pytest.raises(ValueError):
+                dataclasses.replace(an, tables=tables)
+            broken = copy.copy(an)
+            object.__setattr__(broken, "tables", tables)
+            with pytest.raises(AssertionError) as exc:
+                _assert_invariants(broken)
+            assert str(exc.value) == f"byte table of {name} does not match it"
+
     @staticmethod
     def check_corruptions(an):
         cm, cf = an.cascade_moduli, an.cascade_cofactors
@@ -263,6 +293,13 @@ class TestCascadeCofactors:
                 assert s.degree == an.m1.degree - before.degree
             inverse = cofactors[-1]._scale(field.inv(an.remainders[-1].lead))
             assert an.gamma_inv21 == inverse
+
+    def test_repr_is_built_from_values(self):
+        # Two analyses of the same pair print alike: the chain's repr names
+        # its field, input size and step count, not an address.
+        first, second = (readme_factors_pair(PrimeField(2)) for _ in range(2))
+        assert repr(first) == repr(second)
+        assert repr(first).endswith("chain=PackedChain(p=2, size=12, steps=5), swapped=False)")
 
     def test_copy_deepcopy_and_pickle_keep_the_cofactors(self, reference_pair):
         self.check_copies(reference_pair)
