@@ -1,6 +1,5 @@
 """Command-line interface.
 
-Subcommands: analyze, encode, corrupt, reconstruct, crt, bound, simulate.
 Each ``cmd_*`` takes ``(args, field)``, writes nothing, and returns its JSON
 payload, its text lines and its exit code.  ``main`` alone prints: the
 result to stdout (text or JSON via ``--format``), any error to stderr.

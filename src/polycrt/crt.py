@@ -81,7 +81,10 @@ def encode(
     table1, table2 = moduli.tables
     k1, a1 = _divmod_by(a, moduli.m1, table1)
     k2, a2 = _divmod_by(a, moduli.m2, table2)
-    return ResiduePair(a1, a2, moduli), FoldingWitness(k1, k2)
+    # The residues are below their moduli by construction: no re-check.
+    pair = object.__new__(ResiduePair)
+    vars(pair).update(a1=a1, a2=a2, moduli=moduli)
+    return pair, FoldingWitness(k1, k2)
 
 
 def check_consistency(pair: ResiduePair) -> bool:

@@ -15,22 +15,19 @@ The decoder is one formula on the received-residue difference ``q21 = r1 - r2``:
     k2_hat = c_1*s_1 + ... + c_i*s_i
 
 where ``c_j`` is the quotient of cascade step ``j`` and ``s_j`` the Bezout
-cofactor of the analysis's Euclid pass, ``s_j*m2 + t_j*m1 = m*sigma_j``.
-The cascade runs steps ``0..i`` of the analysis's stored chain: step 0 is
-``m1`` with cofactor 0, so its quotient adds nothing to ``k2_hat``.
-Inside the bounds the remainder cascade strips the clean difference
-``a1 - a2`` (a multiple of ``m``) and leaves ``tail = e1 - e2``, so
-``q21 - tail`` is the clean difference and ``k2`` is
-``((q21 - tail) / m * gamma_inv21) mod gamma1``.  The cascade yields that
-value without the division, the product or the reduction.  Dividing the
-Bezout identity by ``m`` gives ``s_j*gamma2 == sigma_j (mod gamma1)``, so
-``sigma_j * gamma_inv21 == s_j``.  ``q21 - tail`` is a multiple of ``m1``
-(from ``mod m1``, which vanishes mod ``gamma1`` after dividing by ``m``)
-plus ``sum c_j*m*sigma_j``, hence the formula above holds mod ``gamma1``.
-The sum is already reduced: ``deg(c_j) < deg(m*sigma_{j-1}) -
-deg(m*sigma_j)`` and ``deg(s_j) = deg(m1) - deg(m*sigma_{j-1})``, so every
-term has degree below ``deg(m1) - deg(m*sigma_j) <= deg(gamma1)``.  This is
-an identity, inside the bounds and outside them.
+cofactor of the analysis's Euclid pass, ``s_j*m2 + t_j*m1 = m*sigma_j``;
+step 0, ``mod m1``, has cofactor 0.  Inside the bounds the cascade strips
+the clean difference ``a1 - a2`` (a multiple of ``m``) and leaves ``tail =
+e1 - e2``, so ``k2 = ((q21 - tail) / m * gamma_inv21) mod gamma1``.  The
+cascade yields that value without the division, the product or the
+reduction: dividing the Bezout identity by ``m`` gives ``sigma_j *
+gamma_inv21 == s_j (mod gamma1)``, and ``q21 - tail`` is a multiple of
+``m1``, which vanishes mod ``gamma1`` after dividing by ``m``, plus ``sum
+c_j*m*sigma_j``.  The sum is already reduced: ``deg(c_j) <
+deg(m*sigma_{j-1}) - deg(m*sigma_j)`` and ``deg(s_j) = deg(m1) -
+deg(m*sigma_{j-1})``, so every term has degree below ``deg(m1) -
+deg(m*sigma_j) <= deg(gamma1)``.  This is an identity, inside the bounds
+and outside them.
 
 The degree of ``q21`` also names one of three cases, reported as
 :class:`Branch` for diagnostics only; the formula is the same in all three:
@@ -79,8 +76,7 @@ class ReconstructionResult:
 
     ``a_hat = k2_hat * m2 + r2`` always holds exactly.  ``cascade_tail`` is
     the remainder cascade of ``q21 mod m1``; inside the bounds it equals
-    ``e1 - e2``.  ``branch`` is a diagnostic label of ``deg(q21)`` and does
-    not change how the result was computed.
+    ``e1 - e2``.  ``branch`` is a diagnostic label of ``deg(q21)``.
     """
 
     a_hat: Polynomial
@@ -104,13 +100,10 @@ def remainder_cascade(
 ) -> Polynomial:
     """Reduce ``v`` successively modulo ``m*sigma_1, ..., m*sigma_level``.
 
-    Step moduli have strictly decreasing degrees, so the cascade strips one
-    degree window at a time; inputs already below ``deg(m*sigma_level)``
-    pass through unchanged.  The whole chain is one call into the
-    polynomial backend, steps ``1..level`` of the one :func:`reconstruct`
-    makes: it folds the stored chain and builds only its results.  An input
-    longer than the chain takes (``deg(m2)`` and below) is first reduced
-    modulo ``m*sigma_1`` by ``%``, which step 1 would do.
+    Inputs already below ``deg(m*sigma_level)`` pass through unchanged.
+    These are steps ``1..level`` of the chain :func:`reconstruct` runs; an
+    input longer than the chain takes (``deg(m2)`` and below) is first
+    reduced modulo ``m*sigma_1`` by ``%``, as step 1 would.
     """
     analysis.level_spec(level)
     v._check_field(analysis.m)
@@ -124,8 +117,7 @@ def classify(q21: Polynomial, analysis: ModuliPairAnalysis, level: int) -> Branc
     """Branch label for a received-residue difference at the given level.
 
     The three branches are exhaustive and mutually exclusive; the zero
-    difference has degree NEG_INF and lands in EQUAL_RESIDUES.  The label is
-    diagnostic: :func:`reconstruct` computes the same formula for all three.
+    difference has degree NEG_INF and lands in EQUAL_RESIDUES.
     """
     spec = analysis.level_spec(level)
     deg = q21.degree

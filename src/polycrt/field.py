@@ -5,9 +5,7 @@ from __future__ import annotations
 from .errors import DivisionByZeroError
 
 
-# Characteristics at or above this are rejected.  Miller-Rabin on the
-# first twelve prime bases is exact below 3.18 * 10**23 (the least strong
-# pseudoprime to all twelve), far above the cap.
+# Characteristics at or above this are rejected; _is_prime is exact far above it.
 _MAX_CHARACTERISTIC = 1 << 64
 
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -42,8 +40,7 @@ class PrimeField:
 
     The characteristic must be below 2**64 and is checked for primality by
     deterministic Miller-Rabin at construction, so a composite or oversized
-    ``p`` fails immediately, in microseconds, instead of corrupting
-    arithmetic later.
+    ``p`` fails at once instead of corrupting arithmetic later.
 
     Field elements are plain ints in ``[0, p)``; the polynomial layer does
     its coefficient arithmetic on them directly and asks the field only for

@@ -1,0 +1,153 @@
+"""F_2 kernels on packed ints, bit i the coefficient of x^i.
+
+Carry-less products and division, byte tables, and the fused cascade.
+"""
+
+from __future__ import annotations
+
+from itertools import accumulate, chain, repeat
+from operator import add, lshift, or_, sub
+from typing import Sequence, Tuple
+
+from .errors import DivisionByZeroError
+
+_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def _clmul(a: int, b: int) -> int:
+    """Carry-less product: Horner over the hex digits of the shorter factor."""
+    if a.bit_length() > b.bit_length():
+        a, b = b, a
+    b2, b4, b8 = b << 1, b << 2, b << 3
+    table = [0, b, b2, b2 ^ b, b4, b4 ^ b, b4 ^ b2, b4 ^ b2 ^ b]
+    table += [b8 ^ v for v in table]
+    out = 0
+    for nibble in ("%x" % a).encode().translate(_HEX_TO_NIBBLE):
+        out = (out << 4) ^ table[nibble]
+    return out
+
+
+def _cldivmod(a: int, b: int) -> Tuple[int, int]:
+    """Carry-less long division of ``a`` by nonzero ``b``: ``(quotient, remainder)``."""
+    top = b.bit_length()
+    quot = 0
+    shift = a.bit_length() - top
+    while shift >= 0:
+        quot |= 1 << shift
+        a ^= b << shift
+        shift = a.bit_length() - top
+    return quot, a
+
+
+# A byte table of an F_2 modulus b is ``(mults, tops)``: ``mults[t]`` is the
+# carry-less product t * b for each byte t, and ``tops`` inverts the byte
+# of ``mults[t]`` above deg(b).  That byte is t plus terms from t's higher
+# bits only, so it is distinct for every t.
+ByteTable = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _clbyte_table(b: int) -> ByteTable:
+    """The byte table of a nonzero packed F_2 modulus ``b``."""
+    mults = [0]
+    for k in range(8):
+        shifted = b << k
+        mults += [v ^ shifted for v in mults]
+    deg = b.bit_length() - 1
+    tops = [0] * 256
+    for t, v in enumerate(mults):
+        tops[v >> deg] = t
+    return tuple(mults), tuple(tops)
+
+
+def _cltable_divmod(a: int, mults: Tuple[int, ...], tops: Tuple[int, ...]) -> Tuple[int, int]:
+    """:func:`_cldivmod` by the modulus ``b = mults[1]``, eight quotient bits per step.
+
+    Each step clears the byte above ``deg(b)`` at a shift that is a multiple
+    of 8, highest first; the first may clear fewer than 8 bits.
+    """
+    deg = mults[1].bit_length() - 1
+    shift = (a.bit_length() - deg - 1) & -8
+    quot = 0
+    while shift >= 0:
+        t = tops[a >> (shift + deg)]
+        a ^= mults[t] << shift
+        quot = quot << 8 | t
+        shift -= 8
+    return quot, a
+
+
+def _cltable_mul(a: int, mults: Tuple[int, ...]) -> int:
+    """:func:`_clmul` by the modulus of a byte table: Horner over the bytes of ``a``."""
+    out = 0
+    for byte in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
+        out = out << 8 ^ mults[byte]
+    return out
+
+
+def _fuse_chain(steps: Sequence[int], cofs: Sequence[int], size: int) -> tuple:
+    """A cascade's steps fused one int each, for inputs of up to ``size`` bits, and their index.
+
+    Returns ``(w, steps, cofs, index)``: cuts of one tuple of fused ints,
+    each a cofactor in the low ``w`` bits and the modulus above them.  Past
+    its first step a cascade shifts step j's cofactor by less than the drop
+    from step j - 1's degree to step j's, so ``w`` holds every sum it builds
+    there.  ``index`` holds, by the bit length ``w + d + 1`` of a remainder
+    of degree d, the first nonzero step of degree at most d and, apart, the
+    shift that clears d; the ``floors`` below which steps ``0 .. k - 1``
+    have no work; and the zero steps.
+    """
+    lens = [*map(int.bit_length, steps)]
+    cof_lens = [*map(int.bit_length, cofs)]
+    drops = map(sub, [0, *lens], lens)
+    w = max(max(cof_lens, default=0), max(map(add, cof_lens, drops), default=0) - 1)
+    gap = len(cofs) - len(steps)
+    fused = tuple(map(or_, map(lshift, [*steps] + [0] * gap, repeat(w)), [*cofs] + [0] * -gap))
+    fused_steps = fused[: len(steps)]
+    # Step j clears the bit lengths w + floors[j + 1] .. w + floors[j] - 1
+    # at shifts 0, 1, ...  The first nonzero step only ever runs first, so
+    # it needs no entries.
+    top = min(size + 1, next(filter(None, lens), size + 1))
+    floors = [*accumulate([n or top for n in lens], min, initial=top)]
+    runs = [*map(sub, floors[-2::-1], floors[:0:-1])]
+    blank = (None,) * (w + floors[-1])
+    index = (
+        blank + tuple(chain.from_iterable(map(repeat, fused_steps[::-1], runs))),
+        blank + tuple(chain.from_iterable(map(range, runs))),
+        tuple(floors),
+        tuple(j for j, n in enumerate(lens) if not n),
+    )
+    return w, fused_steps, fused[: len(cofs)], index
+
+
+def _fold_fused(
+    x: int, steps: tuple, cofs: tuple, w: int, index: tuple, start: int, stop: int
+) -> Tuple[int, int]:
+    """Cascade of ``x`` over fused steps ``start .. stop - 1``: the remainder and the weighted sum.
+
+    Step ``start`` divides ``x`` and weighs its quotient apart; then the
+    remainder sits above the sum's ``w`` bits, and each quotient bit XORs in
+    the step and shift that the index gives for the bit length: the first
+    step of degree at most the remainder's.  Errors as for
+    :func:`polycrt.poly._reduce_chain`.
+    """
+    step_at, shift_at, floors, zeros = index
+    if len(steps) != len(cofs):
+        raise ValueError("the chain needs one cofactor per modulus")
+    if zeros and any(start <= j < stop for j in zeros):
+        raise DivisionByZeroError("polynomial division by zero")
+    if start >= stop:
+        return x, 0
+    mod = steps[start] >> w
+    cof = steps[start] ^ mod << w
+    q, x = _cldivmod(x, mod)
+    acc = _clmul(q, cof) if q and cof else 0
+    x <<= w
+    n = x.bit_length()
+    if start and n >= w + floors[start]:
+        raise ValueError("a step before start has work")
+    floor = w + floors[stop]
+    while n >= floor:
+        x ^= step_at[n] << shift_at[n]
+        n = x.bit_length()
+    rem = x >> w
+    return rem, x ^ rem << w ^ acc

@@ -1,20 +1,16 @@
 """Odd-p coefficient kernels on packed ints: products, Newton division, folds.
 
 Coefficient i of a polynomial fills slot i of an int, bits ``8 * width * i``
-onwards, wide enough that no slot ever carries into its neighbour.  The
-product of two such ints holds coefficient k of the polynomial product in
-slot k.  Division by a long divisor multiplies the dividend by a Newton
-reciprocal of the reversed divisor, built from such products.  A fold is
-one division step that never reduces mod p: it reads each quotient digit
-off the top slot, drops that slot, and adds the digit's multiples of the
-divisor and of a cofactor into the slots below.  The Euclid pass and the
-decoder's remainder cascade are folds on packed ints at C speed, and their
-chain of step moduli and cofactors never leaves packed form: the Euclid pass
-brings every slot back into ``[0, 3p)`` after each step by Barrett
-reduction of all slots at once, and the cascade folds the stored ints.
-``_kronecker_mul`` and ``_newton_divmod`` take coefficient sequences reduced
-mod p, lowest power first, and return lists reduced mod p;
-:mod:`polycrt.poly` wraps them in ``Polynomial``.
+onwards, wide enough that no slot carries into its neighbour, so the product
+of two such ints holds coefficient k of the product in slot k.  Division by
+a long divisor multiplies by a Newton reciprocal of the reversed divisor.  A
+fold is one division step that never reduces mod p: it reads each quotient
+digit off the top slot, drops that slot, and adds the digit's multiples of
+the divisor and of a cofactor into the slots below.  The Euclid pass and the
+decoder's cascade are folds at C speed; the pass brings every slot back into
+``[0, 3p)`` after each step by Barrett reduction of all slots at once, and
+the cascade folds the stored ints.  :mod:`polycrt.poly` wraps the kernels
+in ``Polynomial``.
 """
 
 from __future__ import annotations
@@ -164,8 +160,7 @@ def _fold_chain(
     lists reduced mod p.  Each step is one :func:`_fold` of the packed
     remainder and sum, skipped while the remainder is shorter than the step
     modulus; the sum is negated at the end, since the folds add minus the
-    quotients.  A zero step modulus raises ``DivisionByZeroError``, and
-    ``steps`` and ``cofs`` of different lengths raise ``ValueError``.
+    quotients.  Errors as for :func:`polycrt.poly._reduce_chain`.
     """
     size = len(v)
     bits = 8 * width
@@ -189,7 +184,7 @@ def _fold_euclid(
     For ``len(a) >= len(b) > 0`` with nonzero leads, returns the slot width
     and struct code of :func:`_chain_layout` for ``len(a)``, the steps ``b,
     r_2, r_3, ...`` up to the last nonzero remainder, and their cofactors
-    ``0, s_2, s_3, ...`` (see :func:`polycrt.poly._euclid_chain`).  A step
+    ``0, s_2, s_3, ...`` (see :func:`polycrt.poly._euclid_pass`).  A step
     is ``(size, low, neg_inv, lead)``: ``low`` packs its coefficients below
     the lead, and ``lead`` and ``neg_inv``, minus its inverse, are reduced
     mod p.  A cofactor is one packed int.  Each step is one :func:`_fold` of

@@ -7,20 +7,13 @@ monic gcd ``m``, the coprime cofactors ``gamma1 = m1/m`` and
     sigma_{-1} = gamma2,  sigma_0 = gamma1,  sigma_i = sigma_{i-2} mod sigma_{i-1}
 
 whose degrees strictly decrease from ``sigma_0`` down to the final entry
-``sigma_{K+1}``, a nonzero scalar.  Only the products ``m * sigma_i`` are
-stored: they are the remainders of the Euclid pass that finds ``m``.  The
-same pass yields the Bezout cofactors the decoder weights its quotients by,
-without building a quotient; both are stored as the decoder's packed cascade
-chain, in the form the pass leaves them (:func:`polycrt.poly._euclid_chain`).
-The cofactor of the pass's zero remainder is ``gamma1`` times a scalar.  The
-sigma chain (by a second Euclid pass, over the cofactors) and the inverse
-``gamma_inv21`` of ``gamma2`` modulo ``gamma1`` (from the last step) are
-derived on read.  Each chain index ``i`` in ``1..K+1`` is a *level*:
-residue errors of degree up to (exclusive) ``deg(m) + deg(sigma_i)``
-can be tolerated for messages of degree up to (exclusive)
-``deg(lcm) - deg(sigma_i)``.  Lower levels tolerate bigger errors on a
-smaller message range; the top level covers the full range ``deg(lcm)`` with
-the smallest error bound ``deg(m)``.
+``sigma_{K+1}``, a nonzero scalar; :class:`ModuliPairAnalysis` says what is
+stored and what is derived on read.  Each chain index ``i`` in ``1..K+1``
+is a *level*: residue errors of degree below ``deg(m) + deg(sigma_i)`` can
+be tolerated for messages of degree below ``deg(lcm) - deg(sigma_i)``.
+Lower levels tolerate bigger errors on a smaller message range; the top
+level covers the full range ``deg(lcm)`` with the smallest error bound
+``deg(m)``.
 """
 
 from __future__ import annotations
@@ -75,27 +68,16 @@ class ModuliPairAnalysis:
     ``1..K+1`` is ``m * sigma_i`` with the Bezout cofactor ``s_i`` of the
     same pass, ``s_i * m2 + t_i * m1 = m * sigma_i``, so ``s_i * gamma2 ==
     sigma_i (mod gamma1)`` and ``deg(s_i) = deg(m1) - deg(m * sigma_{i-1})``.
-    :attr:`cascade_moduli` and :attr:`cascade_cofactors` unpack steps
-    ``1..K+1``, and :attr:`gamma_inv21` scales the last cofactor.
-    :attr:`sigma` (``sigma_{-1} .. sigma_{K+1}``) and :attr:`remainders`
-    (``sigma_1 .. sigma_{K+1}``) take a second Euclid pass, over the
-    cofactors.  ``swapped`` records whether the input order was reversed to
-    keep ``deg(m1) <= deg(m2)``.
+    The properties read the chain; :attr:`sigma` and :attr:`remainders` take
+    a second Euclid pass, over the cofactors.  ``swapped`` records whether
+    the input order was reversed to keep ``deg(m1) <= deg(m2)``.
 
-    Over F_2, ``tables`` holds one byte table per modulus
-    (:data:`~polycrt.poly.ByteTable`): the 256 carry-less multiples ``t *
-    m_i`` of the bytes t, and the inverse of their bytes above ``deg(m_i)``.
-    :func:`~polycrt.crt.encode` divides by ``m1`` and ``m2`` through them,
-    eight quotient bits per step, and the decoder and ``crt_pair`` multiply
-    ``k2 * m2`` by Horner over the bytes of ``k2``.  The two tables hold 512
-    multiples: about 74 KB at degree 768, and about 1.7 MB at degree 24,576,
-    where the whole analysis holds about 30 MiB.  Building and checking them
-    adds about 0.2 ms to an analysis, so they pay off when one analysis
-    serves many round trips: about 3 at degree 768, about 60 at the README
-    pair.  Over odd p both are None,
-    and those calls divide and multiply as ``divmod`` and ``*`` do.  The
-    tables are derived from ``m1`` and ``m2`` on construction and cannot be
-    passed in, so they take no part in equality, hashing or repr.
+    Over F_2, ``tables`` holds a byte table per modulus
+    (:data:`~polycrt.poly.ByteTable`), for ``encode``'s divisions and the
+    products by ``m2``; over odd p both are None.  They are derived from the
+    moduli on construction and take no part in equality, hashing or repr.
+    They and the F_2 chain's index are built once per analysis and pay off
+    over many round trips (README).
     """
 
     m1: Polynomial
@@ -171,13 +153,10 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     if swapped:
         m1, m2 = m2, m1
 
-    # One Euclid pass over (m2, m1).  Since m1 = m * gamma1 and m2 = m *
-    # gamma2, its remainders are m * sigma_1 .. m * sigma_{K+1} (the cascade
-    # moduli), its last nonzero remainder is m times the scalar sigma_{K+1},
-    # and its Bezout cofactors s_i satisfy s_i * gamma2 == sigma_i (mod
-    # gamma1), with deg(s_i) < deg(gamma1).  The chain's last step is m1
-    # when there is no remainder.  The cofactor of the pass's zero remainder
-    # is gamma1 times a scalar; gamma1 = m1 / m with m monic has m1's lead.
+    # One Euclid pass over (m2, m1) (see ModuliPairAnalysis).  Its last step
+    # is m times the scalar sigma_{K+1}, or m1 when there is no remainder,
+    # and the cofactor of its zero remainder is gamma1 times a scalar;
+    # gamma1 = m1 / m with m monic has m1's lead.
     chain, last = _euclid_chain(m2, m1)
     m = chain.modulus(-1).monic()
     if m.degree == 0:
@@ -228,10 +207,8 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
 
 
 def _assert_invariants(analysis: ModuliPairAnalysis) -> None:
-    # Explicit raises rather than assert statements, so that python -O keeps
-    # this cross-check of the polynomial kernels.  The chain is checked
-    # through the degrees of m * sigma_{-1} .. m * sigma_{K+1}, read off its
-    # packed steps.
+    # Explicit raises, so that python -O keeps this cross-check of the
+    # kernels.  The chain's degrees are read off its packed steps.
     step_degs, cofactor_degs = analysis.chain.degrees()
     degs = [analysis.m2.degree, analysis.m1.degree] + step_degs[1:]
     if degs[0] < degs[1]:

@@ -6,28 +6,19 @@ zeros.  The zero polynomial has the empty tuple and degree :data:`NEG_INF`,
 which compares strictly below every integer and absorbs addition, so degree
 inequalities hold for the zero polynomial without special cases.
 
-The field picks the representation and the arithmetic, and a polynomial
-stores one value.  Over F_2 it is the packed int, bit ``i`` holding the
-coefficient of ``x^i``: addition is one XOR, multiplication a carry-less
-shift-XOR product and division a shift-XOR long division, each step
-shifting and XORing whole ints at C speed, and ``coeffs`` unpacks the int
-on every read.  Every other p stores the tuple and adds with schoolbook
-loops; it multiplies by Kronecker substitution and divides long quotients
-by long divisors through a Newton reciprocal (:mod:`polycrt.kronecker`),
-short ones with schoolbook loops.
-``divmod`` is the one division entry, and ``%`` is its remainder.  An
-analysis over F_2 also stores a byte table per modulus (:data:`ByteTable`),
-through which ``encode`` divides eight quotient bits per step and the
-decoder multiplies by ``m2`` a byte at a time.  Two loops
-reduce a remainder together with a quotient-weighted sum, step after step,
-without building any quotient: the Euclid pass with its Bezout cofactors,
-which ``gcd``, ``xgcd`` and ``lcm`` read, and the decoder's remainder
-cascade.  Over F_2 they XOR shifted ints; over odd p each step is one fold
-on packed ints.  The Euclid pass never unpacks: Barrett reduction keeps
-every slot below 3p, and its steps are stored as they are
-(:class:`PackedChain`), so the cascade reduces mod p once, at its end.
-Kernel results skip re-reduction in ``Polynomial.__init__``.  Tests check
-every fast kernel against a schoolbook or step-by-step ``divmod`` reference.
+The field picks the representation, and a polynomial stores one value.
+Over F_2 it is the packed int, bit ``i`` holding the coefficient of ``x^i``,
+on which the shift-XOR kernels of :mod:`polycrt.gf2` work, and ``coeffs``
+unpacks it on every read.  Every other p stores the tuple, multiplies by
+Kronecker substitution and divides long quotients by long divisors through
+a Newton reciprocal (:mod:`polycrt.kronecker`), the rest with schoolbook
+loops.  ``%`` is ``divmod``'s remainder.  The Euclid pass, which ``gcd``,
+``xgcd`` and ``lcm`` read, and the decoder's remainder cascade reduce a
+remainder and a cofactor-weighted sum step after step, building no
+quotient; their steps are stored as a :class:`PackedChain`.  Over F_2 the
+chain fuses each step into one int.  Over odd p each step is one fold on
+packed ints, Barrett reduction keeps every slot below 3p, and the cascade
+reduces mod p once, at its end.
 """
 
 from __future__ import annotations
@@ -43,6 +34,16 @@ from .errors import (
     ZeroInputError,
 )
 from .field import PrimeField
+from .gf2 import (
+    ByteTable,
+    _clbyte_table,
+    _cldivmod,
+    _clmul,
+    _cltable_divmod,
+    _cltable_mul,
+    _fold_fused,
+    _fuse_chain,
+)
 from .kronecker import (
     _fold_chain,
     _fold_euclid,
@@ -278,17 +279,6 @@ def _dense_sub(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
     return out
 
 
-def _dense_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
-    # The tests' reference for _clmul and _kronecker_mul; no library path calls it.
-    out = [0] * (len(a) + len(b) - 1)
-    for i, av in enumerate(a):
-        if av:
-            for j, bv in enumerate(b):
-                if bv:
-                    out[i + j] = (out[i + j] + av * bv) % p
-    return out
-
-
 def _dense_divmod(
     a: Tuple[int, ...], div: Tuple[int, ...], p: int, lead_inv: int
 ) -> Tuple[list, list]:
@@ -309,12 +299,10 @@ def _dense_divmod(
     return quot, rem[:dd]
 
 
-# Packed F_2 kernels: bit i of an int is the coefficient of x^i.  Packing
-# and unpacking go through the int's binary text, so both run at C speed.
+# F_2 packing and unpacking go through the int's binary text, at C speed.
 
 _BIT_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 _DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
-_HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
 def _pack2(coeffs: Tuple[int, ...]) -> int:
@@ -328,77 +316,6 @@ def _from_bits(field: PrimeField, bits: int) -> Polynomial:
     _set_field(poly, field)
     _set_value(poly, bits)
     return poly
-
-
-def _clmul(a: int, b: int) -> int:
-    """Carry-less product: Horner over the hex digits of the shorter factor."""
-    if a.bit_length() > b.bit_length():
-        a, b = b, a
-    b2, b4, b8 = b << 1, b << 2, b << 3
-    table = [0, b, b2, b2 ^ b, b4, b4 ^ b, b4 ^ b2, b4 ^ b2 ^ b]
-    table += [b8 ^ v for v in table]
-    out = 0
-    for nibble in ("%x" % a).encode().translate(_HEX_TO_NIBBLE):
-        out = (out << 4) ^ table[nibble]
-    return out
-
-
-def _cldivmod(a: int, b: int) -> Tuple[int, int]:
-    """Carry-less long division of ``a`` by nonzero ``b``: ``(quotient, remainder)``."""
-    top = b.bit_length()
-    quot = 0
-    shift = a.bit_length() - top
-    while shift >= 0:
-        quot |= 1 << shift
-        a ^= b << shift
-        shift = a.bit_length() - top
-    return quot, a
-
-
-# A byte table of an F_2 modulus b is ``(mults, tops)``: ``mults[t]`` is the
-# carry-less product t * b for each byte t, and ``tops`` inverts the byte
-# of ``mults[t]`` above deg(b).  That byte is t plus terms from t's higher
-# bits only, so it is distinct for every t.
-ByteTable = Tuple[Tuple[int, ...], Tuple[int, ...]]
-
-
-def _clbyte_table(b: int) -> ByteTable:
-    """The byte table of a nonzero packed F_2 modulus ``b``."""
-    mults = [0]
-    for k in range(8):
-        shifted = b << k
-        mults += [v ^ shifted for v in mults]
-    deg = b.bit_length() - 1
-    tops = [0] * 256
-    for t, v in enumerate(mults):
-        tops[v >> deg] = t
-    return tuple(mults), tuple(tops)
-
-
-def _cltable_divmod(a: int, mults: Tuple[int, ...], tops: Tuple[int, ...]) -> Tuple[int, int]:
-    """:func:`_cldivmod` by the modulus ``b = mults[1]``, eight quotient bits per step.
-
-    Each step reads the byte of the remainder above ``deg(b)`` at a shift
-    that is a multiple of 8, highest first, and clears it; the first step
-    reads fewer than 8 bits when the quotient length is not a multiple of 8.
-    """
-    deg = mults[1].bit_length() - 1
-    shift = (a.bit_length() - deg - 1) & -8
-    quot = 0
-    while shift >= 0:
-        t = tops[a >> (shift + deg)]
-        a ^= mults[t] << shift
-        quot = quot << 8 | t
-        shift -= 8
-    return quot, a
-
-
-def _cltable_mul(a: int, mults: Tuple[int, ...]) -> int:
-    """:func:`_clmul` by the modulus of a byte table: Horner over the bytes of ``a``."""
-    out = 0
-    for byte in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
-        out = out << 8 ^ mults[byte]
-    return out
 
 
 def _byte_table(m: Polynomial) -> Optional[ByteTable]:
@@ -447,18 +364,18 @@ class PackedChain:
     """The steps of a remainder cascade, each a modulus and a cofactor, as the kernels store them.
 
     ``size`` is the most coefficients an input to the cascade may have.
-    Over F_2, ``steps[i]`` and ``cofs[i]`` are the packed ints of step i's
-    modulus and cofactor, and ``layout`` is None.  Over odd p, ``layout`` is
-    the slot width and struct code of
-    :func:`~polycrt.kronecker._chain_layout` for ``size``, ``steps[i]`` is
-    ``(length, low, neg_inv, lead)`` and ``cofs[i]`` the packed cofactor,
-    as :func:`~polycrt.kronecker._fold_euclid` returns them.  Their slots
-    may hold any value below 3p, so equal polynomials may pack to different
-    ints: equality compares the polynomials that :meth:`modulus` and
-    :meth:`cofactor` unpack, and hashing their lengths and leads.
+    Over F_2, ``layout``, ``steps``, ``cofs`` and ``index`` are the fused
+    chain of :func:`~polycrt.gf2._fuse_chain`.  Over odd p, ``index`` is None,
+    ``layout`` is the slot width and struct code of
+    :func:`~polycrt.kronecker._chain_layout` for ``size``, and ``steps`` and
+    ``cofs`` are as :func:`~polycrt.kronecker._fold_euclid` returns them.
+    Their slots may hold any value below 3p, so equal polynomials may pack
+    to different ints: equality compares the polynomials that
+    :meth:`modulus` and :meth:`cofactor` unpack, and hashing their lengths
+    and leads.
     """
 
-    __slots__ = ("field", "size", "layout", "steps", "cofs")
+    __slots__ = ("field", "size", "layout", "steps", "cofs", "index")
 
     def __init__(
         self, field: PrimeField, size: int, layout: Optional[tuple], steps: Sequence,
@@ -466,22 +383,23 @@ class PackedChain:
     ) -> None:
         self.field = field
         self.size = size
-        self.layout = layout
-        self.steps = tuple(steps)
-        self.cofs = tuple(cofs)
+        if field.p == 2:
+            self.layout, self.steps, self.cofs, self.index = _fuse_chain(steps, cofs, size)
+        else:
+            self.layout, self.steps, self.cofs, self.index = layout, tuple(steps), tuple(cofs), None
 
     def modulus(self, i: int) -> Polynomial:
         """Step i's modulus."""
-        if self.layout is None:
-            return _from_bits(self.field, self.steps[i])
+        if self.index:
+            return _from_bits(self.field, self.steps[i] >> self.layout)
         n, low, _, lead = self.steps[i]
         return _from_reduced(self.field, self._reduced(low, n - 1) + [lead] if n else [])
 
     def cofactor(self, i: int) -> Polynomial:
         """Step i's cofactor."""
         cof = self.cofs[i]
-        if self.layout is None:
-            return _from_bits(self.field, cof)
+        if self.index:
+            return _from_bits(self.field, cof & ~(-1 << self.layout))
         slots = -(-cof.bit_length() // (8 * self.layout[0]))
         return _from_reduced(self.field, self._reduced(cof, slots))
 
@@ -490,8 +408,13 @@ class PackedChain:
 
         An odd-p cofactor whose top slot is zero mod p has no degree: None.
         """
-        if self.layout is None:
-            return [_bits_degree(b) for b in self.steps], [_bits_degree(s) for s in self.cofs]
+        if self.index:
+            w = self.layout
+            mask = ~(-1 << w)
+            lens = map(int.bit_length, map(mask.__and__, self.cofs))
+            return [n - w - 1 if n > w else NEG_INF for n in map(int.bit_length, self.steps)], [
+                n - 1 if n else NEG_INF for n in lens
+            ]
         bits, p = 8 * self.layout[0], self.field.p
         cof_degs: list = []
         for cof in self.cofs:
@@ -504,11 +427,8 @@ class PackedChain:
         return [c % p for c in _unpack(packed, size, *self.layout)]
 
     def _polynomials(self) -> tuple:
-        return (
-            self.field,
-            tuple(map(self.modulus, range(len(self.steps)))),
-            tuple(map(self.cofactor, range(len(self.cofs)))),
-        )
+        moduli = [*map(self.modulus, range(len(self.steps)))]
+        return self.field, moduli, [*map(self.cofactor, range(len(self.cofs)))]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PackedChain):
@@ -519,14 +439,11 @@ class PackedChain:
         return f"PackedChain(p={self.field.p}, size={self.size}, steps={len(self.steps)})"
 
     def __hash__(self) -> int:
-        # Every packing of equal polynomials has the same step lengths and leads.
-        if self.layout is None:
+        # Equal polynomials fuse to equal ints over F_2, and every odd-p
+        # packing of them has the same step lengths and leads.
+        if self.index:
             return hash((self.field, self.steps, self.cofs))
         return hash((self.field, tuple((n, lead) for n, _, _, lead in self.steps), len(self.cofs)))
-
-
-def _bits_degree(bits: int) -> Degree:
-    return bits.bit_length() - 1 if bits else NEG_INF
 
 
 def _reduce_chain(
@@ -536,44 +453,36 @@ def _reduce_chain(
 
     Returns ``(remainder, sum of q_j * cofactor_j)``, where ``q_j`` is the
     quotient of step ``j`` (zero when the running remainder is already below
-    the step's degree).  ``v`` is over the chain's field, which the caller
-    checks, and has at most ``chain.size`` coefficients (a longer one raises
-    ``ValueError``).  Over F_2 each quotient bit XORs the shifted modulus
-    into the remainder and the shifted cofactor into the sum; over odd p,
+    the step's degree), for ``0 <= start <= stop <= len(chain.steps)`` and
+    ``v`` over the chain's field, which the caller checks.  A zero step in
+    the range raises :class:`DivisionByZeroError`, even one the remainder
+    is below; more than ``chain.size`` coefficients in ``v``, or more or
+    fewer cofactors than moduli, ``ValueError``.  Over F_2 (see
+    :func:`~polycrt.gf2._fold_fused`) so does a step before ``start`` that
+    would have work, which needs degrees that do not decrease.  Over odd p,
     see :func:`~polycrt.kronecker._fold_chain`.
     """
     if v.degree >= chain.size:
         raise ValueError(f"input of degree {v.degree} is too long for this chain")
     field = v.field
-    steps, cofs = chain.steps[start:stop], chain.cofs[start:stop]
-    if field.p == 2:
-        bits, acc = v._value, 0
-        for b, s in zip(steps, cofs, strict=True):
-            if not b:
-                raise DivisionByZeroError("polynomial division by zero")
-            top = b.bit_length()
-            shift = bits.bit_length() - top
-            while shift >= 0:
-                bits ^= b << shift
-                acc ^= s << shift
-                shift = bits.bit_length() - top
-        return _from_bits(field, bits), _from_bits(field, acc)
-    tail, total = _fold_chain(v._value, steps, cofs, *chain.layout, field.p)
+    steps, cofs = chain.steps, chain.cofs
+    if chain.index:
+        rem, total = _fold_fused(v._value, steps, cofs, chain.layout, chain.index, start, stop)
+        return _from_bits(field, rem), _from_bits(field, total)
+    tail, total = _fold_chain(v._value, steps[start:stop], cofs[start:stop], *chain.layout, field.p)
     return _from_reduced(field, tail), _from_reduced(field, total)
 
 
-def _euclid_chain(a: Polynomial, b: Polynomial) -> Tuple[PackedChain, Polynomial]:
-    """The Euclid pass over ``(a, b)`` as a chain: steps ``b, r_2, r_3, ...`` and cofactors.
+def _euclid_pass(a: Polynomial, b: Polynomial) -> tuple:
+    """The Euclid pass over ``(a, b)``: ``(size, layout, steps, cofs, s_N)`` for a :class:`PackedChain`.
 
     For nonzero ``b`` with ``deg(a) >= deg(b)``: ``r_0, r_1 = a, b``,
     ``r_i = r_{i-2} mod r_{i-1}`` and ``s_i * a + t_i * b == r_i``, where
     ``s_0, s_1 = 1, 0`` and ``s_i = s_{i-2} - q_i * s_{i-1}``.  Step 0 is
     ``(b, 0)`` and step ``i - 1`` is ``(r_i, s_i)`` for every nonzero
-    ``r_i``, ``i >= 2``; the chain takes inputs as long as ``a``.  Each step
-    reduces ``(r_{i-2}, s_{i-2})`` by ``(r_{i-1}, s_{i-1})`` the way
-    :func:`_reduce_chain` reduces a remainder and its sum, building no quotient.
-    Also returns ``s_N`` of the first zero ``r_N``: ``s_N * a == -t_N * b``,
-    so ``s_N`` is ``b / gcd(a, b)`` times a nonzero scalar.
+    ``r_i``, ``i >= 2``, for inputs as long as ``a``; no step builds a
+    quotient.  ``s_N`` of the first zero ``r_N`` has ``s_N * a == -t_N *
+    b``, so it is ``b / gcd(a, b)`` times a nonzero scalar.
     """
     field = a.field
     if field.p == 2:
@@ -589,21 +498,30 @@ def _euclid_chain(a: Polynomial, b: Polynomial) -> Tuple[PackedChain, Polynomial
                 s0 ^= s1 << shift
                 shift = r0.bit_length() - top
             r0, r1, s0, s1 = r1, r0, s1, s0
-        return PackedChain(field, a._value.bit_length(), None, steps, cofs), _from_bits(field, s1)
+        return a._value.bit_length(), None, steps, cofs, _from_bits(field, s1)
     width, code, steps, cofs, s_n = _fold_euclid(a._value, b._value, field.p)
-    return PackedChain(field, len(a._value), (width, code), steps, cofs), _from_reduced(field, s_n)
+    return len(a._value), (width, code), steps, cofs, _from_reduced(field, s_n)
+
+
+def _euclid_chain(a: Polynomial, b: Polynomial) -> Tuple[PackedChain, Polynomial]:
+    """The chain and ``s_N`` of :func:`_euclid_pass`."""
+    size, layout, steps, cofs, last = _euclid_pass(a, b)
+    return PackedChain(a.field, size, layout, steps, cofs), last
 
 
 def _euclid(name: str, a: Polynomial, b: Polynomial) -> Tuple[Polynomial, ...]:
-    """``(x, y, r_{N-1}, s_{N-1}, s_N)`` of :func:`_euclid_chain` over the operands by degree."""
+    """``(x, y, r_{N-1}, s_{N-1}, s_N)`` of :func:`_euclid_pass` over the operands by degree."""
     a._check_field(b)
     if a.is_zero and b.is_zero:
         raise BothZeroError(f"{name}(0, 0) is undefined")
     x, y = (b, a) if a.degree < b.degree else (a, b)
     if y.is_zero:
         return x, y, x, Polynomial(x.field, (1,)), y
-    chain, last = _euclid_chain(x, y)
-    return x, y, chain.modulus(-1), chain.cofactor(-1), last
+    size, layout, steps, cofs, last = _euclid_pass(x, y)
+    if layout is None:  # F_2: fusing the chain would not pay for one read
+        return x, y, _from_bits(x.field, steps[-1]), _from_bits(x.field, cofs[-1]), last
+    chain = PackedChain(x.field, size, layout, steps[-1:], cofs[-1:])
+    return x, y, chain.modulus(0), chain.cofactor(0), last
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -222,18 +222,11 @@ def _run_trial(
     The draw order is part of the determinism contract.  A trial succeeds
     when the folding polynomial is recovered exactly and the residual
     ``a_hat - a`` has degree at most ``tau``; this is the only place that
-    rule is applied.
-
-    Nothing here raises once ``level`` is valid, for any ``tau >= -1``:
-
-    * ``TrialConfig.__post_init__`` checks ``level``, and so does
-      :func:`search_boundary_counterexample` through ``level_spec``, before
-      any trial runs.
-    * ``r1`` and ``r2`` are reduced mod ``m1`` and ``m2``, so the
-      :class:`ErroneousResiduePair` checks pass whatever the errors are.
-    * :func:`reconstruct` raises only from ``level_spec``; its chain
-      reduction cannot raise on an analysis that passed
-      ``_assert_invariants``.
+    rule is applied.  Nothing here raises once ``level`` is valid, which
+    ``TrialConfig`` and :func:`search_boundary_counterexample` check first,
+    for any ``tau >= -1``: ``r1`` and ``r2`` are reduced mod ``m1`` and
+    ``m2``, and :func:`reconstruct` raises only from ``level_spec`` on an
+    analysis that passed ``_assert_invariants``.
     """
     field = analysis.field
     a = sample_polynomial(analysis.level_spec(level).dynamic_range_exclusive, field, rng)

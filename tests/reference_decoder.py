@@ -21,7 +21,8 @@ Euclid pass: a fault in those shows up as a difference.
 ``inv21`` of ``gamma2`` modulo ``gamma1`` from ``reference_xgcd``, not from
 the analysis, which derives it from the chain.  The library computes the
 same values in one Euclid pass and one cascade; these versions exist only
-so tests can compare the two.  ``pack_chain`` is the
+so tests can compare the two.  ``schoolbook_mul`` is the product
+that the packed products are checked against.  ``pack_chain`` is the
 tests' one way to pack a chain of their own polynomials in the form an
 analysis stores.  The guards below raise
 ``AssertionError`` explicitly: this is not a ``test_*.py`` module, so
@@ -45,6 +46,17 @@ from polycrt import (
 )
 from polycrt.kronecker import _chain_layout, _pack
 from polycrt.poly import PackedChain
+
+
+def schoolbook_mul(a, b, p: int) -> list:
+    """Schoolbook product of two coefficient sequences, reduced mod p, possibly with trailing zeros."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, av in enumerate(a):
+        if av:
+            for j, bv in enumerate(b):
+                if bv:
+                    out[i + j] = (out[i + j] + av * bv) % p
+    return out
 
 
 def reference_gcd(a: Polynomial, b: Polynomial) -> Polynomial:

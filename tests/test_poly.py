@@ -271,6 +271,109 @@ class TestReduceChain:
             _reduce_chain(Polynomial(field, [1, 1, 1, 1]), chain, 0, 1)
 
 
+def cascade_prefixes(v, moduli, cofactors):
+    """``chain_reference`` over ``moduli[:k]`` for every k, in one pass."""
+    total = Polynomial(v.field)
+    out = [(v, total)]
+    for step, cofactor in zip(moduli, cofactors):
+        q, v = divmod(v, step)
+        total = total + q * cofactor
+        out.append((v, total))
+    return out
+
+
+class TestF2FusedChain:
+    """The F_2 cascade on fused steps: one lookup and one shift-XOR per quotient bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_analysis_chains_at_every_level(self, f2, seed):
+        rng = random.Random(f"fused:{seed}")
+        an = random_moduli_pair(f2, rng, gcd_degree=(64, 72), cofactor_degree=(128, 136))
+        chain = an.chain
+        # Every quotient sum stays below deg(gamma1), so the cofactor field
+        # is that wide and no wider.
+        assert chain.layout == an.gamma1.degree
+        moduli = (an.m1,) + an.cascade_moduli
+        cofactors = (Polynomial(f2),) + an.cascade_cofactors
+        ones = Polynomial(f2, [1] * chain.size)
+        inputs = [random_poly(f2, chain.size, rng) for _ in range(2)] + [ones, an.m2]
+        for v in inputs:
+            for start in (0, 1):
+                want = cascade_prefixes(v, moduli[start:], cofactors[start:])
+                for level in range(1, an.K + 2):
+                    got = _reduce_chain(v, chain, start, level + 1)
+                    assert got == want[level + 1 - start]
+
+    def test_all_ones_inputs_fill_the_cofactor_field(self, f2):
+        # An all-ones input of chain.size bits takes long quotients; the top
+        # level's sum reaches degree deg(gamma1) - 1, the most the cofactor
+        # field holds.
+        rng = random.Random("fused-ones")
+        full = 0
+        for _ in range(6):
+            an = random_moduli_pair(f2, rng, gcd_degree=(64, 80), cofactor_degree=(128, 160))
+            moduli = (an.m1,) + an.cascade_moduli
+            cofactors = (Polynomial(f2),) + an.cascade_cofactors
+            v = Polynomial(f2, [1] * an.chain.size)
+            for start in (0, 1):
+                want = cascade_prefixes(v, moduli[start:], cofactors[start:])
+                for level in range(1, an.K + 2):
+                    assert _reduce_chain(v, an.chain, start, level + 1) == want[level + 1 - start]
+            assert want[-1][1].degree < an.chain.layout
+            full += want[-1][1].degree == an.chain.layout - 1
+        assert full
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [[9, 6, 2, 1], [12, 4, 0], [3, 8, 5, 1], [5, 10, 12], [7, 7, 3], [2, 6, 4, 0, 3],
+         [8, None, 3, 1], [None, 6, 2], [4, 2, None]],
+    )
+    def test_hand_built_chains_at_every_start_and_stop(self, f2, degrees):
+        # Degree gaps, degrees that rise or repeat, and zero steps (None).
+        # Every call is exact or raises the documented error: a zero step in
+        # the range divides by zero, and ValueError needs a nonzero step
+        # before start of degree at most that of v mod step start.
+        rng = random.Random(f"fused-hand:{degrees}")
+        zero = Polynomial(f2)
+        moduli = [
+            zero if d is None else random_poly(f2, d, rng) + Polynomial(f2, [0] * d + [1])
+            for d in degrees
+        ]
+        cofactors = [Polynomial(f2, [rng.randrange(2) for _ in range(11)] + [1]) for _ in degrees]
+        chain = pack_chain(f2, moduli, cofactors, 16)
+        raised = exact = 0
+        for v in [random_poly(f2, 16, rng) for _ in range(12)] + [Polynomial(f2, [1] * 16), zero]:
+            for start in range(len(moduli) + 1):
+                for stop in range(start, len(moduli) + 1):
+                    if any(m.is_zero for m in moduli[start:stop]):
+                        with pytest.raises(DivisionByZeroError):
+                            _reduce_chain(v, chain, start, stop)
+                        continue
+                    want = cascade_prefixes(v, moduli[start:stop], cofactors[start:stop])[-1]
+                    try:
+                        got = _reduce_chain(v, chain, start, stop)
+                    except ValueError:
+                        rem = v % moduli[start]
+                        assert any(m and m.degree <= rem.degree for m in moduli[:start])
+                        raised += 1
+                        continue
+                    assert got == want
+                    exact += 1
+        assert exact
+        # Degrees that strictly decrease past the zero steps never raise.
+        nonzero = [d for d in degrees if d is not None]
+        if nonzero == sorted(set(nonzero), reverse=True):
+            assert not raised
+
+    def test_counts_of_moduli_and_cofactors_must_match(self, f2):
+        step = Polynomial(f2, [1, 1])
+        for moduli, cofactors in (((step, step), (step,)), ((step,), (step, step))):
+            chain = pack_chain(f2, moduli, cofactors, 4)
+            assert (len(chain.steps), len(chain.cofs)) == (len(moduli), len(cofactors))
+            with pytest.raises(ValueError):
+                _reduce_chain(step, chain, 0, 1)
+
+
 class TestGcd:
     def test_known_gcds(self, f2):
         m1 = poly(f2, "x^2+1") * poly(f2, "x^6+x^3+1")
