@@ -180,6 +180,7 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     # deg(sigma_i) = deg(m * sigma_i) - deg(m).
     deg_m = m.degree
     deg_big = big.degree
+    degrees = chain.degrees()
     levels = tuple(
         LevelSpec(
             index=i,
@@ -187,7 +188,7 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
             error_bound_exclusive=d,
             dynamic_range_exclusive=deg_big - d + deg_m,
         )
-        for i, d in enumerate(chain.degrees()[0][1:], start=1)
+        for i, d in enumerate(degrees[0][1:], start=1)
     )
 
     analysis = ModuliPairAnalysis(
@@ -202,14 +203,17 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         chain=chain,
         swapped=swapped,
     )
-    _assert_invariants(analysis)
+    _assert_invariants(analysis, degrees)
     return analysis
 
 
-def _assert_invariants(analysis: ModuliPairAnalysis) -> None:
+def _assert_invariants(
+    analysis: ModuliPairAnalysis, degrees: Optional[Tuple[list, list]] = None
+) -> None:
     # Explicit raises, so that python -O keeps this cross-check of the
-    # kernels.  The chain's degrees are read off its packed steps.
-    step_degs, cofactor_degs = analysis.chain.degrees()
+    # kernels.  The chain's degrees are read off its packed steps, unless
+    # the caller passes in the chain.degrees() it has already read.
+    step_degs, cofactor_degs = analysis.chain.degrees() if degrees is None else degrees
     degs = [analysis.m2.degree, analysis.m1.degree] + step_degs[1:]
     if degs[0] < degs[1]:
         raise AssertionError("starting entries out of order")

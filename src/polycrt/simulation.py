@@ -9,6 +9,11 @@ Determinism contract: every trial seeds its own RNG stream from
 ``(seed, trial index)`` and the report aggregation is order-independent, so
 a campaign's report is byte-for-byte reproducible regardless of how trials
 are scheduled.
+
+Coefficients are drawn by ``getrandbits`` with rejection: ``p.bit_length()``
+bits, redrawn while ``>= p``.  For ``random.Random`` that is exactly what
+``randrange(p)`` does, so the draws and the generator's state match it; for
+any generator with a ``getrandbits`` method the draw is uniform.
 """
 
 from __future__ import annotations
@@ -22,7 +27,31 @@ from .decoder import Branch, ErroneousResiduePair, ReconstructionResult, reconst
 from .errors import EnumerationTooLargeError, PolyCrtError
 from .field import PrimeField
 from .levels import ModuliPairAnalysis, analyze_pair
-from .poly import NEG_INF, Degree, Polynomial, gcd
+from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, _pack2, gcd
+
+
+def _draw(
+    count: int, field: PrimeField, rng: random.Random, top: Tuple[int, ...] = ()
+) -> Polynomial:
+    """``count`` coefficients drawn as ``rng.randrange(p)`` draws them, then ``top``.
+
+    CPython 3.10-3.13 implements ``randrange(p)`` for ``random.Random`` as
+    ``getrandbits(p.bit_length())`` redrawn while ``>= p``; this loop does
+    the same, so it draws the same values and leaves ``rng`` in the same
+    state, without two Python frames per coefficient.  The values are
+    reduced already, so the polynomial skips the constructor's ``% p``.
+    """
+    p = field.p
+    k = p.bit_length()
+    getrandbits = rng.getrandbits
+    vals = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= p:
+            r = getrandbits(k)
+        vals.append(r)
+    vals += top
+    return _from_bits(field, _pack2(vals)) if p == 2 else _from_reduced(field, vals)
 
 
 def sample_polynomial(
@@ -36,8 +65,7 @@ def sample_polynomial(
     """
     if max_deg_exclusive < 0:
         raise ValueError("degree bound must be >= 0")
-    p = field.p
-    return Polynomial(field, (rng.randrange(p) for _ in range(max_deg_exclusive)))
+    return _draw(max_deg_exclusive, field, rng)
 
 
 def sample_error(tau: int, field: PrimeField, rng: random.Random) -> Polynomial:
@@ -51,9 +79,7 @@ def sample_monic(degree: int, field: PrimeField, rng: random.Random) -> Polynomi
     """Uniform monic polynomial of exactly the given degree."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    coeffs = [rng.randrange(field.p) for _ in range(degree)]
-    coeffs.append(1)
-    return Polynomial(field, coeffs)
+    return _draw(degree, field, rng, (1,))
 
 
 def enumerate_polynomials(
@@ -211,6 +237,8 @@ class _Trial(NamedTuple):
     k2_true: Polynomial
     result: ReconstructionResult
     residual: Polynomial
+    k2_match: bool
+    residual_deg: Degree
     success: bool
 
 
@@ -233,12 +261,22 @@ def _run_trial(
     e1 = sample_error(tau, field, rng)
     e2 = sample_error(tau, field, rng)
     residues, witness = encode(a, analysis)
-    r1 = (residues.a1 + e1) % analysis.m1
-    r2 = (residues.a2 + e2) % analysis.m2
+    # A residue plus an error of degree below deg(m_i) is already reduced;
+    # only boundary mode with tau >= deg(m_i) needs the division.
+    r1 = residues.a1 + e1
+    if r1.degree >= analysis.m1.degree:
+        r1 %= analysis.m1
+    r2 = residues.a2 + e2
+    if r2.degree >= analysis.m2.degree:
+        r2 %= analysis.m2
     result = reconstruct(ErroneousResiduePair(r1, r2, analysis), level)
     residual = result.a_hat - a
-    success = result.k2_hat == witness.k2 and residual.degree <= tau
-    return _Trial(a, e1, e2, r1, r2, witness.k2, result, residual, success)
+    k2_match = result.k2_hat == witness.k2
+    residual_deg = residual.degree
+    success = k2_match and residual_deg <= tau
+    return _Trial(
+        a, e1, e2, r1, r2, witness.k2, result, residual, k2_match, residual_deg, success
+    )
 
 
 def run_campaign(config: TrialConfig) -> TrialReport:
@@ -249,26 +287,29 @@ def run_campaign(config: TrialConfig) -> TrialReport:
     report = TrialReport(
         config=config, branch_counts={b.value: 0 for b in Branch}
     )
+    # Seeding a used generator resets it fully, gauss_next included, so
+    # each trial's stream is the one random.Random(f"{seed}:{idx}") gives.
+    rng = random.Random()
     for idx in range(config.trials):
-        rng = random.Random(f"{config.seed}:{idx}")
+        rng.seed(f"{config.seed}:{idx}")
         trial = _run_trial(config.analysis, config.level, config.tau, rng)
-        result, residual = trial.result, trial.residual
+        branch = trial.result.branch
         report.outcomes.append(
             TrialOutcome(
                 trial=idx,
                 a=trial.a,
                 e1=trial.e1,
                 e2=trial.e2,
-                branch=result.branch,
-                k2_match=result.k2_hat == trial.k2_true,
-                residual_deg=residual.degree,
-                residual_is_e2=residual == trial.e2,
+                branch=branch,
+                k2_match=trial.k2_match,
+                residual_deg=trial.residual_deg,
+                residual_is_e2=trial.residual == trial.e2,
                 success=trial.success,
             )
         )
-        report.branch_counts[result.branch.value] += 1
-        if residual.degree > report.max_residual_deg:
-            report.max_residual_deg = residual.degree
+        report.branch_counts[branch.value] += 1
+        if trial.residual_deg > report.max_residual_deg:
+            report.max_residual_deg = trial.residual_deg
         if trial.success:
             report.successes += 1
         else:
@@ -365,8 +406,9 @@ def search_boundary_counterexample(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     tau = analysis.level_spec(level).error_bound_exclusive
+    rng = random.Random()
     for idx in range(budget):
-        rng = random.Random(f"boundary:{seed}:{idx}")
+        rng.seed(f"boundary:{seed}:{idx}")
         trial = _run_trial(analysis, level, tau, rng)
         if not trial.success:
             return BoundaryInstance(
@@ -381,6 +423,6 @@ def search_boundary_counterexample(
                 r2=trial.r2,
                 k2_true=trial.k2_true,
                 k2_hat=trial.result.k2_hat,
-                residual_deg=trial.residual.degree,
+                residual_deg=trial.residual_deg,
             )
     return None

@@ -1,3 +1,5 @@
+import faulthandler
+import os
 import pathlib
 import sys
 
@@ -8,6 +10,31 @@ if str(SRC) not in sys.path:
 import pytest
 
 from polycrt import PrimeField, analyze_pair, parse_polynomial
+
+# A test still running after this many seconds is taken to hang: every
+# thread's traceback is dumped and the run exits.  The slowest test takes
+# about a second.
+HANG_TIMEOUT_S = 60
+
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # Output capture is off here, so fd 2 is still the terminal; the copy
+    # lets the traceback of a hang reach it from inside a captured test.
+    config.stash[_STDERR_FD] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_FD])
+
+
+@pytest.fixture(autouse=True)
+def hang_watchdog(request):
+    fd = request.config.stash[_STDERR_FD]
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True, file=fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

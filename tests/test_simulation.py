@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -8,8 +9,10 @@ from polycrt import (
     EnumerationTooLargeError,
     ErroneousResiduePair,
     PolyCrtError,
+    Polynomial,
     PrimeField,
     TrialConfig,
+    analyze_pair,
     encode,
     find_difference_bound_violations,
     random_moduli_pair,
@@ -85,6 +88,95 @@ class TestSampling:
             d = rng.randint(0, 6)
             m = sample_monic(d, f13, rng)
             assert m.degree == d and m.lead == 1
+
+
+# Past 2**32 each getrandbits call reads more than one 32-bit word.
+STREAM_PRIMES = [2, 3, 13, 251, 65521, 2**31 - 1, 2**61 - 1, 2**64 - 59]
+
+
+class TestSamplingStream:
+    # The samplers must draw exactly what [rng.randrange(p) for ...] draws on
+    # a twin generator and leave it in the same state; if a CPython release
+    # changes randrange, this fails instead of silently changing reports.
+    @pytest.mark.parametrize("p", STREAM_PRIMES)
+    @pytest.mark.parametrize("seed", ["0", "3:17", "boundary:6:1"])
+    def test_samplers_match_randrange(self, p, seed):
+        field = PrimeField(p)
+        rng, twin = random.Random(seed), random.Random(seed)
+        for n in range(41):
+            for sampler, count, tail in (
+                (lambda: sample_polynomial(n, field, rng), n, []),
+                (lambda: sample_error(n - 1, field, rng), n, []),
+                (lambda: sample_monic(n, field, rng), n, [1]),
+            ):
+                drawn = sampler()
+                expected = [twin.randrange(p) for _ in range(count)] + tail
+                assert drawn == Polynomial(field, expected)
+                assert rng.getstate() == twin.getstate()
+
+    @pytest.mark.parametrize("seed", ["0", "3:17", "boundary:6:1"])
+    def test_reseeding_a_used_generator_matches_a_fresh_one(self, seed):
+        rng = random.Random("used")
+        sample_polynomial(40, PrimeField(2**61 - 1), rng)
+        rng.gauss(0.0, 1.0)  # leaves gauss_next set
+        rng.seed(seed)
+        assert rng.getstate() == random.Random(seed).getstate()
+
+
+# Reports pinned before the samplers drew through getrandbits: the CI pairs
+# at p = 13 and p = 2**61 - 1, in guarantee and boundary mode, seed 3.
+ODD_P_PAIRS = {
+    13: ("x^5+x^3+2*x^2+2", "x^6+x^4+x^3+3*x^2+x+3"),
+    2**61 - 1: ("x^5+7*x^3+7*x^2+10*x+35", "x^6+8*x^4+x^3+26*x^2+5*x+55"),
+}
+
+
+def odd_p_pair(p):
+    field = PrimeField(p)
+    m1, m2 = ODD_P_PAIRS[p]
+    return analyze_pair(poly(field, m1), poly(field, m2))
+
+
+class TestOddPReportsPinned:
+    @pytest.mark.parametrize(
+        "p, level, tau, trials, boundary, failures, digest",
+        [
+            (13, 1, 2, 500, False, 0,
+             "573c1d8d12ece466b1685aa638e4d4d6c910d9349e7f5820413e0514f2298fdc"),
+            (13, 1, 4, 500, True, 495,
+             "7a24b4940381348af039cf4254af10475fe9b08e25f85b9df215e789173c119a"),
+            (2**61 - 1, 3, 1, 300, False, 0,
+             "32ff49dd58bb73d39747b967781c23e5c069957c206209be19b62ee76e0a20e0"),
+            (2**61 - 1, 3, 3, 300, True, 300,
+             "fb4ccdeb8c5175ad698583bb804171db341186d0077e0ff66fdeed8f789f88f0"),
+        ],
+    )
+    def test_campaign_report(self, p, level, tau, trials, boundary, failures, digest):
+        cfg = TrialConfig(
+            analysis=odd_p_pair(p), level=level, tau=tau, trials=trials,
+            seed=3, boundary=boundary,
+        )
+        payload = run_campaign(cfg).to_json()
+        assert payload["failures"] == failures
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_boundary_counterexample(self):
+        an = odd_p_pair(13)
+        inst = search_boundary_counterexample(an, 2, budget=300, seed=6)
+        assert (inst.trial, inst.seed, inst.level, inst.tau) == (1, 6, 2, 2)
+        assert [
+            str(v) for v in (inst.a, inst.e1, inst.e2, inst.r1, inst.r2, inst.k2_true, inst.k2_hat)
+        ] == [
+            "x^8+11*x^7+12*x^6+11*x^5+5*x^4+11*x^3+12*x^2+5*x+4",
+            "2*x^2+7*x+2",
+            "4*x^2+3*x+4",
+            "11*x^4+2*x^3+9*x^2+3*x+10",
+            "12*x^5+6*x^4+5*x^3+8*x^2+3*x+1",
+            "x^2+11*x+11",
+            "9*x^2+9*x+5",
+        ]
+        assert inst.residual_deg == 8
 
 
 class TestRandomModuliPair:
