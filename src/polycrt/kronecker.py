@@ -1,16 +1,16 @@
-"""Odd-p coefficient kernels on packed ints: products, Newton division, folds.
+"""Odd-p coefficient kernels on packed ints: products, Newton division, division steps.
 
 Coefficient i of a polynomial fills slot i of an int, bits ``8 * width * i``
 onwards, wide enough that no slot carries into its neighbour, so the product
 of two such ints holds coefficient k of the product in slot k.  Division by
-a long divisor multiplies by a Newton reciprocal of the reversed divisor.  A
-fold is one division step that never reduces mod p: it reads each quotient
-digit off the top slot, drops that slot, and adds the digit's multiples of
-the divisor and of a cofactor into the slots below.  The Euclid pass and the
-decoder's cascade are folds at C speed; the pass brings every slot back into
-``[0, 3p)`` after each step by Barrett reduction of all slots at once, and
-the cascade folds the stored ints.  :mod:`polycrt.poly` wraps the kernels
-in ``Polynomial``.
+a long divisor multiplies by a Newton reciprocal of the reversed divisor.
+The Euclid pass and the decoder's cascade take division steps that never
+reduce mod p.  A step's quotient digits depend only on the top slots of the
+dividend and divisor, so they are found first and packed into one int, and
+one product per row adds their multiples of the divisor and a cofactor.
+The pass brings every slot back into ``[0, 3p)`` after each step by Barrett
+reduction of all slots at once, and the cascade divides by the stored ints.
+:mod:`polycrt.poly` wraps the kernels in ``Polynomial``.
 """
 
 from __future__ import annotations
@@ -90,11 +90,12 @@ def _kronecker_slots(
 def _chain_layout(p: int, size: int) -> Tuple[int, Optional[str], Callable[[int], int]]:
     """Slot layout of a chain folding inputs of up to ``size`` coefficients, and its reduction.
 
-    Stored slots are in ``[0, 3p)`` and input slots below p.  A fold adds
-    each quotient digit's multiple of a stored int, at most one term below
-    ``(p - 1) * 3p`` per slot, and folds of inputs of ``n <= size``
-    coefficients have at most ``n`` digits in all, so every slot stays below
-    ``2**t`` with ``t = bits(3p + size * (p - 1) * 3p)``.  The returned
+    Stored slots are in ``[0, 3p)`` and input slots below p.  A division
+    step adds each quotient digit's multiple of a stored int, at most one
+    term below ``(p - 1) * 3p`` per slot, and the steps over an input of
+    ``n <= size`` coefficients have at most ``n`` digits in all, so every
+    slot stays below ``2**t`` with ``t = bits(3p + size * (p - 1) * 3p)``.
+    The returned
     function is Barrett reduction of every slot at once: with ``m = bits(p)``
     and ``mu = 2**t // p``, a slot ``x < 2**t`` becomes ``x - p * q`` with
     ``q = ((x >> (m - 1)) * mu) >> (t - m + 1)``, which lies in ``[0, 3p)``.
@@ -117,35 +118,39 @@ def _chain_layout(p: int, size: int) -> Tuple[int, Optional[str], Callable[[int]
     return width, code, reduce
 
 
-def _fold(
-    rem: int, acc: int, low: int, cof: int, size: int, div_size: int, bits: int, p: int,
-    neg_inv: int,
-) -> Tuple[int, int]:
-    """One division step on packed ints, reduced mod p nowhere.
+def _neg_quotient(rem: int, size: int, low: int, n: int, bits: int, p: int, neg_inv: int) -> int:
+    """Minus a division step's quotient mod p, the digit of x^j in slot j.
 
-    ``rem`` has ``size`` slots of ``bits`` bits.  The divisor has
-    ``div_size`` coefficients: ``low`` packs all but the leading one, and
-    ``neg_inv`` is minus the inverse of that one mod p.  For each quotient
-    digit, top slot first, the slot's value ``c`` gives ``f = c * neg_inv
-    mod p``; the slot is dropped, and ``f * low`` and ``f * cof``, shifted
-    under it, are added to ``rem`` and ``acc``.  So ``rem`` ends as the
-    remainder in ``div_size - 1`` slots and ``acc`` gains minus the
-    quotient times ``cof``, both equal mod p to the reduced results.  Each
-    digit adds at most one term below ``(p - 1) * 3p`` to any slot, which the
-    caller's slot width must hold (:func:`_chain_layout`).
+    ``rem`` has ``size >= n`` slots of ``bits`` bits; the divisor has ``n``
+    coefficients, ``low`` packing all but the lead and ``neg_inv`` being
+    minus the lead's inverse mod p.  Top first, a digit is ``c * neg_inv mod
+    p`` for ``c`` the slot it clears plus what the digits above add there,
+    as in a digit-at-a-time division, so the ``k = size - n + 1`` digits
+    need only the top ``k`` slots of ``rem`` and ``k - 1`` of ``low``.  The
+    low ``n - 1`` slots of ``rem + g * low`` get that division's terms, the
+    slots above values that are zero only mod p, for the caller to drop.
+    Each digit adds at most one term below ``(p - 1) * 3p`` to any slot, as
+    :func:`_chain_layout` allows.
     """
-    top = (size - 1) * bits
-    shift = top - (div_size - 1) * bits
-    while shift >= 0:
-        c = rem >> top
-        rem -= c << top
-        f = c * neg_inv % p
-        if f:
-            rem += (f * low) << shift
-            acc += (f * cof) << shift
-        top -= bits
-        shift -= bits
-    return rem, acc
+    pos = (n - 1) * bits
+    head = rem >> pos
+    shift = (size - n) * bits
+    g = f = (head >> shift) * neg_inv % p
+    if shift:
+        # ``w`` holds what the digits so far add to the next ``div // bits``
+        # slots, the next one's on top; it and ``top`` sit one slot up, so
+        # a one-coefficient divisor (``div == 0``) is no special case.
+        div = min(size - n, n - 1) * bits
+        top = low >> pos - div << bits
+        slot = (1 << bits) - 1
+        window = (1 << div + bits) - 1
+        w = 0
+        while shift:
+            w = (w << bits & window) + f * top
+            shift -= bits
+            f = ((head >> shift & slot) + (w >> div)) * neg_inv % p
+            g = g << bits | f
+    return g
 
 
 def _fold_chain(
@@ -157,10 +162,11 @@ def _fold_chain(
     ``steps`` and ``cofs`` are as :func:`_fold_euclid` returns them, with
     their slot layout, for inputs at least as long as ``v``.  Returns the
     remainder and the sum of the step quotients times the cofactors, as
-    lists reduced mod p.  Each step is one :func:`_fold` of the packed
-    remainder and sum, skipped while the remainder is shorter than the step
-    modulus; the sum is negated at the end, since the folds add minus the
-    quotients.  Errors as for :func:`polycrt.poly._reduce_chain`.
+    lists reduced mod p.  A step, skipped while the remainder is shorter
+    than its modulus, adds ``g * low`` and ``g * cof`` for ``g`` of
+    :func:`_neg_quotient`, minus its quotient, and drops the top slots; the
+    sum is negated at the end.  Errors as for
+    :func:`polycrt.poly._reduce_chain`.
     """
     size = len(v)
     bits = 8 * width
@@ -169,7 +175,12 @@ def _fold_chain(
         if not n:
             raise DivisionByZeroError("polynomial division by zero")
         if size >= n:
-            rem, acc = _fold(rem, acc, low, cof, size, n, bits, p, neg_inv)
+            pos = (n - 1) * bits
+            g = _neg_quotient(rem, size, low, n, bits, p, neg_inv)
+            if g:
+                rem += g * low
+                acc += g * cof
+            rem -= rem >> pos << pos
             size = n - 1
     tail = [c % p for c in _unpack(rem, size, width, code)]
     acc_size = -(-acc.bit_length() // bits)
@@ -187,11 +198,12 @@ def _fold_euclid(
     ``0, s_2, s_3, ...`` (see :func:`polycrt.poly._euclid_pass`).  A step
     is ``(size, low, neg_inv, lead)``: ``low`` packs its coefficients below
     the lead, and ``lead`` and ``neg_inv``, minus its inverse, are reduced
-    mod p.  A cofactor is one packed int.  Each step is one :func:`_fold` of
-    ``(r_{i-2}, s_{i-2})`` by ``(r_{i-1}, s_{i-1})``.  Both results are then
-    reduced into ``[0, 3p)`` per slot, and the remainder drops top slots
-    that are zero mod p.  The fifth value is the cofactor ``s_N`` of the
-    first zero remainder, as a list reduced mod p.
+    mod p.  A cofactor is one packed int.  Each step divides ``(r_{i-2},
+    s_{i-2})`` by ``(r_{i-1}, s_{i-1})`` with one :func:`_neg_quotient` and
+    one product per row.  Both results are then reduced into ``[0, 3p)`` per
+    slot, and the remainder drops top slots that are zero mod p.  The fifth
+    value is the cofactor ``s_N`` of the first zero remainder, as a list
+    reduced mod p.
     """
     width, code, reduce = _chain_layout(p, len(a))
     bits = 8 * width
@@ -201,11 +213,12 @@ def _fold_euclid(
     cofs: list = []
     while True:
         neg_inv = -pow(lead, -1, p) % p
-        low = r1 & ((1 << (n1 - 1) * bits) - 1)
+        mask = (1 << (n1 - 1) * bits) - 1
+        low = r1 & mask
         steps.append((n1, low, neg_inv, lead))
         cofs.append(s1)
-        r0, s0 = _fold(r0, s0, low, s1, n0, n1, bits, p, neg_inv)
-        r0, s0 = reduce(r0), reduce(s0)
+        g = _neg_quotient(r0, n0, low, n1, bits, p, neg_inv)
+        r0, s0 = reduce((r0 + g * low) & mask), reduce(s0 + g * s1)
         n0, n1 = n1, n1 - 1
         while n1:
             lead = (r0 >> (n1 - 1) * bits) % p

@@ -63,8 +63,8 @@ class ModuliPairAnalysis:
 
     ``chain`` is the only stored form of the cascade: the steps of the
     Euclid pass over ``(m2, m1)`` that also yields ``m``, packed as the
-    decoder folds them (:class:`~polycrt.poly.PackedChain`, for inputs as
-    long as ``m2``).  Step 0 is ``m1`` with cofactor 0, and step ``i`` in
+    decoder divides by them (:class:`~polycrt.poly.PackedChain`, for inputs
+    as long as ``m2``).  Step 0 is ``m1`` with cofactor 0, and step ``i`` in
     ``1..K+1`` is ``m * sigma_i`` with the Bezout cofactor ``s_i`` of the
     same pass, ``s_i * m2 + t_i * m1 = m * sigma_i``, so ``s_i * gamma2 ==
     sigma_i (mod gamma1)`` and ``deg(s_i) = deg(m1) - deg(m * sigma_{i-1})``.
@@ -177,19 +177,22 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         raise AssertionError("m * gamma2 != m2")
     big = (m1 * gamma2).monic()
 
-    # deg(sigma_i) = deg(m * sigma_i) - deg(m).
+    # deg(sigma_i) = deg(m * sigma_i) - deg(m).  The rows hold ints by
+    # construction, so they skip the frozen __init__'s four setattr calls.
     deg_m = m.degree
     deg_big = big.degree
     degrees = chain.degrees()
-    levels = tuple(
-        LevelSpec(
+    rows = []
+    for i, d in enumerate(degrees[0][1:], start=1):
+        row = object.__new__(LevelSpec)
+        vars(row).update(
             index=i,
             sigma_deg=d - deg_m,
             error_bound_exclusive=d,
             dynamic_range_exclusive=deg_big - d + deg_m,
         )
-        for i, d in enumerate(degrees[0][1:], start=1)
-    )
+        rows.append(row)
+    levels = tuple(rows)
 
     analysis = ModuliPairAnalysis(
         m1=m1,

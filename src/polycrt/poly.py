@@ -14,10 +14,10 @@ Kronecker substitution and divides long quotients by long divisors through
 a Newton reciprocal (:mod:`polycrt.kronecker`), the rest with schoolbook
 loops.  ``%`` is ``divmod``'s remainder.  The Euclid pass, which ``gcd``,
 ``xgcd`` and ``lcm`` read, and the decoder's remainder cascade reduce a
-remainder and a cofactor-weighted sum step after step, building no
-quotient; their steps are stored as a :class:`PackedChain`.  Over F_2 the
-chain fuses each step into one int.  Over odd p each step is one fold on
-packed ints, Barrett reduction keeps every slot below 3p, and the cascade
+remainder and a cofactor-weighted sum step by step; their steps are
+stored as a :class:`PackedChain`.  Over F_2 the chain fuses each step into
+one int.  Over odd p a step packs its quotient in one int and adds one
+product per row, Barrett reduction keeps slots below 3p, and the cascade
 reduces mod p once, at its end.
 """
 

@@ -24,7 +24,11 @@ same values in one Euclid pass and one cascade; these versions exist only
 so tests can compare the two.  ``schoolbook_mul`` is the product
 that the packed products are checked against.  ``pack_chain`` is the
 tests' one way to pack a chain of their own polynomials in the form an
-analysis stores.  The guards below raise
+analysis stores.  ``reference_fold_euclid`` and ``reference_fold_chain``
+are the odd-p Euclid pass and cascade with one packed fold per quotient
+digit (``reference_fold``), each digit read off the top slot; the library
+finds a step's digits first and adds them in with one product per row, so
+these loops are what the tests compare its pass and cascade with.  The guards below raise
 ``AssertionError`` explicitly: this is not a ``test_*.py`` module, so
 pytest does not rewrite its ``assert`` statements and ``python -O`` would
 strip them.
@@ -35,6 +39,7 @@ from polycrt import (
     Branch,
     CoprimeModuliError,
     DegenerateModuliError,
+    DivisionByZeroError,
     InconsistentResiduesError,
     LevelSpec,
     ModuliPairAnalysis,
@@ -44,7 +49,7 @@ from polycrt import (
     ZeroModulusError,
     classify,
 )
-from polycrt.kronecker import _chain_layout, _pack
+from polycrt.kronecker import _chain_layout, _pack, _unpack
 from polycrt.poly import PackedChain
 
 
@@ -115,6 +120,78 @@ def pack_chain(field, moduli, cofactors, size: int) -> PackedChain:
         steps.append((len(c), _pack(c[:-1], width, code), neg_inv, lead))
     cofs = [_pack(s.coeffs, width, code) for s in cofactors]
     return PackedChain(field, size, (width, code), steps, cofs)
+
+
+def reference_fold(rem, acc, low, cof, size, div_size, bits, p, neg_inv):
+    """One division step on packed ints, one quotient digit at a time, reduced mod p nowhere.
+
+    For each digit, top slot first, the slot's value ``c`` gives ``f = c *
+    neg_inv mod p``; the slot is dropped, and ``f * low`` and ``f * cof``,
+    shifted under it, are added to ``rem`` and ``acc``.
+    """
+    top = (size - 1) * bits
+    shift = top - (div_size - 1) * bits
+    while shift >= 0:
+        c = rem >> top
+        rem -= c << top
+        f = c * neg_inv % p
+        if f:
+            rem += (f * low) << shift
+            acc += (f * cof) << shift
+        top -= bits
+        shift -= bits
+    return rem, acc
+
+
+def reference_fold_chain(v, steps, cofs, width, code, p):
+    """The odd-p cascade of coefficient tuple ``v`` by ``reference_fold``.
+
+    Returns the tail and the weighted sum, as lists reduced mod p.
+    """
+    if len(steps) != len(cofs):
+        raise ValueError("steps and cofactors differ in number")
+    size = len(v)
+    bits = 8 * width
+    rem, acc = _pack(v, width, code), 0
+    for (n, low, neg_inv, _), cof in zip(steps, cofs):
+        if not n:
+            raise DivisionByZeroError("polynomial division by zero")
+        if size >= n:
+            rem, acc = reference_fold(rem, acc, low, cof, size, n, bits, p, neg_inv)
+            size = n - 1
+    tail = [c % p for c in _unpack(rem, size, width, code)]
+    acc_size = -(-acc.bit_length() // bits)
+    return tail, [-c % p for c in _unpack(acc, acc_size, width, code)]
+
+
+def reference_fold_euclid(a, b, p):
+    """The odd-p Euclid pass over coefficient tuples by ``reference_fold``.
+
+    Both rows are Barrett-reduced after each step.  Returns what
+    ``polycrt.kronecker._fold_euclid`` returns.
+    """
+    width, code, reduce = _chain_layout(p, len(a))
+    bits = 8 * width
+    r0, r1, s0, s1 = _pack(a, width, code), _pack(b, width, code), 1, 0
+    n0, n1, lead = len(a), len(b), b[-1]
+    steps, cofs = [], []
+    while True:
+        neg_inv = -pow(lead, -1, p) % p
+        low = r1 & ((1 << (n1 - 1) * bits) - 1)
+        steps.append((n1, low, neg_inv, lead))
+        cofs.append(s1)
+        r0, s0 = reference_fold(r0, s0, low, s1, n0, n1, bits, p, neg_inv)
+        r0, s0 = reduce(r0), reduce(s0)
+        n0, n1 = n1, n1 - 1
+        while n1:
+            lead = (r0 >> (n1 - 1) * bits) % p
+            if lead:
+                break
+            n1 -= 1
+            r0 &= (1 << n1 * bits) - 1
+        if not n1:
+            return width, code, steps, cofs, [c % p for c in _unpack(s0, len(b), width, code)]
+        r0, r1, s0, s1 = r1, r0, s1, s0
 
 
 def reference_inverse(gamma2: Polynomial, gamma1: Polynomial) -> Polynomial:

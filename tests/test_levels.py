@@ -14,6 +14,7 @@ from polycrt import (
     CoprimeModuliError,
     DegenerateModuliError,
     LevelOutOfRangeError,
+    LevelSpec,
     MixedFieldsError,
     Polynomial,
     PrimeField,
@@ -135,6 +136,24 @@ class TestLevelTable:
                 assert len(set(bounds)) == len(bounds)
                 assert ranges == sorted(ranges)
                 assert len(set(ranges)) == len(ranges)
+
+    @pytest.mark.parametrize("p", [2, 13, 65521])
+    def test_rows_equal_public_level_specs(self, p):
+        # analyze_pair builds its rows without LevelSpec.__init__; each must
+        # be indistinguishable from one built the public way.
+        rng = random.Random(f"rows:{p}")
+        for _ in range(5):
+            an = random_moduli_pair(PrimeField(p), rng)
+            for row in an.levels:
+                public = LevelSpec(**dataclasses.asdict(row))
+                assert type(row) is LevelSpec
+                assert row == public and hash(row) == hash(public)
+                assert repr(row) == repr(public)
+                assert dataclasses.astuple(row) == dataclasses.astuple(public)
+                assert vars(row) == vars(public)
+                assert copy.deepcopy(row) == pickle.loads(pickle.dumps(row)) == public
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    row.index = 0
 
     def test_level_spec_bounds_checked(self, reference_pair):
         with pytest.raises(LevelOutOfRangeError):

@@ -9,10 +9,13 @@ width ``min(len) * (p - 1)**2`` crosses a byte or a machine-word boundary.
 Newton reciprocal; schoolbook division is the reference, on both sides of
 the length rule that picks the path.  Then results built by the trusted
 constructor are checked to be canonical: no trailing zeros, equal and
-hashing like constructed and parsed polynomials, immutable.  The last part
-checks the slot layout of a stored chain: the Barrett reduction of the
-Euclid pass on every value a slot may reach, a fold whose every slot is at
-its most, and the stored slots of real analyses.
+hashing like constructed and parsed polynomials, immutable.  Then come the
+slot layout of a stored chain: the Barrett reduction of the Euclid pass on
+every value a slot may reach, division steps of one, two and all digits
+whose every slot is at its most, and the stored slots of real analyses.
+The last part compares the Euclid pass and the cascade, which find each
+step's digits first, with the digit-at-a-time folds of
+``reference_decoder``.
 """
 
 import random
@@ -28,16 +31,30 @@ from polycrt import (
     parse_polynomial,
     random_moduli_pair,
 )
-from polycrt.kronecker import _chain_layout, _fold, _pack, _unpack
+from polycrt.kronecker import (
+    _chain_layout,
+    _fold_chain,
+    _fold_euclid,
+    _neg_quotient,
+    _pack,
+    _unpack,
+)
 from polycrt.poly import (
     _NEWTON_MIN_DIVISOR,
     _NEWTON_MIN_QUOTIENT,
     _dense_divmod,
     _kronecker_mul,
     _newton_divmod,
+    _reduce_chain,
 )
 
-from reference_decoder import schoolbook_mul
+from reference_decoder import (
+    pack_chain,
+    reference_fold,
+    reference_fold_chain,
+    reference_fold_euclid,
+    schoolbook_mul,
+)
 
 # 2**31 - 1 has 8-byte slots up to length 4 and 9-byte slots from 5 on.
 PRIMES = (3, 13, 65521, 2**31 - 1, 2**61 - 1, 2**64 - 59)
@@ -358,28 +375,68 @@ class TestChainLayout:
 
     @pytest.mark.parametrize("p, n", CHAIN_CASES)
     def test_worst_case_fold(self, p, n):
-        # Divisors of lengths n, n - 1, ..., 1 with lead 1 take one digit
-        # each, so the folds of an input of n coefficients have n digits,
-        # the most it allows.  Every divisor and cofactor slot below a lead
-        # holds 3p - 1, the most a stored slot may hold, and every input
-        # slot lies in [2p, 3p), chosen so that every digit is p - 1: the
-        # top slot at digit i holds i - 1 terms (p - 1) * (3p - 1) = 1
-        # (mod p) over its start, which must be 1 (mod p) for lead 1.  The
-        # last top slot collects n - 1 such terms and every sum slot n.
+        # Divisors of lengths n, n - 1, ..., 1 take one digit each.
+        self.check_worst_case(p, n, 1)
+
+    @pytest.mark.parametrize("p, n", CHAIN_CASES)
+    @pytest.mark.parametrize("k", [2, "n"])
+    def test_worst_case_multi_digit_step(self, p, n, k):
+        # A first step of 2 digits, or of all n by a divisor of length 1.
+        self.check_worst_case(p, n, n if k == "n" else min(k, n))
+
+    @staticmethod
+    def check_worst_case(p, n, k):
+        # Divisors with lead 1 and every slot below it at 3p - 1, the most a
+        # stored slot may hold.  The first step takes k digits and each later
+        # one a single digit, so the steps spend n digits over an input of n
+        # coefficients, the most it allows.  Every cofactor slot holds 3p - 1
+        # as well, and the input slots lie in [2p, 3p), chosen so that every
+        # digit is p - 1: each term (p - 1) * (3p - 1) is 1 (mod p), so a
+        # slot that collects c terms before its digit is read must start at
+        # 1 - c (mod p).
+        sizes = list(range(n - k + 1, 0, -1))
+        counts, acc_counts = [0] * n, [0] * (n + k - 1)
+        size = n
+        for d in sizes:
+            for shift in range(size - d + 1):
+                for t in range(shift, shift + d - 1):
+                    counts[t] += 1
+                for t in range(shift, shift + n):
+                    acc_counts[t] += 1
+            size = d - 1
         width, code, reduce = _chain_layout(p, n)
         bits, full, term = 8 * width, 3 * p - 1, (p - 1) * (3 * p - 1)
-        rem = _pack([2 * p + (2 + j - n) % p for j in range(n)], width, code)
-        acc, cof = 0, _pack([full] * n, width, code)
-        for size in range(n, 0, -1):
-            if size == 1:
-                assert rem == 2 * p + (2 - n) % p + (n - 1) * term
-                assert 0 <= reduce(rem) < 3 * p and (reduce(rem) - rem) % p == 0
-            low = _pack([full] * (size - 1), width, code)
-            rem, acc = _fold(rem, acc, low, cof, size, size, bits, p, p - 1)
+        values = [2 * p + (1 - c) % p for c in counts]
+        rem = ref_rem = _pack(values, width, code)
+        acc = ref_acc = 0
+        cof = _pack([full] * n, width, code)
+        steps = []
+        size = n
+        for d in sizes:
+            low = _pack([full] * (d - 1), width, code)
+            steps.append((d, low, p - 1, 1))
+            g = _neg_quotient(rem, size, low, d, bits, p, p - 1)
+            assert g == _pack([p - 1] * (size - d + 1), width, code)
+            if d == 1:
+                # The last top slot collects the most terms; it too reduces.
+                top = rem >> (size - 1) * bits
+                assert top == values[size - 1] + counts[size - 1] * term
+                assert 0 <= reduce(top) < 3 * p and (reduce(top) - top) % p == 0
+            rem = (rem + g * low) & ((1 << (d - 1) * bits) - 1)
+            acc += g * cof
+            ref_rem, ref_acc = reference_fold(ref_rem, ref_acc, low, cof, size, d, bits, p, p - 1)
+            assert (rem, acc) == (ref_rem, ref_acc)
+            size = d - 1
         assert rem == 0
-        assert acc == _pack([n * term] * n, width, code)
-        got = _unpack(reduce(acc), n, width, code)
-        assert all(0 <= r < 3 * p and (r - n * term) % p == 0 for r in got)
+        assert max(acc_counts) == n
+        assert acc == _pack([c * term for c in acc_counts], width, code)
+        assert all(c * term <= chain_bound(p, n) for c in acc_counts)
+        if k == 1:
+            got = _unpack(reduce(acc), n, width, code)
+            assert all(0 <= r < 3 * p and (r - n * term) % p == 0 for r in got)
+        # The cascade over the same steps, stored as an analysis stores them.
+        chain = (values, steps, [cof] * len(steps), width, code, p)
+        assert _fold_chain(*chain) == reference_fold_chain(*chain)
 
     @pytest.mark.parametrize("p", [3, 13, 65521, 2**61 - 1])
     def test_stored_slots_lie_below_3p(self, p):
@@ -394,3 +451,121 @@ class TestChainLayout:
                 slots = list(_unpack(low, n - 1, width, code))
                 slots += _unpack(cof, -(-cof.bit_length() // (8 * width)), width, code)
                 assert all(0 <= s < 3 * p for s in slots)
+
+
+# The pass and the cascade against the digit-at-a-time folds: 2**61 - 1 has
+# joined slots wider than a machine word (no struct code).
+FOLD_PRIMES = (3, 13, 65521, 2**61 - 1, 2**64 - 59)
+
+# Degrees deg(a) >= deg(b) > deg(r_2) > ... that a pair's Euclid remainders
+# start with.  A drop of d is a pass step of d + 1 digits and a cascade step
+# of d; (60, 3) has more digits than its divisor has coefficients, and
+# (5, 0) a constant divisor.
+REMAINDER_DEGREES = [
+    (12, 12, 11, 8, 7, 3),
+    (40, 38, 35, 34, 30, 29, 25, 24, 1),
+    (33, 30, 26, 21, 20, 19, 15, 2),
+    (60, 3),
+    (9, 1),
+    (5, 0),
+    (2, 1, 0),
+]
+
+
+def random_poly(p, degree, rng):
+    """A random polynomial over F_p of the given degree."""
+    return Polynomial(FIELDS[p], [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)])
+
+
+def remainder_pair(p, degrees, rng):
+    """Coefficient tuples ``(a, b)`` whose Euclid remainders have ``degrees``.
+
+    From the last two up, each ``r_{i-2}`` is ``q * r_{i-1} + r_i`` for a
+    random ``q`` of degree ``deg(r_{i-2}) - deg(r_{i-1})``; the pass goes on
+    past the last as the remainders of random polynomials do.
+    """
+    rs = [random_poly(p, degrees[-2], rng), random_poly(p, degrees[-1], rng)]
+    for degree in reversed(degrees[:-2]):
+        rs.insert(0, random_poly(p, degree - rs[0].degree, rng) * rs[0] + rs[1])
+    assert [r.degree for r in rs] == list(degrees)
+    return rs[0].coeffs, rs[1].coeffs
+
+
+def random_pairs(p, rng):
+    """Pairs with the remainder degrees above, and random pairs of random lengths."""
+    for degrees in REMAINDER_DEGREES:
+        yield remainder_pair(p, degrees, rng)
+    for _ in range(6):
+        n = rng.randrange(1, 50)
+        a = [rng.randrange(p) for _ in range(n + rng.randrange(0, 20))]
+        b = [rng.randrange(p) for _ in range(n)]
+        a[-1], b[-1] = rng.randrange(1, p), rng.randrange(1, p)
+        yield tuple(a), tuple(b)
+
+
+def cascade_inputs(size, n, rng, p):
+    """Inputs longer than a step of n coefficients by 1, 2, n and n + 1 digits, up to ``size``."""
+    for k in sorted({1, 2, n, n + 1}):
+        if n - 1 + k <= size:
+            yield tuple(rng.randrange(p) for _ in range(n - 1 + k))
+
+
+class TestAgainstDigitFolds:
+    @pytest.mark.parametrize("p", FOLD_PRIMES)
+    def test_euclid_pass(self, p):
+        # Each step adds the same terms to the same slots as the per-digit
+        # folds, so the packed steps, cofactors and s_N are equal as ints.
+        rng = random.Random(f"pass:{p}")
+        digits = set()
+        for a, b in random_pairs(p, rng):
+            got = _fold_euclid(a, b, p)
+            assert got == reference_fold_euclid(a, b, p)
+            n0 = len(a)
+            for n, _, _, _ in got[2]:
+                digits.add(n0 - n + 1)
+                n0 = n
+        assert {1, 2, 3, 4, 5, 6} <= digits and max(digits) > 50
+
+    @pytest.mark.parametrize("p", FOLD_PRIMES)
+    def test_cascade_over_pass_chains(self, p):
+        rng = random.Random(f"cascade:{p}")
+        for a, b in random_pairs(p, rng):
+            width, code, steps, cofs, _ = _fold_euclid(a, b, p)
+            for start in sorted({0, 1, len(steps) // 2, len(steps) - 1} & {*range(len(steps))}):
+                for stop in sorted({start, start + 1, len(steps)}):
+                    part = (steps[start:stop], cofs[start:stop], width, code, p)
+                    n = steps[start][0]
+                    inputs = [(), (rng.randrange(1, p),), a, *cascade_inputs(len(a), n, rng, p)]
+                    for v in inputs:
+                        assert _fold_chain(v, *part) == reference_fold_chain(v, *part)
+
+    @pytest.mark.parametrize("p", FOLD_PRIMES)
+    def test_hand_built_chains(self, p):
+        # A constant step ends the cascade with an empty tail; a zero step
+        # raises, also when the remainder is already below it.
+        field, rng = FIELDS[p], random.Random(f"hand:{p}")
+        size = 24
+        for degrees in ([9, 7, 4, 0], [5, 0], [0], [12, 11, 10, 1]):
+            moduli = [random_poly(p, d, rng) for d in degrees]
+            cofactors = [random_poly(p, rng.randrange(0, 8), rng) for _ in degrees]
+            chain = pack_chain(field, moduli, cofactors, size)
+            part = (chain.steps, chain.cofs, *chain.layout, p)
+            for v in [(), *cascade_inputs(size, degrees[0] + 1, rng, p), (1,) * size]:
+                assert _fold_chain(v, *part) == reference_fold_chain(v, *part)
+            v = tuple(rng.randrange(p) for _ in range(size))
+            with pytest.raises(ValueError):
+                _fold_chain(v, chain.steps, chain.cofs[:-1], *chain.layout, p)
+            with pytest.raises(ValueError):
+                reference_fold_chain(v, chain.steps, chain.cofs[:-1], *chain.layout, p)
+            with pytest.raises(ValueError):
+                _reduce_chain(Polynomial(field, v + (1,)), chain, 0, len(degrees))
+        zero = Polynomial(field)
+        moduli = [random_poly(p, 6, rng), zero, random_poly(p, 2, rng)]
+        cofactors = [random_poly(p, 1, rng), zero, random_poly(p, 3, rng)]
+        chain = pack_chain(field, moduli, cofactors, size)
+        part = (chain.steps, chain.cofs, *chain.layout, p)
+        for v in [(), (3,), tuple(range(1, 15))]:
+            with pytest.raises(DivisionByZeroError):
+                _fold_chain(v, *part)
+            with pytest.raises(DivisionByZeroError):
+                reference_fold_chain(v, *part)
