@@ -74,10 +74,10 @@ class ModuliPairAnalysis:
 
     Over F_2, ``tables`` holds a byte table per modulus
     (:data:`~polycrt.poly.ByteTable`), for ``encode``'s divisions and the
-    products by ``m2``; over odd p both are None.  They are derived from the
-    moduli on construction and take no part in equality, hashing or repr.
-    They and the F_2 chain's index are built once per analysis and pay off
-    over many round trips (README).
+    products by ``m2``; over odd p both are None.  The chain and the tables
+    are functions of ``(m1, m2)``, which equality compares, so they take no
+    part in equality, hashing or repr.  They are built once per analysis and
+    pay off over many round trips (README).
     """
 
     m1: Polynomial
@@ -88,7 +88,7 @@ class ModuliPairAnalysis:
     lcm: Polynomial
     K: int
     levels: Tuple[LevelSpec, ...]
-    chain: PackedChain
+    chain: PackedChain = dataclass_field(compare=False, repr=False)
     swapped: bool
     tables: Tuple[Optional[ByteTable], Optional[ByteTable]] = dataclass_field(
         init=False, default=(None, None), compare=False, repr=False

@@ -24,6 +24,7 @@ reduces mod p once, at its end.
 from __future__ import annotations
 
 import re
+from operator import index
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -69,7 +70,8 @@ _NEWTON_MIN_DIVISOR = 40
 class Polynomial:
     """A dense polynomial over a :class:`PrimeField`.
 
-    Coefficients are ints, lowest power first, reduced mod p.  The one
+    Coefficients are ints, lowest power first, reduced mod p; anything
+    without ``__index__``, such as a float, raises ``TypeError``.  The one
     value slot ``_value`` holds the packed int over F_2 and the coefficient
     tuple over any other p; nothing else is stored, then or later.
     """
@@ -79,10 +81,8 @@ class Polynomial:
     def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()) -> None:
         p = field.p
         _set_field(self, field)
-        if p == 2:
-            _set_value(self, _pack2([c % 2 for c in coeffs]))
-        else:
-            _set_value(self, tuple(_strip([c % p for c in coeffs])))
+        vals = [index(c) % p for c in coeffs]
+        _set_value(self, _pack2(vals) if p == 2 else tuple(_strip(vals)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -368,11 +368,8 @@ class PackedChain:
     chain of :func:`~polycrt.gf2._fuse_chain`.  Over odd p, ``index`` is None,
     ``layout`` is the slot width and struct code of
     :func:`~polycrt.kronecker._chain_layout` for ``size``, and ``steps`` and
-    ``cofs`` are as :func:`~polycrt.kronecker._fold_euclid` returns them.
-    Their slots may hold any value below 3p, so equal polynomials may pack
-    to different ints: equality compares the polynomials that
-    :meth:`modulus` and :meth:`cofactor` unpack, and hashing their lengths
-    and leads.
+    ``cofs`` are as :func:`~polycrt.kronecker._fold_euclid` returns them,
+    their slots holding any value below 3p.
     """
 
     __slots__ = ("field", "size", "layout", "steps", "cofs", "index")
@@ -425,25 +422,6 @@ class PackedChain:
     def _reduced(self, packed: int, size: int) -> list:
         p = self.field.p
         return [c % p for c in _unpack(packed, size, *self.layout)]
-
-    def _polynomials(self) -> tuple:
-        moduli = [*map(self.modulus, range(len(self.steps)))]
-        return self.field, moduli, [*map(self.cofactor, range(len(self.cofs)))]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PackedChain):
-            return NotImplemented
-        return self._polynomials() == other._polynomials()
-
-    def __repr__(self) -> str:
-        return f"PackedChain(p={self.field.p}, size={self.size}, steps={len(self.steps)})"
-
-    def __hash__(self) -> int:
-        # Equal polynomials fuse to equal ints over F_2, and every odd-p
-        # packing of them has the same step lengths and leads.
-        if self.index:
-            return hash((self.field, self.steps, self.cofs))
-        return hash((self.field, tuple((n, lead) for n, _, _, lead in self.steps), len(self.cofs)))
 
 
 def _reduce_chain(
@@ -611,7 +589,10 @@ def _parse_coeff_list(text: str, field: PrimeField) -> Polynomial:
     for chunk in inner.split(","):
         if not _INT_RE.match(chunk):
             raise ParseError(f"invalid coefficient {chunk.strip()!r}", offset)
-        coeffs.append(int(chunk))
+        try:
+            coeffs.append(int(chunk))
+        except ValueError as exc:  # over the interpreter's int digit limit
+            raise ParseError(f"invalid coefficient: {exc}", offset) from None
         offset += len(chunk) + 1
     return Polynomial(field, coeffs)
 
@@ -627,22 +608,28 @@ def _parse_terms(text: str, field: PrimeField) -> Polynomial:
         if not m:
             raise ParseError(f"invalid term {chunk.strip()!r}", offset)
         if m.group("coeff") is not None:
-            c = int(m.group("coeff"))
-            if c >= p:
-                raise ParseError(f"coefficient {c} not in [0, {p})", offset)
-            star = "*" in chunk
-            if star:
-                k = int(m.group("cpow")) if m.group("cpow") else 1
-            else:
-                k = 0
+            c = _bounded_int(m.group("coeff"), p - 1, f"coefficient {{}} not in [0, {p})", offset)
+            k = m.group("cpow") or ("1" if "*" in chunk else "0")
         else:
             c = 1
-            k = int(m.group("pow")) if m.group("pow") else 1
-        if k > _MAX_PARSE_DEGREE:
-            raise ParseError(f"exponent {k} too large", offset)
+            k = m.group("pow") or "1"
+        k = _bounded_int(k, _MAX_PARSE_DEGREE, "exponent {} too large", offset)
         powers[k] = (powers.get(k, 0) + c) % p
         offset += len(chunk) + 1
     coeffs = [0] * (max(powers) + 1)
     for k, c in powers.items():
         coeffs[k] = c
     return Polynomial(field, coeffs)
+
+
+def _bounded_int(digits: str, bound: int, message: str, offset: int) -> int:
+    """Decimal ``digits`` as an int, or a :class:`ParseError` at ``offset`` when above ``bound``.
+
+    The length is checked, leading zeros stripped, before converting, so an
+    over-long literal costs one pass over its text.
+    """
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(bound)) or int(digits) > bound:
+        shown = digits if len(digits) <= 40 else digits[:40] + "..."
+        raise ParseError(message.format(shown), offset)
+    return int(digits)

@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from .crt import encode
-from .decoder import Branch, ErroneousResiduePair, ReconstructionResult, reconstruct
+from .decoder import Branch, ErroneousResiduePair, reconstruct
 from .errors import EnumerationTooLargeError, PolyCrtError
 from .field import PrimeField
 from .levels import ModuliPairAnalysis, analyze_pair
@@ -226,35 +226,21 @@ def _deg_json(deg: Degree) -> Optional[int]:
     return None if deg == NEG_INF else int(deg)
 
 
-class _Trial(NamedTuple):
-    """One corrupt-then-decode trial: its inputs, the decode and the verdict."""
-
-    a: Polynomial
-    e1: Polynomial
-    e2: Polynomial
-    r1: Polynomial
-    r2: Polynomial
-    k2_true: Polynomial
-    result: ReconstructionResult
-    residual: Polynomial
-    k2_match: bool
-    residual_deg: Degree
-    success: bool
-
-
 def _run_trial(
-    analysis: ModuliPairAnalysis, level: int, tau: int, rng: random.Random
-) -> _Trial:
-    """Draw ``a``, then ``e1``, then ``e2`` from ``rng``, corrupt, decode, judge.
+    analysis: ModuliPairAnalysis, level: int, tau: int, trial: int, rng: random.Random
+) -> Tuple[TrialOutcome, Tuple[Polynomial, Polynomial, Polynomial, Polynomial]]:
+    """Trial ``trial``: draw ``a``, then ``e1``, then ``e2`` from ``rng``, corrupt, decode, judge.
 
-    The draw order is part of the determinism contract.  A trial succeeds
-    when the folding polynomial is recovered exactly and the residual
-    ``a_hat - a`` has degree at most ``tau``; this is the only place that
-    rule is applied.  Nothing here raises once ``level`` is valid, which
-    ``TrialConfig`` and :func:`search_boundary_counterexample` check first,
-    for any ``tau >= -1``: ``r1`` and ``r2`` are reduced mod ``m1`` and
-    ``m2``, and :func:`reconstruct` raises only from ``level_spec`` on an
-    analysis that passed ``_assert_invariants``.
+    Returns the trial's :class:`TrialOutcome` and the values a replay needs
+    besides it, ``(r1, r2, k2_true, k2_hat)``.  The draw order is part of
+    the determinism contract.  A trial succeeds when the folding polynomial
+    is recovered exactly and the residual ``a_hat - a`` has degree at most
+    ``tau``; this is the only place that rule is applied.  Nothing here
+    raises once ``level`` is valid, which ``TrialConfig`` and
+    :func:`search_boundary_counterexample` check first, for any
+    ``tau >= -1``: ``r1`` and ``r2`` are reduced mod ``m1`` and ``m2``, and
+    :func:`reconstruct` raises only from ``level_spec`` on an analysis that
+    passed ``_assert_invariants``.
     """
     field = analysis.field
     a = sample_polynomial(analysis.level_spec(level).dynamic_range_exclusive, field, rng)
@@ -273,16 +259,20 @@ def _run_trial(
     residual = result.a_hat - a
     k2_match = result.k2_hat == witness.k2
     residual_deg = residual.degree
-    success = k2_match and residual_deg <= tau
-    return _Trial(
-        a, e1, e2, r1, r2, witness.k2, result, residual, k2_match, residual_deg, success
+    # k2_match does not imply residual == e2: in boundary mode with
+    # tau >= deg(m2), r2 is reduced.
+    outcome = TrialOutcome(
+        trial, a, e1, e2, result.branch, k2_match, residual_deg, residual == e2,
+        k2_match and residual_deg <= tau,
     )
+    return outcome, (r1, r2, witness.k2, result.k2_hat)
 
 
 def run_campaign(config: TrialConfig) -> TrialReport:
     """Run the configured number of independent corrupt-then-decode trials.
 
-    Each trial is drawn, decoded and judged by :func:`_run_trial`.
+    Each trial is drawn, decoded and judged by :func:`_run_trial`, whose
+    outcome the report keeps and counts.
     """
     report = TrialReport(
         config=config, branch_counts={b.value: 0 for b in Branch}
@@ -292,25 +282,12 @@ def run_campaign(config: TrialConfig) -> TrialReport:
     rng = random.Random()
     for idx in range(config.trials):
         rng.seed(f"{config.seed}:{idx}")
-        trial = _run_trial(config.analysis, config.level, config.tau, rng)
-        branch = trial.result.branch
-        report.outcomes.append(
-            TrialOutcome(
-                trial=idx,
-                a=trial.a,
-                e1=trial.e1,
-                e2=trial.e2,
-                branch=branch,
-                k2_match=trial.k2_match,
-                residual_deg=trial.residual_deg,
-                residual_is_e2=trial.residual == trial.e2,
-                success=trial.success,
-            )
-        )
-        report.branch_counts[branch.value] += 1
-        if trial.residual_deg > report.max_residual_deg:
-            report.max_residual_deg = trial.residual_deg
-        if trial.success:
+        outcome, _ = _run_trial(config.analysis, config.level, config.tau, idx, rng)
+        report.outcomes.append(outcome)
+        report.branch_counts[outcome.branch.value] += 1
+        if outcome.residual_deg > report.max_residual_deg:
+            report.max_residual_deg = outcome.residual_deg
+        if outcome.success:
             report.successes += 1
         else:
             report.failures += 1
@@ -409,20 +386,10 @@ def search_boundary_counterexample(
     rng = random.Random()
     for idx in range(budget):
         rng.seed(f"boundary:{seed}:{idx}")
-        trial = _run_trial(analysis, level, tau, rng)
-        if not trial.success:
+        outcome, replay = _run_trial(analysis, level, tau, idx, rng)
+        if not outcome.success:
             return BoundaryInstance(
-                trial=idx,
-                seed=seed,
-                level=level,
-                tau=tau,
-                a=trial.a,
-                e1=trial.e1,
-                e2=trial.e2,
-                r1=trial.r1,
-                r2=trial.r2,
-                k2_true=trial.k2_true,
-                k2_hat=trial.result.k2_hat,
-                residual_deg=trial.residual_deg,
+                idx, seed, level, tau, outcome.a, outcome.e1, outcome.e2, *replay,
+                outcome.residual_deg,
             )
     return None

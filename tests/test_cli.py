@@ -89,6 +89,10 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "--m1", "garbage", "--m2", "x")
         assert code == 2 and "position" in err
 
+    def test_over_long_literal_exit_2(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "--m1", "1" * 5000, "--m2", "x")
+        assert code == 2 and "(at position 0)" in err
+
     def test_composite_characteristic_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "analyze", "--m1", "x^2+x", "--m2", "x^3+x", "--p", "4"
@@ -597,6 +601,130 @@ _GOLDEN_OUT = {
     ),
 }
 
+# Kernel paths the quick start does not reach, each pinned by its full
+# stdout; each exits 0.
+_F2_M1 = "x^25+x^24+x^18+x^17+x^14+x^13+x^12+x^11+x^10+x^7+x^5+x^4+x^3+x^2+x+1"
+_F2_M2 = "x^26+x^25+x^24+x^22+x^20+x^18+x^16+x^15+x^12+x^8+x^7+x^6+x^4+x+1"
+_F2_A = "x^45+x^40+x^33+x^21+x^17+x^9+x^2+1"
+_F2_A1 = "x^24+x^23+x^22+x^20+x^19+x^16+x^14+x^13+x^9+x^7+x^5+x^3"
+_F2_A2 = "x^25+x^17+x^16+x^15+x^14+x^10+x^6+x^4+x^3+x^2+x+1"
+_P13_M1, _P13_M2 = "x^5+x^3+2*x^2+2", "x^6+x^4+x^3+3*x^2+x+3"
+_P13 = ("--p", "13", "--m1", _P13_M1, "--m2", _P13_M2)
+_WIDE = (
+    "--p", "2305843009213693951",
+    "--m1", "x^5+7*x^3+7*x^2+10*x+35", "--m2", "x^6+8*x^4+x^3+26*x^2+5*x+55",
+)
+_WIDE_R1 = "2305843008349496428*x^4+4814814764*x^3+989382717026*x^2+8641975224*x+"
+_WIDE_R2 = (
+    "2305843008226039640*x^5+2305843009090237162*x^4+2305843006003817437*x^3"
+    "+987037038042*x^2+2305843002423570560*x+5"
+)
+_WIDE_A = "123456789*x^7+x^5+987654321987*x^2+4*x+5"
+
+_GOLDEN_KERNEL_PATHS = {
+    # encode divides by byte tables, eight quotient bits per step, and crt
+    # multiplies by one; moduli of degree 25/26 and a message of degree 45
+    # give quotients of 21 and 20 bits, so each loop runs three steps.
+    "f2-encode-deg25": (
+        ("encode", "--m1", _F2_M1, "--m2", _F2_M2, "--poly", _F2_A),
+        f"a1 = {_F2_A1}  (mod m1 = {_F2_M1})\n"
+        f"a2 = {_F2_A2}  (mod m2 = {_F2_M2})\n"
+        "k1 = x^20+x^19+x^18+x^17+x^16+x^13+x^12+x^11+x^10+x^7+x^5+x^4+x^2+x+1\n"
+        "k2 = x^19+x^18+x^16+x^14+x^12+x^9+x^7+x^4+x^2+x\n",
+    ),
+    "f2-crt-deg25": (
+        ("crt", "--m1", _F2_M1, "--m2", _F2_M2, "--r1", _F2_A1, "--r2", _F2_A2),
+        f"a = {_F2_A}\n",
+    ),
+    # The F_2 cascade below the top level: after step 0, one lookup and one
+    # shift-XOR per quotient bit, on a chain whose sigma degrees drop by 2
+    # at levels 5, 6 and 9.
+    "f2-reconstruct-level9": (
+        (
+            "reconstruct", "--m1", _F2_M1, "--m2", _F2_M2, "--level", "9",
+            "--r1", "x^24+x^21+x^20+x^19+x^17+x^15+x^12+x^11+x^10+x^7+x^6+x^3+x^2+1",
+            "--r2", "x^25+x^23+x^22+x^21+x^20+x^19+x^18+x^17+x^16+x^13+x^10+x^9+x^7",
+        ),
+        "branch = large_residue\n"
+        "q21 = x^25+x^24+x^23+x^22+x^18+x^16+x^15+x^13+x^12+x^11+x^9+x^6+x^3+x^2+1\n"
+        "cascade tail = x^12+x^11+x^7+x^5+x^3+x\n"
+        "k2_hat = x^11+x^10+x^8+x^5+1\n"
+        "a_hat = x^37+x^30+x^22+x^15+x^11+x^9+x^5+x^4+x+1\n",
+    ),
+    # The odd-p analysis and decoder run different kernels from the F_2 ones.
+    "p13-reconstruct": (
+        (
+            "reconstruct", *_P13, "--level", "1",
+            "--r1", "2*x^4+3*x^3+4*x^2+11*x+2", "--r2", "8*x^5+7*x^4+10*x^3+8*x^2+12*x+11",
+        ),
+        "branch = large_residue\n"
+        "q21 = 5*x^5+8*x^4+6*x^3+9*x^2+12*x+4\n"
+        "cascade tail = x^2+11*x+4\n"
+        "k2_hat = 5*x+1\n"
+        "a_hat = 5*x^7+x^6+3*x^2+2*x+1\n",
+    ),
+    # The odd-p pass over these moduli starts with a 3-digit step, and their
+    # sigma degrees drop by 2 at the top level, where the cascade divides
+    # by m1 and by m*sigma_3 in 2-digit steps.
+    "p13-reconstruct-multi-digit": (
+        (
+            "reconstruct", "--p", "13",
+            "--m1", "x^6+7*x^5+x^4+5*x^3+5*x^2+11*x+4",
+            "--m2", "x^8+9*x^7+12*x^6+6*x^5+x^4+x^3+x^2+9",
+            "--r1", "2*x^5+7*x^3+5*x^2+8*x+3",
+            "--r2", "5*x^7+5*x^6+8*x^5+12*x^4+5*x^3+2*x^2+6*x+5", "--level", "3",
+        ),
+        "branch = large_residue\n"
+        "q21 = 8*x^7+8*x^6+7*x^5+x^4+2*x^3+3*x^2+2*x+11\n"
+        "cascade tail = 10*x+5\n"
+        "k2_hat = 3*x^3+12*x^2+7\n"
+        "a_hat = 3*x^11+x^9+5*x^4+6*x+3\n",
+    ),
+    # Every simulate trial runs %, divmod and the odd-p remainder cascade.
+    "p13-simulate": (
+        ("simulate", *_P13, "--level", "1", "--tau", "2", "--trials", "500", "--seed", "3"),
+        "mode = guarantee\n"
+        "trials = 500\n"
+        "successes = 500\n"
+        "failures = 0\n"
+        "max residual degree = 2\n"
+        "branch counts: equal_residues=0, folded_difference=44, large_residue=456\n",
+    ),
+    # At p = 2**61 - 1 every coefficient draw takes 61 random bits, so each
+    # getrandbits call reads two words of the generator's output.
+    "wide-simulate": (
+        ("simulate", *_WIDE, "--level", "3", "--tau", "1", "--trials", "300", "--seed", "3"),
+        "mode = guarantee\n"
+        "trials = 300\n"
+        "successes = 300\n"
+        "failures = 0\n"
+        "max residual degree = 1\n"
+        "branch counts: equal_residues=0, folded_difference=0, large_residue=300\n",
+    ),
+    # p = 2**61 - 1 packs the chain into slots wider than a machine word.
+    "wide-reconstruct": (
+        (
+            "reconstruct", *_WIDE, "--level", "3",
+            "--r1", "2305843008349496428*x^4+4814814764*x^3+989382717026*x^2"
+            "+8641975226*x+30246913273",
+            "--r2", _WIDE_R2,
+        ),
+        "branch = large_residue\n"
+        "q21 = 987654311*x^5+2305843008472953217*x^4+8024691278*x^3+2345678984*x^2"
+        "+15432098617*x+30246913268\n"
+        "cascade tail = 2*x+2305843009213693949\n"
+        "k2_hat = 123456789*x\n"
+        f"a_hat = {_WIDE_A}\n",
+    ),
+    # crt runs the same wide-slot cascade (its exit 6 is in _GOLDEN_ERRORS).
+    "wide-crt": (
+        ("crt", *_WIDE, "--r1", _WIDE_R1 + "30246913275", "--r2", _WIDE_R2),
+        f"a = {_WIDE_A}\n",
+    ),
+    # bound takes the gcd of every pair of moduli.
+    "p13-bound": (("bound", "--p", "13", "--moduli", f"{_P13_M1},{_P13_M2}"), "2\n"),
+}
+
 _GOLDEN_ERRORS = [
     (
         ("reconstruct", "--m1", REF_M1, "--m2", REF_M2,
@@ -620,6 +748,13 @@ _GOLDEN_ERRORS = [
         6, "residues disagree modulo gcd(m1, m2); no common preimage exists",
     ),
     (("bound", "--moduli", "x^2+x"), 7, "at least two moduli are required"),
+    # Residues one off in the constant term disagree modulo the gcd, here
+    # through the wide-slot cascade of p = 2**61 - 1.
+    (
+        ("crt", *_WIDE, "--r1", _WIDE_R1 + "30246913276", "--r2", _WIDE_R2),
+        6, "residues disagree modulo gcd(m1, m2); no common preimage exists",
+    ),
+    (("bound", "--p", "13", "--moduli", _P13_M1), 7, "at least two moduli are required"),
 ]
 
 _GOLDEN = [
@@ -630,6 +765,8 @@ _GOLDEN = [
     pytest.param(argv + fmt, code, "", f"error: {msg}\n", id=f"exit{code}-{argv[0]}-{i}")
     for i, (argv, code, msg) in enumerate(_GOLDEN_ERRORS)
     for fmt in ((), ("--format", "json"))
+] + [
+    pytest.param(argv, 0, out, "", id=name) for name, (argv, out) in _GOLDEN_KERNEL_PATHS.items()
 ]
 
 

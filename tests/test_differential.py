@@ -93,6 +93,9 @@ def test_matches_reference(p):
         for x, y in ((m1, m2), (m2, m1), (c1 * m1, c2 * m2)):
             got, want = analyze_pair(x, y), reference_analyze_pair(x, y)
             assert got == want and hash(got) == hash(want)
+            # Equality leaves the packed chain out; compare what it stores.
+            assert got.cascade_moduli == want.cascade_moduli
+            assert got.cascade_cofactors == want.cascade_cofactors
         # Encoded residues, and random ones (mostly inconsistent, always at
         # large p), drawn apart from the decoder cases below.
         for _ in range(3):
@@ -139,6 +142,8 @@ def test_large_pair_at_p2_every_level():
     analysis = analyze_pair(m1, m2)
     reference = reference_analyze_pair(m1, m2)
     assert analysis == reference
+    assert analysis.cascade_moduli == reference.cascade_moduli
+    assert analysis.cascade_cofactors == reference.cascade_cofactors
     assert analysis.K >= 60
     # encode divides through the analysis's byte tables, which every
     # construction derives from the moduli.
@@ -191,7 +196,10 @@ def test_large_pair_at_p65521():
     cof1, cof2 = _coprime_cofactors(128, 129, field, rng)
     m1, m2 = shared * cof1, shared * cof2
     analysis = analyze_pair(m2, m1)
-    assert analysis == reference_analyze_pair(m2, m1)
+    reference = reference_analyze_pair(m2, m1)
+    assert analysis == reference
+    assert analysis.cascade_moduli == reference.cascade_moduli
+    assert analysis.cascade_cofactors == reference.cascade_cofactors
     assert analysis.swapped and analysis.K > 100
     for level in (1, 2, analysis.K // 2, analysis.K + 1):
         spec = analysis.level_spec(level)

@@ -217,7 +217,7 @@ class TestChainInvariants:
         cofs = list(chain.cofs)
         cofs[-1] += 13 << -(-cofs[-1].bit_length() // bits) * bits
         broken = PackedChain(an.field, chain.size, chain.layout, chain.steps, cofs)
-        assert broken == chain
+        assert broken.cofactor(-1) == chain.cofactor(-1)
         with pytest.raises(AssertionError, match="^cascade cofactor degrees do not match"):
             _assert_invariants(dataclasses.replace(an, chain=broken))
 
@@ -314,11 +314,26 @@ class TestCascadeCofactors:
             assert an.gamma_inv21 == inverse
 
     def test_repr_is_built_from_values(self):
-        # Two analyses of the same pair print alike: the chain's repr names
-        # its field, input size and step count, not an address.
+        # Two analyses of the same pair print alike: the repr names neither
+        # the chain nor the tables, which are derived from the moduli.
         first, second = (readme_factors_pair(PrimeField(2)) for _ in range(2))
         assert repr(first) == repr(second)
-        assert repr(first).endswith("chain=PackedChain(p=2, size=12, steps=5), swapped=False)")
+        assert "chain=" not in repr(first) and "tables=" not in repr(first)
+        assert repr(first).endswith(", swapped=False)")
+
+    @pytest.mark.parametrize("p", [2, 65521])
+    def test_identity_never_unpacks_the_chain(self, monkeypatch, p):
+        # The chain is a function of the moduli, which equality compares.
+        first, second = (readme_factors_pair(PrimeField(p)) for _ in range(2))
+        swapped = analyze_pair(first.m2, first.m1)
+
+        def refuse(*args):
+            raise AssertionError("the packed chain was read")
+
+        for name in ("modulus", "cofactor", "degrees"):
+            monkeypatch.setattr(PackedChain, name, refuse)
+        assert first == second and hash(first) == hash(second)
+        assert first != swapped
 
     def test_copy_deepcopy_and_pickle_keep_the_cofactors(self, reference_pair):
         self.check_copies(reference_pair)

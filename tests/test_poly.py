@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -40,6 +41,15 @@ class TestCanonicalForm:
 
     def test_coefficients_reduced_mod_p(self, f7):
         assert Polynomial(f7, [9, -1]).coeffs == (2, 6)
+
+    @pytest.mark.parametrize("p", [2, 13, 2**61 - 1])
+    def test_non_integer_coefficients_rejected(self, p):
+        field = PrimeField(p)
+        for bad in (1.5, 1.0, Fraction(1, 2), "1"):
+            with pytest.raises(TypeError):
+                Polynomial(field, [bad, 2])
+        # bools and other __index__ types are integers.
+        assert Polynomial(field, [True, False, 1]).coeffs == (1, 0, 1)
 
     def test_zero_degree_is_neg_inf(self, f2):
         zero = Polynomial(f2)
@@ -252,7 +262,9 @@ class TestReduceChain:
 
         steps = [(k, raised(low, k - 1), neg_inv, lead) for k, low, neg_inv, lead in packed.steps]
         chain = PackedChain(field, n, packed.layout, steps, [raised(s, n) for s in packed.cofs])
-        assert chain == packed and hash(chain) == hash(packed)
+        # The raised slots read back as the same polynomials.
+        assert [*map(chain.modulus, range(n))] == moduli
+        assert [*map(chain.cofactor, range(n))] == cofactors
         got = _reduce_chain(v, chain, 0, n)
         assert got == chain_reference(v, moduli, cofactors)
 
@@ -539,6 +551,31 @@ class TestParseFormat:
     def test_huge_exponent_rejected(self, f2):
         with pytest.raises(ParseError):
             parse_polynomial("x^999999999", f2)
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            ("1" * 5000, 0),
+            ("x^" + "1" * 5000, 0),
+            ("[" + "1" * 5000 + "]", 1),
+            ("x+2*x^" + "1" * 5000 + "+1", 2),
+            ("x+" + "1" * 5000 + "*x", 2),
+            ("[0, " + "1" * 5000 + "]", 3),
+        ],
+        ids=["coeff", "exponent", "entry", "second-exponent", "second-coeff", "second-entry"],
+    )
+    def test_over_long_integer_literals_are_parse_errors(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_polynomial(text, PrimeField(13))
+        assert info.value.position == position
+
+    def test_leading_zeros_are_stripped_before_the_length_check(self, f13):
+        assert str(parse_polynomial("007*x^0003+x^00", f13)) == "7*x^3+1"
+        long_zero = "0" * 5000
+        assert str(parse_polynomial(f"{long_zero}7*x^{long_zero}3", f13)) == "7*x^3"
+        for text in (f"1{long_zero}", f"x^1{long_zero}"):
+            with pytest.raises(ParseError, match=r"\.\.\. (not in|too large)"):
+                parse_polynomial(text, f13)
 
     def test_degree_cap_is_the_same_in_both_forms(self, f2):
         cap = _MAX_PARSE_DEGREE
