@@ -104,7 +104,7 @@ def crt_pair(pair: ResiduePair) -> Polynomial:
     divisible by it), in which case no reconstruction exists.
     """
     analysis = pair.moduli
-    tail, k2 = _reduce_chain(pair.a1 - pair.a2, analysis.chain, 0, analysis.K + 2)
+    tail, k2 = _reduce_chain(pair.a1 - pair.a2, analysis.chain, analysis.K + 2)
     if not tail.is_zero:
         raise InconsistentResiduesError(
             "residues disagree modulo gcd(m1, m2); no common preimage exists"

@@ -101,16 +101,14 @@ def remainder_cascade(
     """Reduce ``v`` successively modulo ``m*sigma_1, ..., m*sigma_level``.
 
     Inputs already below ``deg(m*sigma_level)`` pass through unchanged.
-    These are steps ``1..level`` of the chain :func:`reconstruct` runs; an
-    input longer than the chain takes (``deg(m2)`` and below) is first
-    reduced modulo ``m*sigma_1`` by ``%``, as step 1 would.
+    ``v`` is reduced modulo ``m*sigma_1`` by ``%`` and then runs steps
+    ``0..level`` of the chain :func:`reconstruct` runs, where steps 0
+    (``m1``) and 1 have no work.
     """
     analysis.level_spec(level)
     v._check_field(analysis.m)
     chain = analysis.chain
-    if v.degree >= chain.size:
-        v = v % chain.modulus(1)
-    return _reduce_chain(v, chain, 1, level + 1)[0]
+    return _reduce_chain(v % chain.modulus(1), chain, level + 1)[0]
 
 
 def classify(q21: Polynomial, analysis: ModuliPairAnalysis, level: int) -> Branch:
@@ -140,6 +138,6 @@ def reconstruct(pair: ErroneousResiduePair, level: int) -> ReconstructionResult:
     analysis = pair.moduli
     q21 = pair.r1 - pair.r2
     branch = classify(q21, analysis, level)
-    tail, k2_hat = _reduce_chain(q21, analysis.chain, 0, level + 1)
+    tail, k2_hat = _reduce_chain(q21, analysis.chain, level + 1)
     a_hat = _mul_by(k2_hat, analysis.m2, analysis.tables[1]) + pair.r2
     return ReconstructionResult(a_hat, k2_hat, branch, q21, tail)

@@ -6,7 +6,7 @@ Carry-less products and division, byte tables, and the fused cascade.
 from __future__ import annotations
 
 from itertools import accumulate, chain, repeat
-from operator import add, lshift, or_, sub
+from operator import lshift, or_, sub
 from typing import Sequence, Tuple
 
 from .errors import DivisionByZeroError
@@ -88,26 +88,24 @@ def _fuse_chain(steps: Sequence[int], cofs: Sequence[int], size: int) -> tuple:
     """A cascade's steps fused one int each, for inputs of up to ``size`` bits, and their index.
 
     Returns ``(w, steps, cofs, index)``: cuts of one tuple of fused ints,
-    each a cofactor in the low ``w`` bits and the modulus above them.  Past
-    its first step a cascade shifts step j's cofactor by less than the drop
-    from step j - 1's degree to step j's, so ``w`` holds every sum it builds
-    there.  ``index`` holds, by the bit length ``w + d + 1`` of a remainder
+    each a cofactor in the low ``w`` bits and the modulus above them.  A
+    cascade shifts step j's cofactor by less than the drop from step j - 1's
+    degree (``size`` for step 0) to step j's, so ``w`` holds every sum it
+    builds.  ``index`` holds, by the bit length ``w + d + 1`` of a remainder
     of degree d, the first nonzero step of degree at most d and, apart, the
     shift that clears d; the ``floors`` below which steps ``0 .. k - 1``
     have no work; and the zero steps.
     """
     lens = [*map(int.bit_length, steps)]
     cof_lens = [*map(int.bit_length, cofs)]
-    drops = map(sub, [0, *lens], lens)
-    w = max(max(cof_lens, default=0), max(map(add, cof_lens, drops), default=0) - 1)
+    drops = map(sub, [size + 1, *lens], lens)
+    w = max(cof_lens + [n + d - 1 for n, d in zip(cof_lens, drops) if n], default=0)
     gap = len(cofs) - len(steps)
     fused = tuple(map(or_, map(lshift, [*steps] + [0] * gap, repeat(w)), [*cofs] + [0] * -gap))
     fused_steps = fused[: len(steps)]
     # Step j clears the bit lengths w + floors[j + 1] .. w + floors[j] - 1
-    # at shifts 0, 1, ...  The first nonzero step only ever runs first, so
-    # it needs no entries.
-    top = min(size + 1, next(filter(None, lens), size + 1))
-    floors = [*accumulate([n or top for n in lens], min, initial=top)]
+    # at shifts 0, 1, ...
+    floors = [*accumulate([n or size + 1 for n in lens], min, initial=size + 1)]
     runs = [*map(sub, floors[-2::-1], floors[:0:-1])]
     blank = (None,) * (w + floors[-1])
     index = (
@@ -119,35 +117,22 @@ def _fuse_chain(steps: Sequence[int], cofs: Sequence[int], size: int) -> tuple:
     return w, fused_steps, fused[: len(cofs)], index
 
 
-def _fold_fused(
-    x: int, steps: tuple, cofs: tuple, w: int, index: tuple, start: int, stop: int
-) -> Tuple[int, int]:
-    """Cascade of ``x`` over fused steps ``start .. stop - 1``: the remainder and the weighted sum.
+def _fold_fused(x: int, w: int, index: tuple, stop: int) -> Tuple[int, int]:
+    """Cascade of ``x`` over fused steps ``0 .. stop - 1``: the remainder and the weighted sum.
 
-    Step ``start`` divides ``x`` and weighs its quotient apart; then the
-    remainder sits above the sum's ``w`` bits, and each quotient bit XORs in
-    the step and shift that the index gives for the bit length: the first
-    step of degree at most the remainder's.  Errors as for
+    The remainder sits above the sum's ``w`` bits, and each quotient bit
+    XORs in the step and shift that the index gives for the bit length: the
+    first step of degree at most the remainder's.  Errors as for
     :func:`polycrt.poly._reduce_chain`.
     """
     step_at, shift_at, floors, zeros = index
-    if len(steps) != len(cofs):
-        raise ValueError("the chain needs one cofactor per modulus")
-    if zeros and any(start <= j < stop for j in zeros):
+    if zeros and zeros[0] < stop:
         raise DivisionByZeroError("polynomial division by zero")
-    if start >= stop:
-        return x, 0
-    mod = steps[start] >> w
-    cof = steps[start] ^ mod << w
-    q, x = _cldivmod(x, mod)
-    acc = _clmul(q, cof) if q and cof else 0
     x <<= w
     n = x.bit_length()
-    if start and n >= w + floors[start]:
-        raise ValueError("a step before start has work")
     floor = w + floors[stop]
     while n >= floor:
         x ^= step_at[n] << shift_at[n]
         n = x.bit_length()
     rem = x >> w
-    return rem, x ^ rem << w ^ acc
+    return rem, x ^ rem << w

@@ -60,6 +60,11 @@ Degree = Union[int, float]
 # Highest degree parsed text may have, in either input form; guards memory.
 _MAX_PARSE_DEGREE = 1 << 16
 
+# Most digits a coefficient-list entry may have, whatever the interpreter's
+# int digit limit is: int() costs time quadratic in the digits.  CPython's
+# default limit.
+_MAX_ENTRY_DIGITS = 4300
+
 # Odd-p division runs through a Newton reciprocal once the quotient and the
 # divisor both have at least this many coefficients; below either, schoolbook
 # division was as fast or faster at p = 65521 and p = 13.
@@ -424,30 +429,28 @@ class PackedChain:
         return [c % p for c in _unpack(packed, size, *self.layout)]
 
 
-def _reduce_chain(
-    v: Polynomial, chain: PackedChain, start: int, stop: int
-) -> Tuple[Polynomial, Polynomial]:
-    """``v`` reduced modulo steps ``start .. stop - 1`` of ``chain`` in turn, and its quotients weighted.
+def _reduce_chain(v: Polynomial, chain: PackedChain, stop: int) -> Tuple[Polynomial, Polynomial]:
+    """``v`` reduced modulo steps ``0 .. stop - 1`` of ``chain`` in turn, and its quotients weighted.
 
     Returns ``(remainder, sum of q_j * cofactor_j)``, where ``q_j`` is the
     quotient of step ``j`` (zero when the running remainder is already below
-    the step's degree), for ``0 <= start <= stop <= len(chain.steps)`` and
-    ``v`` over the chain's field, which the caller checks.  A zero step in
-    the range raises :class:`DivisionByZeroError`, even one the remainder
-    is below; more than ``chain.size`` coefficients in ``v``, or more or
-    fewer cofactors than moduli, ``ValueError``.  Over F_2 (see
-    :func:`~polycrt.gf2._fold_fused`) so does a step before ``start`` that
-    would have work, which needs degrees that do not decrease.  Over odd p,
-    see :func:`~polycrt.kronecker._fold_chain`.
+    the step's degree), for ``0 <= stop <= len(chain.steps)`` and ``v`` over
+    the chain's field, which the caller checks.  A zero step in the range
+    raises :class:`DivisionByZeroError`, even one the remainder is below;
+    more than ``chain.size`` coefficients in ``v``, or more or fewer
+    cofactors than moduli, ``ValueError``.  Over odd p, see
+    :func:`~polycrt.kronecker._fold_chain`.
     """
     if v.degree >= chain.size:
         raise ValueError(f"input of degree {v.degree} is too long for this chain")
-    field = v.field
     steps, cofs = chain.steps, chain.cofs
+    if len(steps) != len(cofs):
+        raise ValueError("the chain needs one cofactor per modulus")
+    field = v.field
     if chain.index:
-        rem, total = _fold_fused(v._value, steps, cofs, chain.layout, chain.index, start, stop)
+        rem, total = _fold_fused(v._value, chain.layout, chain.index, stop)
         return _from_bits(field, rem), _from_bits(field, total)
-    tail, total = _fold_chain(v._value, steps[start:stop], cofs[start:stop], *chain.layout, field.p)
+    tail, total = _fold_chain(v._value, steps[:stop], cofs[:stop], *chain.layout, field.p)
     return _from_reduced(field, tail), _from_reduced(field, total)
 
 
@@ -589,9 +592,11 @@ def _parse_coeff_list(text: str, field: PrimeField) -> Polynomial:
     for chunk in inner.split(","):
         if not _INT_RE.match(chunk):
             raise ParseError(f"invalid coefficient {chunk.strip()!r}", offset)
+        if len(chunk.strip().lstrip("+-")) > _MAX_ENTRY_DIGITS:
+            raise ParseError(f"coefficient of more than {_MAX_ENTRY_DIGITS} digits", offset)
         try:
             coeffs.append(int(chunk))
-        except ValueError as exc:  # over the interpreter's int digit limit
+        except ValueError as exc:  # over a lower int digit limit
             raise ParseError(f"invalid coefficient: {exc}", offset) from None
         offset += len(chunk) + 1
     return Polynomial(field, coeffs)

@@ -86,6 +86,8 @@ def enumerate_polynomials(
     field: PrimeField, max_deg_exclusive: int
 ) -> Iterator[Polynomial]:
     """All ``p**max_deg_exclusive`` polynomials of degree below the bound."""
+    if max_deg_exclusive < 0:
+        raise ValueError("degree bound must be >= 0")
     p = field.p
     for n in range(p**max_deg_exclusive):
         coeffs = []

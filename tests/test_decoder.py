@@ -63,6 +63,9 @@ class TestRemainderCascade:
         if p == 2:
             assert analysis.K > 100
         inputs = [sample_polynomial(analysis.m1.degree, field, rng) for _ in range(2)]
+        # Degrees deg(m1) .. deg(m2) - 1, which % reduces by m*sigma_1 first.
+        inputs += [sample_polynomial(analysis.m2.degree, field, rng) for _ in range(2)]
+        inputs += [Polynomial(field, [0] * analysis.m1.degree + [1])]
         inputs += [analysis.m2, Polynomial(field)]
         for level in range(1, analysis.K + 2):
             for v in inputs:

@@ -558,7 +558,7 @@ class TestAgainstDigitFolds:
             with pytest.raises(ValueError):
                 reference_fold_chain(v, chain.steps, chain.cofs[:-1], *chain.layout, p)
             with pytest.raises(ValueError):
-                _reduce_chain(Polynomial(field, v + (1,)), chain, 0, len(degrees))
+                _reduce_chain(Polynomial(field, v + (1,)), chain, len(degrees))
         zero = Polynomial(field)
         moduli = [random_poly(p, 6, rng), zero, random_poly(p, 2, rng)]
         cofactors = [random_poly(p, 1, rng), zero, random_poly(p, 3, rng)]

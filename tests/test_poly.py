@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -142,7 +143,7 @@ def chain_reference(v, moduli, cofactors):
 def reduce_chain(v, moduli, cofactors):
     """``_reduce_chain`` over the chain packed from these steps, for inputs as long as ``v``."""
     chain = pack_chain(v.field, moduli, cofactors, max(len(v.coeffs), 1))
-    return _reduce_chain(v, chain, 0, len(moduli))
+    return _reduce_chain(v, chain, len(moduli))
 
 
 def random_chain(field, degrees, rng):
@@ -176,12 +177,8 @@ class TestReduceChain:
                 cofactors = (Polynomial(field),) + an.cascade_cofactors
                 for level in range(1, an.K + 2):
                     for v in inputs:
-                        for start in (0, 1):
-                            got = _reduce_chain(v, an.chain, start, level + 1)
-                            want = chain_reference(
-                                v, moduli[start : level + 1], cofactors[start : level + 1]
-                            )
-                            assert got == want
+                        got = _reduce_chain(v, an.chain, level + 1)
+                        assert got == chain_reference(v, moduli[: level + 1], cofactors[: level + 1])
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_long_quotients_and_degree_gaps(self, p):
@@ -201,9 +198,11 @@ class TestReduceChain:
         # Cascade moduli of degrees 6, 5, 3, 2 (sigma degrees 4, 3, 1, 0).
         an = reference_pair
         assert [c.degree for c in an.cascade_moduli] == [6, 5, 3, 2]
-        for v in enumerate_polynomials(an.field, an.m1.degree):
-            got = _reduce_chain(v, an.chain, 1, an.K + 2)
-            assert got == chain_reference(v, an.cascade_moduli, an.cascade_cofactors)
+        moduli = (an.m1,) + an.cascade_moduli
+        cofactors = (Polynomial(an.field),) + an.cascade_cofactors
+        for v in enumerate_polynomials(an.field, an.chain.size):
+            got = _reduce_chain(v, an.chain, an.K + 2)
+            assert got == chain_reference(v, moduli, cofactors)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_skipped_steps_add_nothing(self, p):
@@ -265,7 +264,7 @@ class TestReduceChain:
         # The raised slots read back as the same polynomials.
         assert [*map(chain.modulus, range(n))] == moduli
         assert [*map(chain.cofactor, range(n))] == cofactors
-        got = _reduce_chain(v, chain, 0, n)
+        got = _reduce_chain(v, chain, n)
         assert got == chain_reference(v, moduli, cofactors)
 
     def test_one_cofactor_per_modulus(self, f13):
@@ -278,9 +277,9 @@ class TestReduceChain:
         field = PrimeField(p)
         step = Polynomial(field, [1, 1])
         chain = pack_chain(field, (step,), (step,), 3)
-        _reduce_chain(Polynomial(field, [1, 1, 1]), chain, 0, 1)
+        _reduce_chain(Polynomial(field, [1, 1, 1]), chain, 1)
         with pytest.raises(ValueError):
-            _reduce_chain(Polynomial(field, [1, 1, 1, 1]), chain, 0, 1)
+            _reduce_chain(Polynomial(field, [1, 1, 1, 1]), chain, 1)
 
 
 def cascade_prefixes(v, moduli, cofactors):
@@ -310,11 +309,9 @@ class TestF2FusedChain:
         ones = Polynomial(f2, [1] * chain.size)
         inputs = [random_poly(f2, chain.size, rng) for _ in range(2)] + [ones, an.m2]
         for v in inputs:
-            for start in (0, 1):
-                want = cascade_prefixes(v, moduli[start:], cofactors[start:])
-                for level in range(1, an.K + 2):
-                    got = _reduce_chain(v, chain, start, level + 1)
-                    assert got == want[level + 1 - start]
+            want = cascade_prefixes(v, moduli, cofactors)
+            for level in range(1, an.K + 2):
+                assert _reduce_chain(v, chain, level + 1) == want[level + 1]
 
     def test_all_ones_inputs_fill_the_cofactor_field(self, f2):
         # An all-ones input of chain.size bits takes long quotients; the top
@@ -327,10 +324,9 @@ class TestF2FusedChain:
             moduli = (an.m1,) + an.cascade_moduli
             cofactors = (Polynomial(f2),) + an.cascade_cofactors
             v = Polynomial(f2, [1] * an.chain.size)
-            for start in (0, 1):
-                want = cascade_prefixes(v, moduli[start:], cofactors[start:])
-                for level in range(1, an.K + 2):
-                    assert _reduce_chain(v, an.chain, start, level + 1) == want[level + 1 - start]
+            want = cascade_prefixes(v, moduli, cofactors)
+            for level in range(1, an.K + 2):
+                assert _reduce_chain(v, an.chain, level + 1) == want[level + 1]
             assert want[-1][1].degree < an.chain.layout
             full += want[-1][1].degree == an.chain.layout - 1
         assert full
@@ -340,42 +336,37 @@ class TestF2FusedChain:
         [[9, 6, 2, 1], [12, 4, 0], [3, 8, 5, 1], [5, 10, 12], [7, 7, 3], [2, 6, 4, 0, 3],
          [8, None, 3, 1], [None, 6, 2], [4, 2, None]],
     )
-    def test_hand_built_chains_at_every_start_and_stop(self, f2, degrees):
-        # Degree gaps, degrees that rise or repeat, and zero steps (None).
-        # Every call is exact or raises the documented error: a zero step in
-        # the range divides by zero, and ValueError needs a nonzero step
-        # before start of degree at most that of v mod step start.
-        rng = random.Random(f"fused-hand:{degrees}")
-        zero = Polynomial(f2)
-        moduli = [
-            zero if d is None else random_poly(f2, d, rng) + Polynomial(f2, [0] * d + [1])
-            for d in degrees
-        ]
-        cofactors = [Polynomial(f2, [rng.randrange(2) for _ in range(11)] + [1]) for _ in degrees]
-        chain = pack_chain(f2, moduli, cofactors, 16)
-        raised = exact = 0
-        for v in [random_poly(f2, 16, rng) for _ in range(12)] + [Polynomial(f2, [1] * 16), zero]:
+    def test_hand_built_chains_at_every_start_and_stop(self, degrees):
+        # Degree gaps, degrees that rise or repeat, and zero steps (None),
+        # at F_2 and odd p alike.  Each start packs the chain from that step
+        # on, so its step 0 has a nonzero cofactor.  Every call is exact, or
+        # raises DivisionByZeroError for a zero step in the range.
+        for p in (2, 13):
+            field = PrimeField(p)
+            rng = random.Random(f"fused-hand:{p}:{degrees}")
+            zero = Polynomial(field)
+            moduli = [
+                zero if d is None else random_poly(field, d, rng) + Polynomial(field, [0] * d + [1])
+                for d in degrees
+            ]
+            cofactors = [
+                Polynomial(field, [rng.randrange(p) for _ in range(11)] + [1]) for _ in degrees
+            ]
+            inputs = [random_poly(field, 16, rng) for _ in range(12)]
+            inputs += [Polynomial(field, [1] * 16), zero]
             for start in range(len(moduli) + 1):
-                for stop in range(start, len(moduli) + 1):
-                    if any(m.is_zero for m in moduli[start:stop]):
-                        with pytest.raises(DivisionByZeroError):
-                            _reduce_chain(v, chain, start, stop)
-                        continue
-                    want = cascade_prefixes(v, moduli[start:stop], cofactors[start:stop])[-1]
-                    try:
-                        got = _reduce_chain(v, chain, start, stop)
-                    except ValueError:
-                        rem = v % moduli[start]
-                        assert any(m and m.degree <= rem.degree for m in moduli[:start])
-                        raised += 1
-                        continue
-                    assert got == want
-                    exact += 1
-        assert exact
-        # Degrees that strictly decrease past the zero steps never raise.
-        nonzero = [d for d in degrees if d is not None]
-        if nonzero == sorted(set(nonzero), reverse=True):
-            assert not raised
+                steps, cofs = moduli[start:], cofactors[start:]
+                chain = pack_chain(field, steps, cofs, 16)
+                # The cascade divides by zero past the first zero step.
+                live = next((j for j, m in enumerate(steps) if m.is_zero), len(steps))
+                for v in inputs:
+                    want = cascade_prefixes(v, steps[:live], cofs[:live])
+                    for stop in range(len(steps) + 1):
+                        if stop > live:
+                            with pytest.raises(DivisionByZeroError):
+                                _reduce_chain(v, chain, stop)
+                        else:
+                            assert _reduce_chain(v, chain, stop) == want[stop]
 
     def test_counts_of_moduli_and_cofactors_must_match(self, f2):
         step = Polynomial(f2, [1, 1])
@@ -383,7 +374,7 @@ class TestF2FusedChain:
             chain = pack_chain(f2, moduli, cofactors, 4)
             assert (len(chain.steps), len(chain.cofs)) == (len(moduli), len(cofactors))
             with pytest.raises(ValueError):
-                _reduce_chain(step, chain, 0, 1)
+                _reduce_chain(step, chain, 1)
 
 
 class TestGcd:
@@ -568,6 +559,20 @@ class TestParseFormat:
         with pytest.raises(ParseError) as info:
             parse_polynomial(text, PrimeField(13))
         assert info.value.position == position
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit to lift"
+    )
+    def test_list_entry_length_is_bounded_without_the_interpreter_limit(self, f13):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(ParseError) as info:
+                parse_polynomial("[" + "1" * 5000 + "]", f13)
+            assert info.value.position == 1
+            assert parse_polynomial("[" + "1" * 4300 + "]", f13).coeffs == (int("1" * 4300) % 13,)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_leading_zeros_are_stripped_before_the_length_check(self, f13):
         assert str(parse_polynomial("007*x^0003+x^00", f13)) == "7*x^3+1"

@@ -82,6 +82,10 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_monic(-1, f2, rng)
 
+    def test_enumeration_rejects_a_negative_bound(self, f2):
+        with pytest.raises(ValueError, match="degree bound must be >= 0"):
+            list(simulation.enumerate_polynomials(f2, -1))
+
     def test_sample_monic(self, f13):
         rng = random.Random(4)
         for _ in range(100):
