@@ -1,11 +1,12 @@
 """F_2 kernels on packed ints, bit i the coefficient of x^i.
 
-Carry-less products and division, byte tables, and the fused cascade.
+Carry-less products and division, byte tables, and the fused cascade at
+one XOR per quotient bit.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import lshift, or_, sub
 from typing import Sequence, Tuple
 
@@ -88,13 +89,10 @@ def _fuse_chain(steps: Sequence[int], cofs: Sequence[int], size: int) -> tuple:
     """A cascade's steps fused one int each, for inputs of up to ``size`` bits, and their index.
 
     Returns ``(w, steps, cofs, index)``: cuts of one tuple of fused ints,
-    each a cofactor in the low ``w`` bits and the modulus above them.  A
-    cascade shifts step j's cofactor by less than the drop from step j - 1's
-    degree (``size`` for step 0) to step j's, so ``w`` holds every sum it
-    builds.  ``index`` holds, by the bit length ``w + d + 1`` of a remainder
-    of degree d, the first nonzero step of degree at most d and, apart, the
-    shift that clears d; the ``floors`` below which steps ``0 .. k - 1``
-    have no work; and the zero steps.
+    each a cofactor in the low ``w`` bits and the modulus above them, and
+    :func:`_chain_index` of the steps.  A cascade shifts step j's cofactor
+    by less than the drop from step j - 1's degree (``size`` for step 0) to
+    step j's, so ``w`` holds every sum it builds.
     """
     lens = [*map(int.bit_length, steps)]
     cof_lens = [*map(int.bit_length, cofs)]
@@ -103,36 +101,46 @@ def _fuse_chain(steps: Sequence[int], cofs: Sequence[int], size: int) -> tuple:
     gap = len(cofs) - len(steps)
     fused = tuple(map(or_, map(lshift, [*steps] + [0] * gap, repeat(w)), [*cofs] + [0] * -gap))
     fused_steps = fused[: len(steps)]
+    return w, fused_steps, fused[: len(cofs)], _chain_index(fused_steps, w, size)
+
+
+def _chain_index(steps: Sequence[int], w: int, size: int) -> tuple:
+    """The index of fused ``steps`` with cofactor field ``w``, for inputs of up to ``size`` bits.
+
+    Returns ``(at, floors, zeros)``.  ``at[n]``, for the bit length
+    ``n = w + d + 1`` of a remainder of degree d, is the first nonzero step
+    of degree at most d, already shifted to clear d: the step object itself
+    where the shift is 0, so a step that clears one bit length adds no int.
+    Steps ``0 .. k - 1`` have no work below ``floors[k]``, and ``zeros``
+    lists the zero steps.
+    """
+    lens = [max(n - w, 0) for n in map(int.bit_length, steps)]
     # Step j clears the bit lengths w + floors[j + 1] .. w + floors[j] - 1
     # at shifts 0, 1, ...
     floors = [*accumulate([n or size + 1 for n in lens], min, initial=size + 1)]
-    runs = [*map(sub, floors[-2::-1], floors[:0:-1])]
-    blank = (None,) * (w + floors[-1])
-    index = (
-        blank + tuple(chain.from_iterable(map(repeat, fused_steps[::-1], runs))),
-        blank + tuple(chain.from_iterable(map(range, runs))),
-        tuple(floors),
-        tuple(j for j, n in enumerate(lens) if not n),
-    )
-    return w, fused_steps, fused[: len(cofs)], index
+    at = [None] * (w + floors[-1])
+    for step, run in zip(steps[::-1], map(sub, floors[-2::-1], floors[:0:-1])):
+        if run:
+            at += [step, *map(step.__lshift__, range(1, run))]
+    return tuple(at), tuple(floors), tuple(j for j, n in enumerate(lens) if not n)
 
 
 def _fold_fused(x: int, w: int, index: tuple, stop: int) -> Tuple[int, int]:
     """Cascade of ``x`` over fused steps ``0 .. stop - 1``: the remainder and the weighted sum.
 
-    The remainder sits above the sum's ``w`` bits, and each quotient bit
-    XORs in the step and shift that the index gives for the bit length: the
+    The remainder sits above the sum's ``w`` bits, and each quotient bit is
+    one XOR of the shifted step that the index holds for the bit length: the
     first step of degree at most the remainder's.  Errors as for
     :func:`polycrt.poly._reduce_chain`.
     """
-    step_at, shift_at, floors, zeros = index
+    at, floors, zeros = index
     if zeros and zeros[0] < stop:
         raise DivisionByZeroError("polynomial division by zero")
     x <<= w
     n = x.bit_length()
     floor = w + floors[stop]
     while n >= floor:
-        x ^= step_at[n] << shift_at[n]
+        x ^= at[n]
         n = x.bit_length()
     rem = x >> w
     return rem, x ^ rem << w

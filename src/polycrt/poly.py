@@ -37,6 +37,7 @@ from .errors import (
 from .field import PrimeField
 from .gf2 import (
     ByteTable,
+    _chain_index,
     _clbyte_table,
     _cldivmod,
     _clmul,
@@ -370,8 +371,11 @@ class PackedChain:
 
     ``size`` is the most coefficients an input to the cascade may have.
     Over F_2, ``layout``, ``steps``, ``cofs`` and ``index`` are the fused
-    chain of :func:`~polycrt.gf2._fuse_chain`.  Over odd p, ``index`` is None,
-    ``layout`` is the slot width and struct code of
+    chain of :func:`~polycrt.gf2._fuse_chain`, whose index holds each step
+    already shifted for every bit length it clears.  Pickles and copies
+    carry no index: it is built again from the fused steps, since a pickle
+    would store every shift-0 entry as a second copy of its step.  Over odd
+    p, ``index`` is None, ``layout`` is the slot width and struct code of
     :func:`~polycrt.kronecker._chain_layout` for ``size``, and ``steps`` and
     ``cofs`` are as :func:`~polycrt.kronecker._fold_euclid` returns them,
     their slots holding any value below 3p.
@@ -389,6 +393,13 @@ class PackedChain:
             self.layout, self.steps, self.cofs, self.index = _fuse_chain(steps, cofs, size)
         else:
             self.layout, self.steps, self.cofs, self.index = layout, tuple(steps), tuple(cofs), None
+
+    def __getstate__(self) -> tuple:
+        return self.field, self.size, self.layout, self.steps, self.cofs
+
+    def __setstate__(self, state: tuple) -> None:
+        self.field, self.size, self.layout, self.steps, self.cofs = state
+        self.index = _chain_index(self.steps, self.layout, self.size) if self.field.p == 2 else None
 
     def modulus(self, i: int) -> Polynomial:
         """Step i's modulus."""

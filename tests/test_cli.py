@@ -636,9 +636,9 @@ _GOLDEN_KERNEL_PATHS = {
         ("crt", "--m1", _F2_M1, "--m2", _F2_M2, "--r1", _F2_A1, "--r2", _F2_A2),
         f"a = {_F2_A}\n",
     ),
-    # The F_2 cascade below the top level: after step 0, one lookup and one
-    # shift-XOR per quotient bit, on a chain whose sigma degrees drop by 2
-    # at levels 5, 6 and 9.
+    # The F_2 cascade below the top level: one XOR of an indexed, already
+    # shifted step per quotient bit, on a chain whose sigma degrees drop by
+    # 2 at levels 5, 6 and 9.
     "f2-reconstruct-level9": (
         (
             "reconstruct", "--m1", _F2_M1, "--m2", _F2_M2, "--level", "9",

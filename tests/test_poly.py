@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from polycrt import (
     NEG_INF,
     BothZeroError,
     DivisionByZeroError,
+    ErroneousResiduePair,
     MixedFieldsError,
     ParseError,
     Polynomial,
@@ -21,6 +23,8 @@ from polycrt import (
     lcm,
     parse_polynomial,
     random_moduli_pair,
+    reconstruct,
+    sample_polynomial,
     xgcd,
 )
 from polycrt.kronecker import _pack
@@ -293,8 +297,33 @@ def cascade_prefixes(v, moduli, cofactors):
     return out
 
 
+def assert_index_structure(chain):
+    """The F_2 index holds, at each bit length n, the first nonzero step of
+    at most n bits shifted to n bits; each step's shift-0 entry is the fused
+    step itself, and only its other entries are new ints."""
+    at, _, _ = chain.index
+    w, steps = chain.layout, chain.steps
+    assert len(at) == w + chain.size + 1
+    owners = [
+        next((j for j, step in enumerate(steps) if w < step.bit_length() <= n), None)
+        for n in range(len(at))
+    ]
+    for n, (entry, j) in enumerate(zip(at, owners)):
+        if j is None:
+            assert entry is None
+        else:
+            assert entry.bit_length() == n
+            assert entry == steps[j] << n - steps[j].bit_length()
+    runs = Counter(j for j in owners if j is not None)
+    for j in runs:
+        assert at[steps[j].bit_length()] is steps[j]
+    shared = set(map(id, steps))
+    others = sum(entry is not None and id(entry) not in shared for entry in at)
+    assert others == sum(run - 1 for run in runs.values())
+
+
 class TestF2FusedChain:
-    """The F_2 cascade on fused steps: one lookup and one shift-XOR per quotient bit."""
+    """The F_2 cascade on fused steps: one XOR of an indexed, shifted step per quotient bit."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_long_analysis_chains_at_every_level(self, f2, seed):
@@ -367,6 +396,48 @@ class TestF2FusedChain:
                                 _reduce_chain(v, chain, stop)
                         else:
                             assert _reduce_chain(v, chain, stop) == want[stop]
+
+    def test_index_structure_of_analysis_chains(self, f2, reference_pair):
+        rng = random.Random("fused-index")
+        assert_index_structure(reference_pair.chain)
+        for _ in range(3):
+            an = random_moduli_pair(f2, rng, gcd_degree=(64, 72), cofactor_degree=(128, 136))
+            assert_index_structure(an.chain)
+
+    @pytest.mark.parametrize(
+        "degrees",
+        [[9, 6, 2, 1], [12, 4, 0], [3, 8, 5, 1], [5, 10, 12], [7, 7, 3], [2, 6, 4, 0, 3],
+         [8, None, 3, 1], [None, 6, 2], [4, 2, None]],
+    )
+    def test_index_structure_of_hand_built_chains(self, f2, degrees):
+        # The chains of test_hand_built_chains_at_every_start_and_stop at
+        # p = 2: steps that rise, repeat or are zero get no entries.
+        rng = random.Random(f"fused-hand:2:{degrees}")
+        moduli = [
+            Polynomial(f2) if d is None else random_poly(f2, d, rng) + Polynomial(f2, [0] * d + [1])
+            for d in degrees
+        ]
+        cofactors = [Polynomial(f2, [rng.randrange(2) for _ in range(11)] + [1]) for _ in degrees]
+        for start in range(len(moduli) + 1):
+            assert_index_structure(pack_chain(f2, moduli[start:], cofactors[start:], 16))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_copies_decode_alike_and_share_shift_zero_entries(self, f2, clone):
+        rng = random.Random("fused-copies")
+        an = random_moduli_pair(f2, rng, gcd_degree=(64, 72), cofactor_degree=(128, 136))
+        restored = clone(an)
+        assert restored.chain is not an.chain
+        assert_index_structure(restored.chain)
+        assert restored.chain.index == an.chain.index
+        for level in range(1, an.K + 2):
+            r1 = sample_polynomial(an.m1.degree, f2, rng)
+            r2 = sample_polynomial(an.m2.degree, f2, rng)
+            want = reconstruct(ErroneousResiduePair(r1, r2, an), level)
+            assert reconstruct(ErroneousResiduePair(r1, r2, restored), level) == want
 
     def test_counts_of_moduli_and_cofactors_must_match(self, f2):
         step = Polynomial(f2, [1, 1])
