@@ -228,12 +228,11 @@ def cmd_corrupt(args, field: PrimeField) -> _Result:
         raise ValueError("tau must be >= -1")
     _check_tau_cap(args.tau)
     rng = random.Random(f"corrupt:{args.seed}")
-    e1 = sample_error(args.tau, field, rng)
-    e2 = sample_error(args.tau, field, rng)
+    # e2's draw follows e1's in the stream: e1 is drawn unless both are given.
+    e1 = sample_error(args.tau, field, rng) if args.e1 is None or args.e2 is None else None
     if args.e1 is not None:
         e1 = parse_polynomial(args.e1, field)
-    if args.e2 is not None:
-        e2 = parse_polynomial(args.e2, field)
+    e2 = sample_error(args.tau, field, rng) if args.e2 is None else parse_polynomial(args.e2, field)
     payload = {
         "corrupted1": str(r1 + e1),
         "corrupted2": str(r2 + e2),

@@ -21,7 +21,7 @@ from .errors import (
     MixedFieldsError,
 )
 from .levels import ModuliPairAnalysis
-from .poly import Polynomial, _divmod_by, _mul_by, _reduce_chain
+from .poly import Polynomial, _divmod_by, _mul_add, _record, _reduce_chain
 
 
 def _check_residues(
@@ -32,14 +32,14 @@ def _check_residues(
     ``name`` is the residue letter used in error messages (``a`` or ``r``).
     """
     field = moduli.field
-    for x in (x1, x2):
-        if x.field is not field and x.field != field:
-            raise MixedFieldsError("residues must live in the moduli's field")
-    for i, x, mod in ((1, x1, moduli.m1), (2, x2, moduli.m2)):
-        if not x.degree < mod.degree:
-            raise DegreeOutOfRangeError(
-                f"deg({name}{i}) = {x.degree} not below deg(m{i}) = {mod.degree}"
-            )
+    if x1.field is not field and x1.field != field or x2.field is not field and x2.field != field:
+        raise MixedFieldsError("residues must live in the moduli's field")
+    ok1 = x1.degree < moduli.m1.degree
+    if not (ok1 and x2.degree < moduli.m2.degree):
+        i, x, mod = (2, x2, moduli.m2) if ok1 else (1, x1, moduli.m1)
+        raise DegreeOutOfRangeError(
+            f"deg({name}{i}) = {x.degree} not below deg(m{i}) = {mod.degree}"
+        )
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,7 @@ def encode(
     k1, a1 = _divmod_by(a, moduli.m1, table1)
     k2, a2 = _divmod_by(a, moduli.m2, table2)
     # The residues are below their moduli by construction: no re-check.
-    pair = object.__new__(ResiduePair)
-    vars(pair).update(a1=a1, a2=a2, moduli=moduli)
-    return pair, FoldingWitness(k1, k2)
+    return _record(ResiduePair, a1=a1, a2=a2, moduli=moduli), _record(FoldingWitness, k1=k1, k2=k2)
 
 
 def check_consistency(pair: ResiduePair) -> bool:
@@ -109,4 +107,4 @@ def crt_pair(pair: ResiduePair) -> Polynomial:
         raise InconsistentResiduesError(
             "residues disagree modulo gcd(m1, m2); no common preimage exists"
         )
-    return _mul_by(k2, analysis.m2, analysis.tables[1]) + pair.a2
+    return _mul_add(k2, analysis.m2, analysis.tables[1], pair.a2)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .crt import _check_residues
 from .levels import ModuliPairAnalysis
-from .poly import Polynomial, _mul_by, _reduce_chain
+from .poly import Polynomial, _mul_add, _record, _reduce_chain
 
 
 class Branch(enum.Enum):
@@ -139,5 +139,5 @@ def reconstruct(pair: ErroneousResiduePair, level: int) -> ReconstructionResult:
     q21 = pair.r1 - pair.r2
     branch = classify(q21, analysis, level)
     tail, k2_hat = _reduce_chain(q21, analysis.chain, level + 1)
-    a_hat = _mul_by(k2_hat, analysis.m2, analysis.tables[1]) + pair.r2
-    return ReconstructionResult(a_hat, k2_hat, branch, q21, tail)
+    a_hat = _mul_add(k2_hat, analysis.m2, analysis.tables[1], pair.r2)
+    return _record(ReconstructionResult, a_hat=a_hat, k2_hat=k2_hat, branch=branch, q21=q21, cascade_tail=tail)

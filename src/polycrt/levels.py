@@ -38,6 +38,7 @@ from .poly import (
     _byte_table,
     _euclid_chain,
     _is_byte_table,
+    _record,
     gcd,
 )
 
@@ -182,17 +183,11 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     deg_m = m.degree
     deg_big = big.degree
     degrees = chain.degrees()
-    rows = []
-    for i, d in enumerate(degrees[0][1:], start=1):
-        row = object.__new__(LevelSpec)
-        vars(row).update(
-            index=i,
-            sigma_deg=d - deg_m,
-            error_bound_exclusive=d,
-            dynamic_range_exclusive=deg_big - d + deg_m,
-        )
-        rows.append(row)
-    levels = tuple(rows)
+    levels = tuple(
+        _record(LevelSpec, index=i, sigma_deg=d - deg_m, error_bound_exclusive=d,
+                dynamic_range_exclusive=deg_big - d + deg_m)
+        for i, d in enumerate(degrees[0][1:], start=1)
+    )
 
     analysis = ModuliPairAnalysis(
         m1=m1,

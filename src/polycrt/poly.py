@@ -324,6 +324,13 @@ def _from_bits(field: PrimeField, bits: int) -> Polynomial:
     return poly
 
 
+def _record(cls: type, **fields: object):
+    """Frozen dataclass ``cls`` from library-computed ``fields``; skips ``__init__`` and ``__post_init__``."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 def _byte_table(m: Polynomial) -> Optional[ByteTable]:
     """The byte table of a nonzero modulus over F_2; None over odd p."""
     return _clbyte_table(m._value) if m.field.p == 2 else None
@@ -359,11 +366,11 @@ def _divmod_by(
     return _from_bits(field, quot), _from_bits(field, rem)
 
 
-def _mul_by(k: Polynomial, m: Polynomial, table: Optional[ByteTable]) -> Polynomial:
-    """``k * m``, through ``m``'s byte table when there is one."""
+def _mul_add(k: Polynomial, m: Polynomial, table: Optional[ByteTable], r: Polynomial) -> Polynomial:
+    """``k * m + r`` for ``r`` over ``k``'s field, through ``m``'s byte table when there is one."""
     if table is None:
-        return k * m
-    return _from_bits(k.field, _cltable_mul(k._value, table[0]))
+        return k * m + r
+    return _from_bits(k.field, _cltable_mul(k._value, table[0]) ^ r._value)
 
 
 class PackedChain:

@@ -27,31 +27,34 @@ from .decoder import Branch, ErroneousResiduePair, reconstruct
 from .errors import EnumerationTooLargeError, PolyCrtError
 from .field import PrimeField
 from .levels import ModuliPairAnalysis, analyze_pair
-from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, _pack2, gcd
+from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, _pack2, _record, gcd
 
 
 def _draw(
-    count: int, field: PrimeField, rng: random.Random, top: Tuple[int, ...] = ()
-) -> Polynomial:
-    """``count`` coefficients drawn as ``rng.randrange(p)`` draws them, then ``top``.
+    counts: Tuple[int, ...], field: PrimeField, rng: random.Random, top: Tuple[int, ...] = ()
+) -> List[Polynomial]:
+    """Per count, that many coefficients drawn as ``rng.randrange(p)`` draws them, then ``top``.
 
     CPython 3.10-3.13 implements ``randrange(p)`` for ``random.Random`` as
     ``getrandbits(p.bit_length())`` redrawn while ``>= p``; this loop does
     the same, so it draws the same values and leaves ``rng`` in the same
     state, without two Python frames per coefficient.  The values are
-    reduced already, so the polynomial skips the constructor's ``% p``.
+    reduced already, so the polynomials skip the constructor's ``% p``.
     """
     p = field.p
     k = p.bit_length()
     getrandbits = rng.getrandbits
-    vals = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= p:
+    polys = []
+    for count in counts:
+        vals = []
+        for _ in range(count):
             r = getrandbits(k)
-        vals.append(r)
-    vals += top
-    return _from_bits(field, _pack2(vals)) if p == 2 else _from_reduced(field, vals)
+            while r >= p:
+                r = getrandbits(k)
+            vals.append(r)
+        vals += top
+        polys.append(_from_bits(field, _pack2(vals)) if p == 2 else _from_reduced(field, vals))
+    return polys
 
 
 def sample_polynomial(
@@ -65,21 +68,21 @@ def sample_polynomial(
     """
     if max_deg_exclusive < 0:
         raise ValueError("degree bound must be >= 0")
-    return _draw(max_deg_exclusive, field, rng)
+    return _draw((max_deg_exclusive,), field, rng)[0]
 
 
 def sample_error(tau: int, field: PrimeField, rng: random.Random) -> Polynomial:
     """Uniform residue error of degree at most ``tau`` (``-1`` forces zero)."""
     if tau < -1:
         raise ValueError("tau must be >= -1")
-    return sample_polynomial(tau + 1, field, rng)
+    return _draw((tau + 1,), field, rng)[0]
 
 
 def sample_monic(degree: int, field: PrimeField, rng: random.Random) -> Polynomial:
     """Uniform monic polynomial of exactly the given degree."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    return _draw(degree, field, rng, (1,))
+    return _draw((degree,), field, rng, (1,))[0]
 
 
 def enumerate_polynomials(
@@ -244,10 +247,9 @@ def _run_trial(
     :func:`reconstruct` raises only from ``level_spec`` on an analysis that
     passed ``_assert_invariants``.
     """
-    field = analysis.field
-    a = sample_polynomial(analysis.level_spec(level).dynamic_range_exclusive, field, rng)
-    e1 = sample_error(tau, field, rng)
-    e2 = sample_error(tau, field, rng)
+    a, e1, e2 = _draw(
+        (analysis.level_spec(level).dynamic_range_exclusive, tau + 1, tau + 1), analysis.field, rng
+    )
     residues, witness = encode(a, analysis)
     # A residue plus an error of degree below deg(m_i) is already reduced;
     # only boundary mode with tau >= deg(m_i) needs the division.
@@ -263,9 +265,9 @@ def _run_trial(
     residual_deg = residual.degree
     # k2_match does not imply residual == e2: in boundary mode with
     # tau >= deg(m2), r2 is reduced.
-    outcome = TrialOutcome(
-        trial, a, e1, e2, result.branch, k2_match, residual_deg, residual == e2,
-        k2_match and residual_deg <= tau,
+    outcome = _record(
+        TrialOutcome, trial=trial, a=a, e1=e1, e2=e2, branch=result.branch, k2_match=k2_match,
+        residual_deg=residual_deg, residual_is_e2=residual == e2, success=k2_match and residual_deg <= tau,
     )
     return outcome, (r1, r2, witness.k2, result.k2_hat)
 
@@ -276,24 +278,21 @@ def run_campaign(config: TrialConfig) -> TrialReport:
     Each trial is drawn, decoded and judged by :func:`_run_trial`, whose
     outcome the report keeps and counts.
     """
-    report = TrialReport(
-        config=config, branch_counts={b.value: 0 for b in Branch}
-    )
+    analysis, level, tau, seed = config.analysis, config.level, config.tau, config.seed
+    outcomes, successes, max_deg = [], 0, NEG_INF
     # Seeding a used generator resets it fully, gauss_next included, so
     # each trial's stream is the one random.Random(f"{seed}:{idx}") gives.
     rng = random.Random()
     for idx in range(config.trials):
-        rng.seed(f"{config.seed}:{idx}")
-        outcome, _ = _run_trial(config.analysis, config.level, config.tau, idx, rng)
-        report.outcomes.append(outcome)
-        report.branch_counts[outcome.branch.value] += 1
-        if outcome.residual_deg > report.max_residual_deg:
-            report.max_residual_deg = outcome.residual_deg
-        if outcome.success:
-            report.successes += 1
-        else:
-            report.failures += 1
-    return report
+        rng.seed(f"{seed}:{idx}")
+        outcome, _ = _run_trial(analysis, level, tau, idx, rng)
+        outcomes.append(outcome)
+        if outcome.residual_deg > max_deg:
+            max_deg = outcome.residual_deg
+        successes += outcome.success
+    branches = [o.branch for o in outcomes]
+    counts = {b.value: branches.count(b) for b in Branch}
+    return TrialReport(config, outcomes, successes, config.trials - successes, max_deg, counts)
 
 
 def render_report(report: TrialReport) -> str:

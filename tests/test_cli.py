@@ -183,6 +183,39 @@ class TestCorrupt:
         )
         assert code == 2 and "tau must be <=" in err
 
+    def test_given_errors_draw_nothing(self, capsys, no_sampling):
+        code, out, _ = run_cli(
+            capsys,
+            "corrupt", "--r1", "x^3", "--r2", "x^2", "--tau", str(_MAX_PARSE_DEGREE),
+            "--e1", "x+1", "--e2", "x",
+        )
+        assert code == 0
+        assert "corrupted r1 = x^3+x+1" in out and "corrupted r2 = x^2+x" in out
+
+    def test_only_replaced_draws_are_skipped(self, capsys, monkeypatch):
+        # e2's values follow e1's in the stream, so a given --e1 still costs
+        # its draw and a given --e2 costs none; the seeded errors are kept.
+        real, taus = polycrt.cli.sample_error, []
+
+        def counting(tau, field, rng):
+            taus.append(tau)
+            return real(tau, field, rng)
+
+        monkeypatch.setattr(polycrt.cli, "sample_error", counting)
+        base = ("corrupt", "--r1", "x^3", "--r2", "x^2", "--tau", "4", "--seed", "9",
+                "--format", "json")
+        _, out, _ = run_cli(capsys, *base)
+        seeded = json.loads(out)
+        assert taus == [4, 4]
+        for flag, value, draws in (("--e1", "x^4", 2), ("--e2", "x^4", 1)):
+            taus.clear()
+            _, out, _ = run_cli(capsys, *base, flag, value)
+            payload = json.loads(out)
+            assert len(taus) == draws
+            kept = "e2" if flag == "--e1" else "e1"
+            assert payload[kept] == seeded[kept]
+            assert payload[flag[2:]] == value
+
 
 class TestReconstruct:
     def test_reference_decode(self, capsys):
@@ -409,6 +442,19 @@ class TestSimulate:
             capsys,
             "simulate", "--m1", REF_M1, "--m2", REF_M2,
             "--level", "4", "--tau", str(tau), "--trials", "1", "--boundary",
+        )
+        assert code == 2 and "tau must be <=" in err
+
+    def test_boundary_tau_above_cap_draws_nothing(self, capsys, monkeypatch):
+        # A trial draws a, e1 and e2 in one call of the shared draw loop.
+        def refuse(counts, field, rng, top=()):
+            raise AssertionError(f"_draw reached with counts = {counts}")
+
+        monkeypatch.setattr(polycrt.simulation, "_draw", refuse)
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--m1", REF_M1, "--m2", REF_M2,
+            "--level", "4", "--tau", str(_MAX_PARSE_DEGREE + 1), "--trials", "1", "--boundary",
         )
         assert code == 2 and "tau must be <=" in err
 

@@ -78,6 +78,22 @@ class TestEncode:
         with pytest.raises(AssertionError, match="residue check ran"):
             ResiduePair(residues.a1, residues.a2, reference_pair)
 
+    @pytest.mark.parametrize("pair_type, letter", [(ResiduePair, "a"), (ErroneousResiduePair, "r")])
+    def test_residue_check_order_and_messages(self, pair_type, letter, f2, f13, reference_pair):
+        # Fields are checked before degrees, and the first residue before the second.
+        big1, big2, ok = poly(f2, "x^9"), poly(f2, "x^12"), poly(f2, "x")
+        for args, message in (
+            ((big1, big2), f"deg({letter}1) = 9 not below deg(m1) = 8"),
+            ((ok, big2), f"deg({letter}2) = 12 not below deg(m2) = 11"),
+            ((big1, ok), f"deg({letter}1) = 9 not below deg(m1) = 8"),
+        ):
+            with pytest.raises(DegreeOutOfRangeError) as info:
+                pair_type(*args, reference_pair)
+            assert str(info.value) == message
+        for args in ((big1, poly(f13, "x")), (poly(f13, "x^20"), big2)):
+            with pytest.raises(MixedFieldsError, match="residues must live in the moduli's field"):
+                pair_type(*args, reference_pair)
+
     @pytest.mark.parametrize("pair_type", [ResiduePair, ErroneousResiduePair])
     def test_residue_pairs_reject_other_fields(self, pair_type, f2, f13, reference_pair):
         x2, x13 = poly(f2, "x"), poly(f13, "x")

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import pickle
 import random
 
 import pytest
@@ -118,6 +120,18 @@ class TestSamplingStream:
                 assert drawn == Polynomial(field, expected)
                 assert rng.getstate() == twin.getstate()
 
+    # 2**61 - 1 takes two 32-bit words per getrandbits call.
+    @pytest.mark.parametrize("p", [2, 3, 13, 65521, 2**31 - 1, 2**61 - 1])
+    @pytest.mark.parametrize("top", [(), (1,)])
+    def test_one_draw_over_counts_matches_single_draws(self, p, top):
+        field = PrimeField(p)
+        for counts in [(), (0,), (0, 0), (5, 0, 3), (13, 6, 6), (0, 40, 1, 0)]:
+            rng, twin = random.Random(f"draw:{p}"), random.Random(f"draw:{p}")
+            drawn = simulation._draw(counts, field, rng, top)
+            singles = [simulation._draw((n,), field, twin, top)[0] for n in counts]
+            assert drawn == singles
+            assert rng.getstate() == twin.getstate()
+
     @pytest.mark.parametrize("seed", ["0", "3:17", "boundary:6:1"])
     def test_reseeding_a_used_generator_matches_a_fresh_one(self, seed):
         rng = random.Random("used")
@@ -181,6 +195,87 @@ class TestOddPReportsPinned:
             "9*x^2+9*x+5",
         ]
         assert inst.residual_deg == 8
+
+
+# The README pair over F_2 at every level, guarantee mode at tau = bound - 1
+# and boundary mode at tau = bound, seed 3, pinned before a trial drew its
+# three polynomials in one call and built its outcome without __init__.
+F2_REPORTS = [
+    (1, False, 0, "d4c2f1948e2bad2a251fd0a263c75eba19167d2f03af7ebb303e1a5de9dffdb6"),
+    (1, True, 272, "44c5e2df6dda7ebb2078998c8acdc1a01bbcd12ad9b819440e016f780d41b02e"),
+    (2, False, 0, "90b819d2f6225e0fef012953f4f0678a780325d87d5a8f41bb00b7179968cb75"),
+    (2, True, 246, "455c85ba1e466637641699d0d8a92eb37dfb89685470357024744dda454cd1c4"),
+    (3, False, 0, "4b7bf8301976672a3c7d9c9ad93bbd3f48115cb740072184584d77d493adbf68"),
+    (3, True, 249, "19e0d53fd84d635c66255c95d73fcbf6f1782531a7e3fba02ab5287df6c9c5a3"),
+    (4, False, 0, "f35d99b81b9274a2c10f9e96b59c76de48c6a453c5a52c49cde86e5f11c521bf"),
+    (4, True, 244, "6122e38b20d8816262dea1102839204316c5209e3c1139c5f8d34f597f0ed37b"),
+]
+
+
+class TestF2ReportsPinned:
+    @pytest.mark.parametrize("level, boundary, failures, digest", F2_REPORTS)
+    def test_campaign_report(self, reference_pair, level, boundary, failures, digest):
+        bound = reference_pair.level_spec(level).error_bound_exclusive
+        cfg = TrialConfig(
+            analysis=reference_pair, level=level, tau=bound if boundary else bound - 1,
+            trials=500, seed=3, boundary=boundary,
+        )
+        payload = run_campaign(cfg).to_json()
+        assert payload["failures"] == failures
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_boundary_counterexample(self, reference_pair):
+        inst = search_boundary_counterexample(reference_pair, 3, budget=300, seed=6)
+        assert (inst.trial, inst.seed, inst.level, inst.tau) == (3, 6, 3, 3)
+        assert [
+            str(v) for v in (inst.a, inst.e1, inst.e2, inst.r1, inst.r2, inst.k2_true, inst.k2_hat)
+        ] == [
+            "x^15+x^13+x^10+x^9+x^5+x^2+x+1",
+            "1",
+            "x^3",
+            "x^6+x^5+x^4+x^2+1",
+            "x^10+x^6+x^5+x^3+x^2",
+            "x^4+x^2+1",
+            "x^4+x^3+x^2",
+        ]
+        assert inst.residual_deg == 14
+
+
+def library_records(analysis):
+    """A TrialOutcome, ReconstructionResult and FoldingWitness as the library builds them."""
+    level = analysis.K + 1
+    cfg = TrialConfig(
+        analysis=analysis, level=level, tau=analysis.level_spec(level).error_bound_exclusive,
+        trials=3, seed=8, boundary=True,
+    )
+    outcome = run_campaign(cfg).outcomes[-1]
+    residues, witness = encode(outcome.a, analysis)
+    result = reconstruct(ErroneousResiduePair(residues.a1, residues.a2, analysis), level)
+    return [outcome, result, witness]
+
+
+class TestLibraryBuiltRecords:
+    # Records the library builds without __init__ must be indistinguishable
+    # from the same records built by their public constructors.
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_match_constructed_records(self, p, reference_pair):
+        analysis = reference_pair if p == 2 else odd_p_pair(13)
+        for record in library_records(analysis):
+            values = {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+            built = type(record)(**values)
+            assert record == built and built == record
+            assert hash(record) == hash(built)
+            assert repr(record) == repr(built)
+            assert vars(record) == vars(built)
+            restored = pickle.loads(pickle.dumps(record))
+            assert type(restored) is type(record) and restored == built
+            assert pickle.dumps(record) == pickle.dumps(built)
+            assert dataclasses.replace(record) == built
+            assert dataclasses.asdict(record) == dataclasses.asdict(built)
+            for name, value in values.items():
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, value)
 
 
 class TestRandomModuliPair:
