@@ -5,14 +5,13 @@ range and residue error tolerance, a closed-form robust decoder, and a
 deterministic simulation harness around it.
 """
 
-from .crt import FoldingWitness, ResiduePair, check_consistency, crt_pair, encode
+from .crt import FoldingWitness, ResiduePair, crt_pair, encode
 from .decoder import (
     Branch,
     ErroneousResiduePair,
     ReconstructionResult,
     classify,
     reconstruct,
-    remainder_cascade,
 )
 from .errors import (
     BothZeroError,
@@ -20,7 +19,6 @@ from .errors import (
     DegenerateModuliError,
     DegreeOutOfRangeError,
     DivisionByZeroError,
-    EnumerationTooLargeError,
     InconsistentResiduesError,
     LevelOutOfRangeError,
     MixedFieldsError,
@@ -41,32 +39,26 @@ from .levels import (
 )
 from .poly import NEG_INF, Polynomial, gcd, lcm, parse_polynomial, xgcd
 from .simulation import (
-    BoundaryInstance,
     TrialConfig,
     TrialOutcome,
     TrialReport,
-    enumerate_polynomials,
-    find_difference_bound_violations,
     random_moduli_pair,
     render_report,
     run_campaign,
     sample_error,
     sample_monic,
     sample_polynomial,
-    search_boundary_counterexample,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BothZeroError",
-    "BoundaryInstance",
     "Branch",
     "CoprimeModuliError",
     "DegenerateModuliError",
     "DegreeOutOfRangeError",
     "DivisionByZeroError",
-    "EnumerationTooLargeError",
     "ErroneousResiduePair",
     "FoldingWitness",
     "InconsistentResiduesError",
@@ -89,18 +81,14 @@ __all__ = [
     "ZeroModulusError",
     "analysis_to_json",
     "analyze_pair",
-    "check_consistency",
     "classify",
     "crt_pair",
     "encode",
-    "enumerate_polynomials",
-    "find_difference_bound_violations",
     "gcd",
     "lcm",
     "parse_polynomial",
     "random_moduli_pair",
     "reconstruct",
-    "remainder_cascade",
     "render_level_table",
     "render_report",
     "residue_error_bound",
@@ -108,6 +96,5 @@ __all__ = [
     "sample_error",
     "sample_monic",
     "sample_polynomial",
-    "search_boundary_counterexample",
     "xgcd",
 ]

@@ -85,15 +85,6 @@ def encode(
     return _record(ResiduePair, a1=a1, a2=a2, moduli=moduli), _record(FoldingWitness, k1=k1, k2=k2)
 
 
-def check_consistency(pair: ResiduePair) -> bool:
-    """True iff the residues agree modulo the gcd of the moduli.
-
-    Residues of a common polynomial always pass; a pair that fails has no
-    preimage at all.
-    """
-    return ((pair.a1 - pair.a2) % pair.moduli.m).is_zero
-
-
 def crt_pair(pair: ResiduePair) -> Polynomial:
     """Exact reconstruction of the unique ``a`` below the lcm degree.
 

@@ -95,22 +95,6 @@ class ReconstructionResult:
         }
 
 
-def remainder_cascade(
-    v: Polynomial, analysis: ModuliPairAnalysis, level: int
-) -> Polynomial:
-    """Reduce ``v`` successively modulo ``m*sigma_1, ..., m*sigma_level``.
-
-    Inputs already below ``deg(m*sigma_level)`` pass through unchanged.
-    ``v`` is reduced modulo ``m*sigma_1`` by ``%`` and then runs steps
-    ``0..level`` of the chain :func:`reconstruct` runs, where steps 0
-    (``m1``) and 1 have no work.
-    """
-    analysis.level_spec(level)
-    v._check_field(analysis.m)
-    chain = analysis.chain
-    return _reduce_chain(v % chain.modulus(1), chain, level + 1)[0]
-
-
 def classify(q21: Polynomial, analysis: ModuliPairAnalysis, level: int) -> Branch:
     """Branch label for a received-residue difference at the given level.
 

@@ -58,7 +58,3 @@ class TooFewModuliError(PolyCrtError):
 
 class LevelOutOfRangeError(PolyCrtError):
     """Level index outside 1..K+1 for the analyzed moduli pair."""
-
-
-class EnumerationTooLargeError(PolyCrtError):
-    """An exhaustive scan would exceed the configured case cap."""

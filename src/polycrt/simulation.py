@@ -1,4 +1,4 @@
-"""Randomized campaigns and exhaustive oracles for the robust decoder.
+"""Randomized corrupt-then-decode campaigns for the robust decoder.
 
 Campaigns draw a message and per-residue errors inside a level's bounds,
 corrupt the encoded residues, decode, and record whether the folding
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .crt import encode
 from .decoder import Branch, ErroneousResiduePair, reconstruct
-from .errors import EnumerationTooLargeError, PolyCrtError
+from .errors import PolyCrtError
 from .field import PrimeField
 from .levels import ModuliPairAnalysis, analyze_pair
 from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, _pack2, _record, gcd
@@ -83,22 +83,6 @@ def sample_monic(degree: int, field: PrimeField, rng: random.Random) -> Polynomi
     if degree < 0:
         raise ValueError("degree must be >= 0")
     return _draw((degree,), field, rng, (1,))[0]
-
-
-def enumerate_polynomials(
-    field: PrimeField, max_deg_exclusive: int
-) -> Iterator[Polynomial]:
-    """All ``p**max_deg_exclusive`` polynomials of degree below the bound."""
-    if max_deg_exclusive < 0:
-        raise ValueError("degree bound must be >= 0")
-    p = field.p
-    for n in range(p**max_deg_exclusive):
-        coeffs = []
-        v = n
-        for _ in range(max_deg_exclusive):
-            coeffs.append(v % p)
-            v //= p
-        yield Polynomial(field, coeffs)
 
 
 # Draws of a gcd and two cofactors before random_moduli_pair gives up.
@@ -233,19 +217,16 @@ def _deg_json(deg: Degree) -> Optional[int]:
 
 def _run_trial(
     analysis: ModuliPairAnalysis, level: int, tau: int, trial: int, rng: random.Random
-) -> Tuple[TrialOutcome, Tuple[Polynomial, Polynomial, Polynomial, Polynomial]]:
+) -> TrialOutcome:
     """Trial ``trial``: draw ``a``, then ``e1``, then ``e2`` from ``rng``, corrupt, decode, judge.
 
-    Returns the trial's :class:`TrialOutcome` and the values a replay needs
-    besides it, ``(r1, r2, k2_true, k2_hat)``.  The draw order is part of
-    the determinism contract.  A trial succeeds when the folding polynomial
-    is recovered exactly and the residual ``a_hat - a`` has degree at most
-    ``tau``; this is the only place that rule is applied.  Nothing here
-    raises once ``level`` is valid, which ``TrialConfig`` and
-    :func:`search_boundary_counterexample` check first, for any
-    ``tau >= -1``: ``r1`` and ``r2`` are reduced mod ``m1`` and ``m2``, and
-    :func:`reconstruct` raises only from ``level_spec`` on an analysis that
-    passed ``_assert_invariants``.
+    The draw order is part of the determinism contract.  A trial succeeds
+    when the folding polynomial is recovered exactly and the residual
+    ``a_hat - a`` has degree at most ``tau``; this is the only place that
+    rule is applied.  Nothing here raises once ``level`` is valid, which
+    ``TrialConfig`` checks first, for any ``tau >= -1``: ``r1`` and ``r2``
+    are reduced mod ``m1`` and ``m2``, and :func:`reconstruct` raises only
+    from ``level_spec`` on an analysis that passed ``_assert_invariants``.
     """
     a, e1, e2 = _draw(
         (analysis.level_spec(level).dynamic_range_exclusive, tau + 1, tau + 1), analysis.field, rng
@@ -265,11 +246,10 @@ def _run_trial(
     residual_deg = residual.degree
     # k2_match does not imply residual == e2: in boundary mode with
     # tau >= deg(m2), r2 is reduced.
-    outcome = _record(
+    return _record(
         TrialOutcome, trial=trial, a=a, e1=e1, e2=e2, branch=result.branch, k2_match=k2_match,
         residual_deg=residual_deg, residual_is_e2=residual == e2, success=k2_match and residual_deg <= tau,
     )
-    return outcome, (r1, r2, witness.k2, result.k2_hat)
 
 
 def run_campaign(config: TrialConfig) -> TrialReport:
@@ -285,7 +265,7 @@ def run_campaign(config: TrialConfig) -> TrialReport:
     rng = random.Random()
     for idx in range(config.trials):
         rng.seed(f"{seed}:{idx}")
-        outcome, _ = _run_trial(analysis, level, tau, idx, rng)
+        outcome = _run_trial(analysis, level, tau, idx, rng)
         outcomes.append(outcome)
         if outcome.residual_deg > max_deg:
             max_deg = outcome.residual_deg
@@ -320,77 +300,3 @@ def render_report(report: TrialReport) -> str:
         lines.append(f"... and {len(failing) - 10} more failing trials")
     return "\n".join(lines)
 
-
-def find_difference_bound_violations(
-    analysis: ModuliPairAnalysis, level: int, cap: int = 1 << 22
-) -> List[Polynomial]:
-    """Exhaustively check the degree window of clean residue differences.
-
-    For every ``a`` within the level's dynamic range whose residues differ
-    while ``deg(a2) < deg(m1)``, the difference ``a1 - a2`` must satisfy
-    ``deg(m) + deg(sigma_level) <= deg(a1 - a2) < deg(m1)``.  Returns the
-    list of counterexamples (expected empty); raises
-    :class:`EnumerationTooLargeError` when ``p**range`` exceeds ``cap``.
-    """
-    spec = analysis.level_spec(level)
-    field = analysis.field
-    count = field.p**spec.dynamic_range_exclusive
-    if count > cap:
-        raise EnumerationTooLargeError(
-            f"{count} candidates exceed the cap of {cap}"
-        )
-    violations = []
-    lo = spec.error_bound_exclusive
-    hi = analysis.m1.degree
-    for a in enumerate_polynomials(field, spec.dynamic_range_exclusive):
-        residues, _ = encode(a, analysis)
-        a1, a2 = residues.a1, residues.a2
-        if a1 == a2 or not a2.degree < hi:
-            continue
-        if not lo <= (a1 - a2).degree < hi:
-            violations.append(a)
-    return violations
-
-
-@dataclass(frozen=True)
-class BoundaryInstance:
-    """A replayable decode failure found just outside the error bound."""
-
-    trial: int
-    seed: int
-    level: int
-    tau: int
-    a: Polynomial
-    e1: Polynomial
-    e2: Polynomial
-    r1: Polynomial
-    r2: Polynomial
-    k2_true: Polynomial
-    k2_hat: Polynomial
-    residual_deg: Degree
-
-
-def search_boundary_counterexample(
-    analysis: ModuliPairAnalysis, level: int, budget: int, seed: int = 0
-) -> Optional[BoundaryInstance]:
-    """Randomized search for a failure at ``tau`` equal to the error bound.
-
-    The guarantee requires ``tau`` strictly below ``deg(m) + deg(sigma_i)``;
-    this probe samples errors one degree beyond it and returns the first
-    trial that :func:`_run_trial` judges a failure.  Returns ``None`` when
-    the budget is exhausted without a failure; finding nothing proves
-    nothing.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    tau = analysis.level_spec(level).error_bound_exclusive
-    rng = random.Random()
-    for idx in range(budget):
-        rng.seed(f"boundary:{seed}:{idx}")
-        outcome, replay = _run_trial(analysis, level, tau, idx, rng)
-        if not outcome.success:
-            return BoundaryInstance(
-                idx, seed, level, tau, outcome.a, outcome.e1, outcome.e2, *replay,
-                outcome.residual_deg,
-            )
-    return None

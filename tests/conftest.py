@@ -1,4 +1,5 @@
 import faulthandler
+import itertools
 import os
 import pathlib
 import sys
@@ -9,7 +10,7 @@ if str(SRC) not in sys.path:
 
 import pytest
 
-from polycrt import PrimeField, analyze_pair, parse_polynomial
+from polycrt import Polynomial, PrimeField, analyze_pair, encode, parse_polynomial
 
 # A test still running after this many seconds is taken to hang: every
 # thread's traceback is dumped and the run exits.  The slowest test takes
@@ -54,6 +55,30 @@ def f13():
 
 def poly(field, text):
     return parse_polynomial(text, field)
+
+
+def enumerate_polynomials(field, max_deg_exclusive):
+    """All ``p**max_deg_exclusive`` polynomials of degree below the bound, coefficient 0 varying fastest."""
+    for c in itertools.product(range(field.p), repeat=max_deg_exclusive):
+        yield Polynomial(field, c[::-1])
+
+
+def difference_window_violations(analysis, level):
+    """Every ``a`` in the level's range whose clean residues break the difference window.
+
+    Residues that differ while ``deg(a2) < deg(m1)`` must have
+    ``deg(m) + deg(sigma_level) <= deg(a1 - a2) < deg(m1)``; the list is
+    expected empty.
+    """
+    spec = analysis.level_spec(level)
+    lo, hi = spec.error_bound_exclusive, analysis.m1.degree
+    violations = []
+    for a in enumerate_polynomials(analysis.field, spec.dynamic_range_exclusive):
+        residues, _ = encode(a, analysis)
+        a1, a2 = residues.a1, residues.a2
+        if a1 != a2 and a2.degree < hi and not lo <= (a1 - a2).degree < hi:
+            violations.append(a)
+    return violations
 
 
 # Reference instance over F_2 used for golden tests throughout:

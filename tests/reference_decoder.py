@@ -28,11 +28,19 @@ analysis stores.  ``reference_fold_euclid`` and ``reference_fold_chain``
 are the odd-p Euclid pass and cascade with one packed fold per quotient
 digit (``reference_fold``), each digit read off the top slot; the library
 finds a step's digits first and adds them in with one product per row, so
-these loops are what the tests compare its pass and cascade with.  The guards below raise
+these loops are what the tests compare its pass and cascade with.
+``search_boundary_counterexample`` replays campaign trials at ``tau`` equal
+to a level's error bound until one fails, and returns it as a
+:class:`BoundaryInstance`; a failure exists at every level, as the
+closed-form witnesses in ``test_decoder.py`` show.  The guards below raise
 ``AssertionError`` explicitly: this is not a ``test_*.py`` module, so
 pytest does not rewrite its ``assert`` statements and ``python -O`` would
 strip them.
 """
+
+import random
+from dataclasses import dataclass
+from typing import Optional
 
 from polycrt import (
     BothZeroError,
@@ -40,6 +48,7 @@ from polycrt import (
     CoprimeModuliError,
     DegenerateModuliError,
     DivisionByZeroError,
+    ErroneousResiduePair,
     InconsistentResiduesError,
     LevelSpec,
     ModuliPairAnalysis,
@@ -48,9 +57,12 @@ from polycrt import (
     ZeroInputError,
     ZeroModulusError,
     classify,
+    encode,
+    reconstruct,
 )
 from polycrt.kronecker import _chain_layout, _pack, _unpack
-from polycrt.poly import PackedChain
+from polycrt.poly import Degree, PackedChain
+from polycrt.simulation import _run_trial
 
 
 def schoolbook_mul(a, b, p: int) -> list:
@@ -291,3 +303,48 @@ def reference_crt_pair(pair) -> Polynomial:
     inv21 = reference_inverse(analysis.gamma2, analysis.gamma1)
     k2 = divmod(quot * inv21, analysis.gamma1)[1]
     return k2 * analysis.m2 + pair.a2
+
+
+@dataclass(frozen=True)
+class BoundaryInstance:
+    """A replayable decode failure found just outside the error bound."""
+
+    trial: int
+    seed: int
+    level: int
+    tau: int
+    a: Polynomial
+    e1: Polynomial
+    e2: Polynomial
+    r1: Polynomial
+    r2: Polynomial
+    k2_true: Polynomial
+    k2_hat: Polynomial
+    residual_deg: Degree
+
+
+def search_boundary_counterexample(
+    analysis: ModuliPairAnalysis, level: int, budget: int, seed: int = 0
+) -> Optional[BoundaryInstance]:
+    """The first of ``budget`` campaign trials at ``tau`` equal to the level's error bound that fails.
+
+    Trial ``idx`` draws from ``random.Random(f"boundary:{seed}:{idx}")``;
+    the received residues and both folding polynomials are rebuilt from its
+    ``a``, ``e1`` and ``e2`` with ``encode`` and ``reconstruct``.  Returns
+    ``None`` when no trial within the budget fails.
+    """
+    tau = analysis.level_spec(level).error_bound_exclusive
+    rng = random.Random()
+    for idx in range(budget):
+        rng.seed(f"boundary:{seed}:{idx}")
+        outcome = _run_trial(analysis, level, tau, idx, rng)
+        if not outcome.success:
+            residues, witness = encode(outcome.a, analysis)
+            r1 = (residues.a1 + outcome.e1) % analysis.m1
+            r2 = (residues.a2 + outcome.e2) % analysis.m2
+            k2_hat = reconstruct(ErroneousResiduePair(r1, r2, analysis), level).k2_hat
+            return BoundaryInstance(
+                idx, seed, level, tau, outcome.a, outcome.e1, outcome.e2, r1, r2, witness.k2,
+                k2_hat, outcome.residual_deg,
+            )
+    return None

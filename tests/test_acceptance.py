@@ -14,8 +14,6 @@ import subprocess
 import sys
 import time
 
-import pytest
-
 from polycrt import (
     ErroneousResiduePair,
     Polynomial,
@@ -24,19 +22,18 @@ from polycrt import (
     analyze_pair,
     crt_pair,
     encode,
-    find_difference_bound_violations,
     random_moduli_pair,
     reconstruct,
-    remainder_cascade,
     residue_error_bound,
     run_campaign,
     sample_monic,
     sample_polynomial,
 )
 from polycrt.cli import main
-from polycrt.simulation import enumerate_polynomials
 
-from conftest import REF_A, REF_M1, REF_M2, SRC, poly
+from conftest import (
+    REF_A, REF_M1, REF_M2, SRC, difference_window_violations, enumerate_polynomials, poly,
+)
 
 
 def _report(number, name):
@@ -59,11 +56,12 @@ def test_criterion_1_reference_encode_decode_golden(f2):
     assert witness.k2 == poly(f2, "x^4")
 
     r1, r2 = poly(f2, "x^7"), poly(f2, "x^5+x^4+1")
-    q21 = r1 - r2
-    chain = [remainder_cascade(q21, an, level) for level in (1, 2, 3)]
+    pair = ErroneousResiduePair(r1, r2, an)
+    # deg(r1 - r2) = 7 < deg(m1): the cascade's step 0, mod m1, does nothing.
+    chain = [reconstruct(pair, level).cascade_tail for level in (1, 2, 3)]
     assert chain == [poly(f2, "x^4+1"), poly(f2, "x^4+1"), poly(f2, "x^2+1")]
 
-    result = reconstruct(ErroneousResiduePair(r1, r2, an), 3)
+    result = reconstruct(pair, 3)
     assert result.k2_hat == poly(f2, "x^4")
     assert result.a_hat == poly(f2, "x^15+x^11+x^7+x^6+1")
     assert (result.a_hat - a).degree == 1
@@ -136,7 +134,7 @@ def test_criterion_4_difference_window_brute_force(f2):
     checked = 0
     for an in pairs:
         for level in range(1, an.K + 2):
-            assert find_difference_bound_violations(an, level) == []
+            assert difference_window_violations(an, level) == []
             checked += 1
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

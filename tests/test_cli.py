@@ -19,13 +19,15 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture
 def no_sampling(monkeypatch):
-    """Fail instead of drawing an error polynomial (its size is tau + 1)."""
+    """Fail instead of drawing a polynomial (an error's size is tau + 1).
 
-    def refuse(tau, field, rng):
-        raise AssertionError(f"sample_error reached with tau = {tau}")
+    Every draw of the CLI and of a campaign trial goes through ``_draw``.
+    """
 
-    monkeypatch.setattr(polycrt.cli, "sample_error", refuse)
-    monkeypatch.setattr(polycrt.simulation, "sample_error", refuse)
+    def refuse(counts, field, rng, top=()):
+        raise AssertionError(f"_draw reached with counts = {counts}")
+
+    monkeypatch.setattr(polycrt.simulation, "_draw", refuse)
 
 
 @pytest.fixture
@@ -442,19 +444,6 @@ class TestSimulate:
             capsys,
             "simulate", "--m1", REF_M1, "--m2", REF_M2,
             "--level", "4", "--tau", str(tau), "--trials", "1", "--boundary",
-        )
-        assert code == 2 and "tau must be <=" in err
-
-    def test_boundary_tau_above_cap_draws_nothing(self, capsys, monkeypatch):
-        # A trial draws a, e1 and e2 in one call of the shared draw loop.
-        def refuse(counts, field, rng, top=()):
-            raise AssertionError(f"_draw reached with counts = {counts}")
-
-        monkeypatch.setattr(polycrt.simulation, "_draw", refuse)
-        code, _, err = run_cli(
-            capsys,
-            "simulate", "--m1", REF_M1, "--m2", REF_M2,
-            "--level", "4", "--tau", str(_MAX_PARSE_DEGREE + 1), "--trials", "1", "--boundary",
         )
         assert code == 2 and "tau must be <=" in err
 

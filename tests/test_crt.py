@@ -11,14 +11,13 @@ from polycrt import (
     MixedFieldsError,
     Polynomial,
     ResiduePair,
-    check_consistency,
     crt_pair,
     encode,
     random_moduli_pair,
 )
-from polycrt.simulation import enumerate_polynomials, sample_polynomial
+from polycrt.simulation import sample_polynomial
 
-from conftest import REF_A, poly
+from conftest import REF_A, enumerate_polynomials, poly
 
 
 class TestEncode:
@@ -103,20 +102,21 @@ class TestEncode:
 
 
 class TestConsistency:
+    # Residues are consistent when they agree modulo the gcd m.
     def test_clean_residues_consistent(self, f2, reference_pair):
         residues, _ = encode(poly(f2, REF_A), reference_pair)
-        assert check_consistency(residues)
+        assert ((residues.a1 - residues.a2) % reference_pair.m).is_zero
 
     def test_scalar_disagreement_detected(self, f2, reference_pair):
         pair = ResiduePair(Polynomial(f2), poly(f2, "1"), reference_pair)
-        assert not check_consistency(pair)
+        assert not ((pair.a1 - pair.a2) % reference_pair.m).is_zero
 
     def test_any_encoded_polynomial_consistent(self, f2, reference_pair):
         rng = random.Random(11)
         for _ in range(100):
             a = sample_polynomial(17, f2, rng)
             residues, _ = encode(a, reference_pair)
-            assert check_consistency(residues)
+            assert ((residues.a1 - residues.a2) % reference_pair.m).is_zero
 
 
 class TestCrtPair:

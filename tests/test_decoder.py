@@ -16,11 +16,10 @@ from polycrt import (
     encode,
     random_moduli_pair,
     reconstruct,
-    remainder_cascade,
 )
-from polycrt.simulation import enumerate_polynomials, sample_error, sample_polynomial
+from polycrt.simulation import sample_error, sample_polynomial
 
-from conftest import REF_A, poly
+from conftest import REF_A, difference_window_violations, enumerate_polynomials, poly
 from reference_decoder import pack_chain
 
 
@@ -30,27 +29,32 @@ def corrupted_pair(analysis, residues, e1, e2):
     return ErroneousResiduePair(r1, r2, analysis)
 
 
+def cascade_tail(v, analysis, level):
+    """The decoder's cascade tail for ``q21 = v``, from residues ``r1 = 0`` and ``r2 = -v``."""
+    return reconstruct(ErroneousResiduePair(Polynomial(v.field), -v, analysis), level).cascade_tail
+
+
+def divmod_cascade(v, analysis, level):
+    """``v mod m1 mod m*sigma_1 ... mod m*sigma_level``, one ``divmod`` per step."""
+    for step in (analysis.m1,) + analysis.cascade_moduli[:level]:
+        v = divmod(v, step)[1]
+    return v
+
+
 class TestRemainderCascade:
     def test_reference_chain_values(self, f2, reference_pair):
         q21 = poly(f2, "x^7+x^5+x^4+1")
-        assert remainder_cascade(q21, reference_pair, 1) == poly(f2, "x^4+1")
-        assert remainder_cascade(q21, reference_pair, 2) == poly(f2, "x^4+1")
-        assert remainder_cascade(q21, reference_pair, 3) == poly(f2, "x^2+1")
+        assert cascade_tail(q21, reference_pair, 1) == poly(f2, "x^4+1")
+        assert cascade_tail(q21, reference_pair, 2) == poly(f2, "x^4+1")
+        assert cascade_tail(q21, reference_pair, 3) == poly(f2, "x^2+1")
 
     def test_zero_input(self, f2, reference_pair):
-        assert remainder_cascade(Polynomial(f2), reference_pair, 4).is_zero
+        assert cascade_tail(Polynomial(f2), reference_pair, 4).is_zero
 
     def test_small_input_unchanged(self, f2, reference_pair):
         # Below every step modulus degree, all reductions are vacuous.
         v = poly(f2, "x+1")
-        assert remainder_cascade(v, reference_pair, 4) == v
-
-    def test_level_bounds_checked(self, f2, reference_pair):
-        v = poly(f2, "x")
-        with pytest.raises(LevelOutOfRangeError):
-            remainder_cascade(v, reference_pair, 0)
-        with pytest.raises(LevelOutOfRangeError):
-            remainder_cascade(v, reference_pair, 5)
+        assert cascade_tail(v, reference_pair, 4) == v
 
     @pytest.mark.parametrize(
         "p, gcd_degree, cofactor_degree",
@@ -63,39 +67,36 @@ class TestRemainderCascade:
         if p == 2:
             assert analysis.K > 100
         inputs = [sample_polynomial(analysis.m1.degree, field, rng) for _ in range(2)]
-        # Degrees deg(m1) .. deg(m2) - 1, which % reduces by m*sigma_1 first.
+        # Up to degree deg(m2) - 1, which step 0 reduces by m1 when deg(m1) < deg(m2).
         inputs += [sample_polynomial(analysis.m2.degree, field, rng) for _ in range(2)]
-        inputs += [Polynomial(field, [0] * analysis.m1.degree + [1])]
-        inputs += [analysis.m2, Polynomial(field)]
+        inputs += [Polynomial(field, [0] * (analysis.m2.degree - 1) + [1])]
+        inputs += [Polynomial(field, [p - 1] * analysis.m2.degree), Polynomial(field)]
         for level in range(1, analysis.K + 2):
             for v in inputs:
-                want = v
-                for step in analysis.cascade_moduli[:level]:
-                    want = divmod(want, step)[1]
-                assert remainder_cascade(v, analysis, level) == want
+                assert cascade_tail(v, analysis, level) == divmod_cascade(v, analysis, level)
 
     @pytest.mark.parametrize("p", [2, 13, 65521])
     def test_inputs_longer_than_m2(self, p):
-        # The stored chain takes inputs up to deg(m2); longer ones are first
-        # reduced by the step 1 modulus.
+        # A residue r2 as long as m2 or longer is rejected, so q21 stays
+        # below deg(m2); the longest q21 runs every step.
         field = PrimeField(p)
         rng = random.Random(f"long-cascade:{p}")
         analysis = random_moduli_pair(field, rng, (3, 6), (8, 12))
-        for degree in (analysis.m2.degree, analysis.m2.degree + 1, 3 * analysis.m2.degree):
-            v = sample_polynomial(degree, field, rng) + Polynomial(field, [0] * degree + [1])
-            for level in (1, analysis.K + 1):
-                want = v
-                for step in analysis.cascade_moduli[:level]:
-                    want = divmod(want, step)[1]
-                assert remainder_cascade(v, analysis, level) == want
+        top = analysis.m2.degree
+        for degree in (top, top + 1, 3 * top):
+            with pytest.raises(DegreeOutOfRangeError):
+                cascade_tail(Polynomial(field, [0] * degree + [1]), analysis, 1)
+        v = sample_polynomial(top - 1, field, rng) + Polynomial(field, [0] * (top - 1) + [1])
+        for level in (1, analysis.K + 1):
+            assert cascade_tail(v, analysis, level) == divmod_cascade(v, analysis, level)
 
     def test_rejects_other_field_and_levels_outside_the_range(self, f2, f13, reference_pair):
         with pytest.raises(MixedFieldsError):
-            remainder_cascade(poly(f13, "x^9+x+1"), reference_pair, 1)
+            cascade_tail(poly(f13, "x^9+x+1"), reference_pair, 1)
         v = poly(f2, "x^9+x+1")
         for level in (0, reference_pair.K + 2):
             with pytest.raises(LevelOutOfRangeError):
-                remainder_cascade(v, reference_pair, level)
+                cascade_tail(v, reference_pair, level)
 
     def test_zero_step_modulus_raises_instead_of_looping(self, f2, reference_pair):
         # Only a hand-built analysis can hold one; analyze_pair never does.
@@ -107,7 +108,7 @@ class TestRemainderCascade:
         broken = dataclasses.replace(an, chain=chain)
         for v in (poly(f2, "x^9+x+1"), Polynomial(f2)):
             with pytest.raises(DivisionByZeroError):
-                remainder_cascade(v, broken, 1)
+                cascade_tail(v, broken, 1)
 
 
 class TestClassify:
@@ -235,6 +236,41 @@ class TestReconstruct:
                 assert result.a_hat - a == e2
 
 
+def assert_bounds_are_tight(analysis):
+    """One degree past either bound of every level, a closed-form input decodes wrong.
+
+    The message ``x^R_i`` with clean residues, ``R_i`` the level's range,
+    and the error ``e1 = x^A_i`` on ``a = 0`` (so ``k2 = 0``), ``A_i`` the
+    level's error bound.  At level ``K + 1`` the range is ``deg(lcm)``, so
+    ``encode`` rejects the message.
+    """
+    field = analysis.field
+    zero = Polynomial(field)
+    for level in range(1, analysis.K + 2):
+        spec = analysis.level_spec(level)
+        a = Polynomial(field, [0] * spec.dynamic_range_exclusive + [1])
+        if level <= analysis.K:
+            residues, witness = encode(a, analysis)
+            pair = ErroneousResiduePair(residues.a1, residues.a2, analysis)
+            assert reconstruct(pair, level).k2_hat != witness.k2
+        else:
+            with pytest.raises(DegreeOutOfRangeError):
+                encode(a, analysis)
+        e1 = Polynomial(field, [0] * spec.error_bound_exclusive + [1])
+        assert not reconstruct(ErroneousResiduePair(e1, zero, analysis), level).k2_hat.is_zero
+
+
+class TestBoundsAreTight:
+    def test_reference_pair(self, reference_pair):
+        assert_bounds_are_tight(reference_pair)
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 65521, 2**61 - 1])
+    def test_random_pairs(self, p):
+        rng = random.Random(f"tight:{p}")
+        for _ in range(3):
+            assert_bounds_are_tight(random_moduli_pair(PrimeField(p), rng, (1, 4), (4, 10)))
+
+
 class TestFullRangeReconstruct:
     def test_recovers_full_range_with_small_errors(self, f2, reference_pair):
         rng = random.Random(16)
@@ -262,15 +298,7 @@ class TestStructuralProperties:
         # Clean residues that differ while a2 stays below deg(m1) have their
         # difference degree inside [deg(m) + deg(sigma_i), deg(m1)).
         for analysis, level in ((micro_pair, 1), (reference_pair, 1)):
-            spec = analysis.level_spec(level)
-            lo = spec.error_bound_exclusive
-            hi = analysis.m1.degree
-            for a in enumerate_polynomials(f2, spec.dynamic_range_exclusive):
-                residues, _ = encode(a, analysis)
-                a1, a2 = residues.a1, residues.a2
-                if a1 == a2 or not a2.degree < hi:
-                    continue
-                assert lo <= (a1 - a2).degree < hi
+            assert difference_window_violations(analysis, level) == []
 
     def test_branch_reflects_clean_residue_relation(self, f2, micro_pair):
         # With in-bound errors, the branch matches the clean residues: the
@@ -307,4 +335,5 @@ class TestStructuralProperties:
                     residues, _ = encode(a, analysis)
                     diff = residues.a1 - residues.a2
                     if classify(diff, analysis, level) is Branch.FOLDED_DIFFERENCE:
-                        assert remainder_cascade(diff, analysis, level).is_zero
+                        pair = ErroneousResiduePair(residues.a1, residues.a2, analysis)
+                        assert reconstruct(pair, level).cascade_tail.is_zero

@@ -17,9 +17,11 @@ def test_star_import_binds_exactly_the_export_list():
 
 
 def test_every_import_is_used():
-    # __init__.py imports to re-export; every other module uses what it imports.
+    # __init__.py imports to re-export; every other module of the package
+    # and of the tests uses what it imports.
     unused = []
-    for path in sorted(Path(polycrt.__file__).parent.glob("*.py")):
+    package = sorted(Path(polycrt.__file__).parent.glob("*.py"))
+    for path in package + sorted(Path(__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
@@ -31,5 +33,6 @@ def test_every_import_is_used():
                 for alias in node.names:
                     imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+        where = f"{path.parent.name}/{path.name}"
+        unused += [f"{where}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []

@@ -30,9 +30,9 @@ from polycrt import (
 )
 from polycrt.levels import _assert_invariants
 from polycrt.poly import PackedChain
-from polycrt.simulation import enumerate_polynomials, sample_monic
+from polycrt.simulation import sample_monic
 
-from conftest import REF_M1, REF_M2, SRC, poly
+from conftest import REF_M1, REF_M2, SRC, enumerate_polynomials, poly
 from reference_decoder import pack_chain
 
 

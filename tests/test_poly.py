@@ -29,9 +29,7 @@ from polycrt import (
 )
 from polycrt.kronecker import _pack
 from polycrt.poly import _MAX_PARSE_DEGREE, PackedChain, _reduce_chain
-from polycrt.simulation import enumerate_polynomials
-
-from conftest import REF_M1, REF_M2, poly
+from conftest import REF_M1, REF_M2, enumerate_polynomials, poly
 from reference_decoder import pack_chain
 
 
