@@ -6,11 +6,9 @@ one XOR per quotient bit.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import lshift, or_, sub
 from typing import Sequence, Tuple
-
-from .errors import DivisionByZeroError
 
 _HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
@@ -88,41 +86,39 @@ def _cltable_mul(a: int, mults: Tuple[int, ...]) -> int:
 def _fuse_chain(steps: Sequence[int], cofs: Sequence[int], size: int) -> tuple:
     """A cascade's steps fused one int each, for inputs of up to ``size`` bits, and their index.
 
-    Returns ``(w, steps, cofs, index)``: cuts of one tuple of fused ints,
-    each a cofactor in the low ``w`` bits and the modulus above them, and
-    :func:`_chain_index` of the steps.  A cascade shifts step j's cofactor
-    by less than the drop from step j - 1's degree (``size`` for step 0) to
-    step j's, so ``w`` holds every sum it builds.
+    Returns ``(w, fused, index)``: the fused ints, each a cofactor in the
+    low ``w`` bits and the modulus above them, and :func:`_chain_index` of
+    them.  A cascade shifts step j's cofactor by less than the drop from
+    step j - 1's degree (``size`` for step 0) to step j's, so ``w`` holds
+    every sum it builds.  The steps are nonzero and of strictly falling
+    degree, the first of at most ``size`` bits, with one cofactor each, as
+    :class:`~polycrt.poly.PackedChain` checks.
     """
     lens = [*map(int.bit_length, steps)]
     cof_lens = [*map(int.bit_length, cofs)]
     drops = map(sub, [size + 1, *lens], lens)
     w = max(cof_lens + [n + d - 1 for n, d in zip(cof_lens, drops) if n], default=0)
-    gap = len(cofs) - len(steps)
-    fused = tuple(map(or_, map(lshift, [*steps] + [0] * gap, repeat(w)), [*cofs] + [0] * -gap))
-    fused_steps = fused[: len(steps)]
-    return w, fused_steps, fused[: len(cofs)], _chain_index(fused_steps, w, size)
+    fused = tuple(map(or_, map(lshift, steps, repeat(w)), cofs))
+    return w, fused, _chain_index(fused, w, size)
 
 
 def _chain_index(steps: Sequence[int], w: int, size: int) -> tuple:
     """The index of fused ``steps`` with cofactor field ``w``, for inputs of up to ``size`` bits.
 
-    Returns ``(at, floors, zeros)``.  ``at[n]``, for the bit length
-    ``n = w + d + 1`` of a remainder of degree d, is the first nonzero step
-    of degree at most d, already shifted to clear d: the step object itself
-    where the shift is 0, so a step that clears one bit length adds no int.
-    Steps ``0 .. k - 1`` have no work below ``floors[k]``, and ``zeros``
-    lists the zero steps.
+    Returns ``(at, floors)``.  ``at[n]``, for the bit length ``n = w + d +
+    1`` of a remainder of degree d, is the first step of degree at most d,
+    already shifted to clear d: the step object itself where the shift is 0,
+    so a step that clears one bit length adds no int.  Steps ``0 .. k - 1``
+    have no work below ``floors[k]``: ``size + 1``, then each step's degree
+    plus 1.
     """
-    lens = [max(n - w, 0) for n in map(int.bit_length, steps)]
     # Step j clears the bit lengths w + floors[j + 1] .. w + floors[j] - 1
     # at shifts 0, 1, ...
-    floors = [*accumulate([n or size + 1 for n in lens], min, initial=size + 1)]
+    floors = (size + 1, *(n - w for n in map(int.bit_length, steps)))
     at = [None] * (w + floors[-1])
     for step, run in zip(steps[::-1], map(sub, floors[-2::-1], floors[:0:-1])):
-        if run:
-            at += [step, *map(step.__lshift__, range(1, run))]
-    return tuple(at), tuple(floors), tuple(j for j, n in enumerate(lens) if not n)
+        at += [step, *map(step.__lshift__, range(1, run))]
+    return tuple(at), floors
 
 
 def _fold_fused(x: int, w: int, index: tuple, stop: int) -> Tuple[int, int]:
@@ -130,12 +126,9 @@ def _fold_fused(x: int, w: int, index: tuple, stop: int) -> Tuple[int, int]:
 
     The remainder sits above the sum's ``w`` bits, and each quotient bit is
     one XOR of the shifted step that the index holds for the bit length: the
-    first step of degree at most the remainder's.  Errors as for
-    :func:`polycrt.poly._reduce_chain`.
+    first step of degree at most the remainder's.
     """
-    at, floors, zeros = index
-    if zeros and zeros[0] < stop:
-        raise DivisionByZeroError("polynomial division by zero")
+    at, floors = index
     x <<= w
     n = x.bit_length()
     floor = w + floors[stop]

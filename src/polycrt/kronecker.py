@@ -20,8 +20,6 @@ import struct
 from itertools import repeat
 from typing import Callable, Optional, Sequence, Tuple
 
-from .errors import DivisionByZeroError
-
 # struct codes of the slot widths that are one machine word, in bytes.
 _WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
@@ -165,15 +163,12 @@ def _fold_chain(
     lists reduced mod p.  A step, skipped while the remainder is shorter
     than its modulus, adds ``g * low`` and ``g * cof`` for ``g`` of
     :func:`_neg_quotient`, minus its quotient, and drops the top slots; the
-    sum is negated at the end.  Errors as for
-    :func:`polycrt.poly._reduce_chain`.
+    sum is negated at the end.
     """
     size = len(v)
     bits = 8 * width
     rem, acc = _pack(v, width, code), 0
-    for (n, low, neg_inv, _), cof in zip(steps, cofs, strict=True):
-        if not n:
-            raise DivisionByZeroError("polynomial division by zero")
+    for (n, low, neg_inv, _), cof in zip(steps, cofs):
         if size >= n:
             pos = (n - 1) * bits
             g = _neg_quotient(rem, size, low, n, bits, p, neg_inv)

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .field import PrimeField
 from .poly import (
+    NEG_INF,
     ByteTable,
     PackedChain,
     Polynomial,
@@ -210,19 +211,18 @@ def _assert_invariants(
 ) -> None:
     # Explicit raises, so that python -O keeps this cross-check of the
     # kernels.  The chain's degrees are read off its packed steps, unless
-    # the caller passes in the chain.degrees() it has already read.
+    # the caller passes in the chain.degrees() it has already read.  The
+    # chain's constructor has checked that its degrees strictly fall and
+    # that each step has one cofactor.
     step_degs, cofactor_degs = analysis.chain.degrees() if degrees is None else degrees
     degs = [analysis.m2.degree, analysis.m1.degree] + step_degs[1:]
     if degs[0] < degs[1]:
         raise AssertionError("starting entries out of order")
-    if not all(degs[i] > degs[i + 1] for i in range(1, len(degs) - 1)):
-        raise AssertionError("chain degrees do not strictly decrease")
+    if cofactor_degs[0] != NEG_INF or analysis.chain.modulus(0) != analysis.m1:
+        raise AssertionError("chain does not start at m1 with cofactor 0")
     if degs[-1] != analysis.m.degree:
         raise AssertionError("chain does not end in a nonzero scalar")
-    cofactor_degs = cofactor_degs[1:]
-    if len(cofactor_degs) != analysis.K + 1:
-        raise AssertionError("cascade cofactors do not number K + 1")
-    if any(s != degs[1] - d for s, d in zip(cofactor_degs, degs[1:])):
+    if any(s != degs[1] - d for s, d in zip(cofactor_degs[1:], degs[1:])):
         raise AssertionError("cascade cofactor degrees do not match the chain")
     if (analysis.gamma_inv21 * analysis.gamma2) % analysis.gamma1 != Polynomial(
         analysis.field, (1,)

@@ -24,7 +24,7 @@ reduces mod p once, at its end.
 from __future__ import annotations
 
 import re
-from operator import index
+from operator import gt, index
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -376,10 +376,14 @@ def _mul_add(k: Polynomial, m: Polynomial, table: Optional[ByteTable], r: Polyno
 class PackedChain:
     """The steps of a remainder cascade, each a modulus and a cofactor, as the kernels store them.
 
-    ``size`` is the most coefficients an input to the cascade may have.
-    Over F_2, ``layout``, ``steps``, ``cofs`` and ``index`` are the fused
-    chain of :func:`~polycrt.gf2._fuse_chain`, whose index holds each step
-    already shifted for every bit length it clears.  Pickles and copies
+    ``size`` is the most coefficients an input to the cascade may have.  A
+    chain has the shape the Euclid pass gives it: nonzero moduli of strictly
+    falling degree, the first of at most ``size`` coefficients, and one
+    cofactor each; the constructor raises ``ValueError`` for any other.
+    Over F_2, ``layout`` and ``index`` are those of the fused chain of
+    :func:`~polycrt.gf2._fuse_chain`, whose index holds each step already
+    shifted for every bit length it clears, and ``steps`` and ``cofs`` are
+    both its tuple of fused ints.  Pickles and copies
     carry no index: it is built again from the fused steps, since a pickle
     would store every shift-0 entry as a second copy of its step.  Over odd
     p, ``index`` is None, ``layout`` is the slot width and struct code of
@@ -397,9 +401,14 @@ class PackedChain:
         self.field = field
         self.size = size
         if field.p == 2:
-            self.layout, self.steps, self.cofs, self.index = _fuse_chain(steps, cofs, size)
+            self.layout, fused, self.index = _fuse_chain(steps, cofs, size)
+            self.steps = self.cofs = fused
+            lens = self.index[1]
         else:
             self.layout, self.steps, self.cofs, self.index = layout, tuple(steps), tuple(cofs), None
+            lens = (size + 1, *(step[0] for step in self.steps))
+        if len(steps) != len(cofs) or not all(map(gt, lens, lens[1:])) or lens[-1] < 1:
+            raise ValueError(f"not a Euclid chain for inputs of {size} coefficients")
 
     def __getstate__(self) -> tuple:
         return self.field, self.size, self.layout, self.steps, self.cofs
@@ -413,7 +422,7 @@ class PackedChain:
         if self.index:
             return _from_bits(self.field, self.steps[i] >> self.layout)
         n, low, _, lead = self.steps[i]
-        return _from_reduced(self.field, self._reduced(low, n - 1) + [lead] if n else [])
+        return _from_reduced(self.field, self._reduced(low, n - 1) + [lead])
 
     def cofactor(self, i: int) -> Polynomial:
         """Step i's cofactor."""
@@ -432,7 +441,7 @@ class PackedChain:
             w = self.layout
             mask = ~(-1 << w)
             lens = map(int.bit_length, map(mask.__and__, self.cofs))
-            return [n - w - 1 if n > w else NEG_INF for n in map(int.bit_length, self.steps)], [
+            return [n - w - 1 for n in map(int.bit_length, self.steps)], [
                 n - 1 if n else NEG_INF for n in lens
             ]
         bits, p = 8 * self.layout[0], self.field.p
@@ -440,7 +449,7 @@ class PackedChain:
         for cof in self.cofs:
             top = (cof.bit_length() - 1) // bits
             cof_degs.append(NEG_INF if not cof else top if (cof >> top * bits) % p else None)
-        return [step[0] - 1 if step[0] else NEG_INF for step in self.steps], cof_degs
+        return [step[0] - 1 for step in self.steps], cof_degs
 
     def _reduced(self, packed: int, size: int) -> list:
         p = self.field.p
@@ -453,17 +462,14 @@ def _reduce_chain(v: Polynomial, chain: PackedChain, stop: int) -> Tuple[Polynom
     Returns ``(remainder, sum of q_j * cofactor_j)``, where ``q_j`` is the
     quotient of step ``j`` (zero when the running remainder is already below
     the step's degree), for ``0 <= stop <= len(chain.steps)`` and ``v`` over
-    the chain's field, which the caller checks.  A zero step in the range
-    raises :class:`DivisionByZeroError`, even one the remainder is below;
-    more than ``chain.size`` coefficients in ``v``, or more or fewer
-    cofactors than moduli, ``ValueError``.  Over odd p, see
+    the chain's field, which the caller checks.  More than ``chain.size``
+    coefficients in ``v`` raise ``ValueError``.  Over F_2, see
+    :func:`~polycrt.gf2._fold_fused`, and over odd p,
     :func:`~polycrt.kronecker._fold_chain`.
     """
     if v.degree >= chain.size:
         raise ValueError(f"input of degree {v.degree} is too long for this chain")
     steps, cofs = chain.steps, chain.cofs
-    if len(steps) != len(cofs):
-        raise ValueError("the chain needs one cofactor per modulus")
     field = v.field
     if chain.index:
         rem, total = _fold_fused(v._value, chain.layout, chain.index, stop)

@@ -21,8 +21,15 @@ Euclid pass: a fault in those shows up as a difference.
 ``inv21`` of ``gamma2`` modulo ``gamma1`` from ``reference_xgcd``, not from
 the analysis, which derives it from the chain.  The library computes the
 same values in one Euclid pass and one cascade; these versions exist only
-so tests can compare the two.  ``schoolbook_mul`` is the product
-that the packed products are checked against.  ``pack_chain`` is the
+so tests can compare the two.
+``two_row_reconstruct`` is the decoder as lattice rounding: at level i it
+expresses ``(0, q21)`` in the rows of ``euclid_rows`` that hold
+``m*sigma_i`` and ``m*sigma_{i+1}`` (the terminal row at the top level),
+rounds both coordinates with ``//`` and reads ``k2_hat`` off the rounded
+vector.  It takes the rows from its own ``//`` loop and needs no cascade
+order, so it shares no code with the chain, its folds or the Euclid pass.
+``schoolbook_mul`` is the product that the packed products are checked
+against.  ``pack_chain`` is the
 tests' one way to pack a chain of their own polynomials in the form an
 analysis stores.  ``reference_fold_euclid`` and ``reference_fold_chain``
 are the odd-p Euclid pass and cascade with one packed fold per quotient
@@ -47,7 +54,6 @@ from polycrt import (
     Branch,
     CoprimeModuliError,
     DegenerateModuliError,
-    DivisionByZeroError,
     ErroneousResiduePair,
     InconsistentResiduesError,
     LevelSpec,
@@ -117,7 +123,9 @@ def reference_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
 def pack_chain(field, moduli, cofactors, size: int) -> PackedChain:
     """The stored chain of these step moduli and cofactors, for inputs of up to ``size`` coefficients.
 
-    Slots hold the reduced coefficients; a zero modulus packs as an empty step.
+    Slots hold the reduced coefficients; a zero modulus packs as an empty
+    step, which the chain rejects, as it rejects every shape the Euclid pass
+    never builds.
     """
     p = field.p
     if p == 2:
@@ -160,14 +168,10 @@ def reference_fold_chain(v, steps, cofs, width, code, p):
 
     Returns the tail and the weighted sum, as lists reduced mod p.
     """
-    if len(steps) != len(cofs):
-        raise ValueError("steps and cofactors differ in number")
     size = len(v)
     bits = 8 * width
     rem, acc = _pack(v, width, code), 0
     for (n, low, neg_inv, _), cof in zip(steps, cofs):
-        if not n:
-            raise DivisionByZeroError("polynomial division by zero")
         if size >= n:
             rem, acc = reference_fold(rem, acc, low, cof, size, n, bits, p, neg_inv)
             size = n - 1
@@ -291,6 +295,45 @@ def reference_reconstruct(pair, level: int) -> ReconstructionResult:
 
     a_hat = k2_hat * analysis.m2 + pair.r2
     return ReconstructionResult(a_hat, k2_hat, branch, q21, tail)
+
+
+def euclid_rows(m2: Polynomial, m1: Polynomial) -> list:
+    """The rows ``(s_i, r_i)`` of Euclid's loop over ``(m2, m1)``, by ``*`` and ``//`` alone.
+
+    ``r_0, r_1 = m2, m1``, ``s_0, s_1 = 1, 0``, and ``x_i = x_{i-2} - q_i *
+    x_{i-1}`` for both with ``q_i = r_{i-2} // r_{i-1}``, so ``s_i * m2 ==
+    r_i (mod m1)``.  Returns the rows from ``(s_1, r_1) = (0, m1)`` to the
+    first zero ``r_N``: row i holds step i of the analysis's chain, ``m *
+    sigma_i`` and its cofactor, and the last row is the terminal ``(s_N,
+    0)``.
+    """
+    rows = [(Polynomial(m1.field, (1,)), m2), (Polynomial(m1.field), m1)]
+    while not rows[-1][1].is_zero:
+        (s0, r0), (s1, r1) = rows[-2:]
+        q = r0 // r1
+        rows.append((s0 - q * s1, r0 - q * r1))
+    return rows[1:]
+
+
+def two_row_reconstruct(pair, level: int):
+    """``(k2_hat, a_hat)`` at ``level`` by rounding in two Euclid rows.
+
+    The rows ``(s, t)`` of ``euclid_rows`` lie in the lattice ``{(k, t): t
+    == k * m2 (mod m1)}``, and rows ``level`` and ``level + 1`` (the
+    terminal row at the top level) are a reduced basis of it whose
+    determinant ``D`` is a scalar times ``m1``.  ``(0, q21)`` is ``x`` times
+    the first plus ``y`` times the second for ``x = -s' * q21 / D`` and ``y
+    = s * q21 / D``; their polynomial parts ``alpha`` and ``beta`` give the
+    lattice vector whose ``k`` is ``k2_hat``.
+    """
+    analysis = pair.moduli
+    (s, t), (s_next, t_next) = euclid_rows(analysis.m2, analysis.m1)[level : level + 2]
+    det = s * t_next - s_next * t
+    q21 = pair.r1 - pair.r2
+    alpha = (-s_next * q21) // det
+    beta = (s * q21) // det
+    k2_hat = alpha * s + beta * s_next
+    return k2_hat, k2_hat * analysis.m2 + pair.r2
 
 
 def reference_crt_pair(pair) -> Polynomial:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -6,7 +5,6 @@ import pytest
 from polycrt import (
     Branch,
     DegreeOutOfRangeError,
-    DivisionByZeroError,
     ErroneousResiduePair,
     LevelOutOfRangeError,
     MixedFieldsError,
@@ -20,7 +18,7 @@ from polycrt import (
 from polycrt.simulation import sample_error, sample_polynomial
 
 from conftest import REF_A, difference_window_violations, enumerate_polynomials, poly
-from reference_decoder import pack_chain
+from reference_decoder import pack_chain, two_row_reconstruct
 
 
 def corrupted_pair(analysis, residues, e1, e2):
@@ -99,16 +97,15 @@ class TestRemainderCascade:
                 cascade_tail(v, reference_pair, level)
 
     def test_zero_step_modulus_raises_instead_of_looping(self, f2, reference_pair):
-        # Only a hand-built analysis can hold one; analyze_pair never does.
+        # analyze_pair never builds one, and no chain can be built with one,
+        # so no analysis holds a zero step for a decode to loop on.
         an = reference_pair
         zero = Polynomial(f2)
-        chain = pack_chain(
-            f2, (an.m1,) + (zero,) * (an.K + 1), (zero,) + an.cascade_cofactors, an.m2.degree + 1
-        )
-        broken = dataclasses.replace(an, chain=chain)
-        for v in (poly(f2, "x^9+x+1"), Polynomial(f2)):
-            with pytest.raises(DivisionByZeroError):
-                cascade_tail(v, broken, 1)
+        with pytest.raises(ValueError):
+            pack_chain(
+                f2, (an.m1,) + (zero,) * (an.K + 1), (zero,) + an.cascade_cofactors,
+                an.m2.degree + 1,
+            )
 
 
 class TestClassify:
@@ -269,6 +266,83 @@ class TestBoundsAreTight:
         rng = random.Random(f"tight:{p}")
         for _ in range(3):
             assert_bounds_are_tight(random_moduli_pair(PrimeField(p), rng, (1, 4), (4, 10)))
+
+
+class TestLinearity:
+    """``reconstruct`` is F_p-linear in ``(r1, r2)``, so a few decodes certify it on a pair.
+
+    Every output but the branch is linear: ``q21``, the cascade's remainder
+    and weighted quotient sum, and ``a_hat = k2_hat * m2 + r2``.  Decoding
+    ``x^j`` and ``(p - 1) * x^j`` in each residue, and dense residues as the
+    sum of their coefficients' images, catches a slot that carries into its
+    neighbour.  2**61 - 1 and 2**64 - 59 have slots wider than a machine
+    word.
+    """
+
+    @pytest.mark.parametrize("p", [2, 13, 65521, 2**61 - 1, 2**64 - 59])
+    def test_every_level_is_linear_in_the_residues(self, p):
+        field = PrimeField(p)
+        rng = random.Random(f"linear:{p}")
+        an = random_moduli_pair(field, rng, (3, 6), (10, 14))
+        zero = Polynomial(field)
+
+        def decode(r1, r2, level):
+            got = reconstruct(ErroneousResiduePair(r1, r2, an), level)
+            return got.q21, got.cascade_tail, got.k2_hat, got.a_hat
+
+        moduli = (an.m1, an.m2)
+        dense = [tuple(sample_polynomial(m.degree, field, rng) for m in moduli) for _ in range(3)]
+        dense.append(tuple(Polynomial(field, [p - 1] * m.degree) for m in moduli))
+        for level in range(1, an.K + 2):
+            images = []
+            for side, modulus in enumerate(moduli):
+                images.append([])
+                for j in range(modulus.degree):
+                    unit = [zero, zero]
+                    unit[side] = Polynomial(field, [0] * j + [1])
+                    image = decode(*unit, level)
+                    unit[side] = Polynomial(field, [0] * j + [p - 1])
+                    assert decode(*unit, level) == tuple(-v for v in image)
+                    images[side].append(image)
+            for pair in dense:
+                want = [zero] * 4
+                for r, side_images in zip(pair, images):
+                    for c, image in zip(r.coeffs, side_images):
+                        scalar = Polynomial(field, [c])
+                        want = [w + scalar * v for w, v in zip(want, image)]
+                assert decode(*pair, level) == tuple(want)
+
+
+class TestTwoRowDecoder:
+    """``reconstruct`` against rounding in two Euclid rows, which shares no code with it."""
+
+    @pytest.mark.parametrize("p", [2, 3, 13, 65521, 1048573, 2**61 - 1])
+    def test_matches_reconstruct_inside_and_outside_the_bounds(self, p):
+        field = PrimeField(p)
+        rng = random.Random(f"two-row:{p}")
+        for shape in [((1, 4), (1, 6))] * 6 + [((3, 6), (10, 14))]:
+            an = random_moduli_pair(field, rng, *shape)
+            for level in range(1, an.K + 2):
+                spec = an.level_spec(level)
+                bound = spec.error_bound_exclusive
+                pairs = []
+                # Messages inside the level's range with errors inside and at
+                # the bound, one anywhere below deg(lcm) with errors past it,
+                # then residues that no message has.
+                for length, tau in (
+                    (spec.dynamic_range_exclusive, bound - 1),
+                    (spec.dynamic_range_exclusive, bound),
+                    (an.lcm.degree, bound + 1),
+                ):
+                    a = sample_polynomial(length, field, rng)
+                    e1, e2 = (sample_error(tau, field, rng) for _ in range(2))
+                    residues, _ = encode(a, an)
+                    pairs.append(corrupted_pair(an, residues, e1, e2))
+                r1, r2 = (sample_polynomial(m.degree, field, rng) for m in (an.m1, an.m2))
+                pairs.append(ErroneousResiduePair(r1, r2, an))
+                for pair in pairs:
+                    got = reconstruct(pair, level)
+                    assert two_row_reconstruct(pair, level) == (got.k2_hat, got.a_hat)
 
 
 class TestFullRangeReconstruct:

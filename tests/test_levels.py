@@ -256,29 +256,34 @@ class TestChainInvariants:
         cm, cf = an.cascade_moduli, an.cascade_cofactors
         zero, one = Polynomial(an.field), Polynomial(an.field, (1,))
 
-        def chain(moduli=cm, cofactors=cf):
+        def chain(moduli=cm, cofactors=cf, first=an.m1, first_cofactor=zero):
             # Step 0 is m1 with cofactor 0, as analyze_pair stores it.
             return pack_chain(
-                an.field, (an.m1,) + moduli, (zero,) + cofactors, an.m2.degree + 1
+                an.field, (first,) + moduli, (first_cofactor,) + cofactors, an.m2.degree + 1
             )
 
         _assert_invariants(an)
         _assert_invariants(dataclasses.replace(an, chain=chain()))
+        # Rising steps and unmatched counts are no chain at all.
+        for moduli, cofactors in (((cm[1], cm[0]) + cm[2:], cf), (cm[:-1], cf), (cm, cf[:-1])):
+            with pytest.raises(ValueError):
+                chain(moduli, cofactors)
         for broken, message in (
             ({"m1": an.m2, "m2": an.m1}, "starting entries out of order"),
-            ({"chain": chain(moduli=cm[:-1])}, "chain does not end in a nonzero scalar"),
             (
-                {"chain": chain(moduli=(cm[1], cm[0]) + cm[2:])},
-                "chain degrees do not strictly decrease",
+                # Same degree, so only step 0 differs from m1.
+                {"chain": chain(first=an.m1 + one)},
+                "chain does not start at m1 with cofactor 0",
+            ),
+            ({"chain": chain(first_cofactor=one)}, "chain does not start at m1 with cofactor 0"),
+            (
+                {"chain": chain(moduli=cm[:-1], cofactors=cf[:-1])},
+                "chain does not end in a nonzero scalar",
             ),
             (
                 # Same degree, so only the derived inverse is wrong.
                 {"chain": chain(cofactors=cf[:-1] + (cf[-1] + one,))},
                 "gamma_inv21 * gamma2 != 1 (mod gamma1)",
-            ),
-            (
-                {"chain": chain(cofactors=cf[:-1])},
-                "cascade cofactors do not number K + 1",
             ),
             (
                 {"chain": chain(cofactors=cf[::-1])},

@@ -143,8 +143,11 @@ def chain_reference(v, moduli, cofactors):
 
 
 def reduce_chain(v, moduli, cofactors):
-    """``_reduce_chain`` over the chain packed from these steps, for inputs as long as ``v``."""
-    chain = pack_chain(v.field, moduli, cofactors, max(len(v.coeffs), 1))
+    """``_reduce_chain`` over the chain packed from these steps.
+
+    The chain takes inputs as long as ``v`` or as step 0, whichever is longer.
+    """
+    chain = pack_chain(v.field, moduli, cofactors, max(len(v.coeffs), len(moduli[0].coeffs)))
     return _reduce_chain(v, chain, len(moduli))
 
 
@@ -208,28 +211,45 @@ class TestReduceChain:
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_skipped_steps_add_nothing(self, p):
-        # After the degree-5 step the remainder is below degree 10, so the
+        # After the degree-12 step the remainder is below degree 10, so the
         # degree-10 step is skipped and its cofactor must not show up.
         field = PrimeField(p)
         rng = random.Random(f"chain-skip:{p}")
-        moduli, cofactors = random_chain(field, [5, 10, 12], rng)
-        cofactors[1] = cofactors[2] = Polynomial(field, [1, 2, 3])
-        v = random_poly(field, 30, rng) + Polynomial(field, [0] * 30 + [1])
+        moduli, cofactors = random_chain(field, [12, 10, 5], rng)
+        cofactors[1] = Polynomial(field, [1, 2, 3])
+        low = Polynomial(field, [1, 1])
+        v = (random_poly(field, 18, rng) + Polynomial(field, [0] * 18 + [1])) * moduli[0]
+        v += random_poly(field, 10, rng)
         got = reduce_chain(v, moduli, cofactors)
         assert got == chain_reference(v, moduli, cofactors)
-        assert got == chain_reference(v, moduli[:1], cofactors[:1])
-        low = Polynomial(field, [1, 1])
+        assert got == chain_reference(v, moduli[::2], cofactors[::2])
         assert reduce_chain(low, moduli, cofactors) == (low, Polynomial(field))
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_zero_modulus_raises(self, p):
+        # The Euclid pass never stores a zero step, and no chain holds one,
+        # so no cascade can divide by zero or loop on it.
         field = PrimeField(p)
         zero, one = Polynomial(field), Polynomial(field, [1])
-        # The zero modulus raises even where the remainder is already below it.
-        for v in (Polynomial(field, [1, 0, 1]), zero):
-            for moduli in ((zero,), (Polynomial(field, [0, 1]), zero)):
-                with pytest.raises(DivisionByZeroError):
-                    reduce_chain(v, moduli, (one,) * len(moduli))
+        for moduli in ((zero,), (Polynomial(field, [0, 1]), zero), (zero, one)):
+            with pytest.raises(ValueError):
+                pack_chain(field, moduli, (one,) * len(moduli), 3)
+
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_steps_must_fall_from_the_input_size(self, p):
+        # Rising or repeated degrees and a first step longer than an input
+        # are shapes the Euclid pass never builds.  A first step as long as
+        # an input is the longest it builds.
+        field = PrimeField(p)
+        rng = random.Random(f"chain-shape:{p}")
+        for degrees in ([3, 5], [4, 4], [6, 2, 2], [5, 1, 3], [8, 7]):
+            moduli, cofactors = random_chain(field, degrees, rng)
+            with pytest.raises(ValueError):
+                pack_chain(field, moduli, cofactors, 8)
+        moduli, cofactors = random_chain(field, [7, 4, 0], rng)
+        chain = pack_chain(field, moduli, cofactors, 8)
+        v = random_poly(field, 8, rng)
+        assert _reduce_chain(v, chain, 3) == chain_reference(v, moduli, cofactors)
 
     @pytest.mark.parametrize(
         "p, n",
@@ -270,9 +290,10 @@ class TestReduceChain:
         assert got == chain_reference(v, moduli, cofactors)
 
     def test_one_cofactor_per_modulus(self, f13):
-        step = Polynomial(f13, [1, 1])
-        with pytest.raises(ValueError):
-            reduce_chain(step, (step, step), (step,))
+        steps = (Polynomial(f13, [1, 1, 1]), Polynomial(f13, [1, 1]))
+        for moduli, cofactors in ((steps, steps[:1]), (steps[:1], steps)):
+            with pytest.raises(ValueError):
+                pack_chain(f13, moduli, cofactors, 4)
 
     @pytest.mark.parametrize("p", [2, 13])
     def test_input_longer_than_the_chain_raises(self, p):
@@ -296,14 +317,17 @@ def cascade_prefixes(v, moduli, cofactors):
 
 
 def assert_index_structure(chain):
-    """The F_2 index holds, at each bit length n, the first nonzero step of
-    at most n bits shifted to n bits; each step's shift-0 entry is the fused
-    step itself, and only its other entries are new ints."""
-    at, _, _ = chain.index
+    """The F_2 index holds, at each bit length n, the first step of at most
+    n bits shifted to n bits; each step's shift-0 entry is the fused step
+    itself, and only its other entries are new ints.  The floors are the
+    input size plus 1, then each step's degree plus 1."""
+    at, floors = chain.index
     w, steps = chain.layout, chain.steps
+    assert chain.cofs is steps
+    assert floors == (chain.size + 1, *(step.bit_length() - w for step in steps))
     assert len(at) == w + chain.size + 1
     owners = [
-        next((j for j, step in enumerate(steps) if w < step.bit_length() <= n), None)
+        next((j for j, step in enumerate(steps) if step.bit_length() <= n), None)
         for n in range(len(at))
     ]
     for n, (entry, j) in enumerate(zip(at, owners)):
@@ -318,6 +342,15 @@ def assert_index_structure(chain):
     shared = set(map(id, steps))
     others = sum(entry is not None and id(entry) not in shared for entry in at)
     assert others == sum(run - 1 for run in runs.values())
+
+
+# Euclid-shaped step degrees, strictly falling, for inputs of 16
+# coefficients: gaps of one and of many, a first step of 16 coefficients,
+# and constant last steps.
+HAND_BUILT_DEGREES = [
+    [9, 6, 2, 1], [12, 4, 0], [8, 5, 3, 1], [15, 14, 13, 0], [7, 3], [11, 10, 6, 5, 0],
+    [15, 1], [6, 2], [4, 3, 2, 1, 0],
+]
 
 
 class TestF2FusedChain:
@@ -358,42 +391,28 @@ class TestF2FusedChain:
             full += want[-1][1].degree == an.chain.layout - 1
         assert full
 
-    @pytest.mark.parametrize(
-        "degrees",
-        [[9, 6, 2, 1], [12, 4, 0], [3, 8, 5, 1], [5, 10, 12], [7, 7, 3], [2, 6, 4, 0, 3],
-         [8, None, 3, 1], [None, 6, 2], [4, 2, None]],
-    )
+    @pytest.mark.parametrize("degrees", HAND_BUILT_DEGREES)
     def test_hand_built_chains_at_every_start_and_stop(self, degrees):
-        # Degree gaps, degrees that rise or repeat, and zero steps (None),
-        # at F_2 and odd p alike.  Each start packs the chain from that step
-        # on, so its step 0 has a nonzero cofactor.  Every call is exact, or
-        # raises DivisionByZeroError for a zero step in the range.
+        # At F_2 and odd p alike.  Each start packs the chain from that step
+        # on, so its step 0 has a nonzero cofactor.
         for p in (2, 13):
             field = PrimeField(p)
             rng = random.Random(f"fused-hand:{p}:{degrees}")
-            zero = Polynomial(field)
             moduli = [
-                zero if d is None else random_poly(field, d, rng) + Polynomial(field, [0] * d + [1])
-                for d in degrees
+                random_poly(field, d, rng) + Polynomial(field, [0] * d + [1]) for d in degrees
             ]
             cofactors = [
                 Polynomial(field, [rng.randrange(p) for _ in range(11)] + [1]) for _ in degrees
             ]
             inputs = [random_poly(field, 16, rng) for _ in range(12)]
-            inputs += [Polynomial(field, [1] * 16), zero]
+            inputs += [Polynomial(field, [1] * 16), Polynomial(field)]
             for start in range(len(moduli) + 1):
                 steps, cofs = moduli[start:], cofactors[start:]
                 chain = pack_chain(field, steps, cofs, 16)
-                # The cascade divides by zero past the first zero step.
-                live = next((j for j, m in enumerate(steps) if m.is_zero), len(steps))
                 for v in inputs:
-                    want = cascade_prefixes(v, steps[:live], cofs[:live])
+                    want = cascade_prefixes(v, steps, cofs)
                     for stop in range(len(steps) + 1):
-                        if stop > live:
-                            with pytest.raises(DivisionByZeroError):
-                                _reduce_chain(v, chain, stop)
-                        else:
-                            assert _reduce_chain(v, chain, stop) == want[stop]
+                        assert _reduce_chain(v, chain, stop) == want[stop]
 
     def test_index_structure_of_analysis_chains(self, f2, reference_pair):
         rng = random.Random("fused-index")
@@ -402,19 +421,11 @@ class TestF2FusedChain:
             an = random_moduli_pair(f2, rng, gcd_degree=(64, 72), cofactor_degree=(128, 136))
             assert_index_structure(an.chain)
 
-    @pytest.mark.parametrize(
-        "degrees",
-        [[9, 6, 2, 1], [12, 4, 0], [3, 8, 5, 1], [5, 10, 12], [7, 7, 3], [2, 6, 4, 0, 3],
-         [8, None, 3, 1], [None, 6, 2], [4, 2, None]],
-    )
+    @pytest.mark.parametrize("degrees", HAND_BUILT_DEGREES)
     def test_index_structure_of_hand_built_chains(self, f2, degrees):
-        # The chains of test_hand_built_chains_at_every_start_and_stop at
-        # p = 2: steps that rise, repeat or are zero get no entries.
+        # The chains of test_hand_built_chains_at_every_start_and_stop at p = 2.
         rng = random.Random(f"fused-hand:2:{degrees}")
-        moduli = [
-            Polynomial(f2) if d is None else random_poly(f2, d, rng) + Polynomial(f2, [0] * d + [1])
-            for d in degrees
-        ]
+        moduli = [random_poly(f2, d, rng) + Polynomial(f2, [0] * d + [1]) for d in degrees]
         cofactors = [Polynomial(f2, [rng.randrange(2) for _ in range(11)] + [1]) for _ in degrees]
         for start in range(len(moduli) + 1):
             assert_index_structure(pack_chain(f2, moduli[start:], cofactors[start:], 16))
@@ -438,12 +449,10 @@ class TestF2FusedChain:
             assert reconstruct(ErroneousResiduePair(r1, r2, restored), level) == want
 
     def test_counts_of_moduli_and_cofactors_must_match(self, f2):
-        step = Polynomial(f2, [1, 1])
-        for moduli, cofactors in (((step, step), (step,)), ((step,), (step, step))):
-            chain = pack_chain(f2, moduli, cofactors, 4)
-            assert (len(chain.steps), len(chain.cofs)) == (len(moduli), len(cofactors))
+        steps = (Polynomial(f2, [1, 1, 1]), Polynomial(f2, [1, 1]))
+        for moduli, cofactors in ((steps, steps[:1]), (steps[:1], steps)):
             with pytest.raises(ValueError):
-                _reduce_chain(step, chain, 1)
+                pack_chain(f2, moduli, cofactors, 4)
 
 
 class TestGcd:
