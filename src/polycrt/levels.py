@@ -37,7 +37,8 @@ from .poly import (
     PackedChain,
     Polynomial,
     _byte_table,
-    _euclid_chain,
+    _euclid_pass,
+    _from_pass,
     _is_byte_table,
     _record,
     gcd,
@@ -66,13 +67,15 @@ class ModuliPairAnalysis:
     ``chain`` is the only stored form of the cascade: the steps of the
     Euclid pass over ``(m2, m1)`` that also yields ``m``, packed as the
     decoder divides by them (:class:`~polycrt.poly.PackedChain`, for inputs
-    as long as ``m2``).  Step 0 is ``m1`` with cofactor 0, and step ``i`` in
+    as long as ``m2``), and :func:`analyze_pair` is the one place that
+    builds such a chain.  Step 0 is ``m1`` with cofactor 0, and step ``i`` in
     ``1..K+1`` is ``m * sigma_i`` with the Bezout cofactor ``s_i`` of the
     same pass, ``s_i * m2 + t_i * m1 = m * sigma_i``, so ``s_i * gamma2 ==
     sigma_i (mod gamma1)`` and ``deg(s_i) = deg(m1) - deg(m * sigma_{i-1})``.
     The properties read the chain; :attr:`sigma` and :attr:`remainders` take
-    a second Euclid pass, over the cofactors.  ``swapped`` records whether
-    the input order was reversed to keep ``deg(m1) <= deg(m2)``.
+    a second Euclid pass, over the cofactors, and read its bare steps, with
+    no chain built.  ``swapped`` records whether the input order was
+    reversed to keep ``deg(m1) <= deg(m2)``.
 
     Over F_2, ``tables`` holds a byte table per modulus
     (:data:`~polycrt.poly.ByteTable`), for ``encode``'s divisions and the
@@ -122,8 +125,8 @@ class ModuliPairAnalysis:
     def sigma(self) -> Tuple[Polynomial, ...]:
         """The chain sigma_{-1} .. sigma_{K+1}: gamma2, then the steps of the
         Euclid pass over (gamma2, gamma1), since m*a mod m*b == m*(a mod b)."""
-        chain, _ = _euclid_chain(self.gamma2, self.gamma1)
-        return (self.gamma2,) + tuple(map(chain.modulus, range(len(chain.steps))))
+        _, layout, steps, _, _ = _euclid_pass(self.gamma2, self.gamma1)
+        return (self.gamma2, *(_from_pass(self.field, layout, step) for step in steps))
 
     @property
     def remainders(self) -> Tuple[Polynomial, ...]:
@@ -159,7 +162,8 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     # is m times the scalar sigma_{K+1}, or m1 when there is no remainder,
     # and the cofactor of its zero remainder is gamma1 times a scalar;
     # gamma1 = m1 / m with m monic has m1's lead.
-    chain, last = _euclid_chain(m2, m1)
+    *pass_chain, last = _euclid_pass(m2, m1)
+    chain = PackedChain(m1.field, *pass_chain)
     m = chain.modulus(-1).monic()
     if m.degree == 0:
         raise CoprimeModuliError(
@@ -222,6 +226,9 @@ def _assert_invariants(
         raise AssertionError("chain does not start at m1 with cofactor 0")
     if degs[-1] != analysis.m.degree:
         raise AssertionError("chain does not end in a nonzero scalar")
+    # Steps 1..K+1 are the levels, each bounding the error by its degree.
+    if analysis.K != len(degs) - 3 or [s.error_bound_exclusive for s in analysis.levels] != degs[2:]:
+        raise AssertionError("K and the levels do not match the chain")
     if any(s != degs[1] - d for s, d in zip(cofactor_degs[1:], degs[1:])):
         raise AssertionError("cascade cofactor degrees do not match the chain")
     if (analysis.gamma_inv21 * analysis.gamma2) % analysis.gamma1 != Polynomial(

@@ -12,13 +12,15 @@ on which the shift-XOR kernels of :mod:`polycrt.gf2` work, and ``coeffs``
 unpacks it on every read.  Every other p stores the tuple, multiplies by
 Kronecker substitution and divides long quotients by long divisors through
 a Newton reciprocal (:mod:`polycrt.kronecker`), the rest with schoolbook
-loops.  ``%`` is ``divmod``'s remainder.  The Euclid pass, which ``gcd``,
-``xgcd`` and ``lcm`` read, and the decoder's remainder cascade reduce a
-remainder and a cofactor-weighted sum step by step; their steps are
-stored as a :class:`PackedChain`.  Over F_2 the chain fuses each step into
-one int.  Over odd p a step packs its quotient in one int and adds one
-product per row, Barrett reduction keeps slots below 3p, and the cascade
-reduces mod p once, at its end.
+loops.  ``%`` is ``divmod``'s remainder.  The Euclid pass and the
+decoder's remainder cascade reduce a remainder and a cofactor-weighted sum
+step by step.  The pass returns its steps and cofactors as the kernels
+build them, and :func:`_from_pass` reads any one of them as a polynomial;
+that is all ``gcd``, ``xgcd`` and ``lcm`` take from it.  The cascade runs
+over a :class:`PackedChain`, which only the moduli pair analysis builds.
+Over F_2 the chain fuses each step into one int.  Over odd p a step packs
+its quotient in one int and adds one product per row, Barrett reduction
+keeps slots below 3p, and the cascade reduces mod p once, at its end.
 """
 
 from __future__ import annotations
@@ -376,10 +378,14 @@ def _mul_add(k: Polynomial, m: Polynomial, table: Optional[ByteTable], r: Polyno
 class PackedChain:
     """The steps of a remainder cascade, each a modulus and a cofactor, as the kernels store them.
 
-    ``size`` is the most coefficients an input to the cascade may have.  A
-    chain has the shape the Euclid pass gives it: nonzero moduli of strictly
-    falling degree, the first of at most ``size`` coefficients, and one
-    cofactor each; the constructor raises ``ValueError`` for any other.
+    This is the decoder's state, and only
+    :func:`~polycrt.levels.analyze_pair` builds one, from its Euclid pass;
+    readers of a pass that never decode read its steps with
+    :func:`_from_pass`.  ``size`` is the most coefficients an input to the
+    cascade may have.  A chain has the shape the Euclid pass gives it:
+    nonzero moduli of strictly falling degree, the first of at most
+    ``size`` coefficients, and one cofactor each; the constructor raises
+    ``ValueError`` for any other.
     Over F_2, ``layout`` and ``index`` are those of the fused chain of
     :func:`~polycrt.gf2._fuse_chain`, whose index holds each step already
     shifted for every bit length it clears, and ``steps`` and ``cofs`` are
@@ -421,16 +427,13 @@ class PackedChain:
         """Step i's modulus."""
         if self.index:
             return _from_bits(self.field, self.steps[i] >> self.layout)
-        n, low, _, lead = self.steps[i]
-        return _from_reduced(self.field, self._reduced(low, n - 1) + [lead])
+        return _from_pass(self.field, self.layout, self.steps[i])
 
     def cofactor(self, i: int) -> Polynomial:
         """Step i's cofactor."""
-        cof = self.cofs[i]
         if self.index:
-            return _from_bits(self.field, cof & ~(-1 << self.layout))
-        slots = -(-cof.bit_length() // (8 * self.layout[0]))
-        return _from_reduced(self.field, self._reduced(cof, slots))
+            return _from_bits(self.field, self.cofs[i] & ~(-1 << self.layout))
+        return _from_pass(self.field, self.layout, self.cofs[i])
 
     def degrees(self) -> Tuple[list, list]:
         """Degrees of the step moduli and of the cofactors, read off the packed ints.
@@ -450,10 +453,6 @@ class PackedChain:
             top = (cof.bit_length() - 1) // bits
             cof_degs.append(NEG_INF if not cof else top if (cof >> top * bits) % p else None)
         return [step[0] - 1 for step in self.steps], cof_degs
-
-    def _reduced(self, packed: int, size: int) -> list:
-        p = self.field.p
-        return [c % p for c in _unpack(packed, size, *self.layout)]
 
 
 def _reduce_chain(v: Polynomial, chain: PackedChain, stop: int) -> Tuple[Polynomial, Polynomial]:
@@ -479,7 +478,7 @@ def _reduce_chain(v: Polynomial, chain: PackedChain, stop: int) -> Tuple[Polynom
 
 
 def _euclid_pass(a: Polynomial, b: Polynomial) -> tuple:
-    """The Euclid pass over ``(a, b)``: ``(size, layout, steps, cofs, s_N)`` for a :class:`PackedChain`.
+    """The Euclid pass over ``(a, b)``: ``(size, layout, steps, cofs, s_N)``.
 
     For nonzero ``b`` with ``deg(a) >= deg(b)``: ``r_0, r_1 = a, b``,
     ``r_i = r_{i-2} mod r_{i-1}`` and ``s_i * a + t_i * b == r_i``, where
@@ -487,7 +486,10 @@ def _euclid_pass(a: Polynomial, b: Polynomial) -> tuple:
     ``(b, 0)`` and step ``i - 1`` is ``(r_i, s_i)`` for every nonzero
     ``r_i``, ``i >= 2``, for inputs as long as ``a``; no step builds a
     quotient.  ``s_N`` of the first zero ``r_N`` has ``s_N * a == -t_N *
-    b``, so it is ``b / gcd(a, b)`` times a nonzero scalar.
+    b``, so it is ``b / gcd(a, b)`` times a nonzero scalar.  The first
+    four are a :class:`PackedChain`'s arguments after its field, and
+    :func:`_from_pass` reads any one step or cofactor without building the
+    chain.
     """
     field = a.field
     if field.p == 2:
@@ -508,10 +510,21 @@ def _euclid_pass(a: Polynomial, b: Polynomial) -> tuple:
     return len(a._value), (width, code), steps, cofs, _from_reduced(field, s_n)
 
 
-def _euclid_chain(a: Polynomial, b: Polynomial) -> Tuple[PackedChain, Polynomial]:
-    """The chain and ``s_N`` of :func:`_euclid_pass`."""
-    size, layout, steps, cofs, last = _euclid_pass(a, b)
-    return PackedChain(a.field, size, layout, steps, cofs), last
+def _from_pass(field: PrimeField, layout: Optional[tuple], item: Union[int, tuple]) -> Polynomial:
+    """A step or cofactor of :func:`_euclid_pass`, with the pass's ``layout``, as a polynomial.
+
+    Over F_2 ``item`` is the packed int.  Over odd p it is a step ``(n, low,
+    neg_inv, lead)`` or a packed cofactor of
+    :func:`~polycrt.kronecker._fold_euclid`, whose slots, below 3p, are
+    reduced mod p here.
+    """
+    if field.p == 2:
+        return _from_bits(field, item)
+    p, bits = field.p, 8 * layout[0]
+    if item.__class__ is tuple:  # a step: its lead, nonzero and below p, over its low slots
+        item = item[1] | item[3] << (item[0] - 1) * bits
+    slots = -(-item.bit_length() // bits)
+    return _from_reduced(field, [c % p for c in _unpack(item, slots, *layout)])
 
 
 def _euclid(name: str, a: Polynomial, b: Polynomial) -> Tuple[Polynomial, ...]:
@@ -522,11 +535,8 @@ def _euclid(name: str, a: Polynomial, b: Polynomial) -> Tuple[Polynomial, ...]:
     x, y = (b, a) if a.degree < b.degree else (a, b)
     if y.is_zero:
         return x, y, x, Polynomial(x.field, (1,)), y
-    size, layout, steps, cofs, last = _euclid_pass(x, y)
-    if layout is None:  # F_2: fusing the chain would not pay for one read
-        return x, y, _from_bits(x.field, steps[-1]), _from_bits(x.field, cofs[-1]), last
-    chain = PackedChain(x.field, size, layout, steps[-1:], cofs[-1:])
-    return x, y, chain.modulus(0), chain.cofactor(0), last
+    _, layout, steps, cofs, last = _euclid_pass(x, y)
+    return x, y, _from_pass(x.field, layout, steps[-1]), _from_pass(x.field, layout, cofs[-1]), last
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:

@@ -1,3 +1,4 @@
+import ast
 import copy
 import dataclasses
 import json
@@ -22,11 +23,13 @@ from polycrt import (
     ZeroModulusError,
     analysis_to_json,
     analyze_pair,
+    gcd,
     lcm,
     parse_polynomial,
     random_moduli_pair,
     render_level_table,
     residue_error_bound,
+    xgcd,
 )
 from polycrt.levels import _assert_invariants
 from polycrt.poly import PackedChain
@@ -280,6 +283,15 @@ class TestChainInvariants:
                 {"chain": chain(moduli=cm[:-1], cofactors=cf[:-1])},
                 "chain does not end in a nonzero scalar",
             ),
+            # The chain is whole; K and the rows drop its last step.
+            ({"K": an.K - 1, "levels": an.levels[:-1]}, "K and the levels do not match the chain"),
+            (
+                # K and the row count hold; one row's bound is off by one.
+                {"levels": an.levels[:-1] + (dataclasses.replace(
+                    an.levels[-1], error_bound_exclusive=an.levels[-1].error_bound_exclusive + 1
+                ),)},
+                "K and the levels do not match the chain",
+            ),
             (
                 # Same degree, so only the derived inverse is wrong.
                 {"chain": chain(cofactors=cf[:-1] + (cf[-1] + one,))},
@@ -354,6 +366,52 @@ class TestCascadeCofactors:
             assert clone.cascade_moduli == an.cascade_moduli
             assert clone == an and hash(clone) == hash(an)
             _assert_invariants(clone)
+
+
+class TestOneChainBuilder:
+    """Only analyze_pair builds a PackedChain; gcd, xgcd, lcm and sigma read the bare pass."""
+
+    @pytest.mark.parametrize("p", [2, 13, 65521])
+    def test_pass_readers_build_no_chain(self, monkeypatch, p):
+        field = PrimeField(p)
+        rng = random.Random(f"one-chain-builder:{p}")
+        an = random_moduli_pair(field, rng, gcd_degree=(8, 12), cofactor_degree=(20, 30))
+        scalar, zero = Polynomial(field, (p - 1,)), Polynomial(field)
+        operands = [
+            (an.m1, an.m2), (an.m2, an.m1), (an.gamma1, an.gamma2), (an.m1, an.m1),
+            (an.m1 * sample_monic(7, field, rng), an.m2), (scalar, an.m1), (an.m1, scalar),
+        ]
+
+        def results():
+            values = [(gcd(x, y), xgcd(x, y), lcm(x, y)) for x, y in operands]
+            return values, gcd(an.m1, zero), xgcd(zero, an.m2), an.sigma, an.remainders, analysis_to_json(an)
+
+        before = results()
+
+        def refuse(*args):
+            raise AssertionError("a PackedChain was built")
+
+        monkeypatch.setattr(PackedChain, "__init__", refuse)
+        assert results() == before
+        with pytest.raises(AssertionError, match="^a PackedChain was built$"):
+            analyze_pair(an.m1, an.m2)
+
+    def test_only_analyze_pair_calls_the_constructor(self):
+        def calls(node):
+            return sum(
+                isinstance(n, ast.Call) and getattr(n.func, "id", None) == "PackedChain"
+                for n in ast.walk(node)
+            )
+
+        total, callers = 0, []
+        for path in sorted((SRC / "polycrt").glob("*.py")):
+            tree = ast.parse(path.read_text())
+            total += calls(tree)
+            callers += [
+                (path.name, node.name) for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and calls(node)
+            ]
+        assert total == 1 and callers == [("levels.py", "analyze_pair")]
 
 
 # Runs under python -O: analyze_pair on a good product, then again with a

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import polycrt.decoder as decoder
 import polycrt.simulation as simulation
 from polycrt import (
     ErroneousResiduePair,
@@ -25,7 +26,7 @@ from polycrt import (
 )
 
 from conftest import poly
-from reference_decoder import search_boundary_counterexample
+from reference_decoder import pack_chain, search_boundary_counterexample
 
 
 class TestSampling:
@@ -415,3 +416,93 @@ class TestBoundarySearch:
         # A single trial may well find nothing; None is a valid outcome.
         outcome = search_boundary_counterexample(micro_pair, 1, budget=1, seed=123)
         assert outcome is None or outcome.trial == 0
+
+
+# The primes of test_differential.py.
+CRITERION_PRIMES = [2, 3, 13, 65521, 1048573, 2**61 - 1]
+
+
+def criterion_mispredictions(analysis, trials, seed):
+    """Campaign trials whose ``k2_match`` the exact decode criterion misjudges.
+
+    At level i, with ``A_i`` and ``R_i`` its error bound and dynamic range,
+    the decoder recovers ``k2`` exactly when ``deg(a) < R_i`` and ``deg(E
+    mod m1) < A_i``, for ``E = (r1 - a1) - (r2 - a2)``, the residues rebuilt
+    by ``encode``: the cascade then strips the clean difference and leaves
+    ``E mod m1``, and otherwise it strips part of ``E`` too.  Every level is
+    run at tau = A_i - 1 in guarantee mode and at A_i - 1, A_i and A_i + 1
+    in boundary mode, each campaign on its own seed from ``seed`` up.
+    """
+    m1, m2 = analysis.m1, analysis.m2
+    wrong = 0
+    for level in range(1, analysis.K + 2):
+        spec = analysis.level_spec(level)
+        bound = spec.error_bound_exclusive
+        for tau, boundary in ((bound - 1, False), (bound - 1, True), (bound, True), (bound + 1, True)):
+            seed += 1
+            cfg = TrialConfig(
+                analysis=analysis, level=level, tau=tau, trials=trials, seed=seed,
+                boundary=boundary,
+            )
+            for outcome in run_campaign(cfg).outcomes:
+                residues, _ = encode(outcome.a, analysis)
+                a1, a2 = residues.a1, residues.a2
+                e = ((a1 + outcome.e1) % m1 - a1) - ((a2 + outcome.e2) % m2 - a2)
+                exact = outcome.a.degree < spec.dynamic_range_exclusive and (e % m1).degree < bound
+                wrong += outcome.k2_match != exact
+    return wrong
+
+
+def criterion_pairs(p):
+    """Two seeded pairs at p: the default shape, and one with longer chains."""
+    field = PrimeField(p)
+    rng = random.Random(f"decode-criterion:{p}")
+    return [random_moduli_pair(field, rng), random_moduli_pair(field, rng, (2, 4), (4, 6))]
+
+
+class TestDecodeCriterion:
+    @pytest.mark.parametrize("p", CRITERION_PRIMES)
+    def test_criterion_predicts_every_trial(self, p):
+        for index, analysis in enumerate(criterion_pairs(p)):
+            assert criterion_mispredictions(analysis, 20, 1000 * index) == 0
+
+    def test_criterion_catches_a_cascade_one_step_short(self, monkeypatch):
+        reduce_chain = decoder._reduce_chain
+        monkeypatch.setattr(
+            decoder, "_reduce_chain", lambda v, chain, stop: reduce_chain(v, chain, stop - 1)
+        )
+        wrong = sum(
+            criterion_mispredictions(analysis, 20, 1000 * index)
+            for p in CRITERION_PRIMES for index, analysis in enumerate(criterion_pairs(p))
+        )
+        assert wrong > 0
+
+    def test_criterion_catches_a_wrong_last_cofactor(self):
+        wrong = 0
+        for p in CRITERION_PRIMES:
+            for index, analysis in enumerate(criterion_pairs(p)):
+                zero, one = Polynomial(analysis.field), Polynomial(analysis.field, (1,))
+                cofactors = analysis.cascade_cofactors
+                broken = pack_chain(
+                    analysis.field, (analysis.m1,) + analysis.cascade_moduli,
+                    (zero,) + cofactors[:-1] + (cofactors[-1] + one,), analysis.m2.degree + 1,
+                )
+                broken = dataclasses.replace(analysis, chain=broken)
+                wrong += criterion_mispredictions(broken, 20, 1000 * index)
+        assert wrong > 0
+
+    @pytest.mark.parametrize("level", [1, 2, 3, 4])
+    def test_boundary_failure_rate(self, reference_pair, level):
+        # For tau < deg(m1) no residue wraps, E = e1 - e2 is uniform of
+        # degree at most tau, and a trial fails exactly when deg(E) >= A_i:
+        # with probability 1 - p**-(tau - A_i + 1).
+        an, trials = reference_pair, 2000
+        bound = an.level_spec(level).error_bound_exclusive
+        for tau in (bound, bound + 1):
+            assert tau < an.m1.degree
+            cfg = TrialConfig(
+                analysis=an, level=level, tau=tau, trials=trials, seed=29, boundary=True
+            )
+            rate = 1 - an.field.p ** -(tau - bound + 1)
+            sigma = (trials * rate * (1 - rate)) ** 0.5
+            assert abs(run_campaign(cfg).failures - trials * rate) <= 4 * sigma
