@@ -9,11 +9,11 @@ the steps of the Euclid pass and of the decoder's cascade, takes division
 steps that never reduce mod p.  A step's quotient digits depend only on the
 top slots of the dividend and divisor, so they are found first and packed
 into one int, and one product per row adds their multiples of the divisor
-(and, in the pass and the cascade, of a cofactor).  ``divmod`` takes its
-quotient a window of digits per step.  The pass brings every slot back into
-``[0, 3p)`` after each step by Barrett reduction of all slots at once, and
-the cascade divides by the stored ints.  :mod:`polycrt.poly` wraps the
-kernels in ``Polynomial``.
+(and, in the pass and the cascade, of a cofactor).  A step of many digits
+takes them a window at a time, in ``divmod``, the pass and the cascade
+alike.  The pass brings every slot back into ``[0, 3p)`` after each step by
+Barrett reduction of all slots at once, and the cascade divides by the
+stored ints.  :mod:`polycrt.poly` wraps the kernels in ``Polynomial``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Callable, Optional, Sequence, Tuple
 # struct codes of the slot widths that are one machine word, in bytes.
 _WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-# Most quotient digits :func:`_step_divmod` takes per :func:`_neg_quotient`
-# call.  A digit costs big-int work in proportion to the window, and a window
+# Most quotient digits a division step (:func:`_neg_quotient`) takes per
+# window.  A digit costs big-int work in proportion to the window, and a window
 # one product and one pass over the dividend.  Against 16, 64 and 128, 32 was
 # 3-17% faster than 64 at 65- to 194-coefficient divisors with quotients of
 # about 130 digits, and within 5% of it at 1,000-digit quotients, at p = 13,
@@ -127,34 +127,47 @@ def _chain_layout(p: int, size: int) -> Tuple[int, Optional[str], Callable[[int]
     return width, code, reduce
 
 
-def _neg_quotient(rem: int, size: int, low: int, n: int, bits: int, p: int, neg_inv: int) -> int:
-    """Minus a division step's quotient mod p, the digit of x^j in slot j.
+def _neg_quotient(
+    rem: int, size: int, low: int, n: int, bits: int, p: int, neg_inv: int
+) -> Tuple[int, int]:
+    """A division step: ``g``, minus its quotient mod p with x^j's digit in slot j, and its remainder.
 
     ``rem`` has ``size >= n`` slots of ``bits`` bits; the divisor has ``n``
-    coefficients, ``low`` packing all but the lead and ``neg_inv`` being
-    minus the lead's inverse mod p.  Top first, a digit is ``c * neg_inv mod
-    p`` for ``c`` the slot it clears plus what the digits above add there,
-    as in a digit-at-a-time division, so the ``k = size - n + 1`` digits
-    need only the top ``k`` slots of ``rem`` and ``k - 1`` of ``low``.  The
-    low ``n - 1`` slots of ``rem + g * low`` get that division's terms, the
-    slots above values that are zero only mod p, for the caller to drop.
-    Each digit adds at most one term, its product with one slot of ``low``,
-    to any slot, and at most ``min(k, n - 1)`` digits reach a slot.  The
-    caller's layout must hold every slot of ``rem`` plus all the terms that
-    reach it, with no carry into the next slot: below ``3p`` plus
-    ``min(k, n - 1)`` terms below ``(p - 1) * 3p`` in the pass and the
-    cascade (:func:`_chain_layout`), and below ``p`` plus ``min(k, n - 1)``
-    terms below ``(p - 1)**2`` in :func:`_step_divmod`.
+    coefficients, ``low`` packing all but the lead and ``neg_inv`` being minus
+    the lead's inverse mod p.  The remainder is the low ``n - 1`` slots of
+    ``rem + g * low``, not reduced mod p; the slots above are zero only mod p.
+    Top first, a digit is ``c * neg_inv mod p`` for ``c`` the slot it clears
+    plus what the digits above add there, as in a digit-at-a-time division, so
+    ``k = size - n + 1`` digits need only the top ``k`` slots of ``rem`` and
+    ``k - 1`` of ``low``.  More than :data:`_STEP_WINDOW` digits are taken a
+    window at a time, top first, each a step of its own, so that a long
+    quotient by a short divisor costs O(k) big-int work per window, not per
+    digit.  Each digit adds at most one term, its product with one slot of
+    ``low``, to any slot, and at most ``min(k, n - 1)`` digits reach a slot.
+    The caller's layout must hold every slot of ``rem`` plus all the terms
+    that reach it, with no carry into the next slot: below ``3p`` plus
+    ``min(k, n - 1)`` terms below ``(p - 1) * 3p`` in the pass and the cascade
+    (:func:`_chain_layout`), and below ``p`` plus ``min(k, n - 1)`` terms
+    below ``(p - 1)**2`` in :func:`_step_divmod`.
     """
+    k = size - n + 1
+    if k > _STEP_WINDOW:
+        g = 0
+        for stop in range(k, 0, -_STEP_WINDOW):
+            start = max(stop - _STEP_WINDOW, 0)
+            f, top = _neg_quotient(rem >> start * bits, n - 1 + stop - start, low, n, bits, p, neg_inv)
+            rem = rem & (1 << start * bits) - 1 | top << start * bits
+            g = g << (stop - start) * bits | f
+        return g, rem
     pos = (n - 1) * bits
     head = rem >> pos
-    shift = (size - n) * bits
+    shift = (k - 1) * bits
     g = f = (head >> shift) * neg_inv % p
     if shift:
         # ``w`` holds what the digits so far add to the next ``div // bits``
         # slots, the next one's on top; it and ``top`` sit one slot up, so
         # a one-coefficient divisor (``div == 0``) is no special case.
-        div = min(size - n, n - 1) * bits
+        div = min(k - 1, n - 1) * bits
         top = low >> pos - div << bits
         slot = (1 << bits) - 1
         window = (1 << div + bits) - 1
@@ -164,7 +177,8 @@ def _neg_quotient(rem: int, size: int, low: int, n: int, bits: int, p: int, neg_
             shift -= bits
             f = ((head >> shift & slot) + (w >> div)) * neg_inv % p
             g = g << bits | f
-    return g
+    rem += g * low
+    return g, rem ^ rem >> pos << pos
 
 
 def _fold_chain(
@@ -177,21 +191,16 @@ def _fold_chain(
     their slot layout, for inputs at least as long as ``v``.  Returns the
     remainder and the sum of the step quotients times the cofactors, as
     lists reduced mod p.  A step, skipped while the remainder is shorter
-    than its modulus, adds ``g * low`` and ``g * cof`` for ``g`` of
-    :func:`_neg_quotient`, minus its quotient, and drops the top slots; the
-    sum is negated at the end.
+    than its modulus, is one :func:`_neg_quotient`, whose ``g``, minus its
+    quotient, adds ``g * cof`` to the sum; the sum is negated at the end.
     """
     size = len(v)
     bits = 8 * width
     rem, acc = _pack(v, width, code), 0
     for (n, low, neg_inv, _), cof in zip(steps, cofs):
         if size >= n:
-            pos = (n - 1) * bits
-            g = _neg_quotient(rem, size, low, n, bits, p, neg_inv)
-            if g:
-                rem += g * low
-                acc += g * cof
-            rem -= rem >> pos << pos
+            g, rem = _neg_quotient(rem, size, low, n, bits, p, neg_inv)
+            acc += g * cof
             size = n - 1
     tail = [c % p for c in _unpack(rem, size, width, code)]
     acc_size = -(-acc.bit_length() // bits)
@@ -211,10 +220,10 @@ def _fold_euclid(
     the lead, and ``lead`` and ``neg_inv``, minus its inverse, are reduced
     mod p.  A cofactor is one packed int.  Each step divides ``(r_{i-2},
     s_{i-2})`` by ``(r_{i-1}, s_{i-1})`` with one :func:`_neg_quotient` and
-    one product per row.  Both results are then reduced into ``[0, 3p)`` per
-    slot, and the remainder drops top slots that are zero mod p.  The fifth
-    value is the cofactor ``s_N`` of the first zero remainder, as a list
-    reduced mod p.
+    one product for the cofactor.  Both are then reduced into ``[0, 3p)``
+    per slot, and the remainder drops top slots that are zero mod p.  The
+    fifth value is the cofactor ``s_N`` of the first zero remainder, as a
+    list reduced mod p.
     """
     width, code, reduce = _chain_layout(p, len(a))
     bits = 8 * width
@@ -224,12 +233,12 @@ def _fold_euclid(
     cofs: list = []
     while True:
         neg_inv = -pow(lead, -1, p) % p
-        mask = (1 << (n1 - 1) * bits) - 1
-        low = r1 & mask
+        pos = (n1 - 1) * bits
+        low = r1 ^ r1 >> pos << pos
         steps.append((n1, low, neg_inv, lead))
         cofs.append(s1)
-        g = _neg_quotient(r0, n0, low, n1, bits, p, neg_inv)
-        r0, s0 = reduce((r0 + g * low) & mask), reduce(s0 + g * s1)
+        g, r0 = _neg_quotient(r0, n0, low, n1, bits, p, neg_inv)
+        r0, s0 = reduce(r0), reduce(s0 + g * s1)
         n0, n1 = n1, n1 - 1
         while n1:
             lead = (r0 >> (n1 - 1) * bits) % p
@@ -250,23 +259,14 @@ def _step_divmod(
     Returns the lists of :func:`_newton_divmod`.  ``a`` and the divisor's
     low slots are packed once, in the narrowest layout that holds a slot of
     ``a`` plus the ``min(k, n - 1)`` terms below ``(p - 1)**2`` that the
-    ``k`` quotient digits add to it.  The digits are taken top first, at
-    most :data:`_STEP_WINDOW` per :func:`_neg_quotient` call, so that a
-    long quotient by a short divisor costs O(k) big-int work per window
-    rather than per digit.  Each window adds its ``g * low`` to the slots
-    below it and drops its own, zero mod p.
+    ``k`` quotient digits add to it, and one :func:`_neg_quotient` takes
+    the whole division.
     """
     n, k = len(div), len(a) - len(div) + 1
     width, code = _slot_layout((p - 1 + min(k, n - 1) * (p - 1) ** 2).bit_length())
     bits = 8 * width
-    low, rem, neg = _pack(div[:-1], width, code), _pack(a, width, code), 0
-    mask, neg_inv = (1 << (n - 1) * bits) - 1, -lead_inv % p
-    for stop in range(k, 0, -_STEP_WINDOW):
-        start = max(stop - _STEP_WINDOW, 0)
-        top = rem >> start * bits
-        g = _neg_quotient(top, n - 1 + stop - start, low, n, bits, p, neg_inv)
-        rem = rem & (1 << start * bits) - 1 | (top + g * low & mask) << start * bits
-        neg = neg << (stop - start) * bits | g
+    low, rem = _pack(div[:-1], width, code), _pack(a, width, code)
+    neg, rem = _neg_quotient(rem, len(a), low, n, bits, p, -lead_inv % p)
     quot = [-c % p for c in _unpack(neg, k, width, code)]
     return quot, [c % p for c in _unpack(rem, n - 1, width, code)]
 

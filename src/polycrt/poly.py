@@ -13,7 +13,7 @@ unpacks it on every read.  Every other p stores the tuple and multiplies by
 Kronecker substitution (:mod:`polycrt.kronecker`).  It divides with a
 schoolbook loop when the divisor or the quotient is short, through a Newton
 reciprocal when both are long, and otherwise by the division steps that the
-Euclid pass takes, a window of quotient digits per step.  ``%`` is
+Euclid pass takes, a window of quotient digits at a time.  ``%`` is
 ``divmod``'s remainder.  The Euclid pass and the decoder's remainder
 cascade reduce a remainder and a cofactor-weighted sum step by step.  The
 pass returns its steps and cofactors as the kernels build them, and

@@ -10,15 +10,19 @@ from polycrt import (
     MixedFieldsError,
     Polynomial,
     PrimeField,
+    analyze_pair,
     classify,
     encode,
+    gcd,
     random_moduli_pair,
     reconstruct,
+    xgcd,
 )
-from polycrt.simulation import sample_error, sample_polynomial
+from polycrt.kronecker import _STEP_WINDOW
+from polycrt.simulation import sample_error, sample_monic, sample_polynomial
 
 from conftest import REF_A, difference_window_violations, enumerate_polynomials, poly
-from reference_decoder import pack_chain, two_row_reconstruct
+from reference_decoder import pack_chain, reference_gcd, reference_xgcd, two_row_reconstruct
 
 
 def corrupted_pair(analysis, residues, e1, e2):
@@ -313,6 +317,29 @@ class TestLinearity:
                 assert decode(*pair, level) == tuple(want)
 
 
+def decoder_inputs(an, level, rng):
+    """Residue pairs to decode at ``level``.
+
+    Messages inside the level's range with errors inside and at the bound,
+    one anywhere below deg(lcm) with errors past it, then residues that no
+    message has.
+    """
+    field, spec = an.m1.field, an.level_spec(level)
+    bound = spec.error_bound_exclusive
+    pairs = []
+    for length, tau in (
+        (spec.dynamic_range_exclusive, bound - 1),
+        (spec.dynamic_range_exclusive, bound),
+        (an.lcm.degree, bound + 1),
+    ):
+        a = sample_polynomial(length, field, rng)
+        e1, e2 = (sample_error(tau, field, rng) for _ in range(2))
+        residues, _ = encode(a, an)
+        pairs.append(corrupted_pair(an, residues, e1, e2))
+    r1, r2 = (sample_polynomial(m.degree, field, rng) for m in (an.m1, an.m2))
+    return pairs + [ErroneousResiduePair(r1, r2, an)]
+
+
 class TestTwoRowDecoder:
     """``reconstruct`` against rounding in two Euclid rows, which shares no code with it."""
 
@@ -323,26 +350,45 @@ class TestTwoRowDecoder:
         for shape in [((1, 4), (1, 6))] * 6 + [((3, 6), (10, 14))]:
             an = random_moduli_pair(field, rng, *shape)
             for level in range(1, an.K + 2):
-                spec = an.level_spec(level)
-                bound = spec.error_bound_exclusive
-                pairs = []
-                # Messages inside the level's range with errors inside and at
-                # the bound, one anywhere below deg(lcm) with errors past it,
-                # then residues that no message has.
-                for length, tau in (
-                    (spec.dynamic_range_exclusive, bound - 1),
-                    (spec.dynamic_range_exclusive, bound),
-                    (an.lcm.degree, bound + 1),
-                ):
-                    a = sample_polynomial(length, field, rng)
-                    e1, e2 = (sample_error(tau, field, rng) for _ in range(2))
-                    residues, _ = encode(a, an)
-                    pairs.append(corrupted_pair(an, residues, e1, e2))
-                r1, r2 = (sample_polynomial(m.degree, field, rng) for m in (an.m1, an.m2))
-                pairs.append(ErroneousResiduePair(r1, r2, an))
-                for pair in pairs:
+                for pair in decoder_inputs(an, level, rng):
                     got = reconstruct(pair, level)
                     assert two_row_reconstruct(pair, level) == (got.k2_hat, got.a_hat)
+
+
+class TestLopsidedPairs:
+    """Odd-p pairs whose pass and cascade take steps of several windows of digits."""
+
+    @pytest.mark.parametrize("p", [13, 65521, 2**61 - 1])
+    def test_decodes_match_the_references_at_every_level(self, p):
+        field = PrimeField(p)
+        rng = random.Random(f"lopsided:{p}")
+        for short, long in ((1, 70), (2, 100), (1, 100), (2, 70)):
+            m = sample_monic(rng.randint(1, 6), field, rng)
+            c1, c2 = sample_monic(short, field, rng), sample_monic(long, field, rng)
+            while gcd(c1, c2).degree:
+                c1 = sample_monic(short, field, rng)
+            an = analyze_pair(m * c1, m * c2)
+            assert an.m2.degree - an.m1.degree + 1 > 2 * _STEP_WINDOW
+            inputs = [sample_polynomial(an.m2.degree, field, rng) for _ in range(2)]
+            inputs += [Polynomial(field, [p - 1] * an.m2.degree)]
+            for level in range(1, an.K + 2):
+                for pair in decoder_inputs(an, level, rng):
+                    got = reconstruct(pair, level)
+                    assert two_row_reconstruct(pair, level) == (got.k2_hat, got.a_hat)
+                for v in inputs:
+                    assert cascade_tail(v, an, level) == divmod_cascade(v, an, level)
+
+    @pytest.mark.parametrize("p", [13, 65521, 2**61 - 1])
+    def test_gcd_and_xgcd_over_degrees_3000_and_2(self, p):
+        field = PrimeField(p)
+        rng = random.Random(f"lopsided-gcd:{p}")
+        m = sample_monic(1, field, rng)
+        shared = (m * sample_monic(2999, field, rng), m * sample_monic(1, field, rng))
+        for a, b in [(sample_monic(3000, field, rng), sample_monic(2, field, rng)), shared]:
+            for x, y in ((a, b), (b, a)):
+                assert gcd(x, y) == reference_gcd(x, y)
+                assert xgcd(x, y) == reference_xgcd(x, y)
+        assert gcd(*shared).degree >= 1
 
 
 class TestFullRangeReconstruct:

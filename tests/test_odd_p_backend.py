@@ -16,8 +16,10 @@ slot layout of a stored chain: the Barrett reduction of the Euclid pass on
 every value a slot may reach, division steps of one, two and all digits
 whose every slot is at its most, and the stored slots of real analyses.
 The last part compares the Euclid pass and the cascade, which find each
-step's digits first, with the digit-at-a-time folds of
-``reference_decoder``.
+step's digits first, a window at a time, with the digit-at-a-time folds of
+``reference_decoder``, on steps that end a window or run a digit past one,
+and checks with a spy on the step kernel that a step of thousands of
+digits is taken in windows.
 """
 
 import random
@@ -27,13 +29,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from polycrt import (
     DivisionByZeroError,
+    ErroneousResiduePair,
     MixedFieldsError,
     Polynomial,
     PrimeField,
+    analyze_pair,
+    gcd,
     parse_polynomial,
     random_moduli_pair,
+    reconstruct,
 )
+from polycrt import kronecker
 from polycrt.kronecker import (
+    _STEP_WINDOW,
     _chain_layout,
     _fold_chain,
     _fold_euclid,
@@ -471,14 +479,14 @@ class TestChainLayout:
         for d in sizes:
             low = _pack([full] * (d - 1), width, code)
             steps.append((d, low, p - 1, 1))
-            g = _neg_quotient(rem, size, low, d, bits, p, p - 1)
+            g, next_rem = _neg_quotient(rem, size, low, d, bits, p, p - 1)
             assert g == _pack([p - 1] * (size - d + 1), width, code)
             if d == 1:
                 # The last top slot collects the most terms; it too reduces.
                 top = rem >> (size - 1) * bits
                 assert top == values[size - 1] + counts[size - 1] * term
                 assert 0 <= reduce(top) < 3 * p and (reduce(top) - top) % p == 0
-            rem = (rem + g * low) & ((1 << (d - 1) * bits) - 1)
+            rem = next_rem
             acc += g * cof
             ref_rem, ref_acc = reference_fold(ref_rem, ref_acc, low, cof, size, d, bits, p, p - 1)
             assert (rem, acc) == (ref_rem, ref_acc)
@@ -516,7 +524,11 @@ FOLD_PRIMES = (3, 13, 65521, 2**61 - 1, 2**64 - 59)
 # Degrees deg(a) >= deg(b) > deg(r_2) > ... that a pair's Euclid remainders
 # start with.  A drop of d is a pass step of d + 1 digits and a cascade step
 # of d; (60, 3) has more digits than its divisor has coefficients, and
-# (5, 0) a constant divisor.
+# (5, 0) a constant divisor.  The rest give pass steps of one window, a
+# window and a digit, and two windows and a digit (WINDOW_EDGES) by
+# divisors of 1, 2 and 40 coefficients; in the three-degree ones the
+# cascade's step by the last divisor takes one window.
+WINDOW_EDGES = (_STEP_WINDOW, _STEP_WINDOW + 1, 2 * _STEP_WINDOW + 1)
 REMAINDER_DEGREES = [
     (12, 12, 11, 8, 7, 3),
     (40, 38, 35, 34, 30, 29, 25, 24, 1),
@@ -525,6 +537,8 @@ REMAINDER_DEGREES = [
     (9, 1),
     (5, 0),
     (2, 1, 0),
+    *((e + k - 1, e) for e in (0, 1, 39) for k in WINDOW_EDGES),
+    *((e + 3 * _STEP_WINDOW, e + _STEP_WINDOW, e) for e in (0, 1, 39)),
 ]
 
 
@@ -572,15 +586,17 @@ class TestAgainstDigitFolds:
         # Each step adds the same terms to the same slots as the per-digit
         # folds, so the packed steps, cofactors and s_N are equal as ints.
         rng = random.Random(f"pass:{p}")
-        digits = set()
+        digits, shapes = set(), set()
         for a, b in random_pairs(p, rng):
             got = _fold_euclid(a, b, p)
             assert got == reference_fold_euclid(a, b, p)
             n0 = len(a)
             for n, _, _, _ in got[2]:
                 digits.add(n0 - n + 1)
+                shapes.add((n0 - n + 1, n))
                 n0 = n
         assert {1, 2, 3, 4, 5, 6} <= digits and max(digits) > 50
+        assert {(k, n) for k in WINDOW_EDGES for n in (1, 2, 40)} <= shapes
 
     @pytest.mark.parametrize("p", FOLD_PRIMES)
     def test_cascade_over_pass_chains(self, p):
@@ -594,6 +610,33 @@ class TestAgainstDigitFolds:
                     inputs = [(), (rng.randrange(1, p),), a, *cascade_inputs(len(a), n, rng, p)]
                     for v in inputs:
                         assert _fold_chain(v, *part) == reference_fold_chain(v, *part)
+
+    def test_long_steps_take_windows(self, monkeypatch):
+        # A spy on the step kernel: every digit of the pass and of the
+        # cascade over degrees 3,000 and 2 is found by a call of at most
+        # _STEP_WINDOW digits, each call within an outer one being a window.
+        field, rng = FIELDS[65521], random.Random("windows")
+        m = random_poly(65521, 1, rng)
+        an = analyze_pair(m * random_poly(65521, 1, rng), m * random_poly(65521, 2999, rng))
+        v = random_poly(65521, 2999, rng)
+        kernel, calls, depth = kronecker._neg_quotient, [], [0]
+
+        def spy(rem, size, low, n, *rest):
+            calls.append((depth[0], size - n + 1))
+            depth[0] += 1
+            try:
+                return kernel(rem, size, low, n, *rest)
+            finally:
+                depth[0] -= 1
+
+        pair = ErroneousResiduePair(Polynomial(field), -v, an)
+        monkeypatch.setattr(kronecker, "_neg_quotient", spy)
+        for run, args in ((gcd, (an.m2, an.m1)), (reconstruct, (pair, an.K + 1))):
+            calls.clear()
+            run(*args)
+            assert max(k for d, k in calls if d == 0) >= 2998
+            found = sum(k for d, k in calls if k <= _STEP_WINDOW)
+            assert found == sum(k for d, k in calls if d == 0)
 
     @pytest.mark.parametrize("p", FOLD_PRIMES)
     def test_hand_built_chains(self, p):
