@@ -1,19 +1,18 @@
-"""Odd-p coefficient kernels on packed ints: products, Newton division, division steps.
+"""Odd-p coefficient kernels on packed ints: products and division steps.
 
 Coefficient i of a polynomial fills slot i of an int, bits ``8 * width * i``
 onwards, wide enough that no slot carries into its neighbour, so the product
-of two such ints holds coefficient k of the product in slot k.  Division of
-a long quotient by a long divisor multiplies by a Newton reciprocal of the
-reversed divisor.  Every other division the library packs, ``divmod`` and
-the steps of the Euclid pass and of the decoder's cascade, takes division
-steps that never reduce mod p.  A step's quotient digits depend only on the
-top slots of the dividend and divisor, so they are found first and packed
-into one int, and one product per row adds their multiples of the divisor
-(and, in the pass and the cascade, of a cofactor).  A step of many digits
-takes them a window at a time, in ``divmod``, the pass and the cascade
-alike.  The pass brings every slot back into ``[0, 3p)`` after each step by
-Barrett reduction of all slots at once, and the cascade divides by the
-stored ints.  :mod:`polycrt.poly` wraps the kernels in ``Polynomial``.
+of two such ints holds coefficient k of the product in slot k.  Every
+division the library packs, ``divmod`` and the steps of the Euclid pass and
+of the decoder's cascade, takes division steps that never reduce mod p.  A
+step's quotient digits depend only on the top slots of the dividend and
+divisor, so they are found first and packed into one int, and one product
+per row adds their multiples of the divisor (and, in the pass and the
+cascade, of a cofactor).  A step of many digits is halved, top half first,
+until its parts are short, in ``divmod``, the pass and the cascade alike.
+The pass brings every slot back into ``[0, 3p)`` after each step by Barrett
+reduction of all slots at once, and the cascade divides by the stored ints.
+:mod:`polycrt.poly` wraps the kernels in ``Polynomial``.
 """
 
 from __future__ import annotations
@@ -26,12 +25,13 @@ from typing import Callable, Optional, Sequence, Tuple
 # struct codes of the slot widths that are one machine word, in bytes.
 _WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
-# Most quotient digits a division step (:func:`_neg_quotient`) takes per
-# window.  A digit costs big-int work in proportion to the window, and a window
-# one product and one pass over the dividend.  Against 16, 64 and 128, 32 was
-# 3-17% faster than 64 at 65- to 194-coefficient divisors with quotients of
-# about 130 digits, and within 5% of it at 1,000-digit quotients, at p = 13,
-# 65521 and 2**61 - 1.
+# Most quotient digits a division step (:func:`_neg_quotient`) finds one at
+# a time, a window; a longer step is halved until its parts are this short.
+# A digit costs big-int work in proportion to the window, and a window one
+# product and one pass over the dividend.  Timed against windows of 16, 24,
+# 48 and 64 digits at p = 13, 65521 and 2**61 - 1, with quotients of 100 to
+# 8,000 digits by divisors of 3 to 8,000 coefficients, none was faster than
+# 32 at every shape, and 64 was up to 21% slower at 4,000 x 4,000.
 _STEP_WINDOW = 32
 
 
@@ -56,44 +56,27 @@ def _pack(values: Sequence[int], width: int, code: Optional[str]) -> int:
     return int.from_bytes(b"".join(parts), "little")
 
 
-def _unpack(
-    packed: int,
-    size: int,
-    width: int,
-    code: Optional[str],
-    start: int = 0,
-    stop: Optional[int] = None,
-) -> Sequence[int]:
-    """Slots ``start .. stop - 1`` (default: all) of an int of ``size`` slots."""
-    if stop is None:
-        stop = size
+def _unpack(packed: int, size: int, width: int, code: Optional[str]) -> Sequence[int]:
+    """The ``size`` slots of an int."""
     buf = packed.to_bytes(size * width, "little")
     if code:
-        return struct.unpack_from(f"<{stop - start}{code}", buf, start * width)
+        return struct.unpack(f"<{size}{code}", buf)
     # One regex pass splits the bytes into slots, all in C.
-    chunks = re.compile(b"(?s).{%d}" % width).findall(buf, start * width, stop * width)
+    chunks = re.compile(b"(?s).{%d}" % width).findall(buf)
     return list(map(int.from_bytes, chunks, repeat("little")))
 
 
 def _kronecker_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
-    """Product of two coefficient tuples reduced mod p, by one bigint product."""
+    """Product of two coefficient tuples reduced mod p, by one bigint product.
+
+    Coefficient k of the product is a sum of at most ``min(len(a), len(b))``
+    terms, each at most ``(p - 1)**2``, so it fits in one slot.
+    """
     if not a or not b:
         return []
-    return [c % p for c in _kronecker_slots(a, b, p, 0, len(a) + len(b) - 1)]
-
-
-def _kronecker_slots(
-    a: Sequence[int], b: Sequence[int], p: int, start: int, stop: int
-) -> Sequence[int]:
-    """Coefficients ``start .. stop - 1`` of ``a * b`` for nonempty ``a``, ``b``.
-
-    They are not reduced mod p.  Coefficient k of the product is a sum of at
-    most ``min(len(a), len(b))`` terms, each at most ``(p - 1)**2``, so it
-    fits in one slot.
-    """
     width, code = _slot_layout((min(len(a), len(b)) * (p - 1) ** 2).bit_length())
     product = _pack(a, width, code) * _pack(b, width, code)
-    return _unpack(product, len(a) + len(b) - 1, width, code, start, stop)
+    return [c % p for c in _unpack(product, len(a) + len(b) - 1, width, code)]
 
 
 def _chain_layout(p: int, size: int) -> Tuple[int, Optional[str], Callable[[int], int]]:
@@ -139,26 +122,32 @@ def _neg_quotient(
     Top first, a digit is ``c * neg_inv mod p`` for ``c`` the slot it clears
     plus what the digits above add there, as in a digit-at-a-time division, so
     ``k = size - n + 1`` digits need only the top ``k`` slots of ``rem`` and
-    ``k - 1`` of ``low``.  More than :data:`_STEP_WINDOW` digits are taken a
-    window at a time, top first, each a step of its own, so that a long
-    quotient by a short divisor costs O(k) big-int work per window, not per
-    digit.  Each digit adds at most one term, its product with one slot of
-    ``low``, to any slot, and at most ``min(k, n - 1)`` digits reach a slot.
-    The caller's layout must hold every slot of ``rem`` plus all the terms
-    that reach it, with no carry into the next slot: below ``3p`` plus
-    ``min(k, n - 1)`` terms below ``(p - 1) * 3p`` in the pass and the cascade
-    (:func:`_chain_layout`), and below ``p`` plus ``min(k, n - 1)`` terms
-    below ``(p - 1)**2`` in :func:`_step_divmod`.
+    ``k - 1`` of ``low``.  A step of more than :data:`_STEP_WINDOW` digits
+    recurses, as in recursive division (Burnikel and Ziegler, 1998).  By a
+    divisor longer than the quotient, the digits come from a step by the
+    divisor's top ``k`` coefficients, and one product adds the slots below;
+    otherwise the top half of the digits is one step and the bottom half
+    another.  A halving nests at most two calls: a 65,536 by 65,536
+    division nests 22.  Each digit adds at most one term, its product with
+    one slot of ``low``, to any slot, and at most ``min(k, n - 1)`` digits
+    reach a slot.  The caller's layout must hold every slot of ``rem`` plus
+    all the terms that reach it, with no carry into the next slot: below
+    ``3p`` plus ``min(k, n - 1)`` terms below ``(p - 1) * 3p`` in the pass and
+    the cascade (:func:`_chain_layout`), and below ``p`` plus ``min(k, n - 1)``
+    terms below ``(p - 1)**2`` in :func:`_step_divmod`.
     """
     k = size - n + 1
     if k > _STEP_WINDOW:
-        g = 0
-        for stop in range(k, 0, -_STEP_WINDOW):
-            start = max(stop - _STEP_WINDOW, 0)
-            f, top = _neg_quotient(rem >> start * bits, n - 1 + stop - start, low, n, bits, p, neg_inv)
-            rem = rem & (1 << start * bits) - 1 | top << start * bits
-            g = g << (stop - start) * bits | f
-        return g, rem
+        if n > k:
+            cut = (n - k) * bits
+            g, top = _neg_quotient(rem >> cut, 2 * k - 1, low >> cut, k, bits, p, neg_inv)
+            mask = (1 << cut) - 1
+            return g, (rem & mask) + (top << cut) + g * (low & mask)
+        half = k // 2
+        at = half * bits
+        g, top = _neg_quotient(rem >> at, size - half, low, n, bits, p, neg_inv)
+        f, rem = _neg_quotient(rem & (1 << at) - 1 | top << at, half + n - 1, low, n, bits, p, neg_inv)
+        return g << at | f, rem
     pos = (n - 1) * bits
     head = rem >> pos
     shift = (k - 1) * bits
@@ -256,11 +245,13 @@ def _step_divmod(
 ) -> Tuple[list, list]:
     """Quotient and remainder of ``a`` by ``div`` by division steps, for ``len(a) >= len(div)``.
 
-    Returns the lists of :func:`_newton_divmod`.  ``a`` and the divisor's
-    low slots are packed once, in the narrowest layout that holds a slot of
-    ``a`` plus the ``min(k, n - 1)`` terms below ``(p - 1)**2`` that the
-    ``k`` quotient digits add to it, and one :func:`_neg_quotient` takes
-    the whole division.
+    ``lead_inv`` inverts the leading coefficient of ``div`` mod p.  The lists
+    match ``polycrt.poly._dense_divmod``: the quotient has ``k`` entries and
+    the remainder ``n - 1``, trailing zeros included.  ``a`` and the
+    divisor's low slots are packed once, in the narrowest layout that holds
+    a slot of ``a`` plus the ``min(k, n - 1)`` terms below ``(p - 1)**2``
+    that the ``k`` quotient digits add to it, and one :func:`_neg_quotient`
+    takes the whole division.
     """
     n, k = len(div), len(a) - len(div) + 1
     width, code = _slot_layout((p - 1 + min(k, n - 1) * (p - 1) ** 2).bit_length())
@@ -270,47 +261,3 @@ def _step_divmod(
     quot = [-c % p for c in _unpack(neg, k, width, code)]
     return quot, [c % p for c in _unpack(rem, n - 1, width, code)]
 
-
-def _newton_divmod(
-    a: Tuple[int, ...], div: Tuple[int, ...], p: int, lead_inv: int
-) -> Tuple[list, list]:
-    """Quotient and remainder of ``a`` by ``div``, for ``len(a) >= len(div)``.
-
-    ``lead_inv`` inverts the leading coefficient of ``div`` mod p.  The lists
-    match ``polycrt.poly._dense_divmod``: the quotient has ``L`` entries and
-    the remainder ``len(div) - 1``, trailing zeros included.  The reversed
-    quotient is the reversed dividend times the inverse of the reversed
-    divisor, both mod ``x^L``.  The remainder is the low ``len(div) - 1``
-    coefficients of ``a - quot * div``, which only the low coefficients of
-    each factor reach.
-    """
-    n = len(div)
-    size = len(a) - n + 1
-    # Zeros pad a divisor shorter than the quotient, so every product below
-    # reaches the coefficients it is sliced to.
-    recip = _reciprocal(div[::-1] + (0,) * (size - n), p, size, lead_inv)
-    quot = [c % p for c in _kronecker_slots(a[n - 1 :][::-1], recip, p, 0, size)]
-    quot.reverse()
-    if n == 1:
-        return quot, []
-    prod = _kronecker_slots(quot[: n - 1], div[: n - 1], p, 0, n - 1)
-    return quot, [(x - y) % p for x, y in zip(a, prod)]
-
-
-def _reciprocal(f: Tuple[int, ...], p: int, size: int, f0_inv: int) -> list:
-    """``g`` with ``f * g == 1 (mod x^size)``, given ``f0_inv * f[0] == 1 (mod p)``.
-
-    Each Newton step doubles the precision: if ``f * g == 1 + x^k * e``
-    modulo ``x^k2`` with ``k2 <= 2k``, then ``g - x^k * (g * e)`` is the
-    inverse modulo ``x^k2``.
-    """
-    steps = []
-    while size > 1:
-        steps.append(size)
-        size = (size + 1) // 2
-    g = [f0_inv]
-    for k2 in reversed(steps):
-        k = len(g)
-        e = [c % p for c in _kronecker_slots(f[:k2], g, p, k, k2)]
-        g += [(-c) % p for c in _kronecker_slots(g[: k2 - k], e, p, 0, k2 - k)]
-    return g

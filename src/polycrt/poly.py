@@ -11,12 +11,12 @@ Over F_2 it is the packed int, bit ``i`` holding the coefficient of ``x^i``,
 on which the shift-XOR kernels of :mod:`polycrt.gf2` work, and ``coeffs``
 unpacks it on every read.  Every other p stores the tuple and multiplies by
 Kronecker substitution (:mod:`polycrt.kronecker`).  It divides with a
-schoolbook loop when the divisor or the quotient is short, through a Newton
-reciprocal when both are long, and otherwise by the division steps that the
-Euclid pass takes, a window of quotient digits at a time.  ``%`` is
-``divmod``'s remainder.  The Euclid pass and the decoder's remainder
-cascade reduce a remainder and a cofactor-weighted sum step by step.  The
-pass returns its steps and cofactors as the kernels build them, and
+schoolbook loop when the divisor or the quotient is short, and otherwise by
+the division steps that the Euclid pass takes, which halve a long quotient
+until its parts are short.  ``%`` is ``divmod``'s remainder.  The Euclid
+pass and the decoder's remainder cascade reduce a remainder and a
+cofactor-weighted sum step by step.  The pass returns its steps and
+cofactors as the kernels build them, and
 :func:`_from_pass` reads any one of them as a polynomial; that is all
 ``gcd``, ``xgcd`` and ``lcm`` take from it.  The cascade runs
 over a :class:`PackedChain`, which only the moduli pair analysis builds.
@@ -54,7 +54,6 @@ from .kronecker import (
     _fold_chain,
     _fold_euclid,
     _kronecker_mul,
-    _newton_divmod,
     _step_divmod,
     _unpack,
 )
@@ -71,22 +70,17 @@ _MAX_PARSE_DEGREE = 1 << 16
 # default limit.
 _MAX_ENTRY_DIGITS = 4300
 
-# Odd-p division picks its kernel from the divisor and quotient lengths.
-# The cut-offs come from timing the three kernels (schoolbook loop,
-# windowed division steps, Newton reciprocal) against each other on random
-# operands at p = 13, 65521 and 2**61 - 1, with divisors of 1 to 1,000 and
-# quotients of 1 to 4,000 coefficients.  Below either _STEP_MIN_* bound the
-# schoolbook loop was as fast as division steps or faster, up to 4x by
-# one- and two-coefficient divisors; only by long divisors did steps win at
-# quotients of 2 to 7 coefficients.  A Newton reciprocal needs both
-# _NEWTON_MIN_* bounds.  Division steps were faster at every shape with a
-# divisor of at most 300 coefficients and about even from 600 on, so the
-# divisor bound is the largest that the differential tests' 300-coefficient
-# operands still reach.
+# Odd-p division runs the schoolbook loop below either bound and division
+# steps everywhere else.  Timed against each other on random operands at
+# p = 13, 65521 and 2**61 - 1, steps were 1.15-4.5x slower by divisors of one
+# and two coefficients at every quotient up to 1,000, and 1.2-4.1x slower by
+# four at quotients up to 16.  By divisors of 10 or more they were
+# 0.33-0.88x from quotients of 16, and by 9 and 10 within 0.88-1.21x at
+# quotients of 7 and 8.  By five to nine coefficients steps were mostly
+# faster from quotients of 64 (0.41-1.06x), which the bounds leave to the
+# loop.
 _STEP_MIN_DIVISOR = 10
 _STEP_MIN_QUOTIENT = 8
-_NEWTON_MIN_QUOTIENT = 256
-_NEWTON_MIN_DIVISOR = 300
 
 
 class Polynomial:
@@ -211,10 +205,8 @@ class Polynomial:
         n, k = len(b), len(a) - len(b) + 1
         if n < _STEP_MIN_DIVISOR or k < _STEP_MIN_QUOTIENT:
             quot, rem = _dense_divmod(a, b, field.p, lead_inv)
-        elif n < _NEWTON_MIN_DIVISOR or k < _NEWTON_MIN_QUOTIENT:
-            quot, rem = _step_divmod(a, b, field.p, lead_inv)
         else:
-            quot, rem = _newton_divmod(a, b, field.p, lead_inv)
+            quot, rem = _step_divmod(a, b, field.p, lead_inv)
         return _from_reduced(field, quot), _from_reduced(field, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":

@@ -1,27 +1,29 @@
-"""Differential tests: the odd-p Kronecker product and Newton division.
+"""Differential tests: the odd-p Kronecker product and division steps.
 
 For odd p, ``Polynomial.__mul__`` packs both operands into big ints, one
 fixed-width slot per coefficient, and multiplies once.  The dense schoolbook
 product is the reference.  Inputs cover zero, scalars, ``x^k``, all-``p-1``
 coefficients (every slot at its maximum) and the lengths at which the slot
 width ``min(len) * (p - 1)**2`` crosses a byte or a machine-word boundary.
-``Polynomial.__divmod__`` divides short operands by a schoolbook loop,
-long quotients by long divisors through a Newton reciprocal and the rest
-by windows of division steps; schoolbook division is the reference, on
-both sides of the length rules that pick the path, and each kernel is also
-compared with it on raw tuples of every shape.  Then results built by the
-trusted constructor are checked to be canonical: no trailing zeros, equal
-and hashing like constructed and parsed polynomials, immutable.  Then come the
-slot layout of a stored chain: the Barrett reduction of the Euclid pass on
-every value a slot may reach, division steps of one, two and all digits
-whose every slot is at its most, and the stored slots of real analyses.
-The last part compares the Euclid pass and the cascade, which find each
-step's digits first, a window at a time, with the digit-at-a-time folds of
-``reference_decoder``, on steps that end a window or run a digit past one,
-and checks with a spy on the step kernel that a step of thousands of
-digits is taken in windows.
+``Polynomial.__divmod__`` divides short operands by a schoolbook loop and
+the rest by division steps, which halve a long quotient until its parts
+are short; schoolbook division is the reference, on both sides of the
+length rule that picks the path and at the edges of the halving.  The step
+kernel is also compared with it on raw tuples of every shape, and two
+mutants planted in the halving must fail that comparison.  Then results
+built by the trusted constructor are checked to be canonical: no trailing
+zeros, equal and hashing like constructed and parsed polynomials,
+immutable.  Then come the slot layout of a stored chain: the Barrett
+reduction of the Euclid pass on every value a slot may reach, division
+steps of one, two and all digits whose every slot is at its most, and the
+stored slots of real analyses.  The last part compares the Euclid pass and
+the cascade, which find each step's digits first, with the digit-at-a-time
+folds of ``reference_decoder``, on steps that fill a window of the halving
+or run a digit past one, and checks with a spy on the step kernel that a
+step of thousands of digits is found in windows nested a few calls deep.
 """
 
+import math
 import random
 
 import pytest
@@ -51,13 +53,10 @@ from polycrt.kronecker import (
     _unpack,
 )
 from polycrt.poly import (
-    _NEWTON_MIN_DIVISOR,
-    _NEWTON_MIN_QUOTIENT,
     _STEP_MIN_DIVISOR,
     _STEP_MIN_QUOTIENT,
     _dense_divmod,
     _kronecker_mul,
-    _newton_divmod,
     _reduce_chain,
 )
 
@@ -194,17 +193,18 @@ class TestAgainstDenseProduct:
         assert a * scalar == Polynomial(field, [1] * 40)
 
 
-# Quotient and divisor lengths on both sides of the rule that picks Newton
-# division and on its edges, plus the one- and two-coefficient divisors of
-# Euclid steps.
+# Quotient lengths of one and two digits, and of 255 and 256: a step of 256
+# digits halves exactly into windows of _STEP_WINDOW digits, one of 255 does
+# not.  Divisor lengths of one and two coefficients, as in Euclid steps, and
+# of 299 and 300, longer than most quotients.  Each with a range beside them.
 QUOTIENT_LENGTHS = st.one_of(
-    st.sampled_from((1, 2, _NEWTON_MIN_QUOTIENT - 1, _NEWTON_MIN_QUOTIENT)),
-    st.integers(_NEWTON_MIN_QUOTIENT, MAX_LEN),
+    st.sampled_from((1, 2, 255, 256)),
+    st.integers(256, MAX_LEN),
     st.integers(1, MAX_LEN),
 )
 DIVISOR_LENGTHS = st.one_of(
-    st.sampled_from((1, 2, _NEWTON_MIN_DIVISOR - 1, _NEWTON_MIN_DIVISOR)),
-    st.integers(_NEWTON_MIN_DIVISOR, MAX_LEN),
+    st.sampled_from((1, 2, 299, 300)),
+    st.integers(300, MAX_LEN),
     st.integers(32, MAX_LEN),
 )
 
@@ -225,6 +225,47 @@ def all_max(p, quotient_length, divisor_length):
     return p, (p - 1,) * dividend_length, (p - 1,) * divisor_length
 
 
+def random_division(p, quotient_length, divisor_length, rng):
+    """Random operands with the given quotient and divisor lengths."""
+    dividend = [rng.randrange(p) for _ in range(divisor_length + quotient_length - 2)]
+    divisor = [rng.randrange(p) for _ in range(divisor_length - 1)]
+    return p, (*dividend, rng.randrange(1, p)), (*divisor, rng.randrange(1, p))
+
+
+# Quotient and divisor lengths at the edges of the halving in
+# kronecker._neg_quotient: quotients one digit past its base case of
+# _STEP_WINDOW digits, of 64 digits and of 2**j +- 1 for j = 6..9, by divisors
+# shorter than the quotient, which halve it, and by divisors longer than the
+# quotient, whose digits come from their top slots; each at all-(p - 1) and
+# at random operands over the primes in turn.  All-(p - 1) operands at
+# 2**64 - 59 fill the widest slots on both branches: 129 digits by 128
+# coefficients halve into two steps of the second branch.
+HALVING_SHAPES = [
+    *((k, n) for k in (33, 63, 64, 65, 127, 129, 255, 257, 511, 513) for n in (1, 10, 40)),
+    (33, 300), (65, 300), (128, 129), (40, 41),
+]
+
+
+def halving_cases():
+    rng = random.Random("halving")
+    for i, (k, n) in enumerate(HALVING_SHAPES):
+        p = PRIMES[i % len(PRIMES)]
+        yield all_max(p, k, n)
+        yield random_division(p, k, n, rng)
+    for k, n in ((65, 2), (65, 300), (129, 128)):
+        yield all_max(2**64 - 59, k, n)
+
+
+HALVING_CASES = list(halving_cases())
+
+
+def halving_examples(test):
+    """``test`` with every case of :data:`HALVING_CASES` as an explicit example."""
+    for case in HALVING_CASES:
+        test = example(case)(test)
+    return test
+
+
 def dense_division(field, a, b):
     quot, rem = _dense_divmod(a, b, field.p, field.inv(b[-1]))
     return Polynomial(field, quot).coeffs, Polynomial(field, rem).coeffs
@@ -233,9 +274,10 @@ def dense_division(field, a, b):
 class TestAgainstDenseDivision:
     @DIFFERENTIAL
     @given(division_operands())
-    @example(all_max(65521, _NEWTON_MIN_QUOTIENT, _NEWTON_MIN_DIVISOR))
-    @example(all_max(65521, _NEWTON_MIN_QUOTIENT - 1, _NEWTON_MIN_DIVISOR))
-    @example(all_max(65521, _NEWTON_MIN_QUOTIENT, _NEWTON_MIN_DIVISOR - 1))
+    @halving_examples
+    @example(all_max(65521, 256, 300))
+    @example(all_max(65521, 255, 300))
+    @example(all_max(65521, 256, 299))
     @example(all_max(2**64 - 59, MAX_LEN, MAX_LEN))
     @example((13, (1, 2, 3), (5,) * 40))
     @example((65521, (), (1, 2)))
@@ -258,22 +300,21 @@ class TestAgainstDenseDivision:
         assert_canonical(q)
         assert_canonical(r)
 
-    # The quotient lengths straddle both the schoolbook/step bound and the
-    # step/Newton bound; the divisor lengths are a pair inside the step
-    # region and a pair on the Newton bound.
+    # The quotient lengths straddle the schoolbook/step bound and 2**8, at
+    # which the step kernel halves; the divisor lengths are a pair shorter
+    # than most quotients and a pair longer than all.  The test keeps the
+    # name of an earlier rule that sent the longest shapes to a third kernel.
     @pytest.mark.parametrize("p", (13, 65521, 2**61 - 1))
     @pytest.mark.parametrize(
         "quotient_length",
         (
             _STEP_MIN_QUOTIENT - 1,
             _STEP_MIN_QUOTIENT,
-            _NEWTON_MIN_QUOTIENT - 1,
-            _NEWTON_MIN_QUOTIENT,
+            255,
+            256,
         ),
     )
-    @pytest.mark.parametrize(
-        "divisor_length", (39, 40, _NEWTON_MIN_DIVISOR - 1, _NEWTON_MIN_DIVISOR)
-    )
+    @pytest.mark.parametrize("divisor_length", (39, 40, 299, 300))
     def test_mod_on_both_sides_of_the_newton_rule(self, p, quotient_length, divisor_length):
         field = FIELDS[p]
         for shape in ("max", "random"):
@@ -304,17 +345,6 @@ class TestAgainstDenseDivision:
 
     @DIFFERENTIAL
     @given(division_operands())
-    @example(all_max(3, MAX_LEN, 1))
-    @example(all_max(65521, MAX_LEN, 2))
-    def test_newton_kernel_on_raw_tuples(self, case):
-        # The Newton kernel on every shape, also those the rule sends to
-        # schoolbook division: same lists, trailing zeros included.
-        p, a, b = case
-        lead_inv = FIELDS[p].inv(b[-1])
-        assert _newton_divmod(a, b, p, lead_inv) == _dense_divmod(a, b, p, lead_inv)
-
-    @DIFFERENTIAL
-    @given(division_operands())
     # All-(p - 1) operands: at 2**32 - 5 a two-coefficient divisor fills a
     # 64-bit slot exactly and a longer one leaves the word sizes; 2**64 - 59
     # has the widest slots.
@@ -323,8 +353,8 @@ class TestAgainstDenseDivision:
     @example(all_max(2**32 - 5, 100, 3))
     @example(all_max(2**64 - 59, MAX_LEN, MAX_LEN))
     @example(all_max(2**64 - 59, MAX_LEN, 2))
-    # Short divisors under quotients on both sides of a window's end and
-    # over several windows.
+    # Short divisors under quotients on both sides of a halving's edge and
+    # over several halvings, and under the longest quotients.
     @example(all_max(13, 63, 1))
     @example(all_max(65521, 64, 1))
     @example(all_max(2**61 - 1, 65, 1))
@@ -337,12 +367,62 @@ class TestAgainstDenseDivision:
     @example(all_max(3, 64, 3))
     @example(all_max(65521, 65, 3))
     @example(all_max(13, 200, 3))
+    @example(all_max(3, MAX_LEN, 1))
+    @example(all_max(65521, MAX_LEN, 2))
+    @halving_examples
     def test_step_kernel_on_raw_tuples(self, case):
         # Division steps on every shape, also those the rule sends to
-        # schoolbook or Newton division: same lists, trailing zeros included.
+        # schoolbook division: same lists, trailing zeros included.
         p, a, b = case
         lead_inv = pow(b[-1], -1, p)
         assert _step_divmod(a, b, p, lead_inv) == _dense_divmod(a, b, p, lead_inv)
+
+
+class TestHalvingMutants:
+    # Each mutant redoes one branch of the step kernel's halving with one
+    # slot wrong and hands every other call, its own included, to the real
+    # kernel; the dense comparison on the halving edges must catch it.
+
+    @staticmethod
+    def mismatches(monkeypatch, mutant):
+        monkeypatch.setattr(kronecker, "_neg_quotient", mutant)
+        wrong = 0
+        for p, a, b in HALVING_CASES:
+            lead_inv = pow(b[-1], -1, p)
+            wrong += _step_divmod(a, b, p, lead_inv) != _dense_divmod(a, b, p, lead_inv)
+        return wrong
+
+    def test_split_one_slot_off_fails(self, monkeypatch):
+        kernel = kronecker._neg_quotient
+
+        def mutant(rem, size, low, n, bits, p, neg_inv):
+            k = size - n + 1
+            if k <= _STEP_WINDOW or n > k:
+                return kernel(rem, size, low, n, bits, p, neg_inv)
+            # The top half split off one slot above where the bottom half ends.
+            half = k // 2
+            at = (half + 1) * bits
+            g, top = mutant(rem >> at, size - half - 1, low, n, bits, p, neg_inv)
+            f, rem = mutant(rem & (1 << at) - 1 | top << at, half + n - 1, low, n, bits, p, neg_inv)
+            return g << at | f, rem
+
+        assert self.mismatches(monkeypatch, mutant) > 0
+
+    def test_divisor_one_coefficient_short_fails(self, monkeypatch):
+        kernel = kronecker._neg_quotient
+
+        def mutant(rem, size, low, n, bits, p, neg_inv):
+            k = size - n + 1
+            if k <= _STEP_WINDOW or n <= k:
+                return kernel(rem, size, low, n, bits, p, neg_inv)
+            # The digits from the divisor's top k coefficients, the lowest
+            # of them read as zero.
+            cut = (n - k) * bits
+            g, top = mutant(rem >> cut, 2 * k - 1, low >> cut + bits << bits, k, bits, p, neg_inv)
+            mask = (1 << cut) - 1
+            return g, (rem & mask) + (top << cut) + g * (low & mask)
+
+        assert self.mismatches(monkeypatch, mutant) > 0
 
 
 @pytest.fixture(params=(13, 65521), ids=("p13", "p65521"))
@@ -614,7 +694,8 @@ class TestAgainstDigitFolds:
     def test_long_steps_take_windows(self, monkeypatch):
         # A spy on the step kernel: every digit of the pass and of the
         # cascade over degrees 3,000 and 2 is found by a call of at most
-        # _STEP_WINDOW digits, each call within an outer one being a window.
+        # _STEP_WINDOW digits, a window, and the halving that leads to the
+        # windows nests at most log2(k / _STEP_WINDOW) + 2 calls deep.
         field, rng = FIELDS[65521], random.Random("windows")
         m = random_poly(65521, 1, rng)
         an = analyze_pair(m * random_poly(65521, 1, rng), m * random_poly(65521, 2999, rng))
@@ -634,9 +715,12 @@ class TestAgainstDigitFolds:
         for run, args in ((gcd, (an.m2, an.m1)), (reconstruct, (pair, an.K + 1))):
             calls.clear()
             run(*args)
-            assert max(k for d, k in calls if d == 0) >= 2998
+            longest = max(k for d, k in calls if d == 0)
+            assert longest >= 2998
             found = sum(k for d, k in calls if k <= _STEP_WINDOW)
             assert found == sum(k for d, k in calls if d == 0)
+            depth_bound = math.ceil(math.log2(longest / _STEP_WINDOW)) + 2
+            assert max(d for d, k in calls) + 1 <= depth_bound
 
     @pytest.mark.parametrize("p", FOLD_PRIMES)
     def test_hand_built_chains(self, p):
