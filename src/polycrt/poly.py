@@ -338,7 +338,7 @@ def _from_bits(field: PrimeField, bits: int) -> Polynomial:
 def _record(cls: type, **fields: object):
     """Frozen dataclass ``cls`` from library-computed ``fields``; skips ``__init__`` and ``__post_init__``."""
     obj = object.__new__(cls)
-    vars(obj).update(fields)
+    obj.__dict__.update(fields)
     return obj
 
 

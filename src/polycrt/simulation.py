@@ -8,12 +8,14 @@ polynomial was recovered exactly.  Inside the bounds this must never fail;
 Determinism contract: every trial seeds its own RNG stream from
 ``(seed, trial index)`` and the report aggregation is order-independent, so
 a campaign's report is byte-for-byte reproducible regardless of how trials
-are scheduled.
+are scheduled.  Every caller of a trial reseeds its generator before it, so
+a trial may read its stream past its draws: at p = 2 it does.
 
 Coefficients are drawn by ``getrandbits`` with rejection: ``p.bit_length()``
 bits, redrawn while ``>= p``.  For ``random.Random`` that is exactly what
-``randrange(p)`` does, so the draws and the generator's state match it; for
-any generator with a ``getrandbits`` method the draw is uniform.
+``randrange(p)`` does, so the draws match it; the samplers also leave the
+generator's state where ``randrange`` leaves it.  For any generator with a
+``getrandbits`` method the draw is uniform.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ def _draw(
     the same, so it draws the same values and leaves ``rng`` in the same
     state, without two Python frames per coefficient.  The values are
     reduced already, so the polynomials skip the constructor's ``% p``.
+    It serves the public samplers, whose caller may read ``rng`` on, and
+    the odd-p campaign trials; p = 2 trials read ahead (:func:`_draw_f2`).
     """
     p = field.p
     k = p.bit_length()
@@ -54,6 +58,41 @@ def _draw(
             vals.append(r)
         vals += top
         polys.append(_from_bits(field, _pack2(vals)) if p == 2 else _from_reduced(field, vals))
+    return polys
+
+
+# At p = 2, ``getrandbits(2)`` is the top two bits of one 32-bit word,
+# redrawn while ``>= 2``: a set bit 31 rejects the word and bit 30 is the
+# coefficient.  On the word's top byte: bytes >= 0x80 are deleted and the
+# rest become the binary digit of their bit 6.
+_TOP_BYTE_DIGIT = bytes(b"01"[b >> 6 & 1] for b in range(256))
+_REJECTED_TOP_BYTES = bytes(range(0x80, 0x100))
+# Words read beyond twice the draws still missing; half the words are
+# rejected, so a second read is rare.
+_READ_MARGIN = 32
+
+
+def _draw_f2(counts: Tuple[int, ...], field: PrimeField, rng: random.Random) -> List[Polynomial]:
+    """The polynomials ``_draw(counts, field, rng)`` draws at p = 2, in about one ``rng`` call.
+
+    ``getrandbits(32 * n)`` returns the next n words of the stream, the
+    first in the lowest 32 bits, so byte ``4i + 3`` of its little-endian
+    bytes is the top byte of word i.  The accepted words' digits come out in
+    draw order; a read that falls short is topped up by another.  ``rng``
+    is left past the words the draws used, so only a caller that reseeds
+    before reading it on may use this: the campaign trials.
+    """
+    need = sum(counts)
+    digits = b""
+    while len(digits) < need:
+        words = 2 * (need - len(digits)) + _READ_MARGIN
+        tops = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        digits += tops.translate(_TOP_BYTE_DIGIT, _REJECTED_TOP_BYTES)
+    polys, start = [], 0
+    for count in counts:
+        end = start + count
+        polys.append(_from_bits(field, int(digits[start:end][::-1], 2) if count else 0))
+        start = end
     return polys
 
 
@@ -220,7 +259,10 @@ def _run_trial(
 ) -> TrialOutcome:
     """Trial ``trial``: draw ``a``, then ``e1``, then ``e2`` from ``rng``, corrupt, decode, judge.
 
-    The draw order is part of the determinism contract.  A trial succeeds
+    The draw order is part of the determinism contract.  At p = 2 the trial
+    reads ``rng`` past its draws (:func:`_draw_f2`), so its callers,
+    :func:`run_campaign` and the tests' ``search_boundary_counterexample``,
+    reseed ``rng`` before every trial.  A trial succeeds
     when the folding polynomial is recovered exactly and the residual
     ``a_hat - a`` has degree at most ``tau``; this is the only place that
     rule is applied.  Nothing here raises once ``level`` is valid, which
@@ -228,9 +270,9 @@ def _run_trial(
     are reduced mod ``m1`` and ``m2``, and :func:`reconstruct` raises only
     from ``level_spec`` on an analysis that passed ``_assert_invariants``.
     """
-    a, e1, e2 = _draw(
-        (analysis.level_spec(level).dynamic_range_exclusive, tau + 1, tau + 1), analysis.field, rng
-    )
+    field = analysis.field
+    counts = (analysis.level_spec(level).dynamic_range_exclusive, tau + 1, tau + 1)
+    a, e1, e2 = _draw_f2(counts, field, rng) if field.p == 2 else _draw(counts, field, rng)
     residues, witness = encode(a, analysis)
     # A residue plus an error of degree below deg(m_i) is already reduced;
     # only boundary mode with tau >= deg(m_i) needs the division.
@@ -240,7 +282,8 @@ def _run_trial(
     r2 = residues.a2 + e2
     if r2.degree >= analysis.m2.degree:
         r2 %= analysis.m2
-    result = reconstruct(ErroneousResiduePair(r1, r2, analysis), level)
+    # r1 and r2 are reduced and over the analysis's field: no re-check.
+    result = reconstruct(_record(ErroneousResiduePair, r1=r1, r2=r2, moduli=analysis), level)
     residual = result.a_hat - a
     k2_match = result.k2_hat == witness.k2
     residual_deg = residual.degree

@@ -21,13 +21,15 @@ def run_cli(capsys, *argv):
 def no_sampling(monkeypatch):
     """Fail instead of drawing a polynomial (an error's size is tau + 1).
 
-    Every draw of the CLI and of a campaign trial goes through ``_draw``.
+    The CLI's samplers and odd-p campaign trials draw through ``_draw``;
+    p = 2 trials read ahead through ``_draw_f2``.
     """
 
     def refuse(counts, field, rng, top=()):
-        raise AssertionError(f"_draw reached with counts = {counts}")
+        raise AssertionError(f"a draw reached with counts = {counts}")
 
     monkeypatch.setattr(polycrt.simulation, "_draw", refuse)
+    monkeypatch.setattr(polycrt.simulation, "_draw_f2", refuse)
 
 
 @pytest.fixture
@@ -446,6 +448,14 @@ class TestSimulate:
             "--level", "4", "--tau", str(tau), "--trials", "1", "--boundary",
         )
         assert code == 2 and "tau must be <=" in err
+
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_trials_reach_the_draw_guard(self, capsys, no_sampling, p):
+        # The test above passes on its tau check only while no_sampling
+        # refuses every draw a trial makes, at p = 2 and at odd p.
+        pair = ("--m1", REF_M1, "--m2", REF_M2) if p == 2 else _P13
+        with pytest.raises(AssertionError, match="a draw reached with counts"):
+            run_cli(capsys, "simulate", *pair, "--level", "1", "--tau", "1", "--trials", "1")
 
     @pytest.mark.parametrize("trials", [_MAX_TRIALS + 1, 10**15])
     def test_trials_above_cap_exit_2(self, capsys, no_campaign, trials):

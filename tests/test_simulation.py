@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import polycrt.crt as crt
 import polycrt.decoder as decoder
 import polycrt.simulation as simulation
 from polycrt import (
@@ -136,6 +137,80 @@ class TestSamplingStream:
         assert rng.getstate() == random.Random(seed).getstate()
 
 
+def randrange_draws(field, counts, seed):
+    """Per count, a polynomial of that many ``randrange(p)`` draws from ``random.Random(seed)``."""
+    twin = random.Random(seed)
+    return [Polynomial(field, [twin.randrange(field.p) for _ in range(n)]) for n in counts]
+
+
+def counted_reads(rng):
+    """The ``getrandbits`` sizes that ``rng`` is asked for, from now on."""
+    reads, real = [], rng.getrandbits
+
+    def counting(k):
+        reads.append(k)
+        return real(k)
+
+    rng.getrandbits = counting
+    return reads
+
+
+def readme_trial_counts(analysis):
+    """A trial's draw counts on the README pair, each level, guarantee and boundary tau."""
+    counts = []
+    for level in range(1, analysis.K + 2):
+        spec = analysis.level_spec(level)
+        for tau in (spec.error_bound_exclusive - 1, spec.error_bound_exclusive):
+            counts.append((spec.dynamic_range_exclusive, tau + 1, tau + 1))
+    return counts
+
+
+# Rejecting a word on bit 29 instead of bit 30, and keeping rejected words.
+READ_AHEAD_MUTANTS = [
+    (bytes(b"01"[b >> 5 & 1] for b in range(256)), simulation._REJECTED_TOP_BYTES),
+    (simulation._TOP_BYTE_DIGIT, b""),
+]
+
+
+class TestF2ReadAhead:
+    # A p = 2 trial reads its draws in one getrandbits call; the values must
+    # be those of _draw and of randrange(2).  Only the state it leaves may differ.
+    @pytest.mark.parametrize("seed", ["0", "3:17", "boundary:6:1", 7])
+    def test_matches_draw_and_randrange(self, f2, reference_pair, seed):
+        cases = [(), (0,), (1,), (0, 0, 0), (1, 0, 1), (1500,), (700, 0, 400)]
+        for counts in cases + readme_trial_counts(reference_pair):
+            drawn = simulation._draw_f2(counts, f2, random.Random(seed))
+            assert drawn == simulation._draw(counts, f2, random.Random(seed))
+            assert drawn == randrange_draws(f2, counts, seed)
+
+    def test_a_campaign_trial_reads_once(self, f2, reference_pair):
+        for counts in readme_trial_counts(reference_pair):
+            for idx in range(50):
+                rng = random.Random(f"3:{idx}")
+                reads = counted_reads(rng)
+                simulation._draw_f2(counts, f2, rng)
+                assert len(reads) == 1
+
+    def test_a_short_first_read_is_topped_up(self, f2):
+        # Seed 1's first read of 2 * 1500 + 32 words accepts fewer than 1500.
+        rng = random.Random(1)
+        reads = counted_reads(rng)
+        drawn = simulation._draw_f2((1500,), f2, rng)
+        assert len(reads) == 2 and reads[0] == 32 * (2 * 1500 + simulation._READ_MARGIN)
+        assert drawn == randrange_draws(f2, (1500,), 1)
+
+    @pytest.mark.parametrize("digit, rejected", READ_AHEAD_MUTANTS)
+    def test_planted_mutants_mismatch(self, f2, reference_pair, monkeypatch, digit, rejected):
+        monkeypatch.setattr(simulation, "_TOP_BYTE_DIGIT", digit)
+        monkeypatch.setattr(simulation, "_REJECTED_TOP_BYTES", rejected)
+        for counts in readme_trial_counts(reference_pair):
+            for idx in range(5):
+                seed = f"3:{idx}"
+                assert simulation._draw_f2(counts, f2, random.Random(seed)) != randrange_draws(
+                    f2, counts, seed
+                )
+
+
 # Reports pinned before the samplers drew through getrandbits: the CI pairs
 # at p = 13 and p = 2**61 - 1, in guarantee and boundary mode, seed 3.
 ODD_P_PAIRS = {
@@ -235,6 +310,27 @@ class TestF2ReportsPinned:
             "x^4+x^3+x^2",
         ]
         assert inst.residual_deg == 14
+
+
+class TestCampaignSkipsTheResidueCheck:
+    # A trial's received residues are reduced by construction, so it skips
+    # the check that an ErroneousResiduePair built by a caller still runs;
+    # the report stays the one pinned above.
+    def test_guarantee_campaign_report(self, reference_pair, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("residue check ran")
+
+        monkeypatch.setattr(crt, "_check_residues", refuse)
+        monkeypatch.setattr(decoder, "_check_residues", refuse)
+        level, _, failures, digest = F2_REPORTS[4]
+        cfg = TrialConfig(analysis=reference_pair, level=level, tau=2, trials=500, seed=3)
+        payload = run_campaign(cfg).to_json()
+        assert payload["failures"] == failures
+        text = json.dumps(payload, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        zero = Polynomial(reference_pair.field)
+        with pytest.raises(AssertionError, match="residue check ran"):
+            ErroneousResiduePair(zero, zero, reference_pair)
 
 
 def library_records(analysis):
