@@ -88,11 +88,12 @@ def _draw_f2(counts: Tuple[int, ...], field: PrimeField, rng: random.Random) -> 
         words = 2 * (need - len(digits)) + _READ_MARGIN
         tops = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
         digits += tops.translate(_TOP_BYTE_DIGIT, _REJECTED_TOP_BYTES)
-    polys, start = [], 0
+    # Draw j is bit j of one int, and each count takes the lowest bits left.
+    bits = int(digits[need - 1::-1], 2) if need else 0
+    polys = []
     for count in counts:
-        end = start + count
-        polys.append(_from_bits(field, int(digits[start:end][::-1], 2) if count else 0))
-        start = end
+        polys.append(_from_bits(field, bits & ~(-1 << count)))
+        bits >>= count
     return polys
 
 
