@@ -451,8 +451,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("p", [2, 13])
     def test_trials_reach_the_draw_guard(self, capsys, no_sampling, p):
-        # The test above passes on its tau check only while no_sampling
-        # refuses every draw a trial makes, at p = 2 and at odd p.
+        # no_sampling must refuse every draw a trial makes, at p = 2 and at
+        # odd p, or the test above would pass on its tau check alone.
         pair = ("--m1", REF_M1, "--m2", REF_M2) if p == 2 else _P13
         with pytest.raises(AssertionError, match="a draw reached with counts"):
             run_cli(capsys, "simulate", *pair, "--level", "1", "--tau", "1", "--trials", "1")

@@ -165,7 +165,7 @@ def readme_trial_counts(analysis):
     return counts
 
 
-# Rejecting a word on bit 29 instead of bit 30, and keeping rejected words.
+# Reading the coefficient off bit 29 instead of bit 30, and keeping rejected words.
 READ_AHEAD_MUTANTS = [
     (bytes(b"01"[b >> 5 & 1] for b in range(256)), simulation._REJECTED_TOP_BYTES),
     (simulation._TOP_BYTE_DIGIT, b""),
@@ -323,7 +323,8 @@ class TestCampaignSkipsTheResidueCheck:
         monkeypatch.setattr(crt, "_check_residues", refuse)
         monkeypatch.setattr(decoder, "_check_residues", refuse)
         level, _, failures, digest = F2_REPORTS[4]
-        cfg = TrialConfig(analysis=reference_pair, level=level, tau=2, trials=500, seed=3)
+        tau = reference_pair.level_spec(level).error_bound_exclusive - 1
+        cfg = TrialConfig(analysis=reference_pair, level=level, tau=tau, trials=500, seed=3)
         payload = run_campaign(cfg).to_json()
         assert payload["failures"] == failures
         text = json.dumps(payload, sort_keys=True)
