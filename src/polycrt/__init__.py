@@ -3,98 +3,76 @@
 Exact residue encoding/decoding, the level trade-off between message degree
 range and residue error tolerance, a closed-form robust decoder, and a
 deterministic simulation harness around it.
+
+``import polycrt`` loads no submodule: each public name is imported from its
+submodule when it is first used (PEP 562) and kept in this namespace.
 """
 
-from .crt import FoldingWitness, ResiduePair, crt_pair, encode
-from .decoder import (
-    Branch,
-    ErroneousResiduePair,
-    ReconstructionResult,
-    classify,
-    reconstruct,
-)
-from .errors import (
-    BothZeroError,
-    CoprimeModuliError,
-    DegenerateModuliError,
-    DegreeOutOfRangeError,
-    DivisionByZeroError,
-    InconsistentResiduesError,
-    LevelOutOfRangeError,
-    MixedFieldsError,
-    ParseError,
-    PolyCrtError,
-    TooFewModuliError,
-    ZeroInputError,
-    ZeroModulusError,
-)
-from .field import PrimeField
-from .levels import (
-    LevelSpec,
-    ModuliPairAnalysis,
-    analysis_to_json,
-    analyze_pair,
-    render_level_table,
-    residue_error_bound,
-)
-from .poly import NEG_INF, Polynomial, gcd, lcm, parse_polynomial, xgcd
-from .simulation import (
-    TrialConfig,
-    TrialOutcome,
-    TrialReport,
-    random_moduli_pair,
-    render_report,
-    run_campaign,
-    sample_error,
-    sample_monic,
-    sample_polynomial,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BothZeroError",
-    "Branch",
-    "CoprimeModuliError",
-    "DegenerateModuliError",
-    "DegreeOutOfRangeError",
-    "DivisionByZeroError",
-    "ErroneousResiduePair",
-    "FoldingWitness",
-    "InconsistentResiduesError",
-    "LevelOutOfRangeError",
-    "LevelSpec",
-    "MixedFieldsError",
-    "ModuliPairAnalysis",
-    "NEG_INF",
-    "ParseError",
-    "PolyCrtError",
-    "Polynomial",
-    "PrimeField",
-    "ReconstructionResult",
-    "ResiduePair",
-    "TooFewModuliError",
-    "TrialConfig",
-    "TrialOutcome",
-    "TrialReport",
-    "ZeroInputError",
-    "ZeroModulusError",
-    "analysis_to_json",
-    "analyze_pair",
-    "classify",
-    "crt_pair",
-    "encode",
-    "gcd",
-    "lcm",
-    "parse_polynomial",
-    "random_moduli_pair",
-    "reconstruct",
-    "render_level_table",
-    "render_report",
-    "residue_error_bound",
-    "run_campaign",
-    "sample_error",
-    "sample_monic",
-    "sample_polynomial",
-    "xgcd",
-]
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "crt": ("FoldingWitness", "ResiduePair", "crt_pair", "encode"),
+    "decoder": (
+        "Branch",
+        "ErroneousResiduePair",
+        "ReconstructionResult",
+        "classify",
+        "reconstruct",
+    ),
+    "errors": (
+        "BothZeroError",
+        "CoprimeModuliError",
+        "DegenerateModuliError",
+        "DegreeOutOfRangeError",
+        "DivisionByZeroError",
+        "InconsistentResiduesError",
+        "LevelOutOfRangeError",
+        "MixedFieldsError",
+        "ParseError",
+        "PolyCrtError",
+        "TooFewModuliError",
+        "ZeroInputError",
+        "ZeroModulusError",
+    ),
+    "field": ("PrimeField",),
+    "levels": (
+        "LevelSpec",
+        "ModuliPairAnalysis",
+        "analysis_to_json",
+        "analyze_pair",
+        "render_level_table",
+        "residue_error_bound",
+    ),
+    "poly": ("NEG_INF", "Polynomial", "gcd", "lcm", "parse_polynomial", "xgcd"),
+    "simulation": (
+        "TrialConfig",
+        "TrialOutcome",
+        "TrialReport",
+        "random_moduli_pair",
+        "render_report",
+        "run_campaign",
+        "sample_error",
+        "sample_monic",
+        "sample_polynomial",
+    ),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -3,6 +3,8 @@
 Each ``cmd_*`` takes ``(args, field)``, writes nothing, and returns its JSON
 payload, its text lines and its exit code.  ``main`` alone prints: the
 result to stdout (text or JSON via ``--format``), any error to stderr.
+Only ``errors``, ``field`` and ``poly`` load with this module, since every
+command parses; each command imports the rest of what it runs when it runs.
 Exit codes are stable:
 
     0  success
@@ -19,13 +21,9 @@ Exit codes are stable:
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 from typing import List, Optional, Tuple
 
-from .crt import ResiduePair, crt_pair, encode
-from .decoder import ErroneousResiduePair, reconstruct
 from .errors import (
     CoprimeModuliError,
     DegenerateModuliError,
@@ -36,9 +34,7 @@ from .errors import (
     ZeroModulusError,
 )
 from .field import PrimeField
-from .levels import analysis_to_json, analyze_pair, render_level_table, residue_error_bound
 from .poly import _MAX_PARSE_DEGREE, parse_polynomial
-from .simulation import TrialConfig, render_report, run_campaign, sample_error
 
 # What a command returns: JSON payload, text lines, exit code.
 _Result = Tuple[dict, List[str], int]
@@ -68,6 +64,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next((c for types, c in _EXIT_CODES if isinstance(exc, types)), 2)
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print("\n".join(lines))
@@ -172,6 +170,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _analysis_for(args, field: PrimeField):
+    from .levels import analyze_pair
+
     m1 = parse_polynomial(args.m1, field)
     m2 = parse_polynomial(args.m2, field)
     return analyze_pair(m1, m2)
@@ -182,6 +182,8 @@ def _swap_note(analysis) -> List[str]:
 
 
 def cmd_analyze(args, field: PrimeField) -> _Result:
+    from .levels import analysis_to_json, render_level_table
+
     analysis = _analysis_for(args, field)
     payload = analysis_to_json(analysis)
     lines = _swap_note(analysis) + [
@@ -200,6 +202,8 @@ def cmd_analyze(args, field: PrimeField) -> _Result:
 
 
 def cmd_encode(args, field: PrimeField) -> _Result:
+    from .crt import encode
+
     analysis = _analysis_for(args, field)
     a = parse_polynomial(args.poly, field)
     residues, witness = encode(a, analysis)
@@ -227,12 +231,21 @@ def cmd_corrupt(args, field: PrimeField) -> _Result:
     if args.tau < -1:
         raise ValueError("tau must be >= -1")
     _check_tau_cap(args.tau)
-    rng = random.Random(f"corrupt:{args.seed}")
-    # e2's draw follows e1's in the stream: e1 is drawn unless both are given.
-    e1 = sample_error(args.tau, field, rng) if args.e1 is None or args.e2 is None else None
+    e1 = e2 = None
+    if args.e1 is None or args.e2 is None:
+        import random
+
+        from .simulation import sample_error
+
+        # e2's draw follows e1's in the stream: e1 is drawn unless both are given.
+        rng = random.Random(f"corrupt:{args.seed}")
+        e1 = sample_error(args.tau, field, rng)
+        if args.e2 is None:
+            e2 = sample_error(args.tau, field, rng)
     if args.e1 is not None:
         e1 = parse_polynomial(args.e1, field)
-    e2 = sample_error(args.tau, field, rng) if args.e2 is None else parse_polynomial(args.e2, field)
+    if args.e2 is not None:
+        e2 = parse_polynomial(args.e2, field)
     payload = {
         "corrupted1": str(r1 + e1),
         "corrupted2": str(r2 + e2),
@@ -266,6 +279,8 @@ def _residues_in_analysis_order(args, field: PrimeField):
 
 
 def cmd_reconstruct(args, field: PrimeField) -> _Result:
+    from .decoder import ErroneousResiduePair, reconstruct
+
     analysis, r1, r2 = _residues_in_analysis_order(args, field)
     result = reconstruct(ErroneousResiduePair(r1, r2, analysis), args.level)
     payload = result.to_json()
@@ -281,6 +296,8 @@ def cmd_reconstruct(args, field: PrimeField) -> _Result:
 
 
 def cmd_crt(args, field: PrimeField) -> _Result:
+    from .crt import ResiduePair, crt_pair
+
     analysis, r1, r2 = _residues_in_analysis_order(args, field)
     payload = {"a": str(crt_pair(ResiduePair(r1, r2, analysis))), "swapped": analysis.swapped}
     return payload, [f"a = {payload['a']}"], 0
@@ -306,6 +323,8 @@ def _split_moduli_arg(text: str) -> List[str]:
 
 
 def cmd_bound(args, field: PrimeField) -> _Result:
+    from .levels import residue_error_bound
+
     texts = _split_moduli_arg(args.moduli)
     if len(texts) > _MAX_BOUND_MODULI:
         raise ValueError(f"at most {_MAX_BOUND_MODULI} moduli are allowed, got {len(texts)}")
@@ -315,6 +334,8 @@ def cmd_bound(args, field: PrimeField) -> _Result:
 
 
 def cmd_simulate(args, field: PrimeField) -> _Result:
+    from .simulation import TrialConfig, render_report, run_campaign
+
     analysis = _analysis_for(args, field)
     config = TrialConfig(
         analysis=analysis,

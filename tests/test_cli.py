@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-import polycrt.cli
+import polycrt.levels
 import polycrt.simulation
 from polycrt import parse_polynomial
 from polycrt.cli import _MAX_BOUND_MODULI, _MAX_TRIALS, main
@@ -39,7 +39,7 @@ def no_campaign(monkeypatch):
     def refuse(config):
         raise AssertionError(f"run_campaign reached with trials = {config.trials}")
 
-    monkeypatch.setattr(polycrt.cli, "run_campaign", refuse)
+    monkeypatch.setattr(polycrt.simulation, "run_campaign", refuse)
 
 
 @pytest.fixture
@@ -49,7 +49,7 @@ def no_bound(monkeypatch):
     def refuse(moduli):
         raise AssertionError(f"residue_error_bound reached with {len(moduli)} moduli")
 
-    monkeypatch.setattr(polycrt.cli, "residue_error_bound", refuse)
+    monkeypatch.setattr(polycrt.levels, "residue_error_bound", refuse)
 
 
 class TestAnalyze:
@@ -199,13 +199,13 @@ class TestCorrupt:
     def test_only_replaced_draws_are_skipped(self, capsys, monkeypatch):
         # e2's values follow e1's in the stream, so a given --e1 still costs
         # its draw and a given --e2 costs none; the seeded errors are kept.
-        real, taus = polycrt.cli.sample_error, []
+        real, taus = polycrt.simulation.sample_error, []
 
         def counting(tau, field, rng):
             taus.append(tau)
             return real(tau, field, rng)
 
-        monkeypatch.setattr(polycrt.cli, "sample_error", counting)
+        monkeypatch.setattr(polycrt.simulation, "sample_error", counting)
         base = ("corrupt", "--r1", "x^3", "--r2", "x^2", "--tau", "4", "--seed", "9",
                 "--format", "json")
         _, out, _ = run_cli(capsys, *base)

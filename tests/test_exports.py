@@ -1,7 +1,16 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import polycrt
+
+from conftest import REF_A, REF_M1, REF_M2
+
+SRC = Path(polycrt.__file__).resolve().parent.parent
 
 
 def test_every_exported_name_resolves():
@@ -16,14 +25,15 @@ def test_star_import_binds_exactly_the_export_list():
     assert sorted(namespace) == sorted(polycrt.__all__)
 
 
+def test_unknown_name_raises_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="module 'polycrt' has no attribute 'nope'"):
+        polycrt.nope
+
+
 def test_every_import_is_used():
-    # __init__.py imports to re-export; every other module of the package
-    # and of the tests uses what it imports.
     unused = []
     package = sorted(Path(polycrt.__file__).parent.glob("*.py"))
     for path in package + sorted(Path(__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         tree = ast.parse(path.read_text())
         imported = {}
         for node in ast.walk(tree):
@@ -36,3 +46,79 @@ def test_every_import_is_used():
         where = f"{path.parent.name}/{path.name}"
         unused += [f"{where}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def loaded_after(code, *argv):
+    """The modules a fresh interpreter has loaded after running ``code``.
+
+    ``code`` sees ``argv`` as ``sys.argv[1:]`` and must not print.  The
+    interpreter runs without ``site``, so no start-up hook loads a module.
+    """
+    probe = f"{code}\nimport sys\nprint(*sorted(sys.modules))\n"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.split())
+
+
+def test_bare_import_loads_no_submodule():
+    loaded = loaded_after("import polycrt")
+    assert "polycrt" in loaded
+    assert sorted(m for m in loaded if m.startswith("polycrt.")) == []
+
+
+def test_dir_covers_the_export_list_and_loads_no_submodule():
+    code = (
+        "import polycrt\n"
+        "if not set(polycrt.__all__) <= set(dir(polycrt)): raise SystemExit('dir misses a name')"
+    )
+    loaded = loaded_after(code)
+    assert sorted(m for m in loaded if m.startswith("polycrt.")) == []
+
+
+def test_first_use_loads_only_the_names_module_and_keeps_the_name():
+    code = (
+        "import polycrt\n"
+        "before = 'encode' in vars(polycrt)\n"
+        "if before or polycrt.encode is not vars(polycrt).get('encode'):\n"
+        "    raise SystemExit('encode not kept')"
+    )
+    loaded = loaded_after(code)
+    assert {"polycrt.crt", "polycrt.levels", "polycrt.poly"} <= loaded
+    assert {"polycrt.decoder", "polycrt.simulation"}.isdisjoint(loaded)
+
+
+# (argv, modules the command must load, modules it must not load)
+_REF = ["--m1", REF_M1, "--m2", REF_M2]
+_NOT_DECODING = {"polycrt.decoder", "polycrt.simulation"}
+_FOOTPRINTS = [
+    (["analyze", *_REF], {"polycrt.levels"}, {"polycrt.crt", *_NOT_DECODING}),
+    (["bound", "--moduli", f"{REF_M1},{REF_M2}"], {"polycrt.levels"},
+     {"polycrt.crt", *_NOT_DECODING}),
+    (["encode", *_REF, "--poly", REF_A], {"polycrt.crt"}, _NOT_DECODING),
+    (["crt", *_REF, "--r1", "x^7+x^2+x+1", "--r2", "x^5+x^4+x+1"], {"polycrt.crt"},
+     _NOT_DECODING),
+    (["reconstruct", *_REF, "--r1", "x^7", "--r2", "x^5+x^4+1", "--level", "3"],
+     {"polycrt.decoder"}, {"polycrt.simulation"}),
+    (["corrupt", "--r1", "x^7+x^2+x+1", "--r2", "x^5+x^4+x+1", "--tau", "2",
+      "--e1", "x^2+x+1", "--e2", "x"], {"polycrt.poly"}, {"polycrt.levels", "dataclasses"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loads, skips", _FOOTPRINTS, ids=[argv[0] for argv, _, _ in _FOOTPRINTS]
+)
+def test_each_command_loads_only_its_own_modules(argv, loads, skips):
+    code = (
+        "import contextlib, io, sys\n"
+        "from polycrt.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "if code: raise SystemExit(code)"
+    )
+    loaded = loaded_after(code, *argv)
+    assert loads <= loaded
+    assert sorted(skips & loaded) == []
