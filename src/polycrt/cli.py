@@ -158,7 +158,10 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument(
         "--trials", type=int, default=1000, help="trial count (default 1000, at most 10**6)"
     )
-    cmd.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    cmd.add_argument(
+        "--seed", type=int, default=0,
+        help='campaign seed (default 0); trial i draws from SHAKE-256 of "SEED:i"',
+    )
     cmd.add_argument(
         "--boundary",
         action="store_true",

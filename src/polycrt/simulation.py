@@ -5,24 +5,26 @@ corrupt the encoded residues, decode, and record whether the folding
 polynomial was recovered exactly.  Inside the bounds this must never fail;
 `run_campaign` is the executable form of that guarantee.
 
-Determinism contract: every trial seeds its own RNG stream from
-``(seed, trial index)`` and the report aggregation is order-independent, so
-a campaign's report is byte-for-byte reproducible regardless of how trials
-are scheduled.  Every caller of a trial reseeds its generator before it, so
-a trial may read its stream past its draws: at p = 2 it does.
-
-Coefficients are drawn by ``getrandbits`` with rejection: ``p.bit_length()``
-bits, redrawn while ``>= p``.  For ``random.Random`` that is exactly what
-``randrange(p)`` does, so the draws match it; the samplers also leave the
-generator's state where ``randrange`` leaves it.  For any generator with a
-``getrandbits`` method the draw is uniform.
+Determinism contract: trial ``idx`` of a campaign seeded ``seed`` draws from
+the SHAKE-256 stream of ``f"{seed}:{idx}"`` (:func:`_stream_draws`), and the
+report aggregation is order-independent, so a campaign's report is
+byte-for-byte reproducible however trials are scheduled.  The public
+samplers draw from a caller-owned ``random.Random`` (:func:`_draw`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dataclass_field
+from array import array
+from sys import byteorder
 from typing import List, Optional, Tuple
+
+try:
+    # hashlib would load OpenSSL; like random's sha512, prefer the builtin module.
+    from _sha3 import shake_256
+except ImportError:
+    from hashlib import shake_256
 
 from .crt import encode
 from .decoder import Branch, ErroneousResiduePair, reconstruct
@@ -42,8 +44,8 @@ def _draw(
     the same, so it draws the same values and leaves ``rng`` in the same
     state, without two Python frames per coefficient.  The values are
     reduced already, so the polynomials skip the constructor's ``% p``.
-    It serves the public samplers, whose caller may read ``rng`` on, and
-    the odd-p campaign trials; p = 2 trials read ahead (:func:`_draw_f2`).
+    It serves the public samplers, whose caller may read ``rng`` on;
+    campaign trials read a stream of their own (:func:`_stream_draws`).
     """
     p = field.p
     k = p.bit_length()
@@ -61,39 +63,44 @@ def _draw(
     return polys
 
 
-# At p = 2, ``getrandbits(2)`` is the top two bits of one 32-bit word,
-# redrawn while ``>= 2``: a set bit 31 rejects the word and bit 30 is the
-# coefficient.  On the word's top byte: bytes >= 0x80 are deleted and the
-# rest become the binary digit of their bit 6.
-_TOP_BYTE_DIGIT = bytes(b"01"[b >> 6 & 1] for b in range(256))
-_REJECTED_TOP_BYTES = bytes(range(0x80, 0x100))
-# Words read beyond twice the draws still missing; half the words are
-# rejected, so a second read is rare.
-_READ_MARGIN = 32
+def _stream_draws(counts: Tuple[int, ...], field: PrimeField, key: str) -> List[Polynomial]:
+    """Per count, that many uniform coefficients read off the SHAKE-256 stream S of ``key``.
 
-
-def _draw_f2(counts: Tuple[int, ...], field: PrimeField, rng: random.Random) -> List[Polynomial]:
-    """The polynomials ``_draw(counts, field, rng)`` draws at p = 2, in about one ``rng`` call.
-
-    ``getrandbits(32 * n)`` returns the next n words of the stream, the
-    first in the lowest 32 bits, so byte ``4i + 3`` of its little-endian
-    bytes is the top byte of word i.  The accepted words' digits come out in
-    draw order; a read that falls short is topped up by another.  ``rng``
-    is left past the words the draws used, so only a caller that reseeds
-    before reading it on may use this: the campaign trials.
+    At p = 2, draw j is bit j of ``int.from_bytes(S[:ceil(n / 8)], "little")``
+    for n draws in all.  At odd p, each candidate is the next w-byte
+    little-endian word of S masked to ``k = (p - 1).bit_length()`` bits, w the
+    smallest of 1, 2, 4 and 8 bytes that holds them; the candidates below p
+    are the draws.  A short read is topped up by a longer one, which extends it.
     """
-    need = sum(counts)
-    digits = b""
-    while len(digits) < need:
-        words = 2 * (need - len(digits)) + _READ_MARGIN
-        tops = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
-        digits += tops.translate(_TOP_BYTE_DIGIT, _REJECTED_TOP_BYTES)
-    # Draw j is bit j of one int, and each count takes the lowest bits left.
-    bits = int(digits[need - 1::-1], 2) if need else 0
+    stream = shake_256(key.encode())
+    p = field.p
+    n = sum(counts)
     polys = []
+    if p == 2:
+        bits = int.from_bytes(stream.digest(n + 7 >> 3), "little")
+        for count in counts:
+            polys.append(_from_bits(field, bits & ~(-1 << count)))
+            bits >>= count
+        return polys
+    k = (p - 1).bit_length()
+    width, code = (1, "B") if k <= 8 else (2, "H") if k <= 16 else (4, "I") if k <= 32 else (8, "Q")
+    lanes = ((1 << k) - 1).to_bytes(width, "little")
+    vals, words = [], 0
+    while len(vals) < n:
+        # Expected rejections at acceptance p / 2**k, two standard deviations and a word.
+        rejects = (n - len(vals)) * ((1 << k) - p) / p
+        more = n - len(vals) + int(rejects + 2 * (rejects * (1 << k) / p) ** 0.5) + 1
+        read = stream.digest((words + more) * width)[words * width:]
+        words += more
+        # Masked all at once, each candidate becomes one int, made only as it is read.
+        masked = int.from_bytes(read, "little") & int.from_bytes(lanes * more, "little")
+        cands = array(code, masked.to_bytes(len(read), "little"))
+        if byteorder == "big":
+            cands.byteswap()
+        vals += [v for v in cands if v < p]
     for count in counts:
-        polys.append(_from_bits(field, bits & ~(-1 << count)))
-        bits >>= count
+        polys.append(_from_reduced(field, vals[:count]))
+        del vals[:count]
     return polys
 
 
@@ -256,24 +263,20 @@ def _deg_json(deg: Degree) -> Optional[int]:
 
 
 def _run_trial(
-    analysis: ModuliPairAnalysis, level: int, tau: int, trial: int, rng: random.Random
+    analysis: ModuliPairAnalysis, level: int, tau: int, trial: int, key: str
 ) -> TrialOutcome:
-    """Trial ``trial``: draw ``a``, then ``e1``, then ``e2`` from ``rng``, corrupt, decode, judge.
+    """Trial ``trial``: draw ``a``, then ``e1``, then ``e2`` from the stream of ``key``, corrupt, decode, judge.
 
-    The draw order is part of the determinism contract.  At p = 2 the trial
-    reads ``rng`` past its draws (:func:`_draw_f2`), so its callers,
-    :func:`run_campaign` and the tests' ``search_boundary_counterexample``,
-    reseed ``rng`` before every trial.  A trial succeeds
-    when the folding polynomial is recovered exactly and the residual
-    ``a_hat - a`` has degree at most ``tau``; this is the only place that
-    rule is applied.  Nothing here raises once ``level`` is valid, which
+    The draw order is part of the determinism contract (:func:`_stream_draws`).
+    A trial succeeds when the folding polynomial is recovered exactly and the
+    residual ``a_hat - a`` has degree at most ``tau``; this is the only place
+    that rule is applied.  Nothing here raises once ``level`` is valid, which
     ``TrialConfig`` checks first, for any ``tau >= -1``: ``r1`` and ``r2``
     are reduced mod ``m1`` and ``m2``, and :func:`reconstruct` raises only
     from ``level_spec`` on an analysis that passed ``_assert_invariants``.
     """
-    field = analysis.field
     counts = (analysis.level_spec(level).dynamic_range_exclusive, tau + 1, tau + 1)
-    a, e1, e2 = _draw_f2(counts, field, rng) if field.p == 2 else _draw(counts, field, rng)
+    a, e1, e2 = _stream_draws(counts, analysis.field, key)
     residues, witness = encode(a, analysis)
     # A residue plus an error of degree below deg(m_i) is already reduced;
     # only boundary mode with tau >= deg(m_i) needs the division.
@@ -304,12 +307,8 @@ def run_campaign(config: TrialConfig) -> TrialReport:
     """
     analysis, level, tau, seed = config.analysis, config.level, config.tau, config.seed
     outcomes, successes, max_deg = [], 0, NEG_INF
-    # Seeding a used generator resets it fully, gauss_next included, so
-    # each trial's stream is the one random.Random(f"{seed}:{idx}") gives.
-    rng = random.Random()
     for idx in range(config.trials):
-        rng.seed(f"{seed}:{idx}")
-        outcome = _run_trial(analysis, level, tau, idx, rng)
+        outcome = _run_trial(analysis, level, tau, idx, f"{seed}:{idx}")
         outcomes.append(outcome)
         if outcome.residual_deg > max_deg:
             max_deg = outcome.residual_deg

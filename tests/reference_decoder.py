@@ -45,7 +45,6 @@ pytest does not rewrite its ``assert`` statements and ``python -O`` would
 strip them.
 """
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -371,16 +370,14 @@ def search_boundary_counterexample(
 ) -> Optional[BoundaryInstance]:
     """The first of ``budget`` campaign trials at ``tau`` equal to the level's error bound that fails.
 
-    Trial ``idx`` draws from ``random.Random(f"boundary:{seed}:{idx}")``;
+    Trial ``idx`` draws from the stream keyed ``f"boundary:{seed}:{idx}"``;
     the received residues and both folding polynomials are rebuilt from its
     ``a``, ``e1`` and ``e2`` with ``encode`` and ``reconstruct``.  Returns
     ``None`` when no trial within the budget fails.
     """
     tau = analysis.level_spec(level).error_bound_exclusive
-    rng = random.Random()
     for idx in range(budget):
-        rng.seed(f"boundary:{seed}:{idx}")
-        outcome = _run_trial(analysis, level, tau, idx, rng)
+        outcome = _run_trial(analysis, level, tau, idx, f"boundary:{seed}:{idx}")
         if not outcome.success:
             residues, witness = encode(outcome.a, analysis)
             r1 = (residues.a1 + outcome.e1) % analysis.m1

@@ -91,6 +91,15 @@ def test_first_use_loads_only_the_names_module_and_keeps_the_name():
     assert {"polycrt.decoder", "polycrt.simulation"}.isdisjoint(loaded)
 
 
+# Runs main on sys.argv[1:] with its output discarded; a nonzero exit fails.
+_RUN_MAIN = (
+    "import contextlib, io, sys\n"
+    "from polycrt.cli import main\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = main(sys.argv[1:])\n"
+    "if code: raise SystemExit(code)"
+)
+
 # (argv, modules the command must load, modules it must not load)
 _REF = ["--m1", REF_M1, "--m2", REF_M2]
 _NOT_DECODING = {"polycrt.decoder", "polycrt.simulation"}
@@ -112,13 +121,14 @@ _FOOTPRINTS = [
     "argv, loads, skips", _FOOTPRINTS, ids=[argv[0] for argv, _, _ in _FOOTPRINTS]
 )
 def test_each_command_loads_only_its_own_modules(argv, loads, skips):
-    code = (
-        "import contextlib, io, sys\n"
-        "from polycrt.cli import main\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = main(sys.argv[1:])\n"
-        "if code: raise SystemExit(code)"
-    )
-    loaded = loaded_after(code, *argv)
+    loaded = loaded_after(_RUN_MAIN, *argv)
     assert loads <= loaded
     assert sorted(skips & loaded) == []
+
+
+def test_simulate_leaves_openssl_unloaded():
+    # Campaign trials read SHAKE-256 from the builtin _sha3; hashlib would
+    # load OpenSSL's _hashlib, several MiB of resident memory.
+    loaded = loaded_after(_RUN_MAIN, "simulate", *_REF, "--level", "3", "--tau", "2", "--trials", "20")
+    assert "polycrt.simulation" in loaded
+    assert "_hashlib" not in loaded

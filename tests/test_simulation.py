@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import inspect
 import json
 import pickle
 import random
@@ -10,6 +11,7 @@ import polycrt.crt as crt
 import polycrt.decoder as decoder
 import polycrt.simulation as simulation
 from polycrt import (
+    Branch,
     ErroneousResiduePair,
     PolyCrtError,
     Polynomial,
@@ -27,7 +29,12 @@ from polycrt import (
 )
 
 from conftest import poly
-from reference_decoder import pack_chain, search_boundary_counterexample
+from reference_decoder import (
+    pack_chain,
+    reference_analyze_pair,
+    reference_reconstruct,
+    search_boundary_counterexample,
+)
 
 
 class TestSampling:
@@ -137,22 +144,41 @@ class TestSamplingStream:
         assert rng.getstate() == random.Random(seed).getstate()
 
 
-def randrange_draws(field, counts, seed):
-    """Per count, a polynomial of that many ``randrange(p)`` draws from ``random.Random(seed)``."""
-    twin = random.Random(seed)
-    return [Polynomial(field, [twin.randrange(field.p) for _ in range(n)]) for n in counts]
+def oracle_draws(field, counts, key):
+    """Per count, a polynomial of that many draws read one at a time off ``hashlib``'s SHAKE-256 of ``key``.
+
+    At p = 2 draw j is bit j of the stream, lowest bit of each byte first.
+    At odd p each candidate is the next little-endian word of the smallest
+    of 1, 2, 4 and 8 bytes that holds ``(p - 1).bit_length()`` bits, masked
+    to those bits, and is a draw when below p.
+    """
+    p, n = field.p, sum(counts)
+    if p == 2:
+        stream = hashlib.shake_256(key.encode()).digest((n + 7) // 8)
+        draws = [stream[j // 8] >> j % 8 & 1 for j in range(n)]
+    else:
+        k = (p - 1).bit_length()
+        width = next(w for w in (1, 2, 4, 8) if 8 * w >= k)
+        # At least half the candidates are kept, so 4n + 64 words suffice.
+        stream = hashlib.shake_256(key.encode()).digest(width * (4 * n + 64))
+        draws, at = [], 0
+        while len(draws) < n:
+            assert at < len(stream)
+            word = int.from_bytes(stream[at:at + width], "little") & (1 << k) - 1
+            at += width
+            if word < p:
+                draws.append(word)
+    polys = []
+    for count in counts:
+        polys.append(Polynomial(field, draws[:count]))
+        draws = draws[count:]
+    return polys
 
 
-def counted_reads(rng):
-    """The ``getrandbits`` sizes that ``rng`` is asked for, from now on."""
-    reads, real = [], rng.getrandbits
-
-    def counting(k):
-        reads.append(k)
-        return real(k)
-
-    rng.getrandbits = counting
-    return reads
+# 65537 keeps about half its 17-bit candidates; 2**64 - 59 reads whole words.
+ORACLE_PRIMES = [2, 3, 13, 65521, 65537, 2**61 - 1, 2**64 - 59]
+ORACLE_COUNTS = [(), (0,), (1,), (7,), (8,), (9,), (1500,), (9, 0, 8), (13, 3, 3)]
+ORACLE_KEYS = ["0:0", "3:17", "boundary:6:1"]
 
 
 def readme_trial_counts(analysis):
@@ -165,54 +191,132 @@ def readme_trial_counts(analysis):
     return counts
 
 
-# Reading the coefficient off bit 29 instead of bit 30, and keeping rejected words.
-READ_AHEAD_MUTANTS = [
-    (bytes(b"01"[b >> 5 & 1] for b in range(256)), simulation._REJECTED_TOP_BYTES),
-    (simulation._TOP_BYTE_DIGIT, b""),
-]
+def draw_mismatches(p):
+    """The counts and keys above on which ``_stream_draws`` at p differs from the oracle."""
+    field = PrimeField(p)
+    return sum(
+        simulation._stream_draws(counts, field, key) != oracle_draws(field, counts, key)
+        for counts in ORACLE_COUNTS for key in ORACLE_KEYS
+    )
 
 
-class TestF2ReadAhead:
-    # A p = 2 trial reads its draws in one getrandbits call; the values must
-    # be those of _draw and of randrange(2).  Only the state it leaves may differ.
-    @pytest.mark.parametrize("seed", ["0", "3:17", "boundary:6:1", 7])
-    def test_matches_draw_and_randrange(self, f2, reference_pair, seed):
-        cases = [(), (0,), (1,), (0, 0, 0), (1, 0, 1), (1500,), (700, 0, 400)]
-        for counts in cases + readme_trial_counts(reference_pair):
-            drawn = simulation._draw_f2(counts, f2, random.Random(seed))
-            assert drawn == simulation._draw(counts, f2, random.Random(seed))
-            assert drawn == randrange_draws(f2, counts, seed)
+def trial_mismatches(reference_pair):
+    """Campaign trials whose ``a``, ``e1`` and ``e2`` differ from the oracle's draws for their key.
 
-    def test_a_campaign_trial_reads_once(self, f2, reference_pair):
+    A guarantee and a boundary campaign run at the top level of the README
+    pair and of the p = 13 pair; trial ``idx`` has the key ``f"4:{idx}"``.
+    """
+    wrong = 0
+    for analysis in (reference_pair, odd_p_pair(13)):
+        level = analysis.K + 1
+        bound = analysis.level_spec(level).error_bound_exclusive
+        for tau, boundary in ((bound - 1, False), (bound + 1, True)):
+            cfg = TrialConfig(analysis, level, tau, 50, 4, boundary)
+            counts = (analysis.level_spec(level).dynamic_range_exclusive, tau + 1, tau + 1)
+            for o in run_campaign(cfg).outcomes:
+                wrong += [o.a, o.e1, o.e2] != oracle_draws(analysis.field, counts, f"4:{o.trial}")
+    return wrong
+
+
+def plant(monkeypatch, name, *edits):
+    """Replace ``simulation.<name>`` by a copy of its source with each ``(old, new)`` edit made.
+
+    Each ``old`` must occur exactly once, so that every mutant is planted.
+    """
+    source = inspect.getsource(getattr(simulation, name))
+    for old, new in edits:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    namespace = dict(vars(simulation))
+    exec("from __future__ import annotations\n" + source, namespace)
+    monkeypatch.setattr(simulation, name, namespace[name])
+
+
+_P2_READ = 'int.from_bytes(stream.digest(n + 7 >> 3), "little")'
+# Each mutant: the function it edits, then its edits.  The big-endian reader
+# masks its words big-endian too, or it would keep almost no candidate.
+STREAM_MUTANTS = {
+    "accepts p": ("_stream_draws", ("if v < p]", "if v <= p]")),
+    "reduces instead of rejecting": (
+        "_stream_draws", ("[v for v in cands if v < p]", "[v % p for v in cands]")
+    ),
+    "big-endian words": (
+        "_stream_draws",
+        ('.to_bytes(width, "little")', '.to_bytes(width, "big")'),
+        ('if byteorder == "big":', 'if byteorder == "little":'),
+    ),
+    "p = 2 bits top first": (
+        "_stream_draws",
+        (_P2_READ, f'int(format({_P2_READ}, f"0{{n + 7 >> 3 << 3}}b")[::-1] or "0", 2)'),
+    ),
+    "e1 and e2 swapped": ("_run_trial", ("a, e1, e2 = _stream_draws(", "a, e2, e1 = _stream_draws(")),
+}
+
+
+def counted_reads(monkeypatch):
+    """The digest sizes that ``_stream_draws`` reads off its streams, from now on."""
+    reads = []
+
+    class Counted:
+        def __init__(self, data):
+            self.stream = hashlib.shake_256(data)
+
+        def digest(self, size):
+            reads.append(size)
+            return self.stream.digest(size)
+
+    monkeypatch.setattr(simulation, "shake_256", Counted)
+    return reads
+
+
+class TestTrialStream:
+    # Campaign trials draw from SHAKE-256 of their key; an independent
+    # per-coefficient loop over hashlib's SHAKE-256 must give the same draws.
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_draws_match_the_oracle(self, p):
+        assert draw_mismatches(p) == 0
+
+    def test_campaign_trials_match_the_oracle(self, reference_pair):
+        assert trial_mismatches(reference_pair) == 0
+
+    def test_a_p2_trial_reads_once(self, f2, reference_pair, monkeypatch):
+        reads = counted_reads(monkeypatch)
         for counts in readme_trial_counts(reference_pair):
             for idx in range(50):
-                rng = random.Random(f"3:{idx}")
-                reads = counted_reads(rng)
-                simulation._draw_f2(counts, f2, rng)
-                assert len(reads) == 1
+                del reads[:]
+                assert simulation._stream_draws(counts, f2, f"3:{idx}") == oracle_draws(f2, counts, f"3:{idx}")
+                assert reads == [(sum(counts) + 7) // 8]
 
-    def test_a_short_first_read_is_topped_up(self, f2):
-        # Seed 1's first read of 2 * 1500 + 32 words accepts fewer than 1500.
-        rng = random.Random(1)
-        reads = counted_reads(rng)
-        drawn = simulation._draw_f2((1500,), f2, rng)
-        assert len(reads) == 2 and reads[0] == 32 * (2 * 1500 + simulation._READ_MARGIN)
-        assert drawn == randrange_draws(f2, (1500,), 1)
+    def test_a_short_first_read_is_topped_up(self, monkeypatch):
+        # At p = 65537 about half the 17-bit candidates are kept; the first
+        # read for key "topup:39" keeps fewer than 1,500 of them.
+        field, reads = PrimeField(65537), counted_reads(monkeypatch)
+        drawn = simulation._stream_draws((1500,), field, "topup:39")
+        assert len(reads) == 2 and reads[0] < reads[1]
+        assert drawn == oracle_draws(field, (1500,), "topup:39")
 
-    @pytest.mark.parametrize("digit, rejected", READ_AHEAD_MUTANTS)
-    def test_planted_mutants_mismatch(self, f2, reference_pair, monkeypatch, digit, rejected):
-        monkeypatch.setattr(simulation, "_TOP_BYTE_DIGIT", digit)
-        monkeypatch.setattr(simulation, "_REJECTED_TOP_BYTES", rejected)
-        for counts in readme_trial_counts(reference_pair):
-            for idx in range(5):
-                seed = f"3:{idx}"
-                assert simulation._draw_f2(counts, f2, random.Random(seed)) != randrange_draws(
-                    f2, counts, seed
-                )
+    @pytest.mark.parametrize("p", [2, 3, 13])
+    def test_counts_are_uniform(self, p):
+        # 3,000 campaign-shaped trials of ten draws each: every value's
+        # count lies within five standard deviations of n / p.
+        field, counts, trials = PrimeField(p), (4, 3, 3), 3000
+        seen = [0] * p
+        for idx in range(trials):
+            for count, drawn in zip(counts, simulation._stream_draws(counts, field, f"uniform:{idx}")):
+                for c in drawn.coeffs + (0,) * (count - len(drawn.coeffs)):
+                    seen[c] += 1
+        n = trials * sum(counts)
+        sigma = (n * (1 / p) * (1 - 1 / p)) ** 0.5
+        assert max(abs(c - n / p) for c in seen) <= 5 * sigma
+
+    @pytest.mark.parametrize("mutant", STREAM_MUTANTS)
+    def test_planted_mutants_mismatch(self, reference_pair, monkeypatch, mutant):
+        plant(monkeypatch, *STREAM_MUTANTS[mutant])
+        assert sum(map(draw_mismatches, ORACLE_PRIMES)) + trial_mismatches(reference_pair) > 0
 
 
-# Reports pinned before the samplers drew through getrandbits: the CI pairs
-# at p = 13 and p = 2**61 - 1, in guarantee and boundary mode, seed 3.
+# Pinned reports on the CI pairs at p = 13 and p = 2**61 - 1, in guarantee
+# and boundary mode, seed 3.
 ODD_P_PAIRS = {
     13: ("x^5+x^3+2*x^2+2", "x^6+x^4+x^3+3*x^2+x+3"),
     2**61 - 1: ("x^5+7*x^3+7*x^2+10*x+35", "x^6+8*x^4+x^3+26*x^2+5*x+55"),
@@ -225,91 +329,188 @@ def odd_p_pair(p):
     return analyze_pair(poly(field, m1), poly(field, m2))
 
 
-class TestOddPReportsPinned:
-    @pytest.mark.parametrize(
-        "p, level, tau, trials, boundary, failures, digest",
-        [
-            (13, 1, 2, 500, False, 0,
-             "573c1d8d12ece466b1685aa638e4d4d6c910d9349e7f5820413e0514f2298fdc"),
-            (13, 1, 4, 500, True, 495,
-             "7a24b4940381348af039cf4254af10475fe9b08e25f85b9df215e789173c119a"),
-            (2**61 - 1, 3, 1, 300, False, 0,
-             "32ff49dd58bb73d39747b967781c23e5c069957c206209be19b62ee76e0a20e0"),
-            (2**61 - 1, 3, 3, 300, True, 300,
-             "fb4ccdeb8c5175ad698583bb804171db341186d0077e0ff66fdeed8f789f88f0"),
-        ],
+def oracle_replay(cfg):
+    """``run_campaign(cfg)``'s report and trials rebuilt from the oracle's draws and the reference decoder.
+
+    The analysis is ``reference_analyze_pair`` of the moduli.  Each trial's
+    residues and ``k2`` come from ``divmod``, its decode from
+    ``reference_reconstruct``, and its verdict from the rule of
+    ``_run_trial``: ``k2`` recovered and a residual of degree at most tau.
+    Returns the report's JSON and, per trial, ``a``, ``e1``, ``e2``, the
+    branch, ``k2_match`` and the residual's degree.
+    """
+    an = reference_analyze_pair(cfg.analysis.m1, cfg.analysis.m2)
+    counts = (an.level_spec(cfg.level).dynamic_range_exclusive, cfg.tau + 1, cfg.tau + 1)
+    branches = {b.value: 0 for b in Branch}
+    degrees, details, trials = [], [], []
+    for idx in range(cfg.trials):
+        a, e1, e2 = oracle_draws(an.field, counts, f"{cfg.seed}:{idx}")
+        k2, a2 = divmod(a, an.m2)
+        r1 = (divmod(a, an.m1)[1] + e1) % an.m1
+        r2 = (a2 + e2) % an.m2
+        result = reference_reconstruct(ErroneousResiduePair(r1, r2, an), cfg.level)
+        residual = (result.a_hat - a).degree
+        branches[result.branch.value] += 1
+        degrees.append(residual)
+        trials.append((a, e1, e2, result.branch, result.k2_hat == k2, residual))
+        if result.k2_hat != k2 or residual > cfg.tau:
+            details.append({
+                "trial": idx, "a": str(a), "e1": str(e1), "e2": str(e2),
+                "branch": result.branch.value, "k2Match": result.k2_hat == k2,
+                "residualDeg": residual if residual >= 0 else None, "error": None,
+            })
+    nonzero = [d for d in degrees if d >= 0]
+    return {
+        "config": cfg.to_json(),
+        "successes": cfg.trials - len(details),
+        "failures": len(details),
+        "maxErrDeg": max(nonzero) if nonzero else None,
+        "branchCounts": branches,
+        "decodeErrors": 0,
+        "failureDetails": details,
+    }, trials
+
+
+def check_replay(cfg):
+    report = run_campaign(cfg)
+    payload, trials = oracle_replay(cfg)
+    assert payload == report.to_json()
+    assert trials == [
+        (o.a, o.e1, o.e2, o.branch, o.k2_match, o.residual_deg) for o in report.outcomes
+    ]
+
+
+def check_boundary_rate(cfg, failures):
+    """A boundary campaign's failures lie within 4 sigma of ``trials * (1 - p**-(tau - A_i + 1))``.
+
+    For tau < deg(m1) no residue wraps, and a trial fails exactly when
+    ``deg(e1 - e2) >= A_i``.
+    """
+    an, bound = cfg.analysis, cfg.analysis.level_spec(cfg.level).error_bound_exclusive
+    assert cfg.boundary and bound <= cfg.tau < an.m1.degree
+    rate = 1 - an.field.p ** -(cfg.tau - bound + 1)
+    sigma = (cfg.trials * rate * (1 - rate)) ** 0.5
+    assert abs(failures - cfg.trials * rate) <= 4 * sigma
+
+
+# (p, level, tau, trials, boundary, failures, digest).  The p = 2**61 - 1
+# guarantee report holds no draw (300 large_residue trials, no failure),
+# so it did not change with the trial streams.
+ODD_P_REPORTS = [
+    (13, 1, 2, 500, False, 0,
+     "1f3c3cc7dc093ef47524441fcde04f83612cc8bcc9b398b2695fed5aabb6a9be"),
+    (13, 1, 4, 500, True, 497,
+     "e0f6c0a34646d6c46ecb44a1f928dcbfc46d93883cdade4df7677132103bd9f6"),
+    (2**61 - 1, 3, 1, 300, False, 0,
+     "32ff49dd58bb73d39747b967781c23e5c069957c206209be19b62ee76e0a20e0"),
+    (2**61 - 1, 3, 3, 300, True, 300,
+     "862224436761a5a5541ca7292ea5afaac36914695adfdfa13f086fa28641ed0e"),
+]
+
+
+def odd_p_config(p, level, tau, trials, boundary):
+    return TrialConfig(
+        analysis=odd_p_pair(p), level=level, tau=tau, trials=trials, seed=3, boundary=boundary,
     )
+
+
+class TestOddPReportsPinned:
+    @pytest.mark.parametrize("p, level, tau, trials, boundary, failures, digest", ODD_P_REPORTS)
     def test_campaign_report(self, p, level, tau, trials, boundary, failures, digest):
-        cfg = TrialConfig(
-            analysis=odd_p_pair(p), level=level, tau=tau, trials=trials,
-            seed=3, boundary=boundary,
-        )
+        cfg = odd_p_config(p, level, tau, trials, boundary)
         payload = run_campaign(cfg).to_json()
         assert payload["failures"] == failures
+        if boundary:
+            check_boundary_rate(cfg, failures)
         text = json.dumps(payload, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_boundary_counterexample(self):
         an = odd_p_pair(13)
         inst = search_boundary_counterexample(an, 2, budget=300, seed=6)
-        assert (inst.trial, inst.seed, inst.level, inst.tau) == (1, 6, 2, 2)
+        assert (inst.trial, inst.seed, inst.level, inst.tau) == (0, 6, 2, 2)
         assert [
             str(v) for v in (inst.a, inst.e1, inst.e2, inst.r1, inst.r2, inst.k2_true, inst.k2_hat)
         ] == [
-            "x^8+11*x^7+12*x^6+11*x^5+5*x^4+11*x^3+12*x^2+5*x+4",
-            "2*x^2+7*x+2",
-            "4*x^2+3*x+4",
-            "11*x^4+2*x^3+9*x^2+3*x+10",
-            "12*x^5+6*x^4+5*x^3+8*x^2+3*x+1",
-            "x^2+11*x+11",
-            "9*x^2+9*x+5",
+            "10*x^7+11*x^6+9*x^5+12*x^4+3*x^3+8*x^2+12*x+1",
+            "3*x^2+6*x+9",
+            "7*x^2+6*x+5",
+            "7*x^4+8*x^3+6*x^2+9*x+12",
+            "12*x^5+4*x^4+x^3+11*x^2+3*x+12",
+            "10*x+11",
+            "3*x^2+6*x+12",
         ]
         assert inst.residual_deg == 8
 
 
 # The README pair over F_2 at every level, guarantee mode at tau = bound - 1
-# and boundary mode at tau = bound, seed 3, pinned before a trial drew its
-# three polynomials in one call and built its outcome without __init__.
+# and boundary mode at tau = bound, seed 3.
 F2_REPORTS = [
-    (1, False, 0, "d4c2f1948e2bad2a251fd0a263c75eba19167d2f03af7ebb303e1a5de9dffdb6"),
-    (1, True, 272, "44c5e2df6dda7ebb2078998c8acdc1a01bbcd12ad9b819440e016f780d41b02e"),
-    (2, False, 0, "90b819d2f6225e0fef012953f4f0678a780325d87d5a8f41bb00b7179968cb75"),
-    (2, True, 246, "455c85ba1e466637641699d0d8a92eb37dfb89685470357024744dda454cd1c4"),
-    (3, False, 0, "4b7bf8301976672a3c7d9c9ad93bbd3f48115cb740072184584d77d493adbf68"),
-    (3, True, 249, "19e0d53fd84d635c66255c95d73fcbf6f1782531a7e3fba02ab5287df6c9c5a3"),
-    (4, False, 0, "f35d99b81b9274a2c10f9e96b59c76de48c6a453c5a52c49cde86e5f11c521bf"),
-    (4, True, 244, "6122e38b20d8816262dea1102839204316c5209e3c1139c5f8d34f597f0ed37b"),
+    (1, False, 0, "0ff70f2366ac24f7315d5cada64fdf59233ea296774fda7db269b4b203004f81"),
+    (1, True, 252, "1c72bcb0e2d67c1436a00f0a25ffd8685a0e3e3e88c154683cbe43e65a6c40cb"),
+    (2, False, 0, "a8f6b293863b3f8cb934d3a4ab82d48307c610b981319807e62d06f77c1dde1e"),
+    (2, True, 267, "1d040825a4bc4dfe52f1586bf8fd4198545efeefd659ec011d63bfd1494292c5"),
+    (3, False, 0, "4aa69bd7b848748545c85845e4af57a2bf3b2262d1fdfc846563019ca15a85f0"),
+    (3, True, 248, "aab25e6e816a18db7d5361faf663444602a131abc9e410a1c50f364bef417d4f"),
+    (4, False, 0, "d0654acf5383bd6a258ffab05ec386b5e38ee926f8e6a9c47a4093c6ebdab843"),
+    (4, True, 239, "550dac9434fb4e5c4aa20b0b650cf16dec175dba2836e549ae89b37c43cf1cdc"),
 ]
+
+
+def f2_config(reference_pair, level, boundary):
+    bound = reference_pair.level_spec(level).error_bound_exclusive
+    return TrialConfig(
+        analysis=reference_pair, level=level, tau=bound if boundary else bound - 1,
+        trials=500, seed=3, boundary=boundary,
+    )
 
 
 class TestF2ReportsPinned:
     @pytest.mark.parametrize("level, boundary, failures, digest", F2_REPORTS)
     def test_campaign_report(self, reference_pair, level, boundary, failures, digest):
-        bound = reference_pair.level_spec(level).error_bound_exclusive
-        cfg = TrialConfig(
-            analysis=reference_pair, level=level, tau=bound if boundary else bound - 1,
-            trials=500, seed=3, boundary=boundary,
-        )
+        cfg = f2_config(reference_pair, level, boundary)
         payload = run_campaign(cfg).to_json()
         assert payload["failures"] == failures
+        if boundary:
+            check_boundary_rate(cfg, failures)
         text = json.dumps(payload, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_boundary_counterexample(self, reference_pair):
         inst = search_boundary_counterexample(reference_pair, 3, budget=300, seed=6)
-        assert (inst.trial, inst.seed, inst.level, inst.tau) == (3, 6, 3, 3)
+        assert (inst.trial, inst.seed, inst.level, inst.tau) == (1, 6, 3, 3)
         assert [
             str(v) for v in (inst.a, inst.e1, inst.e2, inst.r1, inst.r2, inst.k2_true, inst.k2_hat)
         ] == [
-            "x^15+x^13+x^10+x^9+x^5+x^2+x+1",
-            "1",
-            "x^3",
-            "x^6+x^5+x^4+x^2+1",
-            "x^10+x^6+x^5+x^3+x^2",
-            "x^4+x^2+1",
-            "x^4+x^3+x^2",
+            "x^14+x^11+x^10+x^9+x^7+x^3",
+            "x^2+1",
+            "x^3+x+1",
+            "x^7+x^5+x^3+x",
+            "x^9+x^6+x^5+x^4+x^2",
+            "x^3+1",
+            "0",
         ]
         assert inst.residual_deg == 14
+
+
+class TestPinnedReportsReplay:
+    # Every trial of every pinned campaign, and of the CLI's simulate
+    # goldens on the README pair, replays from the oracle's draws through
+    # the reference analysis and decoder to the library's report.
+    @pytest.mark.parametrize("level, boundary", [(level, b) for level, b, _, _ in F2_REPORTS])
+    def test_f2_reports(self, reference_pair, level, boundary):
+        cfg = f2_config(reference_pair, level, boundary)
+        check_replay(cfg)
+
+    @pytest.mark.parametrize("p, level, tau, trials, boundary", [r[:5] for r in ODD_P_REPORTS])
+    def test_odd_p_reports(self, p, level, tau, trials, boundary):
+        cfg = odd_p_config(p, level, tau, trials, boundary)
+        check_replay(cfg)
+
+    @pytest.mark.parametrize("level, tau, trials, seed, boundary", [(3, 2, 200, 0, False), (4, 2, 4, 1, True)])
+    def test_cli_goldens(self, reference_pair, level, tau, trials, seed, boundary):
+        cfg = TrialConfig(reference_pair, level, tau, trials, seed, boundary)
+        check_replay(cfg)
 
 
 class TestCampaignSkipsTheResidueCheck:
