@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from .crt import _check_residues
 from .levels import ModuliPairAnalysis
-from .poly import Polynomial, _mul_add, _record, _reduce_chain
+from .poly import Degree, Polynomial, _mul_add, _record, _reduce_chain
 
 
 class Branch(enum.Enum):
@@ -101,11 +101,17 @@ def classify(q21: Polynomial, analysis: ModuliPairAnalysis, level: int) -> Branc
     The three branches are exhaustive and mutually exclusive; the zero
     difference has degree NEG_INF and lands in EQUAL_RESIDUES.
     """
-    spec = analysis.level_spec(level)
-    deg = q21.degree
-    if deg >= analysis.m1.degree:
+    return _branch(q21.degree, analysis.m1.degree, analysis.level_spec(level).error_bound_exclusive)
+
+
+def _branch(deg: Degree, deg_m1: int, bound: int) -> Branch:
+    """The branch of a difference of degree ``deg``, for ``deg(m1)`` and the level's error bound.
+
+    Any degree below the bound, which is at least 1, lands in EQUAL_RESIDUES.
+    """
+    if deg >= deg_m1:
         return Branch.LARGE_RESIDUE
-    if deg >= spec.error_bound_exclusive:
+    if deg >= bound:
         return Branch.FOLDED_DIFFERENCE
     return Branch.EQUAL_RESIDUES
 

@@ -67,7 +67,7 @@ from polycrt import (
 )
 from polycrt.kronecker import _chain_layout, _pack, _unpack
 from polycrt.poly import Degree, PackedChain
-from polycrt.simulation import _run_trial
+from polycrt.simulation import _run_trials
 
 
 def schoolbook_mul(a, b, p: int) -> list:
@@ -376,15 +376,14 @@ def search_boundary_counterexample(
     ``None`` when no trial within the budget fails.
     """
     tau = analysis.level_spec(level).error_bound_exclusive
-    for idx in range(budget):
-        outcome = _run_trial(analysis, level, tau, idx, f"boundary:{seed}:{idx}")
+    for outcome in _run_trials(analysis, level, tau, f"boundary:{seed}:", budget):
         if not outcome.success:
             residues, witness = encode(outcome.a, analysis)
             r1 = (residues.a1 + outcome.e1) % analysis.m1
             r2 = (residues.a2 + outcome.e2) % analysis.m2
             k2_hat = reconstruct(ErroneousResiduePair(r1, r2, analysis), level).k2_hat
             return BoundaryInstance(
-                idx, seed, level, tau, outcome.a, outcome.e1, outcome.e2, r1, r2, witness.k2,
-                k2_hat, outcome.residual_deg,
+                outcome.trial, seed, level, tau, outcome.a, outcome.e1, outcome.e2, r1, r2,
+                witness.k2, k2_hat, outcome.residual_deg,
             )
     return None

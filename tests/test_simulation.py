@@ -135,14 +135,6 @@ class TestSamplingStream:
             assert drawn == singles
             assert rng.getstate() == twin.getstate()
 
-    @pytest.mark.parametrize("seed", ["0", "3:17", "boundary:6:1"])
-    def test_reseeding_a_used_generator_matches_a_fresh_one(self, seed):
-        rng = random.Random("used")
-        sample_polynomial(40, PrimeField(2**61 - 1), rng)
-        rng.gauss(0.0, 1.0)  # leaves gauss_next set
-        rng.seed(seed)
-        assert rng.getstate() == random.Random(seed).getstate()
-
 
 def oracle_draws(field, counts, key):
     """Per count, a polynomial of that many draws read one at a time off ``hashlib``'s SHAKE-256 of ``key``.
@@ -200,22 +192,26 @@ def draw_mismatches(p):
     )
 
 
-def trial_mismatches(reference_pair):
-    """Campaign trials whose ``a``, ``e1`` and ``e2`` differ from the oracle's draws for their key.
+def campaign_mismatches(analysis):
+    """Trials of ``analysis`` whose ``a``, ``e1`` and ``e2`` differ from the oracle's draws for their key.
 
-    A guarantee and a boundary campaign run at the top level of the README
-    pair and of the p = 13 pair; trial ``idx`` has the key ``f"4:{idx}"``.
+    A guarantee and a boundary campaign run at the top level; trial ``idx``
+    has the key ``f"4:{idx}"``.
     """
     wrong = 0
-    for analysis in (reference_pair, odd_p_pair(13)):
-        level = analysis.K + 1
-        bound = analysis.level_spec(level).error_bound_exclusive
-        for tau, boundary in ((bound - 1, False), (bound + 1, True)):
-            cfg = TrialConfig(analysis, level, tau, 50, 4, boundary)
-            counts = (analysis.level_spec(level).dynamic_range_exclusive, tau + 1, tau + 1)
-            for o in run_campaign(cfg).outcomes:
-                wrong += [o.a, o.e1, o.e2] != oracle_draws(analysis.field, counts, f"4:{o.trial}")
+    level = analysis.K + 1
+    bound = analysis.level_spec(level).error_bound_exclusive
+    for tau, boundary in ((bound - 1, False), (bound + 1, True)):
+        cfg = TrialConfig(analysis, level, tau, 50, 4, boundary)
+        counts = (analysis.level_spec(level).dynamic_range_exclusive, tau + 1, tau + 1)
+        for o in run_campaign(cfg).outcomes:
+            wrong += [o.a, o.e1, o.e2] != oracle_draws(analysis.field, counts, f"4:{o.trial}")
     return wrong
+
+
+def trial_mismatches(reference_pair):
+    """:func:`campaign_mismatches` of the README pair and of the p = 13 pair."""
+    return campaign_mismatches(reference_pair) + campaign_mismatches(odd_p_pair(13))
 
 
 def plant(monkeypatch, name, *edits):
@@ -249,7 +245,7 @@ STREAM_MUTANTS = {
         "_stream_draws",
         (_P2_READ, f'int(format({_P2_READ}, f"0{{n + 7 >> 3 << 3}}b")[::-1] or "0", 2)'),
     ),
-    "e1 and e2 swapped": ("_run_trial", ("a, e1, e2 = _stream_draws(", "a, e2, e1 = _stream_draws(")),
+    "e1 and e2 swapped": ("_run_trials", ("a, e1, e2 = _stream_draws(", "a, e2, e1 = _stream_draws(")),
 }
 
 
@@ -314,6 +310,81 @@ class TestTrialStream:
         plant(monkeypatch, *STREAM_MUTANTS[mutant])
         assert sum(map(draw_mismatches, ORACLE_PRIMES)) + trial_mismatches(reference_pair) > 0
 
+    def test_swapped_errors_mismatch_in_each_field(self, reference_pair, monkeypatch):
+        # Every trial draws in _run_trials, whichever decoder its field uses.
+        plant(monkeypatch, *STREAM_MUTANTS["e1 and e2 swapped"])
+        assert campaign_mismatches(reference_pair) > 0
+        assert campaign_mismatches(odd_p_pair(13)) > 0
+
+
+def long_chain_pair():
+    """The first pair at p = 2 with K >= 7 that a seeded ``random_moduli_pair`` draws."""
+    rng = random.Random("packed-trials")
+    while True:
+        analysis = random_moduli_pair(PrimeField(2), rng, (2, 3), (12, 14))
+        if analysis.K >= 7:
+            return analysis
+
+
+def rebuilt_outcome(analysis, level, tau, outcome):
+    """``outcome``'s fields rebuilt from its draws through ``encode``, ``ErroneousResiduePair`` and ``reconstruct``."""
+    residues, witness = encode(outcome.a, analysis)
+    r1 = (residues.a1 + outcome.e1) % analysis.m1
+    r2 = (residues.a2 + outcome.e2) % analysis.m2
+    result = reconstruct(ErroneousResiduePair(r1, r2, analysis), level)
+    residual = result.a_hat - outcome.a
+    k2_match = result.k2_hat == witness.k2
+    return {
+        "trial": outcome.trial, "a": outcome.a, "e1": outcome.e1, "e2": outcome.e2,
+        "branch": result.branch, "k2_match": k2_match, "residual_deg": residual.degree,
+        "residual_is_e2": residual == outcome.e2, "success": k2_match and residual.degree <= tau,
+    }
+
+
+def packed_mismatches(analysis):
+    """Campaign trials of a p = 2 ``analysis`` whose outcome differs from :func:`rebuilt_outcome`.
+
+    Every level runs at tau = -1, 0, bound - 1, bound, deg(m1) and deg(m2),
+    in boundary mode and, below the bound, in guarantee mode too: from
+    deg(m_i) on, the received residue ``r_i`` can need its reduction.  Returns
+    the count and the set of fields that differed.
+    """
+    wrong, fields = 0, set()
+    for level in range(1, analysis.K + 2):
+        bound = analysis.level_spec(level).error_bound_exclusive
+        for tau in sorted({-1, 0, bound - 1, bound, analysis.m1.degree, analysis.m2.degree}):
+            for boundary in (True, False) if tau < bound else (True,):
+                cfg = TrialConfig(analysis, level, tau, 30, level, boundary)
+                for outcome in run_campaign(cfg).outcomes:
+                    expected = rebuilt_outcome(analysis, level, tau, outcome)
+                    if vars(outcome) != expected:
+                        wrong += 1
+                        fields |= {k for k in expected if vars(outcome)[k] != expected[k]}
+    return wrong, fields
+
+
+# Each mutant: the edits it makes to _packed_decoder.
+PACKED_MUTANTS = {
+    "fold one step short": (("_fold_fused(q21, w, index, level + 1)", "_fold_fused(q21, w, index, level)"),),
+    "r2 left unreduced": (("if r2.bit_length() > deg2:", "if False:"),),
+    "residual without r2": (("^ r2 ^ a", "^ a"),),
+}
+
+
+class TestPackedTrials:
+    # A p = 2 trial decodes on packed ints; every field of its outcome must be
+    # the one the public encode and reconstruct give for its draws.
+    def test_readme_pair(self, reference_pair):
+        assert packed_mismatches(reference_pair) == (0, set())
+
+    def test_long_chain_pair(self):
+        assert packed_mismatches(long_chain_pair()) == (0, set())
+
+    @pytest.mark.parametrize("mutant", PACKED_MUTANTS)
+    def test_planted_mutants_mismatch(self, reference_pair, monkeypatch, mutant):
+        plant(monkeypatch, "_packed_decoder", *PACKED_MUTANTS[mutant])
+        assert packed_mismatches(reference_pair)[0] > 0
+
 
 # Pinned reports on the CI pairs at p = 13 and p = 2**61 - 1, in guarantee
 # and boundary mode, seed 3.
@@ -335,7 +406,7 @@ def oracle_replay(cfg):
     The analysis is ``reference_analyze_pair`` of the moduli.  Each trial's
     residues and ``k2`` come from ``divmod``, its decode from
     ``reference_reconstruct``, and its verdict from the rule of
-    ``_run_trial``: ``k2`` recovered and a residual of degree at most tau.
+    ``_run_trials``: ``k2`` recovered and a residual of degree at most tau.
     Returns the report's JSON and, per trial, ``a``, ``e1``, ``e2``, the
     branch, ``k2_match`` and the residual's degree.
     """
