@@ -8,20 +8,86 @@ the top level ``K + 1``: it reduces ``a1 - a2`` and weighs the quotients into
 ``deg(lcm(m1, m2))``.  Every step modulus is a multiple of ``m`` and the last
 is ``m`` times a scalar, so the tail is ``(a1 - a2) mod m``: zero exactly
 when the residues are consistent.
+
+The decode core works on stored values (:mod:`polycrt.poly`), and its set-up
+picks the field once: :func:`_divisions` gives ``divmod`` by ``m1`` and by
+``m2``, and :func:`_decoder` the decoder's formula at one level, written
+once per field.  ``encode``, ``crt_pair``, ``reconstruct`` and every
+campaign trial run on them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from operator import xor
+from typing import Callable, Tuple
 
 from .errors import (
     DegreeOutOfRangeError,
     InconsistentResiduesError,
     MixedFieldsError,
 )
+from .field import PrimeField
+from .gf2 import _cltable_divmod, _cltable_mul, _fold_fused
+from .kronecker import _fold_chain, _kronecker_mul
 from .levels import ModuliPairAnalysis
-from .poly import Polynomial, _divmod_by, _mul_add, _record, _reduce_chain
+from .poly import Polynomial, _dense_add, _dense_sub, _from_bits, _record, _strip, _tuple_divmod
+
+
+def _divisions(analysis: ModuliPairAnalysis) -> Tuple[Callable, Callable]:
+    """``divmod`` by ``m1`` and by ``m2`` on stored values of the analysis's field.
+
+    Over F_2 they run through the analysis's byte tables, eight quotient
+    bits per step (see :class:`ModuliPairAnalysis`); over odd p, through the
+    kernels of ``divmod``.
+    """
+    field = analysis.field
+    if field.p == 2:
+        (mults1, tops1), (mults2, tops2) = analysis.tables
+        return lambda a: _cltable_divmod(a, mults1, tops1), lambda a: _cltable_divmod(a, mults2, tops2)
+    p, b1, b2 = field.p, analysis.m1._value, analysis.m2._value
+    inv1, inv2 = field.inv(b1[-1]), field.inv(b2[-1])
+    return lambda a: _tuple_divmod(a, b1, p, inv1), lambda a: _tuple_divmod(a, b2, p, inv2)
+
+
+def _decoder(analysis: ModuliPairAnalysis, level: int) -> Callable:
+    """The decoder at ``level`` on stored values: ``decode(r1, r2) -> (q21, tail, k2_hat, a_hat)``.
+
+    The formula of :mod:`polycrt.decoder`: ``q21 = r1 - r2``, its cascade
+    over chain steps ``0 .. level`` gives ``tail`` and ``k2_hat``, and
+    ``a_hat = k2_hat * m2 + r2``.  The level is checked first.  ``r1`` and
+    ``r2`` must lie below their moduli, as the residue pairs check, or
+    ``q21`` may be longer than the chain takes.
+    """
+    analysis.level_spec(level)
+    stop, chain = level + 1, analysis.chain
+    if analysis.field.p == 2:
+        w, index, mults2 = chain.layout, chain.index, analysis.tables[1][0]
+
+        def decode(r1: int, r2: int) -> tuple:
+            q21 = r1 ^ r2
+            tail, k2_hat = _fold_fused(q21, w, index, stop)
+            return q21, tail, k2_hat, _cltable_mul(k2_hat, mults2) ^ r2
+
+        return decode
+    p, m2, (width, code) = analysis.field.p, analysis.m2._value, chain.layout
+    steps, cofs = chain.steps[:stop], chain.cofs[:stop]
+
+    def decode(r1: tuple, r2: tuple) -> tuple:
+        q21 = _dense_sub(r1, r2, p)
+        tail, k2_hat = _fold_chain(q21, steps, cofs, width, code, p)
+        k2_hat = tuple(_strip(k2_hat))
+        return q21, tuple(_strip(tail)), k2_hat, _dense_add(_kronecker_mul(k2_hat, m2, p), r2, p)
+
+    return decode
+
+
+def _arithmetic(field: PrimeField) -> Tuple[Callable, Callable, Callable]:
+    """``add``, ``sub`` and the length, in bits or coefficients, of stored values of ``field``."""
+    if field.p == 2:
+        return xor, xor, int.bit_length
+    p = field.p
+    return lambda a, b: _dense_add(a, b, p), lambda a, b: _dense_sub(a, b, p), len
 
 
 def _check_residues(
@@ -67,22 +133,20 @@ def encode(
 ) -> Tuple[ResiduePair, FoldingWitness]:
     """Residues and folding polynomials of ``a``; requires deg(a) < deg(lcm).
 
-    Over F_2 the two divisions run through the analysis's byte tables,
-    eight quotient bits per step (see :class:`ModuliPairAnalysis`); over odd
-    p they are ``divmod``.
+    The two divisions are those of :func:`_divisions`.
     """
-    field = moduli.field
-    if a.field is not field and a.field != field:
+    field = a.field
+    if field is not moduli.field and field != moduli.field:
         raise MixedFieldsError("polynomial and moduli fields differ")
     if not a.degree < moduli.lcm.degree:
         raise DegreeOutOfRangeError(
             f"deg(a) = {a.degree} not below deg(lcm) = {moduli.lcm.degree}"
         )
-    table1, table2 = moduli.tables
-    k1, a1 = _divmod_by(a, moduli.m1, table1)
-    k2, a2 = _divmod_by(a, moduli.m2, table2)
+    div1, div2 = _divisions(moduli)
+    (k1, a1), (k2, a2) = div1(a._value), div2(a._value)
     # The residues are below their moduli by construction: no re-check.
-    return _record(ResiduePair, a1=a1, a2=a2, moduli=moduli), _record(FoldingWitness, k1=k1, k2=k2)
+    residues = _record(ResiduePair, a1=_from_bits(field, a1), a2=_from_bits(field, a2), moduli=moduli)
+    return residues, _record(FoldingWitness, k1=_from_bits(field, k1), k2=_from_bits(field, k2))
 
 
 def crt_pair(pair: ResiduePair) -> Polynomial:
@@ -93,9 +157,9 @@ def crt_pair(pair: ResiduePair) -> Polynomial:
     divisible by it), in which case no reconstruction exists.
     """
     analysis = pair.moduli
-    tail, k2 = _reduce_chain(pair.a1 - pair.a2, analysis.chain, analysis.K + 2)
-    if not tail.is_zero:
+    _, tail, _, a = _decoder(analysis, analysis.K + 1)(pair.a1._value, pair.a2._value)
+    if tail:
         raise InconsistentResiduesError(
             "residues disagree modulo gcd(m1, m2); no common preimage exists"
         )
-    return _mul_add(k2, analysis.m2, analysis.tables[1], pair.a2)
+    return _from_bits(pair.a1.field, a)

@@ -27,7 +27,8 @@ c_j*m*sigma_j``.  The sum is already reduced: ``deg(c_j) <
 deg(m*sigma_{j-1}) - deg(m*sigma_j)`` and ``deg(s_j) = deg(m1) -
 deg(m*sigma_{j-1})``, so every term has degree below ``deg(m1) -
 deg(m*sigma_j) <= deg(gamma1)``.  This is an identity, inside the bounds
-and outside them.
+and outside them.  :func:`reconstruct` wraps the one place the formula is
+computed, :func:`polycrt.crt._decoder`.
 
 The degree of ``q21`` also names one of three cases, reported as
 :class:`Branch` for diagnostics only; the formula is the same in all three:
@@ -45,9 +46,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .crt import _check_residues
+from .crt import _check_residues, _decoder
 from .levels import ModuliPairAnalysis
-from .poly import Degree, Polynomial, _mul_add, _record, _reduce_chain
+from .poly import Degree, Polynomial, _from_bits, _record
 
 
 class Branch(enum.Enum):
@@ -125,9 +126,10 @@ def reconstruct(pair: ErroneousResiduePair, level: int) -> ReconstructionResult:
     (possibly wrong) result; there is no reliable detector for violated
     preconditions.
     """
-    analysis = pair.moduli
-    q21 = pair.r1 - pair.r2
-    branch = classify(q21, analysis, level)
-    tail, k2_hat = _reduce_chain(q21, analysis.chain, level + 1)
-    a_hat = _mul_add(k2_hat, analysis.m2, analysis.tables[1], pair.r2)
-    return _record(ReconstructionResult, a_hat=a_hat, k2_hat=k2_hat, branch=branch, q21=q21, cascade_tail=tail)
+    analysis, field = pair.moduli, pair.r1.field
+    q21, tail, k2_hat, a_hat = _decoder(analysis, level)(pair.r1._value, pair.r2._value)
+    q21 = _from_bits(field, q21)
+    return _record(
+        ReconstructionResult, a_hat=_from_bits(field, a_hat), k2_hat=_from_bits(field, k2_hat),
+        branch=classify(q21, analysis, level), q21=q21, cascade_tail=_from_bits(field, tail),
+    )

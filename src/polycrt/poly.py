@@ -19,7 +19,8 @@ cofactor-weighted sum step by step.  The pass returns its steps and
 cofactors as the kernels build them, and
 :func:`_from_pass` reads any one of them as a polynomial; that is all
 ``gcd``, ``xgcd`` and ``lcm`` take from it.  The cascade runs
-over a :class:`PackedChain`, which only the moduli pair analysis builds.
+over a :class:`PackedChain`, which only the moduli pair analysis builds,
+in the decode core of :mod:`polycrt.crt`, on stored values.
 Over F_2 the chain fuses each step into one int.  Over odd p a step packs
 its quotient in one int and adds one product per row, Barrett reduction
 keeps slots below 3p, and the cascade reduces mod p once, at its end.
@@ -39,24 +40,8 @@ from .errors import (
     ZeroInputError,
 )
 from .field import PrimeField
-from .gf2 import (
-    ByteTable,
-    _chain_index,
-    _clbyte_table,
-    _cldivmod,
-    _clmul,
-    _cltable_divmod,
-    _cltable_mul,
-    _fold_fused,
-    _fuse_chain,
-)
-from .kronecker import (
-    _fold_chain,
-    _fold_euclid,
-    _kronecker_mul,
-    _step_divmod,
-    _unpack,
-)
+from .gf2 import ByteTable, _chain_index, _clbyte_table, _cldivmod, _clmul, _fuse_chain
+from .kronecker import _fold_euclid, _kronecker_mul, _step_divmod, _unpack
 
 NEG_INF = float("-inf")
 
@@ -167,14 +152,14 @@ class Polynomial:
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._value ^ other._value)
-        return _from_reduced(field, _dense_add(self._value, other._value, field.p))
+        return _from_bits(field, _dense_add(self._value, other._value, field.p))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._value ^ other._value)
-        return _from_reduced(field, _dense_sub(self._value, other._value, field.p))
+        return _from_bits(field, _dense_sub(self._value, other._value, field.p))
 
     def __neg__(self) -> "Polynomial":
         p = self.field.p
@@ -195,19 +180,12 @@ class Polynomial:
         if other.is_zero:
             raise DivisionByZeroError("polynomial division by zero")
         field = self.field
+        b = other._value
         if field.p == 2:
-            quot, rem = _cldivmod(self._value, other._value)
-            return _from_bits(field, quot), _from_bits(field, rem)
-        a, b = self._value, other._value
-        if len(a) < len(b):
-            return _from_reduced(field, []), self
-        lead_inv = field.inv(b[-1])
-        n, k = len(b), len(a) - len(b) + 1
-        if n < _STEP_MIN_DIVISOR or k < _STEP_MIN_QUOTIENT:
-            quot, rem = _dense_divmod(a, b, field.p, lead_inv)
+            quot, rem = _cldivmod(self._value, b)
         else:
-            quot, rem = _step_divmod(a, b, field.p, lead_inv)
-        return _from_reduced(field, quot), _from_reduced(field, rem)
+            quot, rem = _tuple_divmod(self._value, b, field.p, field.inv(b[-1]))
+        return _from_bits(field, quot), _from_bits(field, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         """Remainder of :meth:`__divmod__`."""
@@ -270,30 +248,28 @@ def _strip(vals: list) -> list:
 
 def _from_reduced(field: PrimeField, vals: list) -> Polynomial:
     """Polynomial over odd p from a list already reduced mod p; strips ``vals`` in place."""
-    poly = object.__new__(Polynomial)
-    _set_field(poly, field)
-    _set_value(poly, tuple(_strip(vals)))
-    return poly
+    return _from_bits(field, tuple(_strip(vals)))
 
 
-# Dense schoolbook kernels on coefficient tuples, for any p.  They return
+# Dense schoolbook kernels on coefficient tuples, for any p.  The sum and
+# the difference are stored values, stripped tuples; the division returns
 # lists reduced mod p, possibly with trailing zeros.
 
 
-def _dense_add(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
+def _dense_add(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
     for i, v in enumerate(b):
         out[i] = (out[i] + v) % p
-    return out
+    return tuple(_strip(out))
 
 
-def _dense_sub(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
+def _dense_sub(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
     out = list(a) + [0] * (len(b) - len(a))
     for i, v in enumerate(b):
         out[i] = (out[i] - v) % p
-    return out
+    return tuple(_strip(out))
 
 
 def _dense_divmod(
@@ -316,6 +292,22 @@ def _dense_divmod(
     return quot, rem[:dd]
 
 
+def _tuple_divmod(
+    a: Tuple[int, ...], b: Tuple[int, ...], p: int, lead_inv: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Odd-p ``divmod`` of stored values by a nonzero ``b`` whose lead ``lead_inv`` inverts.
+
+    It runs the schoolbook loop below either ``_STEP_MIN_*`` bound and
+    division steps elsewhere.
+    """
+    n, k = len(b), len(a) - len(b) + 1
+    if k < 1:
+        return (), a
+    kernel = _dense_divmod if n < _STEP_MIN_DIVISOR or k < _STEP_MIN_QUOTIENT else _step_divmod
+    quot, rem = kernel(a, b, p, lead_inv)
+    return tuple(_strip(quot)), tuple(_strip(rem))
+
+
 # F_2 packing and unpacking go through the int's binary text, at C speed.
 
 _BIT_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
@@ -327,11 +319,15 @@ def _pack2(coeffs: Tuple[int, ...]) -> int:
     return int(bytes(coeffs[::-1]).translate(_BIT_TO_DIGIT), 2) if coeffs else 0
 
 
-def _from_bits(field: PrimeField, bits: int) -> Polynomial:
-    """Polynomial over F_2 from its packed int; any int is canonical, so nothing is reduced."""
+def _from_bits(field: PrimeField, value: Union[int, Tuple[int, ...]]) -> Polynomial:
+    """Polynomial from a stored value, which is taken as it is: nothing is reduced or checked.
+
+    Over F_2 any packed int is canonical.  Over odd p ``value`` must be a
+    tuple reduced mod p without trailing zeros, as the value kernels return.
+    """
     poly = object.__new__(Polynomial)
     _set_field(poly, field)
-    _set_value(poly, bits)
+    _set_value(poly, value)
     return poly
 
 
@@ -364,24 +360,6 @@ def _is_byte_table(m: Polynomial, table: ByteTable) -> bool:
         and list(mults[1::2]) == [v ^ b for v in evens]
         and [tops[v >> deg] for v in mults] == list(range(256))
     )
-
-
-def _divmod_by(
-    a: Polynomial, m: Polynomial, table: Optional[ByteTable]
-) -> Tuple[Polynomial, Polynomial]:
-    """``divmod(a, m)``, through ``m``'s byte table when there is one."""
-    if table is None:
-        return divmod(a, m)
-    quot, rem = _cltable_divmod(a._value, *table)
-    field = a.field
-    return _from_bits(field, quot), _from_bits(field, rem)
-
-
-def _mul_add(k: Polynomial, m: Polynomial, table: Optional[ByteTable], r: Polynomial) -> Polynomial:
-    """``k * m + r`` for ``r`` over ``k``'s field, through ``m``'s byte table when there is one."""
-    if table is None:
-        return k * m + r
-    return _from_bits(k.field, _cltable_mul(k._value, table[0]) ^ r._value)
 
 
 class PackedChain:
@@ -462,28 +440,6 @@ class PackedChain:
             top = (cof.bit_length() - 1) // bits
             cof_degs.append(NEG_INF if not cof else top if (cof >> top * bits) % p else None)
         return [step[0] - 1 for step in self.steps], cof_degs
-
-
-def _reduce_chain(v: Polynomial, chain: PackedChain, stop: int) -> Tuple[Polynomial, Polynomial]:
-    """``v`` reduced modulo steps ``0 .. stop - 1`` of ``chain`` in turn, and its quotients weighted.
-
-    Returns ``(remainder, sum of q_j * cofactor_j)``, where ``q_j`` is the
-    quotient of step ``j`` (zero when the running remainder is already below
-    the step's degree), for ``0 <= stop <= len(chain.steps)`` and ``v`` over
-    the chain's field, which the caller checks.  More than ``chain.size``
-    coefficients in ``v`` raise ``ValueError``.  Over F_2, see
-    :func:`~polycrt.gf2._fold_fused`, and over odd p,
-    :func:`~polycrt.kronecker._fold_chain`.
-    """
-    if v.degree >= chain.size:
-        raise ValueError(f"input of degree {v.degree} is too long for this chain")
-    steps, cofs = chain.steps, chain.cofs
-    field = v.field
-    if chain.index:
-        rem, total = _fold_fused(v._value, chain.layout, chain.index, stop)
-        return _from_bits(field, rem), _from_bits(field, total)
-    tail, total = _fold_chain(v._value, steps[:stop], cofs[:stop], *chain.layout, field.p)
-    return _from_reduced(field, tail), _from_reduced(field, total)
 
 
 def _euclid_pass(a: Polynomial, b: Polynomial) -> tuple:

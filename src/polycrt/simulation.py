@@ -5,12 +5,12 @@ corrupt the encoded residues, decode, and record whether the folding
 polynomial was recovered exactly.  Inside the bounds this must never fail;
 `run_campaign` is the executable form of that guarantee.
 
-Every trial runs through :func:`_run_trials`, which draws and judges it in
-one place.  Over F_2 it decodes with :func:`_packed_decoder`, on the packed
-ints of the drawn polynomials: the byte-table division and product and the
-fused cascade of :mod:`polycrt.gf2`, read once per campaign off the
-analysis.  Over odd p it decodes with :func:`_poly_decoder`, through the
-public :func:`~polycrt.crt.encode` and :func:`~polycrt.decoder.reconstruct`.
+Every trial runs through :func:`_run_trials`, which draws, encodes, decodes
+and judges it in one place, for every field.  It works on the stored values
+of the drawn polynomials, the packed int over F_2 and the coefficient tuple
+over odd p, with the decode core of :mod:`polycrt.crt` that ``encode`` and
+:func:`~polycrt.decoder.reconstruct` wrap, set up once per campaign; no
+polynomial is built but the draws.
 
 Determinism contract: trial ``idx`` of a campaign seeded ``seed`` draws from
 the SHAKE-256 stream of ``f"{seed}:{idx}"`` (:func:`_stream_draws`), and the
@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field as dataclass_field
 from array import array
 from sys import byteorder
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 try:
     # hashlib would load OpenSSL; like random's sha512, prefer the builtin module.
@@ -33,11 +33,10 @@ try:
 except ImportError:
     from hashlib import shake_256
 
-from .crt import encode
-from .decoder import Branch, ErroneousResiduePair, _branch, reconstruct
+from .crt import _arithmetic, _decoder, _divisions
+from .decoder import Branch, _branch
 from .errors import PolyCrtError
 from .field import PrimeField
-from .gf2 import _cltable_divmod, _cltable_mul, _fold_fused
 from .levels import ModuliPairAnalysis, analyze_pair
 from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, _pack2, _record, gcd
 
@@ -277,89 +276,49 @@ def _run_trials(
 
     A trial draws ``a``, then ``e1``, then ``e2`` from the stream of its key;
     the draw order is part of the determinism contract (:func:`_stream_draws`).
-    The field's decoder (:func:`_packed_decoder` at p = 2,
-    :func:`_poly_decoder` otherwise) is set up once for all the trials.  A
-    trial succeeds when the folding polynomial is recovered exactly and the
+    It encodes, corrupts and decodes on stored values, with the decode core
+    of :mod:`polycrt.crt`, set up once for all the trials.  A trial
+    succeeds when the folding polynomial is recovered exactly and the
     residual ``a_hat - a`` has degree at most ``tau``; this is the only place
     that rule is applied.  Nothing here raises once ``level`` is valid, which
     ``level_spec`` checks first, for any ``tau >= -1``: ``r1`` and ``r2`` are
     reduced mod ``m1`` and ``m2`` before they are decoded.
     """
     field = analysis.field
-    counts = (analysis.level_spec(level).dynamic_range_exclusive, tau + 1, tau + 1)
-    decode = (_packed_decoder if field.p == 2 else _poly_decoder)(analysis, level)
+    spec = analysis.level_spec(level)
+    counts = (spec.dynamic_range_exclusive, tau + 1, tau + 1)
+    div1, div2 = _divisions(analysis)
+    add, sub, length = _arithmetic(field)
+    decode = _decoder(analysis, level)
+    deg1, bound = analysis.m1.degree, spec.error_bound_exclusive
+    # A residue plus an error of degree below deg(m_i) is already reduced;
+    # only boundary mode reaches tau >= deg(m_i), where r_i needs the division.
+    wrap1, wrap2 = tau >= deg1, tau >= analysis.m2.degree
     for trial in range(trials):
         a, e1, e2 = _stream_draws(counts, field, f"{prefix}{trial}")
-        branch, k2_match, residual_deg, residual_is_e2 = decode(a, e1, e2)
-        yield _record(
-            TrialOutcome, trial=trial, a=a, e1=e1, e2=e2, branch=branch, k2_match=k2_match,
-            residual_deg=residual_deg, residual_is_e2=residual_is_e2,
-            success=k2_match and residual_deg <= tau,
-        )
-
-
-def _poly_decoder(analysis: ModuliPairAnalysis, level: int) -> Callable:
-    """A trial's decode through :func:`encode` and :func:`reconstruct`, for any p.
-
-    The returned function maps ``a, e1, e2`` to the branch, whether ``k2``
-    was recovered, the residual's degree and whether the residual is ``e2``.
-    """
-    m1, m2 = analysis.m1, analysis.m2
-    deg1, deg2 = m1.degree, m2.degree
-
-    def decode(a: Polynomial, e1: Polynomial, e2: Polynomial) -> tuple:
-        residues, witness = encode(a, analysis)
-        # A residue plus an error of degree below deg(m_i) is already reduced;
-        # only boundary mode with tau >= deg(m_i) needs the division.
-        r1 = residues.a1 + e1
-        if r1.degree >= deg1:
-            r1 %= m1
-        r2 = residues.a2 + e2
-        if r2.degree >= deg2:
-            r2 %= m2
-        # r1 and r2 are reduced and over the analysis's field: no re-check.
-        result = reconstruct(_record(ErroneousResiduePair, r1=r1, r2=r2, moduli=analysis), level)
-        residual = result.a_hat - a
+        a_v, e2_v = a._value, e2._value
+        r1 = add(div1(a_v)[1], e1._value)
+        if wrap1:
+            r1 = div1(r1)[1]
+        k2, r2 = div2(a_v)
+        r2 = add(r2, e2_v)
+        if wrap2:
+            r2 = div2(r2)[1]
+        q21, _, k2_hat, a_hat = decode(r1, r2)
+        # The zero difference has length 0, a "degree" of -1: below the
+        # bound, as NEG_INF is.
+        branch = _branch(length(q21) - 1, deg1, bound)
+        residual = sub(a_hat, a_v)
+        n = length(residual)
+        residual_deg = n - 1 if n else NEG_INF
+        k2_match = k2_hat == k2
         # k2 recovered does not imply residual == e2: in boundary mode with
         # tau >= deg(m2), r2 is reduced.
-        return result.branch, result.k2_hat == witness.k2, residual.degree, residual == e2
-
-    return decode
-
-
-def _packed_decoder(analysis: ModuliPairAnalysis, level: int) -> Callable:
-    """:func:`_poly_decoder` at p = 2, on the packed ints of the polynomials.
-
-    The moduli's byte tables, the fused chain and the degrees are read once.
-    A trial then makes two table divisions of ``a``, one fold of the
-    difference ``q21 = r1 - r2`` and one table product for ``a_hat = k2_hat *
-    m2 + r2``, and builds no polynomial.
-    """
-    (mults1, tops1), (mults2, tops2) = analysis.tables
-    w, index = analysis.chain.layout, analysis.chain.index
-    deg1, deg2 = analysis.m1.degree, analysis.m2.degree
-    bound = analysis.level_spec(level).error_bound_exclusive
-
-    def decode(a: Polynomial, e1: Polynomial, e2: Polynomial) -> tuple:
-        a = a._value
-        r1 = _cltable_divmod(a, mults1, tops1)[1] ^ e1._value
-        if r1.bit_length() > deg1:
-            r1 = _cltable_divmod(r1, mults1, tops1)[1]
-        k2, r2 = _cltable_divmod(a, mults2, tops2)
-        r2 ^= e2._value
-        if r2.bit_length() > deg2:
-            r2 = _cltable_divmod(r2, mults2, tops2)[1]
-        q21 = r1 ^ r2
-        # The zero difference has bit length 0, a "degree" of -1: below the
-        # bound, as NEG_INF is.  q21 is below deg(m2), so the chain takes it.
-        k2_hat = _fold_fused(q21, w, index, level + 1)[1]
-        residual = _cltable_mul(k2_hat, mults2) ^ r2 ^ a
-        return (
-            _branch(q21.bit_length() - 1, deg1, bound), k2_hat == k2,
-            residual.bit_length() - 1 if residual else NEG_INF, residual == e2._value,
+        yield _record(
+            TrialOutcome, trial=trial, a=a, e1=e1, e2=e2, branch=branch, k2_match=k2_match,
+            residual_deg=residual_deg, residual_is_e2=residual == e2_v,
+            success=k2_match and residual_deg <= tau,
         )
-
-    return decode
 
 
 def run_campaign(config: TrialConfig) -> TrialReport:

@@ -23,18 +23,8 @@ from polycrt import (
     parse_polynomial,
     xgcd,
 )
-from polycrt.poly import (
-    _clbyte_table,
-    _cldivmod,
-    _clmul,
-    _cltable_divmod,
-    _cltable_mul,
-    _dense_add,
-    _dense_divmod,
-    _dense_sub,
-    _from_bits,
-    _is_byte_table,
-)
+from polycrt.gf2 import _clbyte_table, _cldivmod, _clmul, _cltable_divmod, _cltable_mul
+from polycrt.poly import _dense_add, _dense_divmod, _dense_sub, _from_bits, _is_byte_table
 
 from reference_decoder import schoolbook_mul
 

@@ -17,6 +17,7 @@ from polycrt import (
     ParseError,
     Polynomial,
     PrimeField,
+    ResiduePair,
     ZeroInputError,
     analyze_pair,
     gcd,
@@ -27,8 +28,10 @@ from polycrt import (
     sample_polynomial,
     xgcd,
 )
-from polycrt.kronecker import _pack
-from polycrt.poly import _MAX_PARSE_DEGREE, PackedChain, _reduce_chain
+from polycrt.errors import DegreeOutOfRangeError
+from polycrt.gf2 import _fold_fused
+from polycrt.kronecker import _fold_chain, _pack
+from polycrt.poly import _MAX_PARSE_DEGREE, PackedChain, _from_bits
 from conftest import REF_M1, REF_M2, enumerate_polynomials, poly
 from reference_decoder import pack_chain
 
@@ -142,13 +145,29 @@ def chain_reference(v, moduli, cofactors):
     return v, total
 
 
+def fold(v, chain, stop):
+    """The cascade of ``v`` over steps ``0 .. stop - 1`` of a stored chain, by the field's kernel.
+
+    Returns the remainder and the sum of the quotients times the cofactors,
+    as polynomials: :func:`~polycrt.gf2._fold_fused` over F_2 and
+    :func:`~polycrt.kronecker._fold_chain` over odd p, as the decoder runs
+    them.  ``v`` has at most ``chain.size`` coefficients.
+    """
+    field = chain.field
+    if field.p == 2:
+        rem, total = _fold_fused(v._value, chain.layout, chain.index, stop)
+        return _from_bits(field, rem), _from_bits(field, total)
+    tail, total = _fold_chain(v.coeffs, chain.steps[:stop], chain.cofs[:stop], *chain.layout, field.p)
+    return Polynomial(field, tail), Polynomial(field, total)
+
+
 def reduce_chain(v, moduli, cofactors):
-    """``_reduce_chain`` over the chain packed from these steps.
+    """:func:`fold` over the chain packed from these steps.
 
     The chain takes inputs as long as ``v`` or as step 0, whichever is longer.
     """
     chain = pack_chain(v.field, moduli, cofactors, max(len(v.coeffs), len(moduli[0].coeffs)))
-    return _reduce_chain(v, chain, len(moduli))
+    return fold(v, chain, len(moduli))
 
 
 def random_chain(field, degrees, rng):
@@ -161,7 +180,7 @@ def random_chain(field, degrees, rng):
 
 
 class TestReduceChain:
-    """``_reduce_chain`` against a step-by-step ``divmod`` loop."""
+    """The cascade kernels, through :func:`fold`, against a step-by-step ``divmod`` loop."""
 
     # 3, 13 and 65521 have one-word slots, and 1048573 has them up to inputs
     # of length 300; 2**31 - 1, 2**61 - 1 and 2**64 - 59 have wider, joined
@@ -182,7 +201,7 @@ class TestReduceChain:
                 cofactors = (Polynomial(field),) + an.cascade_cofactors
                 for level in range(1, an.K + 2):
                     for v in inputs:
-                        got = _reduce_chain(v, an.chain, level + 1)
+                        got = fold(v, an.chain, level + 1)
                         assert got == chain_reference(v, moduli[: level + 1], cofactors[: level + 1])
 
     @pytest.mark.parametrize("p", PRIMES)
@@ -206,7 +225,7 @@ class TestReduceChain:
         moduli = (an.m1,) + an.cascade_moduli
         cofactors = (Polynomial(an.field),) + an.cascade_cofactors
         for v in enumerate_polynomials(an.field, an.chain.size):
-            got = _reduce_chain(v, an.chain, an.K + 2)
+            got = fold(v, an.chain, an.K + 2)
             assert got == chain_reference(v, moduli, cofactors)
 
     @pytest.mark.parametrize("p", PRIMES)
@@ -249,7 +268,7 @@ class TestReduceChain:
         moduli, cofactors = random_chain(field, [7, 4, 0], rng)
         chain = pack_chain(field, moduli, cofactors, 8)
         v = random_poly(field, 8, rng)
-        assert _reduce_chain(v, chain, 3) == chain_reference(v, moduli, cofactors)
+        assert fold(v, chain, 3) == chain_reference(v, moduli, cofactors)
 
     @pytest.mark.parametrize(
         "p, n",
@@ -286,7 +305,7 @@ class TestReduceChain:
         # The raised slots read back as the same polynomials.
         assert [*map(chain.modulus, range(n))] == moduli
         assert [*map(chain.cofactor, range(n))] == cofactors
-        got = _reduce_chain(v, chain, n)
+        got = fold(v, chain, n)
         assert got == chain_reference(v, moduli, cofactors)
 
     def test_one_cofactor_per_modulus(self, f13):
@@ -297,12 +316,29 @@ class TestReduceChain:
 
     @pytest.mark.parametrize("p", [2, 13])
     def test_input_longer_than_the_chain_raises(self, p):
+        # The kernels take up to chain.size coefficients, as many as m2
+        # has, and check nothing.  The decoder's input is r1 - r2, so the
+        # residue pairs keep it inside: each rejects a residue as long as its
+        # modulus before anything is decoded, and the longest residues they
+        # take leave a difference shorter than the chain.
         field = PrimeField(p)
-        step = Polynomial(field, [1, 1])
+        step, v = Polynomial(field, [1, 1]), Polynomial(field, [1, 1, 1])
         chain = pack_chain(field, (step,), (step,), 3)
-        _reduce_chain(Polynomial(field, [1, 1, 1]), chain, 1)
-        with pytest.raises(ValueError):
-            _reduce_chain(Polynomial(field, [1, 1, 1, 1]), chain, 1)
+        assert fold(v, chain, 1) == chain_reference(v, (step,), (step,))
+        m1, m2 = {2: (REF_M1, REF_M2), 13: ("x^5+x^3+2*x^2+2", "x^6+x^4+x^3+3*x^2+x+3")}[p]
+        an = analyze_pair(poly(field, m1), poly(field, m2))
+        assert an.chain.size == an.m2.degree + 1
+        x = Polynomial(field, [0, 1])
+        top1, top2 = (Polynomial(field, [p - 1] * m.degree) for m in (an.m1, an.m2))
+        for pair_type in (ResiduePair, ErroneousResiduePair):
+            for r1, r2 in ((top1 * x, top2), (top1, top2 * x)):
+                with pytest.raises(DegreeOutOfRangeError):
+                    pair_type(r1, r2, an)
+        q21 = top1 - top2
+        assert len(q21.coeffs) < an.chain.size
+        for level in range(1, an.K + 2):
+            got = reconstruct(ErroneousResiduePair(top1, top2, an), level)
+            assert (got.cascade_tail, got.k2_hat) == fold(q21, an.chain, level + 1)
 
 
 def cascade_prefixes(v, moduli, cofactors):
@@ -371,7 +407,7 @@ class TestF2FusedChain:
         for v in inputs:
             want = cascade_prefixes(v, moduli, cofactors)
             for level in range(1, an.K + 2):
-                assert _reduce_chain(v, chain, level + 1) == want[level + 1]
+                assert fold(v, chain, level + 1) == want[level + 1]
 
     def test_all_ones_inputs_fill_the_cofactor_field(self, f2):
         # An all-ones input of chain.size bits takes long quotients; the top
@@ -386,7 +422,7 @@ class TestF2FusedChain:
             v = Polynomial(f2, [1] * an.chain.size)
             want = cascade_prefixes(v, moduli, cofactors)
             for level in range(1, an.K + 2):
-                assert _reduce_chain(v, an.chain, level + 1) == want[level + 1]
+                assert fold(v, an.chain, level + 1) == want[level + 1]
             assert want[-1][1].degree < an.chain.layout
             full += want[-1][1].degree == an.chain.layout - 1
         assert full
@@ -412,7 +448,7 @@ class TestF2FusedChain:
                 for v in inputs:
                     want = cascade_prefixes(v, steps, cofs)
                     for stop in range(len(steps) + 1):
-                        assert _reduce_chain(v, chain, stop) == want[stop]
+                        assert fold(v, chain, stop) == want[stop]
 
     def test_index_structure_of_analysis_chains(self, f2, reference_pair):
         rng = random.Random("fused-index")

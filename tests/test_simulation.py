@@ -4,6 +4,7 @@ import inspect
 import json
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -215,17 +216,24 @@ def trial_mismatches(reference_pair):
 
 
 def plant(monkeypatch, name, *edits):
-    """Replace ``simulation.<name>`` by a copy of its source with each ``(old, new)`` edit made.
+    """Replace the function ``name`` by a copy of its source with each ``(old, new)`` edit made.
 
-    Each ``old`` must occur exactly once, so that every mutant is planted.
+    ``name`` is a function of ``simulation`` or of ``crt``.  The copy runs in
+    its defining module's namespace and replaces it in each of ``crt``,
+    ``decoder`` and ``simulation`` that holds it, so every caller runs the
+    mutant.  Each ``old`` must occur exactly once, so that every mutant is
+    planted.
     """
-    source = inspect.getsource(getattr(simulation, name))
+    original = next(vars(m)[name] for m in (simulation, crt) if name in vars(m))
+    source = inspect.getsource(original)
     for old, new in edits:
         assert source.count(old) == 1
         source = source.replace(old, new)
-    namespace = dict(vars(simulation))
+    namespace = dict(vars(sys.modules[original.__module__]))
     exec("from __future__ import annotations\n" + source, namespace)
-    monkeypatch.setattr(simulation, name, namespace[name])
+    for module in (crt, decoder, simulation):
+        if vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, namespace[name])
 
 
 _P2_READ = 'int.from_bytes(stream.digest(n + 7 >> 3), "little")'
@@ -311,7 +319,7 @@ class TestTrialStream:
         assert sum(map(draw_mismatches, ORACLE_PRIMES)) + trial_mismatches(reference_pair) > 0
 
     def test_swapped_errors_mismatch_in_each_field(self, reference_pair, monkeypatch):
-        # Every trial draws in _run_trials, whichever decoder its field uses.
+        # Every trial, in either field, draws in _run_trials.
         plant(monkeypatch, *STREAM_MUTANTS["e1 and e2 swapped"])
         assert campaign_mismatches(reference_pair) > 0
         assert campaign_mismatches(odd_p_pair(13)) > 0
@@ -327,22 +335,27 @@ def long_chain_pair():
 
 
 def rebuilt_outcome(analysis, level, tau, outcome):
-    """``outcome``'s fields rebuilt from its draws through ``encode``, ``ErroneousResiduePair`` and ``reconstruct``."""
-    residues, witness = encode(outcome.a, analysis)
-    r1 = (residues.a1 + outcome.e1) % analysis.m1
-    r2 = (residues.a2 + outcome.e2) % analysis.m2
-    result = reconstruct(ErroneousResiduePair(r1, r2, analysis), level)
-    residual = result.a_hat - outcome.a
-    k2_match = result.k2_hat == witness.k2
+    """``outcome``'s fields rebuilt from its draws with ``divmod`` and ``reference_reconstruct``.
+
+    Neither shares code with the decode core that campaign trials, ``encode``
+    and ``reconstruct`` run on, so a fault in the core shows up here.
+    """
+    a, m1, m2 = outcome.a, analysis.m1, analysis.m2
+    k2, a2 = divmod(a, m2)
+    r1 = (divmod(a, m1)[1] + outcome.e1) % m1
+    r2 = (a2 + outcome.e2) % m2
+    result = reference_reconstruct(ErroneousResiduePair(r1, r2, analysis), level)
+    residual = result.a_hat - a
+    k2_match = result.k2_hat == k2
     return {
-        "trial": outcome.trial, "a": outcome.a, "e1": outcome.e1, "e2": outcome.e2,
+        "trial": outcome.trial, "a": a, "e1": outcome.e1, "e2": outcome.e2,
         "branch": result.branch, "k2_match": k2_match, "residual_deg": residual.degree,
         "residual_is_e2": residual == outcome.e2, "success": k2_match and residual.degree <= tau,
     }
 
 
-def packed_mismatches(analysis):
-    """Campaign trials of a p = 2 ``analysis`` whose outcome differs from :func:`rebuilt_outcome`.
+def decoded_mismatches(analysis):
+    """Campaign trials of ``analysis`` whose outcome differs from :func:`rebuilt_outcome`.
 
     Every level runs at tau = -1, 0, bound - 1, bound, deg(m1) and deg(m2),
     in boundary mode and, below the bound, in guarantee mode too: from
@@ -363,27 +376,50 @@ def packed_mismatches(analysis):
     return wrong, fields
 
 
-# Each mutant: the edits it makes to _packed_decoder.
-PACKED_MUTANTS = {
-    "fold one step short": (("_fold_fused(q21, w, index, level + 1)", "_fold_fused(q21, w, index, level)"),),
-    "r2 left unreduced": (("if r2.bit_length() > deg2:", "if False:"),),
-    "residual without r2": (("^ r2 ^ a", "^ a"),),
+def decoded_trial_pair(p):
+    """A seeded pair at odd p whose chain has at least three levels."""
+    rng = random.Random(f"decoded-trials:{p}")
+    while True:
+        analysis = random_moduli_pair(PrimeField(p), rng, (2, 3), (5, 7))
+        if analysis.K >= 2:
+            return analysis
+
+
+# Each mutant: the function it edits, then its edits.  Those in _decoder
+# edit the core at both fields: ``stop`` is shared, and a_hat has one form
+# per field.
+CORE_MUTANTS = {
+    "fold one step short": (
+        "_decoder", ("stop, chain = level + 1, analysis.chain", "stop, chain = level, analysis.chain"),
+    ),
+    "r2 left unreduced": ("_run_trials", ("if wrap2:", "if False:")),
+    "residual without r2": (
+        "_decoder",
+        ("_cltable_mul(k2_hat, mults2) ^ r2", "_cltable_mul(k2_hat, mults2)"),
+        ("_kronecker_mul(k2_hat, m2, p), r2, p)", "_kronecker_mul(k2_hat, m2, p), (), p)"),
+    ),
 }
 
 
 class TestPackedTrials:
-    # A p = 2 trial decodes on packed ints; every field of its outcome must be
-    # the one the public encode and reconstruct give for its draws.
+    # Every trial decodes on stored values, in the core that encode and
+    # reconstruct wrap; every field of its outcome must be the one that
+    # divmod and the reference decoder give for its draws.
     def test_readme_pair(self, reference_pair):
-        assert packed_mismatches(reference_pair) == (0, set())
+        assert decoded_mismatches(reference_pair) == (0, set())
 
     def test_long_chain_pair(self):
-        assert packed_mismatches(long_chain_pair()) == (0, set())
+        assert decoded_mismatches(long_chain_pair()) == (0, set())
 
-    @pytest.mark.parametrize("mutant", PACKED_MUTANTS)
+    @pytest.mark.parametrize("p", [3, 13, 65521, 2**61 - 1])
+    def test_odd_p_pairs(self, p):
+        assert decoded_mismatches(decoded_trial_pair(p)) == (0, set())
+
+    @pytest.mark.parametrize("mutant", CORE_MUTANTS)
     def test_planted_mutants_mismatch(self, reference_pair, monkeypatch, mutant):
-        plant(monkeypatch, "_packed_decoder", *PACKED_MUTANTS[mutant])
-        assert packed_mismatches(reference_pair)[0] > 0
+        plant(monkeypatch, *CORE_MUTANTS[mutant])
+        assert decoded_mismatches(reference_pair)[0] > 0
+        assert decoded_mismatches(decoded_trial_pair(13))[0] > 0
 
 
 # Pinned reports on the CI pairs at p = 13 and p = 2**61 - 1, in guarantee
@@ -836,15 +872,15 @@ class TestDecodeCriterion:
             assert criterion_mispredictions(analysis, 20, 1000 * index) == 0
 
     def test_criterion_catches_a_cascade_one_step_short(self, monkeypatch):
-        reduce_chain = decoder._reduce_chain
-        monkeypatch.setattr(
-            decoder, "_reduce_chain", lambda v, chain, stop: reduce_chain(v, chain, stop - 1)
-        )
-        wrong = sum(
-            criterion_mispredictions(analysis, 20, 1000 * index)
-            for p in CRITERION_PRIMES for index, analysis in enumerate(criterion_pairs(p))
-        )
-        assert wrong > 0
+        plant(monkeypatch, *CORE_MUTANTS["fold one step short"])
+        wrong = {
+            p: sum(
+                criterion_mispredictions(analysis, 20, 1000 * index)
+                for index, analysis in enumerate(criterion_pairs(p))
+            )
+            for p in CRITERION_PRIMES
+        }
+        assert all(wrong.values()), wrong
 
     def test_criterion_catches_a_wrong_last_cofactor(self):
         wrong = 0
