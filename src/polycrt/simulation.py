@@ -6,26 +6,35 @@ polynomial was recovered exactly.  Inside the bounds this must never fail;
 `run_campaign` is the executable form of that guarantee.
 
 Every trial runs through :func:`_run_trials`, which draws, encodes, decodes
-and judges it in one place, for every field.  It works on the stored values
-of the drawn polynomials, the packed int over F_2 and the coefficient tuple
-over odd p, with the decode core of :mod:`polycrt.crt` that ``encode`` and
-:func:`~polycrt.decoder.reconstruct` wrap, set up once per campaign; no
-polynomial is built but the draws.
+and judges it in one place, for every field.  It works on stored values
+from the draw to the verdict, the packed int over F_2 and the coefficient
+tuple over odd p, with the decode core of :mod:`polycrt.crt` that ``encode``
+and :func:`~polycrt.decoder.reconstruct` wrap, set up once per campaign; no
+polynomial is built.
+
+A campaign streams: :func:`run_campaign` folds each trial into the
+report's counters and keeps only the indices of failing trials, so its
+memory does not grow with the trial count in guarantee mode.  A
+:class:`TrialOutcome` is built only when it is read: ``report.outcomes``
+replays trials on demand, and the failure details replay the failing ones.
 
 Determinism contract: trial ``idx`` of a campaign seeded ``seed`` draws from
 the SHAKE-256 stream of ``f"{seed}:{idx}"`` (:func:`_stream_draws`), and the
 report aggregation is order-independent, so a campaign's report is
-byte-for-byte reproducible however trials are scheduled.  The public
-samplers draw from a caller-owned ``random.Random`` (:func:`_draw`).
+byte-for-byte reproducible however trials are scheduled, and any trial
+replays alone.  The public samplers draw from a caller-owned
+``random.Random`` (:func:`_draw`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dataclass_field
 from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, field as dataclass_field
+from operator import eq
 from sys import byteorder
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 try:
     # hashlib would load OpenSSL; like random's sha512, prefer the builtin module.
@@ -38,7 +47,7 @@ from .decoder import Branch, _branch
 from .errors import PolyCrtError
 from .field import PrimeField
 from .levels import ModuliPairAnalysis, analyze_pair
-from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, _pack2, _record, gcd
+from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, _pack2, _strip, gcd
 
 
 def _draw(
@@ -70,25 +79,27 @@ def _draw(
     return polys
 
 
-def _stream_draws(counts: Tuple[int, ...], field: PrimeField, key: str) -> List[Polynomial]:
-    """Per count, that many uniform coefficients read off the SHAKE-256 stream S of ``key``.
+def _stream_draws(counts: Tuple[int, ...], field: PrimeField, key: str) -> List[Union[int, tuple]]:
+    """Per count, the stored value of that many uniform coefficients read off the SHAKE-256 stream S of ``key``.
 
     At p = 2, draw j is bit j of ``int.from_bytes(S[:ceil(n / 8)], "little")``
     for n draws in all.  At odd p, each candidate is the next w-byte
     little-endian word of S masked to ``k = (p - 1).bit_length()`` bits, w the
     smallest of 1, 2, 4 and 8 bytes that holds them; the candidates below p
     are the draws.  A short read is topped up by a longer one, which extends it.
+    The values are a polynomial's (:class:`~polycrt.poly.Polynomial`): the
+    packed int at p = 2 and the tuple without trailing zeros at odd p.
     """
     stream = shake_256(key.encode())
     p = field.p
     n = sum(counts)
-    polys = []
+    draws = []
     if p == 2:
         bits = int.from_bytes(stream.digest(n + 7 >> 3), "little")
         for count in counts:
-            polys.append(_from_bits(field, bits & ~(-1 << count)))
+            draws.append(bits & ~(-1 << count))
             bits >>= count
-        return polys
+        return draws
     k = (p - 1).bit_length()
     width, code = (1, "B") if k <= 8 else (2, "H") if k <= 16 else (4, "I") if k <= 32 else (8, "Q")
     lanes = ((1 << k) - 1).to_bytes(width, "little")
@@ -106,9 +117,9 @@ def _stream_draws(counts: Tuple[int, ...], field: PrimeField, key: str) -> List[
             cands.byteswap()
         vals += [v for v in cands if v < p]
     for count in counts:
-        polys.append(_from_reduced(field, vals[:count]))
+        draws.append(tuple(_strip(vals[:count])))
         del vals[:count]
-    return polys
+    return draws
 
 
 def sample_polynomial(
@@ -241,14 +252,24 @@ class TrialOutcome:
 
 @dataclass
 class TrialReport:
-    """Aggregate campaign results plus the per-trial record."""
+    """Aggregate campaign results, and the indices of the failing trials.
+
+    A report stores its counters and one int per failing trial, none in a
+    campaign without failures; it stores no trial.  ``outcomes`` replays
+    the trials from the config when it is read (:class:`_Outcomes`).
+    """
 
     config: TrialConfig
-    outcomes: List[TrialOutcome] = dataclass_field(default_factory=list)
     successes: int = 0
     failures: int = 0
     max_residual_deg: Degree = NEG_INF
     branch_counts: dict = dataclass_field(default_factory=dict)
+    failed_trials: List[int] = dataclass_field(default_factory=list)
+
+    @property
+    def outcomes(self) -> "_Outcomes":
+        """Every trial's :class:`TrialOutcome`, in trial order, replayed on read."""
+        return _Outcomes(self.config)
 
     def to_json(self) -> dict:
         return {
@@ -259,10 +280,38 @@ class TrialReport:
             "branchCounts": dict(sorted(self.branch_counts.items())),
             # The decoder cannot fail (see _run_trials); kept for a stable format.
             "decodeErrors": 0,
-            "failureDetails": [
-                o.to_json() for o in self.outcomes if not o.success
-            ],
+            "failureDetails": [o.to_json() for o in _replay(self.config, self.failed_trials)],
         }
+
+
+class _Outcomes(Sequence):
+    """The outcomes of a campaign's trials, a read-only sequence that replays each trial it is asked for.
+
+    ``len()`` replays nothing, an index replays one trial and iteration
+    streams them.  It equals a list of the same outcomes.
+    """
+
+    __slots__ = ("_config",)
+
+    def __init__(self, config: TrialConfig) -> None:
+        self._config = config
+
+    def __len__(self) -> int:
+        return self._config.trials
+
+    def __getitem__(self, i: Union[int, slice]) -> Union[TrialOutcome, List[TrialOutcome]]:
+        picked = range(self._config.trials)[i]
+        if isinstance(picked, range):
+            return list(_replay(self._config, picked))
+        return next(_replay(self._config, (picked,)))
+
+    def __iter__(self) -> Iterator[TrialOutcome]:
+        return _replay(self._config, range(self._config.trials))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, _Outcomes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 def _deg_json(deg: Degree) -> Optional[int]:
@@ -270,14 +319,16 @@ def _deg_json(deg: Degree) -> Optional[int]:
 
 
 def _run_trials(
-    analysis: ModuliPairAnalysis, level: int, tau: int, prefix: str, trials: int
-) -> Iterator[TrialOutcome]:
-    """Trials ``0 .. trials - 1``, each keyed ``f"{prefix}{trial}"``: draw, corrupt, decode, judge.
+    analysis: ModuliPairAnalysis, level: int, tau: int, prefix: str, trials: Iterable[int]
+) -> Iterator[tuple]:
+    """Each trial of ``trials``, keyed ``f"{prefix}{trial}"``: draw, corrupt, decode, judge.
 
     A trial draws ``a``, then ``e1``, then ``e2`` from the stream of its key;
     the draw order is part of the determinism contract (:func:`_stream_draws`).
     It encodes, corrupts and decodes on stored values, with the decode core
-    of :mod:`polycrt.crt`, set up once for all the trials.  A trial
+    of :mod:`polycrt.crt`, set up once for all the trials, and yields one
+    tuple in the field order of :class:`TrialOutcome`, with stored values
+    for ``a``, ``e1`` and ``e2`` (:func:`_outcome`).  A trial
     succeeds when the folding polynomial is recovered exactly and the
     residual ``a_hat - a`` has degree at most ``tau``; this is the only place
     that rule is applied.  Nothing here raises once ``level`` is valid, which
@@ -294,50 +345,66 @@ def _run_trials(
     # A residue plus an error of degree below deg(m_i) is already reduced;
     # only boundary mode reaches tau >= deg(m_i), where r_i needs the division.
     wrap1, wrap2 = tau >= deg1, tau >= analysis.m2.degree
-    for trial in range(trials):
+    for trial in trials:
         a, e1, e2 = _stream_draws(counts, field, f"{prefix}{trial}")
-        a_v, e2_v = a._value, e2._value
-        r1 = add(div1(a_v)[1], e1._value)
+        r1 = add(div1(a)[1], e1)
         if wrap1:
             r1 = div1(r1)[1]
-        k2, r2 = div2(a_v)
-        r2 = add(r2, e2_v)
+        k2, r2 = div2(a)
+        r2 = add(r2, e2)
         if wrap2:
             r2 = div2(r2)[1]
         q21, _, k2_hat, a_hat = decode(r1, r2)
         # The zero difference has length 0, a "degree" of -1: below the
         # bound, as NEG_INF is.
         branch = _branch(length(q21) - 1, deg1, bound)
-        residual = sub(a_hat, a_v)
+        residual = sub(a_hat, a)
         n = length(residual)
         residual_deg = n - 1 if n else NEG_INF
         k2_match = k2_hat == k2
         # k2 recovered does not imply residual == e2: in boundary mode with
         # tau >= deg(m2), r2 is reduced.
-        yield _record(
-            TrialOutcome, trial=trial, a=a, e1=e1, e2=e2, branch=branch, k2_match=k2_match,
-            residual_deg=residual_deg, residual_is_e2=residual == e2_v,
-            success=k2_match and residual_deg <= tau,
+        yield (
+            trial, a, e1, e2, branch, k2_match, residual_deg, residual == e2,
+            k2_match and residual_deg <= tau,
         )
+
+
+def _outcome(field: PrimeField, row: tuple) -> TrialOutcome:
+    """The :class:`TrialOutcome` of a row of :func:`_run_trials`."""
+    trial, a, e1, e2, *verdict = row
+    return TrialOutcome(trial, _from_bits(field, a), _from_bits(field, e1), _from_bits(field, e2), *verdict)
+
+
+def _replay(config: TrialConfig, trials: Iterable[int]) -> Iterator[TrialOutcome]:
+    """The outcomes of the campaign's trials ``trials``, each run again from its key."""
+    field = config.analysis.field
+    rows = _run_trials(config.analysis, config.level, config.tau, f"{config.seed}:", trials)
+    return (_outcome(field, row) for row in rows)
 
 
 def run_campaign(config: TrialConfig) -> TrialReport:
     """Run the configured number of independent corrupt-then-decode trials.
 
-    The trials are drawn, decoded and judged by :func:`_run_trials`, whose
-    outcomes the report keeps and counts.
+    The trials are drawn, decoded and judged by :func:`_run_trials`; each
+    is folded into the report's counters as it comes, and only the indices
+    of failing trials are kept.
     """
-    trials = _run_trials(config.analysis, config.level, config.tau, f"{config.seed}:", config.trials)
-    outcomes = list(trials)
-    successes = sum(o.success for o in outcomes)
-    max_deg = max((o.residual_deg for o in outcomes), default=NEG_INF)
-    branches = [o.branch for o in outcomes]
-    counts = {b.value: branches.count(b) for b in Branch}
-    return TrialReport(config, outcomes, successes, config.trials - successes, max_deg, counts)
+    counts = {b.value: 0 for b in Branch}
+    max_deg, failed = NEG_INF, []
+    rows = _run_trials(config.analysis, config.level, config.tau, f"{config.seed}:", range(config.trials))
+    for trial, _, _, _, branch, _, residual_deg, _, success in rows:
+        # _value_ is what .value reads; hashing the member would run Python code.
+        counts[branch._value_] += 1
+        if residual_deg > max_deg:
+            max_deg = residual_deg
+        if not success:
+            failed.append(trial)
+    return TrialReport(config, config.trials - len(failed), len(failed), max_deg, counts, failed)
 
 
 def render_report(report: TrialReport) -> str:
-    """Plain-text campaign summary; lists up to ten failing trials."""
+    """Plain-text campaign summary; lists up to ten failing trials, replayed."""
     cfg = report.config
     max_deg = _deg_json(report.max_residual_deg)
     lines = [
@@ -349,8 +416,8 @@ def render_report(report: TrialReport) -> str:
         "branch counts: "
         + ", ".join(f"{k}={v}" for k, v in sorted(report.branch_counts.items())),
     ]
-    failing = [o for o in report.outcomes if not o.success]
-    for outcome in failing[:10]:
+    failing = report.failed_trials
+    for outcome in _replay(cfg, failing[:10]):
         lines.append(
             f"trial {outcome.trial}: a={outcome.a} e1={outcome.e1}"
             f" e2={outcome.e2} branch={outcome.branch.value}"
@@ -360,4 +427,3 @@ def render_report(report: TrialReport) -> str:
     if len(failing) > 10:
         lines.append(f"... and {len(failing) - 10} more failing trials")
     return "\n".join(lines)
-

@@ -67,7 +67,7 @@ from polycrt import (
 )
 from polycrt.kronecker import _chain_layout, _pack, _unpack
 from polycrt.poly import Degree, PackedChain
-from polycrt.simulation import _run_trials
+from polycrt.simulation import _outcome, _run_trials
 
 
 def schoolbook_mul(a, b, p: int) -> list:
@@ -376,7 +376,8 @@ def search_boundary_counterexample(
     ``None`` when no trial within the budget fails.
     """
     tau = analysis.level_spec(level).error_bound_exclusive
-    for outcome in _run_trials(analysis, level, tau, f"boundary:{seed}:", budget):
+    for row in _run_trials(analysis, level, tau, f"boundary:{seed}:", range(budget)):
+        outcome = _outcome(analysis.field, row)
         if not outcome.success:
             residues, witness = encode(outcome.a, analysis)
             r1 = (residues.a1 + outcome.e1) % analysis.m1

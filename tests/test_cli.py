@@ -34,7 +34,7 @@ def no_sampling(monkeypatch):
 
 @pytest.fixture
 def no_campaign(monkeypatch):
-    """Fail instead of running a campaign (it keeps every trial's outcome)."""
+    """Fail instead of running a campaign (it runs every trial)."""
 
     def refuse(config):
         raise AssertionError(f"run_campaign reached with trials = {config.trials}")

@@ -5,6 +5,7 @@ import json
 import pickle
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,7 @@ import polycrt.simulation as simulation
 from polycrt import (
     Branch,
     ErroneousResiduePair,
+    NEG_INF,
     PolyCrtError,
     Polynomial,
     PrimeField,
@@ -28,6 +30,7 @@ from polycrt import (
     sample_monic,
     sample_polynomial,
 )
+from polycrt.poly import _from_bits
 
 from conftest import poly
 from reference_decoder import (
@@ -137,6 +140,11 @@ class TestSamplingStream:
             assert rng.getstate() == twin.getstate()
 
 
+def oracle_values(field, counts, key):
+    """The stored values of :func:`oracle_draws`, as ``_stream_draws`` returns them."""
+    return [drawn._value for drawn in oracle_draws(field, counts, key)]
+
+
 def oracle_draws(field, counts, key):
     """Per count, a polynomial of that many draws read one at a time off ``hashlib``'s SHAKE-256 of ``key``.
 
@@ -188,7 +196,7 @@ def draw_mismatches(p):
     """The counts and keys above on which ``_stream_draws`` at p differs from the oracle."""
     field = PrimeField(p)
     return sum(
-        simulation._stream_draws(counts, field, key) != oracle_draws(field, counts, key)
+        simulation._stream_draws(counts, field, key) != oracle_values(field, counts, key)
         for counts in ORACLE_COUNTS for key in ORACLE_KEYS
     )
 
@@ -288,7 +296,7 @@ class TestTrialStream:
         for counts in readme_trial_counts(reference_pair):
             for idx in range(50):
                 del reads[:]
-                assert simulation._stream_draws(counts, f2, f"3:{idx}") == oracle_draws(f2, counts, f"3:{idx}")
+                assert simulation._stream_draws(counts, f2, f"3:{idx}") == oracle_values(f2, counts, f"3:{idx}")
                 assert reads == [(sum(counts) + 7) // 8]
 
     def test_a_short_first_read_is_topped_up(self, monkeypatch):
@@ -297,7 +305,7 @@ class TestTrialStream:
         field, reads = PrimeField(65537), counted_reads(monkeypatch)
         drawn = simulation._stream_draws((1500,), field, "topup:39")
         assert len(reads) == 2 and reads[0] < reads[1]
-        assert drawn == oracle_draws(field, (1500,), "topup:39")
+        assert drawn == oracle_values(field, (1500,), "topup:39")
 
     @pytest.mark.parametrize("p", [2, 3, 13])
     def test_counts_are_uniform(self, p):
@@ -307,7 +315,8 @@ class TestTrialStream:
         seen = [0] * p
         for idx in range(trials):
             for count, drawn in zip(counts, simulation._stream_draws(counts, field, f"uniform:{idx}")):
-                for c in drawn.coeffs + (0,) * (count - len(drawn.coeffs)):
+                coeffs = _from_bits(field, drawn).coeffs
+                for c in coeffs + (0,) * (count - len(coeffs)):
                     seen[c] += 1
         n = trials * sum(counts)
         sigma = (n * (1 / p) * (1 - 1 / p)) ** 0.5
@@ -401,6 +410,38 @@ CORE_MUTANTS = {
 }
 
 
+# The pairs of TestPackedTrials, by name, each from the reference_pair fixture.
+PACKED_TRIAL_PAIRS = {
+    "readme": lambda reference_pair: reference_pair,
+    "long chain": lambda _: long_chain_pair(),
+    **{f"p = {p}": (lambda _, p=p: decoded_trial_pair(p)) for p in (3, 13, 65521, 2**61 - 1)},
+}
+
+
+def plant_moduli_errors(monkeypatch, analysis):
+    """Make every campaign trial draw its ``a`` as before and take ``e1 = m1`` and ``e2 = m2``."""
+    draw, m1, m2 = simulation._stream_draws, analysis.m1._value, analysis.m2._value
+    monkeypatch.setattr(
+        simulation, "_stream_draws", lambda counts, field, key: (draw(counts, field, key)[0], m1, m2)
+    )
+
+
+def moduli_error_reports(analysis):
+    """Boundary campaigns at tau = deg(m2), one per level, of 20 trials each.
+
+    With the moduli as errors, each received residue is the true one plus
+    its modulus, so only the reductions of ``r1`` and ``r2`` make it exact:
+    the decoder then recovers ``k2`` and ``a`` at every level.  Unreduced,
+    ``r2`` keeps the degree of ``m2``, and ``k2_hat`` is off by the constant
+    quotient while ``a_hat`` is not, which these campaigns see at any p.
+    """
+    tau = analysis.m2.degree
+    return [
+        run_campaign(TrialConfig(analysis, level, tau, 20, level, boundary=True))
+        for level in range(1, analysis.K + 2)
+    ]
+
+
 class TestPackedTrials:
     # Every trial decodes on stored values, in the core that encode and
     # reconstruct wrap; every field of its outcome must be the one that
@@ -420,6 +461,23 @@ class TestPackedTrials:
         plant(monkeypatch, *CORE_MUTANTS[mutant])
         assert decoded_mismatches(reference_pair)[0] > 0
         assert decoded_mismatches(decoded_trial_pair(13))[0] > 0
+
+    @pytest.mark.parametrize("pair", PACKED_TRIAL_PAIRS)
+    def test_moduli_as_errors_decode_exactly(self, reference_pair, monkeypatch, pair):
+        analysis = PACKED_TRIAL_PAIRS[pair](reference_pair)
+        plant_moduli_errors(monkeypatch, analysis)
+        for report in moduli_error_reports(analysis):
+            assert report.failures == 0
+            assert all(o.k2_match and o.residual_deg == NEG_INF for o in report.outcomes)
+
+    @pytest.mark.parametrize("pair", PACKED_TRIAL_PAIRS)
+    def test_moduli_as_errors_catch_r2_left_unreduced(self, reference_pair, monkeypatch, pair):
+        # The mutant runs in a copy of the module's names: plant the draws first.
+        analysis = PACKED_TRIAL_PAIRS[pair](reference_pair)
+        plant_moduli_errors(monkeypatch, analysis)
+        plant(monkeypatch, *CORE_MUTANTS["r2 left unreduced"])
+        for report in moduli_error_reports(analysis):
+            assert report.successes == 0
 
 
 # Pinned reports on the CI pairs at p = 13 and p = 2**61 - 1, in guarantee
@@ -803,6 +861,70 @@ class TestRunCampaign:
                     assert all(d["error"] is None for d in details)
                     failures += report.failures
         assert failures > 0
+
+
+def counted_draws(monkeypatch):
+    """The keys of the trials that ``_stream_draws`` draws, from now on."""
+    keys, draw = [], simulation._stream_draws
+
+    def counted(counts, field, key):
+        keys.append(key)
+        return draw(counts, field, key)
+
+    monkeypatch.setattr(simulation, "_stream_draws", counted)
+    return keys
+
+
+class TestStreamingReport:
+    # A report keeps counters and failing indices; every outcome it hands
+    # out is a trial run again from its key.
+    def test_each_trial_draws_once(self, reference_pair, monkeypatch):
+        keys = counted_draws(monkeypatch)
+        report = run_campaign(TrialConfig(reference_pair, 3, 2, 200, 5))
+        report.to_json()
+        render_report(report)
+        assert sorted(keys) == sorted(f"5:{idx}" for idx in range(200))
+        del keys[:]
+        assert len(report.outcomes) == 200 and keys == []
+        assert report.outcomes[-1].trial == 199 and keys == ["5:199"]
+
+    def test_boundary_details_replay_the_failing_trials(self, monkeypatch):
+        cfg = odd_p_config(13, 1, 4, 100, True)
+        keys = counted_draws(monkeypatch)
+        report = run_campaign(cfg)
+        failing = [o for o in report.outcomes if not o.success]
+        assert len(keys) == 200 and len(failing) == report.failures > 0
+        del keys[:]
+        details = report.to_json()["failureDetails"]
+        assert details == [o.to_json() for o in failing]
+        assert keys == [f"3:{o.trial}" for o in failing]
+
+    def test_outcomes_read_as_a_list(self, reference_pair):
+        outcomes = run_campaign(TrialConfig(reference_pair, 4, 1, 30, 6)).outcomes
+        listed = list(outcomes)
+        assert [o.trial for o in listed] == list(range(30))
+        assert outcomes == listed and listed == outcomes and outcomes == outcomes
+        assert outcomes != listed[:-1] and outcomes != listed[::-1] and outcomes != tuple(listed)
+        assert [outcomes[i] for i in range(-30, 30)] == listed + listed
+        assert outcomes[3:9] == listed[3:9] and outcomes[::-7] == listed[::-7]
+        for i in (30, -31):
+            with pytest.raises(IndexError):
+                outcomes[i]
+        with pytest.raises(TypeError):
+            outcomes[0] = listed[0]
+
+    def test_memory_does_not_grow_with_the_trial_count(self, reference_pair):
+        # A TrialOutcome kept per trial would peak at about 10 MiB here.
+        cfg = TrialConfig(reference_pair, 3, 2, 20_000, 7)
+        run_campaign(dataclasses.replace(cfg, trials=10))
+        tracemalloc.start()
+        try:
+            report = run_campaign(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.successes == 20_000
+        assert peak < 1 << 20
 
 
 class TestBoundarySearch:
