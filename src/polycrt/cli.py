@@ -39,7 +39,9 @@ from .poly import _MAX_PARSE_DEGREE, parse_polynomial
 # What a command returns: JSON payload, text lines, exit code.
 _Result = Tuple[dict, List[str], int]
 
-# A campaign keeps every trial's outcome, so the trial count bounds its memory.
+# A campaign keeps its counters and the indices of its failing trials, so the
+# trial count bounds its run time, and the failure details that a boundary
+# run prints with --format json.
 _MAX_TRIALS = 10**6
 
 # bound takes one gcd per pair of moduli, so its time is quadratic in their

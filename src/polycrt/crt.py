@@ -138,10 +138,10 @@ def encode(
     field = a.field
     if field is not moduli.field and field != moduli.field:
         raise MixedFieldsError("polynomial and moduli fields differ")
-    if not a.degree < moduli.lcm.degree:
-        raise DegreeOutOfRangeError(
-            f"deg(a) = {a.degree} not below deg(lcm) = {moduli.lcm.degree}"
-        )
+    # The top level's range is deg(lcm), with no product taken.
+    deg_lcm = moduli.levels[-1].dynamic_range_exclusive
+    if not a.degree < deg_lcm:
+        raise DegreeOutOfRangeError(f"deg(a) = {a.degree} not below deg(lcm) = {deg_lcm}")
     div1, div2 = _divisions(moduli)
     (k1, a1), (k2, a2) = div1(a._value), div2(a._value)
     # The residues are below their moduli by construction: no re-check.

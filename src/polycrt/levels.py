@@ -64,6 +64,12 @@ class LevelSpec:
 class ModuliPairAnalysis:
     """Everything derived from a moduli pair that encode/decode needs.
 
+    It stores ``m1``, ``m2``, ``m``, ``gamma1``, ``gamma2``, the rows of
+    ``levels``, ``chain``, ``swapped`` and ``tables``; every other attribute,
+    ``lcm`` and ``K`` included, is computed on read.  ``levels`` holds the
+    degrees: its top row's ``dynamic_range_exclusive`` is ``deg(lcm)``, and
+    ``K`` is the row count less one.
+
     ``chain`` is the only stored form of the cascade: the steps of the
     Euclid pass over ``(m2, m1)`` that also yields ``m``, packed as the
     decoder divides by them (:class:`~polycrt.poly.PackedChain`, for inputs
@@ -90,8 +96,6 @@ class ModuliPairAnalysis:
     m: Polynomial
     gamma1: Polynomial
     gamma2: Polynomial
-    lcm: Polynomial
-    K: int
     levels: Tuple[LevelSpec, ...]
     chain: PackedChain = dataclass_field(compare=False, repr=False)
     swapped: bool
@@ -105,6 +109,16 @@ class ModuliPairAnalysis:
     @property
     def field(self) -> PrimeField:
         return self.m1.field
+
+    @property
+    def K(self) -> int:
+        """The index of the last chain entry before the scalar sigma_{K+1}."""
+        return len(self.levels) - 1
+
+    @property
+    def lcm(self) -> Polynomial:
+        """The monic lcm m1 * gamma2, multiplied out on each read."""
+        return (self.m1 * self.gamma2).monic()
 
     @property
     def cascade_moduli(self) -> Tuple[Polynomial, ...]:
@@ -135,9 +149,9 @@ class ModuliPairAnalysis:
 
     def level_spec(self, level: int) -> LevelSpec:
         """The :class:`LevelSpec` for ``level`` in ``1..K+1``."""
-        if not 1 <= level <= self.K + 1:
+        if not 1 <= level <= len(self.levels):
             raise LevelOutOfRangeError(
-                f"level {level} outside [1, {self.K + 1}] for this moduli pair"
+                f"level {level} outside [1, {len(self.levels)}] for this moduli pair"
             )
         return self.levels[level - 1]
 
@@ -177,12 +191,11 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
             "one modulus divides the other; the pair carries no usable"
             " redundancy"
         )
-    big = (m1 * gamma2).monic()
-
-    # deg(sigma_i) = deg(m * sigma_i) - deg(m).  The rows hold ints by
-    # construction, so they skip the frozen __init__'s four setattr calls.
+    # deg(sigma_i) = deg(m * sigma_i) - deg(m), and deg(lcm) = deg(m1) +
+    # deg(gamma2).  The rows hold ints by construction, so they skip the
+    # frozen __init__'s four setattr calls.
     deg_m = m.degree
-    deg_big = big.degree
+    deg_big = m1.degree + gamma2.degree
     degrees = chain.degrees()
     levels = tuple(
         _record(LevelSpec, index=i, sigma_deg=d - deg_m, error_bound_exclusive=d,
@@ -196,8 +209,6 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
         m=m,
         gamma1=gamma1,
         gamma2=gamma2,
-        lcm=big,
-        K=len(levels) - 1,
         levels=levels,
         chain=chain,
         swapped=swapped,
@@ -222,8 +233,17 @@ def _assert_invariants(
         raise AssertionError("chain does not start at m1 with cofactor 0")
     if degs[-1] != analysis.m.degree:
         raise AssertionError("chain does not end in a nonzero scalar")
-    # Steps 1..K+1 are the levels, each bounding the error by its degree.
-    if analysis.K != len(degs) - 3 or [s.error_bound_exclusive for s in analysis.levels] != degs[2:]:
+    # Steps 1..K+1 are the levels: each row is read off its step's degree,
+    # deg(m) and deg(lcm), which bounds encode's messages.  deg(lcm) is
+    # taken as deg(m1) + deg(m2) - deg(m), so a gamma2 of another degree is
+    # left to its own check below.
+    deg_m = degs[-1]
+    deg_big = degs[0] + degs[1] - deg_m
+    rows = [
+        (s.index, s.sigma_deg, s.error_bound_exclusive, s.dynamic_range_exclusive)
+        for s in analysis.levels
+    ]
+    if rows != [(i, d - deg_m, d, deg_big - d + deg_m) for i, d in enumerate(degs[2:], start=1)]:
         raise AssertionError("K and the levels do not match the chain")
     if any(s != degs[1] - d for s, d in zip(cofactor_degs[1:], degs[1:])):
         raise AssertionError("cascade cofactor degrees do not match the chain")
@@ -292,7 +312,7 @@ def analysis_to_json(analysis: ModuliPairAnalysis) -> dict:
         "m": str(analysis.m),
         "gamma1": str(analysis.gamma1),
         "gamma2": str(analysis.gamma2),
-        "degM": analysis.lcm.degree,
+        "degM": analysis.levels[-1].dynamic_range_exclusive,
         "K": analysis.K,
         "sigma": [str(s) for s in analysis.remainders],
         "swapped": analysis.swapped,

@@ -50,33 +50,28 @@ from .levels import ModuliPairAnalysis, analyze_pair
 from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, _pack2, _strip, gcd
 
 
-def _draw(
-    counts: Tuple[int, ...], field: PrimeField, rng: random.Random, top: Tuple[int, ...] = ()
-) -> List[Polynomial]:
-    """Per count, that many coefficients drawn as ``rng.randrange(p)`` draws them, then ``top``.
+def _draw(count: int, field: PrimeField, rng: random.Random, top: Tuple[int, ...] = ()) -> Polynomial:
+    """``count`` coefficients drawn as ``rng.randrange(p)`` draws them, then ``top``.
 
     CPython 3.10-3.13 implements ``randrange(p)`` for ``random.Random`` as
     ``getrandbits(p.bit_length())`` redrawn while ``>= p``; this loop does
     the same, so it draws the same values and leaves ``rng`` in the same
     state, without two Python frames per coefficient.  The values are
-    reduced already, so the polynomials skip the constructor's ``% p``.
+    reduced already, so the polynomial skips the constructor's ``% p``.
     It serves the public samplers, whose caller may read ``rng`` on;
     campaign trials read a stream of their own (:func:`_stream_draws`).
     """
     p = field.p
     k = p.bit_length()
     getrandbits = rng.getrandbits
-    polys = []
-    for count in counts:
-        vals = []
-        for _ in range(count):
+    vals = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= p:
             r = getrandbits(k)
-            while r >= p:
-                r = getrandbits(k)
-            vals.append(r)
-        vals += top
-        polys.append(_from_bits(field, _pack2(vals)) if p == 2 else _from_reduced(field, vals))
-    return polys
+        vals.append(r)
+    vals += top
+    return _from_bits(field, _pack2(vals)) if p == 2 else _from_reduced(field, vals)
 
 
 def _stream_draws(counts: Tuple[int, ...], field: PrimeField, key: str) -> List[Union[int, tuple]]:
@@ -133,21 +128,21 @@ def sample_polynomial(
     """
     if max_deg_exclusive < 0:
         raise ValueError("degree bound must be >= 0")
-    return _draw((max_deg_exclusive,), field, rng)[0]
+    return _draw(max_deg_exclusive, field, rng)
 
 
 def sample_error(tau: int, field: PrimeField, rng: random.Random) -> Polynomial:
     """Uniform residue error of degree at most ``tau`` (``-1`` forces zero)."""
     if tau < -1:
         raise ValueError("tau must be >= -1")
-    return _draw((tau + 1,), field, rng)[0]
+    return _draw(tau + 1, field, rng)
 
 
 def sample_monic(degree: int, field: PrimeField, rng: random.Random) -> Polynomial:
     """Uniform monic polynomial of exactly the given degree."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
-    return _draw((degree,), field, rng, (1,))[0]
+    return _draw(degree, field, rng, (1,))
 
 
 # Draws of a gcd and two cofactors before random_moduli_pair gives up.
@@ -255,16 +250,23 @@ class TrialReport:
     """Aggregate campaign results, and the indices of the failing trials.
 
     A report stores its counters and one int per failing trial, none in a
-    campaign without failures; it stores no trial.  ``outcomes`` replays
-    the trials from the config when it is read (:class:`_Outcomes`).
+    campaign without failures; it stores no trial.  ``successes`` and
+    ``failures`` are counted off ``failed_trials`` on read, and ``outcomes``
+    replays the trials from the config when it is read (:class:`_Outcomes`).
     """
 
     config: TrialConfig
-    successes: int = 0
-    failures: int = 0
     max_residual_deg: Degree = NEG_INF
     branch_counts: dict = dataclass_field(default_factory=dict)
     failed_trials: List[int] = dataclass_field(default_factory=list)
+
+    @property
+    def successes(self) -> int:
+        return self.config.trials - len(self.failed_trials)
+
+    @property
+    def failures(self) -> int:
+        return len(self.failed_trials)
 
     @property
     def outcomes(self) -> "_Outcomes":
@@ -400,7 +402,7 @@ def run_campaign(config: TrialConfig) -> TrialReport:
             max_deg = residual_deg
         if not success:
             failed.append(trial)
-    return TrialReport(config, config.trials - len(failed), len(failed), max_deg, counts, failed)
+    return TrialReport(config, max_deg, counts, failed)
 
 
 def render_report(report: TrialReport) -> str:

@@ -260,8 +260,6 @@ def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis
         m=m,
         gamma1=gamma1,
         gamma2=gamma2,
-        lcm=big,
-        K=k_index,
         levels=levels,
         chain=pack_chain(
             m.field,

@@ -174,6 +174,28 @@ class TestCorrupt:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
+    # The errors are drawn from random.Random(seed) by getrandbits with
+    # rejection (README, Determinism), so these draws are pinned, e1 first.
+    @pytest.mark.parametrize(
+        "field_args, tau, r1, r2, e1, e2",
+        [
+            ((), 2, "x^3+x^2+1", "x^2+x+1", "x^2+1", "x+1"),
+            (
+                ("--p", "13"), 4, "6*x^4+7*x^3+7*x^2+6", "4*x^4+2*x^3+9*x^2+9*x+2",
+                "6*x^4+6*x^3+7*x^2+6", "4*x^4+2*x^3+8*x^2+9*x+2",
+            ),
+        ],
+        ids=["p2", "p13"],
+    )
+    def test_seeded_draws_are_pinned(self, capsys, field_args, tau, r1, r2, e1, e2):
+        args = (
+            "corrupt", *field_args, "--r1", "x^3", "--r2", "x^2", "--tau", str(tau), "--seed", "9"
+        )
+        text = f"corrupted r1 = {r1}\ncorrupted r2 = {r2}\ne1 = {e1}\ne2 = {e2}\n"
+        assert run_cli(capsys, *args) == (0, text, "")
+        payload = {"corrupted1": r1, "corrupted2": r2, "e1": e1, "e2": e2, "seed": 9, "tau": tau}
+        assert run_cli(capsys, *args, "--format", "json") == (0, _json_out(payload), "")
+
     def test_invalid_tau_exit_2(self, capsys):
         code, _, err = run_cli(
             capsys, "corrupt", "--r1", "x", "--r2", "x", "--tau", "-2"

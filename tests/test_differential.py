@@ -92,6 +92,8 @@ def test_matches_reference(p):
         for x, y in ((m1, m2), (m2, m1), (c1 * m1, c2 * m2)):
             got, want = analyze_pair(x, y), reference_analyze_pair(x, y)
             assert got == want and hash(got) == hash(want)
+            # lcm is derived, so equality leaves it out; check it apart.
+            assert got.lcm == reference_lcm(x, y)
             # Equality leaves the packed chain out; compare what it stores.
             assert got.cascade_moduli == want.cascade_moduli
             assert got.cascade_cofactors == want.cascade_cofactors
@@ -140,7 +142,7 @@ def test_large_pair_at_p2_every_level():
     m1, m2 = shared * cof1, shared * cof2
     analysis = analyze_pair(m1, m2)
     reference = reference_analyze_pair(m1, m2)
-    assert analysis == reference
+    assert analysis == reference and analysis.lcm == reference_lcm(m1, m2)
     assert analysis.cascade_moduli == reference.cascade_moduli
     assert analysis.cascade_cofactors == reference.cascade_cofactors
     assert analysis.K >= 60
@@ -196,7 +198,7 @@ def test_large_pair_at_p65521():
     m1, m2 = shared * cof1, shared * cof2
     analysis = analyze_pair(m2, m1)
     reference = reference_analyze_pair(m2, m1)
-    assert analysis == reference
+    assert analysis == reference and analysis.lcm == reference_lcm(m2, m1)
     assert analysis.cascade_moduli == reference.cascade_moduli
     assert analysis.cascade_cofactors == reference.cascade_cofactors
     assert analysis.swapped and analysis.K > 100

@@ -232,6 +232,25 @@ class TestChainInvariants:
         with pytest.raises(AssertionError, match="^m is not monic$"):
             _assert_invariants(scaled)
 
+    @pytest.mark.parametrize("p", [2, 13])
+    @pytest.mark.parametrize(
+        "name", ["index", "sigma_deg", "error_bound_exclusive", "dynamic_range_exclusive"]
+    )
+    def test_invariants_reject_a_planted_row_field(self, p, name):
+        # Every field of every row is read off the chain: encode bounds its
+        # messages by the top row's range, and trials draw each row's range.
+        an = readme_factors_pair(PrimeField(p))
+        for at, row in enumerate(an.levels):
+            planted = dataclasses.replace(row, **{name: getattr(row, name) + 1})
+            levels = an.levels[:at] + (planted,) + an.levels[at + 1:]
+            with pytest.raises(AssertionError, match="^K and the levels do not match the chain$"):
+                _assert_invariants(dataclasses.replace(an, levels=levels))
+
+    def test_lcm_and_k_are_derived_not_settable(self, reference_pair):
+        for name in ("lcm", "K"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(reference_pair, **{name: getattr(reference_pair, name)})
+
     def test_invariants_reject_a_corrupted_byte_table(self, reference_pair):
         an = reference_pair
         table1, table2 = an.tables
@@ -291,8 +310,8 @@ class TestChainInvariants:
                 {"chain": chain(moduli=cm[:-1], cofactors=cf[:-1])},
                 "chain does not end in a nonzero scalar",
             ),
-            # The chain is whole; K and the rows drop its last step.
-            ({"K": an.K - 1, "levels": an.levels[:-1]}, "K and the levels do not match the chain"),
+            # The chain is whole; the rows, and so K, drop its last step.
+            ({"levels": an.levels[:-1]}, "K and the levels do not match the chain"),
             (
                 # K and the row count hold; one row's bound is off by one.
                 {"levels": an.levels[:-1] + (dataclasses.replace(
@@ -316,6 +335,8 @@ class TestChainInvariants:
             # Same degrees, so only the products are wrong.
             ({"m": an.m + one}, "m * gamma1 != m1"),
             ({"gamma2": an.gamma2 + an.gamma1}, "m * gamma2 != m2"),
+            # Another degree: the rows are read off m1, m2 and the chain.
+            ({"gamma2": an.gamma2 * an.gamma1}, "m * gamma2 != m2"),
         ):
             with pytest.raises(AssertionError) as exc:
                 _assert_invariants(dataclasses.replace(an, **broken))

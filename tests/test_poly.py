@@ -57,6 +57,11 @@ class TestCanonicalForm:
         # bools and other __index__ types are integers.
         assert Polynomial(field, [True, False, 1]).coeffs == (1, 0, 1)
 
+    def test_non_polynomials_compare_unequal(self, f2):
+        one = Polynomial(f2, [1])
+        assert (one == 5) is False
+        assert (one != "x") is True
+
     def test_zero_degree_is_neg_inf(self, f2):
         zero = Polynomial(f2)
         assert zero.degree == NEG_INF
@@ -685,6 +690,20 @@ class TestParseFormat:
                 parse_polynomial("[" + "1" * 5000 + "]", f13)
             assert info.value.position == 1
             assert parse_polynomial("[" + "1" * 4300 + "]", f13).coeffs == (int("1" * 4300) % 13,)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int digit limit to lower"
+    )
+    def test_list_entry_over_a_lower_interpreter_limit_is_a_parse_error(self, f13):
+        # 1000 digits pass the parser's own bound, and int() then refuses them.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ParseError) as info:
+                parse_polynomial("[" + "1" * 1000 + "]", f13)
+            assert info.value.position == 1
         finally:
             sys.set_int_max_str_digits(limit)
 

@@ -127,18 +127,6 @@ class TestSamplingStream:
                 assert drawn == Polynomial(field, expected)
                 assert rng.getstate() == twin.getstate()
 
-    # 2**61 - 1 takes two 32-bit words per getrandbits call.
-    @pytest.mark.parametrize("p", [2, 3, 13, 65521, 2**31 - 1, 2**61 - 1])
-    @pytest.mark.parametrize("top", [(), (1,)])
-    def test_one_draw_over_counts_matches_single_draws(self, p, top):
-        field = PrimeField(p)
-        for counts in [(), (0,), (0, 0), (5, 0, 3), (13, 6, 6), (0, 40, 1, 0)]:
-            rng, twin = random.Random(f"draw:{p}"), random.Random(f"draw:{p}")
-            drawn = simulation._draw(counts, field, rng, top)
-            singles = [simulation._draw((n,), field, twin, top)[0] for n in counts]
-            assert drawn == singles
-            assert rng.getstate() == twin.getstate()
-
 
 def oracle_values(field, counts, key):
     """The stored values of :func:`oracle_draws`, as ``_stream_draws`` returns them."""
@@ -912,6 +900,15 @@ class TestStreamingReport:
                 outcomes[i]
         with pytest.raises(TypeError):
             outcomes[0] = listed[0]
+
+    def test_successes_and_failures_are_derived_not_settable(self):
+        report = run_campaign(odd_p_config(13, 1, 4, 100, True))
+        assert report.failures == len(report.failed_trials) > 0
+        assert report.successes == 100 - report.failures
+        assert report.successes == sum(o.success for o in report.outcomes)
+        for name in ("successes", "failures"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(report, **{name: getattr(report, name)})
 
     def test_memory_does_not_grow_with_the_trial_count(self, reference_pair):
         # A TrialOutcome kept per trial would peak at about 10 MiB here.
