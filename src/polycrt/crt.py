@@ -71,11 +71,11 @@ def _decoder(analysis: ModuliPairAnalysis, level: int) -> Callable:
 
         return decode
     p, m2, (width, code) = analysis.field.p, analysis.m2._value, chain.layout
-    steps, cofs = chain.steps[:stop], chain.cofs[:stop]
+    steps, cofs = chain.steps, chain.cofs
 
     def decode(r1: tuple, r2: tuple) -> tuple:
         q21 = _dense_sub(r1, r2, p)
-        tail, k2_hat = _fold_chain(q21, steps, cofs, width, code, p)
+        tail, k2_hat = _fold_chain(q21, steps, cofs, width, code, p, stop)
         k2_hat = tuple(_strip(k2_hat))
         return q21, tuple(_strip(tail)), k2_hat, _dense_add(_kronecker_mul(k2_hat, m2, p), r2, p)
 

@@ -1,14 +1,14 @@
 """F_2 kernels on packed ints, bit i the coefficient of x^i.
 
-Carry-less products and division, byte tables, and the fused cascade at
-one XOR per quotient bit.
+Carry-less products and division, the Euclid pass, byte tables, and the
+fused cascade at one XOR per quotient bit.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from operator import lshift, or_, sub
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 _HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
@@ -36,6 +36,26 @@ def _cldivmod(a: int, b: int) -> Tuple[int, int]:
         a ^= b << shift
         shift = a.bit_length() - top
     return quot, a
+
+
+def _euclid_rows(a: int, b: int) -> Iterator[Tuple[int, int, int]]:
+    """F_2 Euclid pass over ``a`` and nonzero ``b`` with ``deg(a) >= deg(b)``: its rows, one per step.
+
+    A row is ``(r_{i-1}, s_{i-1}, s_i)`` (see
+    :func:`polycrt.poly._euclid_pass`): the step, its cofactor, and the
+    cofactor that its division by :func:`_cldivmod`'s loop leaves, which
+    after the last step is ``s_N``.  No quotient is built.
+    """
+    r0, r1, s0, s1 = a, b, 1, 0
+    while r1:
+        top = r1.bit_length()
+        shift = r0.bit_length() - top
+        while shift >= 0:
+            r0 ^= r1 << shift
+            s0 ^= s1 << shift
+            shift = r0.bit_length() - top
+        yield r1, s1, s0
+        r0, r1, s0, s1 = r1, r0, s1, s0
 
 
 # A byte table of an F_2 modulus b is ``(mults, tops)``: ``mults[t]`` is the

@@ -10,8 +10,9 @@ divisor, so they are found first and packed into one int, and one product
 per row adds their multiples of the divisor (and, in the pass and the
 cascade, of a cofactor).  A step of many digits is halved, top half first,
 until its parts are short, in ``divmod``, the pass and the cascade alike.
-The pass brings every slot back into ``[0, 3p)`` after each step by Barrett
-reduction of all slots at once, and the cascade divides by the stored ints.
+The pass yields each step as it takes it, and brings every slot back into
+``[0, 3p)`` after the step by Barrett reduction of all slots at once; the
+cascade divides by the stored ints.
 :mod:`polycrt.poly` wraps the kernels in ``Polynomial``.
 """
 
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 import re
 import struct
-from itertools import repeat
-from typing import Callable, Optional, Sequence, Tuple
+from itertools import islice, repeat
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 # struct codes of the slot widths that are one machine word, in bytes.
 _WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -172,11 +173,11 @@ def _neg_quotient(
 
 def _fold_chain(
     v: Sequence[int], steps: Sequence[tuple], cofs: Sequence[int], width: int,
-    code: Optional[str], p: int,
+    code: Optional[str], p: int, stop: int,
 ) -> Tuple[list, list]:
-    """Odd-p remainder cascade of coefficient tuple ``v`` over stored steps.
+    """Odd-p remainder cascade of coefficient tuple ``v`` over stored steps ``0 .. stop - 1``.
 
-    ``steps`` and ``cofs`` are as :func:`_fold_euclid` returns them, with
+    ``steps`` and ``cofs`` are as :func:`_fold_euclid` yields them, with
     their slot layout, for inputs at least as long as ``v``.  Returns the
     remainder and the sum of the step quotients times the cofactors, as
     lists reduced mod p.  A step, skipped while the remainder is shorter
@@ -186,7 +187,7 @@ def _fold_chain(
     size = len(v)
     bits = 8 * width
     rem, acc = _pack(v, width, code), 0
-    for (n, low, neg_inv, _), cof in zip(steps, cofs):
+    for (n, low, neg_inv, _), cof in islice(zip(steps, cofs), stop):
         if size >= n:
             g, rem = _neg_quotient(rem, size, low, n, bits, p, neg_inv)
             acc += g * cof
@@ -197,37 +198,33 @@ def _fold_chain(
 
 
 def _fold_euclid(
-    a: Sequence[int], b: Sequence[int], p: int
-) -> Tuple[int, Optional[str], list, list, list]:
-    """Odd-p Euclid pass over coefficient tuples, never leaving packed form.
+    a: Sequence[int], b: Sequence[int], p: int, width: int, code: Optional[str],
+    reduce: Callable[[int], int],
+) -> Iterator[Tuple[tuple, int, int]]:
+    """Odd-p Euclid pass over coefficient tuples, never leaving packed form: its rows, one per step.
 
-    For ``len(a) >= len(b) > 0`` with nonzero leads, returns the slot width
-    and struct code of :func:`_chain_layout` for ``len(a)``, the steps ``b,
-    r_2, r_3, ...`` up to the last nonzero remainder, and their cofactors
-    ``0, s_2, s_3, ...`` (see :func:`polycrt.poly._euclid_pass`).  A step
-    is ``(size, low, neg_inv, lead)``: ``low`` packs its coefficients below
-    the lead, and ``lead`` and ``neg_inv``, minus its inverse, are reduced
-    mod p.  A cofactor is one packed int.  Each step divides ``(r_{i-2},
+    For ``len(a) >= len(b) > 0`` with nonzero leads, and the layout of
+    :func:`_chain_layout` for ``len(a)``, a row is ``(r_{i-1}, s_{i-1},
+    s_i)`` (see :func:`polycrt.poly._euclid_pass`): the steps are ``b, r_2,
+    r_3, ...`` up to the last nonzero remainder, and the cofactors ``0,
+    s_2, s_3, ...`` then ``s_N`` of the first zero remainder.  A step is
+    ``(size, low, neg_inv, lead)``: ``low`` packs its coefficients below the
+    lead, and ``lead`` and ``neg_inv``, minus its inverse, are reduced mod
+    p.  A cofactor is one packed int.  Each step divides ``(r_{i-2},
     s_{i-2})`` by ``(r_{i-1}, s_{i-1})`` with one :func:`_neg_quotient` and
     one product for the cofactor.  Both are then reduced into ``[0, 3p)``
-    per slot, and the remainder drops top slots that are zero mod p.  The
-    fifth value is the cofactor ``s_N`` of the first zero remainder, as a
-    list reduced mod p.
+    per slot, and the remainder drops top slots that are zero mod p.
     """
-    width, code, reduce = _chain_layout(p, len(a))
     bits = 8 * width
     r0, r1, s0, s1 = _pack(a, width, code), _pack(b, width, code), 1, 0
     n0, n1, lead = len(a), len(b), b[-1]
-    steps: list = []
-    cofs: list = []
-    while True:
+    while n1:
         neg_inv = -pow(lead, -1, p) % p
         pos = (n1 - 1) * bits
         low = r1 ^ r1 >> pos << pos
-        steps.append((n1, low, neg_inv, lead))
-        cofs.append(s1)
         g, r0 = _neg_quotient(r0, n0, low, n1, bits, p, neg_inv)
         r0, s0 = reduce(r0), reduce(s0 + g * s1)
+        yield (n1, low, neg_inv, lead), s1, s0
         n0, n1 = n1, n1 - 1
         while n1:
             lead = (r0 >> (n1 - 1) * bits) % p
@@ -235,8 +232,6 @@ def _fold_euclid(
                 break
             n1 -= 1
             r0 &= (1 << n1 * bits) - 1
-        if not n1:
-            return width, code, steps, cofs, [c % p for c in _unpack(s0, len(b), width, code)]
         r0, r1, s0, s1 = r1, r0, s1, s0
 
 

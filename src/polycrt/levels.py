@@ -139,8 +139,8 @@ class ModuliPairAnalysis:
     def sigma(self) -> Tuple[Polynomial, ...]:
         """The chain sigma_{-1} .. sigma_{K+1}: gamma2, then the steps of the
         Euclid pass over (gamma2, gamma1), since m*a mod m*b == m*(a mod b)."""
-        _, layout, steps, _, _ = _euclid_pass(self.gamma2, self.gamma1)
-        return (self.gamma2, *(_from_pass(self.field, layout, step) for step in steps))
+        _, layout, rows = _euclid_pass(self.gamma2, self.gamma1)
+        return (self.gamma2, *(_from_pass(self.field, layout, step) for step, _, _ in rows))
 
     @property
     def remainders(self) -> Tuple[Polynomial, ...]:
@@ -172,12 +172,15 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
     if swapped:
         m1, m2 = m2, m1
 
-    # One Euclid pass over (m2, m1) (see ModuliPairAnalysis).  Its last step
-    # is m times the scalar sigma_{K+1}, or m1 when there is no remainder,
-    # and the cofactor of its zero remainder is gamma1 times a scalar;
-    # gamma1 = m1 / m with m monic has m1's lead.
-    *pass_chain, last = _euclid_pass(m2, m1)
-    chain = PackedChain(m1.field, *pass_chain)
+    # One Euclid pass over (m2, m1) (see ModuliPairAnalysis), whose every
+    # step and cofactor the chain keeps.  Its last step is m times the
+    # scalar sigma_{K+1}, or m1 when there is no remainder, and the cofactor
+    # s_N its last row leaves is gamma1 times a scalar; gamma1 = m1 / m with
+    # m monic has m1's lead.
+    size, layout, rows = _euclid_pass(m2, m1)
+    steps, cofs, after = zip(*rows)
+    chain = PackedChain(m1.field, size, layout, steps, cofs)
+    last = _from_pass(m1.field, layout, after[-1])
     m = chain.modulus(-1).monic()
     if m.degree == 0:
         raise CoprimeModuliError(

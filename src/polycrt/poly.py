@@ -15,12 +15,15 @@ schoolbook loop when the divisor or the quotient is short, and otherwise by
 the division steps that the Euclid pass takes, which halve a long quotient
 until its parts are short.  ``%`` is ``divmod``'s remainder.  The Euclid
 pass and the decoder's remainder cascade reduce a remainder and a
-cofactor-weighted sum step by step.  The pass returns its steps and
-cofactors as the kernels build them, and
-:func:`_from_pass` reads any one of them as a polynomial; that is all
-``gcd``, ``xgcd`` and ``lcm`` take from it.  The cascade runs
-over a :class:`PackedChain`, which only the moduli pair analysis builds,
-in the decode core of :mod:`polycrt.crt`, on stored values.
+cofactor-weighted sum step by step.  Each field's pass is a generator in
+its kernel module that streams rows, a step with its cofactor and the
+cofactor it leaves, as the kernels build them, and :func:`_from_pass`
+reads any item of a row as a polynomial.  Each reader keeps only what it
+reads: ``gcd``, ``xgcd`` and ``lcm`` the last row, the moduli pair
+analysis every step and cofactor, as a :class:`PackedChain`, and its
+``sigma`` one step at a time.  The cascade runs over that chain, which
+only the analysis builds, in the decode core of :mod:`polycrt.crt`, on
+stored values.
 Over F_2 the chain fuses each step into one int.  Over odd p a step packs
 its quotient in one int and adds one product per row, Barrett reduction
 keeps slots below 3p, and the cascade reduces mod p once, at its end.
@@ -29,6 +32,7 @@ keeps slots below 3p, and the cascade reduces mod p once, at its end.
 from __future__ import annotations
 
 import re
+from collections import deque
 from operator import gt, index
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -40,8 +44,8 @@ from .errors import (
     ZeroInputError,
 )
 from .field import PrimeField
-from .gf2 import ByteTable, _chain_index, _clbyte_table, _cldivmod, _clmul, _fuse_chain
-from .kronecker import _fold_euclid, _kronecker_mul, _step_divmod, _unpack
+from .gf2 import ByteTable, _chain_index, _clbyte_table, _cldivmod, _clmul, _euclid_rows, _fuse_chain
+from .kronecker import _chain_layout, _fold_euclid, _kronecker_mul, _step_divmod, _unpack
 
 NEG_INF = float("-inf")
 
@@ -381,7 +385,7 @@ class PackedChain:
     would store every shift-0 entry as a second copy of its step.  Over odd
     p, ``index`` is None, ``layout`` is the slot width and struct code of
     :func:`~polycrt.kronecker._chain_layout` for ``size``, and ``steps`` and
-    ``cofs`` are as :func:`~polycrt.kronecker._fold_euclid` returns them,
+    ``cofs`` are as :func:`~polycrt.kronecker._fold_euclid` yields them,
     their slots holding any value below 3p.
     """
 
@@ -443,40 +447,31 @@ class PackedChain:
 
 
 def _euclid_pass(a: Polynomial, b: Polynomial) -> tuple:
-    """The Euclid pass over ``(a, b)``: ``(size, layout, steps, cofs, s_N)``.
+    """The Euclid pass over ``(a, b)``: ``(size, layout, rows)``, the rows streamed one per step.
 
     For nonzero ``b`` with ``deg(a) >= deg(b)``: ``r_0, r_1 = a, b``,
     ``r_i = r_{i-2} mod r_{i-1}`` and ``s_i * a + t_i * b == r_i``, where
-    ``s_0, s_1 = 1, 0`` and ``s_i = s_{i-2} - q_i * s_{i-1}``.  Step 0 is
-    ``(b, 0)`` and step ``i - 1`` is ``(r_i, s_i)`` for every nonzero
-    ``r_i``, ``i >= 2``, for inputs as long as ``a``; no step builds a
-    quotient.  ``s_N`` of the first zero ``r_N`` has ``s_N * a == -t_N *
-    b``, so it is ``b / gcd(a, b)`` times a nonzero scalar.  The first
-    four are a :class:`PackedChain`'s arguments after its field, and
-    :func:`_from_pass` reads any one step or cofactor without building the
-    chain.
+    ``s_0, s_1 = 1, 0`` and ``s_i = s_{i-2} - q_i * s_{i-1}``.  Row ``i -
+    2`` is ``(r_{i-1}, s_{i-1}, s_i)``, for ``i`` from 2 up to the first
+    zero ``r_N``: a step, its cofactor, and the cofactor it leaves, for
+    inputs as long as ``a``; no step builds a quotient.  Step 0 is ``(b,
+    0)``, and ``s_N`` of the last row has ``s_N * a == -t_N * b``, so it is
+    ``b / gcd(a, b)`` times a nonzero scalar.  Each field's pass is a
+    generator in its kernel module, :func:`~polycrt.gf2._euclid_rows` and
+    :func:`~polycrt.kronecker._fold_euclid`, and keeps no row it has
+    yielded.  ``size``, ``layout`` and the steps and cofactors are a
+    :class:`PackedChain`'s arguments after its field, and :func:`_from_pass`
+    reads any item of a row.
     """
-    field = a.field
+    field, x, y = a.field, a._value, b._value
     if field.p == 2:
-        steps, cofs = [], []
-        r0, r1, s0, s1 = a._value, b._value, 1, 0
-        while r1:
-            steps.append(r1)
-            cofs.append(s1)
-            top = r1.bit_length()
-            shift = r0.bit_length() - top
-            while shift >= 0:
-                r0 ^= r1 << shift
-                s0 ^= s1 << shift
-                shift = r0.bit_length() - top
-            r0, r1, s0, s1 = r1, r0, s1, s0
-        return a._value.bit_length(), None, steps, cofs, _from_bits(field, s1)
-    width, code, steps, cofs, s_n = _fold_euclid(a._value, b._value, field.p)
-    return len(a._value), (width, code), steps, cofs, _from_reduced(field, s_n)
+        return x.bit_length(), None, _euclid_rows(x, y)
+    width, code, reduce = _chain_layout(field.p, len(x))
+    return len(x), (width, code), _fold_euclid(x, y, field.p, width, code, reduce)
 
 
 def _from_pass(field: PrimeField, layout: Optional[tuple], item: Union[int, tuple]) -> Polynomial:
-    """A step or cofactor of :func:`_euclid_pass`, with the pass's ``layout``, as a polynomial.
+    """An item of a row of :func:`_euclid_pass`, with the pass's ``layout``, as a polynomial.
 
     Over F_2 ``item`` is the packed int.  Over odd p it is a step ``(n, low,
     neg_inv, lead)`` or a packed cofactor of
@@ -493,15 +488,16 @@ def _from_pass(field: PrimeField, layout: Optional[tuple], item: Union[int, tupl
 
 
 def _euclid(name: str, a: Polynomial, b: Polynomial) -> Tuple[Polynomial, ...]:
-    """``(x, y, r_{N-1}, s_{N-1}, s_N)`` of :func:`_euclid_pass` over the operands by degree."""
+    """``(x, y, r_{N-1}, s_{N-1}, s_N)``: the operands by degree and the last row of their pass."""
     a._check_field(b)
     if a.is_zero and b.is_zero:
         raise BothZeroError(f"{name}(0, 0) is undefined")
     x, y = (b, a) if a.degree < b.degree else (a, b)
     if y.is_zero:
         return x, y, x, Polynomial(x.field, (1,)), y
-    _, layout, steps, cofs, last = _euclid_pass(x, y)
-    return x, y, _from_pass(x.field, layout, steps[-1]), _from_pass(x.field, layout, cofs[-1]), last
+    _, layout, rows = _euclid_pass(x, y)
+    (row,) = deque(rows, 1)
+    return (x, y, *(_from_pass(x.field, layout, item) for item in row))
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:

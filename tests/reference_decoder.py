@@ -182,8 +182,9 @@ def reference_fold_chain(v, steps, cofs, width, code, p):
 def reference_fold_euclid(a, b, p):
     """The odd-p Euclid pass over coefficient tuples by ``reference_fold``.
 
-    Both rows are Barrett-reduced after each step.  Returns what
-    ``polycrt.kronecker._fold_euclid`` returns.
+    Both rows are Barrett-reduced after each step.  Returns the slot width
+    and struct code, the lists of steps and cofactors, and ``s_N`` reduced
+    mod p: the rows that ``polycrt.kronecker._fold_euclid`` yields, gathered.
     """
     width, code, reduce = _chain_layout(p, len(a))
     bits = 8 * width

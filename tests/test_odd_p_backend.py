@@ -579,7 +579,7 @@ class TestChainLayout:
             assert all(0 <= r < 3 * p and (r - n * term) % p == 0 for r in got)
         # The cascade over the same steps, stored as an analysis stores them.
         chain = (values, steps, [cof] * len(steps), width, code, p)
-        assert _fold_chain(*chain) == reference_fold_chain(*chain)
+        assert _fold_chain(*chain, len(steps)) == reference_fold_chain(*chain)
 
     @pytest.mark.parametrize("p", [3, 13, 65521, 2**61 - 1])
     def test_stored_slots_lie_below_3p(self, p):
@@ -652,6 +652,19 @@ def random_pairs(p, rng):
         yield tuple(a), tuple(b)
 
 
+def fold_euclid_lists(a, b, p):
+    """The rows of :func:`_fold_euclid` as ``reference_fold_euclid`` returns them.
+
+    ``(width, code, steps, cofs, s_N)``: the steps and cofactors as lists
+    and ``s_N``, the last row's cofactor left behind, reduced mod p.  Each
+    other row's cofactor left behind is the next row's cofactor.
+    """
+    width, code, reduce = _chain_layout(p, len(a))
+    steps, cofs, after = zip(*_fold_euclid(a, b, p, width, code, reduce))
+    assert after[:-1] == cofs[1:]
+    return width, code, list(steps), list(cofs), [c % p for c in _unpack(after[-1], len(b), width, code)]
+
+
 def cascade_inputs(size, n, rng, p):
     """Inputs longer than a step of n coefficients by 1, 2, n and n + 1 digits, up to ``size``."""
     for k in sorted({1, 2, n, n + 1}):
@@ -667,7 +680,7 @@ class TestAgainstDigitFolds:
         rng = random.Random(f"pass:{p}")
         digits, shapes = set(), set()
         for a, b in random_pairs(p, rng):
-            got = _fold_euclid(a, b, p)
+            got = fold_euclid_lists(a, b, p)
             assert got == reference_fold_euclid(a, b, p)
             n0 = len(a)
             for n, _, _, _ in got[2]:
@@ -681,14 +694,15 @@ class TestAgainstDigitFolds:
     def test_cascade_over_pass_chains(self, p):
         rng = random.Random(f"cascade:{p}")
         for a, b in random_pairs(p, rng):
-            width, code, steps, cofs, _ = _fold_euclid(a, b, p)
+            width, code, steps, cofs, _ = fold_euclid_lists(a, b, p)
             for start in sorted({0, 1, len(steps) // 2, len(steps) - 1} & {*range(len(steps))}):
                 for stop in sorted({start, start + 1, len(steps)}):
                     part = (steps[start:stop], cofs[start:stop], width, code, p)
                     n = steps[start][0]
                     inputs = [(), (rng.randrange(1, p),), a, *cascade_inputs(len(a), n, rng, p)]
+                    rest = (steps[start:], cofs[start:], width, code, p, stop - start)
                     for v in inputs:
-                        assert _fold_chain(v, *part) == reference_fold_chain(v, *part)
+                        assert _fold_chain(v, *rest) == reference_fold_chain(v, *part)
 
     def test_long_steps_take_windows(self, monkeypatch):
         # A spy on the step kernel: every digit of the pass and of the
@@ -735,7 +749,7 @@ class TestAgainstDigitFolds:
             chain = pack_chain(field, moduli, cofactors, size)
             part = (chain.steps, chain.cofs, *chain.layout, p)
             for v in [(), *cascade_inputs(size, degrees[0] + 1, rng, p), (1,) * size]:
-                assert _fold_chain(v, *part) == reference_fold_chain(v, *part)
+                assert _fold_chain(v, *part, len(chain.steps)) == reference_fold_chain(v, *part)
             with pytest.raises(ValueError):
                 pack_chain(field, moduli, cofactors[:-1], size)
         zero = Polynomial(field)

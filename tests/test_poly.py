@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -162,7 +163,7 @@ def fold(v, chain, stop):
     if field.p == 2:
         rem, total = _fold_fused(v._value, chain.layout, chain.index, stop)
         return _from_bits(field, rem), _from_bits(field, total)
-    tail, total = _fold_chain(v.coeffs, chain.steps[:stop], chain.cofs[:stop], *chain.layout, field.p)
+    tail, total = _fold_chain(v.coeffs, chain.steps, chain.cofs, *chain.layout, field.p, stop)
     return Polynomial(field, tail), Polynomial(field, total)
 
 
@@ -575,6 +576,23 @@ class TestXgcd:
         with pytest.raises(BothZeroError):
             xgcd(Polynomial(f2), Polynomial(f2))
 
+    def test_cross_check_catches_a_wrong_cofactor(self, f13, monkeypatch):
+        # xgcd divides g - s * a by b to find t; a cofactor off by one
+        # leaves -a mod b, nonzero since b does not divide a.  The check is
+        # an explicit raise, so it holds under python -O as well.
+        euclid = polycrt.poly._euclid
+
+        def off_by_one(name, a, b):
+            x, y, g, s, last = euclid(name, a, b)
+            return x, y, g, s + Polynomial(s.field, (1,)), last
+
+        a, b = poly(f13, "x^5+3*x^2+1"), poly(f13, "2*x^3+x+5")
+        assert not (a % b).is_zero
+        monkeypatch.setattr(polycrt.poly, "_euclid", off_by_one)
+        with pytest.raises(AssertionError) as caught:
+            xgcd(a, b)
+        assert str(caught.value) == "the Euclid pass's cofactor leaves a remainder"
+
 
 class TestLcm:
     def test_reference_lcm_degree(self, f2):
@@ -600,6 +618,39 @@ class TestLcm:
     def test_lcm_zero_input_raises(self, f2):
         with pytest.raises(ZeroInputError):
             lcm(poly(f2, "x"), Polynomial(f2))
+
+
+class TestEuclidPassMemory:
+    # The Euclid pass streams its rows, and gcd, xgcd and lcm keep only the
+    # last, so each holds a few polynomials of the operands' size however
+    # many steps the pass takes.  A pass that keeps every step and cofactor
+    # peaks at 13 MiB on the p = 65521 pair and 10 MiB on the F_2 pair.
+    @pytest.mark.parametrize(
+        "p, shared, degrees", [(65521, 512, (1024, 1025)), (2, 0, (12288, 12289))]
+    )
+    def test_gcd_xgcd_and_lcm_peak_under_1_mib(self, p, shared, degrees):
+        field, rng = PrimeField(p), random.Random(f"pass memory:{p}")
+
+        def draw(degree):
+            return Polynomial(field, [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)])
+
+        m = draw(shared).monic()
+        a, b = m * draw(degrees[0]), m * draw(degrees[1])
+        results, peaks = {}, {}
+        tracemalloc.start()
+        try:
+            for run in (gcd, xgcd, lcm):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                results[run] = run(a, b)
+                peaks[run.__name__] = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) < 1 << 20, peaks
+        g, s, t = results[xgcd]
+        assert s * a + t * b == g == results[gcd]
+        assert (g % m).is_zero
+        assert results[lcm] * g == (a * b).monic()
 
 
 class TestParseFormat:
