@@ -66,9 +66,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next((c for types, c in _EXIT_CODES if isinstance(exc, types)), 2)
     if args.format == "json":
+        import io
         import json
 
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        # The text is written as it is encoded: json.dumps would first hold
+        # a list of every chunk, several times the text's size.
+        out = io.StringIO()
+        out.writelines(json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload))
+        print(out.getvalue())
     else:
         print("\n".join(lines))
     return code

@@ -29,9 +29,9 @@ from .errors import (
 )
 from .field import PrimeField
 from .gf2 import _cltable_divmod, _cltable_mul, _fold_fused
-from .kronecker import _fold_chain, _kronecker_mul
+from .kronecker import _dense_add, _dense_sub, _fold_chain, _kronecker_mul, _strip, _tuple_divmod
 from .levels import ModuliPairAnalysis
-from .poly import Polynomial, _dense_add, _dense_sub, _from_bits, _record, _strip, _tuple_divmod
+from .poly import Polynomial, _from_bits, _record
 
 
 def _divisions(analysis: ModuliPairAnalysis) -> Tuple[Callable, Callable]:

@@ -1,7 +1,9 @@
 """F_2 kernels on packed ints, bit i the coefficient of x^i.
 
-Carry-less products and division, the Euclid pass, byte tables, and the
-fused cascade at one XOR per quotient bit.
+The packed int is the stored value of a polynomial over F_2: :func:`_pack2`
+and :func:`_unpack2` convert it from and to coefficients.  Carry-less
+products and division, the Euclid pass, byte tables and their check, and
+the fused cascade at one XOR per quotient bit all run on it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,20 @@ from operator import lshift, or_, sub
 from typing import Iterator, Sequence, Tuple
 
 _HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+# Packing and unpacking go through the int's binary text, at C speed.
+_BIT_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _pack2(coeffs: Sequence[int]) -> int:
+    """Pack reduced F_2 coefficients (lowest power first) into an int."""
+    return int(bytes(coeffs[::-1]).translate(_BIT_TO_DIGIT), 2) if coeffs else 0
+
+
+def _unpack2(v: int) -> Tuple[int, ...]:
+    """The coefficients of a packed int, lowest power first, without trailing zeros."""
+    return tuple(bin(v)[:1:-1].encode().translate(_DIGIT_TO_BIT)) if v else ()
 
 
 def _clmul(a: int, b: int) -> int:
@@ -76,6 +92,24 @@ def _clbyte_table(b: int) -> ByteTable:
     for t, v in enumerate(mults):
         tops[v >> deg] = t
     return tuple(mults), tuple(tops)
+
+
+def _is_byte_table(b: int, table: ByteTable) -> bool:
+    """Whether ``table`` is :func:`_clbyte_table` of ``b``.
+
+    Entries ``2h`` and ``2h + 1`` must be entry h doubled and that plus
+    ``b``, which makes entry 0 zero, entry 1 ``b`` and entry t ``t * b``;
+    and ``tops`` must invert the bytes above ``deg(b)``.
+    """
+    mults, tops = table
+    deg = b.bit_length() - 1
+    evens = [v << 1 for v in mults[:128]]
+    return (
+        len(mults) == len(tops) == 256
+        and list(mults[::2]) == evens
+        and list(mults[1::2]) == [v ^ b for v in evens]
+        and [tops[v >> deg] for v in mults] == list(range(256))
+    )
 
 
 def _cltable_divmod(a: int, mults: Tuple[int, ...], tops: Tuple[int, ...]) -> Tuple[int, int]:

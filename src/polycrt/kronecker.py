@@ -1,5 +1,8 @@
-"""Odd-p coefficient kernels on packed ints: products and division steps.
+"""Odd-p kernels: the stored value of a polynomial, products and division.
 
+Over odd p a polynomial's stored value is its coefficient tuple, reduced mod
+p and stripped of trailing zeros (:func:`_strip`); the schoolbook sum and
+difference return such tuples.  Products and division work on packed ints.
 Coefficient i of a polynomial fills slot i of an int, bits ``8 * width * i``
 onwards, wide enough that no slot carries into its neighbour, so the product
 of two such ints holds coefficient k of the product in slot k.  Every
@@ -10,9 +13,11 @@ divisor, so they are found first and packed into one int, and one product
 per row adds their multiples of the divisor (and, in the pass and the
 cascade, of a cofactor).  A step of many digits is halved, top half first,
 until its parts are short, in ``divmod``, the pass and the cascade alike.
-The pass yields each step as it takes it, and brings every slot back into
-``[0, 3p)`` after the step by Barrett reduction of all slots at once; the
-cascade divides by the stored ints.
+``divmod`` (:func:`_tuple_divmod`) takes a schoolbook loop instead when the
+divisor or the quotient is short, by the ``_STEP_MIN_*`` rule beside the two
+kernels.  The pass yields each step as it takes it, and brings every slot
+back into ``[0, 3p)`` after the step by Barrett reduction of all slots at
+once; the cascade divides by the stored ints.
 :mod:`polycrt.poly` wraps the kernels in ``Polynomial``.
 """
 
@@ -65,6 +70,33 @@ def _unpack(packed: int, size: int, width: int, code: Optional[str]) -> Sequence
     # One regex pass splits the bytes into slots, all in C.
     chunks = re.compile(b"(?s).{%d}" % width).findall(buf)
     return list(map(int.from_bytes, chunks, repeat("little")))
+
+
+def _strip(vals: list) -> list:
+    """``vals`` without trailing zeros, stripped in place."""
+    while vals and vals[-1] == 0:
+        vals.pop()
+    return vals
+
+
+# Schoolbook sum and difference of coefficient tuples, for any p: stored
+# values, stripped tuples.
+
+
+def _dense_add(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, v in enumerate(b):
+        out[i] = (out[i] + v) % p
+    return tuple(_strip(out))
+
+
+def _dense_sub(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, v in enumerate(b):
+        out[i] = (out[i] - v) % p
+    return tuple(_strip(out))
 
 
 def _kronecker_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
@@ -241,7 +273,7 @@ def _step_divmod(
     """Quotient and remainder of ``a`` by ``div`` by division steps, for ``len(a) >= len(div)``.
 
     ``lead_inv`` inverts the leading coefficient of ``div`` mod p.  The lists
-    match ``polycrt.poly._dense_divmod``: the quotient has ``k`` entries and
+    match :func:`_dense_divmod`'s: the quotient has ``k`` entries and
     the remainder ``n - 1``, trailing zeros included.  ``a`` and the
     divisor's low slots are packed once, in the narrowest layout that holds
     a slot of ``a`` plus the ``min(k, n - 1)`` terms below ``(p - 1)**2``
@@ -256,3 +288,52 @@ def _step_divmod(
     quot = [-c % p for c in _unpack(neg, k, width, code)]
     return quot, [c % p for c in _unpack(rem, n - 1, width, code)]
 
+
+def _dense_divmod(
+    a: Tuple[int, ...], div: Tuple[int, ...], p: int, lead_inv: int
+) -> Tuple[list, list]:
+    """Schoolbook quotient and remainder of ``a`` by nonzero ``div``, for ``len(a) >= len(div)``.
+
+    ``lead_inv`` is the inverse of ``div``'s leading coefficient mod p.  The
+    lists are reduced mod p, trailing zeros included.
+    """
+    rem = list(a)
+    dd = len(div) - 1
+    quot = [0] * (len(rem) - dd)
+    for shift in range(len(rem) - dd - 1, -1, -1):
+        c = rem[shift + dd]
+        if c:
+            factor = (c * lead_inv) % p
+            quot[shift] = factor
+            for j in range(dd + 1):
+                rem[shift + j] = (rem[shift + j] - factor * div[j]) % p
+    return quot, rem[:dd]
+
+
+# Odd-p division runs the schoolbook loop below either bound and division
+# steps everywhere else.  Timed against each other on random operands at
+# p = 13, 65521 and 2**61 - 1, steps were 1.15-4.5x slower by divisors of one
+# and two coefficients at every quotient up to 1,000, and 1.2-4.1x slower by
+# four at quotients up to 16.  By divisors of 10 or more they were
+# 0.33-0.88x from quotients of 16, and by 9 and 10 within 0.88-1.21x at
+# quotients of 7 and 8.  By five to nine coefficients steps were mostly
+# faster from quotients of 64 (0.41-1.06x), which the bounds leave to the
+# loop.
+_STEP_MIN_DIVISOR = 10
+_STEP_MIN_QUOTIENT = 8
+
+
+def _tuple_divmod(
+    a: Tuple[int, ...], b: Tuple[int, ...], p: int, lead_inv: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Odd-p ``divmod`` of stored values by a nonzero ``b`` whose lead ``lead_inv`` inverts.
+
+    It runs :func:`_dense_divmod` below either ``_STEP_MIN_*`` bound and
+    :func:`_step_divmod` elsewhere.
+    """
+    n, k = len(b), len(a) - len(b) + 1
+    if k < 1:
+        return (), a
+    kernel = _dense_divmod if n < _STEP_MIN_DIVISOR or k < _STEP_MIN_QUOTIENT else _step_divmod
+    quot, rem = kernel(a, b, p, lead_inv)
+    return tuple(_strip(quot)), tuple(_strip(rem))

@@ -31,18 +31,8 @@ from .errors import (
     ZeroModulusError,
 )
 from .field import PrimeField
-from .poly import (
-    NEG_INF,
-    ByteTable,
-    PackedChain,
-    Polynomial,
-    _byte_table,
-    _euclid_pass,
-    _from_pass,
-    _is_byte_table,
-    _record,
-    gcd,
-)
+from .gf2 import ByteTable, _clbyte_table, _is_byte_table
+from .poly import NEG_INF, PackedChain, Polynomial, _euclid_pass, _from_pass, _record, gcd
 
 
 @dataclass(frozen=True)
@@ -84,7 +74,7 @@ class ModuliPairAnalysis:
     reversed to keep ``deg(m1) <= deg(m2)``.
 
     Over F_2, ``tables`` holds a byte table per modulus
-    (:data:`~polycrt.poly.ByteTable`), for ``encode``'s divisions and the
+    (:data:`~polycrt.gf2.ByteTable`), for ``encode``'s divisions and the
     products by ``m2``; over odd p both are None.  The chain and the tables
     are functions of ``(m1, m2)``, which equality compares, so they take no
     part in equality, hashing or repr.  They are built once per analysis and
@@ -104,7 +94,9 @@ class ModuliPairAnalysis:
     )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tables", (_byte_table(self.m1), _byte_table(self.m2)))
+        if self.field.p == 2:
+            tables = _clbyte_table(self.m1._value), _clbyte_table(self.m2._value)
+            object.__setattr__(self, "tables", tables)
 
     @property
     def field(self) -> PrimeField:
@@ -261,7 +253,7 @@ def _assert_invariants(
     ):
         raise AssertionError("gamma_inv21 * gamma2 != 1 (mod gamma1)")
     for name, mod, table in zip(("m1", "m2"), (analysis.m1, analysis.m2), analysis.tables):
-        if table is not None and not _is_byte_table(mod, table):
+        if table is not None and not _is_byte_table(mod._value, table):
             raise AssertionError(f"byte table of {name} does not match it")
 
 

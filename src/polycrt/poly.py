@@ -7,23 +7,25 @@ which compares strictly below every integer and absorbs addition, so degree
 inequalities hold for the zero polynomial without special cases.
 
 The field picks the representation, and a polynomial stores one value.
-Over F_2 it is the packed int, bit ``i`` holding the coefficient of ``x^i``,
-on which the shift-XOR kernels of :mod:`polycrt.gf2` work, and ``coeffs``
-unpacks it on every read.  Every other p stores the tuple and multiplies by
-Kronecker substitution (:mod:`polycrt.kronecker`).  It divides with a
-schoolbook loop when the divisor or the quotient is short, and otherwise by
-the division steps that the Euclid pass takes, which halve a long quotient
-until its parts are short.  ``%`` is ``divmod``'s remainder.  The Euclid
-pass and the decoder's remainder cascade reduce a remainder and a
-cofactor-weighted sum step by step.  Each field's pass is a generator in
-its kernel module that streams rows, a step with its cofactor and the
-cofactor it leaves, as the kernels build them, and :func:`_from_pass`
-reads any item of a row as a polynomial.  Each reader keeps only what it
-reads: ``gcd``, ``xgcd`` and ``lcm`` the last row, the moduli pair
-analysis every step and cofactor, as a :class:`PackedChain`, and its
-``sigma`` one step at a time.  The cascade runs over that chain, which
-only the analysis builds, in the decode core of :mod:`polycrt.crt`, on
-stored values.
+Each field's kernel module owns its value format and its arithmetic, and
+this module wraps them.  Over F_2 the value is the packed int, bit ``i``
+holding the coefficient of ``x^i``, which :mod:`polycrt.gf2` packs and
+unpacks and on which its shift-XOR kernels work; ``coeffs`` unpacks it on
+every read.  Every other p stores the stripped tuple, and
+:mod:`polycrt.kronecker` adds, multiplies by Kronecker substitution and
+divides: with a schoolbook loop when the divisor or the quotient is short,
+and otherwise by the division steps that the Euclid pass takes, which halve
+a long quotient until its parts are short.  ``%`` is ``divmod``'s
+remainder.  The Euclid pass and the decoder's remainder cascade reduce a
+remainder and a cofactor-weighted sum step by step.  Each field's pass is a
+generator in its kernel module that streams rows, a step with its cofactor
+and the cofactor it leaves, as the kernels build them, and
+:func:`_from_pass` reads any item of a row as a polynomial.  Each reader
+keeps only what it reads: ``gcd``, ``xgcd`` and ``lcm`` the last row, the
+moduli pair analysis every step and cofactor, as a :class:`PackedChain`,
+and its ``sigma`` one step at a time.  The cascade runs over that chain,
+which only the analysis builds, in the decode core of :mod:`polycrt.crt`,
+on stored values.
 Over F_2 the chain fuses each step into one int.  Over odd p a step packs
 its quotient in one int and adds one product per row, Barrett reduction
 keeps slots below 3p, and the cascade reduces mod p once, at its end.
@@ -44,8 +46,17 @@ from .errors import (
     ZeroInputError,
 )
 from .field import PrimeField
-from .gf2 import ByteTable, _chain_index, _clbyte_table, _cldivmod, _clmul, _euclid_rows, _fuse_chain
-from .kronecker import _chain_layout, _fold_euclid, _kronecker_mul, _step_divmod, _unpack
+from .gf2 import _chain_index, _cldivmod, _clmul, _euclid_rows, _fuse_chain, _pack2, _unpack2
+from .kronecker import (
+    _chain_layout,
+    _dense_add,
+    _dense_sub,
+    _fold_euclid,
+    _kronecker_mul,
+    _strip,
+    _tuple_divmod,
+    _unpack,
+)
 
 NEG_INF = float("-inf")
 
@@ -58,18 +69,6 @@ _MAX_PARSE_DEGREE = 1 << 16
 # int digit limit is: int() costs time quadratic in the digits.  CPython's
 # default limit.
 _MAX_ENTRY_DIGITS = 4300
-
-# Odd-p division runs the schoolbook loop below either bound and division
-# steps everywhere else.  Timed against each other on random operands at
-# p = 13, 65521 and 2**61 - 1, steps were 1.15-4.5x slower by divisors of one
-# and two coefficients at every quotient up to 1,000, and 1.2-4.1x slower by
-# four at quotients up to 16.  By divisors of 10 or more they were
-# 0.33-0.88x from quotients of 16, and by 9 and 10 within 0.88-1.21x at
-# quotients of 7 and 8.  By five to nine coefficients steps were mostly
-# faster from quotients of 64 (0.41-1.06x), which the bounds leave to the
-# loop.
-_STEP_MIN_DIVISOR = 10
-_STEP_MIN_QUOTIENT = 8
 
 
 class Polynomial:
@@ -99,9 +98,7 @@ class Polynomial:
     def coeffs(self) -> Tuple[int, ...]:
         """Coefficient tuple, lowest power first; over F_2 unpacked from the bits on every read."""
         v = self._value
-        if v.__class__ is tuple:
-            return v
-        return tuple(bin(v)[:1:-1].encode().translate(_DIGIT_TO_BIT)) if v else ()
+        return v if v.__class__ is tuple else _unpack2(v)
 
     # Structure
 
@@ -243,84 +240,9 @@ _set_field = Polynomial.field.__set__
 _set_value = Polynomial._value.__set__
 
 
-def _strip(vals: list) -> list:
-    """``vals`` without trailing zeros, stripped in place."""
-    while vals and vals[-1] == 0:
-        vals.pop()
-    return vals
-
-
 def _from_reduced(field: PrimeField, vals: list) -> Polynomial:
     """Polynomial over odd p from a list already reduced mod p; strips ``vals`` in place."""
     return _from_bits(field, tuple(_strip(vals)))
-
-
-# Dense schoolbook kernels on coefficient tuples, for any p.  The sum and
-# the difference are stored values, stripped tuples; the division returns
-# lists reduced mod p, possibly with trailing zeros.
-
-
-def _dense_add(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return tuple(_strip(out))
-
-
-def _dense_sub(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return tuple(_strip(out))
-
-
-def _dense_divmod(
-    a: Tuple[int, ...], div: Tuple[int, ...], p: int, lead_inv: int
-) -> Tuple[list, list]:
-    """Quotient and remainder of ``a`` by nonzero ``div`` with ``len(a) >= len(div)``.
-
-    ``lead_inv`` is the inverse of ``div``'s leading coefficient mod p.
-    """
-    rem = list(a)
-    dd = len(div) - 1
-    quot = [0] * (len(rem) - dd)
-    for shift in range(len(rem) - dd - 1, -1, -1):
-        c = rem[shift + dd]
-        if c:
-            factor = (c * lead_inv) % p
-            quot[shift] = factor
-            for j in range(dd + 1):
-                rem[shift + j] = (rem[shift + j] - factor * div[j]) % p
-    return quot, rem[:dd]
-
-
-def _tuple_divmod(
-    a: Tuple[int, ...], b: Tuple[int, ...], p: int, lead_inv: int
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Odd-p ``divmod`` of stored values by a nonzero ``b`` whose lead ``lead_inv`` inverts.
-
-    It runs the schoolbook loop below either ``_STEP_MIN_*`` bound and
-    division steps elsewhere.
-    """
-    n, k = len(b), len(a) - len(b) + 1
-    if k < 1:
-        return (), a
-    kernel = _dense_divmod if n < _STEP_MIN_DIVISOR or k < _STEP_MIN_QUOTIENT else _step_divmod
-    quot, rem = kernel(a, b, p, lead_inv)
-    return tuple(_strip(quot)), tuple(_strip(rem))
-
-
-# F_2 packing and unpacking go through the int's binary text, at C speed.
-
-_BIT_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
-_DIGIT_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _pack2(coeffs: Tuple[int, ...]) -> int:
-    """Pack reduced F_2 coefficients (lowest power first) into an int."""
-    return int(bytes(coeffs[::-1]).translate(_BIT_TO_DIGIT), 2) if coeffs else 0
 
 
 def _from_bits(field: PrimeField, value: Union[int, Tuple[int, ...]]) -> Polynomial:
@@ -340,30 +262,6 @@ def _record(cls: type, **fields: object):
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
     return obj
-
-
-def _byte_table(m: Polynomial) -> Optional[ByteTable]:
-    """The byte table of a nonzero modulus over F_2; None over odd p."""
-    return _clbyte_table(m._value) if m.field.p == 2 else None
-
-
-def _is_byte_table(m: Polynomial, table: ByteTable) -> bool:
-    """Whether ``table`` is :func:`_byte_table` of ``m``.
-
-    Entries ``2h`` and ``2h + 1`` must be entry h doubled and that plus
-    ``m``, which makes entry 0 zero, entry 1 ``m`` and entry t ``t * m``;
-    and ``tops`` must invert the bytes above ``deg(m)``.
-    """
-    mults, tops = table
-    b = m._value
-    deg = b.bit_length() - 1
-    evens = [v << 1 for v in mults[:128]]
-    return (
-        len(mults) == len(tops) == 256
-        and list(mults[::2]) == evens
-        and list(mults[1::2]) == [v ^ b for v in evens]
-        and [tops[v >> deg] for v in mults] == list(range(256))
-    )
 
 
 class PackedChain:

@@ -8,9 +8,11 @@ polynomial was recovered exactly.  Inside the bounds this must never fail;
 Every trial runs through :func:`_run_trials`, which draws, encodes, decodes
 and judges it in one place, for every field.  It works on stored values
 from the draw to the verdict, the packed int over F_2 and the coefficient
-tuple over odd p, with the decode core of :mod:`polycrt.crt` that ``encode``
-and :func:`~polycrt.decoder.reconstruct` wrap, set up once per campaign; no
-polynomial is built.
+tuple over odd p, whose formats the kernel modules :mod:`polycrt.gf2` and
+:mod:`polycrt.kronecker` own, with the decode core of :mod:`polycrt.crt`
+that ``encode`` and :func:`~polycrt.decoder.reconstruct` wrap, set up once
+per campaign; no polynomial is built.  The draws are read into those
+formats directly: odd-p words through ``kronecker``'s slot layout.
 
 A campaign streams: :func:`run_campaign` folds each trial into the
 report's counters and keeps only the indices of failing trials, so its
@@ -29,11 +31,9 @@ replays alone.  The public samplers draw from a caller-owned
 from __future__ import annotations
 
 import random
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
 from operator import eq
-from sys import byteorder
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 try:
@@ -46,8 +46,10 @@ from .crt import _arithmetic, _decoder, _divisions
 from .decoder import Branch, _branch
 from .errors import PolyCrtError
 from .field import PrimeField
+from .gf2 import _pack2
+from .kronecker import _slot_layout, _strip, _unpack
 from .levels import ModuliPairAnalysis, analyze_pair
-from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, _pack2, _strip, gcd
+from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, gcd
 
 
 def _draw(count: int, field: PrimeField, rng: random.Random, top: Tuple[int, ...] = ()) -> Polynomial:
@@ -80,8 +82,10 @@ def _stream_draws(counts: Tuple[int, ...], field: PrimeField, key: str) -> List[
     At p = 2, draw j is bit j of ``int.from_bytes(S[:ceil(n / 8)], "little")``
     for n draws in all.  At odd p, each candidate is the next w-byte
     little-endian word of S masked to ``k = (p - 1).bit_length()`` bits, w the
-    smallest of 1, 2, 4 and 8 bytes that holds them; the candidates below p
-    are the draws.  A short read is topped up by a longer one, which extends it.
+    smallest of 1, 2, 4 and 8 bytes that holds them: the slot layout of
+    :func:`~polycrt.kronecker._slot_layout`, whose :func:`~polycrt.kronecker._unpack`
+    reads the words little-endian on every host.  The candidates below p are
+    the draws.  A short read is topped up by a longer one, which extends it.
     The values are a polynomial's (:class:`~polycrt.poly.Polynomial`): the
     packed int at p = 2 and the tuple without trailing zeros at odd p.
     """
@@ -96,7 +100,7 @@ def _stream_draws(counts: Tuple[int, ...], field: PrimeField, key: str) -> List[
             bits >>= count
         return draws
     k = (p - 1).bit_length()
-    width, code = (1, "B") if k <= 8 else (2, "H") if k <= 16 else (4, "I") if k <= 32 else (8, "Q")
+    width, code = _slot_layout(k)
     lanes = ((1 << k) - 1).to_bytes(width, "little")
     vals, words = [], 0
     while len(vals) < n:
@@ -105,12 +109,9 @@ def _stream_draws(counts: Tuple[int, ...], field: PrimeField, key: str) -> List[
         more = n - len(vals) + int(rejects + 2 * (rejects * (1 << k) / p) ** 0.5) + 1
         read = stream.digest((words + more) * width)[words * width:]
         words += more
-        # Masked all at once, each candidate becomes one int, made only as it is read.
+        # Masked all at once, then split into words by one struct call.
         masked = int.from_bytes(read, "little") & int.from_bytes(lanes * more, "little")
-        cands = array(code, masked.to_bytes(len(read), "little"))
-        if byteorder == "big":
-            cands.byteswap()
-        vals += [v for v in cands if v < p]
+        vals += [v for v in _unpack(masked, more, width, code) if v < p]
     for count in counts:
         draws.append(tuple(_strip(vals[:count])))
         del vals[:count]
@@ -344,14 +345,14 @@ def _run_trials(
     add, sub, length = _arithmetic(field)
     decode = _decoder(analysis, level)
     deg1, bound = analysis.m1.degree, spec.error_bound_exclusive
-    # A residue plus an error of degree below deg(m_i) is already reduced;
-    # only boundary mode reaches tau >= deg(m_i), where r_i needs the division.
-    wrap1, wrap2 = tau >= deg1, tau >= analysis.m2.degree
+    # r1 = (a + e1) mod m1 takes one division.  r2 starts from a's own
+    # division by m2, which gives k2; a residue plus an error of degree below
+    # deg(m2) is already reduced, so only boundary mode at tau >= deg(m2)
+    # divides again.
+    wrap2 = tau >= analysis.m2.degree
     for trial in trials:
         a, e1, e2 = _stream_draws(counts, field, f"{prefix}{trial}")
-        r1 = add(div1(a)[1], e1)
-        if wrap1:
-            r1 = div1(r1)[1]
+        r1 = div1(add(a, e1))[1]
         k2, r2 = div2(a)
         r2 = add(r2, e2)
         if wrap2:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -461,6 +462,23 @@ class TestSimulate:
         )
         assert code == 0
         assert "more failing trials" in out
+
+    def test_boundary_json_report_peaks_under_14_mib(self, capsys):
+        # 20,000 boundary trials, about half of them failing, each listed in
+        # failureDetails.  The text is written as it is encoded: json.dumps,
+        # which first holds a list of every chunk, peaks at about 20 MiB.
+        tracemalloc.start()
+        try:
+            code = main([
+                "simulate", "--m1", REF_M1, "--m2", REF_M2, "--boundary", "--level", "4",
+                "--tau", "2", "--trials", "20000", "--seed", "1", "--format", "json",
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        payload = json.loads(capsys.readouterr().out)
+        assert code == 0 and len(payload["failureDetails"]) == payload["failures"] > 0
+        assert peak < 14 << 20
 
     @pytest.mark.parametrize("tau", [_MAX_PARSE_DEGREE + 1, 10**15])
     def test_boundary_tau_above_cap_exit_2(self, capsys, no_sampling, tau):

@@ -43,20 +43,18 @@ from polycrt import (
 )
 from polycrt import kronecker
 from polycrt.kronecker import (
+    _STEP_MIN_DIVISOR,
+    _STEP_MIN_QUOTIENT,
     _STEP_WINDOW,
     _chain_layout,
+    _dense_divmod,
     _fold_chain,
     _fold_euclid,
+    _kronecker_mul,
     _neg_quotient,
     _pack,
     _step_divmod,
     _unpack,
-)
-from polycrt.poly import (
-    _STEP_MIN_DIVISOR,
-    _STEP_MIN_QUOTIENT,
-    _dense_divmod,
-    _kronecker_mul,
 )
 
 from reference_decoder import (

@@ -233,17 +233,20 @@ def plant(monkeypatch, name, *edits):
 
 
 _P2_READ = 'int.from_bytes(stream.digest(n + 7 >> 3), "little")'
+_WORDS = "_unpack(masked, more, width, code)"
 # Each mutant: the function it edits, then its edits.  The big-endian reader
-# masks its words big-endian too, or it would keep almost no candidate.
+# reads the whole buffer big-endian, which reverses the word order and reads
+# each word big-endian, masks each word's low bits as before, and puts the
+# words back in order.
 STREAM_MUTANTS = {
     "accepts p": ("_stream_draws", ("if v < p]", "if v <= p]")),
     "reduces instead of rejecting": (
-        "_stream_draws", ("[v for v in cands if v < p]", "[v % p for v in cands]")
+        "_stream_draws", (f"[v for v in {_WORDS} if v < p]", f"[v % p for v in {_WORDS}]")
     ),
     "big-endian words": (
         "_stream_draws",
-        ('.to_bytes(width, "little")', '.to_bytes(width, "big")'),
-        ('if byteorder == "big":', 'if byteorder == "little":'),
+        ('int.from_bytes(read, "little")', 'int.from_bytes(read, "big")'),
+        (_WORDS, f"{_WORDS}[::-1]"),
     ),
     "p = 2 bits top first": (
         "_stream_draws",
@@ -389,6 +392,7 @@ CORE_MUTANTS = {
     "fold one step short": (
         "_decoder", ("stop, chain = level + 1, analysis.chain", "stop, chain = level, analysis.chain"),
     ),
+    "r1 left unreduced": ("_run_trials", ("r1 = div1(add(a, e1))[1]", "r1 = add(div1(a)[1], e1)")),
     "r2 left unreduced": ("_run_trials", ("if wrap2:", "if False:")),
     "residual without r2": (
         "_decoder",
@@ -449,6 +453,13 @@ class TestPackedTrials:
         plant(monkeypatch, *CORE_MUTANTS[mutant])
         assert decoded_mismatches(reference_pair)[0] > 0
         assert decoded_mismatches(decoded_trial_pair(13))[0] > 0
+
+    # At 2**61 - 1 the seeded pair's trials give the same outcomes under this
+    # mutant: each branch is large_residue, and step 0 reduces mod m1.
+    @pytest.mark.parametrize("pair", [name for name in PACKED_TRIAL_PAIRS if name != f"p = {2**61 - 1}"])
+    def test_r1_left_unreduced_mismatches(self, reference_pair, monkeypatch, pair):
+        plant(monkeypatch, *CORE_MUTANTS["r1 left unreduced"])
+        assert decoded_mismatches(PACKED_TRIAL_PAIRS[pair](reference_pair))[0] > 0
 
     @pytest.mark.parametrize("pair", PACKED_TRIAL_PAIRS)
     def test_moduli_as_errors_decode_exactly(self, reference_pair, monkeypatch, pair):
