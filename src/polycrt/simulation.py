@@ -10,9 +10,12 @@ and judges it in one place, for every field.  It works on stored values
 from the draw to the verdict, the packed int over F_2 and the coefficient
 tuple over odd p, whose formats the kernel modules :mod:`polycrt.gf2` and
 :mod:`polycrt.kronecker` own, with the decode core of :mod:`polycrt.crt`
-that ``encode`` and :func:`~polycrt.decoder.reconstruct` wrap, set up once
-per campaign; no polynomial is built.  The draws are read into those
-formats directly: odd-p words through ``kronecker``'s slot layout.
+that ``encode`` and :func:`~polycrt.decoder.reconstruct` wrap; no
+polynomial is built.  The draws are read into those formats directly, by
+the reader of :func:`_stream_draws`: odd-p words through ``kronecker``'s
+slot layout.  The core, the reader and the branch lookup
+(:func:`_branches`) are set up once per campaign, so a trial at p = 2 reads
+one SHAKE-256 digest, masks it into its draws, and decodes.
 
 A campaign streams: :func:`run_campaign` folds each trial into the
 report's counters and keeps only the indices of failing trials, so its
@@ -33,8 +36,9 @@ from __future__ import annotations
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dataclass_field
+from functools import cache
 from operator import eq
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 try:
     # hashlib would load OpenSSL; like random's sha512, prefer the builtin module.
@@ -76,46 +80,58 @@ def _draw(count: int, field: PrimeField, rng: random.Random, top: Tuple[int, ...
     return _from_bits(field, _pack2(vals)) if p == 2 else _from_reduced(field, vals)
 
 
-def _stream_draws(counts: Tuple[int, ...], field: PrimeField, key: str) -> List[Union[int, tuple]]:
-    """Per count, the stored value of that many uniform coefficients read off the SHAKE-256 stream S of ``key``.
+def _stream_draws(counts: Tuple[int, int, int], field: PrimeField) -> Callable[[str], tuple]:
+    """The reader of a campaign's trials: ``draw(key) -> (a, e1, e2)``, of ``counts`` uniform coefficients each.
 
-    At p = 2, draw j is bit j of ``int.from_bytes(S[:ceil(n / 8)], "little")``
-    for n draws in all.  At odd p, each candidate is the next w-byte
-    little-endian word of S masked to ``k = (p - 1).bit_length()`` bits, w the
-    smallest of 1, 2, 4 and 8 bytes that holds them: the slot layout of
-    :func:`~polycrt.kronecker._slot_layout`, whose :func:`~polycrt.kronecker._unpack`
-    reads the words little-endian on every host.  The candidates below p are
-    the draws.  A short read is topped up by a longer one, which extends it.
-    The values are a polynomial's (:class:`~polycrt.poly.Polynomial`): the
-    packed int at p = 2 and the tuple without trailing zeros at odd p.
+    ``draw`` reads the SHAKE-256 stream S of ``key``.  At p = 2, draw j is
+    bit j of ``int.from_bytes(S[:ceil(n / 8)], "little")`` for n draws in
+    all.  At odd p, each candidate is the next w-byte little-endian word of
+    S masked to ``k = (p - 1).bit_length()`` bits, w the smallest of 1, 2, 4
+    and 8 bytes that holds them: the slot layout of
+    :func:`~polycrt.kronecker._slot_layout`, whose
+    :func:`~polycrt.kronecker._unpack` reads the words little-endian on every
+    host.  The candidates below p are the draws.  A short read is topped up
+    by a longer one, which extends it.  The values are a polynomial's
+    (:class:`~polycrt.poly.Polynomial`): the packed int at p = 2 and the
+    tuple without trailing zeros at odd p.  What depends only on the counts
+    and p, the read sizes, masks and slots, is worked out here, once.
     """
-    stream = shake_256(key.encode())
-    p = field.p
-    n = sum(counts)
-    draws = []
+    p, (c0, c1, c2) = field.p, counts
+    n, c01 = c0 + c1 + c2, c0 + c1
     if p == 2:
-        bits = int.from_bytes(stream.digest(n + 7 >> 3), "little")
-        for count in counts:
-            draws.append(bits & ~(-1 << count))
-            bits >>= count
-        return draws
+        size, mask0, mask1, mask2 = n + 7 >> 3, ~(-1 << c0), ~(-1 << c1), ~(-1 << c2)
+
+        def draw(key: str) -> tuple:
+            bits = int.from_bytes(shake_256(key.encode()).digest(size), "little")
+            return bits & mask0, bits >> c0 & mask1, bits >> c01 & mask2
+
+        return draw
     k = (p - 1).bit_length()
     width, code = _slot_layout(k)
     lanes = ((1 << k) - 1).to_bytes(width, "little")
-    vals, words = [], 0
-    while len(vals) < n:
+
+    def plan(need: int) -> Tuple[int, int]:
+        """The words to read for ``need`` more draws, and their lane mask."""
         # Expected rejections at acceptance p / 2**k, two standard deviations and a word.
-        rejects = (n - len(vals)) * ((1 << k) - p) / p
-        more = n - len(vals) + int(rejects + 2 * (rejects * (1 << k) / p) ** 0.5) + 1
-        read = stream.digest((words + more) * width)[words * width:]
-        words += more
-        # Masked all at once, then split into words by one struct call.
-        masked = int.from_bytes(read, "little") & int.from_bytes(lanes * more, "little")
-        vals += [v for v in _unpack(masked, more, width, code) if v < p]
-    for count in counts:
-        draws.append(tuple(_strip(vals[:count])))
-        del vals[:count]
-    return draws
+        rejects = need * ((1 << k) - p) / p
+        more = need + int(rejects + 2 * (rejects * (1 << k) / p) ** 0.5) + 1
+        return more, int.from_bytes(lanes * more, "little")
+
+    first = plan(n)
+
+    def draw(key: str) -> tuple:
+        stream = shake_256(key.encode())
+        vals, words = [], 0
+        while len(vals) < n:
+            more, mask = plan(n - len(vals)) if words else first
+            read = stream.digest((words + more) * width)[words * width:]
+            words += more
+            # Masked all at once, then split into words by one struct call.
+            masked = int.from_bytes(read, "little") & mask
+            vals += [v for v in _unpack(masked, more, width, code) if v < p]
+        return tuple(_strip(vals[:c0])), tuple(_strip(vals[c0:c01])), tuple(_strip(vals[c01:n]))
+
+    return draw
 
 
 def sample_polynomial(
@@ -321,6 +337,21 @@ def _deg_json(deg: Degree) -> Optional[int]:
     return None if deg == NEG_INF else int(deg)
 
 
+def _branches(analysis: ModuliPairAnalysis, level: int) -> Callable[[int], Branch]:
+    """The branch at ``level`` of a difference by its length, in bits or coefficients.
+
+    Each length's branch is :func:`~polycrt.decoder._branch`'s, worked out on
+    its first lookup and kept, so a campaign pays one call per length that
+    occurs.  A table of every length, built up front, would pay one per
+    length up to ``deg(m2)``: about 2 ms at degree 12,288, more than a
+    10-trial campaign at level 1 takes there.
+    """
+    deg1, bound = analysis.m1.degree, analysis.level_spec(level).error_bound_exclusive
+    # The zero difference has length 0, a "degree" of -1: below the bound,
+    # as NEG_INF is.
+    return cache(lambda length: _branch(length - 1, deg1, bound))
+
+
 def _run_trials(
     analysis: ModuliPairAnalysis, level: int, tau: int, prefix: str, trials: Iterable[int]
 ) -> Iterator[tuple]:
@@ -329,10 +360,12 @@ def _run_trials(
     A trial draws ``a``, then ``e1``, then ``e2`` from the stream of its key;
     the draw order is part of the determinism contract (:func:`_stream_draws`).
     It encodes, corrupts and decodes on stored values, with the decode core
-    of :mod:`polycrt.crt`, set up once for all the trials, and yields one
-    tuple in the field order of :class:`TrialOutcome`, with stored values
-    for ``a``, ``e1`` and ``e2`` (:func:`_outcome`).  A trial
-    succeeds when the folding polynomial is recovered exactly and the
+    of :mod:`polycrt.crt`, and looks its branch up by the length of its
+    difference (:func:`_branches`).  The core, the reader of the draws and
+    the branch lookup are set up once for all the trials, before the first.
+    Each trial yields one tuple in the field order of :class:`TrialOutcome`,
+    with stored values for ``a``, ``e1`` and ``e2`` (:func:`_outcome`).  A
+    trial succeeds when the folding polynomial is recovered exactly and the
     residual ``a_hat - a`` has degree at most ``tau``; this is the only place
     that rule is applied.  Nothing here raises once ``level`` is valid, which
     ``level_spec`` checks first, for any ``tau >= -1``: ``r1`` and ``r2`` are
@@ -344,23 +377,22 @@ def _run_trials(
     div1, div2 = _divisions(analysis)
     add, sub, length = _arithmetic(field)
     decode = _decoder(analysis, level)
-    deg1, bound = analysis.m1.degree, spec.error_bound_exclusive
+    draw = _stream_draws(counts, field)
+    branch_of = _branches(analysis, level)
     # r1 = (a + e1) mod m1 takes one division.  r2 starts from a's own
     # division by m2, which gives k2; a residue plus an error of degree below
     # deg(m2) is already reduced, so only boundary mode at tau >= deg(m2)
     # divides again.
     wrap2 = tau >= analysis.m2.degree
     for trial in trials:
-        a, e1, e2 = _stream_draws(counts, field, f"{prefix}{trial}")
+        a, e1, e2 = draw(f"{prefix}{trial}")
         r1 = div1(add(a, e1))[1]
         k2, r2 = div2(a)
         r2 = add(r2, e2)
         if wrap2:
             r2 = div2(r2)[1]
         q21, _, k2_hat, a_hat = decode(r1, r2)
-        # The zero difference has length 0, a "degree" of -1: below the
-        # bound, as NEG_INF is.
-        branch = _branch(length(q21) - 1, deg1, bound)
+        branch = branch_of(length(q21))
         residual = sub(a_hat, a)
         n = length(residual)
         residual_deg = n - 1 if n else NEG_INF

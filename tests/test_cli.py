@@ -22,15 +22,16 @@ def run_cli(capsys, *argv):
 def no_sampling(monkeypatch):
     """Fail instead of drawing a polynomial (an error's size is tau + 1).
 
-    The CLI's samplers draw through ``_draw``; campaign trials read their
-    streams through ``_stream_draws``.
+    The CLI's samplers draw through ``_draw``.  Campaign trials read their
+    streams through the reader that ``_stream_draws`` sets up once per
+    campaign: the set-up runs, and each draw of its reader fails.
     """
 
     def refuse(counts, *args):
         raise AssertionError(f"a draw reached with counts = {counts}")
 
     monkeypatch.setattr(polycrt.simulation, "_draw", refuse)
-    monkeypatch.setattr(polycrt.simulation, "_stream_draws", refuse)
+    monkeypatch.setattr(polycrt.simulation, "_stream_draws", lambda counts, field: lambda key: refuse(counts))
 
 
 @pytest.fixture

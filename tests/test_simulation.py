@@ -129,7 +129,7 @@ class TestSamplingStream:
 
 
 def oracle_values(field, counts, key):
-    """The stored values of :func:`oracle_draws`, as ``_stream_draws`` returns them."""
+    """The stored values of :func:`oracle_draws`, as the reader of ``_stream_draws`` returns them, listed."""
     return [drawn._value for drawn in oracle_draws(field, counts, key)]
 
 
@@ -166,7 +166,11 @@ def oracle_draws(field, counts, key):
 
 # 65537 keeps about half its 17-bit candidates; 2**64 - 59 reads whole words.
 ORACLE_PRIMES = [2, 3, 13, 65521, 65537, 2**61 - 1, 2**64 - 59]
-ORACLE_COUNTS = [(), (0,), (1,), (7,), (8,), (9,), (1500,), (9, 0, 8), (13, 3, 3)]
+# A reader draws a, e1 and e2: three counts, each of them empty in some.
+ORACLE_COUNTS = [
+    (0, 0, 0), (1, 0, 0), (7, 0, 0), (8, 0, 0), (9, 0, 0), (1500, 0, 0), (0, 8, 1), (0, 0, 9),
+    (9, 0, 8), (13, 3, 3),
+]
 ORACLE_KEYS = ["0:0", "3:17", "boundary:6:1"]
 
 
@@ -181,12 +185,16 @@ def readme_trial_counts(analysis):
 
 
 def draw_mismatches(p):
-    """The counts and keys above on which ``_stream_draws`` at p differs from the oracle."""
-    field = PrimeField(p)
-    return sum(
-        simulation._stream_draws(counts, field, key) != oracle_values(field, counts, key)
-        for counts in ORACLE_COUNTS for key in ORACLE_KEYS
-    )
+    """The counts and keys above on which the reader of ``_stream_draws`` at p differs from the oracle.
+
+    One reader per counts draws every key, so a reader that kept state from
+    one key to the next would show here.
+    """
+    field, wrong = PrimeField(p), 0
+    for counts in ORACLE_COUNTS:
+        draw = simulation._stream_draws(counts, field)
+        wrong += sum(list(draw(key)) != oracle_values(field, counts, key) for key in ORACLE_KEYS)
+    return wrong
 
 
 def campaign_mismatches(analysis):
@@ -232,7 +240,7 @@ def plant(monkeypatch, name, *edits):
             monkeypatch.setattr(module, name, namespace[name])
 
 
-_P2_READ = 'int.from_bytes(stream.digest(n + 7 >> 3), "little")'
+_P2_READ = 'int.from_bytes(shake_256(key.encode()).digest(size), "little")'
 _WORDS = "_unpack(masked, more, width, code)"
 # Each mutant: the function it edits, then its edits.  The big-endian reader
 # reads the whole buffer big-endian, which reverses the word order and reads
@@ -250,26 +258,45 @@ STREAM_MUTANTS = {
     ),
     "p = 2 bits top first": (
         "_stream_draws",
-        (_P2_READ, f'int(format({_P2_READ}, f"0{{n + 7 >> 3 << 3}}b")[::-1] or "0", 2)'),
+        (_P2_READ, f'int(format({_P2_READ}, f"0{{size << 3}}b")[::-1] or "0", 2)'),
     ),
-    "e1 and e2 swapped": ("_run_trials", ("a, e1, e2 = _stream_draws(", "a, e2, e1 = _stream_draws(")),
+    "e1 and e2 swapped": ("_run_trials", ("a, e1, e2 = draw(", "a, e2, e1 = draw(")),
 }
 
 
 def counted_reads(monkeypatch):
-    """The digest sizes that ``_stream_draws`` reads off its streams, from now on."""
-    reads = []
+    """Per stream that the readers of ``_stream_draws`` open from now on, the digest sizes read off it."""
+    streams = []
 
     class Counted:
         def __init__(self, data):
-            self.stream = hashlib.shake_256(data)
+            self.stream, self.reads = hashlib.shake_256(data), []
+            streams.append(self.reads)
 
         def digest(self, size):
-            reads.append(size)
+            self.reads.append(size)
             return self.stream.digest(size)
 
     monkeypatch.setattr(simulation, "shake_256", Counted)
-    return reads
+    return streams
+
+
+def read_pair(reference_pair, p):
+    """The README pair at p = 2, the CI pair at p = 13, and a seeded pair at p = 65537."""
+    if p == 2:
+        return reference_pair
+    return odd_p_pair(p) if p == 13 else random_moduli_pair(PrimeField(p), random.Random(f"reads:{p}"))
+
+
+# The digest sizes that each trial's stream reads, per stream in trial order,
+# in the campaigns of test_reads_per_trial_are_pinned, pinned so that the
+# read sizes a reader works out at its set-up cannot move what a trial
+# reads.  At p = 65537 three of the 120 trials top their first read up.
+READ_SIZES_SHA256 = {
+    2: "a97e3cc5a78e5a8952b5758166499649a064f11a2e75ea21e418aa87355a0707",
+    13: "a22587c48fb82d3f57829bc3952ed61f57684582b39e6aa8328496f4186fe6a0",
+    65537: "482889a81fae0b811bc829e2ab5cfc0c9aba88954c2b509d6cd42a8ee2b1107b",
+}
 
 
 class TestTrialStream:
@@ -283,20 +310,48 @@ class TestTrialStream:
         assert trial_mismatches(reference_pair) == 0
 
     def test_a_p2_trial_reads_once(self, f2, reference_pair, monkeypatch):
-        reads = counted_reads(monkeypatch)
+        streams = counted_reads(monkeypatch)
         for counts in readme_trial_counts(reference_pair):
+            draw = simulation._stream_draws(counts, f2)
             for idx in range(50):
-                del reads[:]
-                assert simulation._stream_draws(counts, f2, f"3:{idx}") == oracle_values(f2, counts, f"3:{idx}")
-                assert reads == [(sum(counts) + 7) // 8]
+                del streams[:]
+                assert list(draw(f"3:{idx}")) == oracle_values(f2, counts, f"3:{idx}")
+                assert streams == [[(sum(counts) + 7) // 8]]
 
     def test_a_short_first_read_is_topped_up(self, monkeypatch):
         # At p = 65537 about half the 17-bit candidates are kept; the first
         # read for key "topup:39" keeps fewer than 1,500 of them.
-        field, reads = PrimeField(65537), counted_reads(monkeypatch)
-        drawn = simulation._stream_draws((1500,), field, "topup:39")
+        field, streams = PrimeField(65537), counted_reads(monkeypatch)
+        drawn = simulation._stream_draws((1500, 0, 0), field)("topup:39")
+        [reads] = streams
         assert len(reads) == 2 and reads[0] < reads[1]
-        assert drawn == oracle_values(field, (1500,), "topup:39")
+        assert list(drawn) == oracle_values(field, (1500, 0, 0), "topup:39")
+
+    @pytest.mark.parametrize("p", [2, 13, 65537])
+    def test_reads_per_trial_are_pinned(self, reference_pair, monkeypatch, p):
+        # Every level at tau = -1 (errors of no coefficient) and bound - 1 in
+        # guarantee mode, and at tau = deg(m2) in boundary mode.
+        analysis = read_pair(reference_pair, p)
+        streams = counted_reads(monkeypatch)
+        for level in range(1, analysis.K + 2):
+            bound = analysis.level_spec(level).error_bound_exclusive
+            for tau, boundary in ((-1, False), (bound - 1, False), (analysis.m2.degree, True)):
+                run_campaign(TrialConfig(analysis, level, tau, 20, level, boundary))
+        assert len(streams) == 60 * (analysis.K + 1)
+        assert hashlib.sha256(json.dumps(streams).encode()).hexdigest() == READ_SIZES_SHA256[p]
+        assert sum(len(reads) > 1 for reads in streams) == (3 if p == 65537 else 0)
+
+    @pytest.mark.parametrize("p", [2, 13, 65537])
+    def test_no_draw_reads_no_more_than_it_must(self, reference_pair, monkeypatch, p):
+        # A campaign of no trial opens no stream.  Draws of no coefficient
+        # read nothing at odd p, and an empty digest at p = 2.
+        analysis = read_pair(reference_pair, p)
+        streams = counted_reads(monkeypatch)
+        run_campaign(TrialConfig(analysis, 1, -1, 0, 1))
+        assert streams == []
+        drawn = simulation._stream_draws((0, 0, 0), analysis.field)("1:0")
+        assert drawn == ((0, 0, 0) if p == 2 else ((), (), ()))
+        assert streams == [[0] if p == 2 else []]
 
     @pytest.mark.parametrize("p", [2, 3, 13])
     def test_counts_are_uniform(self, p):
@@ -304,8 +359,9 @@ class TestTrialStream:
         # count lies within five standard deviations of n / p.
         field, counts, trials = PrimeField(p), (4, 3, 3), 3000
         seen = [0] * p
+        draw = simulation._stream_draws(counts, field)
         for idx in range(trials):
-            for count, drawn in zip(counts, simulation._stream_draws(counts, field, f"uniform:{idx}")):
+            for count, drawn in zip(counts, draw(f"uniform:{idx}")):
                 coeffs = _from_bits(field, drawn).coeffs
                 for c in coeffs + (0,) * (count - len(coeffs)):
                     seen[c] += 1
@@ -412,10 +468,13 @@ PACKED_TRIAL_PAIRS = {
 
 def plant_moduli_errors(monkeypatch, analysis):
     """Make every campaign trial draw its ``a`` as before and take ``e1 = m1`` and ``e2 = m2``."""
-    draw, m1, m2 = simulation._stream_draws, analysis.m1._value, analysis.m2._value
-    monkeypatch.setattr(
-        simulation, "_stream_draws", lambda counts, field, key: (draw(counts, field, key)[0], m1, m2)
-    )
+    stream_draws, m1, m2 = simulation._stream_draws, analysis.m1._value, analysis.m2._value
+
+    def planted(counts, field):
+        draw = stream_draws(counts, field)
+        return lambda key: (draw(key)[0], m1, m2)
+
+    monkeypatch.setattr(simulation, "_stream_draws", planted)
 
 
 def moduli_error_reports(analysis):
@@ -477,6 +536,52 @@ class TestPackedTrials:
         plant(monkeypatch, *CORE_MUTANTS["r2 left unreduced"])
         for report in moduli_error_reports(analysis):
             assert report.successes == 0
+
+
+class TestBranchTable:
+    # A trial looks its branch up by the length of its difference
+    # (simulation._branches); every lookup must give _branch's branch.
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_every_length_at_every_level(self, reference_pair, p):
+        analysis = reference_pair if p == 2 else odd_p_pair(p)
+        deg1, top = analysis.m1.degree, max(analysis.m1.degree, analysis.m2.degree)
+        for level in range(1, analysis.K + 2):
+            bound = analysis.level_spec(level).error_bound_exclusive
+            branch_of = simulation._branches(analysis, level)
+            for length in range(top + 2):
+                expected = decoder._branch(length - 1, deg1, bound)
+                # The first lookup works the branch out, the second reads it back.
+                assert branch_of(length) is expected and branch_of(length) is expected
+
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_campaigns_look_up_every_branch(self, reference_pair, monkeypatch, p):
+        # Every level in guarantee mode at tau = bound - 1, and in boundary
+        # mode at tau = deg(m2), where the received residues are reduced.
+        analysis = reference_pair if p == 2 else odd_p_pair(p)
+        lookups, branches = [], simulation._branches
+
+        def spied(analysis, level):
+            branch_of = branches(analysis, level)
+            bound = analysis.level_spec(level).error_bound_exclusive
+
+            def lookup(length):
+                lookups.append((branch_of(length), decoder._branch(length - 1, analysis.m1.degree, bound)))
+                return lookups[-1][0]
+
+            return lookup
+
+        monkeypatch.setattr(simulation, "_branches", spied)
+        seen = set()
+        for level in range(1, analysis.K + 2):
+            bound = analysis.level_spec(level).error_bound_exclusive
+            for tau, boundary in ((bound - 1, False), (analysis.m2.degree, True)):
+                del lookups[:]
+                report = run_campaign(TrialConfig(analysis, level, tau, 100, level, boundary))
+                assert len(lookups) == 100 and all(got is expected for got, expected in lookups)
+                assert [o.branch for o in report.outcomes] == [got for got, _ in lookups[100:]]
+                seen |= {got for got, _ in lookups}
+        # Residues that agree below the bound are rare at p = 13: no trial here draws them.
+        assert seen == set(Branch) - ({Branch.EQUAL_RESIDUES} if p == 13 else set())
 
 
 # Pinned reports on the CI pairs at p = 13 and p = 2**61 - 1, in guarantee
@@ -863,22 +968,28 @@ class TestRunCampaign:
 
 
 def counted_draws(monkeypatch):
-    """The keys of the trials that ``_stream_draws`` draws, from now on."""
-    keys, draw = [], simulation._stream_draws
+    """The keys of the trials drawn from now on, and the counts of each reader that ``_stream_draws`` sets up."""
+    keys, setups, stream_draws = [], [], simulation._stream_draws
 
-    def counted(counts, field, key):
-        keys.append(key)
-        return draw(counts, field, key)
+    def counted(counts, field):
+        setups.append(counts)
+        draw = stream_draws(counts, field)
+
+        def counted_draw(key):
+            keys.append(key)
+            return draw(key)
+
+        return counted_draw
 
     monkeypatch.setattr(simulation, "_stream_draws", counted)
-    return keys
+    return keys, setups
 
 
 class TestStreamingReport:
     # A report keeps counters and failing indices; every outcome it hands
     # out is a trial run again from its key.
     def test_each_trial_draws_once(self, reference_pair, monkeypatch):
-        keys = counted_draws(monkeypatch)
+        keys, _ = counted_draws(monkeypatch)
         report = run_campaign(TrialConfig(reference_pair, 3, 2, 200, 5))
         report.to_json()
         render_report(report)
@@ -889,7 +1000,7 @@ class TestStreamingReport:
 
     def test_boundary_details_replay_the_failing_trials(self, monkeypatch):
         cfg = odd_p_config(13, 1, 4, 100, True)
-        keys = counted_draws(monkeypatch)
+        keys, _ = counted_draws(monkeypatch)
         report = run_campaign(cfg)
         failing = [o for o in report.outcomes if not o.success]
         assert len(keys) == 200 and len(failing) == report.failures > 0
@@ -897,6 +1008,32 @@ class TestStreamingReport:
         details = report.to_json()["failureDetails"]
         assert details == [o.to_json() for o in failing]
         assert keys == [f"3:{o.trial}" for o in failing]
+
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_a_campaign_or_replay_sets_up_one_reader(self, reference_pair, monkeypatch, p):
+        # Boundary campaigns that fail some trials, so that the failure
+        # details replay some; the empty campaign still sets its reader up.
+        cfg = TrialConfig(reference_pair, 4, 2, 40, 8, True) if p == 2 else odd_p_config(13, 1, 4, 40, True)
+        spec = cfg.analysis.level_spec(cfg.level)
+        counts = (spec.dynamic_range_exclusive, cfg.tau + 1, cfg.tau + 1)
+        keys, setups = counted_draws(monkeypatch)
+        report = run_campaign(cfg)
+        failing = report.failed_trials
+        assert setups == [counts] and keys == [f"{cfg.seed}:{idx}" for idx in range(40)]
+        assert len(failing) > 10
+        for read, trials in (
+            (lambda: report.outcomes[3], [3]),
+            (lambda: report.outcomes[5:8], [5, 6, 7]),
+            (lambda: list(report.outcomes), range(40)),
+            (report.to_json, failing),
+            (lambda: render_report(report), failing[:10]),
+            (lambda: run_campaign(dataclasses.replace(cfg, trials=0)), []),
+        ):
+            del keys[:], setups[:]
+            read()
+            assert setups == [counts] and keys == [f"{cfg.seed}:{idx}" for idx in trials]
+        del setups[:]
+        assert len(report.outcomes) == 40 and setups == []
 
     def test_outcomes_read_as_a_list(self, reference_pair):
         outcomes = run_campaign(TrialConfig(reference_pair, 4, 1, 30, 6)).outcomes
