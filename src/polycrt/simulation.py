@@ -343,8 +343,9 @@ def _branches(analysis: ModuliPairAnalysis, level: int) -> Callable[[int], Branc
     Each length's branch is :func:`~polycrt.decoder._branch`'s, worked out on
     its first lookup and kept, so a campaign pays one call per length that
     occurs.  A table of every length, built up front, would pay one per
-    length up to ``deg(m2)``: about 2 ms at degree 12,288, more than a
-    10-trial campaign at level 1 takes there.
+    length up to the larger modulus degree: at degree 12,288 that is more
+    than a 10-trial campaign at level 1 takes there (2.0 against 0.78 ms,
+    CPython 3.11 on 2 vCPUs).
     """
     deg1, bound = analysis.m1.degree, analysis.level_spec(level).error_bound_exclusive
     # The zero difference has length 0, a "degree" of -1: below the bound,
