@@ -10,26 +10,28 @@ is ``m`` times a scalar, so the tail is ``(a1 - a2) mod m``: zero exactly
 when the residues are consistent.
 
 The decode core works on stored values (:mod:`polycrt.poly`), and its set-up
-picks the field once: :func:`_divisions` gives ``divmod`` by ``m1`` and by
-``m2``, and :func:`_decoder` the decoder's formula at one level, written
-once per field.  ``encode``, ``crt_pair``, ``reconstruct`` and every
-campaign trial run on them.
+picks the field once and binds that field's kernels: :func:`_divisions`
+gives ``divmod`` by ``m1`` and by ``m2``, and :func:`_decoder` the
+decoder's formula at one level, which each kernel module writes once for
+its field (:func:`polycrt.gf2._decode`, :func:`polycrt.kronecker._decode`).
+``encode``, ``crt_pair``, ``reconstruct`` and every campaign trial call the
+bound kernels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import xor
 from typing import Callable, Tuple
 
+from . import gf2, kronecker
 from .errors import (
     DegreeOutOfRangeError,
     InconsistentResiduesError,
     MixedFieldsError,
 )
 from .field import PrimeField
-from .gf2 import _cltable_divmod, _cltable_mul, _fold_fused
-from .kronecker import _dense_add, _dense_sub, _fold_chain, _kronecker_mul, _strip, _tuple_divmod
 from .levels import ModuliPairAnalysis
 from .poly import Polynomial, _from_bits, _record
 
@@ -39,15 +41,17 @@ def _divisions(analysis: ModuliPairAnalysis) -> Tuple[Callable, Callable]:
 
     Over F_2 they run through the analysis's byte tables, eight quotient
     bits per step (see :class:`ModuliPairAnalysis`); over odd p, through the
-    kernels of ``divmod``.
+    kernel of ``divmod``.
     """
     field = analysis.field
     if field.p == 2:
-        (mults1, tops1), (mults2, tops2) = analysis.tables
-        return lambda a: _cltable_divmod(a, mults1, tops1), lambda a: _cltable_divmod(a, mults2, tops2)
-    p, b1, b2 = field.p, analysis.m1._value, analysis.m2._value
-    inv1, inv2 = field.inv(b1[-1]), field.inv(b2[-1])
-    return lambda a: _tuple_divmod(a, b1, p, inv1), lambda a: _tuple_divmod(a, b2, p, inv2)
+        table1, table2 = analysis.tables
+        return partial(gf2._cltable_divmod, *table1), partial(gf2._cltable_divmod, *table2)
+    m1, m2 = analysis.m1._value, analysis.m2._value
+    return (
+        partial(kronecker._tuple_divmod, m1, field.p, field.inv(m1[-1])),
+        partial(kronecker._tuple_divmod, m2, field.p, field.inv(m2[-1])),
+    )
 
 
 def _decoder(analysis: ModuliPairAnalysis, level: int) -> Callable:
@@ -55,39 +59,25 @@ def _decoder(analysis: ModuliPairAnalysis, level: int) -> Callable:
 
     The formula of :mod:`polycrt.decoder`: ``q21 = r1 - r2``, its cascade
     over chain steps ``0 .. level`` gives ``tail`` and ``k2_hat``, and
-    ``a_hat = k2_hat * m2 + r2``.  The level is checked first.  ``r1`` and
-    ``r2`` must lie below their moduli, as the residue pairs check, or
-    ``q21`` may be longer than the chain takes.
+    ``a_hat = k2_hat * m2 + r2``, by the field's kernel.  The level is
+    checked first.  ``r1`` and ``r2`` must lie below their moduli, as the
+    residue pairs check, or ``q21`` may be longer than the chain takes.
     """
     analysis.level_spec(level)
     stop, chain = level + 1, analysis.chain
     if analysis.field.p == 2:
-        w, index, mults2 = chain.layout, chain.index, analysis.tables[1][0]
-
-        def decode(r1: int, r2: int) -> tuple:
-            q21 = r1 ^ r2
-            tail, k2_hat = _fold_fused(q21, w, index, stop)
-            return q21, tail, k2_hat, _cltable_mul(k2_hat, mults2) ^ r2
-
-        return decode
-    p, m2, (width, code) = analysis.field.p, analysis.m2._value, chain.layout
-    steps, cofs = chain.steps, chain.cofs
-
-    def decode(r1: tuple, r2: tuple) -> tuple:
-        q21 = _dense_sub(r1, r2, p)
-        tail, k2_hat = _fold_chain(q21, steps, cofs, width, code, p, stop)
-        k2_hat = tuple(_strip(k2_hat))
-        return q21, tuple(_strip(tail)), k2_hat, _dense_add(_kronecker_mul(k2_hat, m2, p), r2, p)
-
-    return decode
+        return partial(gf2._decode, chain.layout, chain.index, stop, analysis.tables[1][0])
+    return partial(
+        kronecker._decode, chain.steps, chain.cofs, *chain.layout, analysis.field.p, stop,
+        analysis.m2._value,
+    )
 
 
 def _arithmetic(field: PrimeField) -> Tuple[Callable, Callable, Callable]:
     """``add``, ``sub`` and the length, in bits or coefficients, of stored values of ``field``."""
     if field.p == 2:
         return xor, xor, int.bit_length
-    p = field.p
-    return lambda a, b: _dense_add(a, b, p), lambda a, b: _dense_sub(a, b, p), len
+    return partial(kronecker._dense_add, field.p), partial(kronecker._dense_sub, field.p), len
 
 
 def _check_residues(

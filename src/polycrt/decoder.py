@@ -27,8 +27,10 @@ c_j*m*sigma_j``.  The sum is already reduced: ``deg(c_j) <
 deg(m*sigma_{j-1}) - deg(m*sigma_j)`` and ``deg(s_j) = deg(m1) -
 deg(m*sigma_{j-1})``, so every term has degree below ``deg(m1) -
 deg(m*sigma_j) <= deg(gamma1)``.  This is an identity, inside the bounds
-and outside them.  :func:`reconstruct` wraps the one place the formula is
-computed, :func:`polycrt.crt._decoder`.
+and outside them.  Each field computes the formula in one place, its
+kernel module's ``_decode`` (:func:`polycrt.gf2._decode`,
+:func:`polycrt.kronecker._decode`), which :func:`polycrt.crt._decoder`
+binds at a level and :func:`reconstruct` wraps.
 
 The degree of ``q21`` also names one of three cases, reported as
 :class:`Branch` for diagnostics only; the formula is the same in all three:

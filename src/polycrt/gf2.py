@@ -3,7 +3,8 @@
 The packed int is the stored value of a polynomial over F_2: :func:`_pack2`
 and :func:`_unpack2` convert it from and to coefficients.  Carry-less
 products and division, the Euclid pass, byte tables and their check, and
-the fused cascade at one XOR per quotient bit all run on it.
+the decoder's formula over the fused chain, its cascade at one XOR per
+quotient bit (:func:`_decode`), all run on it.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ def _is_byte_table(b: int, table: ByteTable) -> bool:
     )
 
 
-def _cltable_divmod(a: int, mults: Tuple[int, ...], tops: Tuple[int, ...]) -> Tuple[int, int]:
-    """:func:`_cldivmod` by the modulus ``b = mults[1]``, eight quotient bits per step.
+def _cltable_divmod(mults: Tuple[int, ...], tops: Tuple[int, ...], a: int) -> Tuple[int, int]:
+    """:func:`_cldivmod` of ``a`` by the modulus ``b = mults[1]``, eight quotient bits per step.
 
     Each step clears the byte above ``deg(b)`` at a shift that is a multiple
     of 8, highest first; the first may clear fewer than 8 bits.
@@ -175,19 +176,25 @@ def _chain_index(steps: Sequence[int], w: int, size: int) -> tuple:
     return tuple(at), floors
 
 
-def _fold_fused(x: int, w: int, index: tuple, stop: int) -> Tuple[int, int]:
-    """Cascade of ``x`` over fused steps ``0 .. stop - 1``: the remainder and the weighted sum.
+def _decode(
+    w: int, index: tuple, stop: int, mults2: Tuple[int, ...], r1: int, r2: int
+) -> Tuple[int, int, int, int]:
+    """The decoder over F_2 at fused steps ``0 .. stop - 1``: ``(q21, tail, k2_hat, a_hat)``.
 
-    The remainder sits above the sum's ``w`` bits, and each quotient bit is
-    one XOR of the shifted step that the index holds for the bit length: the
-    first step of degree at most the remainder's.
+    ``q21 = r1 - r2``; its cascade leaves the remainder ``tail`` above the
+    ``w`` bits of the weighted sum ``k2_hat``, each quotient bit one XOR of
+    the shifted step that the index holds for the bit length: the first step
+    of degree at most the remainder's.  ``a_hat = k2_hat * m2 + r2``, by the
+    byte table ``mults2`` of ``m2``.
     """
+    q21 = r1 ^ r2
     at, floors = index
-    x <<= w
+    x = q21 << w
     n = x.bit_length()
     floor = w + floors[stop]
     while n >= floor:
         x ^= at[n]
         n = x.bit_length()
-    rem = x >> w
-    return rem, x ^ rem << w
+    tail = x >> w
+    k2_hat = x ^ tail << w
+    return q21, tail, k2_hat, _cltable_mul(k2_hat, mults2) ^ r2

@@ -17,8 +17,9 @@ until its parts are short, in ``divmod``, the pass and the cascade alike.
 divisor or the quotient is short, by the ``_STEP_MIN_*`` rule beside the two
 kernels.  The pass yields each step as it takes it, and brings every slot
 back into ``[0, 3p)`` after the step by Barrett reduction of all slots at
-once; the cascade divides by the stored ints.
-:mod:`polycrt.poly` wraps the kernels in ``Polynomial``.
+once; the cascade divides by the stored ints, and :func:`_decode` runs it
+in the decoder's formula.  :mod:`polycrt.poly` wraps the kernels in
+``Polynomial``, and :mod:`polycrt.crt` binds them for the decode core.
 """
 
 from __future__ import annotations
@@ -80,10 +81,11 @@ def _strip(vals: list) -> list:
 
 
 # Schoolbook sum and difference of coefficient tuples, for any p: stored
-# values, stripped tuples.
+# values, stripped tuples.  Here and in _tuple_divmod the fixed operands come
+# first, so that the decode core binds them by position (polycrt.crt).
 
 
-def _dense_add(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
+def _dense_add(p: int, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -92,7 +94,7 @@ def _dense_add(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
     return tuple(_strip(out))
 
 
-def _dense_sub(a: Sequence[int], b: Sequence[int], p: int) -> Tuple[int, ...]:
+def _dense_sub(p: int, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
     out = list(a) + [0] * (len(b) - len(a))
     for i, v in enumerate(b):
         out[i] = (out[i] - v) % p
@@ -229,6 +231,21 @@ def _fold_chain(
     return tail, [-c % p for c in _unpack(acc, acc_size, width, code)]
 
 
+def _decode(
+    steps: Sequence[tuple], cofs: Sequence[int], width: int, code: Optional[str], p: int,
+    stop: int, m2: Tuple[int, ...], r1: Tuple[int, ...], r2: Tuple[int, ...],
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """The decoder over odd p at stored steps ``0 .. stop - 1``: ``(q21, tail, k2_hat, a_hat)``.
+
+    ``q21 = r1 - r2``, :func:`_fold_chain` of it gives ``tail`` and
+    ``k2_hat``, and ``a_hat = k2_hat * m2 + r2``, all stored values.
+    """
+    q21 = _dense_sub(p, r1, r2)
+    tail, k2_hat = _fold_chain(q21, steps, cofs, width, code, p, stop)
+    k2_hat = tuple(_strip(k2_hat))
+    return q21, tuple(_strip(tail)), k2_hat, _dense_add(p, _kronecker_mul(k2_hat, m2, p), r2)
+
+
 def _fold_euclid(
     a: Sequence[int], b: Sequence[int], p: int, width: int, code: Optional[str],
     reduce: Callable[[int], int],
@@ -324,9 +341,9 @@ _STEP_MIN_QUOTIENT = 8
 
 
 def _tuple_divmod(
-    a: Tuple[int, ...], b: Tuple[int, ...], p: int, lead_inv: int
+    b: Tuple[int, ...], p: int, lead_inv: int, a: Tuple[int, ...]
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Odd-p ``divmod`` of stored values by a nonzero ``b`` whose lead ``lead_inv`` inverts.
+    """Odd-p ``divmod`` of ``a`` by a nonzero ``b`` whose lead ``lead_inv`` inverts, stored values.
 
     It runs :func:`_dense_divmod` below either ``_STEP_MIN_*`` bound and
     :func:`_step_divmod` elsewhere.

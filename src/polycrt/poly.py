@@ -24,8 +24,9 @@ and the cofactor it leaves, as the kernels build them, and
 keeps only what it reads: ``gcd``, ``xgcd`` and ``lcm`` the last row, the
 moduli pair analysis every step and cofactor, as a :class:`PackedChain`,
 and its ``sigma`` one step at a time.  The cascade runs over that chain,
-which only the analysis builds, in the decode core of :mod:`polycrt.crt`,
-on stored values.
+which only the analysis builds, on stored values, in each field's decode
+kernel (``gf2._decode``, ``kronecker._decode``), which the decode core of
+:mod:`polycrt.crt` binds.
 Over F_2 the chain fuses each step into one int.  Over odd p a step packs
 its quotient in one int and adds one product per row, Barrett reduction
 keeps slots below 3p, and the cascade reduces mod p once, at its end.
@@ -153,14 +154,14 @@ class Polynomial:
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._value ^ other._value)
-        return _from_bits(field, _dense_add(self._value, other._value, field.p))
+        return _from_bits(field, _dense_add(field.p, self._value, other._value))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._value ^ other._value)
-        return _from_bits(field, _dense_sub(self._value, other._value, field.p))
+        return _from_bits(field, _dense_sub(field.p, self._value, other._value))
 
     def __neg__(self) -> "Polynomial":
         p = self.field.p
@@ -185,7 +186,7 @@ class Polynomial:
         if field.p == 2:
             quot, rem = _cldivmod(self._value, b)
         else:
-            quot, rem = _tuple_divmod(self._value, b, field.p, field.inv(b[-1]))
+            quot, rem = _tuple_divmod(b, field.p, field.inv(b[-1]), self._value)
         return _from_bits(field, quot), _from_bits(field, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":

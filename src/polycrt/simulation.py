@@ -360,9 +360,10 @@ def _run_trials(
 
     A trial draws ``a``, then ``e1``, then ``e2`` from the stream of its key;
     the draw order is part of the determinism contract (:func:`_stream_draws`).
-    It encodes, corrupts and decodes on stored values, with the decode core
-    of :mod:`polycrt.crt`, and looks its branch up by the length of its
-    difference (:func:`_branches`).  The core, the reader of the draws and
+    It encodes, corrupts and decodes on stored values, each division and the
+    decode one call of a field kernel as the decode core of
+    :mod:`polycrt.crt` binds it, and looks its branch up by the length of
+    its difference (:func:`_branches`).  The core, the reader of the draws and
     the branch lookup are set up once for all the trials, before the first.
     Each trial yields one tuple in the field order of :class:`TrialOutcome`,
     with stored values for ``a``, ``e1`` and ``e2`` (:func:`_outcome`).  A
@@ -412,8 +413,14 @@ def _outcome(field: PrimeField, row: tuple) -> TrialOutcome:
     return TrialOutcome(trial, _from_bits(field, a), _from_bits(field, e1), _from_bits(field, e2), *verdict)
 
 
-def _replay(config: TrialConfig, trials: Iterable[int]) -> Iterator[TrialOutcome]:
-    """The outcomes of the campaign's trials ``trials``, each run again from its key."""
+def _replay(config: TrialConfig, trials: Sequence[int]) -> Iterator[TrialOutcome]:
+    """The outcomes of the campaign's trials ``trials``, each run again from its key.
+
+    Without trials nothing is set up, so the report of a campaign that
+    failed no trial replays none at no cost.
+    """
+    if not trials:
+        return iter(())
     field = config.analysis.field
     rows = _run_trials(config.analysis, config.level, config.tau, f"{config.seed}:", trials)
     return (_outcome(field, row) for row in rows)

@@ -75,11 +75,11 @@ BIG_G, BIG_U, BIG_V = random_f2(400, 4), random_f2(700, 5), random_f2(699, 6)
 
 
 def dense_add(a, b):
-    return Polynomial(F2, _dense_add(a.coeffs, b.coeffs, 2))
+    return Polynomial(F2, _dense_add(2, a.coeffs, b.coeffs))
 
 
 def dense_sub(a, b):
-    return Polynomial(F2, _dense_sub(a.coeffs, b.coeffs, 2))
+    return Polynomial(F2, _dense_sub(2, a.coeffs, b.coeffs))
 
 
 def dense_mul(a, b):
@@ -193,7 +193,7 @@ class TestByteTables:
             assert _is_byte_table(b, table)
             for length in range(2 * degree + 25):
                 for a in ((1 << length >> 1) | rng.getrandbits(length), (1 << length) - 1):
-                    quot, rem = _cltable_divmod(a, mults, tops)
+                    quot, rem = _cltable_divmod(mults, tops, a)
                     product = _cltable_mul(a, mults)
                     assert (quot, rem) == _cldivmod(a, b)
                     assert product == _clmul(a, b)
@@ -211,7 +211,7 @@ class TestByteTables:
         if b.is_zero:
             return
         mults, tops = _clbyte_table(b._value)
-        quot, rem = _cltable_divmod(a._value, mults, tops)
+        quot, rem = _cltable_divmod(mults, tops, a._value)
         assert (_from_bits(F2, quot), _from_bits(F2, rem)) == dense_divmod(a, b)
         assert _from_bits(F2, _cltable_mul(a._value, mults)) == dense_mul(a, b)
 

@@ -29,9 +29,10 @@ from polycrt import (
     sample_polynomial,
     xgcd,
 )
+from polycrt import gf2, kronecker
 from polycrt.errors import DegreeOutOfRangeError
-from polycrt.gf2 import _fold_fused
-from polycrt.kronecker import _fold_chain, _pack
+from polycrt.gf2 import _clbyte_table
+from polycrt.kronecker import _pack
 from polycrt.poly import _MAX_PARSE_DEGREE, PackedChain, _from_bits
 from conftest import REF_M1, REF_M2, enumerate_polynomials, poly
 from reference_decoder import pack_chain
@@ -152,19 +153,29 @@ def chain_reference(v, moduli, cofactors):
 
 
 def fold(v, chain, stop):
-    """The cascade of ``v`` over steps ``0 .. stop - 1`` of a stored chain, by the field's kernel.
+    """The cascade of ``v`` over steps ``0 .. stop - 1`` of a stored chain, by the field's decode kernel.
 
     Returns the remainder and the sum of the quotients times the cofactors,
-    as polynomials: :func:`~polycrt.gf2._fold_fused` over F_2 and
-    :func:`~polycrt.kronecker._fold_chain` over odd p, as the decoder runs
-    them.  ``v`` has at most ``chain.size`` coefficients.
+    as polynomials: the ``tail`` and ``k2_hat`` of
+    :func:`~polycrt.gf2._decode` over F_2 and
+    :func:`~polycrt.kronecker._decode` over odd p, as the decoder runs them.
+    The kernel decodes ``r1 = v + r2`` and ``r2 = x + 1`` against ``m2 =
+    x^3 + x + 1``, so its ``q21`` must be ``v`` and its ``a_hat`` must be
+    ``k2_hat * m2 + r2``.  ``v`` has at most ``chain.size`` coefficients.
     """
     field = chain.field
+    m2, r2 = Polynomial(field, [1, 1, 0, 1]), Polynomial(field, [1, 1])
+    r1 = v + r2
     if field.p == 2:
-        rem, total = _fold_fused(v._value, chain.layout, chain.index, stop)
-        return _from_bits(field, rem), _from_bits(field, total)
-    tail, total = _fold_chain(v.coeffs, chain.steps, chain.cofs, *chain.layout, field.p, stop)
-    return Polynomial(field, tail), Polynomial(field, total)
+        mults2 = _clbyte_table(m2._value)[0]
+        out = gf2._decode(chain.layout, chain.index, stop, mults2, r1._value, r2._value)
+    else:
+        out = kronecker._decode(
+            chain.steps, chain.cofs, *chain.layout, field.p, stop, m2._value, r1._value, r2._value
+        )
+    q21, tail, k2_hat, a_hat = (_from_bits(field, value) for value in out)
+    assert q21 == v and a_hat == k2_hat * m2 + r2
+    return tail, k2_hat
 
 
 def reduce_chain(v, moduli, cofactors):

@@ -11,6 +11,8 @@ import pytest
 
 import polycrt.crt as crt
 import polycrt.decoder as decoder
+import polycrt.gf2 as gf2
+import polycrt.kronecker as kronecker
 import polycrt.simulation as simulation
 from polycrt import (
     Branch,
@@ -219,25 +221,32 @@ def trial_mismatches(reference_pair):
     return campaign_mismatches(reference_pair) + campaign_mismatches(odd_p_pair(13))
 
 
-def plant(monkeypatch, name, *edits):
-    """Replace the function ``name`` by a copy of its source with each ``(old, new)`` edit made.
+# The modules that define or hold the functions that mutants edit.
+MUTANT_MODULES = (simulation, crt, decoder, gf2, kronecker)
 
-    ``name`` is a function of ``simulation`` or of ``crt``.  The copy runs in
-    its defining module's namespace and replaces it in each of ``crt``,
-    ``decoder`` and ``simulation`` that holds it, so every caller runs the
-    mutant.  Each ``old`` must occur exactly once, so that every mutant is
-    planted.
+
+def plant(monkeypatch, name, *edits):
+    """Replace each function ``name`` by a copy of its source with the ``(old, new)`` edits made in it.
+
+    ``name`` names functions of :data:`MUTANT_MODULES`: both kernel
+    modules have a ``_decode``.  Each ``old`` must occur exactly once in all
+    their sources together, so that every mutant is planted.  Each edited
+    copy runs in its defining module's namespace and replaces the original
+    in each module that holds it, so every caller runs the mutant.
     """
-    original = next(vars(m)[name] for m in (simulation, crt) if name in vars(m))
-    source = inspect.getsource(original)
+    originals = dict.fromkeys(vars(m)[name] for m in MUTANT_MODULES if name in vars(m))
+    sources = {f: inspect.getsource(f) for f in originals}
     for old, new in edits:
-        assert source.count(old) == 1
-        source = source.replace(old, new)
-    namespace = dict(vars(sys.modules[original.__module__]))
-    exec("from __future__ import annotations\n" + source, namespace)
-    for module in (crt, decoder, simulation):
-        if vars(module).get(name) is original:
-            monkeypatch.setattr(module, name, namespace[name])
+        assert sum(source.count(old) for source in sources.values()) == 1
+        sources = {f: source.replace(old, new) for f, source in sources.items()}
+    for original, source in sources.items():
+        if source == inspect.getsource(original):
+            continue
+        namespace = dict(vars(sys.modules[original.__module__]))
+        exec("from __future__ import annotations\n" + source, namespace)
+        for module in MUTANT_MODULES:
+            if vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, namespace[name])
 
 
 _P2_READ = 'int.from_bytes(shake_256(key.encode()).digest(size), "little")'
@@ -441,9 +450,9 @@ def decoded_trial_pair(p):
             return analysis
 
 
-# Each mutant: the function it edits, then its edits.  Those in _decoder
-# edit the core at both fields: ``stop`` is shared, and a_hat has one form
-# per field.
+# Each mutant: the functions it edits, by name, then its edits.  Those in
+# crt._decoder and the kernels' _decode edit the core at both fields:
+# ``stop`` is shared, and a_hat has one form per field.
 CORE_MUTANTS = {
     "fold one step short": (
         "_decoder", ("stop, chain = level + 1, analysis.chain", "stop, chain = level, analysis.chain"),
@@ -451,9 +460,9 @@ CORE_MUTANTS = {
     "r1 left unreduced": ("_run_trials", ("r1 = div1(add(a, e1))[1]", "r1 = add(div1(a)[1], e1)")),
     "r2 left unreduced": ("_run_trials", ("if wrap2:", "if False:")),
     "residual without r2": (
-        "_decoder",
+        "_decode",
         ("_cltable_mul(k2_hat, mults2) ^ r2", "_cltable_mul(k2_hat, mults2)"),
-        ("_kronecker_mul(k2_hat, m2, p), r2, p)", "_kronecker_mul(k2_hat, m2, p), (), p)"),
+        ("_kronecker_mul(k2_hat, m2, p), r2)", "_kronecker_mul(k2_hat, m2, p), ())"),
     ),
 }
 
@@ -1034,6 +1043,27 @@ class TestStreamingReport:
             assert setups == [counts] and keys == [f"{cfg.seed}:{idx}" for idx in trials]
         del setups[:]
         assert len(report.outcomes) == 40 and setups == []
+
+    @pytest.mark.parametrize("p, counts", [(2, (1, 25, 174)), (13, (1, 15, 184))])
+    def test_a_report_without_failures_sets_nothing_up(self, reference_pair, monkeypatch, p, counts):
+        # A guarantee campaign fails no trial, so its JSON and its text replay
+        # none: neither sets up a reader, nor the core or the branch lookup
+        # beside it.  Their output is the one pinned here.
+        cfg = TrialConfig(reference_pair, 3, 2, 200, 1) if p == 2 else odd_p_config(13, 1, 2, 200, False)
+        report = run_campaign(cfg)
+        keys, setups = counted_draws(monkeypatch)
+        payload, text = report.to_json(), render_report(report)
+        assert keys == [] and setups == []
+        branch_counts = dict(zip(("equal_residues", "folded_difference", "large_residue"), counts))
+        assert payload == {
+            "config": cfg.to_json(), "successes": 200, "failures": 0, "maxErrDeg": 2,
+            "branchCounts": branch_counts, "decodeErrors": 0, "failureDetails": [],
+        }
+        assert text.splitlines() == [
+            "mode = guarantee", "trials = 200", "successes = 200", "failures = 0",
+            "max residual degree = 2",
+            "branch counts: " + ", ".join(f"{k}={v}" for k, v in branch_counts.items()),
+        ]
 
     def test_outcomes_read_as_a_list(self, reference_pair):
         outcomes = run_campaign(TrialConfig(reference_pair, 4, 1, 30, 6)).outcomes
