@@ -44,9 +44,16 @@ _EXPORTS = {
         "analysis_to_json",
         "analyze_pair",
         "render_level_table",
-        "residue_error_bound",
     ),
-    "poly": ("NEG_INF", "Polynomial", "gcd", "lcm", "parse_polynomial", "xgcd"),
+    "poly": (
+        "NEG_INF",
+        "Polynomial",
+        "gcd",
+        "lcm",
+        "parse_polynomial",
+        "residue_error_bound",
+        "xgcd",
+    ),
     "simulation": (
         "TrialConfig",
         "TrialOutcome",

@@ -3,8 +3,10 @@
 Each ``cmd_*`` takes ``(args, field)``, writes nothing, and returns its JSON
 payload, its text lines and its exit code.  ``main`` alone prints: the
 result to stdout (text or JSON via ``--format``), any error to stderr.
-Only ``errors``, ``field`` and ``poly`` load with this module, since every
-command parses; each command imports the rest of what it runs when it runs.
+Only ``errors``, ``field`` and ``poly`` (with ``gf2``) load with this
+module, since every command parses; ``bound`` runs on them alone, and each
+other command imports the rest of what it runs when it runs.  The odd-p
+kernels load on the first odd-p use, so an F_2 command never compiles them.
 Exit codes are stable:
 
     0  success
@@ -34,7 +36,7 @@ from .errors import (
     ZeroModulusError,
 )
 from .field import PrimeField
-from .poly import _MAX_PARSE_DEGREE, parse_polynomial
+from .poly import _MAX_PARSE_DEGREE, parse_polynomial, residue_error_bound
 
 # What a command returns: JSON payload, text lines, exit code.
 _Result = Tuple[dict, List[str], int]
@@ -333,8 +335,6 @@ def _split_moduli_arg(text: str) -> List[str]:
 
 
 def cmd_bound(args, field: PrimeField) -> _Result:
-    from .levels import residue_error_bound
-
     texts = _split_moduli_arg(args.moduli)
     if len(texts) > _MAX_BOUND_MODULI:
         raise ValueError(f"at most {_MAX_BOUND_MODULI} moduli are allowed, got {len(texts)}")

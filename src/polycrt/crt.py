@@ -15,7 +15,8 @@ gives ``divmod`` by ``m1`` and by ``m2``, and :func:`_decoder` the
 decoder's formula at one level, which each kernel module writes once for
 its field (:func:`polycrt.gf2._decode`, :func:`polycrt.kronecker._decode`).
 ``encode``, ``crt_pair``, ``reconstruct`` and every campaign trial call the
-bound kernels.
+bound kernels.  The odd-p kernel module is imported on the first odd-p
+set-up, as in :mod:`polycrt.poly`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import partial
 from operator import xor
 from typing import Callable, Tuple
 
-from . import gf2, kronecker
+from . import gf2
 from .errors import (
     DegreeOutOfRangeError,
     InconsistentResiduesError,
@@ -33,7 +34,10 @@ from .errors import (
 )
 from .field import PrimeField
 from .levels import ModuliPairAnalysis
-from .poly import Polynomial, _from_bits, _record
+from .poly import Polynomial, _Submodule, _from_bits, _record
+
+# The odd-p kernels, imported on first odd-p use.
+kronecker = _Submodule(globals(), "kronecker")
 
 
 def _divisions(analysis: ModuliPairAnalysis) -> Tuple[Callable, Callable]:

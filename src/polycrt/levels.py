@@ -18,21 +18,18 @@ level covers the full range ``deg(lcm)`` with the smallest error bound
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field as dataclass_field
-from itertools import combinations
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import (
     CoprimeModuliError,
     DegenerateModuliError,
     LevelOutOfRangeError,
-    TooFewModuliError,
     ZeroModulusError,
 )
 from .field import PrimeField
 from .gf2 import ByteTable, _clbyte_table, _is_byte_table
-from .poly import NEG_INF, PackedChain, Polynomial, _euclid_pass, _from_pass, _record, gcd
+from .poly import NEG_INF, PackedChain, Polynomial, _euclid_pass, _from_pass, _record
 
 
 @dataclass(frozen=True)
@@ -255,28 +252,6 @@ def _assert_invariants(
     for name, mod, table in zip(("m1", "m2"), (analysis.m1, analysis.m2), analysis.tables):
         if table is not None and not _is_byte_table(mod._value, table):
             raise AssertionError(f"byte table of {name} does not match it")
-
-
-def residue_error_bound(moduli: Sequence[Polynomial]) -> int:
-    """Exclusive residue error bound for robust reconstruction over L moduli.
-
-    Computed as the maximum over moduli of the smallest pairwise gcd degree
-    with the others; reconstruction of any polynomial below the lcm degree
-    tolerates per-residue errors of degree strictly below this value.  Zero
-    means no robustness (some modulus is coprime to all others).
-    """
-    if len(moduli) < 2:
-        raise TooFewModuliError("at least two moduli are required")
-    for mod in moduli:
-        if mod.is_zero:
-            raise ZeroModulusError("moduli must be nonzero")
-    # worst[i] is the smallest gcd degree of modulus i with the others; one
-    # gcd per unordered pair, since gcd(mi, mj) and gcd(mj, mi) share a degree.
-    worst = [math.inf] * len(moduli)
-    for i, j in combinations(range(len(moduli)), 2):
-        d = gcd(moduli[i], moduli[j]).degree
-        worst[i], worst[j] = min(worst[i], d), min(worst[j], d)
-    return max(worst)
 
 
 def render_level_table(analysis: ModuliPairAnalysis) -> str:

@@ -15,14 +15,17 @@ every read.  Every other p stores the stripped tuple, and
 :mod:`polycrt.kronecker` adds, multiplies by Kronecker substitution and
 divides: with a schoolbook loop when the divisor or the quotient is short,
 and otherwise by the division steps that the Euclid pass takes, which halve
-a long quotient until its parts are short.  ``%`` is ``divmod``'s
-remainder.  The Euclid pass and the decoder's remainder cascade reduce a
-remainder and a cofactor-weighted sum step by step.  Each field's pass is a
-generator in its kernel module that streams rows, a step with its cofactor
-and the cofactor it leaves, as the kernels build them, and
-:func:`_from_pass` reads any item of a row as a polynomial.  Each reader
-keeps only what it reads: ``gcd``, ``xgcd`` and ``lcm`` the last row, the
-moduli pair analysis every step and cofactor, as a :class:`PackedChain`,
+a long quotient until its parts are short.  ``gf2`` loads with this module,
+and ``kronecker`` on the first odd-p use (:class:`_Submodule`), so work
+over F_2 never compiles it.  ``%`` is ``divmod``'s remainder.  The Euclid
+pass and the decoder's remainder cascade reduce a remainder and a
+cofactor-weighted sum step by step.  Each field's pass is a generator in
+its kernel module that streams rows, a step with its cofactor and the
+cofactor it leaves, as the kernels build them, and :func:`_from_pass`
+reads any item of a row as a polynomial.  Each reader
+keeps only what it reads: ``gcd``, ``xgcd`` and ``lcm`` the last row (and
+``residue_error_bound`` folds ``gcd`` over pairs of moduli), the moduli
+pair analysis every step and cofactor, as a :class:`PackedChain`,
 and its ``sigma`` one step at a time.  The cascade runs over that chain,
 which only the analysis builds, on stored values, in each field's decode
 kernel (``gf2._decode``, ``kronecker._decode``), which the decode core of
@@ -34,8 +37,11 @@ keeps slots below 3p, and the cascade reduces mod p once, at its end.
 
 from __future__ import annotations
 
+import importlib
 import re
 from collections import deque
+from itertools import combinations
+from math import inf
 from operator import gt, index
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -44,20 +50,34 @@ from .errors import (
     DivisionByZeroError,
     MixedFieldsError,
     ParseError,
+    TooFewModuliError,
     ZeroInputError,
+    ZeroModulusError,
 )
 from .field import PrimeField
 from .gf2 import _chain_index, _cldivmod, _clmul, _euclid_rows, _fuse_chain, _pack2, _unpack2
-from .kronecker import (
-    _chain_layout,
-    _dense_add,
-    _dense_sub,
-    _fold_euclid,
-    _kronecker_mul,
-    _strip,
-    _tuple_divmod,
-    _unpack,
-)
+
+
+class _Submodule:
+    """Stands in for the submodule ``name`` of this package, bound as ``name`` in ``namespace``.
+
+    The first attribute read imports the submodule and binds it in
+    ``namespace`` in this stand-in's place, so every later read in that
+    namespace is an ordinary module attribute.  The odd-p kernels load this
+    way, on first odd-p use: a process that works over F_2 never compiles
+    them.
+    """
+
+    def __init__(self, namespace: dict, name: str) -> None:
+        self.namespace, self.name = namespace, name
+
+    def __getattr__(self, attr: str):
+        module = self.namespace[self.name] = importlib.import_module(f"{__package__}.{self.name}")
+        return getattr(module, attr)
+
+
+# The odd-p kernels, imported on first odd-p use.
+kronecker = _Submodule(globals(), "kronecker")
 
 NEG_INF = float("-inf")
 
@@ -87,7 +107,7 @@ class Polynomial:
         p = field.p
         _set_field(self, field)
         vals = [index(c) % p for c in coeffs]
-        _set_value(self, _pack2(vals) if p == 2 else tuple(_strip(vals)))
+        _set_value(self, _pack2(vals) if p == 2 else tuple(kronecker._strip(vals)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -154,14 +174,14 @@ class Polynomial:
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._value ^ other._value)
-        return _from_bits(field, _dense_add(field.p, self._value, other._value))
+        return _from_bits(field, kronecker._dense_add(field.p, self._value, other._value))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._check_field(other)
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._value ^ other._value)
-        return _from_bits(field, _dense_sub(field.p, self._value, other._value))
+        return _from_bits(field, kronecker._dense_sub(field.p, self._value, other._value))
 
     def __neg__(self) -> "Polynomial":
         p = self.field.p
@@ -174,7 +194,7 @@ class Polynomial:
         field = self.field
         if field.p == 2:
             return _from_bits(field, _clmul(self._value, other._value))
-        return _from_reduced(field, _kronecker_mul(self._value, other._value, field.p))
+        return _from_reduced(field, kronecker._kronecker_mul(self._value, other._value, field.p))
 
     def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
         """Euclidean division: ``self == q * other + r`` with deg(r) < deg(other)."""
@@ -186,7 +206,7 @@ class Polynomial:
         if field.p == 2:
             quot, rem = _cldivmod(self._value, b)
         else:
-            quot, rem = _tuple_divmod(b, field.p, field.inv(b[-1]), self._value)
+            quot, rem = kronecker._tuple_divmod(b, field.p, field.inv(b[-1]), self._value)
         return _from_bits(field, quot), _from_bits(field, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
@@ -243,7 +263,7 @@ _set_value = Polynomial._value.__set__
 
 def _from_reduced(field: PrimeField, vals: list) -> Polynomial:
     """Polynomial over odd p from a list already reduced mod p; strips ``vals`` in place."""
-    return _from_bits(field, tuple(_strip(vals)))
+    return _from_bits(field, tuple(kronecker._strip(vals)))
 
 
 def _from_bits(field: PrimeField, value: Union[int, Tuple[int, ...]]) -> Polynomial:
@@ -365,8 +385,8 @@ def _euclid_pass(a: Polynomial, b: Polynomial) -> tuple:
     field, x, y = a.field, a._value, b._value
     if field.p == 2:
         return x.bit_length(), None, _euclid_rows(x, y)
-    width, code, reduce = _chain_layout(field.p, len(x))
-    return len(x), (width, code), _fold_euclid(x, y, field.p, width, code, reduce)
+    width, code, reduce = kronecker._chain_layout(field.p, len(x))
+    return len(x), (width, code), kronecker._fold_euclid(x, y, field.p, width, code, reduce)
 
 
 def _from_pass(field: PrimeField, layout: Optional[tuple], item: Union[int, tuple]) -> Polynomial:
@@ -383,7 +403,7 @@ def _from_pass(field: PrimeField, layout: Optional[tuple], item: Union[int, tupl
     if item.__class__ is tuple:  # a step: its lead, nonzero and below p, over its low slots
         item = item[1] | item[3] << (item[0] - 1) * bits
     slots = -(-item.bit_length() // bits)
-    return _from_reduced(field, [c % p for c in _unpack(item, slots, *layout)])
+    return _from_reduced(field, [c % p for c in kronecker._unpack(item, slots, *layout)])
 
 
 def _euclid(name: str, a: Polynomial, b: Polynomial) -> Tuple[Polynomial, ...]:
@@ -428,6 +448,28 @@ def lcm(a: Polynomial, b: Polynomial) -> Polynomial:
         raise ZeroInputError("lcm requires nonzero inputs")
     x, _, _, _, last = _euclid("lcm", a, b)
     return (x * last).monic()
+
+
+def residue_error_bound(moduli: Sequence[Polynomial]) -> int:
+    """Exclusive residue error bound for robust reconstruction over L moduli.
+
+    Computed as the maximum over moduli of the smallest pairwise gcd degree
+    with the others; reconstruction of any polynomial below the lcm degree
+    tolerates per-residue errors of degree strictly below this value.  Zero
+    means no robustness (some modulus is coprime to all others).
+    """
+    if len(moduli) < 2:
+        raise TooFewModuliError("at least two moduli are required")
+    for mod in moduli:
+        if mod.is_zero:
+            raise ZeroModulusError("moduli must be nonzero")
+    # worst[i] is the smallest gcd degree of modulus i with the others; one
+    # gcd per unordered pair, since gcd(mi, mj) and gcd(mj, mi) share a degree.
+    worst = [inf] * len(moduli)
+    for i, j in combinations(range(len(moduli)), 2):
+        d = gcd(moduli[i], moduli[j]).degree
+        worst[i], worst[j] = min(worst[i], d), min(worst[j], d)
+    return max(worst)
 
 
 _TERM_RE = re.compile(

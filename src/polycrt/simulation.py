@@ -13,9 +13,10 @@ tuple over odd p, whose formats the kernel modules :mod:`polycrt.gf2` and
 that ``encode`` and :func:`~polycrt.decoder.reconstruct` wrap; no
 polynomial is built.  The draws are read into those formats directly, by
 the reader of :func:`_stream_draws`: odd-p words through ``kronecker``'s
-slot layout.  The core, the reader and the branch lookup
-(:func:`_branches`) are set up once per campaign, so a trial at p = 2 reads
-one SHAKE-256 digest, masks it into its draws, and decodes.
+slot layout, which the reader imports when it is set up, so an F_2
+campaign never loads the odd-p kernels.  The core, the reader and the
+branch lookup (:func:`_branches`) are set up once per campaign, so a trial
+at p = 2 reads one SHAKE-256 digest, masks it into its draws, and decodes.
 
 A campaign streams: :func:`run_campaign` folds each trial into the
 report's counters and keeps only the indices of failing trials, so its
@@ -51,7 +52,6 @@ from .decoder import Branch, _branch
 from .errors import PolyCrtError
 from .field import PrimeField
 from .gf2 import _pack2
-from .kronecker import _slot_layout, _strip, _unpack
 from .levels import ModuliPairAnalysis, analyze_pair
 from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, gcd
 
@@ -106,6 +106,8 @@ def _stream_draws(counts: Tuple[int, int, int], field: PrimeField) -> Callable[[
             return bits & mask0, bits >> c0 & mask1, bits >> c01 & mask2
 
         return draw
+    from .kronecker import _slot_layout, _strip, _unpack
+
     k = (p - 1).bit_length()
     width, code = _slot_layout(k)
     lanes = ((1 << k) - 1).to_bytes(width, "little")

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-import polycrt.levels
+import polycrt.cli
 import polycrt.simulation
 from polycrt import parse_polynomial
 from polycrt.cli import _MAX_BOUND_MODULI, _MAX_TRIALS, main
@@ -51,7 +51,7 @@ def no_bound(monkeypatch):
     def refuse(moduli):
         raise AssertionError(f"residue_error_bound reached with {len(moduli)} moduli")
 
-    monkeypatch.setattr(polycrt.levels, "residue_error_bound", refuse)
+    monkeypatch.setattr(polycrt.cli, "residue_error_bound", refuse)
 
 
 class TestAnalyze:

@@ -91,6 +91,27 @@ def test_first_use_loads_only_the_names_module_and_keeps_the_name():
     assert {"polycrt.decoder", "polycrt.simulation"}.isdisjoint(loaded)
 
 
+def test_the_odd_p_kernels_load_on_first_odd_p_use_and_stay_bound():
+    # Once loaded, each holder reads the kernels off the module itself.
+    code = (
+        "import sys\n"
+        "from polycrt import PrimeField, analyze_pair, encode, parse_polynomial\n"
+        "import polycrt.crt, polycrt.poly\n"
+        "def pair(p, m1, m2):\n"
+        "    field = PrimeField(p)\n"
+        "    return analyze_pair(parse_polynomial(m1, field), parse_polynomial(m2, field))\n"
+        f"f2 = pair(2, {REF_M1!r}, {REF_M2!r})\n"
+        f"encode(parse_polynomial({REF_A!r}, f2.field), f2)\n"
+        "if 'polycrt.kronecker' in sys.modules: raise SystemExit('F_2 loaded the kernels')\n"
+        "f13 = pair(13, 'x^5+x^3+2*x^2+2', 'x^6+x^4+x^3+3*x^2+x+3')\n"
+        "encode(parse_polynomial('x^8+1', f13.field), f13)\n"
+        "kernels = sys.modules['polycrt.kronecker']\n"
+        "if not polycrt.poly.kronecker is polycrt.crt.kronecker is kernels:\n"
+        "    raise SystemExit('a stand-in is still bound')"
+    )
+    loaded_after(code)
+
+
 # Runs main on sys.argv[1:] with its output discarded; a nonzero exit fails.
 _RUN_MAIN = (
     "import contextlib, io, sys\n"
@@ -100,25 +121,37 @@ _RUN_MAIN = (
     "if code: raise SystemExit(code)"
 )
 
-# (argv, modules the command must load, modules it must not load)
+# (argv, modules the command must load, modules it must not load).  The
+# odd-p kernels load on first odd-p use, so no F_2 command compiles them;
+# bound runs on poly alone, without levels and its dataclasses.
 _REF = ["--m1", REF_M1, "--m2", REF_M2]
+_ODD_P = "polycrt.kronecker"
 _NOT_DECODING = {"polycrt.decoder", "polycrt.simulation"}
+_NOT_ANALYZING = {"polycrt.levels", "dataclasses", "polycrt.crt", *_NOT_DECODING, _ODD_P}
 _FOOTPRINTS = [
-    (["analyze", *_REF], {"polycrt.levels"}, {"polycrt.crt", *_NOT_DECODING}),
-    (["bound", "--moduli", f"{REF_M1},{REF_M2}"], {"polycrt.levels"},
-     {"polycrt.crt", *_NOT_DECODING}),
-    (["encode", *_REF, "--poly", REF_A], {"polycrt.crt"}, _NOT_DECODING),
+    (["analyze", *_REF], {"polycrt.levels"}, {"polycrt.crt", *_NOT_DECODING, _ODD_P}),
+    (["analyze", "--p", "13", "--m1", "x^5+x^3+2*x^2+2", "--m2", "x^6+x^4+x^3+3*x^2+x+3"],
+     {"polycrt.levels", _ODD_P}, {"polycrt.crt", *_NOT_DECODING}),
+    (["bound", "--moduli", f"{REF_M1},{REF_M2}"], {"polycrt.poly"}, _NOT_ANALYZING),
+    (["encode", *_REF, "--poly", REF_A], {"polycrt.crt"}, {*_NOT_DECODING, _ODD_P}),
     (["crt", *_REF, "--r1", "x^7+x^2+x+1", "--r2", "x^5+x^4+x+1"], {"polycrt.crt"},
-     _NOT_DECODING),
+     {*_NOT_DECODING, _ODD_P}),
     (["reconstruct", *_REF, "--r1", "x^7", "--r2", "x^5+x^4+1", "--level", "3"],
-     {"polycrt.decoder"}, {"polycrt.simulation"}),
+     {"polycrt.decoder"}, {"polycrt.simulation", _ODD_P}),
     (["corrupt", "--r1", "x^7+x^2+x+1", "--r2", "x^5+x^4+x+1", "--tau", "2",
-      "--e1", "x^2+x+1", "--e2", "x"], {"polycrt.poly"}, {"polycrt.levels", "dataclasses"}),
+      "--e1", "x^2+x+1", "--e2", "x"], {"polycrt.poly"}, _NOT_ANALYZING),
+    (["simulate", *_REF, "--level", "3", "--tau", "2", "--trials", "20"],
+     {"polycrt.simulation"}, {_ODD_P}),
 ]
 
 
+def _footprint_id(argv):
+    """The command, with its field when that is not F_2."""
+    return f"{argv[0]}-p{argv[2]}" if argv[1] == "--p" else argv[0]
+
+
 @pytest.mark.parametrize(
-    "argv, loads, skips", _FOOTPRINTS, ids=[argv[0] for argv, _, _ in _FOOTPRINTS]
+    "argv, loads, skips", _FOOTPRINTS, ids=[_footprint_id(argv) for argv, _, _ in _FOOTPRINTS]
 )
 def test_each_command_loads_only_its_own_modules(argv, loads, skips):
     loaded = loaded_after(_RUN_MAIN, *argv)
