@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
 
 from .errors import (
     CoprimeModuliError,
@@ -39,7 +38,7 @@ from .field import PrimeField
 from .poly import _MAX_PARSE_DEGREE, parse_polynomial, residue_error_bound
 
 # What a command returns: JSON payload, text lines, exit code.
-_Result = Tuple[dict, List[str], int]
+_Result = tuple[dict, list[str], int]
 
 # A campaign keeps its counters and the indices of its failing trials, so the
 # trial count bounds its run time, and the failure details that a boundary
@@ -60,7 +59,7 @@ _EXIT_CODES = (
 )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, lines, code = args.func(args, PrimeField(args.p))
@@ -189,7 +188,7 @@ def _analysis_for(args, field: PrimeField):
     return analyze_pair(m1, m2)
 
 
-def _swap_note(analysis) -> List[str]:
+def _swap_note(analysis) -> list[str]:
     return ["note: inputs swapped so that deg(m1) <= deg(m2)"] if analysis.swapped else []
 
 
@@ -315,11 +314,11 @@ def cmd_crt(args, field: PrimeField) -> _Result:
     return payload, [f"a = {payload['a']}"], 0
 
 
-def _split_moduli_arg(text: str) -> List[str]:
+def _split_moduli_arg(text: str) -> list[str]:
     """Split on commas outside [...] so coefficient lists survive."""
-    parts: List[str] = []
+    parts: list[str] = []
     depth = 0
-    current: List[str] = []
+    current: list[str] = []
     for ch in text:
         if ch == "[":
             depth += 1

@@ -21,10 +21,10 @@ set-up, as in :mod:`polycrt.poly`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 from operator import xor
-from typing import Callable, Tuple
 
 from . import gf2
 from .errors import (
@@ -40,7 +40,7 @@ from .poly import Polynomial, _Submodule, _from_bits, _record
 kronecker = _Submodule(globals(), "kronecker")
 
 
-def _divisions(analysis: ModuliPairAnalysis) -> Tuple[Callable, Callable]:
+def _divisions(analysis: ModuliPairAnalysis) -> tuple[Callable, Callable]:
     """``divmod`` by ``m1`` and by ``m2`` on stored values of the analysis's field.
 
     Over F_2 they run through the analysis's byte tables, eight quotient
@@ -77,7 +77,7 @@ def _decoder(analysis: ModuliPairAnalysis, level: int) -> Callable:
     )
 
 
-def _arithmetic(field: PrimeField) -> Tuple[Callable, Callable, Callable]:
+def _arithmetic(field: PrimeField) -> tuple[Callable, Callable, Callable]:
     """``add``, ``sub`` and the length, in bits or coefficients, of stored values of ``field``."""
     if field.p == 2:
         return xor, xor, int.bit_length
@@ -124,7 +124,7 @@ class FoldingWitness:
 
 def encode(
     a: Polynomial, moduli: ModuliPairAnalysis
-) -> Tuple[ResiduePair, FoldingWitness]:
+) -> tuple[ResiduePair, FoldingWitness]:
     """Residues and folding polynomials of ``a``; requires deg(a) < deg(lcm).
 
     The two divisions are those of :func:`_divisions`.

@@ -9,9 +9,9 @@ quotient bit (:func:`_decode`), all run on it.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from itertools import repeat
 from operator import lshift, or_, sub
-from typing import Iterator, Sequence, Tuple
 
 _HEX_TO_NIBBLE = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
@@ -25,7 +25,7 @@ def _pack2(coeffs: Sequence[int]) -> int:
     return int(bytes(coeffs[::-1]).translate(_BIT_TO_DIGIT), 2) if coeffs else 0
 
 
-def _unpack2(v: int) -> Tuple[int, ...]:
+def _unpack2(v: int) -> tuple[int, ...]:
     """The coefficients of a packed int, lowest power first, without trailing zeros."""
     return tuple(bin(v)[:1:-1].encode().translate(_DIGIT_TO_BIT)) if v else ()
 
@@ -43,7 +43,7 @@ def _clmul(a: int, b: int) -> int:
     return out
 
 
-def _cldivmod(a: int, b: int) -> Tuple[int, int]:
+def _cldivmod(a: int, b: int) -> tuple[int, int]:
     """Carry-less long division of ``a`` by nonzero ``b``: ``(quotient, remainder)``."""
     top = b.bit_length()
     quot = 0
@@ -55,7 +55,7 @@ def _cldivmod(a: int, b: int) -> Tuple[int, int]:
     return quot, a
 
 
-def _euclid_rows(a: int, b: int) -> Iterator[Tuple[int, int, int]]:
+def _euclid_rows(a: int, b: int) -> Iterator[tuple[int, int, int]]:
     """F_2 Euclid pass over ``a`` and nonzero ``b`` with ``deg(a) >= deg(b)``: its rows, one per step.
 
     A row is ``(r_{i-1}, s_{i-1}, s_i)`` (see
@@ -79,7 +79,7 @@ def _euclid_rows(a: int, b: int) -> Iterator[Tuple[int, int, int]]:
 # carry-less product t * b for each byte t, and ``tops`` inverts the byte
 # of ``mults[t]`` above deg(b).  That byte is t plus terms from t's higher
 # bits only, so it is distinct for every t.
-ByteTable = Tuple[Tuple[int, ...], Tuple[int, ...]]
+ByteTable = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def _clbyte_table(b: int) -> ByteTable:
@@ -113,7 +113,7 @@ def _is_byte_table(b: int, table: ByteTable) -> bool:
     )
 
 
-def _cltable_divmod(mults: Tuple[int, ...], tops: Tuple[int, ...], a: int) -> Tuple[int, int]:
+def _cltable_divmod(mults: tuple[int, ...], tops: tuple[int, ...], a: int) -> tuple[int, int]:
     """:func:`_cldivmod` of ``a`` by the modulus ``b = mults[1]``, eight quotient bits per step.
 
     Each step clears the byte above ``deg(b)`` at a shift that is a multiple
@@ -130,7 +130,7 @@ def _cltable_divmod(mults: Tuple[int, ...], tops: Tuple[int, ...], a: int) -> Tu
     return quot, a
 
 
-def _cltable_mul(a: int, mults: Tuple[int, ...]) -> int:
+def _cltable_mul(a: int, mults: tuple[int, ...]) -> int:
     """:func:`_clmul` by the modulus of a byte table: Horner over the bytes of ``a``."""
     out = 0
     for byte in a.to_bytes((a.bit_length() + 7) >> 3, "big"):
@@ -177,8 +177,8 @@ def _chain_index(steps: Sequence[int], w: int, size: int) -> tuple:
 
 
 def _decode(
-    w: int, index: tuple, stop: int, mults2: Tuple[int, ...], r1: int, r2: int
-) -> Tuple[int, int, int, int]:
+    w: int, index: tuple, stop: int, mults2: tuple[int, ...], r1: int, r2: int
+) -> tuple[int, int, int, int]:
     """The decoder over F_2 at fused steps ``0 .. stop - 1``: ``(q21, tail, k2_hat, a_hat)``.
 
     ``q21 = r1 - r2``; its cascade leaves the remainder ``tail`` above the

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import re
 import struct
+from collections.abc import Callable, Iterator, Sequence
 from itertools import islice, repeat
-from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 # struct codes of the slot widths that are one machine word, in bytes.
 _WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -42,7 +42,7 @@ _WORD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 _STEP_WINDOW = 32
 
 
-def _slot_layout(bits: int) -> Tuple[int, Optional[str]]:
+def _slot_layout(bits: int) -> tuple[int, str | None]:
     """Slot width in bytes for values of ``bits`` bits, and its struct code.
 
     A width that rounds up to a machine word is widened to it, so that one
@@ -55,7 +55,7 @@ def _slot_layout(bits: int) -> Tuple[int, Optional[str]]:
     return (word, code) if code else (width, None)
 
 
-def _pack(values: Sequence[int], width: int, code: Optional[str]) -> int:
+def _pack(values: Sequence[int], width: int, code: str | None) -> int:
     """One int holding ``values[i]`` in slot i, for values that fit a slot."""
     if code:
         return int.from_bytes(struct.pack(f"<{len(values)}{code}", *values), "little")
@@ -63,7 +63,7 @@ def _pack(values: Sequence[int], width: int, code: Optional[str]) -> int:
     return int.from_bytes(b"".join(parts), "little")
 
 
-def _unpack(packed: int, size: int, width: int, code: Optional[str]) -> Sequence[int]:
+def _unpack(packed: int, size: int, width: int, code: str | None) -> Sequence[int]:
     """The ``size`` slots of an int."""
     buf = packed.to_bytes(size * width, "little")
     if code:
@@ -85,7 +85,7 @@ def _strip(vals: list) -> list:
 # first, so that the decode core binds them by position (polycrt.crt).
 
 
-def _dense_add(p: int, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+def _dense_add(p: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -94,14 +94,14 @@ def _dense_add(p: int, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
     return tuple(_strip(out))
 
 
-def _dense_sub(p: int, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+def _dense_sub(p: int, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     out = list(a) + [0] * (len(b) - len(a))
     for i, v in enumerate(b):
         out[i] = (out[i] - v) % p
     return tuple(_strip(out))
 
 
-def _kronecker_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
+def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...], p: int) -> list:
     """Product of two coefficient tuples reduced mod p, by one bigint product.
 
     Coefficient k of the product is a sum of at most ``min(len(a), len(b))``
@@ -114,7 +114,7 @@ def _kronecker_mul(a: Tuple[int, ...], b: Tuple[int, ...], p: int) -> list:
     return [c % p for c in _unpack(product, len(a) + len(b) - 1, width, code)]
 
 
-def _chain_layout(p: int, size: int) -> Tuple[int, Optional[str], Callable[[int], int]]:
+def _chain_layout(p: int, size: int) -> tuple[int, str | None, Callable[[int], int]]:
     """Slot layout of a chain folding inputs of up to ``size`` coefficients, and its reduction.
 
     Stored slots are in ``[0, 3p)`` and input slots below p.  A division
@@ -147,7 +147,7 @@ def _chain_layout(p: int, size: int) -> Tuple[int, Optional[str], Callable[[int]
 
 def _neg_quotient(
     rem: int, size: int, low: int, n: int, bits: int, p: int, neg_inv: int
-) -> Tuple[int, int]:
+) -> tuple[int, int]:
     """A division step: ``g``, minus its quotient mod p with x^j's digit in slot j, and its remainder.
 
     ``rem`` has ``size >= n`` slots of ``bits`` bits; the divisor has ``n``
@@ -207,8 +207,8 @@ def _neg_quotient(
 
 def _fold_chain(
     v: Sequence[int], steps: Sequence[tuple], cofs: Sequence[int], width: int,
-    code: Optional[str], p: int, stop: int,
-) -> Tuple[list, list]:
+    code: str | None, p: int, stop: int,
+) -> tuple[list, list]:
     """Odd-p remainder cascade of coefficient tuple ``v`` over stored steps ``0 .. stop - 1``.
 
     ``steps`` and ``cofs`` are as :func:`_fold_euclid` yields them, with
@@ -232,9 +232,9 @@ def _fold_chain(
 
 
 def _decode(
-    steps: Sequence[tuple], cofs: Sequence[int], width: int, code: Optional[str], p: int,
-    stop: int, m2: Tuple[int, ...], r1: Tuple[int, ...], r2: Tuple[int, ...],
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    steps: Sequence[tuple], cofs: Sequence[int], width: int, code: str | None, p: int,
+    stop: int, m2: tuple[int, ...], r1: tuple[int, ...], r2: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The decoder over odd p at stored steps ``0 .. stop - 1``: ``(q21, tail, k2_hat, a_hat)``.
 
     ``q21 = r1 - r2``, :func:`_fold_chain` of it gives ``tail`` and
@@ -247,9 +247,9 @@ def _decode(
 
 
 def _fold_euclid(
-    a: Sequence[int], b: Sequence[int], p: int, width: int, code: Optional[str],
+    a: Sequence[int], b: Sequence[int], p: int, width: int, code: str | None,
     reduce: Callable[[int], int],
-) -> Iterator[Tuple[tuple, int, int]]:
+) -> Iterator[tuple[tuple, int, int]]:
     """Odd-p Euclid pass over coefficient tuples, never leaving packed form: its rows, one per step.
 
     For ``len(a) >= len(b) > 0`` with nonzero leads, and the layout of
@@ -285,8 +285,8 @@ def _fold_euclid(
 
 
 def _step_divmod(
-    a: Tuple[int, ...], div: Tuple[int, ...], p: int, lead_inv: int
-) -> Tuple[list, list]:
+    a: tuple[int, ...], div: tuple[int, ...], p: int, lead_inv: int
+) -> tuple[list, list]:
     """Quotient and remainder of ``a`` by ``div`` by division steps, for ``len(a) >= len(div)``.
 
     ``lead_inv`` inverts the leading coefficient of ``div`` mod p.  The lists
@@ -307,8 +307,8 @@ def _step_divmod(
 
 
 def _dense_divmod(
-    a: Tuple[int, ...], div: Tuple[int, ...], p: int, lead_inv: int
-) -> Tuple[list, list]:
+    a: tuple[int, ...], div: tuple[int, ...], p: int, lead_inv: int
+) -> tuple[list, list]:
     """Schoolbook quotient and remainder of ``a`` by nonzero ``div``, for ``len(a) >= len(div)``.
 
     ``lead_inv`` is the inverse of ``div``'s leading coefficient mod p.  The
@@ -341,8 +341,8 @@ _STEP_MIN_QUOTIENT = 8
 
 
 def _tuple_divmod(
-    b: Tuple[int, ...], p: int, lead_inv: int, a: Tuple[int, ...]
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    b: tuple[int, ...], p: int, lead_inv: int, a: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Odd-p ``divmod`` of ``a`` by a nonzero ``b`` whose lead ``lead_inv`` inverts, stored values.
 
     It runs :func:`_dense_divmod` below either ``_STEP_MIN_*`` bound and

@@ -19,7 +19,6 @@ level covers the full range ``deg(lcm)`` with the smallest error bound
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Tuple
 
 from .errors import (
     CoprimeModuliError,
@@ -83,10 +82,10 @@ class ModuliPairAnalysis:
     m: Polynomial
     gamma1: Polynomial
     gamma2: Polynomial
-    levels: Tuple[LevelSpec, ...]
+    levels: tuple[LevelSpec, ...]
     chain: PackedChain = dataclass_field(compare=False, repr=False)
     swapped: bool
-    tables: Tuple[Optional[ByteTable], Optional[ByteTable]] = dataclass_field(
+    tables: tuple[ByteTable | None, ByteTable | None] = dataclass_field(
         init=False, default=(None, None), compare=False, repr=False
     )
 
@@ -110,12 +109,12 @@ class ModuliPairAnalysis:
         return (self.m1 * self.gamma2).monic()
 
     @property
-    def cascade_moduli(self) -> Tuple[Polynomial, ...]:
+    def cascade_moduli(self) -> tuple[Polynomial, ...]:
         """The step moduli m * sigma_1 .. m * sigma_{K+1}, from the chain."""
         return tuple(map(self.chain.modulus, range(1, len(self.chain.steps))))
 
     @property
-    def cascade_cofactors(self) -> Tuple[Polynomial, ...]:
+    def cascade_cofactors(self) -> tuple[Polynomial, ...]:
         """The Bezout cofactors s_1 .. s_{K+1} of the steps, from the chain."""
         return tuple(map(self.chain.cofactor, range(1, len(self.chain.cofs))))
 
@@ -125,14 +124,14 @@ class ModuliPairAnalysis:
         return self.chain.cofactor(-1)._scale(self.field.inv(self.chain.modulus(-1).lead))
 
     @property
-    def sigma(self) -> Tuple[Polynomial, ...]:
+    def sigma(self) -> tuple[Polynomial, ...]:
         """The chain sigma_{-1} .. sigma_{K+1}: gamma2, then the steps of the
         Euclid pass over (gamma2, gamma1), since m*a mod m*b == m*(a mod b)."""
         _, layout, rows = _euclid_pass(self.gamma2, self.gamma1)
         return (self.gamma2, *(_from_pass(self.field, layout, step) for step, _, _ in rows))
 
     @property
-    def remainders(self) -> Tuple[Polynomial, ...]:
+    def remainders(self) -> tuple[Polynomial, ...]:
         """The derived chain entries sigma_1 .. sigma_{K+1}."""
         return self.sigma[2:]
 
@@ -210,7 +209,7 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
 
 
 def _assert_invariants(
-    analysis: ModuliPairAnalysis, degrees: Optional[Tuple[list, list]] = None
+    analysis: ModuliPairAnalysis, degrees: tuple[list, list] | None = None
 ) -> None:
     # Explicit raises, so that python -O keeps this cross-check of the
     # kernels.  The chain's degrees are read off its packed steps, unless

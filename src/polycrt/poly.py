@@ -40,10 +40,10 @@ from __future__ import annotations
 import importlib
 import re
 from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 from math import inf
 from operator import gt, index
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BothZeroError,
@@ -81,7 +81,7 @@ kronecker = _Submodule(globals(), "kronecker")
 
 NEG_INF = float("-inf")
 
-Degree = Union[int, float]
+Degree = int | float
 
 # Highest degree parsed text may have, in either input form; guards memory.
 _MAX_PARSE_DEGREE = 1 << 16
@@ -116,7 +116,7 @@ class Polynomial:
         return (Polynomial, (self.field, self.coeffs))
 
     @property
-    def coeffs(self) -> Tuple[int, ...]:
+    def coeffs(self) -> tuple[int, ...]:
         """Coefficient tuple, lowest power first; over F_2 unpacked from the bits on every read."""
         v = self._value
         return v if v.__class__ is tuple else _unpack2(v)
@@ -143,13 +143,13 @@ class Polynomial:
             return 0
         return v[-1] if v.__class__ is tuple else 1
 
-    def monic(self) -> "Polynomial":
+    def monic(self) -> Polynomial:
         """Scalar multiple with leading coefficient 1 (zero stays zero)."""
         if self.is_zero or self.lead == 1:
             return self
         return self._scale(self.field.inv(self.lead))
 
-    def _scale(self, c: int) -> "Polynomial":
+    def _scale(self, c: int) -> Polynomial:
         field = self.field
         p = field.p
         c %= p
@@ -159,7 +159,7 @@ class Polynomial:
             return _from_bits(field, 0)
         return _from_reduced(field, [(v * c) % p for v in self._value])
 
-    def _check_field(self, other: "Polynomial") -> None:
+    def _check_field(self, other: Polynomial) -> None:
         if not isinstance(other, Polynomial):
             raise TypeError(f"expected Polynomial, got {type(other).__name__}")
         if self.field is not other.field and self.field != other.field:
@@ -169,34 +169,34 @@ class Polynomial:
 
     # Ring operations
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
+    def __add__(self, other: Polynomial) -> Polynomial:
         self._check_field(other)
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._value ^ other._value)
         return _from_bits(field, kronecker._dense_add(field.p, self._value, other._value))
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
+    def __sub__(self, other: Polynomial) -> Polynomial:
         self._check_field(other)
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._value ^ other._value)
         return _from_bits(field, kronecker._dense_sub(field.p, self._value, other._value))
 
-    def __neg__(self) -> "Polynomial":
+    def __neg__(self) -> Polynomial:
         p = self.field.p
         if p == 2:
             return self
         return _from_reduced(self.field, [(-v) % p for v in self._value])
 
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
+    def __mul__(self, other: Polynomial) -> Polynomial:
         self._check_field(other)
         field = self.field
         if field.p == 2:
             return _from_bits(field, _clmul(self._value, other._value))
         return _from_reduced(field, kronecker._kronecker_mul(self._value, other._value, field.p))
 
-    def __divmod__(self, other: "Polynomial") -> Tuple["Polynomial", "Polynomial"]:
+    def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Euclidean division: ``self == q * other + r`` with deg(r) < deg(other)."""
         self._check_field(other)
         if other.is_zero:
@@ -209,11 +209,11 @@ class Polynomial:
             quot, rem = kronecker._tuple_divmod(b, field.p, field.inv(b[-1]), self._value)
         return _from_bits(field, quot), _from_bits(field, rem)
 
-    def __mod__(self, other: "Polynomial") -> "Polynomial":
+    def __mod__(self, other: Polynomial) -> Polynomial:
         """Remainder of :meth:`__divmod__`."""
         return divmod(self, other)[1]
 
-    def __floordiv__(self, other: "Polynomial") -> "Polynomial":
+    def __floordiv__(self, other: Polynomial) -> Polynomial:
         return divmod(self, other)[0]
 
     # Value semantics
@@ -266,7 +266,7 @@ def _from_reduced(field: PrimeField, vals: list) -> Polynomial:
     return _from_bits(field, tuple(kronecker._strip(vals)))
 
 
-def _from_bits(field: PrimeField, value: Union[int, Tuple[int, ...]]) -> Polynomial:
+def _from_bits(field: PrimeField, value: int | tuple[int, ...]) -> Polynomial:
     """Polynomial from a stored value, which is taken as it is: nothing is reduced or checked.
 
     Over F_2 any packed int is canonical.  Over odd p ``value`` must be a
@@ -311,7 +311,7 @@ class PackedChain:
     __slots__ = ("field", "size", "layout", "steps", "cofs", "index")
 
     def __init__(
-        self, field: PrimeField, size: int, layout: Optional[tuple], steps: Sequence,
+        self, field: PrimeField, size: int, layout: tuple | None, steps: Sequence,
         cofs: Sequence[int],
     ) -> None:
         self.field = field
@@ -345,7 +345,7 @@ class PackedChain:
             return _from_bits(self.field, self.cofs[i] & ~(-1 << self.layout))
         return _from_pass(self.field, self.layout, self.cofs[i])
 
-    def degrees(self) -> Tuple[list, list]:
+    def degrees(self) -> tuple[list, list]:
         """Degrees of the step moduli and of the cofactors, read off the packed ints.
 
         An odd-p cofactor whose top slot is zero mod p has no degree: None.
@@ -389,7 +389,7 @@ def _euclid_pass(a: Polynomial, b: Polynomial) -> tuple:
     return len(x), (width, code), kronecker._fold_euclid(x, y, field.p, width, code, reduce)
 
 
-def _from_pass(field: PrimeField, layout: Optional[tuple], item: Union[int, tuple]) -> Polynomial:
+def _from_pass(field: PrimeField, layout: tuple | None, item: int | tuple) -> Polynomial:
     """An item of a row of :func:`_euclid_pass`, with the pass's ``layout``, as a polynomial.
 
     Over F_2 ``item`` is the packed int.  Over odd p it is a step ``(n, low,
@@ -406,7 +406,7 @@ def _from_pass(field: PrimeField, layout: Optional[tuple], item: Union[int, tupl
     return _from_reduced(field, [c % p for c in kronecker._unpack(item, slots, *layout)])
 
 
-def _euclid(name: str, a: Polynomial, b: Polynomial) -> Tuple[Polynomial, ...]:
+def _euclid(name: str, a: Polynomial, b: Polynomial) -> tuple[Polynomial, ...]:
     """``(x, y, r_{N-1}, s_{N-1}, s_N)``: the operands by degree and the last row of their pass."""
     a._check_field(b)
     if a.is_zero and b.is_zero:
@@ -427,7 +427,7 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     return _euclid("gcd", a, b)[2].monic()
 
 
-def xgcd(a: Polynomial, b: Polynomial) -> Tuple[Polynomial, Polynomial, Polynomial]:
+def xgcd(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """Extended Euclid: returns ``(g, s, t)`` with ``s*a + t*b = g`` and g monic.
 
     ``deg(s) < deg(b/g)`` and ``deg(t) < deg(a/g)`` unless ``a``, ``b`` are scalar multiples.

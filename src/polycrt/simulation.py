@@ -35,11 +35,10 @@ replays alone.  The public samplers draw from a caller-owned
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
-from dataclasses import dataclass, field as dataclass_field
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass
 from functools import cache
 from operator import eq
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple, Union
 
 try:
     # hashlib would load OpenSSL; like random's sha512, prefer the builtin module.
@@ -56,14 +55,16 @@ from .levels import ModuliPairAnalysis, analyze_pair
 from .poly import NEG_INF, Degree, Polynomial, _from_bits, _from_reduced, gcd
 
 
-def _draw(count: int, field: PrimeField, rng: random.Random, top: Tuple[int, ...] = ()) -> Polynomial:
+def _draw(count: int, field: PrimeField, rng: random.Random, top: tuple[int, ...] = ()) -> Polynomial:
     """``count`` coefficients drawn as ``rng.randrange(p)`` draws them, then ``top``.
 
-    CPython 3.10-3.13 implements ``randrange(p)`` for ``random.Random`` as
+    CPython implements ``randrange(p)`` for ``random.Random`` as
     ``getrandbits(p.bit_length())`` redrawn while ``>= p``; this loop does
     the same, so it draws the same values and leaves ``rng`` in the same
-    state, without two Python frames per coefficient.  The values are
-    reduced already, so the polynomial skips the constructor's ``% p``.
+    state, without two Python frames per coefficient
+    (``TestSamplingStream.test_samplers_match_randrange`` checks this on
+    each interpreter the tests run on).  The values are reduced already,
+    so the polynomial skips the constructor's ``% p``.
     It serves the public samplers, whose caller may read ``rng`` on;
     campaign trials read a stream of their own (:func:`_stream_draws`).
     """
@@ -80,7 +81,7 @@ def _draw(count: int, field: PrimeField, rng: random.Random, top: Tuple[int, ...
     return _from_bits(field, _pack2(vals)) if p == 2 else _from_reduced(field, vals)
 
 
-def _stream_draws(counts: Tuple[int, int, int], field: PrimeField) -> Callable[[str], tuple]:
+def _stream_draws(counts: tuple[int, int, int], field: PrimeField) -> Callable[[str], tuple]:
     """The reader of a campaign's trials: ``draw(key) -> (a, e1, e2)``, of ``counts`` uniform coefficients each.
 
     ``draw`` reads the SHAKE-256 stream S of ``key``.  At p = 2, draw j is
@@ -112,7 +113,7 @@ def _stream_draws(counts: Tuple[int, int, int], field: PrimeField) -> Callable[[
     width, code = _slot_layout(k)
     lanes = ((1 << k) - 1).to_bytes(width, "little")
 
-    def plan(need: int) -> Tuple[int, int]:
+    def plan(need: int) -> tuple[int, int]:
         """The words to read for ``need`` more draws, and their lane mask."""
         # Expected rejections at acceptance p / 2**k, two standard deviations and a word.
         rejects = need * ((1 << k) - p) / p
@@ -171,8 +172,8 @@ _MAX_COPRIME_ATTEMPTS = 200
 def random_moduli_pair(
     field: PrimeField,
     rng: random.Random,
-    gcd_degree: Tuple[int, int] = (1, 3),
-    cofactor_degree: Tuple[int, int] = (1, 4),
+    gcd_degree: tuple[int, int] = (1, 3),
+    cofactor_degree: tuple[int, int] = (1, 4),
 ) -> ModuliPairAnalysis:
     """Random valid moduli pair: shared monic factor times coprime cofactors.
 
@@ -275,9 +276,9 @@ class TrialReport:
     """
 
     config: TrialConfig
-    max_residual_deg: Degree = NEG_INF
-    branch_counts: dict = dataclass_field(default_factory=dict)
-    failed_trials: List[int] = dataclass_field(default_factory=list)
+    max_residual_deg: Degree
+    branch_counts: dict
+    failed_trials: list[int]
 
     @property
     def successes(self) -> int:
@@ -288,7 +289,7 @@ class TrialReport:
         return len(self.failed_trials)
 
     @property
-    def outcomes(self) -> "_Outcomes":
+    def outcomes(self) -> _Outcomes:
         """Every trial's :class:`TrialOutcome`, in trial order, replayed on read."""
         return _Outcomes(self.config)
 
@@ -320,7 +321,7 @@ class _Outcomes(Sequence):
     def __len__(self) -> int:
         return self._config.trials
 
-    def __getitem__(self, i: Union[int, slice]) -> Union[TrialOutcome, List[TrialOutcome]]:
+    def __getitem__(self, i: int | slice) -> TrialOutcome | list[TrialOutcome]:
         picked = range(self._config.trials)[i]
         if isinstance(picked, range):
             return list(_replay(self._config, picked))
@@ -335,7 +336,7 @@ class _Outcomes(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
 
-def _deg_json(deg: Degree) -> Optional[int]:
+def _deg_json(deg: Degree) -> int | None:
     return None if deg == NEG_INF else int(deg)
 
 

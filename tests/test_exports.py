@@ -1,7 +1,10 @@
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
@@ -46,6 +49,58 @@ def test_every_import_is_used():
         where = f"{path.parent.name}/{path.name}"
         unused += [f"{where}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+_MODULE_PATHS = sorted(Path(polycrt.__file__).parent.glob("*.py"))
+
+
+def test_no_module_imports_typing():
+    # Annotations are builtin generics, | unions and collections.abc, so no
+    # command compiles typing for names it never evaluates.
+    importers = []
+    for path in _MODULE_PATHS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            importers += [f"{path.name}:{node.lineno}" for name in names
+                          if name.partition(".")[0] == "typing"]
+    assert importers == []
+
+
+def _defined_objects(module):
+    """Each function, method, property getter and class that ``module`` defines."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if isinstance(obj, type):
+            yield obj
+            for member in vars(obj).values():
+                member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                if inspect.isfunction(inspect.unwrap(member)):
+                    yield member
+        elif inspect.isfunction(inspect.unwrap(obj)):
+            yield obj
+
+
+def test_every_annotation_resolves():
+    # get_type_hints evaluates the annotations that the modules leave as
+    # text, so a name that no module binds any more fails here.
+    checked, unresolved = 0, []
+    for path in _MODULE_PATHS:
+        stem = path.stem
+        module = importlib.import_module("polycrt" if stem == "__init__" else f"polycrt.{stem}")
+        for obj in _defined_objects(module):
+            checked += 1
+            try:
+                typing.get_type_hints(obj)
+            except (NameError, TypeError) as exc:
+                unresolved.append(f"{module.__name__}.{obj.__qualname__}: {exc!r}")
+    assert unresolved == []
+    assert checked > 200
 
 
 def loaded_after(code, *argv):
