@@ -2,9 +2,10 @@
 
 The packed int is the stored value of a polynomial over F_2: :func:`_pack2`
 and :func:`_unpack2` convert it from and to coefficients.  Carry-less
-products and division, the Euclid pass, byte tables and their check, and
-the decoder's formula over the fused chain, its cascade at one XOR per
-quotient bit (:func:`_decode`), all run on it.
+products and division, the Euclid pass, byte tables and their check, the
+fused chain and its index, which :func:`_fuse_chain` alone builds, and the
+decoder's formula over them, its cascade at one XOR per quotient bit
+(:func:`_decode`), all run on it.
 """
 
 from __future__ import annotations
@@ -141,39 +142,31 @@ def _cltable_mul(a: int, mults: tuple[int, ...]) -> int:
 def _fuse_chain(steps: Sequence[int], cofs: Sequence[int], size: int) -> tuple:
     """A cascade's steps fused one int each, for inputs of up to ``size`` bits, and their index.
 
-    Returns ``(w, fused, index)``: the fused ints, each a cofactor in the
-    low ``w`` bits and the modulus above them, and :func:`_chain_index` of
-    them.  A cascade shifts step j's cofactor by less than the drop from
-    step j - 1's degree (``size`` for step 0) to step j's, so ``w`` holds
-    every sum it builds.  The steps are nonzero and of strictly falling
-    degree, the first of at most ``size`` bits, with one cofactor each, as
+    Returns ``(w, fused, (at, floors))``: the fused ints, each a cofactor in
+    the low ``w`` bits and the modulus above them, and their index.  A
+    cascade shifts step j's cofactor by less than the drop from step j - 1's
+    degree (``size`` for step 0) to step j's, so ``w`` holds every sum it
+    builds.  ``at[n]``, for the bit length ``n = w + d + 1`` of a remainder
+    of degree d, is the first step of degree at most d, already shifted to
+    clear d: the fused step itself where the shift is 0, so a step that
+    clears one bit length adds no int.  Steps ``0 .. k - 1`` have no work
+    below ``floors[k]``: ``size + 1``, then each step's degree plus 1.  The
+    steps are nonzero and of strictly falling degree, the first of at most
+    ``size`` bits, with one cofactor each, as
     :class:`~polycrt.poly.PackedChain` checks.
     """
     lens = [*map(int.bit_length, steps)]
+    floors = (size + 1, *lens)
     cof_lens = [*map(int.bit_length, cofs)]
-    drops = map(sub, [size + 1, *lens], lens)
+    drops = map(sub, floors, lens)
     w = max(cof_lens + [n + d - 1 for n, d in zip(cof_lens, drops) if n], default=0)
     fused = tuple(map(or_, map(lshift, steps, repeat(w)), cofs))
-    return w, fused, _chain_index(fused, w, size)
-
-
-def _chain_index(steps: Sequence[int], w: int, size: int) -> tuple:
-    """The index of fused ``steps`` with cofactor field ``w``, for inputs of up to ``size`` bits.
-
-    Returns ``(at, floors)``.  ``at[n]``, for the bit length ``n = w + d +
-    1`` of a remainder of degree d, is the first step of degree at most d,
-    already shifted to clear d: the step object itself where the shift is 0,
-    so a step that clears one bit length adds no int.  Steps ``0 .. k - 1``
-    have no work below ``floors[k]``: ``size + 1``, then each step's degree
-    plus 1.
-    """
     # Step j clears the bit lengths w + floors[j + 1] .. w + floors[j] - 1
     # at shifts 0, 1, ...
-    floors = (size + 1, *(n - w for n in map(int.bit_length, steps)))
     at = [None] * (w + floors[-1])
-    for step, run in zip(steps[::-1], map(sub, floors[-2::-1], floors[:0:-1])):
+    for step, run in zip(fused[::-1], map(sub, floors[-2::-1], floors[:0:-1])):
         at += [step, *map(step.__lshift__, range(1, run))]
-    return tuple(at), floors
+    return w, fused, (tuple(at), floors)
 
 
 def _decode(

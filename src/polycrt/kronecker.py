@@ -17,9 +17,10 @@ until its parts are short, in ``divmod``, the pass and the cascade alike.
 divisor or the quotient is short, by the ``_STEP_MIN_*`` rule beside the two
 kernels.  The pass yields each step as it takes it, and brings every slot
 back into ``[0, 3p)`` after the step by Barrett reduction of all slots at
-once; the cascade divides by the stored ints, and :func:`_decode` runs it
-in the decoder's formula.  :mod:`polycrt.poly` wraps the kernels in
-``Polynomial``, and :mod:`polycrt.crt` binds them for the decode core.
+once.  The cascade divides by the stored ints, inside the decoder's
+formula, :func:`_decode`, its one kernel.  :mod:`polycrt.poly` wraps the
+kernels in ``Polynomial``, and :mod:`polycrt.crt` binds them for the decode
+core.
 """
 
 from __future__ import annotations
@@ -205,22 +206,25 @@ def _neg_quotient(
     return g, rem ^ rem >> pos << pos
 
 
-def _fold_chain(
-    v: Sequence[int], steps: Sequence[tuple], cofs: Sequence[int], width: int,
-    code: str | None, p: int, stop: int,
-) -> tuple[list, list]:
-    """Odd-p remainder cascade of coefficient tuple ``v`` over stored steps ``0 .. stop - 1``.
+def _decode(
+    steps: Sequence[tuple], cofs: Sequence[int], width: int, code: str | None, p: int,
+    stop: int, m2: tuple[int, ...], r1: tuple[int, ...], r2: tuple[int, ...],
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The decoder over odd p at stored steps ``0 .. stop - 1``: ``(q21, tail, k2_hat, a_hat)``.
 
-    ``steps`` and ``cofs`` are as :func:`_fold_euclid` yields them, with
-    their slot layout, for inputs at least as long as ``v``.  Returns the
-    remainder and the sum of the step quotients times the cofactors, as
-    lists reduced mod p.  A step, skipped while the remainder is shorter
-    than its modulus, is one :func:`_neg_quotient`, whose ``g``, minus its
-    quotient, adds ``g * cof`` to the sum; the sum is negated at the end.
+    ``q21 = r1 - r2``; its remainder cascade gives ``tail`` and the sum
+    ``k2_hat`` of the step quotients times the cofactors, and ``a_hat =
+    k2_hat * m2 + r2``, all stored values.  ``steps`` and ``cofs`` are as
+    :func:`_fold_euclid` yields them, with their slot layout, for inputs at
+    least as long as ``q21``.  A step, skipped while the remainder is
+    shorter than its modulus, is one :func:`_neg_quotient`, whose ``g``,
+    minus its quotient, adds ``g * cof`` to the sum; the sum is negated and
+    both are reduced mod p at the end.
     """
-    size = len(v)
+    q21 = _dense_sub(p, r1, r2)
+    size = len(q21)
     bits = 8 * width
-    rem, acc = _pack(v, width, code), 0
+    rem, acc = _pack(q21, width, code), 0
     for (n, low, neg_inv, _), cof in islice(zip(steps, cofs), stop):
         if size >= n:
             g, rem = _neg_quotient(rem, size, low, n, bits, p, neg_inv)
@@ -228,21 +232,7 @@ def _fold_chain(
             size = n - 1
     tail = [c % p for c in _unpack(rem, size, width, code)]
     acc_size = -(-acc.bit_length() // bits)
-    return tail, [-c % p for c in _unpack(acc, acc_size, width, code)]
-
-
-def _decode(
-    steps: Sequence[tuple], cofs: Sequence[int], width: int, code: str | None, p: int,
-    stop: int, m2: tuple[int, ...], r1: tuple[int, ...], r2: tuple[int, ...],
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The decoder over odd p at stored steps ``0 .. stop - 1``: ``(q21, tail, k2_hat, a_hat)``.
-
-    ``q21 = r1 - r2``, :func:`_fold_chain` of it gives ``tail`` and
-    ``k2_hat``, and ``a_hat = k2_hat * m2 + r2``, all stored values.
-    """
-    q21 = _dense_sub(p, r1, r2)
-    tail, k2_hat = _fold_chain(q21, steps, cofs, width, code, p, stop)
-    k2_hat = tuple(_strip(k2_hat))
+    k2_hat = tuple(_strip([-c % p for c in _unpack(acc, acc_size, width, code)]))
     return q21, tuple(_strip(tail)), k2_hat, _dense_add(p, _kronecker_mul(k2_hat, m2, p), r2)
 
 

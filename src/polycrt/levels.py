@@ -74,7 +74,10 @@ class ModuliPairAnalysis:
     products by ``m2``; over odd p both are None.  The chain and the tables
     are functions of ``(m1, m2)``, which equality compares, so they take no
     part in equality, hashing or repr.  They are built once per analysis and
-    pay off over many round trips (README).
+    pay off over many round trips (README).  An analysis pickles and copies
+    as its moduli, in their input order: a restore is a fresh
+    :func:`analyze_pair`, which builds the chain and the tables again and
+    checks them, so no pickle holds either.
     """
 
     m1: Polynomial
@@ -88,6 +91,9 @@ class ModuliPairAnalysis:
     tables: tuple[ByteTable | None, ByteTable | None] = dataclass_field(
         init=False, default=(None, None), compare=False, repr=False
     )
+
+    def __reduce__(self) -> tuple:
+        return analyze_pair, (self.m2, self.m1) if self.swapped else (self.m1, self.m2)
 
     def __post_init__(self) -> None:
         if self.field.p == 2:

@@ -55,7 +55,7 @@ from .errors import (
     ZeroModulusError,
 )
 from .field import PrimeField
-from .gf2 import _chain_index, _cldivmod, _clmul, _euclid_rows, _fuse_chain, _pack2, _unpack2
+from .gf2 import _cldivmod, _clmul, _euclid_rows, _fuse_chain, _pack2, _unpack2
 
 
 class _Submodule:
@@ -291,21 +291,21 @@ class PackedChain:
     This is the decoder's state, and only
     :func:`~polycrt.levels.analyze_pair` builds one, from its Euclid pass;
     readers of a pass that never decode read its steps with
-    :func:`_from_pass`.  ``size`` is the most coefficients an input to the
-    cascade may have.  A chain has the shape the Euclid pass gives it:
-    nonzero moduli of strictly falling degree, the first of at most
-    ``size`` coefficients, and one cofactor each; the constructor raises
-    ``ValueError`` for any other.
+    :func:`_from_pass`.  An analysis pickles and copies as its moduli, so a
+    restored one builds its chain afresh, the same way.  ``size`` is the
+    most coefficients an input to the cascade may have.  A chain has the
+    shape the Euclid pass gives it: nonzero moduli of strictly falling
+    degree, the first of at most ``size`` coefficients, and one cofactor
+    each; the constructor raises ``ValueError`` for any other.
     Over F_2, ``layout`` and ``index`` are those of the fused chain of
     :func:`~polycrt.gf2._fuse_chain`, whose index holds each step already
     shifted for every bit length it clears, and ``steps`` and ``cofs`` are
-    both its tuple of fused ints.  Pickles and copies
-    carry no index: it is built again from the fused steps, since a pickle
-    would store every shift-0 entry as a second copy of its step.  Over odd
-    p, ``index`` is None, ``layout`` is the slot width and struct code of
+    both its tuple of fused ints.  Over odd p, ``index`` is None,
+    ``layout`` is the slot width and struct code of
     :func:`~polycrt.kronecker._chain_layout` for ``size``, and ``steps`` and
     ``cofs`` are as :func:`~polycrt.kronecker._fold_euclid` yields them,
-    their slots holding any value below 3p.
+    their slots holding any value below 3p; :func:`~polycrt.kronecker._decode`
+    runs the cascade over them.
     """
 
     __slots__ = ("field", "size", "layout", "steps", "cofs", "index")
@@ -325,13 +325,6 @@ class PackedChain:
             lens = (size + 1, *(step[0] for step in self.steps))
         if len(steps) != len(cofs) or not all(map(gt, lens, lens[1:])) or lens[-1] < 1:
             raise ValueError(f"not a Euclid chain for inputs of {size} coefficients")
-
-    def __getstate__(self) -> tuple:
-        return self.field, self.size, self.layout, self.steps, self.cofs
-
-    def __setstate__(self, state: tuple) -> None:
-        self.field, self.size, self.layout, self.steps, self.cofs = state
-        self.index = _chain_index(self.steps, self.layout, self.size) if self.field.p == 2 else None
 
     def modulus(self, i: int) -> Polynomial:
         """Step i's modulus."""

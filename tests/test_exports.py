@@ -126,9 +126,13 @@ def test_bare_import_loads_no_submodule():
 
 
 def test_dir_covers_the_export_list_and_loads_no_submodule():
+    names = dir(polycrt)
+    assert names == sorted(names) and set(polycrt.__all__) <= set(names)
     code = (
         "import polycrt\n"
-        "if not set(polycrt.__all__) <= set(dir(polycrt)): raise SystemExit('dir misses a name')"
+        "names = dir(polycrt)\n"
+        "if names != sorted(names): raise SystemExit('dir is not sorted')\n"
+        "if not set(polycrt.__all__) <= set(names): raise SystemExit('dir misses a name')"
     )
     loaded = loaded_after(code)
     assert sorted(m for m in loaded if m.startswith("polycrt.")) == []

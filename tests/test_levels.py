@@ -1,6 +1,7 @@
 import ast
 import copy
 import dataclasses
+import functools
 import json
 import os
 import pickle
@@ -31,6 +32,7 @@ from polycrt import (
     residue_error_bound,
     xgcd,
 )
+from polycrt import levels
 from polycrt.levels import _assert_invariants
 from polycrt.poly import PackedChain
 from polycrt.simulation import sample_monic
@@ -398,6 +400,76 @@ class TestCascadeCofactors:
             assert clone.cascade_moduli == an.cascade_moduli
             assert clone == an and hash(clone) == hash(an)
             _assert_invariants(clone)
+
+
+def chain_state(chain):
+    """Everything a packed chain stores, for comparing two chains."""
+    return chain.field, chain.size, chain.layout, chain.steps, chain.cofs, chain.index
+
+
+class TestRestores:
+    """An analysis pickles and copies as its moduli: each restore is a fresh analyze_pair."""
+
+    RESTORES = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda an: pickle.loads(pickle.dumps(an)),
+    }
+
+    @pytest.mark.parametrize("restore", RESTORES)
+    @pytest.mark.parametrize("p", [2, 13])
+    def test_a_swapped_analysis_stays_swapped(self, restore, p):
+        an = readme_factors_pair(PrimeField(p))
+        swapped = analyze_pair(an.m2, an.m1)
+        assert swapped.swapped and not an.swapped
+        for original in (an, swapped):
+            clone = self.RESTORES[restore](original)
+            assert clone == original and clone.swapped == original.swapped
+
+    @pytest.mark.parametrize("restore", RESTORES)
+    @pytest.mark.parametrize("p", [2, 65521])
+    def test_a_planted_chain_is_not_restored(self, restore, p):
+        field = PrimeField(p)
+        an = readme_factors_pair(field)
+        other = random_moduli_pair(field, random.Random(f"planted:{p}"), (3, 4), (8, 9))
+        broken = analyze_pair(an.m1, an.m2)
+        object.__setattr__(broken, "chain", other.chain)
+        clone = self.RESTORES[restore](broken)
+        assert clone == an
+        assert chain_state(clone.chain) == chain_state(an.chain) != chain_state(other.chain)
+
+    @pytest.mark.parametrize("restore", RESTORES)
+    def test_each_restore_runs_analyze_pair_and_its_checks_once(
+        self, monkeypatch, reference_pair, restore
+    ):
+        # The spy on analyze_pair keeps its name, so pickles still find it.
+        built, checked = [], []
+        analyze, check = levels.analyze_pair, levels._assert_invariants
+
+        @functools.wraps(analyze)
+        def analyze_spy(*moduli):
+            built.append(moduli)
+            return analyze(*moduli)
+
+        def check_spy(analysis, *rest):
+            checked.append(analysis)
+            return check(analysis, *rest)
+
+        monkeypatch.setattr(levels, "analyze_pair", analyze_spy)
+        monkeypatch.setattr(levels, "_assert_invariants", check_spy)
+        clone = self.RESTORES[restore](reference_pair)
+        assert built == [(reference_pair.m1, reference_pair.m2)]
+        assert len(checked) == 1 and checked[0] is clone
+
+    def test_a_large_f2_analysis_pickles_as_its_moduli(self):
+        # At degree 12,288 the fused steps and their index took 9.2 MiB of
+        # pickle; the two moduli take about 48 KiB.
+        rng = random.Random("pickle size")
+        an = random_moduli_pair(PrimeField(2), rng, (4096, 4096), (8192, 8193))
+        assert an.m1.degree >= 12288
+        data = pickle.dumps(an)
+        assert len(data) < 64 << 10
+        assert chain_state(pickle.loads(data).chain) == chain_state(an.chain)
 
 
 class TestOneChainBuilder:

@@ -47,13 +47,14 @@ from polycrt.kronecker import (
     _STEP_MIN_QUOTIENT,
     _STEP_WINDOW,
     _chain_layout,
+    _decode,
     _dense_divmod,
-    _fold_chain,
     _fold_euclid,
     _kronecker_mul,
     _neg_quotient,
     _pack,
     _step_divmod,
+    _strip,
     _unpack,
 )
 
@@ -71,6 +72,22 @@ FIELDS = {p: PrimeField(p) for p in PRIMES}
 MAX_LEN = 300
 
 DIFFERENTIAL = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+def fold_chain(v, steps, cofs, width, code, p, stop):
+    """The cascade of ``v`` over steps ``0 .. stop - 1``, by :func:`_decode`: its tail and weighted sum.
+
+    The kernel decodes ``r1 = v`` and ``r2 = ()`` against ``m2 = (1,)``, so
+    its ``q21`` must be ``v`` stripped and its ``a_hat`` must be ``k2_hat``.
+    """
+    q21, tail, k2_hat, a_hat = _decode(steps, cofs, width, code, p, stop, (1,), v, ())
+    assert q21 == tuple(_strip(list(v))) and a_hat == k2_hat
+    return tail, k2_hat
+
+
+def stripped(lists):
+    """``reference_fold_chain``'s lists as ``_decode`` returns them: tuples without trailing zeros."""
+    return tuple(tuple(_strip(list(values))) for values in lists)
 
 
 def width_edges(p):
@@ -577,7 +594,7 @@ class TestChainLayout:
             assert all(0 <= r < 3 * p and (r - n * term) % p == 0 for r in got)
         # The cascade over the same steps, stored as an analysis stores them.
         chain = (values, steps, [cof] * len(steps), width, code, p)
-        assert _fold_chain(*chain, len(steps)) == reference_fold_chain(*chain)
+        assert fold_chain(*chain, len(steps)) == stripped(reference_fold_chain(*chain))
 
     @pytest.mark.parametrize("p", [3, 13, 65521, 2**61 - 1])
     def test_stored_slots_lie_below_3p(self, p):
@@ -700,7 +717,7 @@ class TestAgainstDigitFolds:
                     inputs = [(), (rng.randrange(1, p),), a, *cascade_inputs(len(a), n, rng, p)]
                     rest = (steps[start:], cofs[start:], width, code, p, stop - start)
                     for v in inputs:
-                        assert _fold_chain(v, *rest) == reference_fold_chain(v, *part)
+                        assert fold_chain(v, *rest) == stripped(reference_fold_chain(v, *part))
 
     def test_long_steps_take_windows(self, monkeypatch):
         # A spy on the step kernel: every digit of the pass and of the
@@ -747,7 +764,8 @@ class TestAgainstDigitFolds:
             chain = pack_chain(field, moduli, cofactors, size)
             part = (chain.steps, chain.cofs, *chain.layout, p)
             for v in [(), *cascade_inputs(size, degrees[0] + 1, rng, p), (1,) * size]:
-                assert _fold_chain(v, *part, len(chain.steps)) == reference_fold_chain(v, *part)
+                want = stripped(reference_fold_chain(v, *part))
+                assert fold_chain(v, *part, len(chain.steps)) == want
             with pytest.raises(ValueError):
                 pack_chain(field, moduli, cofactors[:-1], size)
         zero = Polynomial(field)
