@@ -5,7 +5,8 @@ range and residue error tolerance, a closed-form robust decoder, and a
 deterministic simulation harness around it.
 
 ``import polycrt`` loads no submodule: each public name is imported from its
-submodule when it is first used (PEP 562) and kept in this namespace.
+submodule when it is first used (PEP 562) and kept in this namespace, and a
+submodule when it is first read as an attribute, as the odd-p kernels are.
 """
 
 import importlib
@@ -71,8 +72,12 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 
 __all__ = sorted(_MODULE_OF)
 
+_SUBMODULES = {*_EXPORTS, "cli", "gf2", "kronecker"}
+
 
 def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,8 +15,8 @@ gives ``divmod`` by ``m1`` and by ``m2``, and :func:`_decoder` the
 decoder's formula at one level, which each kernel module writes once for
 its field (:func:`polycrt.gf2._decode`, :func:`polycrt.kronecker._decode`).
 ``encode``, ``crt_pair``, ``reconstruct`` and every campaign trial call the
-bound kernels.  The odd-p kernel module is imported on the first odd-p
-set-up, as in :mod:`polycrt.poly`.
+bound kernels.  The odd-p set-up reads its kernels as ``polycrt.kronecker``,
+which the package imports on the first odd-p use (:mod:`polycrt`).
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from functools import partial
 from operator import xor
 
+import polycrt
+
 from . import gf2
 from .errors import (
     DegreeOutOfRangeError,
@@ -34,10 +36,7 @@ from .errors import (
 )
 from .field import PrimeField
 from .levels import ModuliPairAnalysis
-from .poly import Polynomial, _Submodule, _from_bits, _record
-
-# The odd-p kernels, imported on first odd-p use.
-kronecker = _Submodule(globals(), "kronecker")
+from .poly import Polynomial, _from_bits, _record
 
 
 def _divisions(analysis: ModuliPairAnalysis) -> tuple[Callable, Callable]:
@@ -53,8 +52,8 @@ def _divisions(analysis: ModuliPairAnalysis) -> tuple[Callable, Callable]:
         return partial(gf2._cltable_divmod, *table1), partial(gf2._cltable_divmod, *table2)
     m1, m2 = analysis.m1._value, analysis.m2._value
     return (
-        partial(kronecker._tuple_divmod, m1, field.p, field.inv(m1[-1])),
-        partial(kronecker._tuple_divmod, m2, field.p, field.inv(m2[-1])),
+        partial(polycrt.kronecker._tuple_divmod, m1, field.p, field.inv(m1[-1])),
+        partial(polycrt.kronecker._tuple_divmod, m2, field.p, field.inv(m2[-1])),
     )
 
 
@@ -72,7 +71,7 @@ def _decoder(analysis: ModuliPairAnalysis, level: int) -> Callable:
     if analysis.field.p == 2:
         return partial(gf2._decode, chain.layout, chain.index, stop, analysis.tables[1][0])
     return partial(
-        kronecker._decode, chain.steps, chain.cofs, *chain.layout, analysis.field.p, stop,
+        polycrt.kronecker._decode, chain.steps, chain.cofs, *chain.layout, analysis.field.p, stop,
         analysis.m2._value,
     )
 
@@ -81,7 +80,11 @@ def _arithmetic(field: PrimeField) -> tuple[Callable, Callable, Callable]:
     """``add``, ``sub`` and the length, in bits or coefficients, of stored values of ``field``."""
     if field.p == 2:
         return xor, xor, int.bit_length
-    return partial(kronecker._dense_add, field.p), partial(kronecker._dense_sub, field.p), len
+    return (
+        partial(polycrt.kronecker._dense_add, field.p),
+        partial(polycrt.kronecker._dense_sub, field.p),
+        len,
+    )
 
 
 def _check_residues(

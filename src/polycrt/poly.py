@@ -16,13 +16,14 @@ every read.  Every other p stores the stripped tuple, and
 divides: with a schoolbook loop when the divisor or the quotient is short,
 and otherwise by the division steps that the Euclid pass takes, which halve
 a long quotient until its parts are short.  ``gf2`` loads with this module,
-and ``kronecker`` on the first odd-p use (:class:`_Submodule`), so work
-over F_2 never compiles it.  ``%`` is ``divmod``'s remainder.  The Euclid
-pass and the decoder's remainder cascade reduce a remainder and a
-cofactor-weighted sum step by step.  Each field's pass is a generator in
-its kernel module that streams rows, a step with its cofactor and the
-cofactor it leaves, as the kernels build them, and :func:`_from_pass`
-reads any item of a row as a polynomial.  Each reader
+and ``kronecker`` on the first odd-p use: each odd-p branch reads it as
+``polycrt.kronecker``, which the package imports when it is first read
+(:mod:`polycrt`), so work over F_2 never compiles it.  ``%`` is
+``divmod``'s remainder.  The Euclid pass and the decoder's remainder
+cascade reduce a remainder and a cofactor-weighted sum step by step.  Each
+field's pass is a generator in its kernel module that streams rows, a step
+with its cofactor and the cofactor it leaves, as the kernels build them,
+and :func:`_from_pass` reads any item of a row as a polynomial.  Each reader
 keeps only what it reads: ``gcd``, ``xgcd`` and ``lcm`` the last row (and
 ``residue_error_bound`` folds ``gcd`` over pairs of moduli), the moduli
 pair analysis every step and cofactor, as a :class:`PackedChain`,
@@ -37,13 +38,14 @@ keeps slots below 3p, and the cascade reduces mod p once, at its end.
 
 from __future__ import annotations
 
-import importlib
 import re
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import combinations
 from math import inf
 from operator import gt, index
+
+import polycrt
 
 from .errors import (
     BothZeroError,
@@ -56,28 +58,6 @@ from .errors import (
 )
 from .field import PrimeField
 from .gf2 import _cldivmod, _clmul, _euclid_rows, _fuse_chain, _pack2, _unpack2
-
-
-class _Submodule:
-    """Stands in for the submodule ``name`` of this package, bound as ``name`` in ``namespace``.
-
-    The first attribute read imports the submodule and binds it in
-    ``namespace`` in this stand-in's place, so every later read in that
-    namespace is an ordinary module attribute.  The odd-p kernels load this
-    way, on first odd-p use: a process that works over F_2 never compiles
-    them.
-    """
-
-    def __init__(self, namespace: dict, name: str) -> None:
-        self.namespace, self.name = namespace, name
-
-    def __getattr__(self, attr: str):
-        module = self.namespace[self.name] = importlib.import_module(f"{__package__}.{self.name}")
-        return getattr(module, attr)
-
-
-# The odd-p kernels, imported on first odd-p use.
-kronecker = _Submodule(globals(), "kronecker")
 
 NEG_INF = float("-inf")
 
@@ -107,7 +87,7 @@ class Polynomial:
         p = field.p
         _set_field(self, field)
         vals = [index(c) % p for c in coeffs]
-        _set_value(self, _pack2(vals) if p == 2 else tuple(kronecker._strip(vals)))
+        _set_value(self, _pack2(vals) if p == 2 else tuple(polycrt.kronecker._strip(vals)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -174,14 +154,14 @@ class Polynomial:
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._value ^ other._value)
-        return _from_bits(field, kronecker._dense_add(field.p, self._value, other._value))
+        return _from_bits(field, polycrt.kronecker._dense_add(field.p, self._value, other._value))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         self._check_field(other)
         field = self.field
         if field.p == 2:
             return _from_bits(field, self._value ^ other._value)
-        return _from_bits(field, kronecker._dense_sub(field.p, self._value, other._value))
+        return _from_bits(field, polycrt.kronecker._dense_sub(field.p, self._value, other._value))
 
     def __neg__(self) -> Polynomial:
         p = self.field.p
@@ -194,7 +174,7 @@ class Polynomial:
         field = self.field
         if field.p == 2:
             return _from_bits(field, _clmul(self._value, other._value))
-        return _from_reduced(field, kronecker._kronecker_mul(self._value, other._value, field.p))
+        return _from_reduced(field, polycrt.kronecker._kronecker_mul(self._value, other._value, field.p))
 
     def __divmod__(self, other: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Euclidean division: ``self == q * other + r`` with deg(r) < deg(other)."""
@@ -206,7 +186,7 @@ class Polynomial:
         if field.p == 2:
             quot, rem = _cldivmod(self._value, b)
         else:
-            quot, rem = kronecker._tuple_divmod(b, field.p, field.inv(b[-1]), self._value)
+            quot, rem = polycrt.kronecker._tuple_divmod(b, field.p, field.inv(b[-1]), self._value)
         return _from_bits(field, quot), _from_bits(field, rem)
 
     def __mod__(self, other: Polynomial) -> Polynomial:
@@ -263,7 +243,7 @@ _set_value = Polynomial._value.__set__
 
 def _from_reduced(field: PrimeField, vals: list) -> Polynomial:
     """Polynomial over odd p from a list already reduced mod p; strips ``vals`` in place."""
-    return _from_bits(field, tuple(kronecker._strip(vals)))
+    return _from_bits(field, tuple(polycrt.kronecker._strip(vals)))
 
 
 def _from_bits(field: PrimeField, value: int | tuple[int, ...]) -> Polynomial:
@@ -378,8 +358,8 @@ def _euclid_pass(a: Polynomial, b: Polynomial) -> tuple:
     field, x, y = a.field, a._value, b._value
     if field.p == 2:
         return x.bit_length(), None, _euclid_rows(x, y)
-    width, code, reduce = kronecker._chain_layout(field.p, len(x))
-    return len(x), (width, code), kronecker._fold_euclid(x, y, field.p, width, code, reduce)
+    width, code, reduce = polycrt.kronecker._chain_layout(field.p, len(x))
+    return len(x), (width, code), polycrt.kronecker._fold_euclid(x, y, field.p, width, code, reduce)
 
 
 def _from_pass(field: PrimeField, layout: tuple | None, item: int | tuple) -> Polynomial:
@@ -396,7 +376,7 @@ def _from_pass(field: PrimeField, layout: tuple | None, item: int | tuple) -> Po
     if item.__class__ is tuple:  # a step: its lead, nonzero and below p, over its low slots
         item = item[1] | item[3] << (item[0] - 1) * bits
     slots = -(-item.bit_length() // bits)
-    return _from_reduced(field, [c % p for c in kronecker._unpack(item, slots, *layout)])
+    return _from_reduced(field, [c % p for c in polycrt.kronecker._unpack(item, slots, *layout)])
 
 
 def _euclid(name: str, a: Polynomial, b: Polynomial) -> tuple[Polynomial, ...]:

@@ -13,10 +13,11 @@ tuple over odd p, whose formats the kernel modules :mod:`polycrt.gf2` and
 that ``encode`` and :func:`~polycrt.decoder.reconstruct` wrap; no
 polynomial is built.  The draws are read into those formats directly, by
 the reader of :func:`_stream_draws`: odd-p words through ``kronecker``'s
-slot layout, which the reader imports when it is set up, so an F_2
-campaign never loads the odd-p kernels.  The core, the reader and the
-branch lookup (:func:`_branches`) are set up once per campaign, so a trial
-at p = 2 reads one SHAKE-256 digest, masks it into its draws, and decodes.
+slot layout, which the reader reads as ``polycrt.kronecker`` when it is
+set up, so an F_2 campaign never loads the odd-p kernels.  The core, the
+reader and the branch lookup (:func:`_branches`) are set up once per
+campaign, so a trial at p = 2 reads one SHAKE-256 digest, masks it into
+its draws, and decodes.
 
 A campaign streams: :func:`run_campaign` folds each trial into the
 report's counters and keeps only the indices of failing trials, so its
@@ -45,6 +46,8 @@ try:
     from _sha3 import shake_256
 except ImportError:
     from hashlib import shake_256
+
+import polycrt
 
 from .crt import _arithmetic, _decoder, _divisions
 from .decoder import Branch, _branch
@@ -107,10 +110,9 @@ def _stream_draws(counts: tuple[int, int, int], field: PrimeField) -> Callable[[
             return bits & mask0, bits >> c0 & mask1, bits >> c01 & mask2
 
         return draw
-    from .kronecker import _slot_layout, _strip, _unpack
-
+    _strip, _unpack = polycrt.kronecker._strip, polycrt.kronecker._unpack
     k = (p - 1).bit_length()
-    width, code = _slot_layout(k)
+    width, code = polycrt.kronecker._slot_layout(k)
     lanes = ((1 << k) - 1).to_bytes(width, "little")
 
     def plan(need: int) -> tuple[int, int]:

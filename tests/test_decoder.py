@@ -272,6 +272,44 @@ class TestBoundsAreTight:
             assert_bounds_are_tight(random_moduli_pair(PrimeField(p), rng, (1, 4), (4, 10)))
 
 
+def assert_witnesses_hold(analysis, rng):
+    """The witness of every step, read off the stored chain, with its identities and trial.
+
+    Step ``j`` is ``m*sigma_j`` with Bezout cofactor ``s_j``, so ``d_j =
+    m*sigma_j - s_j*m2`` (``t_j*m1``) has residues ``(0, m*sigma_j)`` and
+    degree ``R_{j-1}``, the range one level down, with ``R_0 = deg(m2)``.
+    So a message ``a`` below ``R_j`` under ``e2 = m*sigma_j``, one degree
+    past level ``j``'s error bound, and ``a + d_j`` under no error give the
+    same received pair: no decoder is right on both, and this one returns
+    ``a + d_j``.
+    """
+    field, m1, m2 = analysis.field, analysis.m1, analysis.m2
+    ranges = [m2.degree] + [spec.dynamic_range_exclusive for spec in analysis.levels]
+    steps = zip(analysis.cascade_moduli, analysis.cascade_cofactors)
+    for j, (step, cofactor) in enumerate(steps, start=1):
+        d = step - cofactor * m2
+        assert (d % m1).is_zero
+        assert d % m2 == step
+        assert d.degree == ranges[j - 1]
+        a = sample_polynomial(ranges[j], field, rng)
+        residues, _ = encode(a, analysis)
+        received = ErroneousResiduePair(residues.a1, residues.a2 + step, analysis)
+        clean, _ = encode(a + d, analysis)
+        assert (clean.a1, clean.a2) == (received.r1, received.r2)
+        assert reconstruct(received, j).a_hat == a + d
+
+
+class TestWitnesses:
+    def test_reference_pair(self, reference_pair):
+        assert_witnesses_hold(reference_pair, random.Random("witness"))
+
+    @pytest.mark.parametrize("p", [2, 13, 2**61 - 1])
+    def test_random_pairs(self, p):
+        rng = random.Random(f"witness:{p}")
+        for _ in range(4):
+            assert_witnesses_hold(random_moduli_pair(PrimeField(p), rng, (1, 4), (3, 10)), rng)
+
+
 class TestLinearity:
     """``reconstruct`` is F_p-linear in ``(r1, r2)``, so a few decodes certify it on a pair.
 

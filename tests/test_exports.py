@@ -151,7 +151,9 @@ def test_first_use_loads_only_the_names_module_and_keeps_the_name():
 
 
 def test_the_odd_p_kernels_load_on_first_odd_p_use_and_stay_bound():
-    # Once loaded, each holder reads the kernels off the module itself.
+    # The package's __getattr__ imports them when polycrt.kronecker is first
+    # read, and the import binds the module in the package, where every
+    # caller reads it; no other module holds a name for it.
     code = (
         "import sys\n"
         "from polycrt import PrimeField, analyze_pair, encode, parse_polynomial\n"
@@ -165,10 +167,29 @@ def test_the_odd_p_kernels_load_on_first_odd_p_use_and_stay_bound():
         "f13 = pair(13, 'x^5+x^3+2*x^2+2', 'x^6+x^4+x^3+3*x^2+x+3')\n"
         "encode(parse_polynomial('x^8+1', f13.field), f13)\n"
         "kernels = sys.modules['polycrt.kronecker']\n"
-        "if not polycrt.poly.kronecker is polycrt.crt.kronecker is kernels:\n"
-        "    raise SystemExit('a stand-in is still bound')"
+        "if vars(polycrt).get('kronecker') is not kernels or polycrt.kronecker is not kernels:\n"
+        "    raise SystemExit('the package does not hold the kernels')\n"
+        "if hasattr(polycrt.poly, 'kronecker') or hasattr(polycrt.crt, 'kronecker'):\n"
+        "    raise SystemExit('a module holds its own name for the kernels')"
     )
     loaded_after(code)
+
+
+def test_no_module_imports_the_odd_p_kernels():
+    # They load through the package's __getattr__ alone, on the first read of
+    # polycrt.kronecker; an import statement would load them with its module.
+    importers = []
+    for path in _MODULE_PATHS:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            importers += [f"{path.name}:{node.lineno}" for name in names
+                          if "kronecker" in name.split(".")]
+    assert importers == []
 
 
 # Runs main on sys.argv[1:] with its output discarded; a nonzero exit fails.

@@ -21,6 +21,8 @@ the cascade, which find each step's digits first, with the digit-at-a-time
 folds of ``reference_decoder``, on steps that fill a window of the halving
 or run a digit past one, and checks with a spy on the step kernel that a
 step of thousands of digits is found in windows nested a few calls deep.
+Last, products and ``divmod`` of thousands of coefficients, far past the
+dense references' reach, are checked by evaluation at random points.
 """
 
 import math
@@ -773,3 +775,31 @@ class TestAgainstDigitFolds:
         cofactors = [random_poly(p, 1, rng), zero, random_poly(p, 3, rng)]
         with pytest.raises(ValueError):
             pack_chain(field, moduli, cofactors, size)
+
+
+def horner(coeffs, x, p):
+    """The value at ``x`` mod p of the polynomial whose coefficients, lowest first, are ``coeffs``."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * x + c) % p
+    return value
+
+
+class TestLargeDegreeByEvaluation:
+    # Far past MAX_LEN, the product and divmod are checked at random points:
+    # a wrong result agrees with the identity at a point with probability
+    # at most its degree over p.  At 65521 the slots are 8-byte words; at
+    # both large primes they are 17 and 18 bytes, joined and split as bytes.
+    @pytest.mark.parametrize("p, length", [(65521, 8001), (2**61 - 1, 2049), (2**64 - 59, 2049)])
+    def test_product_and_divmod(self, p, length):
+        # a has 2 * length - 1 coefficients and b has length.
+        rng = random.Random(f"evaluate:{p}")
+        a = random_poly(p, 2 * length - 2, rng)
+        b = random_poly(p, length - 1, rng)
+        product = (a * b).coeffs
+        q, r = divmod(a, b)
+        assert r.degree < b.degree
+        for x in (rng.randrange(p) for _ in range(3)):
+            ax, bx = horner(a.coeffs, x, p), horner(b.coeffs, x, p)
+            assert horner(product, x, p) == ax * bx % p
+            assert ax == (horner(q.coeffs, x, p) * bx + horner(r.coeffs, x, p)) % p
