@@ -32,6 +32,19 @@ kernel module's ``_decode`` (:func:`polycrt.gf2._decode`,
 :func:`polycrt.kronecker._decode`), which :func:`polycrt.crt._decoder`
 binds at a level and :func:`reconstruct` wraps.
 
+No decoder of any kind beats the level table.  With errors of degree
+below ``A``, the widest message range that any decoder can serve is the
+largest ``deg(lcm) - deg(sigma_i)`` among the levels whose error bound is
+at least ``A``, or ``deg(m2)`` when none is (the decoder ``a_hat = r2``).
+The analysis's chain holds the witness: ``d_j = m*sigma_j - s_j*m2`` is a
+multiple of ``m1`` (it is ``t_j*m1``), is ``m*sigma_j`` mod ``m2``, and has
+degree ``deg(lcm) - deg(sigma_{j-1})``, the range of level ``j - 1``.  So
+for ``A`` past level ``j``'s error bound, a message under the error
+``e2 = m*sigma_j`` and the message plus ``d_j`` under no error give the
+same received pair; the two differ at that degree, and no decoder is right
+on both.  The witness tests and an exhaustive search over small pairs
+(``tests/test_decoder.py``, ``tests/test_levels.py``) check this.
+
 The degree of ``q21`` also names one of three cases, reported as
 :class:`Branch` for diagnostics only; the formula is the same in all three:
 

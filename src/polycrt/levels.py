@@ -19,6 +19,7 @@ level covers the full range ``deg(lcm)`` with the smallest error bound
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 
 from .errors import (
     CoprimeModuliError,
@@ -50,11 +51,12 @@ class LevelSpec:
 class ModuliPairAnalysis:
     """Everything derived from a moduli pair that encode/decode needs.
 
-    It stores ``m1``, ``m2``, ``m``, ``gamma1``, ``gamma2``, the rows of
-    ``levels``, ``chain``, ``swapped`` and ``tables``; every other attribute,
-    ``lcm`` and ``K`` included, is computed on read.  ``levels`` holds the
-    degrees: its top row's ``dynamic_range_exclusive`` is ``deg(lcm)``, and
-    ``K`` is the row count less one.
+    It stores ``m1``, ``m2``, ``m``, ``gamma1``, ``gamma2``, ``chain`` and
+    ``swapped``; every other attribute is computed on read.  ``levels`` and
+    ``tables`` are computed on first read and kept: the rows of ``levels``
+    are read off the chain's step degrees, ``deg(m)`` and ``deg(lcm) =
+    deg(m1) + deg(gamma2)``, so its top row's ``dynamic_range_exclusive`` is
+    ``deg(lcm)``, and ``K`` is the row count less one.
 
     ``chain`` is the only stored form of the cascade: the steps of the
     Euclid pass over ``(m2, m1)`` that also yields ``m``, packed as the
@@ -71,13 +73,14 @@ class ModuliPairAnalysis:
 
     Over F_2, ``tables`` holds a byte table per modulus
     (:data:`~polycrt.gf2.ByteTable`), for ``encode``'s divisions and the
-    products by ``m2``; over odd p both are None.  The chain and the tables
-    are functions of ``(m1, m2)``, which equality compares, so they take no
-    part in equality, hashing or repr.  They are built once per analysis and
-    pay off over many round trips (README).  An analysis pickles and copies
-    as its moduli, in their input order: a restore is a fresh
-    :func:`analyze_pair`, which builds the chain and the tables again and
-    checks them, so no pickle holds either.
+    products by ``m2``; over odd p both are None.  They are built and
+    checked on the first division or decode, so an analysis that never
+    decodes never builds them, and they pay off over many round trips
+    (README).  The chain is a function of ``(m1, m2)``, which equality
+    compares, so it takes no part in equality, hashing or repr.  An analysis
+    pickles and copies as its moduli, in their input order: a restore is a
+    fresh :func:`analyze_pair`, which builds the chain again and checks it,
+    so no pickle holds the chain, the rows or the tables.
     """
 
     m1: Polynomial
@@ -85,20 +88,39 @@ class ModuliPairAnalysis:
     m: Polynomial
     gamma1: Polynomial
     gamma2: Polynomial
-    levels: tuple[LevelSpec, ...]
     chain: PackedChain = dataclass_field(compare=False, repr=False)
     swapped: bool
-    tables: tuple[ByteTable | None, ByteTable | None] = dataclass_field(
-        init=False, default=(None, None), compare=False, repr=False
-    )
 
     def __reduce__(self) -> tuple:
         return analyze_pair, (self.m2, self.m1) if self.swapped else (self.m1, self.m2)
 
-    def __post_init__(self) -> None:
-        if self.field.p == 2:
-            tables = _clbyte_table(self.m1._value), _clbyte_table(self.m2._value)
-            object.__setattr__(self, "tables", tables)
+    @cached_property
+    def levels(self) -> tuple[LevelSpec, ...]:
+        """The rows of levels 1..K+1, one per chain step after step 0.
+
+        deg(sigma_i) = deg(m * sigma_i) - deg(m), and deg(lcm) = deg(m1) +
+        deg(gamma2).  The rows hold ints by construction, so they skip the
+        frozen __init__'s four setattr calls.
+        """
+        deg_m = self.m.degree
+        deg_big = self.m1.degree + self.gamma2.degree
+        return tuple(
+            _record(LevelSpec, index=i, sigma_deg=d - deg_m, error_bound_exclusive=d,
+                    dynamic_range_exclusive=deg_big - d + deg_m)
+            for i, d in enumerate(self.chain.degrees()[0][1:], start=1)
+        )
+
+    @cached_property
+    def tables(self) -> tuple[ByteTable | None, ByteTable | None]:
+        """The byte tables of m1 and m2 over F_2, checked against them; (None, None) at odd p."""
+        if self.field.p != 2:
+            return None, None
+        tables = _clbyte_table(self.m1._value), _clbyte_table(self.m2._value)
+        # An explicit raise, so that python -O keeps this cross-check.
+        for name, mod, table in zip(("m1", "m2"), (self.m1, self.m2), tables):
+            if not _is_byte_table(mod._value, table):
+                raise AssertionError(f"byte table of {name} does not match it")
+        return tables
 
     @property
     def field(self) -> PrimeField:
@@ -188,41 +210,28 @@ def analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis:
             "one modulus divides the other; the pair carries no usable"
             " redundancy"
         )
-    # deg(sigma_i) = deg(m * sigma_i) - deg(m), and deg(lcm) = deg(m1) +
-    # deg(gamma2).  The rows hold ints by construction, so they skip the
-    # frozen __init__'s four setattr calls.
-    deg_m = m.degree
-    deg_big = m1.degree + gamma2.degree
-    degrees = chain.degrees()
-    levels = tuple(
-        _record(LevelSpec, index=i, sigma_deg=d - deg_m, error_bound_exclusive=d,
-                dynamic_range_exclusive=deg_big - d + deg_m)
-        for i, d in enumerate(degrees[0][1:], start=1)
-    )
-
     analysis = ModuliPairAnalysis(
         m1=m1,
         m2=m2,
         m=m,
         gamma1=gamma1,
         gamma2=gamma2,
-        levels=levels,
         chain=chain,
         swapped=swapped,
     )
-    _assert_invariants(analysis, degrees)
+    _assert_invariants(analysis)
     return analysis
 
 
-def _assert_invariants(
-    analysis: ModuliPairAnalysis, degrees: tuple[list, list] | None = None
-) -> None:
-    # Explicit raises, so that python -O keeps this cross-check of the
-    # kernels.  The chain's degrees are read off its packed steps, unless
-    # the caller passes in the chain.degrees() it has already read.  The
-    # chain's constructor has checked that its degrees strictly fall and
-    # that each step has one cofactor.
-    step_degs, cofactor_degs = analysis.chain.degrees() if degrees is None else degrees
+def _assert_invariants(analysis: ModuliPairAnalysis) -> None:
+    """Cross-check an analysis against its chain, with explicit raises that python -O keeps.
+
+    The chain's constructor has checked that its degrees strictly fall and
+    that each step has one cofactor.  The level rows and the byte tables
+    are built from what this checks, on first read; ``tables`` checks
+    itself when it is built.
+    """
+    step_degs, cofactor_degs = analysis.chain.degrees()
     degs = [analysis.m2.degree, analysis.m1.degree] + step_degs[1:]
     if degs[0] < degs[1]:
         raise AssertionError("starting entries out of order")
@@ -230,18 +239,6 @@ def _assert_invariants(
         raise AssertionError("chain does not start at m1 with cofactor 0")
     if degs[-1] != analysis.m.degree:
         raise AssertionError("chain does not end in a nonzero scalar")
-    # Steps 1..K+1 are the levels: each row is read off its step's degree,
-    # deg(m) and deg(lcm), which bounds encode's messages.  deg(lcm) is
-    # taken as deg(m1) + deg(m2) - deg(m), so a gamma2 of another degree is
-    # left to its own check below.
-    deg_m = degs[-1]
-    deg_big = degs[0] + degs[1] - deg_m
-    rows = [
-        (s.index, s.sigma_deg, s.error_bound_exclusive, s.dynamic_range_exclusive)
-        for s in analysis.levels
-    ]
-    if rows != [(i, d - deg_m, d, deg_big - d + deg_m) for i, d in enumerate(degs[2:], start=1)]:
-        raise AssertionError("K and the levels do not match the chain")
     if any(s != degs[1] - d for s, d in zip(cofactor_degs[1:], degs[1:])):
         raise AssertionError("cascade cofactor degrees do not match the chain")
     if analysis.m.lead != 1:
@@ -254,9 +251,6 @@ def _assert_invariants(
         analysis.field, (1,)
     ):
         raise AssertionError("gamma_inv21 * gamma2 != 1 (mod gamma1)")
-    for name, mod, table in zip(("m1", "m2"), (analysis.m1, analysis.m2), analysis.tables):
-        if table is not None and not _is_byte_table(mod._value, table):
-            raise AssertionError(f"byte table of {name} does not match it")
 
 
 def render_level_table(analysis: ModuliPairAnalysis) -> str:

@@ -8,7 +8,8 @@ that ``analyze_pair`` runs, so these loops are what the tests compare it
 with.
 ``reference_analyze_pair`` is the two-pass analysis: ``reference_gcd`` and
 ``reference_lcm`` separately, ``reference_xgcd`` for the cofactor inverse,
-then a second Euclid pass for the sigma chain; each cascade cofactor is
+then a second Euclid pass for the sigma chain, from which it reads its
+own level rows (its ``levels``); each cascade cofactor is
 ``sigma_i * inv21 mod gamma1``, and ``gamma1`` is ``m1 // m``, not the
 Euclid pass's last cofactor.  ``reference_reconstruct`` is the
 three-branch decoder, with an explicit divisibility check on
@@ -255,13 +256,12 @@ def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis
         )
         for i in range(1, k_index + 2)
     )
-    return ModuliPairAnalysis(
+    analysis = ModuliPairAnalysis(
         m1=m1,
         m2=m2,
         m=m,
         gamma1=gamma1,
         gamma2=gamma2,
-        levels=levels,
         chain=pack_chain(
             m.field,
             [m1] + [m * chain[i + 1] for i in range(1, k_index + 2)],
@@ -270,6 +270,10 @@ def reference_analyze_pair(m1: Polynomial, m2: Polynomial) -> ModuliPairAnalysis
         ),
         swapped=swapped,
     )
+    # The library reads its rows off its own chain on first read; these
+    # rows, from the sigma chain and the lcm above, fill that cache first.
+    analysis.__dict__["levels"] = levels
+    return analysis
 
 
 def reference_reconstruct(pair, level: int) -> ReconstructionResult:

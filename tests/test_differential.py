@@ -97,6 +97,9 @@ def test_matches_reference(p):
             # Equality leaves the packed chain out; compare what it stores.
             assert got.cascade_moduli == want.cascade_moduli
             assert got.cascade_cofactors == want.cascade_cofactors
+            # Nor does it compare the rows, which the reference reads off
+            # its own sigma chain and lcm.
+            assert got.levels == want.levels
         # Encoded residues, and random ones (mostly inconsistent, always at
         # large p), drawn apart from the decoder cases below.
         for _ in range(3):
@@ -143,6 +146,7 @@ def test_large_pair_at_p2_every_level():
     analysis = analyze_pair(m1, m2)
     reference = reference_analyze_pair(m1, m2)
     assert analysis == reference and analysis.lcm == reference_lcm(m1, m2)
+    assert analysis.levels == reference.levels
     assert analysis.cascade_moduli == reference.cascade_moduli
     assert analysis.cascade_cofactors == reference.cascade_cofactors
     assert analysis.K >= 60
@@ -199,6 +203,7 @@ def test_large_pair_at_p65521():
     analysis = analyze_pair(m2, m1)
     reference = reference_analyze_pair(m2, m1)
     assert analysis == reference and analysis.lcm == reference_lcm(m2, m1)
+    assert analysis.levels == reference.levels
     assert analysis.cascade_moduli == reference.cascade_moduli
     assert analysis.cascade_cofactors == reference.cascade_cofactors
     assert analysis.swapped and analysis.K > 100

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 import os
@@ -72,13 +73,15 @@ def test_no_module_imports_typing():
 
 
 def _defined_objects(module):
-    """Each function, method, property getter and class that ``module`` defines."""
+    """Each function, method, property getter, cached property getter and class that ``module`` defines."""
     for obj in vars(module).values():
         if getattr(obj, "__module__", None) != module.__name__:
             continue
         if isinstance(obj, type):
             yield obj
             for member in vars(obj).values():
+                if isinstance(member, functools.cached_property):
+                    member = member.func
                 member = getattr(member, "fget", None) or getattr(member, "__func__", member)
                 if inspect.isfunction(inspect.unwrap(member)):
                     yield member

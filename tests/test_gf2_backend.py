@@ -216,6 +216,52 @@ class TestByteTables:
         assert _from_bits(F2, _cltable_mul(a._value, mults)) == dense_mul(a, b)
 
 
+
+class TestParserCapByFingerprint:
+    """The bit and byte-table kernels at the parser's cap, checked in O(n) by a fingerprint."""
+
+    def test_product_and_division_of_65536_by_32768_bits(self):
+        # The fingerprint of v is v mod f for a random f of degree 32 with
+        # constant term 1, by Horner over 32-bit chunks; products and sums
+        # of fingerprints are taken by the loops below, not by the kernels.
+        rng = random.Random("parser-cap fingerprint")
+        f = 1 << 32 | rng.getrandbits(32) | 1
+
+        def mod_f(v):
+            while v.bit_length() > 32:
+                v ^= f << (v.bit_length() - 33)
+            return v
+
+        def fingerprint(v):
+            out, data = 0, v.to_bytes(-(-v.bit_length() // 32) * 4, "big")
+            for at in range(0, len(data), 4):
+                out = mod_f(out << 32 ^ int.from_bytes(data[at:at + 4], "big"))
+            return out
+
+        def times(x, y):
+            out = 0
+            for i in range(y.bit_length()):
+                if y >> i & 1:
+                    out ^= x << i
+            return mod_f(out)
+
+        a = 1 << 65535 | rng.getrandbits(65535)
+        b = 1 << 32767 | rng.getrandbits(32767) | 1
+        fa, fb = fingerprint(a), fingerprint(b)
+        product = _clmul(a, b)
+        assert product.bit_length() == 65536 + 32768 - 1
+        assert fingerprint(product) == times(fa, fb)
+        quot, rem = _cldivmod(a, b)
+        assert rem.bit_length() < b.bit_length()
+        assert quot.bit_length() == 65536 - 32768 + 1
+        assert fingerprint(a) == times(fingerprint(quot), fb) ^ fingerprint(rem)
+        mults, tops = _clbyte_table(b)
+        assert _cltable_divmod(mults, tops, a) == (quot, rem)
+        assert _cltable_mul(a, mults) == product
+        # f has constant term 1, so it divides no single bit: a one-bit
+        # error is always caught.
+        assert fingerprint(product ^ 1 << 60000) != times(fa, fb)
+
 class TestWordEdges:
     @pytest.mark.parametrize("n", [62, 63, 64, 65, 127, 128, 1100])
     def test_divisor_longer_than_dividend(self, n):

@@ -2,6 +2,7 @@ import ast
 import copy
 import dataclasses
 import functools
+import itertools
 import json
 import os
 import pickle
@@ -21,15 +22,18 @@ from polycrt import (
     Polynomial,
     PrimeField,
     TooFewModuliError,
+    TrialConfig,
     ZeroModulusError,
     analysis_to_json,
     analyze_pair,
+    encode,
     gcd,
     lcm,
     parse_polynomial,
     random_moduli_pair,
     render_level_table,
     residue_error_bound,
+    run_campaign,
     xgcd,
 )
 from polycrt import levels
@@ -37,7 +41,7 @@ from polycrt.levels import _assert_invariants
 from polycrt.poly import PackedChain
 from polycrt.simulation import sample_monic
 
-from conftest import REF_M1, REF_M2, SRC, enumerate_polynomials, poly
+from conftest import REF_A, REF_M1, REF_M2, SRC, enumerate_polynomials, poly
 from reference_decoder import pack_chain
 
 
@@ -160,6 +164,50 @@ class TestLevelTable:
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     row.index = 0
 
+    def test_no_decoder_serves_a_wider_range_than_the_table(self):
+        # The frontier, by plain loops with no library cascade: errors of
+        # degree below A leave a + d and a indistinguishable whenever both
+        # residues of d have degree below A, so no decoder serves messages
+        # past the least degree >= A of such a nonzero d.  Scaling d keeps
+        # its residue degrees, so the monic ones of each degree suffice, and
+        # lcm itself, with zero residues, caps the search at deg(lcm).
+        def residue_degree(d, m, p):
+            r, n = list(d), len(m)
+            inv = pow(m[-1], p - 2, p)
+            for shift in range(len(r) - n, -1, -1):
+                c = r[shift + n - 1] * inv % p
+                for k, mk in enumerate(m):
+                    r[shift + k] = (r[shift + k] - c * mk) % p
+            deg = min(len(r), n - 1) - 1
+            while deg >= 0 and not r[deg]:
+                deg -= 1
+            return deg
+
+        points = 0
+        for p, count, cofactors in ((2, 24, (2, 4)), (3, 10, (1, 3))):
+            rng = random.Random(f"frontier:{p}")
+            for _ in range(count):
+                an = random_moduli_pair(PrimeField(p), rng, (1, 2), cofactors)
+                m1, m2, top = an.m1.coeffs, an.m2.coeffs, an.lcm.degree
+                # best[D]: the least residue degree of a monic d of degree D.
+                best = [
+                    min(
+                        max(residue_degree(d, m1, p), residue_degree(d, m2, p))
+                        for d in (tail + (1,) for tail in itertools.product(range(p), repeat=D))
+                    )
+                    for D in range(top + 1)
+                ]
+                for A in range(1, an.m2.degree + 1):
+                    frontier = min(D for D in range(A, top + 1) if best[D] < A)
+                    served = [
+                        spec.dynamic_range_exclusive
+                        for spec in an.levels
+                        if spec.error_bound_exclusive >= A
+                    ]
+                    assert frontier == max(served, default=an.m2.degree), (p, an, A)
+                    points += 1
+        assert points == 165
+
     def test_level_spec_bounds_checked(self, reference_pair):
         with pytest.raises(LevelOutOfRangeError):
             reference_pair.level_spec(0)
@@ -234,26 +282,12 @@ class TestChainInvariants:
         with pytest.raises(AssertionError, match="^m is not monic$"):
             _assert_invariants(scaled)
 
-    @pytest.mark.parametrize("p", [2, 13])
-    @pytest.mark.parametrize(
-        "name", ["index", "sigma_deg", "error_bound_exclusive", "dynamic_range_exclusive"]
-    )
-    def test_invariants_reject_a_planted_row_field(self, p, name):
-        # Every field of every row is read off the chain: encode bounds its
-        # messages by the top row's range, and trials draw each row's range.
-        an = readme_factors_pair(PrimeField(p))
-        for at, row in enumerate(an.levels):
-            planted = dataclasses.replace(row, **{name: getattr(row, name) + 1})
-            levels = an.levels[:at] + (planted,) + an.levels[at + 1:]
-            with pytest.raises(AssertionError, match="^K and the levels do not match the chain$"):
-                _assert_invariants(dataclasses.replace(an, levels=levels))
-
     def test_lcm_and_k_are_derived_not_settable(self, reference_pair):
-        for name in ("lcm", "K"):
+        for name in ("lcm", "K", "levels", "tables"):
             with pytest.raises(TypeError):
                 dataclasses.replace(reference_pair, **{name: getattr(reference_pair, name)})
 
-    def test_invariants_reject_a_corrupted_byte_table(self, reference_pair):
+    def test_invariants_reject_a_corrupted_byte_table(self, monkeypatch, reference_pair):
         an = reference_pair
         table1, table2 = an.tables
         mults, tops = table1
@@ -273,14 +307,13 @@ class TestChainInvariants:
             ((table1, (table2[0], swapped(table2[1]))), "m2"),
             ((table2, table1), "m1"),
         ):
-            # The tables are derived on construction and cannot be passed in,
-            # so a corrupted one can only be planted on a copy.
-            with pytest.raises(ValueError):
-                dataclasses.replace(an, tables=tables)
-            broken = copy.copy(an)
-            object.__setattr__(broken, "tables", tables)
+            # The tables are built on first read, so a corrupted one can only
+            # come from the table builder itself.
+            planted = dict(zip((an.m1._value, an.m2._value), tables))
+            monkeypatch.setattr(levels, "_clbyte_table", planted.__getitem__)
+            broken = analyze_pair(an.m1, an.m2)
             with pytest.raises(AssertionError) as exc:
-                _assert_invariants(broken)
+                broken.tables
             assert str(exc.value) == f"byte table of {name} does not match it"
 
     @staticmethod
@@ -311,15 +344,6 @@ class TestChainInvariants:
             (
                 {"chain": chain(moduli=cm[:-1], cofactors=cf[:-1])},
                 "chain does not end in a nonzero scalar",
-            ),
-            # The chain is whole; the rows, and so K, drop its last step.
-            ({"levels": an.levels[:-1]}, "K and the levels do not match the chain"),
-            (
-                # K and the row count hold; one row's bound is off by one.
-                {"levels": an.levels[:-1] + (dataclasses.replace(
-                    an.levels[-1], error_bound_exclusive=an.levels[-1].error_bound_exclusive + 1
-                ),)},
-                "K and the levels do not match the chain",
             ),
             (
                 # Same degree, so only the derived inverse is wrong.
@@ -516,6 +540,35 @@ class TestOneChainBuilder:
                 if isinstance(node, ast.FunctionDef) and calls(node)
             ]
         assert total == 1 and callers == [("levels.py", "analyze_pair")]
+
+
+class TestRowsAndTablesOnFirstRead:
+    def test_only_decoding_builds_the_byte_tables(self, monkeypatch, reference_pair):
+        # analyze_pair builds no level row and no byte table; the first
+        # encode builds the two tables, and nothing builds them again.
+        rows, tables = [], []
+        record, build = levels._record, levels._clbyte_table
+
+        def record_spy(cls, **fields):
+            rows.append(cls)
+            return record(cls, **fields)
+
+        def build_spy(b):
+            tables.append(b)
+            return build(b)
+
+        monkeypatch.setattr(levels, "_record", record_spy)
+        monkeypatch.setattr(levels, "_clbyte_table", build_spy)
+        an = analyze_pair(reference_pair.m1, reference_pair.m2)
+        assert rows == [] and tables == []
+        a = poly(an.field, REF_A)
+        first = encode(a, an)
+        assert tables == [an.m1._value, an.m2._value]
+        assert first == encode(a, an)
+        report = run_campaign(TrialConfig(an, 4, 1, 20, 1))
+        assert report.successes == 20
+        assert len(tables) == 2
+        assert rows == [LevelSpec] * (an.K + 1)
 
 
 # Runs under python -O: analyze_pair on a good product, then again with a
