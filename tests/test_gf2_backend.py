@@ -216,7 +216,6 @@ class TestByteTables:
         assert _from_bits(F2, _cltable_mul(a._value, mults)) == dense_mul(a, b)
 
 
-
 class TestParserCapByFingerprint:
     """The bit and byte-table kernels at the parser's cap, checked in O(n) by a fingerprint."""
 
@@ -261,6 +260,7 @@ class TestParserCapByFingerprint:
         # f has constant term 1, so it divides no single bit: a one-bit
         # error is always caught.
         assert fingerprint(product ^ 1 << 60000) != times(fa, fb)
+
 
 class TestWordEdges:
     @pytest.mark.parametrize("n", [62, 63, 64, 65, 127, 128, 1100])

@@ -282,6 +282,29 @@ class TestChainInvariants:
         with pytest.raises(AssertionError, match="^m is not monic$"):
             _assert_invariants(scaled)
 
+    @pytest.mark.parametrize("p", [2, 13])
+    @pytest.mark.parametrize(
+        "name", ["index", "sigma_deg", "error_bound_exclusive", "dynamic_range_exclusive"]
+    )
+    def test_every_row_field_is_read_off_the_chain(self, p, name):
+        # Every field of every row follows the level formulas in deg(m),
+        # deg(sigma_i) and deg(lcm): encode bounds its messages by the top
+        # row's range, and trials draw each row's range.  The rows are read
+        # off the packed chain; sigma_i here comes from the second Euclid
+        # pass over the cofactors, and lcm from its own product.
+        an = readme_factors_pair(PrimeField(p))
+        want = {
+            "index": lambda i, s: i,
+            "sigma_deg": lambda i, s: s,
+            "error_bound_exclusive": lambda i, s: an.m.degree + s,
+            "dynamic_range_exclusive": lambda i, s: an.lcm.degree - s,
+        }[name]
+        rows = an.levels
+        assert an.levels is rows and len(rows) == an.K + 1
+        assert [getattr(row, name) for row in rows] == [
+            want(i, sigma.degree) for i, sigma in enumerate(an.remainders, start=1)
+        ]
+
     def test_lcm_and_k_are_derived_not_settable(self, reference_pair):
         for name in ("lcm", "K", "levels", "tables"):
             with pytest.raises(TypeError):
@@ -569,6 +592,23 @@ class TestRowsAndTablesOnFirstRead:
         assert report.successes == 20
         assert len(tables) == 2
         assert rows == [LevelSpec] * (an.K + 1)
+
+    def test_odd_p_builds_no_byte_table(self, monkeypatch):
+        # Over odd p, decoding divides without byte tables, and none is built.
+        tables = []
+        build = levels._clbyte_table
+
+        def build_spy(b):
+            tables.append(b)
+            return build(b)
+
+        monkeypatch.setattr(levels, "_clbyte_table", build_spy)
+        an = readme_factors_pair(PrimeField(13))
+        a = poly(an.field, REF_A)
+        assert encode(a, an) == encode(a, an)
+        report = run_campaign(TrialConfig(an, an.K + 1, 1, 20, 1))
+        assert report.successes == 20
+        assert an.tables == (None, None) and tables == []
 
 
 # Runs under python -O: analyze_pair on a good product, then again with a
